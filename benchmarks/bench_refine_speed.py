@@ -11,7 +11,7 @@ Every cached run is verified bit-identical to its uncached twin before
 any number is reported — a speedup that changes the output would be a
 bug, not a result.
 
-Standalone usage (what CI's bench-smoke step runs):
+Standalone usage:
 
     PYTHONPATH=src python benchmarks/bench_refine_speed.py --smoke
 

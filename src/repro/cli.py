@@ -218,37 +218,22 @@ def cmd_partition(args: argparse.Namespace) -> int:
     refiner = None
     if args.refine:
         model = trained_cost_model(args.refine)
-        use_gain_cache = not args.no_gain_cache
-        if partitioner.cut_type == "edge":
-            from repro.core.e2h import E2H
+        from repro.core import refiner_class
 
-            refiner = E2H(
-                model,
-                guard_config=guard_config,
-                use_gain_cache=use_gain_cache,
-                cluster_spec=cluster_spec,
-            )
-            partition = refiner.refine(
-                partition, in_place=True, capture_seed=bool(args.apply_mutations)
-            )
-        elif partitioner.cut_type == "vertex":
-            from repro.core.v2h import V2H
-
-            refiner = V2H(
-                model,
-                guard_config=guard_config,
-                use_gain_cache=use_gain_cache,
-                cluster_spec=cluster_spec,
-            )
-            partition = refiner.refine(
-                partition, in_place=True, capture_seed=bool(args.apply_mutations)
-            )
-        else:
+        try:
+            refiner_cls = refiner_class(partitioner.cut_type)
+        except ValueError:
             print(
                 f"error: cannot refine hybrid baseline {args.partitioner!r}",
                 file=sys.stderr,
             )
             return 2
+        refiner = refiner_cls(
+            model, guard_config=guard_config, cluster_spec=cluster_spec
+        )
+        partition = refiner.refine(
+            partition, in_place=True, capture_seed=bool(args.apply_mutations)
+        )
         label += f" + {args.refine}-driven refinement"
         stats = refiner.last_stats
     if args.apply_mutations:
@@ -680,11 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="refine for this algorithm's cost model",
     )
     part.add_argument("--out", required=True)
-    part.add_argument(
-        "--no-gain-cache",
-        action="store_true",
-        help="refine on the uncached reference path (bit-identical, slower)",
-    )
     part.add_argument(
         "--apply-mutations",
         metavar="FILE",

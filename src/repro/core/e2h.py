@@ -22,28 +22,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.budget import classify_fragments, compute_budget
-from repro.core.candidates import get_candidates
-from repro.core.dirty import (
-    IncrementalStats,
-    RescoringModel,
-    dirty_frontier,
-    touched_fragments,
-)
-from repro.core.gaincache import GainCache, GainCacheStats
+from repro.core.dirty import IncrementalStats
+from repro.core.driver import DirtyScope, PassState, run_pass
+from repro.core.gaincache import GainCacheStats
 from repro.core.massign import massign
 from repro.core.operations import emigrate, split_migrate_edge
-from repro.core.tracker import CostTracker, TrackerSeed
-from repro.costmodel.guarded import guard_cost_model
+from repro.core.tracker import TrackerSeed
 from repro.costmodel.model import CostModel
-from repro.integrity.guard import (
-    GuardConfig,
-    GuardStats,
-    RefinementBudgetExceeded,
-    RefinementGuard,
-)
+from repro.integrity.guard import GuardConfig, GuardStats
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.clusterspec import (
     ClusterSpec,
@@ -77,7 +65,110 @@ class RefineStats:
     incremental: Optional[IncrementalStats] = None
 
 
-class E2H:
+class WallClockExecutor:
+    """Sequential executor: phases run inline, timed by wall clock."""
+
+    def __init__(self) -> None:
+        self.stats = RefineStats()
+
+    def open(self, partition: HybridPartition) -> None:
+        return None
+
+    def setup(self, select, state: PassState) -> None:
+        select()
+
+    def phase(self, name: str, body, state: PassState) -> None:
+        start = time.perf_counter()
+        body(state)
+        self.stats.phase_seconds[name] = time.perf_counter() - start
+
+    def result(self, partition: HybridPartition) -> HybridPartition:
+        return partition
+
+
+def sequential_massign(state: PassState) -> None:
+    """The MAssign phase of the sequential refiners."""
+    vertices, residual = state.massign_scope()
+    state.stats.master_moves = massign(
+        state.tracker,
+        vertices=None if vertices is None else sorted(vertices),
+        guard=state.guard,
+        scorer=state.scorer,
+        residual=residual,
+    )
+
+
+class SingleOutputRefiner:
+    """``refine`` / ``refine_incremental`` of E2H, V2H, ParE2H and ParV2H.
+
+    Both are one :func:`~repro.core.driver.run_pass`; the subclass
+    supplies ``role``, ``_phase_plan()`` and, for the Par variants, the
+    cluster executor (which makes both methods return ``(partition,
+    profile)`` instead of the partition).
+    """
+
+    candidate_order = "bfs"
+    last_seed: Optional[TrackerSeed]
+
+    def _executor(self):
+        return WallClockExecutor()
+
+    def refine(
+        self,
+        partition: HybridPartition,
+        in_place: bool = False,
+        capture_seed: bool = False,
+    ):
+        """Refine an edge-cut (E2H) / vertex-cut (V2H) partition into a
+        hybrid one.
+
+        Returns a new partition unless ``in_place`` is set.  Statistics
+        of the run are kept in :attr:`last_stats`.  With
+        ``capture_seed`` the final tracker state is snapshotted into
+        :attr:`last_seed` so a later :meth:`refine_incremental` can
+        warm-start instead of rebuilding the tracker cold.
+        """
+        executor = self._executor()
+        if not in_place:
+            partition = partition.copy()
+        return run_pass(self, partition, None, executor, capture_seed)
+
+    def refine_incremental(
+        self,
+        partition: HybridPartition,
+        dirty_vertices,
+        in_place: bool = True,
+        seed="auto",
+    ):
+        """Dirty-region refinement after a small mutation batch (DESIGN §15).
+
+        Runs the same phases as :meth:`refine` with their scope
+        narrowed to the dirty frontier — ``dirty_vertices`` plus their
+        graph neighbors — inside the fragments hosting any frontier
+        vertex: candidates outside the frontier are skipped, VMerge
+        only scans touched fragments' frontier v-cuts, and MAssign only
+        revisits frontier border vertices.  The cost tracker is seeded
+        from ``seed`` (default: :attr:`last_seed`, captured by a prior
+        ``refine(..., capture_seed=True)`` or incremental pass) when
+        the partition's mutation journal still covers it, replacing the
+        cold per-copy rebuild with a delta replay.  A fresh snapshot is
+        stored in :attr:`last_seed` afterwards so consecutive
+        incremental passes stay warm.
+
+        Defaults to in-place: a copied partition has its own journal and
+        generation counter, against which a seed captured on the
+        original cannot be replayed.
+        """
+        executor = self._executor()
+        if not in_place:
+            partition, seed = partition.copy(), None
+        elif seed == "auto":
+            seed = self.last_seed
+        scope = DirtyScope.around(partition, dirty_vertices, seed)
+        return run_pass(self, partition, scope, executor)
+
+
+class E2H(SingleOutputRefiner):
     """Edge-cut → hybrid refiner driven by a cost model.
 
     Parameters
@@ -109,6 +200,7 @@ class E2H:
     """
 
     phases = ("emigrate", "esplit", "massign")
+    role = NodeRole.ECUT
 
     def __init__(
         self,
@@ -136,268 +228,22 @@ class E2H:
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
-    # ------------------------------------------------------------------
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
-    ) -> HybridPartition:
-        """Refine an edge-cut partition into a hybrid one.
-
-        Returns a new partition unless ``in_place`` is set.  Statistics
-        of the run are kept in :attr:`last_stats`.  With
-        ``capture_seed`` the final tracker state is snapshotted into
-        :attr:`last_seed` so a later :meth:`refine_incremental` can
-        warm-start instead of rebuilding the tracker cold.
-        """
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            # The memo wraps the (possibly guarded) model: values are
-            # identical either way, and guardrail checks still apply to
-            # every distinct evaluation.
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        # Outermost counting layer: tallies the h/g requests the run
-        # demands (values pass through untouched).
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch evaluation: querying the tracker here
-                # would change its lazy-flush boundaries and perturb
-                # float accumulation order in the cached costs.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            order = None
-            if self.candidate_order == "arbitrary":
-                # Ablation: fragment-internal order instead of the
-                # locality-preserving BFS traversal (GetCandidates).
-                order = sorted(partition.fragments[fid].vertices())
-            candidates[fid] = get_candidates(
-                tracker,
-                fid,
-                tracker.keep_budget(fid, budget),
-                NodeRole.ECUT,
-                order=order,
-            )
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                start = time.perf_counter()
-                self._phase_emigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["emigrate"] = time.perf_counter() - start
-            if self.enable_esplit:
-                start = time.perf_counter()
-                self._phase_esplit(tracker, candidates, stats, guard, cache)
-                stats.phase_seconds["esplit"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                stats.master_moves = massign(tracker, guard=guard, cache=cache)
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
-
-    # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> HybridPartition:
-        """Dirty-region refinement after a small mutation batch (DESIGN §15).
-
-        Runs the same three phases as :meth:`refine` with their scope
-        narrowed to the dirty frontier — ``dirty_vertices`` plus their
-        graph neighbors — inside the fragments hosting any frontier
-        vertex: candidates outside the frontier are skipped, and MAssign
-        only revisits frontier border vertices.  The cost tracker is
-        seeded from ``seed`` (default: :attr:`last_seed`, captured by a
-        prior ``refine(..., capture_seed=True)`` or incremental pass)
-        when the partition's mutation journal still covers it, replacing
-        the cold per-copy rebuild with a delta replay.  A fresh snapshot
-        is stored in :attr:`last_seed` afterwards so consecutive
-        incremental passes stay warm.
-
-        Defaults to in-place: a copied partition has its own journal and
-        generation counter, against which a seed captured on the
-        original cannot be replayed.
-        """
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
+    def _phase_plan(self):
+        return (
+            ("emigrate", self.enable_emigrate, self._phase_emigrate),
+            ("esplit", self.enable_esplit, self._phase_esplit),
+            ("massign", self.enable_massign, sequential_massign),
         )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            if fid not in touched:
-                continue
-            order = None
-            if self.candidate_order == "arbitrary":
-                order = sorted(partition.fragments[fid].vertices())
-            # The BFS walk itself prices nothing (cached per-copy sums);
-            # only frontier members may move.
-            cand = get_candidates(
-                tracker,
-                fid,
-                tracker.keep_budget(fid, budget),
-                NodeRole.ECUT,
-                order=order,
-            )
-            candidates[fid] = [unit for unit in cand if unit[0] in frontier]
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                start = time.perf_counter()
-                self._phase_emigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["emigrate"] = time.perf_counter() - start
-            if self.enable_esplit:
-                start = time.perf_counter()
-                self._phase_esplit(tracker, candidates, stats, guard, cache)
-                stats.phase_seconds["esplit"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                # Only vertices whose Eq. 5 inputs changed need rescoring:
-                # the batch's dirty vertices plus everything the movement
-                # phases just churned (a vertex's h/g features depend
-                # solely on its own placement and incident edges, all of
-                # which notify the journal).  The residual pass keeps the
-                # untouched masters' standing communication in the
-                # accumulators.
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = sorted(frontier)
-                else:
-                    reassign = sorted(dirty_in | moved)
-                stats.master_moves = massign(
-                    tracker,
-                    vertices=reassign,
-                    guard=guard,
-                    cache=cache,
-                    residual=True,
-                )
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
 
     # ------------------------------------------------------------------
-    def _phase_emigrate(
-        self,
-        tracker: CostTracker,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
+    def _phase_emigrate(self, state: PassState) -> None:
         """Fig. 3 lines 6-10: ship whole candidates to underloaded fragments."""
-        partition = tracker.partition
+        partition, tracker, guard = state.partition, state.tracker, state.guard
+        budget, underloaded, candidates = (
+            state.budget, state.underloaded, state.candidates
+        )
+        price_as_ecut = state.scorer.price_as_ecut
+        ascending = state.scorer.ascending
         for src, cand_list in candidates.items():
             remaining = []
             for v, _edges in cand_list:
@@ -409,14 +255,9 @@ class E2H:
                 ):
                     remaining.append((v, _edges))
                     continue
-                if cache is not None:
-                    price = cache.price_as_ecut(v)
-                    destinations = cache.index.ascending(underloaded)
-                else:
-                    price = tracker.price_as_ecut(v)
-                    destinations = sorted(underloaded, key=tracker.load)
+                price = price_as_ecut(v)
                 placed = False
-                for dst in destinations:
+                for dst in ascending(underloaded):
                     if dst == src:
                         continue
                     if (
@@ -426,7 +267,7 @@ class E2H:
                         <= budget
                     ):
                         emigrate(partition, v, src, dst)
-                        stats.emigrated += 1
+                        state.stats.emigrated += 1
                         placed = True
                         if guard is not None:
                             guard.step()
@@ -435,18 +276,11 @@ class E2H:
                     remaining.append((v, _edges))
             candidates[src] = remaining
 
-    def _phase_esplit(
-        self,
-        tracker: CostTracker,
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
+    def _phase_esplit(self, state: PassState) -> None:
         """Fig. 3 lines 11-14: split leftovers edge by edge to argmin C_h."""
-        partition = tracker.partition
-        n = partition.num_fragments
-        for src, cand_list in candidates.items():
+        partition, guard, stats = state.partition, state.guard, state.stats
+        cheapest = state.scorer.cheapest
+        for src, cand_list in state.candidates.items():
             for v, _snapshot in cand_list:
                 fragment = partition.fragments[src]
                 if not fragment.has_vertex(v):
@@ -455,14 +289,11 @@ class E2H:
                 if edges:
                     stats.split_vertices += 1
                 for edge in edges:
-                    if cache is not None:
-                        target = cache.index.cheapest()
-                    else:
-                        target = min(range(n), key=tracker.load)
+                    target = cheapest()
                     if target == src:
                         continue
                     split_migrate_edge(partition, v, edge, src, target)
                     stats.split_edges += 1
                     if guard is not None:
                         guard.step()
-            candidates[src] = []
+            state.candidates[src] = []

@@ -288,7 +288,13 @@ class GainCache:
     watchdog use — and drops every cached gain of a vertex the moment
     any structural event touches it.
 
-    Lifecycle::
+    A bound cache is the refiners' *scorer*: the phase bodies ask it
+    for ``price_as_ecut`` / ``merged_price`` / ``massign_scores`` /
+    ``master_delta`` and for the fragment order (``cheapest`` /
+    ``ascending``), and never look behind it.  :class:`DirectScorer`
+    answers the same questions straight off the tracker.
+
+    Lifecycle (owned by :class:`~repro.core.driver.RefineSession`)::
 
         cache = GainCache(partition, model)
         tracker = CostTracker(partition, cache.model)
@@ -321,6 +327,10 @@ class GainCache:
         """Attach the refiner's tracker (enables the fragment index)."""
         self.tracker = tracker
         self.index = FragmentCostIndex(tracker)
+        # The index's bound methods *are* the scorer's fragment order:
+        # no forwarding frame between a hot loop and the heap.
+        self.cheapest = self.index.cheapest
+        self.ascending = self.index.ascending
 
     def detach(self) -> None:
         """Unsubscribe from partition (and tracker) events."""
@@ -391,3 +401,52 @@ class GainCache:
         else:
             self.stats.vertex_hits += 1
         return pair
+
+    def master_delta(self, v: int, fid: int) -> float:
+        """Δh of mastering ``v`` at ``fid`` (a hit right after Eq. 5
+        scored that host, with the identical value)."""
+        return self.massign_scores(v, fid)[1]
+
+
+class DirectScorer:
+    """The uncached reference scorer: every answer straight off the tracker.
+
+    Same surface as a bound :class:`GainCache`, no memory: each call is
+    the evaluation the cache is exact against, at the same tracker
+    flush boundaries.  ``use_gain_cache=False`` selects it; it stays in
+    ``src/`` because the differential suite uses it as the oracle.
+    """
+
+    def __init__(self, tracker: "CostTracker") -> None:
+        self.tracker = tracker
+        self.price_as_ecut = tracker.price_as_ecut
+
+    def merged_price(self, v: int, src: int, dst: int, compute) -> float:
+        """VMigrate merged price: always ``compute()``."""
+        return compute()
+
+    def massign_scores(self, v: int, fid: int) -> Tuple[float, float]:
+        """Eq. 5 pair ``(g^j_A(v), Δh master)`` for ``v`` at ``fid``."""
+        tracker = self.tracker
+        model, partition = tracker.cost_model, tracker.partition
+        avg = tracker.avg_degree
+        return (
+            model.comm_cost_if_master_at(partition, v, fid, avg),
+            model.comp_master_delta(partition, v, fid, avg),
+        )
+
+    def master_delta(self, v: int, fid: int) -> float:
+        """Δh of mastering ``v`` at ``fid``."""
+        tracker = self.tracker
+        return tracker.cost_model.comp_master_delta(
+            tracker.partition, v, fid, tracker.avg_degree
+        )
+
+    def cheapest(self) -> int:
+        """``argmin_i load(F_i)``, lowest fragment id among ties."""
+        tracker = self.tracker
+        return min(range(tracker.partition.num_fragments), key=tracker.load)
+
+    def ascending(self, fids: Sequence[int]) -> List[int]:
+        """``fids`` by ascending load (stable: ties keep id order)."""
+        return sorted(fids, key=self.tracker.load)

@@ -1,196 +1,29 @@
-"""Incremental partition maintenance under graph updates.
+"""Incremental partition maintenance under graph updates (DESIGN §15).
 
 The paper's conclusion names this as future work: "develop incremental
 algorithms that maintain application-driven partitions in response to
-updates to graphs".  This module implements that extension on top of the
-existing machinery:
-
-1. **Delta application** — given the refined partition of an old graph
-   and a batch of edge insertions/deletions, build the partition of the
-   *updated* graph without re-partitioning: surviving edges keep their
-   placement, deleted edges vanish everywhere (coherence, Section 6.1),
-   and each inserted edge lands where it disturbs the cost model least —
-   the cheaper of its endpoints' master fragments.
-
-2. **Localized re-refinement** — updates can push fragments over the
-   budget; instead of refining from scratch, only fragments whose cost
-   drifted beyond a tolerance re-run the E2H phases, with candidates
-   drawn from the drifted fragments alone.
-
-`IncrementalRefiner.update()` returns the new partition plus drift
-statistics, so callers can decide when a full re-partition is warranted
-(the classic incremental-maintenance trade-off).
-
-The fast path (DESIGN §15) is the **in-place** route: a
+updates to graphs".  The maintenance route is **in place**: a
 :class:`MutationBatch` of streamed updates is applied through the
 graph's own mutation hooks and the partitions' coherence primitives by
-:func:`apply_mutations`, which returns the dirty vertex set.  Feeding
-that set to a refiner's ``refine_incremental`` and re-planning with
-``plan_for(partition, incremental=True)`` maintains the deployment
-without ever rebuilding graph, partition, or plan from scratch —
-unlike :class:`IncrementalRefiner`, which reconstructs both.
+:func:`apply_mutations` — surviving edges keep their placement, deleted
+edges vanish everywhere (coherence, Section 6.1), each inserted edge
+lands in the cheapest coherent home — which returns the dirty vertex
+set.  Feeding that set to a refiner's ``refine_incremental`` and
+re-planning with ``plan_for(partition, incremental=True)`` maintains
+the deployment without ever rebuilding graph, partition, or plan from
+scratch.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.budget import compute_budget
-from repro.core.e2h import E2H
-from repro.core.tracker import CostTracker
-from repro.costmodel.model import CostModel
 from repro.graph.digraph import Edge, Graph
 from repro.partition.composite import CompositePartition
 from repro.partition.hybrid import HybridPartition
 
-
-@dataclass
-class UpdateStats:
-    """Outcome of one incremental maintenance step."""
-
-    inserted: int = 0
-    deleted: int = 0
-    skipped: int = 0
-    drifted_fragments: List[int] = field(default_factory=list)
-    refined: bool = False
-    cost_before: float = 0.0
-    cost_after: float = 0.0
-
-
-def apply_graph_delta(
-    graph: Graph,
-    insertions: Iterable[Edge] = (),
-    deletions: Iterable[Edge] = (),
-) -> Graph:
-    """Build the updated graph (old edges − deletions + insertions).
-
-    Inserted edges may reference new vertex ids; the vertex count grows
-    to cover them.  Deleting an absent edge is a no-op.
-    """
-    edges: Set[Edge] = set(graph.edges())
-    for edge in deletions:
-        edges.discard(graph.canonical_edge(*edge))
-    max_vertex = graph.num_vertices - 1
-    for u, v in insertions:
-        if graph.directed or u <= v:
-            edges.add((int(u), int(v)))
-        else:
-            edges.add((int(v), int(u)))
-        max_vertex = max(max_vertex, int(u), int(v))
-    return Graph(max_vertex + 1, edges, directed=graph.directed)
-
-
-class IncrementalRefiner:
-    """Maintains an application-driven hybrid partition across updates.
-
-    Parameters
-    ----------
-    cost_model:
-        The algorithm's cost model; placement of inserted edges and the
-        drift detection both use it.
-    drift_tolerance:
-        A fragment has *drifted* when its computational cost exceeds
-        ``(1 + drift_tolerance) ×`` the post-update budget.  Any drift
-        triggers a localized E2H pass over the drifted fragments.
-    """
-
-    def __init__(self, cost_model: CostModel, drift_tolerance: float = 0.2) -> None:
-        self.cost_model = cost_model
-        self.drift_tolerance = drift_tolerance
-        self.last_stats: Optional[UpdateStats] = None
-
-    # ------------------------------------------------------------------
-    def update(
-        self,
-        partition: HybridPartition,
-        insertions: Iterable[Edge] = (),
-        deletions: Iterable[Edge] = (),
-    ) -> HybridPartition:
-        """Apply an update batch; return the maintained partition.
-
-        The input partition is not mutated.  The result is a partition of
-        the *updated* graph with placements carried over, plus a
-        localized refinement pass if any fragment drifted over budget.
-        """
-        stats = UpdateStats()
-        insertions = [tuple(e) for e in insertions]
-        deletions = [
-            partition.graph.canonical_edge(*e) for e in deletions
-        ]
-        new_graph = apply_graph_delta(partition.graph, insertions, deletions)
-        deleted_set = set(deletions)
-
-        updated = HybridPartition(new_graph, partition.num_fragments)
-        # 1. Carry over surviving placements (deletion coherence).
-        for fragment in partition.fragments:
-            for edge in fragment.edges():
-                if edge in deleted_set:
-                    continue
-                updated.add_edge_to(fragment.fid, edge)
-        for v, _hosts in partition.vertex_fragments():
-            if v < new_graph.num_vertices and not updated.placement(v):
-                updated.add_vertex_to(partition.master(v), v)
-        for v, hosts in partition.vertex_fragments():
-            if updated.placement(v) and partition.master(v) in updated.placement(v):
-                updated.set_master(v, partition.master(v))
-        stats.deleted = sum(
-            1 for edge in deleted_set if partition.graph.has_edge(*edge)
-        )
-
-        # 2. Route insertions to the cheaper endpoint master fragment.
-        tracker = CostTracker(updated, self.cost_model)
-        for edge in insertions:
-            edge = new_graph.canonical_edge(*edge)
-            if not new_graph.has_edge(*edge):  # defensive: delta dropped it
-                stats.skipped += 1
-                continue
-            candidates = []
-            for endpoint in edge:
-                if updated.placement(endpoint):
-                    candidates.append(updated.master(endpoint))
-            if not candidates:
-                candidates = list(range(updated.num_fragments))
-            target = min(candidates, key=tracker.comp_cost)
-            if updated.add_edge_to(target, edge):
-                stats.inserted += 1
-            else:
-                stats.skipped += 1
-
-        # Cover brand-new isolated vertices, if any.
-        for v in new_graph.vertices:
-            if not updated.placement(v):
-                target = min(
-                    range(updated.num_fragments), key=tracker.comp_cost
-                )
-                updated.add_vertex_to(target, v)
-
-        # 3. Drift detection and localized re-refinement.
-        stats.cost_before = tracker.parallel_cost()
-        budget = compute_budget(tracker)
-        threshold = budget * (1.0 + self.drift_tolerance)
-        stats.drifted_fragments = [
-            fid
-            for fid in range(updated.num_fragments)
-            if tracker.comp_cost(fid) > threshold
-        ]
-        tracker.detach()
-        if stats.drifted_fragments:
-            refiner = E2H(self.cost_model)
-            updated = refiner.refine(updated, in_place=True)
-            stats.refined = True
-        closing = CostTracker(updated, self.cost_model)
-        stats.cost_after = closing.parallel_cost()
-        closing.detach()
-
-        self.last_stats = stats
-        return updated
-
-
-# ----------------------------------------------------------------------
-# Streamed mutation batches (DESIGN §15)
-# ----------------------------------------------------------------------
 #: Mutation opcodes: ``+`` add-edge, ``-`` remove-edge, ``v`` ensure-vertex.
 MutationOp = Tuple[str, int, int]
 

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.core.gaincache import DirectScorer
 from repro.core.tracker import CostTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.gaincache import GainCache
     from repro.integrity.guard import RefinementGuard
 
 
@@ -34,7 +34,7 @@ def massign(
     tracker: CostTracker,
     vertices: Optional[Iterable[int]] = None,
     guard: Optional["RefinementGuard"] = None,
-    cache: Optional["GainCache"] = None,
+    scorer=None,
     residual: bool = False,
 ) -> int:
     """Reassign masters of border vertices by Eq. 5; return moves made.
@@ -42,8 +42,9 @@ def massign(
     ``vertices`` restricts the pass (used by the batched parallel
     variant); default is every border vertex in ascending id order.
     ``guard`` (the guarded pipeline) is stepped once per master move.
-    ``cache`` serves the per-host ``(g, Δh)`` score pairs from the gain
-    cache; values are exactly what the direct evaluation produces.
+    ``scorer`` supplies the per-host ``(g, Δh)`` score pairs: the
+    session's gain cache, or (default) a direct evaluation off the
+    tracker — values are identical either way.
 
     ``residual`` (the dirty-region path, DESIGN §15) starts the
     communication accumulators from the fragments' *current* C_g minus
@@ -55,8 +56,9 @@ def massign(
     base degenerates to all zeros, so both modes agree there.
     """
     partition = tracker.partition
-    model = tracker.cost_model
-    avg = tracker.avg_degree
+    if scorer is None:
+        scorer = DirectScorer(tracker)
+    massign_scores = scorer.massign_scores
     if vertices is None:
         vertices = sorted(
             v for v, hosts in partition.vertex_fragments() if len(hosts) > 1
@@ -90,11 +92,7 @@ def massign(
         best_gain = 0.0
         best_delta = 0.0
         for fid in hosts:
-            if cache is not None:
-                g_here, h_delta = cache.massign_scores(v, fid)
-            else:
-                g_here = model.comm_cost_if_master_at(partition, v, fid, avg)
-                h_delta = model.comp_master_delta(partition, v, fid, avg)
+            g_here, h_delta = massign_scores(v, fid)
             if caps is None:
                 score = comp[fid] + comm[fid] + g_here + h_delta
             else:
@@ -110,14 +108,9 @@ def massign(
             # Master-dependent computation moves with the master (a
             # corrupted master pointing at a non-host carries none).
             if partition.fragments[current].has_vertex(v):
-                if cache is not None:
-                    # Scored in the loop above (pre-mutation), so this
-                    # is a cache hit with the identical value.
-                    comp[current] -= cache.massign_scores(v, current)[1]
-                else:
-                    comp[current] -= model.comp_master_delta(
-                        partition, v, current, avg
-                    )
+                # Scored in the loop above (pre-mutation): a gain-cache
+                # hit with the identical value.
+                comp[current] -= scorer.master_delta(v, current)
             partition.set_master(v, best_fid)
             moves += 1
             if guard is not None:

@@ -19,19 +19,20 @@ the composite replication ratio ``f_c`` low:
 
 from __future__ import annotations
 
-import dataclasses
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.budget import compute_budget
 from repro.core.candidates import bfs_order
 from repro.core.dirty import IncrementalStats
+from repro.core.driver import RefineSession
 from repro.core.e2h import E2H
-from repro.core.gaincache import GainCache, GainCacheStats
+from repro.core.gaincache import GainCacheStats
 from repro.core.getdest import get_dest
 from repro.core.massign import massign
 from repro.core.tracker import CostTracker
-from repro.costmodel.guarded import guard_cost_model
 from repro.costmodel.model import CostModel
 from repro.integrity.guard import (
     GuardConfig,
@@ -62,7 +63,7 @@ class CompositeStats:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     guard: Dict[str, GuardStats] = field(default_factory=dict)
     gain_cache: Dict[str, GainCacheStats] = field(default_factory=dict)
-    #: Summed h/g funnel requests across outputs (incremental passes).
+    #: Summed h/g funnel requests across outputs.
     rescoring_calls: int = 0
     #: Per-output dirty-region scopes (incremental passes only).
     incremental: Dict[str, "IncrementalStats"] = field(default_factory=dict)
@@ -73,30 +74,21 @@ class _GuardSet:
 
     The composite refiners build ``k`` output partitions *up* from
     empty, so two semantics differ from the single-partition guard:
-    coverage invariants are deferred to the final check
-    (``coverage_checks=False``), and a budget exhaustion must not abort
-    — the remaining units still need homes for the outputs to be valid.
-    Exhaustion instead flips :attr:`exhausted`, which the phases read to
-    fall back to cheapest-fragment assignment (the degraded-but-valid
-    "best so far" of a constructive algorithm).
+    coverage invariants are deferred to the final check (the sessions
+    are opened with an ``output_name``), and a budget exhaustion must
+    not abort — the remaining units still need homes for the outputs to
+    be valid.  Exhaustion instead flips :attr:`exhausted`, which the
+    phases read to fall back to cheapest-fragment assignment (the
+    degraded-but-valid "best so far" of a constructive algorithm).
     """
 
-    def __init__(
-        self,
-        outputs: Dict[str, HybridPartition],
-        config: Optional[GuardConfig],
-        stats: CompositeStats,
-    ) -> None:
-        self.guards: Dict[str, RefinementGuard] = {}
+    def __init__(self, sessions: Dict[str, RefineSession]) -> None:
+        self.guards: Dict[str, RefinementGuard] = {
+            name: session.guard
+            for name, session in sessions.items()
+            if session.guard is not None
+        }
         self.exhausted = False
-        if config is None:
-            return
-        config = dataclasses.replace(config, coverage_checks=False)
-        for name, output in outputs.items():
-            gstats = stats.guard.setdefault(name, GuardStats())
-            self.guards[name] = RefinementGuard(
-                output, config, stats=gstats, chaos_salt=name
-            )
 
     def step(self, name: str) -> None:
         guard = self.guards.get(name)
@@ -110,6 +102,109 @@ class _GuardSet:
     def finish(self) -> None:
         for guard in self.guards.values():
             guard.finish(early_stopped=self.exhausted)
+
+
+@contextmanager
+def timed_phase(stats: CompositeStats, name: str):
+    """Record the block's wall time as ``stats.phase_seconds[name]``."""
+    start = time.perf_counter()
+    yield
+    stats.phase_seconds[name] = time.perf_counter() - start
+
+
+def massign_outputs(sessions: Dict[str, RefineSession], guards: _GuardSet) -> None:
+    """MAssign on every output, as in E2H; stops at budget exhaustion."""
+    for name, session in sessions.items():
+        if guards.exhausted:
+            break
+        try:
+            massign(
+                session.tracker,
+                guard=guards.guards.get(name),
+                scorer=session.scorer,
+            )
+        except RefinementBudgetExceeded:
+            guards.exhausted = True
+
+
+def composite_pass(refiner, partition: HybridPartition) -> CompositePartition:
+    """The k-output pass shared by ME2H and MV2H.
+
+    Budgets come from the *input* partition's per-model costs (Fig. 6
+    l.1; per unit of speed when a spec is active).  Each algorithm then
+    gets a fresh output partition inside its own
+    :class:`~repro.core.driver.RefineSession`; the refiner's
+    ``_run_phases`` fills them.  Publishes ``refiner.last_stats``.
+    """
+    stats = CompositeStats()
+    for name, model in refiner.cost_models.items():
+        input_tracker = CostTracker(partition, model, spec=refiner.cluster_spec)
+        stats.budgets[name] = compute_budget(input_tracker, refiner.budget_slack)
+        input_tracker.detach()
+    outputs: Dict[str, HybridPartition] = {
+        name: HybridPartition(partition.graph, partition.num_fragments)
+        for name in refiner.cost_models
+    }
+    with ExitStack() as stack:
+        sessions = {
+            name: stack.enter_context(
+                RefineSession(
+                    outputs[name],
+                    refiner.cost_models[name],
+                    refiner.guard_config,
+                    refiner.use_gain_cache,
+                    refiner.cluster_spec,
+                    output_name=name,
+                )
+            )
+            for name in outputs
+        }
+        guards = _GuardSet(sessions)
+        refiner._run_phases(partition, sessions, stats, guards)
+        guards.finish()
+    for name, session in sessions.items():
+        if session.guard_stats is not None:
+            stats.guard[name] = session.guard_stats
+        if session.gain_cache_stats is not None:
+            stats.gain_cache[name] = session.gain_cache_stats
+        stats.rescoring_calls += session.counted.calls
+    refiner.last_stats = stats
+    return CompositePartition(outputs)
+
+
+def maintain_outputs(
+    refiner, composite: CompositePartition, dirty_vertices
+) -> CompositePartition:
+    """Dirty-region maintenance of a composite's outputs (DESIGN §15).
+
+    Each output partition gets an in-place incremental pass over the
+    dirty frontier from ``refiner._worker(model)``, kept per algorithm
+    in ``refiner._maintainers`` so tracker seeds carry over from batch
+    to batch (the first pass on a given composite is cold).  The
+    composite core/residual index is rebuilt once at the end.
+    Per-output bookkeeping lands in ``refiner.last_stats``.
+    """
+    stats = CompositeStats()
+    for name in composite.names:
+        worker = refiner._maintainers.get(name)
+        if worker is None:
+            worker = refiner._maintainers[name] = refiner._worker(
+                refiner.cost_models[name]
+            )
+        worker.refine_incremental(composite.partitions[name], dirty_vertices)
+        wstats = worker.last_stats
+        stats.budgets[name] = wstats.budget
+        if wstats.guard is not None:
+            stats.guard[name] = wstats.guard
+        memo_stats = wstats.gain_cache
+        if memo_stats is not None:
+            stats.gain_cache[name] = memo_stats
+        stats.phase_seconds[name] = sum(wstats.phase_seconds.values())
+        stats.rescoring_calls += wstats.rescoring_calls
+        stats.incremental[name] = wstats.incremental
+    composite.rebuild_index()
+    refiner.last_stats = stats
+    return composite
 
 
 class ME2H:
@@ -140,134 +235,42 @@ class ME2H:
         # seeds survive across mutation batches (DESIGN §15).
         self._maintainers: Dict[str, E2H] = {}
 
-    # ------------------------------------------------------------------
+    def _worker(self, model: CostModel) -> E2H:
+        return E2H(
+            model,
+            budget_slack=self.budget_slack,
+            guard_config=self.guard_config,
+            use_gain_cache=self.use_gain_cache,
+            cluster_spec=self.cluster_spec,
+        )
+
     def refine_incremental(
         self, composite: CompositePartition, dirty_vertices
     ) -> CompositePartition:
-        """Dirty-region maintenance of a composite's outputs (DESIGN §15).
+        """Dirty-region maintenance: an in-place incremental E2H pass per
+        output (see :func:`maintain_outputs`)."""
+        return maintain_outputs(self, composite, dirty_vertices)
 
-        Each output partition gets an in-place incremental E2H pass over
-        the dirty frontier, run by a persistent per-algorithm worker so
-        tracker seeds carry over from batch to batch (the first pass on
-        a given composite is cold).  The composite core/residual index
-        is rebuilt once at the end.  Per-output bookkeeping lands in
-        :attr:`last_stats`.
-        """
-        stats = CompositeStats()
-        for name in composite.names:
-            worker = self._maintainers.get(name)
-            if worker is None:
-                worker = E2H(
-                    self.cost_models[name],
-                    budget_slack=self.budget_slack,
-                    guard_config=self.guard_config,
-                    use_gain_cache=self.use_gain_cache,
-                    cluster_spec=self.cluster_spec,
-                )
-                self._maintainers[name] = worker
-            worker.refine_incremental(
-                composite.partitions[name], dirty_vertices
-            )
-            wstats = worker.last_stats
-            stats.budgets[name] = wstats.budget
-            if wstats.guard is not None:
-                stats.guard[name] = wstats.guard
-            if wstats.gain_cache is not None:
-                stats.gain_cache[name] = wstats.gain_cache
-            stats.phase_seconds[name] = sum(wstats.phase_seconds.values())
-            stats.rescoring_calls += wstats.rescoring_calls
-            stats.incremental[name] = wstats.incremental
-        composite.rebuild_index()
-        self.last_stats = stats
-        return composite
-
-    # ------------------------------------------------------------------
     def refine(self, partition: HybridPartition) -> CompositePartition:
         """Produce a composite partition from an edge-cut input."""
-        graph = partition.graph
-        n = partition.num_fragments
-        names = list(self.cost_models)
-        stats = CompositeStats()
+        return composite_pass(self, partition)
 
-        # Budgets from the *input* partition's per-model costs (Fig. 6 l.1).
-        # Capacity-aware: per-unit-speed budget when a spec is active.
-        for name, model in self.cost_models.items():
-            input_tracker = CostTracker(partition, model, spec=self.cluster_spec)
-            if self.cluster_spec is None:
-                stats.budgets[name] = (
-                    self.budget_slack * sum(input_tracker.comp_costs()) / n
-                )
-            else:
-                stats.budgets[name] = (
-                    self.budget_slack
-                    * sum(input_tracker.comp_costs())
-                    / sum(self.cluster_spec.speeds)
-                )
-            input_tracker.detach()
-
-        # Fresh output partitions and trackers, one per algorithm.
-        outputs: Dict[str, HybridPartition] = {
-            name: HybridPartition(graph, n) for name in names
-        }
-        models = dict(self.cost_models)
-        if self.guard_config is not None:
-            for name in names:
-                stats.guard[name] = GuardStats()
-                models[name] = guard_cost_model(
-                    models[name],
-                    on_intervention=stats.guard[name].note_cost_model_intervention,
-                )
-        caches: Dict[str, GainCache] = {}
-        if self.use_gain_cache:
-            for name in names:
-                caches[name] = GainCache(outputs[name], models[name])
-                stats.gain_cache[name] = caches[name].stats
-                models[name] = caches[name].model
-        trackers: Dict[str, CostTracker] = {
-            name: CostTracker(outputs[name], models[name], spec=self.cluster_spec)
-            for name in names
-        }
-        for name, cache in caches.items():
-            cache.bind(trackers[name])
-        guards = _GuardSet(outputs, self.guard_config, stats)
-
+    def _run_phases(
+        self,
+        partition: HybridPartition,
+        sessions: Dict[str, RefineSession],
+        stats: CompositeStats,
+        guards: _GuardSet,
+    ) -> None:
         units_by_fragment = self._units(partition)
-
-        start = time.perf_counter()
-        leftovers = self._phase_init(
-            units_by_fragment, trackers, stats, guards, caches
-        )
-        stats.phase_seconds["init"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        residue = self._phase_vassign(leftovers, trackers, stats, guards, caches)
-        stats.phase_seconds["vassign"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        self._phase_eassign(residue, trackers, stats, guards, caches)
-        stats.phase_seconds["eassign"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for name in names:
-            if guards.exhausted:
-                break
-            try:
-                massign(
-                    trackers[name],
-                    guard=guards.guards.get(name),
-                    cache=caches.get(name),
-                )
-            except RefinementBudgetExceeded:
-                guards.exhausted = True
-        stats.phase_seconds["massign"] = time.perf_counter() - start
-
-        guards.finish()
-        for tracker in trackers.values():
-            tracker.detach()
-        for cache in caches.values():
-            cache.detach()
-        self.last_stats = stats
-        return CompositePartition(outputs)
+        with timed_phase(stats, "init"):
+            leftovers = self._phase_init(units_by_fragment, sessions, stats, guards)
+        with timed_phase(stats, "vassign"):
+            residue = self._phase_vassign(leftovers, sessions, stats, guards)
+        with timed_phase(stats, "eassign"):
+            self._phase_eassign(residue, sessions, stats, guards)
+        with timed_phase(stats, "massign"):
+            massign_outputs(sessions, guards)
 
     # ------------------------------------------------------------------
     def _units(self, partition: HybridPartition) -> List[List[Unit]]:
@@ -299,44 +302,39 @@ class ME2H:
             output.add_vertex_to(fid, v)
         output.set_master(v, fid)
 
-    def _price(self, trackers, name: str, unit: Unit, caches=None) -> float:
-        if caches:
-            cache = caches.get(name)
-            if cache is not None:
-                return cache.price_as_ecut(unit[0])
-        return trackers[name].price_as_ecut(unit[0])
-
     def _phase_init(
         self,
         units_by_fragment: List[List[Unit]],
-        trackers: Dict[str, CostTracker],
+        sessions: Dict[str, RefineSession],
         stats: CompositeStats,
-        guards: Optional[_GuardSet] = None,
-        caches: Optional[Dict[str, GainCache]] = None,
+        guards: _GuardSet,
     ) -> List[Tuple[int, Unit, Set[str]]]:
         """Procedure Init: shared BFS prefixes become the cores C_i.
 
         Returns leftovers as ``(origin fragment, unit, algorithms still
         needing a destination)``.
         """
-        if guards is None:
-            guards = _GuardSet({}, None, stats)
         leftovers: List[Tuple[int, Unit, Set[str]]] = []
+        # Per-output lookups hoisted out of the per-unit loop.
+        lanes = [
+            (name, s.tracker, s.scorer.price_as_ecut, stats.budgets[name])
+            for name, s in sessions.items()
+        ]
         for fid, units in enumerate(units_by_fragment):
             for unit in units:
                 if guards.exhausted:
                     # Budget gone: defer everything to the fast path.
-                    leftovers.append((fid, unit, set(trackers)))
+                    leftovers.append((fid, unit, set(sessions)))
                     continue
                 pending: Set[str] = set()
                 accepted_all = True
-                for name, tracker in trackers.items():
-                    price = self._price(trackers, name, unit, caches)
+                for name, tracker, price_as_ecut, budget in lanes:
+                    price = price_as_ecut(unit[0])
                     if (
                         tracker.projected_load(
                             fid, tracker.comp_cost(fid) + price
                         )
-                        <= stats.budgets[name]
+                        <= budget
                     ):
                         self._assign_unit(tracker.partition, unit, fid)
                         guards.step(name)
@@ -352,14 +350,12 @@ class ME2H:
     def _phase_vassign(
         self,
         leftovers: List[Tuple[int, Unit, Set[str]]],
-        trackers: Dict[str, CostTracker],
+        sessions: Dict[str, RefineSession],
         stats: CompositeStats,
-        guards: Optional[_GuardSet] = None,
-        caches: Optional[Dict[str, GainCache]] = None,
+        guards: _GuardSet,
     ) -> List[Tuple[Unit, Set[str]]]:
         """VAssign (Fig. 6 lines 8-13): set-cover destinations for leftovers."""
-        if guards is None:
-            guards = _GuardSet({}, None, stats)
+        trackers = {name: session.tracker for name, session in sessions.items()}
         n = next(iter(trackers.values())).partition.num_fragments
         underloaded: Dict[str, Set[int]] = {
             name: {
@@ -375,7 +371,7 @@ class ME2H:
                 residue.append((unit, set(pending)))
                 continue
             prices = {
-                name: self._price(trackers, name, unit, caches)
+                name: sessions[name].scorer.price_as_ecut(unit[0])
                 for name in pending
             }
 
@@ -411,34 +407,21 @@ class ME2H:
     def _phase_eassign(
         self,
         residue: List[Tuple[Unit, Set[str]]],
-        trackers: Dict[str, CostTracker],
+        sessions: Dict[str, RefineSession],
         stats: CompositeStats,
-        guards: Optional[_GuardSet] = None,
-        caches: Optional[Dict[str, GainCache]] = None,
+        guards: _GuardSet,
     ) -> None:
         """EAssign (Fig. 6 lines 14-18): split leftover units edge by edge."""
         for unit, names in residue:
             v, edges = unit
             for name in names:
-                tracker = trackers[name]
-                cache = caches.get(name) if caches else None
-                output = tracker.partition
-                n = output.num_fragments
+                output = sessions[name].partition
+                cheapest = sessions[name].scorer.cheapest
                 stats.eassign_units += 1
                 if not edges:
-                    if cache is not None:
-                        target = cache.index.cheapest()
-                    else:
-                        target = min(range(n), key=tracker.load)
-                    output.add_vertex_to(target, v)
-                    if guards is not None:
-                        guards.step(name)
+                    output.add_vertex_to(cheapest(), v)
+                    guards.step(name)
                     continue
                 for edge in edges:
-                    if cache is not None:
-                        target = cache.index.cheapest()
-                    else:
-                        target = min(range(n), key=tracker.load)
-                    output.add_edge_to(target, edge)
-                    if guards is not None:
-                        guards.step(name)
+                    output.add_edge_to(cheapest(), edge)
+                    guards.step(name)

@@ -12,24 +12,25 @@ mappings.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.candidates import bfs_order
-from repro.core.gaincache import GainCache
+from repro.core.driver import RefineSession
 from repro.core.getdest import get_dest
-from repro.core.massign import massign
-from repro.core.me2h import CompositeStats, Unit, _GuardSet
+from repro.core.me2h import (
+    CompositeStats,
+    Unit,
+    _GuardSet,
+    composite_pass,
+    maintain_outputs,
+    massign_outputs,
+    timed_phase,
+)
 from repro.core.tracker import CostTracker
 from repro.core.v2h import V2H
 from repro.costmodel.features import vertex_features
-from repro.costmodel.guarded import guard_cost_model
 from repro.costmodel.model import CostModel
-from repro.integrity.guard import (
-    GuardConfig,
-    GuardStats,
-    RefinementBudgetExceeded,
-)
+from repro.integrity.guard import GuardConfig
 from repro.partition.composite import CompositePartition
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.clusterspec import (
@@ -63,140 +64,58 @@ class MV2H:
         # Persistent per-algorithm dirty-region workers (DESIGN §15).
         self._maintainers: Dict[str, V2H] = {}
 
-    # ------------------------------------------------------------------
+    def _worker(self, model: CostModel) -> V2H:
+        return V2H(
+            model,
+            budget_slack=self.budget_slack,
+            vmerge_passes=self.vmerge_passes,
+            guard_config=self.guard_config,
+            use_gain_cache=self.use_gain_cache,
+            cluster_spec=self.cluster_spec,
+        )
+
     def refine_incremental(
         self, composite: CompositePartition, dirty_vertices
     ) -> CompositePartition:
-        """Dirty-region maintenance of a composite's outputs (DESIGN §15).
+        """Dirty-region maintenance: an in-place incremental V2H pass per
+        output (see :func:`~repro.core.me2h.maintain_outputs`)."""
+        return maintain_outputs(self, composite, dirty_vertices)
 
-        The vertex-cut counterpart of
-        :meth:`~repro.core.me2h.ME2H.refine_incremental`: each output
-        gets an in-place incremental V2H pass from a persistent
-        per-algorithm worker, then the composite index is rebuilt once.
-        """
-        stats = CompositeStats()
-        for name in composite.names:
-            worker = self._maintainers.get(name)
-            if worker is None:
-                worker = V2H(
-                    self.cost_models[name],
-                    budget_slack=self.budget_slack,
+    def refine(self, partition: HybridPartition) -> CompositePartition:
+        """Produce a composite partition from a vertex-cut input."""
+        return composite_pass(self, partition)
+
+    def _run_phases(
+        self,
+        partition: HybridPartition,
+        sessions: Dict[str, RefineSession],
+        stats: CompositeStats,
+        guards: _GuardSet,
+    ) -> None:
+        units_by_fragment = self._units(partition)
+        with timed_phase(stats, "init"):
+            leftovers = self._phase_init(units_by_fragment, sessions, stats, guards)
+        with timed_phase(stats, "vassign"):
+            self._phase_vassign(leftovers, sessions, stats, guards)
+        with timed_phase(stats, "vmerge"):
+            for name, session in sessions.items():
+                if guards.exhausted:
+                    break
+                # A nested full-scope V2H pass with only VMerge enabled,
+                # evaluating through this output's memo/guardrail stack.
+                merger = V2H(
+                    session.model,
+                    enable_vmigrate=False,
+                    enable_vmerge=True,
+                    enable_massign=False,
                     vmerge_passes=self.vmerge_passes,
-                    guard_config=self.guard_config,
                     use_gain_cache=self.use_gain_cache,
                     cluster_spec=self.cluster_spec,
                 )
-                self._maintainers[name] = worker
-            worker.refine_incremental(
-                composite.partitions[name], dirty_vertices
-            )
-            wstats = worker.last_stats
-            stats.budgets[name] = wstats.budget
-            if wstats.guard is not None:
-                stats.guard[name] = wstats.guard
-            if wstats.gain_cache is not None:
-                stats.gain_cache[name] = wstats.gain_cache
-            stats.phase_seconds[name] = sum(wstats.phase_seconds.values())
-            stats.rescoring_calls += wstats.rescoring_calls
-            stats.incremental[name] = wstats.incremental
-        composite.rebuild_index()
-        self.last_stats = stats
-        return composite
-
-    # ------------------------------------------------------------------
-    def refine(self, partition: HybridPartition) -> CompositePartition:
-        """Produce a composite partition from a vertex-cut input."""
-        graph = partition.graph
-        n = partition.num_fragments
-        names = list(self.cost_models)
-        stats = CompositeStats()
-
-        for name, model in self.cost_models.items():
-            input_tracker = CostTracker(partition, model, spec=self.cluster_spec)
-            if self.cluster_spec is None:
-                stats.budgets[name] = (
-                    self.budget_slack * sum(input_tracker.comp_costs()) / n
-                )
-            else:
-                stats.budgets[name] = (
-                    self.budget_slack
-                    * sum(input_tracker.comp_costs())
-                    / sum(self.cluster_spec.speeds)
-                )
-            input_tracker.detach()
-
-        outputs: Dict[str, HybridPartition] = {
-            name: HybridPartition(graph, n) for name in names
-        }
-        models = dict(self.cost_models)
-        if self.guard_config is not None:
-            for name in names:
-                stats.guard[name] = GuardStats()
-                models[name] = guard_cost_model(
-                    models[name],
-                    on_intervention=stats.guard[name].note_cost_model_intervention,
-                )
-        caches: Dict[str, GainCache] = {}
-        if self.use_gain_cache:
-            for name in names:
-                caches[name] = GainCache(outputs[name], models[name])
-                stats.gain_cache[name] = caches[name].stats
-                models[name] = caches[name].model
-        trackers: Dict[str, CostTracker] = {
-            name: CostTracker(outputs[name], models[name], spec=self.cluster_spec)
-            for name in names
-        }
-        for name, cache in caches.items():
-            cache.bind(trackers[name])
-        guards = _GuardSet(outputs, self.guard_config, stats)
-
-        units_by_fragment = self._units(partition)
-
-        start = time.perf_counter()
-        leftovers = self._phase_init(units_by_fragment, trackers, stats, guards)
-        stats.phase_seconds["init"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        self._phase_vassign(leftovers, trackers, stats, guards, caches)
-        stats.phase_seconds["vassign"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for name in names:
-            if guards.exhausted:
-                break
-            merger = V2H(
-                models[name],
-                enable_vmigrate=False,
-                enable_vmerge=True,
-                enable_massign=False,
-                vmerge_passes=self.vmerge_passes,
-                use_gain_cache=self.use_gain_cache,
-                cluster_spec=self.cluster_spec,
-            )
-            merger.refine(outputs[name], in_place=True)
-        stats.phase_seconds["vmerge"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        for name in names:
-            if guards.exhausted:
-                break
-            try:
-                massign(
-                    trackers[name],
-                    guard=guards.guards.get(name),
-                    cache=caches.get(name),
-                )
-            except RefinementBudgetExceeded:
-                guards.exhausted = True
-        stats.phase_seconds["massign"] = time.perf_counter() - start
-
-        guards.finish()
-        for tracker in trackers.values():
-            tracker.detach()
-        for cache in caches.values():
-            cache.detach()
-        self.last_stats = stats
-        return CompositePartition(outputs)
+                merger.refine(session.partition, in_place=True)
+                stats.rescoring_calls += merger.last_stats.rescoring_calls
+        with timed_phase(stats, "massign"):
+            massign_outputs(sessions, guards)
 
     # ------------------------------------------------------------------
     def _units(self, partition: HybridPartition) -> List[List[Tuple[int, Unit]]]:
@@ -264,22 +183,21 @@ class MV2H:
     def _phase_init(
         self,
         units_by_fragment: List[List[Tuple[int, Unit]]],
-        trackers: Dict[str, CostTracker],
+        sessions: Dict[str, RefineSession],
         stats: CompositeStats,
-        guards: Optional[_GuardSet] = None,
+        guards: _GuardSet,
     ) -> List[Tuple[int, Unit, Set[str]]]:
         """Shared BFS prefixes become the cores (Section 6.3 VAssign init)."""
-        if guards is None:
-            guards = _GuardSet({}, None, stats)
         leftovers: List[Tuple[int, Unit, Set[str]]] = []
         for units in units_by_fragment:
             for fid, unit in units:
                 if guards.exhausted:
-                    leftovers.append((fid, unit, set(trackers)))
+                    leftovers.append((fid, unit, set(sessions)))
                     continue
                 pending: Set[str] = set()
                 accepted_all = True
-                for name, tracker in trackers.items():
+                for name, session in sessions.items():
+                    tracker = session.tracker
                     price = self._price(tracker, tracker.partition, unit, fid)
                     old = tracker.copy_comp_cost(unit[0], fid)
                     if (
@@ -302,10 +220,9 @@ class MV2H:
     def _phase_vassign(
         self,
         leftovers: List[Tuple[int, Unit, Set[str]]],
-        trackers: Dict[str, CostTracker],
+        sessions: Dict[str, RefineSession],
         stats: CompositeStats,
-        guards: Optional[_GuardSet] = None,
-        caches: Optional[Dict[str, GainCache]] = None,
+        guards: _GuardSet,
     ) -> None:
         """Route leftover units through GetDest; split-free fallback.
 
@@ -314,8 +231,7 @@ class MV2H:
         under budget go to the currently cheapest fragment directly —
         there is no separate EAssign stage in Section 6.3.
         """
-        if guards is None:
-            guards = _GuardSet({}, None, stats)
+        trackers = {name: session.tracker for name, session in sessions.items()}
         n = next(iter(trackers.values())).partition.num_fragments
         underloaded: Dict[str, Set[int]] = {
             name: {
@@ -345,13 +261,9 @@ class MV2H:
                 destinations = get_dest(pending, underloaded, fits)
             for name in pending:
                 tracker = trackers[name]
-                cache = caches.get(name) if caches else None
                 fid = destinations.get(name)
                 if fid is None:
-                    if cache is not None:
-                        fid = cache.index.cheapest()
-                    else:
-                        fid = min(range(n), key=tracker.load)
+                    fid = sessions[name].scorer.cheapest()
                     stats.eassign_units += 1
                 else:
                     stats.vassign_units += 1

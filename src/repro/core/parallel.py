@@ -28,31 +28,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.budget import classify_fragments, compute_budget
-from repro.core.candidates import get_candidates
-from repro.core.dirty import (
-    IncrementalStats,
-    RescoringModel,
-    dirty_frontier,
-    touched_fragments,
-)
-from repro.core.e2h import RefineStats
-from repro.core.gaincache import GainCache
+from repro.core.driver import PassState
+from repro.core.e2h import RefineStats, SingleOutputRefiner
 from repro.core.me2h import ME2H, CompositeStats
 from repro.core.mv2h import MV2H
 from repro.core.operations import emigrate, split_migrate_edge, vmerge, vmigrate
-from repro.core.tracker import CostTracker, TrackerSeed
-from repro.core.v2h import V2H
-from repro.costmodel.guarded import guard_cost_model
+from repro.core.tracker import TrackerSeed
+from repro.core.v2h import merged_price, vcut_promotions
 from repro.costmodel.model import CostModel
-from repro.integrity.guard import (
-    GuardConfig,
-    GuardStats,
-    RefinementBudgetExceeded,
-    RefinementGuard,
-)
+from repro.integrity.guard import GuardConfig
 from repro.partition.composite import CompositePartition
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.bsp import Cluster
@@ -109,8 +95,70 @@ def _sync_state(cluster: Cluster) -> None:
     cluster.deliver()
 
 
-class ParE2H:
+class _ClusterExecutor:
+    """Par executor: phases charged to a simulated cluster (Section 5.3).
+
+    The driver's skeleton is the sequential one; this executor is the
+    whole difference — a :class:`Cluster` the phase bodies charge, a
+    per-phase makespan/superstep meter, and the ``setup`` superstep
+    (each overloaded worker scans its fragment for candidates, then
+    everyone synchronizes).
+    """
+
+    def __init__(self, refiner) -> None:
+        self.refiner = refiner
+        self.wall_start = time.perf_counter()
+        self.stats = RefineStats()
+        self.profile = RefinementProfile(stats=self.stats)
+
+    def open(self, partition: HybridPartition) -> Cluster:
+        self.cluster = Cluster(
+            partition, clock=self.refiner.clock, spec=self.refiner.cluster_spec
+        )
+        self.meter = _PhaseMeter(self.cluster, self.profile)
+        return self.cluster
+
+    def setup(self, select: Callable[[], None], state: PassState) -> None:
+        def body() -> None:
+            select()
+            for fid in state.candidates:
+                self.cluster.charge(fid, state.partition.fragments[fid].num_vertices)
+            _sync_state(self.cluster)
+
+        self.meter.run("setup", body)
+
+    def phase(self, name: str, body, state: PassState) -> None:
+        self.meter.run(name, lambda: body(state))
+
+    def result(
+        self, partition: HybridPartition
+    ) -> Tuple[HybridPartition, RefinementProfile]:
+        self.profile.total_time = self.cluster.profile.makespan
+        self.profile.wall_seconds = time.perf_counter() - self.wall_start
+        return partition, self.profile
+
+
+class _ParRefiner(SingleOutputRefiner):
+    """ParE2H / ParV2H: the shared pass through a :class:`_ClusterExecutor`.
+
+    ``refine`` / ``refine_incremental`` return ``(partition, profile)``
+    and publish the pass's :class:`RefineStats` as :attr:`last_stats`
+    as well as ``profile.stats``.
+    """
+
+    def _executor(self) -> "_ClusterExecutor":
+        return _ClusterExecutor(self)
+
+    def _parallel_massign(self, state: PassState) -> None:
+        """Batched Eq. 5 master assignment with shared accumulators."""
+        vertices, residual = state.massign_scope()
+        _parallel_massign_impl(state, self.batch_size, vertices, residual)
+
+
+class ParE2H(_ParRefiner):
     """Parallel E2H on the BSP simulator."""
+
+    role = NodeRole.ECUT
 
     def __init__(
         self,
@@ -135,270 +183,27 @@ class ParE2H:
         self.guard_config = guard_config
         self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
-    # ------------------------------------------------------------------
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
-    ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Refine; returns ``(hybrid partition, timing profile)``.
-
-        ``capture_seed`` snapshots the final tracker state into
-        :attr:`last_seed` for a later :meth:`refine_incremental`.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch: a tracker query here would shift its
-                # lazy-flush boundaries and the cached cost accumulation.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.ECUT
-                )
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                meter.run(
-                    "emigrate",
-                    lambda: self._parallel_emigrate(
-                        cluster, tracker, budget, underloaded, candidates,
-                        stats, guard, cache
-                    ),
-                )
-            if self.enable_esplit:
-                meter.run(
-                    "esplit",
-                    lambda: self._parallel_esplit(
-                        cluster, tracker, candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_massign:
-                meter.run(
-                    "massign",
-                    lambda: self._parallel_massign(
-                        cluster, tracker, stats, guard, cache
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
-
-    # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Dirty-region parallel refinement (DESIGN §15).
-
-        The batched phases run with their scope narrowed to the dirty
-        frontier inside the fragments hosting it, over a tracker seeded
-        from ``seed`` (default :attr:`last_seed`); see
-        :meth:`~repro.core.e2h.E2H.refine_incremental` for the scoping
-        rules.  Returns ``(partition, profile)`` like :meth:`refine`.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
+    def _phase_plan(self):
+        return (
+            ("emigrate", self.enable_emigrate, self._parallel_emigrate),
+            ("esplit", self.enable_esplit, self._parallel_esplit),
+            ("massign", self.enable_massign, self._parallel_massign),
         )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                if fid not in touched:
-                    continue
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.ECUT
-                )
-                cands = [unit for unit in cands if unit[0] in frontier]
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_emigrate:
-                meter.run(
-                    "emigrate",
-                    lambda: self._parallel_emigrate(
-                        cluster, tracker, budget, underloaded, candidates,
-                        stats, guard, cache
-                    ),
-                )
-            if self.enable_esplit:
-                meter.run(
-                    "esplit",
-                    lambda: self._parallel_esplit(
-                        cluster, tracker, candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_massign:
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = frontier
-                else:
-                    reassign = dirty_in | moved
-                meter.run(
-                    "massign",
-                    lambda: _parallel_massign_impl(
-                        cluster,
-                        tracker,
-                        stats,
-                        self.batch_size,
-                        guard,
-                        cache,
-                        vertices=reassign,
-                        residual=True,
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
 
     # ------------------------------------------------------------------
-    def _parallel_emigrate(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
+    def _parallel_emigrate(self, state: PassState) -> None:
         """Round-robin batched candidate shipping (Section 5.3)."""
-        partition = tracker.partition
+        partition, tracker, guard = state.partition, state.tracker, state.guard
+        cluster, budget = state.cluster, state.budget
+        underloaded, candidates = state.underloaded, state.candidates
         if not underloaded:
             return
+        # Bounced candidates re-price on every retry; the gain cache
+        # serves repeats until v is mutated.
+        price_as_ecut = state.scorer.price_as_ecut
         # Per-source queues of (vertex, edges, attempts).
         queues: Dict[int, List] = {
             src: [(v, edges, 0) for v, edges in cand_list]
@@ -424,12 +229,7 @@ class ParE2H:
                             continue
                     cluster.send(src, dst, None, nbytes=16.0 + 8.0 * len(edges))
                     cluster.charge(dst, C1_OPS)
-                    if cache is not None:
-                        # Bounced candidates re-price on every retry;
-                        # the cache serves repeats until v is mutated.
-                        price = cache.price_as_ecut(v)
-                    else:
-                        price = tracker.price_as_ecut(v)
+                    price = price_as_ecut(v)
                     if (
                         tracker.projected_load(
                             dst, tracker.comp_cost(dst) + price
@@ -437,7 +237,7 @@ class ParE2H:
                         <= budget
                     ):
                         emigrate(partition, v, src, dst)
-                        stats.emigrated += 1
+                        state.stats.emigrated += 1
                         if guard is not None:
                             guard.step()
                     elif attempts + 1 < k:
@@ -448,18 +248,11 @@ class ParE2H:
         for src in candidates:
             candidates[src] = leftovers.get(src, [])
 
-    def _parallel_esplit(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
+    def _parallel_esplit(self, state: PassState) -> None:
         """Batched greedy edge splitting against shared cost state."""
-        partition = tracker.partition
-        n = partition.num_fragments
+        partition, guard, stats = state.partition, state.guard, state.stats
+        cluster, candidates = state.cluster, state.candidates
+        cheapest = state.scorer.cheapest
         pending: Dict[int, List] = {}
         for src, cand_list in candidates.items():
             edges = []
@@ -480,10 +273,7 @@ class ParE2H:
                 )
                 for v, edge in batch:
                     cluster.charge(src, C1_OPS)
-                    if cache is not None:
-                        target = cache.index.cheapest()
-                    else:
-                        target = min(range(n), key=tracker.load)
+                    target = cheapest()
                     if target == src:
                         continue
                     if not partition.fragments[src].has_edge(edge):
@@ -495,33 +285,16 @@ class ParE2H:
                         guard.step()
             _sync_state(cluster)
 
-    def _parallel_massign(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
-        """Batched Eq. 5 master assignment with shared accumulators."""
-        _parallel_massign_impl(
-            cluster, tracker, stats, self.batch_size, guard, cache
-        )
-
 
 def _parallel_massign_impl(
-    cluster: Cluster,
-    tracker: CostTracker,
-    stats: RefineStats,
+    state: PassState,
     batch_size: int,
-    guard: Optional[RefinementGuard] = None,
-    cache: Optional[GainCache] = None,
     vertices=None,
     residual: bool = False,
 ) -> None:
-    partition = tracker.partition
-    model = tracker.cost_model
-    avg = tracker.avg_degree
+    partition, tracker, guard = state.partition, state.tracker, state.guard
+    cluster, stats = state.cluster, state.stats
+    massign_scores = state.scorer.massign_scores
     # Each worker is responsible for the border vertices it currently
     # masters; comp snapshot is shared, comm accumulators persist.
     # ``vertices`` restricts the pass to the dirty region (DESIGN §15);
@@ -567,11 +340,7 @@ def _parallel_massign_impl(
                 best_fid, best_score = hosts[0], float("inf")
                 best_gain, best_delta = 0.0, 0.0
                 for host in hosts:
-                    if cache is not None:
-                        g_here, h_delta = cache.massign_scores(v, host)
-                    else:
-                        g_here = model.comm_cost_if_master_at(partition, v, host, avg)
-                        h_delta = model.comp_master_delta(partition, v, host, avg)
+                    g_here, h_delta = massign_scores(v, host)
                     if caps is None:
                         score = comp[host] + comm[host] + g_here + h_delta
                     else:
@@ -586,14 +355,9 @@ def _parallel_massign_impl(
                         0 <= current < partition.num_fragments
                         and partition.fragments[current].has_vertex(v)
                     ):
-                        if cache is not None:
-                            # Scored pre-mutation above: a cache hit with
-                            # the identical value.
-                            comp[current] -= cache.massign_scores(v, current)[1]
-                        else:
-                            comp[current] -= model.comp_master_delta(
-                                partition, v, current, avg
-                            )
+                        # Scored pre-mutation above: a gain-cache hit
+                        # with the identical value.
+                        comp[current] -= state.scorer.master_delta(v, current)
                     comp[best_fid] += best_delta
                     cluster.send(fid, best_fid, None, nbytes=12.0)
                     partition.set_master(v, best_fid)
@@ -604,8 +368,10 @@ def _parallel_massign_impl(
         _sync_state(cluster)
 
 
-class ParV2H:
+class ParV2H(_ParRefiner):
     """Parallel V2H on the BSP simulator."""
+
+    role = NodeRole.VCUT
 
     def __init__(
         self,
@@ -632,283 +398,24 @@ class ParV2H:
         self.guard_config = guard_config
         self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
-    ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Refine; returns ``(hybrid partition, timing profile)``.
-
-        ``capture_seed`` snapshots the final tracker state into
-        :attr:`last_seed` for a later :meth:`refine_incremental`.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch: a tracker query here would shift its
-                # lazy-flush boundaries and the cached cost accumulation.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-        helper = V2H(
-            model,
-            budget_slack=self.budget_slack,
-            vmerge_passes=self.vmerge_passes,
-            cluster_spec=self.cluster_spec,
+    def _phase_plan(self):
+        return (
+            ("vmigrate", self.enable_vmigrate, self._parallel_vmigrate),
+            ("vmerge", self.enable_vmerge, self._parallel_vmerge),
+            ("massign", self.enable_massign, self._parallel_massign),
         )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-                )
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                meter.run(
-                    "vmigrate",
-                    lambda: self._parallel_vmigrate(
-                        cluster, tracker, helper, budget, underloaded,
-                        candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_vmerge:
-                meter.run(
-                    "vmerge",
-                    lambda: self._parallel_vmerge(
-                        cluster, tracker, helper, budget, stats, guard, cache
-                    ),
-                )
-            if self.enable_massign:
-                meter.run(
-                    "massign",
-                    lambda: _parallel_massign_impl(
-                        cluster, tracker, stats, self.batch_size, guard, cache
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
 
     # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> Tuple[HybridPartition, RefinementProfile]:
-        """Dirty-region parallel refinement (DESIGN §15).
-
-        Mirrors :meth:`refine` with the batched phases narrowed to the
-        dirty frontier in its hosting fragments and the tracker seeded
-        from ``seed`` (default :attr:`last_seed`); see
-        :meth:`~repro.core.v2h.V2H.refine_incremental` for the scoping
-        rules.  Returns ``(partition, profile)``.
-        """
-        wall_start = time.perf_counter()
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
-        )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        cluster = Cluster(partition, clock=self.clock, spec=self.cluster_spec)
-        profile = RefinementProfile()
-        meter = _PhaseMeter(cluster, profile)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-        helper = V2H(
-            model,
-            budget_slack=self.budget_slack,
-            vmerge_passes=self.vmerge_passes,
-            cluster_spec=self.cluster_spec,
-        )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-
-        def setup() -> None:
-            for fid in overloaded:
-                if fid not in touched:
-                    continue
-                cands = get_candidates(
-                    tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-                )
-                cands = [unit for unit in cands if unit[0] in frontier]
-                candidates[fid] = cands
-                stats.candidates += len(cands)
-                cluster.charge(fid, partition.fragments[fid].num_vertices)
-            _sync_state(cluster)
-
-        meter.run("setup", setup)
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                meter.run(
-                    "vmigrate",
-                    lambda: self._parallel_vmigrate(
-                        cluster, tracker, helper, budget, underloaded,
-                        candidates, stats, guard, cache
-                    ),
-                )
-            if self.enable_vmerge:
-                meter.run(
-                    "vmerge",
-                    lambda: self._parallel_vmerge(
-                        cluster, tracker, helper, budget, stats, guard, cache,
-                        frontier=frontier, fragments=touched
-                    ),
-                )
-            if self.enable_massign:
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = frontier
-                else:
-                    reassign = dirty_in | moved
-                meter.run(
-                    "massign",
-                    lambda: _parallel_massign_impl(
-                        cluster,
-                        tracker,
-                        stats,
-                        self.batch_size,
-                        guard,
-                        cache,
-                        vertices=reassign,
-                        residual=True,
-                    ),
-                )
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        profile.total_time = cluster.profile.makespan
-        profile.wall_seconds = time.perf_counter() - wall_start
-        profile.stats = stats
-        return partition, profile
-
-    # ------------------------------------------------------------------
-    def _parallel_vmigrate(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        helper: V2H,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
-        partition = tracker.partition
+    def _parallel_vmigrate(self, state: PassState) -> None:
+        partition, tracker, guard = state.partition, state.tracker, state.guard
+        cluster, budget, underloaded = state.cluster, state.budget, state.underloaded
+        scorer_merged_price = state.scorer.merged_price
         queues: Dict[int, List] = {
             src: [(v, edges, 0) for v, edges in cand_list]
-            for src, cand_list in candidates.items()
+            for src, cand_list in state.candidates.items()
         }
         while any(queues.values()):
             for src, queue in queues.items():
@@ -930,15 +437,9 @@ class ParV2H:
                     dst = hosts[attempts]
                     cluster.send(src, dst, None, nbytes=16.0 + 8.0 * len(edges))
                     cluster.charge(dst, C1_OPS)
-                    if cache is not None:
-                        new_price = cache.merged_price(
-                            v,
-                            src,
-                            dst,
-                            lambda: helper._merged_price(tracker, v, src, dst),
-                        )
-                    else:
-                        new_price = helper._merged_price(tracker, v, src, dst)
+                    new_price = scorer_merged_price(
+                        v, src, dst, lambda: merged_price(tracker, v, src, dst)
+                    )
                     old_price = tracker.copy_comp_cost(v, dst)
                     if (
                         tracker.projected_load(
@@ -947,55 +448,31 @@ class ParV2H:
                         <= budget
                     ):
                         vmigrate(partition, v, src, dst)
-                        stats.vmigrated += 1
+                        state.stats.vmigrated += 1
                         if guard is not None:
                             guard.step()
                     else:
                         queues[src].append((v, edges, attempts + 1))
             _sync_state(cluster)
 
-    def _parallel_vmerge(
-        self,
-        cluster: Cluster,
-        tracker: CostTracker,
-        helper: V2H,
-        budget: float,
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-        frontier=None,
-        fragments=None,
-    ) -> None:
-        partition = tracker.partition
+    def _parallel_vmerge(self, state: PassState) -> None:
+        partition, tracker, guard = state.partition, state.tracker, state.guard
+        cluster, budget = state.cluster, state.budget
         graph = partition.graph
+        # A dirty scope narrows the scan to the touched fragments'
+        # frontier v-cuts (DESIGN §15); the full pass scans everything.
+        fragments = None if state.scope is None else state.scope.touched
+        price_as_ecut = state.scorer.price_as_ecut
         for _pass in range(self.vmerge_passes):
             merged_any = False
             # Each underloaded worker scans its own v-cut nodes in batches.
-            # ``frontier``/``fragments`` narrow the scan for the
-            # incremental path (DESIGN §15); None scans everything.
             work: Dict[int, List[int]] = {}
             for fid in range(partition.num_fragments):
                 if fragments is not None and fid not in fragments:
                     continue
                 if tracker.load(fid) > budget:
                     continue
-                fragment = partition.fragments[fid]
-                vcuts = [
-                    v
-                    for v in fragment.vertices()
-                    if (frontier is None or v in frontier)
-                    and partition.role(v, fid) is NodeRole.VCUT
-                ]
-                # Ties by vertex id: fragment insertion order is not
-                # stable across builds.
-                vcuts.sort(
-                    key=lambda v: (
-                        partition.global_incident_count(v)
-                        - fragment.incident_count(v),
-                        v,
-                    )
-                )
-                work[fid] = vcuts
+                work[fid] = vcut_promotions(state, fid)
             while any(work.values()):
                 for fid in list(work):
                     batch, work[fid] = (
@@ -1017,10 +494,7 @@ class ParV2H:
                             if not fragment.has_edge(edge)
                         ]
                         cluster.charge(fid, C1_OPS)
-                        if cache is not None:
-                            new_price = cache.price_as_ecut(v)
-                        else:
-                            new_price = tracker.price_as_ecut(v)
+                        new_price = price_as_ecut(v)
                         old_price = tracker.copy_comp_cost(v, fid)
                         if (
                             tracker.projected_load(
@@ -1035,7 +509,7 @@ class ParV2H:
                                 partition.master(v), fid, None, nbytes=16.0
                             )
                         vmerge(partition, v, fid, missing)
-                        stats.vmerged += 1
+                        state.stats.vmerged += 1
                         merged_any = True
                         if guard is not None:
                             guard.step()
@@ -1055,6 +529,17 @@ class _CompositeParallelMixin:
     batch_size: int
     clock: CostClock
     cluster_spec: Optional[ClusterSpec]
+
+    def refine(
+        self, partition: HybridPartition
+    ) -> Tuple[CompositePartition, RefinementProfile]:
+        """Refine; returns ``(composite partition, timing profile)``."""
+        wall_start = time.perf_counter()
+        composite = self.inner.refine(partition)
+        profile = RefinementProfile()
+        self._charge_phases(composite, self.inner.last_stats, profile)
+        profile.wall_seconds = time.perf_counter() - wall_start
+        return composite, profile
 
     def _charge_phases(
         self,
@@ -1123,17 +608,6 @@ class ParME2H(_CompositeParallelMixin):
         self.batch_size = batch_size
         self.clock = clock or CostClock()
 
-    def refine(
-        self, partition: HybridPartition
-    ) -> Tuple[CompositePartition, RefinementProfile]:
-        """Refine; returns ``(composite partition, timing profile)``."""
-        wall_start = time.perf_counter()
-        composite = self.inner.refine(partition)
-        profile = RefinementProfile()
-        self._charge_phases(composite, self.inner.last_stats, profile)
-        profile.wall_seconds = time.perf_counter() - wall_start
-        return composite, profile
-
 
 class ParMV2H(_CompositeParallelMixin):
     """Parallel composite vertex-cut refiner."""
@@ -1160,14 +634,3 @@ class ParMV2H(_CompositeParallelMixin):
         )
         self.batch_size = batch_size
         self.clock = clock or CostClock()
-
-    def refine(
-        self, partition: HybridPartition
-    ) -> Tuple[CompositePartition, RefinementProfile]:
-        """Refine; returns ``(composite partition, timing profile)``."""
-        wall_start = time.perf_counter()
-        composite = self.inner.refine(partition)
-        profile = RefinementProfile()
-        self._charge_phases(composite, self.inner.last_stats, profile)
-        profile.wall_seconds = time.perf_counter() - wall_start
-        return composite, profile

@@ -99,9 +99,15 @@ class CostTracker:
         self._dirty: Set[int] = set()
         self._cost_listeners: List[Callable[[int], None]] = []
         partition.add_listener(self._mark_dirty)
-        self.seeded = seed is not None and self._restore(seed)
-        if not self.seeded:
-            self._rebuild()
+        try:
+            self.seeded = seed is not None and self._restore(seed)
+            if not self.seeded:
+                self._rebuild()
+        except BaseException:
+            # A cost model that raises mid-rebuild must not leave this
+            # half-built tracker subscribed to the caller's partition.
+            self.detach()
+            raise
 
     def snapshot(self) -> TrackerSeed:
         """Capture current state as a :class:`TrackerSeed`.

@@ -16,32 +16,16 @@ copies, hurting locality.  Guided by ``h_A``, V2H:
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional
+from typing import Optional
 
-from repro.core.budget import classify_fragments, compute_budget
-from repro.core.candidates import get_candidates
-from repro.core.dirty import (
-    IncrementalStats,
-    RescoringModel,
-    dirty_frontier,
-    touched_fragments,
-)
-from repro.core.e2h import RefineStats
-from repro.core.gaincache import GainCache
-from repro.core.massign import massign
+from repro.core.driver import PassState
+from repro.core.e2h import RefineStats, SingleOutputRefiner, sequential_massign
 from repro.core.operations import vmerge, vmigrate
 from repro.core.tracker import CostTracker, TrackerSeed
 from repro.costmodel.features import vertex_features
-from repro.costmodel.guarded import guard_cost_model
 from repro.costmodel.model import CostModel
-from repro.integrity.guard import (
-    GuardConfig,
-    GuardStats,
-    RefinementBudgetExceeded,
-    RefinementGuard,
-)
-from repro.partition.hybrid import HybridPartition, NodeRole
+from repro.integrity.guard import GuardConfig
+from repro.partition.hybrid import NodeRole
 from repro.runtime.clusterspec import (
     ClusterSpec,
     coerce_cluster_spec,
@@ -49,7 +33,58 @@ from repro.runtime.clusterspec import (
 )
 
 
-class V2H:
+def merged_price(tracker: CostTracker, v: int, src: int, dst: int) -> float:
+    """h_A of the merged copy at ``dst`` after absorbing the src copy."""
+    partition = tracker.partition
+    src_frag = partition.fragments[src]
+    features = vertex_features(partition, v, dst, tracker.avg_degree)
+    extra = src_frag.incident(v) - partition.fragments[dst].incident(v)
+    added_in = 0
+    added_out = 0
+    for edge in extra:
+        if partition.graph.directed:
+            if edge[1] == v:
+                added_in += 1
+            if edge[0] == v:
+                added_out += 1
+        else:
+            added_in += 1
+            added_out += 1
+    features = dict(features)
+    features["d_in_L"] += added_in
+    features["d_out_L"] += added_out
+    features["d_L"] += len(extra)
+    # Evaluate through the tracker's model (identical values; when
+    # the gain cache is active this is the memoized model).
+    return tracker.cost_model.h_value(features)
+
+
+def vcut_promotions(state: PassState, fid: int) -> list:
+    """V-cut copies at ``fid`` VMerge may promote, cheapest first.
+
+    Fewest missing edges first, ties broken by vertex id (fragment
+    insertion order is not stable across builds).  A dirty scope only
+    offers frontier members.
+    """
+    partition = state.partition
+    fragment = partition.fragments[fid]
+    frontier = None if state.scope is None else state.scope.frontier
+    vcuts = [
+        v
+        for v in fragment.vertices()
+        if (frontier is None or v in frontier)
+        and partition.role(v, fid) is NodeRole.VCUT
+    ]
+    vcuts.sort(
+        key=lambda v: (
+            partition.global_incident_count(v) - fragment.incident_count(v),
+            v,
+        )
+    )
+    return vcuts
+
+
+class V2H(SingleOutputRefiner):
     """Vertex-cut → hybrid refiner driven by a cost model.
 
     ``cluster_spec`` activates capacity-aware balancing exactly as in
@@ -58,6 +93,7 @@ class V2H:
     """
 
     phases = ("vmigrate", "vmerge", "massign")
+    role = NodeRole.VCUT
 
     def __init__(
         self,
@@ -83,266 +119,21 @@ class V2H:
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
-    # ------------------------------------------------------------------
-    def refine(
-        self,
-        partition: HybridPartition,
-        in_place: bool = False,
-        capture_seed: bool = False,
-    ) -> HybridPartition:
-        """Refine a vertex-cut partition into a hybrid one.
-
-        ``capture_seed`` snapshots the final tracker state into
-        :attr:`last_seed` for a later :meth:`refine_incremental`.
-        """
-        if not in_place:
-            partition = partition.copy()
-        stats = RefineStats()
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        tracker = CostTracker(partition, counted, spec=self.cluster_spec)
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                # From-scratch: a tracker query here would shift its
-                # lazy-flush boundaries and the cached cost accumulation.
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            candidates[fid] = get_candidates(
-                tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-            )
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                start = time.perf_counter()
-                self._phase_vmigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["vmigrate"] = time.perf_counter() - start
-            if self.enable_vmerge:
-                start = time.perf_counter()
-                self._phase_vmerge(tracker, budget, stats, guard, cache)
-                stats.phase_seconds["vmerge"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                stats.master_moves = massign(tracker, guard=guard, cache=cache)
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        if capture_seed:
-            self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
-
-    # ------------------------------------------------------------------
-    def refine_incremental(
-        self,
-        partition: HybridPartition,
-        dirty_vertices,
-        in_place: bool = True,
-        seed="auto",
-    ) -> HybridPartition:
-        """Dirty-region refinement after a small mutation batch (DESIGN §15).
-
-        Mirrors :meth:`refine` with every phase narrowed to the dirty
-        frontier (``dirty_vertices`` plus graph neighbors) inside the
-        fragments hosting any frontier vertex: VMigrate candidates are
-        filtered to frontier members, VMerge only scans touched
-        fragments' frontier v-cuts, and MAssign revisits only frontier
-        border vertices.  The tracker warm-starts from ``seed``
-        (default: :attr:`last_seed`) via the mutation journal; a fresh
-        snapshot is captured afterwards.  In-place by default — a copy's
-        journal cannot replay a seed captured on the original.
-        """
-        if not in_place:
-            partition = partition.copy()
-            seed = None
-        stats = RefineStats()
-        inc = IncrementalStats()
-        stats.incremental = inc
-        model = self.cost_model
-        if self.guard_config is not None:
-            stats.guard = GuardStats()
-            model = guard_cost_model(
-                self.cost_model,
-                on_intervention=stats.guard.note_cost_model_intervention,
-            )
-        cache: Optional[GainCache] = None
-        if self.use_gain_cache:
-            cache = GainCache(partition, model)
-            stats.gain_cache = cache.stats
-            model = cache.model
-        counted = RescoringModel(model)
-        if seed == "auto":
-            seed = self.last_seed
-        tracker = CostTracker(
-            partition, counted, spec=self.cluster_spec, seed=seed
+    def _phase_plan(self):
+        return (
+            ("vmigrate", self.enable_vmigrate, self._phase_vmigrate),
+            ("vmerge", self.enable_vmerge, self._phase_vmerge),
+            ("massign", self.enable_massign, sequential_massign),
         )
-        inc.seeded = tracker.seeded
-        if cache is not None:
-            cache.bind(tracker)
-        stats.cost_before = tracker.parallel_cost()
-        guard: Optional[RefinementGuard] = None
-        if self.guard_config is not None:
-            guard = RefinementGuard(
-                partition,
-                self.guard_config,
-                stats=stats.guard,
-                cost_fn=lambda: model.parallel_cost(partition),
-            )
-
-        dirty_in = {
-            v for v in dirty_vertices if 0 <= v < partition.graph.num_vertices
-        }
-        frontier = dirty_frontier(partition.graph, dirty_in)
-        touched = touched_fragments(partition, frontier)
-        inc.dirty = len(dirty_in)
-        inc.frontier = len(frontier)
-        inc.fragments = len(touched)
-        entry_generation = partition.generation
-
-        budget = compute_budget(tracker, self.budget_slack)
-        stats.budget = budget
-        overloaded, underloaded = classify_fragments(tracker, budget)
-        stats.overloaded = len(overloaded)
-
-        candidates: Dict[int, List] = {}
-        for fid in overloaded:
-            if fid not in touched:
-                continue
-            cand = get_candidates(
-                tracker, fid, tracker.keep_budget(fid, budget), NodeRole.VCUT
-            )
-            candidates[fid] = [unit for unit in cand if unit[0] in frontier]
-            stats.candidates += len(candidates[fid])
-
-        early_stopped = False
-        try:
-            if self.enable_vmigrate:
-                start = time.perf_counter()
-                self._phase_vmigrate(
-                    tracker, budget, underloaded, candidates, stats, guard, cache
-                )
-                stats.phase_seconds["vmigrate"] = time.perf_counter() - start
-            if self.enable_vmerge:
-                start = time.perf_counter()
-                self._phase_vmerge(
-                    tracker,
-                    budget,
-                    stats,
-                    guard,
-                    cache,
-                    frontier=frontier,
-                    fragments=touched,
-                )
-                stats.phase_seconds["vmerge"] = time.perf_counter() - start
-            if self.enable_massign:
-                start = time.perf_counter()
-                # Rescore only vertices whose Eq. 5 inputs changed (see
-                # the E2H incremental pass for the rationale).
-                moved = partition.mutations_since(entry_generation)
-                if moved is None:
-                    reassign = sorted(frontier)
-                else:
-                    reassign = sorted(dirty_in | moved)
-                stats.master_moves = massign(
-                    tracker,
-                    vertices=reassign,
-                    guard=guard,
-                    cache=cache,
-                    residual=True,
-                )
-                stats.phase_seconds["massign"] = time.perf_counter() - start
-        except RefinementBudgetExceeded:
-            early_stopped = True
-        if guard is not None:
-            guard.finish(early_stopped=early_stopped)
-
-        stats.cost_after = tracker.parallel_cost()
-        self.last_seed = tracker.snapshot()
-        stats.rescoring_calls = counted.calls
-        tracker.detach()
-        if cache is not None:
-            cache.detach()
-        self.last_stats = stats
-        return partition
 
     # ------------------------------------------------------------------
-    def _merged_price(
-        self, tracker: CostTracker, v: int, src: int, dst: int
-    ) -> float:
-        """h_A of the merged copy at ``dst`` after absorbing the src copy."""
-        partition = tracker.partition
-        src_frag = partition.fragments[src]
-        features = vertex_features(partition, v, dst, tracker.avg_degree)
-        extra = src_frag.incident(v) - partition.fragments[dst].incident(v)
-        added_in = 0
-        added_out = 0
-        for edge in extra:
-            if partition.graph.directed:
-                if edge[1] == v:
-                    added_in += 1
-                if edge[0] == v:
-                    added_out += 1
-            else:
-                added_in += 1
-                added_out += 1
-        features = dict(features)
-        features["d_in_L"] += added_in
-        features["d_out_L"] += added_out
-        features["d_L"] += len(extra)
-        # Evaluate through the tracker's model (identical values; when
-        # the gain cache is active this is the memoized model).
-        return tracker.cost_model.h_value(features)
-
-    def _phase_vmigrate(
-        self,
-        tracker: CostTracker,
-        budget: float,
-        underloaded: List[int],
-        candidates: Dict[int, List],
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-    ) -> None:
+    def _phase_vmigrate(self, state: PassState) -> None:
         """Fig. 4 lines 6-10: merge v-cut copies into co-located copies."""
-        partition = tracker.partition
-        for src, cand_list in candidates.items():
+        partition, tracker, guard = state.partition, state.tracker, state.guard
+        budget, underloaded = state.budget, state.underloaded
+        scorer_merged_price = state.scorer.merged_price
+        ascending = state.scorer.ascending
+        for src, cand_list in state.candidates.items():
             remaining = []
             for v, _edges in cand_list:
                 fragment = partition.fragments[src]
@@ -352,22 +143,12 @@ class V2H:
                 ):
                     continue
                 placed = False
-                if cache is not None:
-                    destinations = cache.index.ascending(underloaded)
-                else:
-                    destinations = sorted(underloaded, key=tracker.load)
-                for dst in destinations:
+                for dst in ascending(underloaded):
                     if dst == src or not partition.fragments[dst].has_vertex(v):
                         continue
-                    if cache is not None:
-                        new_price = cache.merged_price(
-                            v,
-                            src,
-                            dst,
-                            lambda: self._merged_price(tracker, v, src, dst),
-                        )
-                    else:
-                        new_price = self._merged_price(tracker, v, src, dst)
+                    new_price = scorer_merged_price(
+                        v, src, dst, lambda: merged_price(tracker, v, src, dst)
+                    )
                     old_price = tracker.copy_comp_cost(v, dst)
                     if (
                         tracker.projected_load(
@@ -376,64 +157,36 @@ class V2H:
                         <= budget
                     ):
                         vmigrate(partition, v, src, dst)
-                        stats.vmigrated += 1
+                        state.stats.vmigrated += 1
                         placed = True
                         if guard is not None:
                             guard.step()
                         break
                 if not placed:
                     remaining.append((v, _edges))
-            candidates[src] = remaining
+            state.candidates[src] = remaining
 
-    def _phase_vmerge(
-        self,
-        tracker: CostTracker,
-        budget: float,
-        stats: RefineStats,
-        guard: Optional[RefinementGuard] = None,
-        cache: Optional[GainCache] = None,
-        frontier: Optional[set] = None,
-        fragments: Optional[set] = None,
-    ) -> None:
+    def _phase_vmerge(self, state: PassState) -> None:
         """Fig. 4 lines 11-14: promote v-cut nodes to e-cut nodes.
 
-        ``frontier``/``fragments`` narrow the scan for the incremental
-        path: only the listed fragments are visited and only frontier
-        v-cuts considered for promotion.  ``None`` (the full pass) scans
-        everything.
+        A dirty scope narrows the scan: only the touched fragments are
+        visited and only frontier v-cuts considered for promotion.
         """
-        partition = tracker.partition
+        partition, tracker, guard = state.partition, state.tracker, state.guard
+        budget = state.budget
         graph = partition.graph
-        n = partition.num_fragments
+        fragments = None if state.scope is None else state.scope.touched
+        price_as_ecut = state.scorer.price_as_ecut
+        ascending = state.scorer.ascending
         for _pass in range(self.vmerge_passes):
             merged_any = False
-            if cache is not None:
-                order = cache.index.ascending(range(n))
-            else:
-                order = sorted(range(n), key=tracker.load)
-            for fid in order:
+            for fid in ascending(range(partition.num_fragments)):
                 if fragments is not None and fid not in fragments:
                     continue
                 if tracker.load(fid) > budget:
                     continue
                 fragment = partition.fragments[fid]
-                vcut_here = [
-                    v
-                    for v in fragment.vertices()
-                    if (frontier is None or v in frontier)
-                    and partition.role(v, fid) is NodeRole.VCUT
-                ]
-                # Cheapest promotions first: fewest missing edges, ties
-                # broken by vertex id (fragment insertion order is not
-                # stable across builds).
-                vcut_here.sort(
-                    key=lambda v: (
-                        partition.global_incident_count(v)
-                        - fragment.incident_count(v),
-                        v,
-                    )
-                )
-                for v in vcut_here:
+                for v in vcut_promotions(state, fid):
                     # Earlier merges may have pruned or promoted this copy.
                     if (
                         not fragment.has_vertex(v)
@@ -445,10 +198,7 @@ class V2H:
                         for edge in graph.incident_edges(v)
                         if not fragment.has_edge(edge)
                     ]
-                    if cache is not None:
-                        new_price = cache.price_as_ecut(v)
-                    else:
-                        new_price = tracker.price_as_ecut(v)
+                    new_price = price_as_ecut(v)
                     old_price = tracker.copy_comp_cost(v, fid)
                     if (
                         tracker.projected_load(
@@ -458,7 +208,7 @@ class V2H:
                     ):
                         continue
                     vmerge(partition, v, fid, missing)
-                    stats.vmerged += 1
+                    state.stats.vmerged += 1
                     merged_any = True
                     if guard is not None:
                         guard.step()

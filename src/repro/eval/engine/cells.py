@@ -108,15 +108,10 @@ def compute_refine_cell(
     virtual: bool = False,
 ) -> Dict:
     """Refine a serialized partition with ParE2H / ParV2H for one model."""
-    from repro.core.parallel import ParE2H, ParV2H
+    from repro.core import refiner_class
     from repro.partition.serialize import partition_from_dict, partition_to_dict
 
-    if cut_type == "edge":
-        refiner_cls = ParE2H
-    elif cut_type == "vertex":
-        refiner_cls = ParV2H
-    else:
-        raise ValueError(f"cannot refine a {cut_type!r} baseline")
+    refiner_cls = refiner_class(cut_type, parallel=True)
     refiner = refiner_cls(model_from_payload(model), **(kwargs or {}))
     refined, profile = refiner.refine(partition_from_dict(initial, graph))
     profile_payload = profile_to_payload(profile)
@@ -150,17 +145,11 @@ def compute_incremental_cell(
     private copy, so every other cell in the process keeps seeing the
     original graph.
     """
-    from repro.core.incremental import MutationBatch, apply_mutations
-    from repro.core.parallel import ParE2H, ParV2H
+    from repro.core import MutationBatch, apply_mutations, refiner_class
     from repro.graph.digraph import Graph
     from repro.partition.serialize import partition_from_dict, partition_to_dict
 
-    if cut_type == "edge":
-        refiner_cls = ParE2H
-    elif cut_type == "vertex":
-        refiner_cls = ParV2H
-    else:
-        raise ValueError(f"cannot incrementally refine a {cut_type!r} baseline")
+    refiner_cls = refiner_class(cut_type, parallel=True)
     private = Graph(graph.num_vertices, list(graph.edges()), directed=graph.directed)
     partition = partition_from_dict(initial, private)
     batch = MutationBatch.parse(mutations)
@@ -233,15 +222,10 @@ def compute_composite_cell(
     cluster_spec: Optional[Dict] = None,
 ) -> Dict:
     """ParME2H / ParMV2H composite refinement over a serialized partition."""
-    from repro.core.parallel import ParME2H, ParMV2H
+    from repro.core import refiner_class
     from repro.partition.serialize import partition_from_dict, partition_to_dict
 
-    if cut_type == "edge":
-        refiner_cls = ParME2H
-    elif cut_type == "vertex":
-        refiner_cls = ParMV2H
-    else:
-        raise ValueError(f"cannot composite-refine a {cut_type!r} baseline")
+    refiner_cls = refiner_class(cut_type, composite=True, parallel=True)
     # Rebuild models in batch order — the refiner's phase interleaving
     # follows the model dict's iteration order.
     rebuilt = {name: model_from_payload(models[name]) for name in batch}

@@ -163,14 +163,9 @@ class EvalEngine:
         """ParE2H / ParV2H refinement; returns ``(refined, profile)``."""
         refiner_kwargs = self._fold_cluster_spec(dict(refiner_kwargs))
         if self.cache is None:
-            from repro.core.parallel import ParE2H, ParV2H
+            from repro.core import refiner_class
 
-            if cut_type == "edge":
-                refiner = ParE2H(model, **refiner_kwargs)
-            elif cut_type == "vertex":
-                refiner = ParV2H(model, **refiner_kwargs)
-            else:
-                raise ValueError(f"cannot refine a {cut_type!r} baseline")
+            refiner = refiner_class(cut_type, parallel=True)(model, **refiner_kwargs)
             return refiner.refine(partition)
 
         from repro.partition.serialize import partition_from_dict, partition_to_dict
@@ -227,16 +222,9 @@ class EvalEngine:
             mutations = MutationBatch.parse(str(mutations))
         kwargs = self._fold_cluster_spec(dict(kwargs))
         if self.cache is None:
-            from repro.core.parallel import ParE2H, ParV2H
+            from repro.core import refiner_class
 
-            if cut_type == "edge":
-                refiner = ParE2H(model, **kwargs)
-            elif cut_type == "vertex":
-                refiner = ParV2H(model, **kwargs)
-            else:
-                raise ValueError(
-                    f"cannot incrementally refine a {cut_type!r} baseline"
-                )
+            refiner = refiner_class(cut_type, parallel=True)(model, **kwargs)
             dirty = apply_mutations(partition, mutations)
             maintained, profile = refiner.refine_incremental(partition, dirty)
             stats = profile.stats
@@ -340,15 +328,10 @@ class EvalEngine:
 
         spec = spec_payload(cluster_spec)
         if self.cache is None:
-            from repro.core.parallel import ParME2H, ParMV2H
+            from repro.core import refiner_class
 
-            if cut_type == "edge":
-                refiner = ParME2H(models, cluster_spec=spec)
-            elif cut_type == "vertex":
-                refiner = ParMV2H(models, cluster_spec=spec)
-            else:
-                raise ValueError(f"cannot composite-refine a {cut_type!r} baseline")
-            return refiner.refine(partition)
+            refiner_cls = refiner_class(cut_type, composite=True, parallel=True)
+            return refiner_cls(models, cluster_spec=spec).refine(partition)
 
         from repro.partition.composite import CompositePartition
         from repro.partition.serialize import partition_from_dict, partition_to_dict

@@ -185,7 +185,12 @@ class RefinementGuard:
         self._best_cost = float("inf")
         self._finished = False
         start = time.perf_counter()
-        self._snapshot()
+        try:
+            self._snapshot()
+        except BaseException:
+            # cost_fn raised: do not leave the watchdog subscribed.
+            self.watchdog.detach()
+            raise
         self.stats.overhead_seconds += time.perf_counter() - start
 
     # ------------------------------------------------------------------

@@ -1,132 +1,152 @@
 """Tests for incremental partition maintenance (the paper's future-work
-extension: keep application-driven partitions fresh under graph updates)."""
+extension: keep application-driven partitions fresh under graph updates).
+
+The maintenance route is in place: ``apply_mutations`` pushes a
+``MutationBatch`` through graph and partition, ``refine_incremental``
+re-refines the dirty region (DESIGN §15).
+"""
 
 import pytest
 
 from repro.algorithms.reference import reference_wcc
 from repro.algorithms.registry import get_algorithm
 from repro.core.e2h import E2H
-from repro.core.incremental import IncrementalRefiner, apply_graph_delta
+from repro.core.incremental import MutationBatch, apply_mutations
 from repro.core.tracker import CostTracker
 from repro.costmodel.library import builtin_cost_model
 from repro.graph.digraph import Graph
 from repro.graph.generators import chung_lu_power_law
+from repro.partition.hybrid import HybridPartition
+from repro.partition.serialize import partition_to_dict
 from repro.partition.validation import check_partition
 
 from tests.conftest import make_edge_cut
 
 
-@pytest.fixture(scope="module")
+def _batch(insertions=(), deletions=()):
+    lines = [f"+ {u} {v}" for u, v in insertions]
+    lines += [f"- {u} {v}" for u, v in deletions]
+    return MutationBatch.parse("\n".join(lines))
+
+
+@pytest.fixture()
 def base_graph():
+    # Function-scoped: apply_mutations edits the graph in place.
     return chung_lu_power_law(250, 6.0, seed=51)
 
 
 @pytest.fixture()
-def refined(base_graph):
-    model = builtin_cost_model("wcc")
-    return E2H(model).refine(make_edge_cut(base_graph, 4, seed=1))
+def maintained(base_graph):
+    """``(refiner, refined partition)`` with a warm tracker seed."""
+    refiner = E2H(builtin_cost_model("wcc"))
+    refined = refiner.refine(
+        make_edge_cut(base_graph, 4, seed=1), in_place=True, capture_seed=True
+    )
+    return refiner, refined
 
 
 class TestApplyGraphDelta:
+    """The graph-level effect of ``apply_mutations``."""
+
+    def _two_fragments(self, graph):
+        assignment = [v % 2 for v in range(graph.num_vertices)]
+        return HybridPartition.from_vertex_assignment(graph, assignment, 2)
+
     def test_insertions_and_deletions(self):
         g = Graph(4, [(0, 1), (1, 2)])
-        updated = apply_graph_delta(g, insertions=[(2, 3)], deletions=[(0, 1)])
-        assert updated.has_edge(2, 3)
-        assert not updated.has_edge(0, 1)
-        assert updated.has_edge(1, 2)
+        partition = self._two_fragments(g)
+        dirty = apply_mutations(
+            partition, _batch(insertions=[(2, 3)], deletions=[(0, 1)])
+        )
+        assert g.has_edge(2, 3)
+        assert not g.has_edge(0, 1)
+        assert g.has_edge(1, 2)
+        assert dirty == {0, 1, 2, 3}
+        check_partition(partition)
 
     def test_new_vertices_grow_graph(self):
         g = Graph(3, [(0, 1)])
-        updated = apply_graph_delta(g, insertions=[(1, 6)])
-        assert updated.num_vertices == 7
+        partition = self._two_fragments(g)
+        apply_mutations(partition, _batch(insertions=[(1, 6)]))
+        assert g.num_vertices == 7
+        assert all(partition.placement(v) for v in range(7))
+        check_partition(partition)
 
     def test_delete_absent_edge_noop(self):
         g = Graph(3, [(0, 1)])
-        updated = apply_graph_delta(g, deletions=[(1, 2)])
-        assert updated == g
+        partition = self._two_fragments(g)
+        before = partition_to_dict(partition)
+        assert apply_mutations(partition, _batch(deletions=[(1, 2)])) == set()
+        assert g == Graph(3, [(0, 1)])
+        assert partition_to_dict(partition) == before
 
     def test_undirected_canonicalization(self):
         g = Graph(3, [(0, 1)], directed=False)
-        updated = apply_graph_delta(g, insertions=[(2, 1)])
-        assert updated.has_edge(1, 2)
+        partition = self._two_fragments(g)
+        apply_mutations(partition, _batch(insertions=[(2, 1)]))
+        assert g.has_edge(1, 2)
+        assert any(f.has_edge((1, 2)) for f in partition.fragments)
+        check_partition(partition)
 
 
 class TestIncrementalRefiner:
-    def test_update_preserves_validity(self, base_graph, refined):
-        maintainer = IncrementalRefiner(builtin_cost_model("wcc"))
-        edges = list(base_graph.edges())
-        updated = maintainer.update(
+    """``apply_mutations`` + ``refine_incremental`` end to end."""
+
+    def test_update_preserves_validity(self, base_graph, maintained):
+        refiner, refined = maintained
+        deletions = list(base_graph.edges())[:5]
+        dirty = apply_mutations(
             refined,
-            insertions=[(0, base_graph.num_vertices - 1)],
-            deletions=edges[:5],
+            _batch([(0, base_graph.num_vertices - 1)], deletions),
         )
+        updated = refiner.refine_incremental(refined, dirty)
         check_partition(updated)
-        stats = maintainer.last_stats
-        assert stats.deleted == 5
-        assert stats.inserted <= 1  # may already exist
+        for edge in deletions:
+            assert not base_graph.has_edge(*edge)
+            assert not any(f.has_edge(edge) for f in updated.fragments)
+        stats = refiner.last_stats
+        assert stats.incremental.seeded
+        assert stats.incremental.dirty == len(dirty)
 
-    def test_original_partition_untouched(self, base_graph, refined):
-        maintainer = IncrementalRefiner(builtin_cost_model("wcc"))
-        before = refined.total_edge_copies()
-        maintainer.update(refined, deletions=list(base_graph.edges())[:3])
-        assert refined.total_edge_copies() == before
+    def test_original_partition_untouched(self, base_graph, maintained):
+        refiner, refined = maintained
+        dirty = apply_mutations(
+            refined, _batch(deletions=list(base_graph.edges())[:3])
+        )
+        before = partition_to_dict(refined)
+        updated = refiner.refine_incremental(refined, dirty, in_place=False)
+        assert updated is not refined
+        assert partition_to_dict(refined) == before
+        # A copy has its own journal: the seed cannot replay against it.
+        assert not refiner.last_stats.incremental.seeded
 
-    def test_algorithms_correct_after_update(self, base_graph, refined):
-        maintainer = IncrementalRefiner(builtin_cost_model("wcc"))
+    def test_algorithms_correct_after_update(self, base_graph, maintained):
+        refiner, refined = maintained
         insertions = [(5, 190), (12, 40)]
         deletions = list(base_graph.edges())[10:14]
-        updated = maintainer.update(refined, insertions, deletions)
+        dirty = apply_mutations(refined, _batch(insertions, deletions))
+        updated = refiner.refine_incremental(refined, dirty)
         result = get_algorithm("wcc").run(updated)
-        expected = reference_wcc(updated.graph)
-        assert result.values == expected
+        assert result.values == reference_wcc(updated.graph)
 
-    def test_new_vertex_gets_placed(self, base_graph, refined):
-        maintainer = IncrementalRefiner(builtin_cost_model("wcc"))
+    def test_new_vertex_gets_placed(self, base_graph, maintained):
+        refiner, refined = maintained
         new_v = base_graph.num_vertices + 3
-        updated = maintainer.update(refined, insertions=[(0, new_v)])
+        dirty = apply_mutations(refined, _batch(insertions=[(0, new_v)]))
+        updated = refiner.refine_incremental(refined, dirty)
         assert updated.placement(new_v)
         check_partition(updated)
 
-    def test_drift_triggers_refinement(self, base_graph, refined):
-        # Pile many insertions onto one hub so its fragment drifts.
-        maintainer = IncrementalRefiner(
-            builtin_cost_model("cn"), drift_tolerance=0.05
-        )
-        hub = 0
-        targets = [
-            v
-            for v in base_graph.vertices
-            if v != hub and not base_graph.has_edge(v, hub)
-        ][:120]
-        insertions = [(v, hub) for v in targets]
-        updated = maintainer.update(refined, insertions=insertions)
-        check_partition(updated)
-        stats = maintainer.last_stats
-        assert stats.inserted == len(insertions)
-        assert stats.refined
-        assert stats.cost_after <= stats.cost_before
-
-    def test_no_drift_no_refinement(self, base_graph, refined):
-        maintainer = IncrementalRefiner(
-            builtin_cost_model("wcc"), drift_tolerance=5.0
-        )
-        updated = maintainer.update(
-            refined, deletions=list(base_graph.edges())[:2]
-        )
-        assert not maintainer.last_stats.refined
-        check_partition(updated)
-
-    def test_cheaper_than_full_refinement_cost(self, base_graph, refined):
+    def test_cheaper_than_full_refinement_cost(self, base_graph, maintained):
         """Maintained partition quality close to a from-scratch refine."""
-        model = builtin_cost_model("wcc")
-        maintainer = IncrementalRefiner(model)
-        deletions = list(base_graph.edges())[:10]
-        updated = maintainer.update(refined, deletions=deletions)
+        refiner, refined = maintained
+        model = refiner.cost_model
+        dirty = apply_mutations(
+            refined, _batch(deletions=list(base_graph.edges())[:10])
+        )
+        updated = refiner.refine_incremental(refined, dirty)
 
-        fresh_graph = updated.graph
-        from tests.conftest import make_edge_cut as mec
-
-        scratch = E2H(model).refine(mec(fresh_graph, 4, seed=2))
+        scratch = E2H(model).refine(make_edge_cut(updated.graph, 4, seed=2))
         t_inc = CostTracker(updated, model)
         t_scr = CostTracker(scratch, model)
         assert t_inc.parallel_cost() <= 2.0 * t_scr.parallel_cost()
