@@ -66,6 +66,14 @@ class RescoringModel(CostModel):
         self.calls += 1
         return self.base.g_value(features)
 
+    def h_key(self, key: tuple) -> float:
+        self.calls += 1
+        return self.base.h_key(key)
+
+    def g_key(self, key: tuple) -> float:
+        self.calls += 1
+        return self.base.g_key(key)
+
 
 def dirty_frontier(graph: Graph, dirty_vertices: Iterable[int]) -> Set[int]:
     """Dirty vertices plus their (in- and out-) neighbors.

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.costmodel.features import FEATURE_NAMES
+from repro.costmodel.features import FEATURE_NAMES, copy_key, copy_keys, with_master
 from repro.costmodel.model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -154,20 +154,18 @@ class MemoizedCostModel(CostModel):
         self._memo_h: Dict[tuple, float] = {}
         self._memo_g: Dict[tuple, float] = {}
 
-    #: Single C-level call building the memo key (hot path).
+    #: Memo key of a feature mapping (the Mapping entry points only; the
+    #: refiners arrive through ``h_key``/``g_key`` with the key in hand).
     _key_getter = staticmethod(itemgetter(*FEATURE_NAMES))
 
-    def _memoized(self, memo: Dict[tuple, float], features, compute) -> float:
+    def _lookup(self, memo: Dict[tuple, float], key, features, compute) -> float:
+        """Memoized ``compute``; only a miss materializes the mapping."""
         stats = self.stats
-        try:
-            key = self._key_getter(features)
-        except KeyError:
-            # Unknown feature layout (extended models): skip memoization.
-            stats.value_misses += 1
-            return compute(features)
         value = memo.get(key, _MISS)
         if value is _MISS:
             stats.value_misses += 1
+            if features is None:
+                features = dict(zip(FEATURE_NAMES, key))
             value = compute(features)
             if len(memo) >= self.max_entries:
                 stats.evictions += len(memo)
@@ -177,6 +175,15 @@ class MemoizedCostModel(CostModel):
             stats.value_hits += 1
         return value
 
+    def _memoized(self, memo: Dict[tuple, float], features, compute) -> float:
+        try:
+            key = self._key_getter(features)
+        except KeyError:
+            # Unknown feature layout (extended models): skip memoization.
+            self.stats.value_misses += 1
+            return compute(features)
+        return self._lookup(memo, key, features, compute)
+
     def h_value(self, features) -> float:
         """Memoized ``h_A(X(v))`` (bit-identical to the base model's)."""
         return self._memoized(self._memo_h, features, self.base.h_value)
@@ -184,6 +191,14 @@ class MemoizedCostModel(CostModel):
     def g_value(self, features) -> float:
         """Memoized ``g_A(X(v))`` (bit-identical to the base model's)."""
         return self._memoized(self._memo_g, features, self.base.g_value)
+
+    def h_key(self, key: tuple) -> float:
+        """:meth:`h_value` of a ready-made key: no mapping on a hit."""
+        return self._lookup(self._memo_h, key, None, self.base.h_value)
+
+    def g_key(self, key: tuple) -> float:
+        """:meth:`g_value` of a ready-made key: no mapping on a hit."""
+        return self._lookup(self._memo_g, key, None, self.base.g_value)
 
 
 def memoize_cost_model(
@@ -317,6 +332,10 @@ class GainCache:
         self._ecut_price: Dict[int, float] = {}
         self._merged: Dict[int, Dict[Tuple[int, int], float]] = {}
         self._massign: Dict[int, Dict[int, Tuple[float, float]]] = {}
+        # (v, {fid: (cost_bearing, key)}): the per-vertex pass behind the
+        # Eq. 5 pairs of the vertex MAssign is scoring, taken once for all
+        # of its hosts.
+        self._copies: Tuple[int, Dict[int, tuple]] = (-1, {})
         # Vertices with any cached gain: the invalidation listener runs
         # on every mutation event, so the common no-entry case must be a
         # single membership check.
@@ -353,6 +372,8 @@ class GainCache:
         bucket = self._massign.pop(v, None)
         if bucket:
             dropped += len(bucket)
+        if self._copies[0] == v:
+            self._copies = (-1, {})
         self.stats.invalidations += dropped
 
     # ------------------------------------------------------------------
@@ -389,15 +410,21 @@ class GainCache:
         pair = bucket.get(fid)
         if pair is None:
             self.stats.vertex_misses += 1
-            tracker = self.tracker
-            model = tracker.cost_model
-            avg = tracker.avg_degree
-            pair = (
-                model.comm_cost_if_master_at(self.partition, v, fid, avg),
-                model.comp_master_delta(self.partition, v, fid, avg),
-            )
-            bucket[fid] = pair
             self._cached.add(v)
+            model, avg = self.tracker.cost_model, self.tracker.avg_degree
+            cached, copies = self._copies
+            if cached != v:
+                copies = {
+                    host: (bearing, key)
+                    for host, bearing, key in copy_keys(self.partition, v, avg)
+                }
+                self._copies = (v, copies)
+            # (.get: the placement index may have lost track of a copy.)
+            bearing, key = copies.get(fid) or copy_key(self.partition, v, fid, avg)
+            pair = bucket[fid] = (
+                model.g_key(with_master(key, True)),
+                model.master_delta_key(bearing, key),
+            )
         else:
             self.stats.vertex_hits += 1
         return pair

@@ -28,7 +28,7 @@ from repro.core.me2h import (
 )
 from repro.core.tracker import CostTracker
 from repro.core.v2h import V2H
-from repro.costmodel.features import vertex_features
+from repro.costmodel.features import hypothetical_key
 from repro.costmodel.model import CostModel
 from repro.integrity.guard import GuardConfig
 from repro.partition.composite import CompositePartition
@@ -149,27 +149,19 @@ class MV2H:
         graph = output.graph
         d_in = sum(1 for e in edges if e[1] == v or not graph.directed)
         d_out = sum(1 for e in edges if e[0] == v or not graph.directed)
-        if output.fragments[fid].has_vertex(v):
-            base = vertex_features(output, v, fid, tracker.avg_degree)
-        else:
-            base = {
-                "d_in_L": 0.0,
-                "d_out_L": 0.0,
-                "d_in_G": float(graph.in_degree(v)),
-                "d_out_G": float(graph.out_degree(v)),
-                "r": float(output.mirrors(v)),
-                "D": float(tracker.avg_degree),
-                "I": 1.0,
-                "d_L": 0.0,
-                "d_G": float(output.global_incident_count(v)),
-                "M": 0.0,
-            }
-        features = dict(base)
-        features["d_in_L"] += d_in
-        features["d_out_L"] += d_out
-        features["d_L"] += len(edges)
-        features["I"] = 0.0 if features["d_L"] >= features["d_G"] else 1.0
-        return tracker.cost_model.h_value(features)
+        fragment = output.fragments[fid]
+        d_l = fragment.incident_count(v) + len(edges)
+        key = hypothetical_key(
+            output,
+            v,
+            tracker.avg_degree,
+            fragment.local_in_degree(v) + d_in,
+            fragment.local_out_degree(v) + d_out,
+            d_l,
+            ecut=d_l >= output.global_incident_count(v),
+            master=fragment.has_vertex(v) and output.master(v) == fid,
+        )
+        return tracker.cost_model.h_key(key)
 
     @staticmethod
     def _assign_unit(output: HybridPartition, unit: Unit, fid: int) -> None:

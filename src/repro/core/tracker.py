@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.costmodel.features import vertex_features
+from repro.costmodel.features import copy_key, copy_keys, ecut_key
 from repro.costmodel.model import CostModel
 from repro.graph.metrics import average_degree
 from repro.partition.hybrid import HybridPartition
@@ -194,21 +194,14 @@ class CostTracker:
         if old_comm is not None:
             self._comm[old_comm[0]] -= old_comm[1]
 
-        hosts = partition.placement(v)
-        if not hosts:
-            if listeners and old_copies:
-                self._notify_cost(set(old_copies))
-            return
+        # One pass over v's real copies (ghost placement entries — index
+        # corruption awaiting the guard's repair — have no copy to price).
+        copies = copy_keys(partition, v, self.avg_degree, priced_only=True)
+        model = self.cost_model
         new_copies: Dict[int, float] = {}
-        for fid in hosts:
-            # A placement entry pointing at a fragment with no copy is
-            # index corruption awaiting the guard's repair; there is no
-            # copy to price, so skip it instead of crashing in role().
-            if not partition.fragments[fid].has_vertex(v):
-                continue
-            if partition.cost_bearing(v, fid):
-                features = vertex_features(partition, v, fid, self.avg_degree)
-                contrib = self.cost_model.h_value(features)
+        for fid, bearing, key in copies:
+            if bearing:
+                contrib = model.h_key(key)
                 if contrib:
                     new_copies[fid] = contrib
                     self._comp[fid] += contrib
@@ -223,9 +216,21 @@ class CostTracker:
             self._notify_cost(touched)
         if partition.is_border(v):
             master = partition._masters.get(v)
-            if master is not None and partition.fragments[master].has_vertex(v):
-                features = vertex_features(partition, v, master, self.avg_degree)
-                contrib = self.cost_model.g_value(features)
+            for fid, _bearing, key in copies:
+                if fid == master:
+                    break
+            else:
+                # The master's host is missing from the placement index
+                # (or the master points at a non-host): price the copy
+                # straight off its fragment, if it has one.
+                key = None
+                if master is not None:
+                    try:
+                        key = copy_key(partition, v, master, self.avg_degree)[1]
+                    except KeyError:
+                        pass
+            if key is not None:
+                contrib = model.g_key(key)
                 self._comm_contrib[v] = (master, contrib)
                 self._comm[master] += contrib
 
@@ -332,7 +337,4 @@ class CostTracker:
 
         Used to pre-price EMigrate destinations without mutating state.
         """
-        from repro.costmodel.features import hypothetical_ecut_features
-
-        features = hypothetical_ecut_features(self.partition, v, self.avg_degree)
-        return self.cost_model.h_value(features)
+        return self.cost_model.h_key(ecut_key(self.partition, v, self.avg_degree))

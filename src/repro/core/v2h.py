@@ -22,7 +22,7 @@ from repro.core.driver import PassState
 from repro.core.e2h import RefineStats, SingleOutputRefiner, sequential_massign
 from repro.core.operations import vmerge, vmigrate
 from repro.core.tracker import CostTracker, TrackerSeed
-from repro.costmodel.features import vertex_features
+from repro.costmodel.features import hypothetical_key
 from repro.costmodel.model import CostModel
 from repro.integrity.guard import GuardConfig
 from repro.partition.hybrid import NodeRole
@@ -37,8 +37,8 @@ def merged_price(tracker: CostTracker, v: int, src: int, dst: int) -> float:
     """h_A of the merged copy at ``dst`` after absorbing the src copy."""
     partition = tracker.partition
     src_frag = partition.fragments[src]
-    features = vertex_features(partition, v, dst, tracker.avg_degree)
-    extra = src_frag.incident(v) - partition.fragments[dst].incident(v)
+    dst_frag = partition.fragments[dst]
+    extra = src_frag.incident(v) - dst_frag.incident(v)
     added_in = 0
     added_out = 0
     for edge in extra:
@@ -50,13 +50,19 @@ def merged_price(tracker: CostTracker, v: int, src: int, dst: int) -> float:
         else:
             added_in += 1
             added_out += 1
-    features = dict(features)
-    features["d_in_L"] += added_in
-    features["d_out_L"] += added_out
-    features["d_L"] += len(extra)
+    key = hypothetical_key(
+        partition,
+        v,
+        tracker.avg_degree,
+        dst_frag.local_in_degree(v) + added_in,
+        dst_frag.local_out_degree(v) + added_out,
+        dst_frag.incident_count(v) + len(extra),
+        ecut=partition.role(v, dst) is NodeRole.ECUT,
+        master=partition.master(v) == dst,
+    )
     # Evaluate through the tracker's model (identical values; when
     # the gain cache is active this is the memoized model).
-    return tracker.cost_model.h_value(features)
+    return tracker.cost_model.h_key(key)
 
 
 def vcut_promotions(state: PassState, fid: int) -> list:

@@ -25,14 +25,20 @@ that X may be extended per algorithm: CN/TC masters of split vertices do
 the cross-copy merge work, which no degree variable can express.  The
 constant 1 needed by polynomial intercepts is handled by the monomial
 representation, not by a feature.
+
+The refiners never build this mapping per copy: :func:`copy_keys` reads
+what all copies of a vertex share once and emits each copy's variables as a
+tuple in :data:`FEATURE_NAMES` order — the *key* the cost model's
+``h_key`` / ``g_key`` funnel prices and the value memo is keyed on
+(DESIGN §8.2).  :func:`vertex_features` is that key zipped with the names.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.metrics import average_degree
-from repro.partition.hybrid import HybridPartition, NodeRole
+from repro.partition.hybrid import HybridPartition, NodeRole, copy_role
 
 FEATURE_NAMES = (
     "d_in_L",
@@ -49,60 +55,137 @@ FEATURE_NAMES = (
 
 Features = Dict[str, float]
 
+#: One copy's metric variables in :data:`FEATURE_NAMES` order.  Only this
+#: module knows the layout.
+FeatureKey = Tuple[float, ...]
+
+
+def copy_keys(
+    partition: HybridPartition,
+    v: int,
+    avg_degree: float,
+    hosts: Optional[Iterable[int]] = None,
+    priced_only: bool = False,
+) -> List[Tuple[int, bool, FeatureKey]]:
+    """``(fid, cost_bearing, key)`` for every real copy of ``v``, in one pass.
+
+    What all copies of ``v`` share — global degrees, mirror count, master,
+    designated home — is read once; each copy adds three fragment-local
+    integers.  ``hosts`` defaults to the placement index's entry; a host
+    whose fragment holds no copy (index corruption awaiting repair) is
+    skipped.  ``priced_only`` keeps just the copies Eqs. 2-3 charge, the
+    cost-bearing ones and the master's: one or two for an e-cut vertex,
+    however replicated.  Copies without a master raise ``KeyError``.
+    """
+    if hosts is None:
+        hosts = partition._placement.get(v)
+        if not hosts:
+            return []
+        mirrors = float(len(hosts) - 1)
+    else:
+        mirrors = float(partition.mirrors(v))
+    total, d_in_g, d_out_g = partition._graph_facts.get(v) or partition._facts(v)
+    d_in_g, d_out_g, d_g = float(d_in_g), float(d_out_g), float(total)
+    home = partition._home(v, total)
+    master = partition._masters.get(v)
+    if priced_only and home is not None:
+        hosts = [fid for fid in {home, master} if fid in hosts]
+    avg_degree = float(avg_degree)
+    fragments = partition.fragments
+    copies = []
+    for fid in hosts:
+        fragment = fragments[fid]
+        bucket = fragment._incident.get(v)
+        if bucket is None:
+            continue
+        role = copy_role(home, fid, len(bucket))
+        bearing = role is not NodeRole.DUMMY
+        if priced_only and not bearing and fid != master:
+            continue
+        key = (
+            float(fragment._in_deg.get(v, 0)), float(fragment._out_deg.get(v, 0)),
+            d_in_g, d_out_g, mirrors, avg_degree,
+            0.0 if role is NodeRole.ECUT else 1.0, float(len(bucket)), d_g,
+            1.0 if master == fid else 0.0,
+        )
+        copies.append((fid, bearing, key))
+    if copies and master is None:
+        raise KeyError(f"vertex {v} has no copies in the partition")
+    return copies
+
+
+def copy_key(
+    partition: HybridPartition, v: int, fid: int, avg_degree: Optional[float] = None
+) -> Tuple[bool, FeatureKey]:
+    """``(cost_bearing, key)`` of the copy of ``v`` at ``fid``, read off the
+    fragment (so it answers for a copy the placement index lost track of);
+    ``KeyError`` when there is none.  ``avg_degree`` defaults to the graph's.
+    """
+    if avg_degree is None:
+        avg_degree = average_degree(partition.graph)
+    for _fid, bearing, key in copy_keys(partition, v, avg_degree, (fid,)):
+        return bearing, key
+    raise KeyError(f"vertex {v} not in fragment {fid}")
+
+
+def with_master(key: FeatureKey, is_master: bool) -> FeatureKey:
+    """``key`` with the master indicator ``M`` forced on or off."""
+    return key[:-1] + (1.0 if is_master else 0.0,)
+
+
+def hypothetical_key(
+    partition: HybridPartition,
+    v: int,
+    avg_degree: Optional[float],
+    d_in_l: int,
+    d_out_l: int,
+    d_l: int,
+    ecut: bool,
+    master: bool,
+) -> FeatureKey:
+    """Key of a copy of ``v`` as a candidate move would leave it.
+
+    The refiners price a move *before* performing it: the caller states the
+    copy's local degrees, role and master flag after the move; global
+    degrees and the mirror count are whatever the partition records now.
+    """
+    if avg_degree is None:
+        avg_degree = average_degree(partition.graph)
+    total, d_in_g, d_out_g = partition._facts(v)
+    return (
+        float(d_in_l), float(d_out_l), float(d_in_g), float(d_out_g),
+        float(partition.mirrors(v)), float(avg_degree),
+        0.0 if ecut else 1.0, float(d_l), float(total), 1.0 if master else 0.0,
+    )
+
+
+def ecut_key(
+    partition: HybridPartition, v: int, avg_degree: Optional[float] = None
+) -> FeatureKey:
+    """Key ``v`` would have as a freshly migrated e-cut node: all of ``E_v``
+    local, so local degrees equal global ones, and the master moved along."""
+    total, d_in_g, d_out_g = partition._facts(v)
+    return hypothetical_key(
+        partition, v, avg_degree, d_in_g, d_out_g, total, ecut=True, master=True
+    )
+
 
 def vertex_features(
     partition: HybridPartition,
     v: int,
     fid: int,
-    avg_degree: float = None,
+    avg_degree: Optional[float] = None,
 ) -> Features:
     """Extract the metric variables of ``v``'s copy in fragment ``fid``.
 
     ``avg_degree`` may be passed to avoid recomputing the constant ``D``
     in tight loops; it defaults to the graph's average degree.
     """
-    graph = partition.graph
-    fragment = partition.fragments[fid]
-    if avg_degree is None:
-        avg_degree = average_degree(graph)
-    role = partition.role(v, fid)
-    return {
-        "d_in_L": float(fragment.local_in_degree(v)),
-        "d_out_L": float(fragment.local_out_degree(v)),
-        "d_in_G": float(graph.in_degree(v)),
-        "d_out_G": float(graph.out_degree(v)),
-        "r": float(partition.mirrors(v)),
-        "D": float(avg_degree),
-        "I": 0.0 if role is NodeRole.ECUT else 1.0,
-        "d_L": float(fragment.incident_count(v)),
-        "d_G": float(partition.global_incident_count(v)),
-        "M": 1.0 if partition.master(v) == fid else 0.0,
-    }
+    return dict(zip(FEATURE_NAMES, copy_key(partition, v, fid, avg_degree)[1]))
 
 
 def hypothetical_ecut_features(
-    partition: HybridPartition, v: int, avg_degree: float = None
+    partition: HybridPartition, v: int, avg_degree: Optional[float] = None
 ) -> Features:
-    """Features ``v`` would have as a freshly migrated e-cut node.
-
-    Used by the refiners to price a candidate move *before* performing it:
-    after EMigrate the copy holds all of ``E_v`` locally, so local degrees
-    equal global degrees, the copy is an e-cut node (I = 0), and the
-    mirror count is whatever the partition currently records.
-    """
-    graph = partition.graph
-    if avg_degree is None:
-        avg_degree = average_degree(graph)
-    return {
-        "d_in_L": float(graph.in_degree(v)),
-        "d_out_L": float(graph.out_degree(v)),
-        "d_in_G": float(graph.in_degree(v)),
-        "d_out_G": float(graph.out_degree(v)),
-        "r": float(partition.mirrors(v)),
-        "D": float(avg_degree),
-        "I": 0.0,
-        "d_L": float(partition.global_incident_count(v)),
-        "d_G": float(partition.global_incident_count(v)),
-        # EMigrate/VMerge move the master with the migrated copy.
-        "M": 1.0,
-    }
+    """:func:`ecut_key` as a feature mapping."""
+    return dict(zip(FEATURE_NAMES, ecut_key(partition, v, avg_degree)))

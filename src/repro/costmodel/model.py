@@ -16,7 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.costmodel.features import vertex_features
+from repro.costmodel.features import (
+    FEATURE_NAMES,
+    FeatureKey,
+    copy_key,
+    with_master,
+)
 from repro.costmodel.polynomial import PolynomialCostFunction
 from repro.graph.metrics import average_degree
 from repro.partition.hybrid import HybridPartition
@@ -66,6 +71,20 @@ class CostModel:
             return 0.0
         return self.g.evaluate(features)
 
+    def h_key(self, key: FeatureKey) -> float:
+        """``h_value`` of a feature tuple in ``FEATURE_NAMES`` order.
+
+        The refiners' entry point (DESIGN §8.2).  Wrappers that only
+        count, memoize or forward override it to skip the mapping; a
+        model that overrides :meth:`h_value` needs nothing else — this
+        default hands it a mapping.
+        """
+        return self.h_value(dict(zip(FEATURE_NAMES, key)))
+
+    def g_key(self, key: FeatureKey) -> float:
+        """``g_value`` of a feature tuple (see :meth:`h_key`)."""
+        return self.g_value(dict(zip(FEATURE_NAMES, key)))
+
     # ------------------------------------------------------------------
     # Per-vertex costs
     # ------------------------------------------------------------------
@@ -77,9 +96,8 @@ class CostModel:
         avg_degree: Optional[float] = None,
     ) -> float:
         """``h_A(X(v))`` for the copy of ``v`` at ``fid`` (0 for dummies)."""
-        if not partition.cost_bearing(v, fid):
-            return 0.0
-        return self.h_value(vertex_features(partition, v, fid, avg_degree))
+        bearing, key = copy_key(partition, v, fid, avg_degree)
+        return self.h_key(key) if bearing else 0.0
 
     def vertex_comm_cost(
         self,
@@ -91,7 +109,7 @@ class CostModel:
         if not partition.is_border(v):
             return 0.0
         fid = partition.master(v)
-        return self.g_value(vertex_features(partition, v, fid, avg_degree))
+        return self.g_key(copy_key(partition, v, fid, avg_degree)[1])
 
     def comm_cost_if_master_at(
         self,
@@ -104,9 +122,8 @@ class CostModel:
 
         Used by MAssign's one-pass assignment rule (Eq. 5).
         """
-        features = dict(vertex_features(partition, v, fid, avg_degree))
-        features["M"] = 1.0
-        return self.g_value(features)
+        _bearing, key = copy_key(partition, v, fid, avg_degree)
+        return self.g_key(with_master(key, True))
 
     def comp_master_delta(
         self,
@@ -123,14 +140,15 @@ class CostModel:
         work, and Eq. 5's score must include the difference.  Zero for
         models without M terms and for non-bearing copies.
         """
-        if not partition.cost_bearing(v, fid):
+        return self.master_delta_key(*copy_key(partition, v, fid, avg_degree))
+
+    def master_delta_key(self, bearing: bool, key: FeatureKey) -> float:
+        """:meth:`comp_master_delta` of a copy given as ``(bearing, key)``."""
+        if not bearing:
             return 0.0
-        features = dict(vertex_features(partition, v, fid, avg_degree))
-        features["M"] = 1.0
-        with_master = self.h_value(features)
-        features["M"] = 0.0
-        without_master = self.h_value(features)
-        return with_master - without_master
+        return self.h_key(with_master(key, True)) - self.h_key(
+            with_master(key, False)
+        )
 
     # ------------------------------------------------------------------
     # Fragment-level costs
@@ -144,12 +162,11 @@ class CostModel:
         freshly computed one.
         """
         avg = average_degree(partition.graph)
-        fragment = partition.fragments[fid]
-        return sum(
-            self.h_value(vertex_features(partition, v, fid, avg))
-            for v in sorted(fragment.vertices())
-            if partition.cost_bearing(v, fid)
+        copies = (
+            copy_key(partition, v, fid, avg)
+            for v in sorted(partition.fragments[fid].vertices())
         )
+        return sum(self.h_key(key) for bearing, key in copies if bearing)
 
     def fragment_comm_cost(self, partition: HybridPartition, fid: int) -> float:
         """``C_g(F_i)``: Eq. 3 over master border copies in the fragment.
@@ -158,11 +175,10 @@ class CostModel:
         :meth:`fragment_comp_cost`.
         """
         avg = average_degree(partition.graph)
-        fragment = partition.fragments[fid]
         total = 0.0
-        for v in sorted(fragment.vertices()):
+        for v in sorted(partition.fragments[fid].vertices()):
             if partition.is_border(v) and partition.master(v) == fid:
-                total += self.g_value(vertex_features(partition, v, fid, avg))
+                total += self.g_key(copy_key(partition, v, fid, avg)[1])
         return total
 
     def fragment_cost(self, partition: HybridPartition, fid: int) -> float:

@@ -131,11 +131,14 @@ class Fragment:
         if edge in self._edges:
             return False
         u, v = edge
-        self._add_vertex(u)
-        self._add_vertex(v)
+        incident = self._incident
+        if u not in incident:
+            incident[u] = set()
+        if v not in incident:
+            incident[v] = set()
         self._edges.add(edge)
-        self._incident[u].add(edge)
-        self._incident[v].add(edge)
+        incident[u].add(edge)
+        incident[v].add(edge)
         if self.directed:
             self._out_deg[u] = self._out_deg.get(u, 0) + 1
             self._in_deg[v] = self._in_deg.get(v, 0) + 1

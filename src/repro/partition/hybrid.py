@@ -22,7 +22,9 @@ Role semantics (Section 2):
 Mutations go through the ``add_edge_to`` / ``remove_edge_from`` /
 ``add_vertex_to`` / ``remove_vertex_from`` primitives so listeners (the
 refiners' incremental cost trackers) can be notified of every vertex whose
-features may have changed.
+features may have changed.  Partitions nobody observes yet (constructors,
+``copy``, deserialization) are filled by :meth:`HybridPartition._bulk_load`
+instead (DESIGN §8.2).
 """
 
 from __future__ import annotations
@@ -40,6 +42,15 @@ class NodeRole(enum.Enum):
     ECUT = "e-cut"
     VCUT = "v-cut"
     DUMMY = "dummy"
+
+
+def copy_role(home: Optional[int], fid: int, local_edges: int) -> NodeRole:
+    """Section 2 in one place: with a designated home the vertex is e-cut
+    and only the home copy computes; without one it is v-cut and every
+    copy holding local edges does."""
+    if home is not None:
+        return NodeRole.ECUT if fid == home else NodeRole.DUMMY
+    return NodeRole.VCUT if local_edges else NodeRole.DUMMY
 
 
 #: mutation-journal capacity; once exceeded the oldest half is dropped and
@@ -72,7 +83,8 @@ class HybridPartition:
         self._placement: Dict[int, Set[int]] = {}
         self._full: Dict[int, Set[int]] = {}
         self._masters: Dict[int, int] = {}
-        self._global_incident: Dict[int, int] = {}
+        # Per-vertex graph constants (see _facts); graph_changed drops them.
+        self._graph_facts: Dict[int, Tuple[int, int, int]] = {}
         self._listeners: List[Callable[[int], None]] = []
         self._generation = 0
         # Mutation journal: entry i records the vertex whose notify moved
@@ -94,15 +106,15 @@ class HybridPartition:
         appears as a dummy copy, exactly as in Fig. 1(b).
         """
         part = cls(graph, num_fragments)
-        for v in graph.vertices:
-            fid = int(assignment[v])
+        homes = [int(assignment[v]) for v in graph.vertices]
+        for v, fid in enumerate(homes):
             if not 0 <= fid < num_fragments:
                 raise ValueError(f"assignment for vertex {v} out of range")
-            part.add_vertex_to(fid, v)
-            for edge in graph.incident_edges(v):
-                part.add_edge_to(fid, edge)
-        for v in graph.vertices:
-            part._masters[v] = int(assignment[v])
+        part._bulk_load(
+            (fid, (v,), graph.incident_edges(v)) for v, fid in enumerate(homes)
+        )
+        for v, fid in enumerate(homes):
+            part._masters[v] = fid
         return part
 
     @classmethod
@@ -114,20 +126,70 @@ class HybridPartition:
     ) -> "HybridPartition":
         """Build a vertex-cut partition from an edge → fragment assignment.
 
-        Edge sets are disjoint across fragments; replicated vertices get a
-        master at their lowest-numbered hosting fragment (MAssign can
-        reassign it later).
+        Edge sets are disjoint across fragments; a replicated vertex is
+        mastered at the fragment that received its first copy in
+        assignment-iteration order (MAssign can reassign it later).
         """
         part = cls(graph, num_fragments)
-        for edge, fid in assignment.items():
-            if not 0 <= int(fid) < num_fragments:
-                raise ValueError(f"assignment for edge {edge} out of range")
-            part.add_edge_to(int(fid), edge)
-        for v in graph.vertices:
-            if v not in part._placement:
-                # Isolated vertices still need a home.
-                part.add_vertex_to(v % num_fragments, v)
+
+        def batches():
+            for edge, fid in assignment.items():
+                fid = int(fid)
+                if not 0 <= fid < num_fragments:
+                    raise ValueError(f"assignment for edge {edge} out of range")
+                if not graph.has_edge(*edge):
+                    raise ValueError(f"edge {edge} does not exist in the graph")
+                yield fid, (), (graph.canonical_edge(*edge),)
+            # Isolated vertices still need a home.
+            for v in graph.vertices:
+                if v not in part._placement:
+                    yield v % num_fragments, (v,), ()
+
+        part._bulk_load(batches())
         return part
+
+    def _bulk_load(
+        self, batches: Iterable[Tuple[int, Iterable[int], Iterable[Edge]]]
+    ) -> None:
+        """Fill this *empty* partition from ``(fid, vertices, edges)`` batches.
+
+        The constructor body behind ``from_*_assignment``, :meth:`copy` and
+        deserialization.  A batch puts its vertices, then its (canonical,
+        existing) edges, into fragment ``fid`` with the container insertions
+        ``add_vertex_to`` / ``add_edge_to`` would make, in their order —
+        index iteration orders feed float sums downstream (DESIGN §8.2);
+        only the per-vertex ``_full`` sets, read through ``in`` / ``min`` /
+        ``==`` alone, are order-free — but fullness is computed once per
+        copy at the end and nobody is notified: an in-place restore wakes
+        its own listeners.
+        """
+        full, place = self._full, self._place
+        for fid, vertices, edges in batches:
+            fragment = self.fragments[fid]
+            incident = fragment._incident
+            for v in vertices:
+                if fragment._add_vertex(v):
+                    place(v, fid)
+                    if self._facts(v)[0] == 0:
+                        full.setdefault(v, set()).add(fid)
+            for edge in edges:
+                u, w = edge
+                new_u, new_w = u not in incident, w not in incident
+                if not fragment._add_edge(edge):
+                    continue
+                if new_u:
+                    place(u, fid)
+                if new_w:
+                    place(w, fid)
+                # Same key order as add_edge_to's endpoint-set walk.
+                for x in {u, w}:
+                    if x not in full:
+                        full[x] = set()
+        for fragment in self.fragments:
+            fid = fragment.fid
+            for v, bucket in fragment._incident.items():
+                if bucket and len(bucket) == self._facts(v)[0]:
+                    full[v].add(fid)
 
     # ------------------------------------------------------------------
     # Listener registration (used by incremental cost trackers)
@@ -176,18 +238,26 @@ class HybridPartition:
         so plan invalidation needs no listener registration (refiners fire
         thousands of mutations and pay for every registered listener).
         """
-        return getattr(self, "_generation", 0)
+        return self._generation
 
     # ------------------------------------------------------------------
     # Global helpers
     # ------------------------------------------------------------------
+    def _facts(self, v: int) -> Tuple[int, int, int]:
+        """``(|E_v|, d⁺_G(v), d⁻_G(v))`` in the full graph (cached)."""
+        facts = self._graph_facts.get(v)
+        if facts is None:
+            graph = self.graph
+            facts = self._graph_facts[v] = (
+                graph.incident_edge_count(v),
+                graph.in_degree(v),
+                graph.out_degree(v),
+            )
+        return facts
+
     def global_incident_count(self, v: int) -> int:
         """``|E_v|`` in the full graph (cached)."""
-        count = self._global_incident.get(v)
-        if count is None:
-            count = self.graph.incident_edge_count(v)
-            self._global_incident[v] = count
-        return count
+        return self._facts(v)[0]
 
     # ------------------------------------------------------------------
     # Placement / role queries
@@ -216,7 +286,7 @@ class HybridPartition:
 
     def is_ecut_vertex(self, v: int) -> bool:
         """Whether ``v`` is e-cut (some fragment holds all of ``E_v``)."""
-        if self.global_incident_count(v) == 0:
+        if self._facts(v)[0] == 0:
             return v in self._placement
         return bool(self._full.get(v))
 
@@ -231,7 +301,11 @@ class HybridPartition:
         moves also decide which full copy carries the computation.
         Returns ``None`` for v-cut or absent vertices.
         """
-        if self.global_incident_count(v) == 0:
+        return self._home(v, self._facts(v)[0])
+
+    def _home(self, v: int, total: int) -> Optional[int]:
+        """:meth:`designated_home` for a caller that already holds ``|E_v|``."""
+        if total == 0:
             return self._masters.get(v)
         full = self._full.get(v)
         if not full:
@@ -243,17 +317,10 @@ class HybridPartition:
 
     def role(self, v: int, fid: int) -> NodeRole:
         """Role of the copy of ``v`` in fragment ``fid`` (Section 2)."""
-        if not self.fragments[fid].has_vertex(v):
+        bucket = self.fragments[fid]._incident.get(v)
+        if bucket is None:
             raise KeyError(f"vertex {v} not in fragment {fid}")
-        if self.global_incident_count(v) == 0:
-            home = self.designated_home(v)
-            return NodeRole.ECUT if fid == home else NodeRole.DUMMY
-        home = self.designated_home(v)
-        if home is not None:
-            return NodeRole.ECUT if fid == home else NodeRole.DUMMY
-        if self.fragments[fid].incident_count(v) > 0:
-            return NodeRole.VCUT
-        return NodeRole.DUMMY
+        return copy_role(self.designated_home(v), fid, len(bucket))
 
     def cost_bearing(self, v: int, fid: int) -> bool:
         """Whether the copy of ``v`` at ``fid`` contributes to C_h (Eq. 2)."""
@@ -291,11 +358,8 @@ class HybridPartition:
         added = self.fragments[fid]._add_vertex(v)
         stale = not added and fid not in self._placement.get(v, ())
         if added or stale:
-            hosts = self._placement.setdefault(v, set())
-            hosts.add(fid)
-            if v not in self._masters:
-                self._masters[v] = fid
-            if self.global_incident_count(v) == 0:
+            self._place(v, fid)
+            if self._facts(v)[0] == 0:
                 self._full.setdefault(v, set()).add(fid)
             elif stale:
                 self._refresh_fullness(v, fid)
@@ -323,26 +387,36 @@ class HybridPartition:
 
     def add_edge_to(self, fid: int, edge: Edge) -> bool:
         """Add ``edge`` to fragment ``fid``; True if it was not there."""
-        u, v = edge
-        if not self.graph.has_edge(u, v):
+        graph = self.graph
+        if not graph.has_edge(*edge):
             raise ValueError(f"edge {edge} does not exist in the graph")
-        edge = self.graph.canonical_edge(u, v)
+        edge = graph.canonical_edge(*edge)
+        u, v = edge
         fragment = self.fragments[fid]
-        pre_u = fragment.has_vertex(edge[0])
-        pre_v = fragment.has_vertex(edge[1])
-        added = fragment._add_edge(edge)
-        if not added:
+        incident = fragment._incident
+        new_u, new_v = u not in incident, v not in incident
+        if not fragment._add_edge(edge):
             return False
-        for w, pre in ((edge[0], pre_u), (edge[1], pre_v)):
-            if not pre:
-                hosts = self._placement.setdefault(w, set())
-                hosts.add(fid)
-                if w not in self._masters:
-                    self._masters[w] = fid
-        for w in {edge[0], edge[1]}:
+        if new_u:
+            self._place(u, fid)
+        if new_v:
+            self._place(v, fid)
+        # A set, not a pair: listeners see each endpoint once, and the
+        # order they first see it in is part of the bit-identity contract.
+        for w in {u, v}:
             self._refresh_fullness(w, fid)
             self._notify(w)
         return True
+
+    def _place(self, v: int, fid: int) -> None:
+        """Index a new copy of ``v`` at ``fid``; the first copy is the master."""
+        hosts = self._placement.get(v)
+        if hosts is None:
+            self._placement[v] = {fid}
+        else:
+            hosts.add(fid)
+        if v not in self._masters:
+            self._masters[v] = fid
 
     def remove_edge_from(self, fid: int, edge: Edge, prune: bool = True) -> bool:
         """Remove ``edge`` from fragment ``fid``; True if it was present.
@@ -354,16 +428,12 @@ class HybridPartition:
         """
         edge = self.graph.canonical_edge(*edge)
         fragment = self.fragments[fid]
-        removed = fragment._remove_edge(edge)
-        if not removed:
+        if not fragment._remove_edge(edge):
             return False
+        incident = fragment._incident
         for w in {edge[0], edge[1]}:
             self._refresh_fullness(w, fid)
-            if (
-                prune
-                and fragment.incident_count(w) == 0
-                and len(self._placement.get(w, ())) > 1
-            ):
+            if prune and not incident[w] and len(self._placement.get(w, ())) > 1:
                 self.remove_vertex_from(fid, w)
             else:
                 self._notify(w)
@@ -381,8 +451,8 @@ class HybridPartition:
         and the generation counter fire as for any other mutation.
         """
         for v in sorted({int(v) for v in vertices}):
-            self._global_incident.pop(v, None)
-            total = self.graph.incident_edge_count(v)
+            self._graph_facts.pop(v, None)
+            total = self._facts(v)[0]
             hosts = self._placement.get(v, ())
             if total == 0:
                 # Every copy of an edge-free vertex is trivially full.
@@ -395,11 +465,13 @@ class HybridPartition:
             self._notify(v)
 
     def _refresh_fullness(self, v: int, fid: int) -> None:
-        total = self.global_incident_count(v)
+        total = (self._graph_facts.get(v) or self._facts(v))[0]
         if total == 0:
             return
-        full = self._full.setdefault(v, set())
-        if self.fragments[fid].incident_count(v) == total:
+        full = self._full.get(v)
+        if full is None:
+            full = self._full[v] = set()
+        if len(self.fragments[fid]._incident.get(v, ())) == total:
             full.add(fid)
         else:
             full.discard(fid)
@@ -423,11 +495,13 @@ class HybridPartition:
     def copy(self) -> "HybridPartition":
         """Deep copy (fragments, placement, masters); listeners not copied."""
         clone = HybridPartition(self.graph, self.num_fragments)
-        for fid, fragment in enumerate(self.fragments):
-            for v in fragment.vertices():
-                clone.add_vertex_to(fid, v)
-            for edge in fragment.edges():
-                clone.add_edge_to(fid, edge)
+        clone._graph_facts = dict(self._graph_facts)
+        # Fragment-major: the clone's index orders are those of this
+        # traversal, not the source's (DESIGN §8.2).
+        clone._bulk_load(
+            (fid, fragment.vertices(), fragment.edges())
+            for fid, fragment in enumerate(self.fragments)
+        )
         clone._masters.update(self._masters)
         return clone
 

@@ -17,6 +17,7 @@ from typing import Dict, Union
 
 from repro.graph.digraph import Graph
 from repro.partition.composite import CompositePartition
+from repro.partition.fragment import Fragment
 from repro.partition.hybrid import HybridPartition
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -45,6 +46,18 @@ def partition_to_dict(partition: HybridPartition) -> Dict:
     }
 
 
+def _payload_batches(data: Dict, graph: Graph):
+    """Loader batches of a payload: per fragment its edges, then its vertices."""
+    for fid, fragment in enumerate(data["fragments"]):
+        edges = []
+        for u, v in fragment["edges"]:
+            if not graph.has_edge(u, v):
+                raise ValueError(f"edge {(u, v)} does not exist in the graph")
+            edges.append(graph.canonical_edge(u, v))
+        yield fid, (), edges
+        yield fid, [int(v) for v in fragment["vertices"]], ()
+
+
 def partition_from_dict(data: Dict, graph: Graph) -> HybridPartition:
     """Rebuild a hybrid partition over ``graph`` from :func:`partition_to_dict`.
 
@@ -59,13 +72,12 @@ def partition_from_dict(data: Dict, graph: Graph) -> HybridPartition:
     ):
         raise ValueError("partition payload does not match the supplied graph")
     partition = HybridPartition(graph, int(data["num_fragments"]))
-    for fid, fragment in enumerate(data["fragments"]):
-        for edge in fragment["edges"]:
-            partition.add_edge_to(fid, tuple(edge))
-        for v in fragment["vertices"]:
-            partition.add_vertex_to(fid, int(v))
+    partition._bulk_load(_payload_batches(data, graph))
     for v, fid in data["masters"].items():
-        partition.set_master(int(v), int(fid))
+        v, fid = int(v), int(fid)
+        if fid not in partition._placement.get(v, ()):
+            raise ValueError(f"fragment {fid} holds no copy of vertex {v}")
+        partition._masters[v] = fid
     return partition
 
 
@@ -85,8 +97,6 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
             f"{data['num_fragments']} fragments, partition has "
             f"{partition.num_fragments}"
         )
-    from repro.partition.fragment import Fragment
-
     # Vertices placed before the restore must be re-priced even if the
     # snapshot no longer places them (it always does — coverage holds in
     # any snapshot of a valid partition — but corrupted pre-restore
@@ -99,16 +109,29 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
     partition._placement.clear()
     partition._full.clear()
     partition._masters.clear()
-    for fid, payload in enumerate(data["fragments"]):
-        for edge in payload["edges"]:
-            partition.add_edge_to(fid, tuple(edge))
-        for v in payload["vertices"]:
-            partition.add_vertex_to(fid, int(v))
+    # Listeners hear of each vertex in the order per-edge re-insertion
+    # would first have touched it (edge endpoints, then edge-less copies,
+    # fragment by fragment), then of the leftovers: the order a tracker
+    # first sees dirty vertices in feeds its float sums (DESIGN §8.2).
+    touched: Dict[int, None] = {}
+
+    def batches():
+        for fid, vertices, edges in _payload_batches(data, partition.graph):
+            for u, v in edges:
+                for w in {u, v}:
+                    touched.setdefault(w)
+            for v in vertices:
+                touched.setdefault(v)
+            yield fid, vertices, edges
+
+    partition._bulk_load(batches())
     for v, fid in data["masters"].items():
         partition._masters[int(v)] = int(fid)
-    for v, _hosts in list(partition.vertex_fragments()):
+    for v in partition._placement:
         stale.add(v)
     for v in stale:
+        touched.setdefault(v)
+    for v in touched:
         partition._notify(v)
 
 
