@@ -27,7 +27,7 @@ from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.costclock import CostClock
 from repro.runtime.plan import get_plan
-from repro.runtime.sync import sync_by_master, sync_by_master_arrays
+from repro.runtime.sync import SyncRoute, sync_by_master
 
 
 class PageRank(Algorithm):
@@ -151,6 +151,17 @@ class PageRank(Algorithm):
 
         cluster.set_snapshot(snapshot)
         runner = cluster.shm_runner()
+        # Which vertices each fragment scatters to is fixed for the run,
+        # so the sync's routing is compiled once, outside the loop.
+        scatters = {
+            f.fid: plan.pr_scatter(f.fid, target_aware) for f in partition.fragments
+        }
+        scatters = {fid: sc for fid, sc in scatters.items() if sc.src_slots.size}
+        route = SyncRoute(
+            plan,
+            {fid: sc.touched_ids for fid, sc in scatters.items()},
+            cluster.num_workers,
+        )
 
         for _ in range(iterations):
             # shm backend: the scatter runs in worker processes over
@@ -163,11 +174,7 @@ class PageRank(Algorithm):
                 else None
             )
             partials = {}
-            for fragment in partition.fragments:
-                fid = fragment.fid
-                sc = plan.pr_scatter(fid, target_aware)
-                if sc.src_slots.size == 0:
-                    continue
+            for fid, sc in scatters.items():
                 local = ranks[fid]
                 if shm_sums is not None:
                     sums = shm_sums[fid]
@@ -178,11 +185,10 @@ class PageRank(Algorithm):
                     # rounding step matches the dict accumulation.
                     np.add.at(sums, sc.dst_slots, local[sc.src_slots] / sc.deg)
                 cluster.charge_bulk(fid, sc.ops, vertices=plan.verts(fid))
-                partials[fid] = (sc.touched_ids, sums[sc.touched_slots])
+                partials[fid] = sums[sc.touched_slots]
 
-            synced = sync_by_master_arrays(
+            synced = route.run(
                 cluster,
-                plan,
                 partials,
                 reduce="sum",
                 finalize=lambda _ids, acc: base + damping * acc,
@@ -196,8 +202,4 @@ class PageRank(Algorithm):
                 ranks[fid] = new
 
         profile = cluster.finish()
-        values: Dict[int, float] = {}
-        for v, _hosts in partition.vertex_fragments():
-            master = int(plan.master_of[v])
-            values[v] = float(ranks[master][plan.slot_of(master)[v]])
-        return AlgorithmResult(values=values, profile=profile)
+        return AlgorithmResult(values=plan.master_values(ranks), profile=profile)

@@ -205,8 +205,4 @@ class SingleSourceShortestPath(Algorithm):
                 break
 
         profile = cluster.finish()
-        values = {}
-        for v, _hosts in partition.vertex_fragments():
-            master = int(plan.master_of[v])
-            values[v] = float(dist[master][plan.slot_of(master)[v]])
-        return AlgorithmResult(values=values, profile=profile)
+        return AlgorithmResult(values=plan.master_values(dist), profile=profile)

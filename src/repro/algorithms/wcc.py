@@ -172,8 +172,4 @@ class WeaklyConnectedComponents(Algorithm):
                 break
 
         profile = cluster.finish()
-        values = {}
-        for v, _hosts in partition.vertex_fragments():
-            master = int(plan.master_of[v])
-            values[v] = int(labels[master][plan.slot_of(master)[v]])
-        return AlgorithmResult(values=values, profile=profile)
+        return AlgorithmResult(values=plan.master_values(labels), profile=profile)

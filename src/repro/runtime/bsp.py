@@ -51,6 +51,8 @@ so algorithm results stay bit-identical to a clean run.
 from __future__ import annotations
 
 import time
+from itertools import repeat
+from operator import add
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -269,7 +271,7 @@ class Cluster:
         dsts = np.asarray(dsts, dtype=np.int64)
         if dsts.size == 0:
             return
-        if dsts.size and (dsts.min() < 0 or dsts.max() >= self.num_workers):
+        if dsts.min() < 0 or dsts.max() >= self.num_workers:
             bad = dsts[(dsts < 0) | (dsts >= self.num_workers)][0]
             self._check_fid(int(bad), "destination")
         if payloads is not None:
@@ -322,21 +324,26 @@ class Cluster:
 
     def _fold_bulk_attribution(self) -> None:
         """Fold dense bulk accumulators into the profile's dicts."""
+
+        def fold(into: Dict, keys: list, amounts: np.ndarray) -> None:
+            # On top of whatever scalar charges already attributed.
+            into.update(
+                zip(keys, map(add, map(into.get, keys, repeat(0.0)), amounts.tolist()))
+            )
+
         for fid in sorted(self._copy_ops_acc):
             acc = self._copy_ops_acc[fid]
-            for v in np.nonzero(acc)[0]:
-                key = (fid, int(v))
-                self.profile.comp_ops_by_copy[key] = (
-                    self.profile.comp_ops_by_copy.get(key, 0.0) + float(acc[v])
-                )
+            charged = np.nonzero(acc)[0]
+            fold(
+                self.profile.comp_ops_by_copy,
+                list(zip(repeat(fid), charged.tolist())),
+                acc[charged],
+            )
         self._copy_ops_acc = {}
         if self._master_bytes_acc is not None:
             acc = self._master_bytes_acc
-            for v in np.nonzero(acc)[0]:
-                vid = int(v)
-                self.profile.comm_bytes_by_master[vid] = (
-                    self.profile.comm_bytes_by_master.get(vid, 0.0) + float(acc[v])
-                )
+            charged = np.nonzero(acc)[0]
+            fold(self.profile.comm_bytes_by_master, charged.tolist(), acc[charged])
             self._master_bytes_acc = None
 
     def send(

@@ -20,9 +20,7 @@ honors:
   mutation ``generation`` at compile time; any vertex move bumps the
   counter, making ``valid`` False.  A stale plan is never partially
   updated, so scalar and kernel paths always observe the same partition
-  state.  (Earlier versions registered a mutation listener per plan; the
-  generation counter gives the same invalidation without charging every
-  refiner mutation a listener callback.)
+  state.
 
 Plans are cached on the partition object itself (``_kernel_plan``) so
 repeated runs over the same partition pay the compilation cost once.
@@ -42,19 +40,18 @@ or rolled-back refinement) revalidates the existing snapshot in place.
 
 from __future__ import annotations
 
+from itertools import chain
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.partition.hybrid import HybridPartition, NodeRole
+from repro.partition.hybrid import HybridPartition
 
 #: integer role codes used in per-fragment ``roles`` arrays
 ECUT = 0
 VCUT = 1
 DUMMY = 2
-
-_ROLE_CODE = {NodeRole.ECUT: ECUT, NodeRole.VCUT: VCUT, NodeRole.DUMMY: DUMMY}
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -141,33 +138,30 @@ class FragmentPlan:
         self.graph_version = getattr(self.graph, "version", 0)
         PLAN_STATS.recompiled += 1
 
-        master_of = np.full(n, -1, dtype=np.int64)
-        rep_count = np.zeros(n, dtype=np.int64)
-        border_mask = np.zeros(n, dtype=bool)
-        pair_v: List[int] = []
-        pair_f: List[int] = []
-        for v, hosts in partition.vertex_fragments():
-            master_of[v] = partition.master(v)
-            rep_count[v] = len(hosts)
-            border_mask[v] = len(hosts) > 1
-            for f in sorted(hosts):
-                pair_v.append(v)
-                pair_f.append(f)
+        # Routing arrays read the partition's placement / master
+        # *indexes* (never the fragments), one C-level pass each.
+        placement = partition._placement
+        count = len(placement)
+        ids = np.fromiter(placement, np.int64, count)
+        lens = np.fromiter(map(len, placement.values()), np.int64, count)
+        fids = np.fromiter(
+            chain.from_iterable(placement.values()), np.int64, int(lens.sum())
+        )
         #: master worker per vertex (-1 when the vertex is unplaced)
-        self.master_of = master_of
+        self.master_of = np.full(n, -1, dtype=np.int64)
+        self.master_of[ids] = np.fromiter(
+            map(partition.master, placement), np.int64, count
+        )
         #: number of fragments holding a copy of each vertex
-        self.rep_count = rep_count
+        self.rep_count = np.zeros(n, dtype=np.int64)
+        self.rep_count[ids] = lens
         #: True where the vertex is replicated on more than one fragment
-        self.border_mask = border_mask
+        self.border_mask = self.rep_count > 1
         # Placement CSR: for each vertex, its host fids in ascending
         # order (matching ``sorted(partition.placement(v))``).
-        pv = np.asarray(pair_v, dtype=np.int64)
-        pf = np.asarray(pair_f, dtype=np.int64)
-        order = np.argsort(pv, kind="stable")  # fids already sorted per v
-        self.place_fids = pf[order] if pv.size else _EMPTY
-        counts = np.bincount(pv, minlength=n) if pv.size else np.zeros(n, np.int64)
+        self.place_fids = fids[np.lexsort((fids, np.repeat(ids, lens)))]
         self.place_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.place_indptr[1:])
+        np.cumsum(self.rep_count, out=self.place_indptr[1:])
 
         # Lazy per-fragment caches.
         self._verts: Dict[int, np.ndarray] = {}
@@ -203,9 +197,6 @@ class FragmentPlan:
         # cannot resurrect a plan the generation counter has outdated.
         self._valid = bool(flag)
 
-    def _on_mutation(self, _v: int) -> None:
-        self._valid = False
-
     # ------------------------------------------------------------------
     # Per-fragment basics
     # ------------------------------------------------------------------
@@ -229,17 +220,27 @@ class FragmentPlan:
             self._slots[fid] = arr
         return arr
 
+    def _local_counts(self, fid: int) -> np.ndarray:
+        """Distinct local incident edges per slot (a self-loop counts once)."""
+        src, dst = self.edge_arrays(fid)
+        slots = self.slot_of(fid)
+        size = self.verts(fid).size
+        return np.bincount(slots[src], minlength=size) + np.bincount(
+            slots[dst[src != dst]], minlength=size
+        )
+
     def roles(self, fid: int) -> np.ndarray:
         """Role code (ECUT/VCUT/DUMMY) per slot of fragment ``fid``."""
         arr = self._roles.get(fid)
         if arr is None:
-            partition = self.partition
-            verts = self.verts(fid)
-            arr = np.fromiter(
-                (_ROLE_CODE[partition.role(int(v), fid)] for v in verts),
-                dtype=np.int8,
-                count=verts.size,
-            )
+            # Section 2: with a designated home only the home copy
+            # computes; without one every copy holding local edges does.
+            home = self.home_of()[self.verts(fid)]
+            arr = np.where(
+                home >= 0,
+                np.where(home == fid, ECUT, DUMMY),
+                np.where(self._local_counts(fid) > 0, VCUT, DUMMY),
+            ).astype(np.int8)
             self._roles[fid] = arr
         return arr
 
@@ -256,11 +257,10 @@ class FragmentPlan:
         pair = self._edge_arrays.get(fid)
         if pair is None:
             edges = self.edge_list(fid)
-            if edges:
-                arr = np.asarray(edges, dtype=np.int64)
-                pair = (arr[:, 0].copy(), arr[:, 1].copy())
-            else:
-                pair = (_EMPTY, _EMPTY)
+            flat = np.fromiter(
+                chain.from_iterable(edges), np.int64, 2 * len(edges)
+            )
+            pair = (flat[0::2].copy(), flat[1::2].copy())
             self._edge_arrays[fid] = pair
         return pair
 
@@ -313,10 +313,45 @@ class FragmentPlan:
     # ------------------------------------------------------------------
     # Owned edges (scatter responsibility)
     # ------------------------------------------------------------------
+    def _edge_owner_table(self, target_aware: bool) -> np.ndarray:
+        """Owner flag per stored edge copy, fragments' edge arrays end to end.
+
+        Every copy is packed as ``((u * key_base + v) * 2 + away) * F +
+        fid`` and the lot sorted once; the first entry of each edge's
+        group is its owner: the lowest holder, or with ``target_aware``
+        the target's home (``away`` = 0 there) before any other holder.
+        That is the whole preference order: a home is a full copy, so it
+        holds every edge into the target, and without a home every
+        holder's target copy has a local edge, i.e. bears cost — "else
+        the lowest cost-bearing holder" never discriminates.
+        """
+        nfrag = self.num_fragments
+        arrays = [self.edge_arrays(fid) for fid in range(nfrag)]
+        packed = np.empty(sum(src.size for src, _ in arrays), dtype=np.int64)
+        pos = 0
+        for fid, (src, dst) in enumerate(arrays):
+            seg = packed[pos : pos + src.size]
+            pos += src.size
+            np.multiply(src, self.key_base, out=seg)
+            seg += dst
+            seg *= 2
+            if target_aware:
+                seg += self.home_of()[dst] != fid
+            seg *= nfrag
+            seg += fid
+        order = np.argsort(packed)  # (edge, fid) pairs are distinct
+        packed = packed[order]
+        packed //= 2 * nfrag
+        first = np.ones(packed.size, dtype=bool)
+        first[1:] = packed[1:] != packed[:-1]
+        owned = np.zeros(packed.size, dtype=bool)
+        owned[order[first]] = True
+        return owned
+
     def owned_edges(
         self, fid: int, target_aware: bool = False
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Edges of ``fid`` it owns under ``compute_edge_owners``.
+        """Edges of ``fid`` it owns (see :meth:`_edge_owner_table`).
 
         Owner filtering preserves ``edge_list`` order so per-edge charge
         sequences match the scalar scatter loop exactly.
@@ -324,18 +359,14 @@ class FragmentPlan:
         flag = bool(target_aware)
         cache = self._owned.get(flag)
         if cache is None:
-            from repro.algorithms.base import compute_edge_owners
-
-            owners = compute_edge_owners(self.partition, target_aware=flag)
+            owned = self._edge_owner_table(flag)
             cache = {}
-            for fragment in self.partition.fragments:
-                f = fragment.fid
-                kept = [e for e in self.edge_list(f) if owners[e] == f]
-                if kept:
-                    arr = np.asarray(kept, dtype=np.int64)
-                    cache[f] = (arr[:, 0].copy(), arr[:, 1].copy())
-                else:
-                    cache[f] = (_EMPTY, _EMPTY)
+            pos = 0
+            for f in range(self.num_fragments):
+                src, dst = self.edge_arrays(f)
+                mine = owned[pos : pos + src.size]
+                pos += src.size
+                cache[f] = (src[mine], dst[mine])
             self._owned[flag] = cache
         return cache[fid]
 
@@ -538,16 +569,46 @@ class FragmentPlan:
         return ns
 
     def home_of(self) -> np.ndarray:
-        """``partition.designated_home(v)`` per vertex (-1 when v-cut)."""
+        """``partition.designated_home(v)`` per vertex (-1 when v-cut).
+
+        A copy is *full* when its local edge count equals ``|E_v|``; the
+        home is the master if the master copy is full, else the lowest
+        full fragment; an edge-free vertex is at home on its master.
+        """
         if self._home_of is None:
-            partition = self.partition
-            out = np.full(self.num_vertices, -1, dtype=np.int64)
-            for v in range(self.num_vertices):
-                home = partition.designated_home(v)
-                if home is not None:
-                    out[v] = home
-            self._home_of = out
+            total = self.degrees()  # |E_v|
+            if self.graph.directed:  # out + in counts a self-loop twice
+                ea = self.graph.edge_array()
+                total = total.copy()
+                total[ea[ea[:, 0] == ea[:, 1], 0]] -= 1
+            nfrag = self.num_fragments
+            lowest = np.full(self.num_vertices, nfrag, dtype=np.int64)
+            at_master = total == 0
+            for fid in reversed(range(nfrag)):
+                verts = self.verts(fid)
+                full = verts[self._local_counts(fid) == total[verts]]
+                lowest[full] = fid
+                at_master[full[self.master_of[full] == fid]] = True
+            home = np.where(at_master, self.master_of, lowest)
+            home[home == nfrag] = -1
+            self._home_of = home
         return self._home_of
+
+    def master_values(self, state: Dict[int, np.ndarray]) -> dict:
+        """``{v: state[master fid][slot of v]}`` over every placed vertex.
+
+        ``state`` holds one per-slot array per fragment.  Keys are the
+        placement index's own, in its order, as in the scalar loops'
+        result dicts (a kept result allocates no second set of ints).
+        """
+        placement = self.partition._placement
+        ids = np.fromiter(placement, np.int64, len(placement))
+        masters = self.master_of[ids]
+        out = np.empty(ids.size, dtype=state[0].dtype)
+        for fid, arr in state.items():
+            at = masters == fid
+            out[at] = arr[self.slot_of(fid)[ids[at]]]
+        return dict(zip(placement, out.tolist()))
 
     def triu_pairs(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row-major upper-triangle index pairs for a size-``k`` row."""
@@ -607,8 +668,8 @@ def _drop_fragment_caches(plan: FragmentPlan, touched: set) -> None:
     """Evict lazy tables of fragments whose internal state may have churned.
 
     Owner-dependent tables (``_owned``/``_pr``) are dropped wholesale:
-    edge ownership is assigned globally, and rebuilding it fragment by
-    fragment would diverge from the all-at-once compile.
+    edge ownership is assigned globally, and one sort over every stored
+    edge rebuilds it on the next run.
     """
     for cache in (
         plan._verts,
@@ -748,7 +809,7 @@ def _patch_plan(
     # Lazy per-fragment tables survive for fragments no dirty vertex
     # touches (their vertex/edge state cannot have changed without a
     # member being notified).  Owner-dependent tables are rebuilt lazily
-    # because edge ownership is assigned globally.
+    # (one sort) because edge ownership is assigned globally.
     new._verts = {f: a for f, a in old._verts.items() if f not in touched}
     new._slots = {f: a for f, a in old._slots.items() if f not in touched}
     new._roles = {f: a for f, a in old._roles.items() if f not in touched}
@@ -792,8 +853,8 @@ def plan_for(
     A cached valid plan is returned as-is.  A stale plan whose dirty
     region (per the partition's mutation journal) covers at most
     ``max_patch_fraction`` of the vertices is delta-patched — O(dirty)
-    row recomputation plus array memcpy instead of the O(V+E) Python
-    compile loop — with arrays bit-identical to a fresh compile.
+    row recomputation plus array memcpy instead of re-reading the whole
+    placement index — with arrays bit-identical to a fresh compile.
     Everything else (``incremental=False``, journal window exceeded,
     graph structurally changed, large delta) recompiles from scratch.
     """

@@ -1,0 +1,129 @@
+"""Deterministic guard: a cold kernel run stays array-native (no wall clock).
+
+Counts calls instead of timing them.  On a maintained partition (compile
+-> mutate -> refine incrementally -> patch -> run) a cold PageRank kernel
+run must not fall back to per-vertex / per-edge callbacks into
+``HybridPartition``, must compile exactly one sync route, and must sort
+the edge-owner table once per ``target_aware`` flag per plan.
+"""
+
+import collections
+import random
+
+import pytest
+
+import repro.algorithms.base as algorithms_base
+import repro.algorithms.pagerank as pagerank_module
+from repro.algorithms import get_algorithm
+from repro.core import E2H, MutationBatch, apply_mutations
+from repro.costmodel import builtin_cost_model
+from repro.graph.generators import chung_lu_power_law
+from repro.partition.hybrid import HybridPartition
+from repro.partitioners.base import get_partitioner
+from repro.runtime.plan import FragmentPlan, plan_for, plan_stats
+from repro.runtime.sync import SyncRoute
+
+PARTITION_CALLBACKS = ("role", "designated_home", "cost_bearing", "vertex_fragments")
+
+
+@pytest.fixture()
+def calls(monkeypatch):
+    """Call counts of every scalar callback a cold run must not need."""
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in PARTITION_CALLBACKS:
+        monkeypatch.setattr(
+            HybridPartition, name, counted(name, getattr(HybridPartition, name))
+        )
+    owners = counted("compute_edge_owners", algorithms_base.compute_edge_owners)
+    monkeypatch.setattr(algorithms_base, "compute_edge_owners", owners)
+    monkeypatch.setattr(pagerank_module, "compute_edge_owners", owners)
+    monkeypatch.setattr(
+        SyncRoute, "__init__", counted("route_compile", SyncRoute.__init__)
+    )
+    monkeypatch.setattr(
+        FragmentPlan,
+        "_edge_owner_table",
+        counted("owner_sort", FragmentPlan._edge_owner_table),
+    )
+    return counts
+
+
+def _batch(graph, seed):
+    """8 deletes of present edges + 8 inserts of absent ones."""
+    rng = random.Random(seed)
+    present = sorted(graph.edges())
+    lines = ["- %d %d" % e for e in rng.sample(present, 8)]
+    index = set(present)
+    while len(lines) < 16:
+        edge = (rng.randrange(graph.num_vertices), rng.randrange(graph.num_vertices))
+        if edge[0] != edge[1] and edge not in index:
+            index.add(edge)
+            lines.append("+ %d %d" % edge)
+    return MutationBatch.parse("\n".join(lines))
+
+
+def test_cold_pr_run_on_a_maintained_partition_is_array_native(calls):
+    graph = chung_lu_power_law(2000, 8.0, exponent=2.1, directed=True, seed=4)
+    part = get_partitioner("fennel").partition(graph, 8)
+    refiner = E2H(builtin_cost_model("pr"))
+    part = refiner.refine(part, in_place=True, capture_seed=True)
+    pr = get_algorithm("pr")
+    stats = plan_stats()
+
+    # Compile and first cold run: nothing scalar at all.
+    calls.clear()
+    plan_for(part)
+    first = pr.run(part)
+    assert {name: calls[name] for name in PARTITION_CALLBACKS} == dict.fromkeys(
+        PARTITION_CALLBACKS, 0
+    )
+    assert calls["compute_edge_owners"] == 0
+    assert calls["route_compile"] == 1
+    assert calls["owner_sort"] == 1
+
+    # A warm re-run reuses the plan's owner table and compiles a new route.
+    pr.run(part)
+    assert calls["route_compile"] == 2
+    assert calls["owner_sort"] == 1
+
+    # Mutate -> recompile -> refine incrementally -> patch.
+    dirty = apply_mutations(part, _batch(graph, 7))
+    stale = plan_for(part)
+    part = refiner.refine_incremental(part, dirty)
+    delta = part.mutations_since(stale.generation)
+    assert 0 < len(delta) < 500
+    patched_before = stats.patched
+    calls.clear()
+    patched = plan_for(part, incremental=True)
+    assert stats.patched == patched_before + 1, "the delta was not patched"
+    # The patch may refresh home_of for the dirty vertices, nothing more.
+    assert calls["designated_home"] <= len(delta)
+    assert calls["role"] == calls["cost_bearing"] == calls["vertex_fragments"] == 0
+
+    # Cold run on the patched plan: owner tables were dropped by the patch
+    # and come back by one sort; still no scalar callback.
+    calls.clear()
+    second = pr.run(part)
+    assert patched is plan_for(part)
+    assert {name: calls[name] for name in PARTITION_CALLBACKS} == dict.fromkeys(
+        PARTITION_CALLBACKS, 0
+    )
+    assert calls["compute_edge_owners"] == 0
+    assert calls["route_compile"] == 1
+    assert calls["owner_sort"] == 1
+    assert first.values.keys() == second.values.keys()
+
+    # Both flags on one plan: one sort each, however often they are read.
+    for _ in range(2):
+        for fid in range(part.num_fragments):
+            patched.owned_edges(fid, False)
+            patched.owned_edges(fid, True)
+    assert calls["owner_sort"] == 2
