@@ -255,11 +255,15 @@ class Cluster:
     ) -> None:
         """Post a batch of messages from ``src`` in array order.
 
-        Equivalent to ``send(src, dsts[i], payloads[i], nbytes[i],
+        Accounts like ``send(src, dsts[i], ..., nbytes[i],
         master_vertex=master_vertices[i])`` for every ``i``.
         ``master_vertices`` uses ``-1`` as the "no attribution" sentinel.
         When ``payloads`` is omitted no inbox objects are enqueued (pure
-        accounting, for kernels that keep state in arrays).
+        accounting, for kernels that keep state in arrays).  Otherwise it
+        is columnar, ``(tag, col_0, col_1, ...)`` with every column aligned
+        to ``dsts``: each destination gets one *block* ``(tag, src,
+        col_0[sel], ...)`` holding its messages in array order — one inbox
+        object per (call, destination), never one per message.
 
         Fault-stream contract: per-message fates are drawn one by one,
         for exactly the remote nonzero-byte messages, **in array order**
@@ -275,8 +279,19 @@ class Cluster:
             bad = dsts[(dsts < 0) | (dsts >= self.num_workers)][0]
             self._check_fid(int(bad), "destination")
         if payloads is not None:
-            for dst, payload in zip(dsts.tolist(), payloads):
-                self._outbox[dst].append(payload)
+            tag, *cols = payloads
+            cols = [np.asarray(col) for col in cols]
+            if any(col.shape[:1] != dsts.shape for col in cols):
+                raise ValueError(
+                    f"payload columns of shapes {[c.shape for c in cols]} do "
+                    f"not align with {dsts.size} destinations"
+                )
+            order = np.argsort(dsts, kind="stable")
+            grouped = dsts[order]
+            cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+            for sel in np.split(order, cuts):
+                block = (tag, src, *(col[sel] for col in cols))
+                self._outbox[int(dsts[sel[0]])].append(block)
         wire = np.array(np.broadcast_to(np.asarray(nbytes, dtype=np.float64), dsts.shape))
         remote = (dsts != src) & (wire > 0)
         if not remote.any():

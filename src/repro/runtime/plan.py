@@ -178,6 +178,7 @@ class FragmentPlan:
         self._tc: Dict[int, SimpleNamespace] = {}
         self._triu: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._gin: Optional[SimpleNamespace] = None
+        self._targets: Optional[SimpleNamespace] = None
         self._home_of: Optional[np.ndarray] = None
         self._degrees: Optional[np.ndarray] = None
         self._out_degrees: Optional[np.ndarray] = None
@@ -594,6 +595,43 @@ class FragmentPlan:
             self._home_of = home
         return self._home_of
 
+    def query_targets(self) -> SimpleNamespace:
+        """Who answers an edge-existence query about each vertex (CSR).
+
+        Row ``v`` of ``fids`` (via ``indptr``) is ``[home_of[v]]`` when v
+        is e-cut — the home holds all of v's edges — else v's cost-bearing
+        copies (dummy copies hold only duplicates) in
+        ``partition.placement(v)`` iteration order.  That is a hash-table
+        order, ascending only up to 8 fragments, and it is the order the
+        scalar TC loop sends in — hence which message a seeded fault
+        doubles — so it is read here, once per v-cut vertex, and never
+        re-derived from ``place_fids``.
+        """
+        if self._targets is None:
+            home = self.home_of()
+            vcut = np.flatnonzero((home < 0) & (self.rep_count > 0))
+            lens = self.rep_count[vcut]
+            fids = np.fromiter(
+                chain.from_iterable(map(self.partition.placement, vcut.tolist())),
+                np.int64,
+                int(lens.sum()),
+            )
+            owner = np.repeat(vcut, lens)
+            bearing = np.zeros(fids.size, dtype=bool)
+            for fid in range(self.num_fragments):
+                at = np.flatnonzero(fids == fid)
+                slots = self.slot_of(fid)[owner[at]]
+                bearing[at] = self.roles(fid)[slots] != DUMMY
+            ecut = np.flatnonzero(home >= 0)
+            owner = np.concatenate([ecut, owner[bearing]])
+            fids = np.concatenate([home[ecut], fids[bearing]])
+            indptr = np.zeros(self.num_vertices + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, minlength=self.num_vertices), out=indptr[1:])
+            self._targets = SimpleNamespace(
+                indptr=indptr, fids=fids[np.argsort(owner, kind="stable")]
+            )
+        return self._targets
+
     def master_values(self, state: Dict[int, np.ndarray]) -> dict:
         """``{v: state[master fid][slot of v]}`` over every placed vertex.
 
@@ -669,7 +707,7 @@ def _drop_fragment_caches(plan: FragmentPlan, touched: set) -> None:
 
     Owner-dependent tables (``_owned``/``_pr``) are dropped wholesale:
     edge ownership is assigned globally, and one sort over every stored
-    edge rebuilds it on the next run.
+    edge rebuilds it on the next run.  So is the query-target table.
     """
     for cache in (
         plan._verts,
@@ -687,6 +725,7 @@ def _drop_fragment_caches(plan: FragmentPlan, touched: set) -> None:
             cache.pop(fid, None)
     plan._owned = {}
     plan._pr = {}
+    plan._targets = None
 
 
 def _patch_home_rows(plan: FragmentPlan, dirty) -> None:
@@ -824,6 +863,7 @@ def _patch_plan(
     }
     new._owned = {}
     new._pr = {}
+    new._targets = None
     new._wcc = {f: ns for f, ns in old._wcc.items() if f not in touched}
     new._sssp = {f: ns for f, ns in old._sssp.items() if f not in touched}
     new._cn_lin = {f: c for f, c in old._cn_lin.items() if f not in touched}

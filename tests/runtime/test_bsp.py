@@ -1,5 +1,6 @@
 """Tests for the BSP cluster simulator."""
 
+import numpy as np
 import pytest
 
 from repro.graph.digraph import Graph
@@ -62,6 +63,20 @@ class TestMessaging:
         cluster.deliver()
         assert cluster.profile.comm_bytes_by_master[3] == 12
 
+    def test_batch_payloads_arrive_as_one_block_per_destination(self, cluster):
+        cluster.send_batch(
+            0, [1, 0, 1], 20.0, payloads=("query", [7, 8, 9], np.array([1.5, 2.5, 3.5]))
+        )
+        cluster.send_batch(0, [1], 20.0, payloads=("query", [10], [4.5]))
+        inboxes = cluster.deliver()
+        # (tag, sender, columns...), each column in send order.
+        assert [(m[0], m[1], m[2].tolist(), m[3].tolist()) for m in inboxes[1]] == [
+            ("query", 0, [7, 9], [1.5, 3.5]),
+            ("query", 0, [10], [4.5]),
+        ]
+        assert [(m[0], m[1], m[2].tolist()) for m in inboxes[0]] == [("query", 0, [8])]
+        assert cluster.profile.bytes_by_worker == {0: 60.0, 1: 60.0}
+
 
 class TestClock:
     def test_superstep_time_is_max_plus_latency(self, cluster):
@@ -119,6 +134,14 @@ class TestValidation:
             cluster.send(5, 0, "m", nbytes=1)
         with pytest.raises(ValueError, match="destination"):
             cluster.send(0, 5, "m", nbytes=1)
+
+    @pytest.mark.parametrize("column", [[7], [7, 8, 9], 7])
+    def test_send_batch_rejects_misaligned_payload_columns(self, cluster, column):
+        """A short column used to lose messages whose bytes were still charged."""
+        with pytest.raises(ValueError, match="do not align with 2 destinations"):
+            cluster.send_batch(0, [1, 1], 20.0, payloads=("query", [1, 2], column))
+        assert cluster.deliver() == {0: [], 1: []}
+        assert cluster.profile.bytes_by_worker == {}
 
     def test_empty_partition_rejected(self):
         class Fake:

@@ -4,26 +4,36 @@ Counts calls instead of timing them.  On a maintained partition (compile
 -> mutate -> refine incrementally -> patch -> run) a cold PageRank kernel
 run must not fall back to per-vertex / per-edge callbacks into
 ``HybridPartition``, must compile exactly one sync route, and must sort
-the edge-owner table once per ``target_aware`` flag per plan.
+the edge-owner table once per ``target_aware`` flag per plan.  A triangle
+count on a vertex cut must read ``placement()`` once per v-cut vertex per
+plan and move every query and answer in a columnar block.
 """
 
 import collections
 import random
 
+import numpy as np
 import pytest
 
 import repro.algorithms.base as algorithms_base
 import repro.algorithms.pagerank as pagerank_module
 from repro.algorithms import get_algorithm
-from repro.core import E2H, MutationBatch, apply_mutations
+from repro.core import E2H, V2H, MutationBatch, apply_mutations
 from repro.costmodel import builtin_cost_model
 from repro.graph.generators import chung_lu_power_law
 from repro.partition.hybrid import HybridPartition
 from repro.partitioners.base import get_partitioner
+from repro.runtime.bsp import Cluster
 from repro.runtime.plan import FragmentPlan, plan_for, plan_stats
 from repro.runtime.sync import SyncRoute
 
-PARTITION_CALLBACKS = ("role", "designated_home", "cost_bearing", "vertex_fragments")
+PARTITION_CALLBACKS = (
+    "role",
+    "designated_home",
+    "cost_bearing",
+    "vertex_fragments",
+    "is_border",
+)
 
 
 @pytest.fixture()
@@ -38,7 +48,7 @@ def calls(monkeypatch):
 
         return wrapper
 
-    for name in PARTITION_CALLBACKS:
+    for name in PARTITION_CALLBACKS + ("placement",):
         monkeypatch.setattr(
             HybridPartition, name, counted(name, getattr(HybridPartition, name))
         )
@@ -127,3 +137,51 @@ def test_cold_pr_run_on_a_maintained_partition_is_array_native(calls):
             patched.owned_edges(fid, False)
             patched.owned_edges(fid, True)
     assert calls["owner_sort"] == 2
+
+
+def test_tc_run_on_a_vertex_cut_is_array_native(calls, monkeypatch):
+    graph = chung_lu_power_law(2000, 8.0, exponent=2.1, directed=False, seed=4)
+    part = get_partitioner("hdrf").partition(graph, 8)
+    part = V2H(builtin_cost_model("tc")).refine(part, in_place=True)
+    tc = get_algorithm("tc")
+
+    sent, inboxed = [], []
+    send, deliver = Cluster.send, Cluster.deliver
+
+    def recording_send(self, src, dst, payload, *args, **kwargs):
+        sent.append(payload[0])
+        return send(self, src, dst, payload, *args, **kwargs)
+
+    def recording_deliver(self):
+        inboxes = deliver(self)
+        inboxed.extend(m for inbox in inboxes.values() for m in inbox)
+        return inboxes
+
+    monkeypatch.setattr(Cluster, "send", recording_send)
+    monkeypatch.setattr(Cluster, "deliver", recording_deliver)
+
+    # First run on the plan: the target table reads placement() once per
+    # v-cut vertex (its iteration order is the send order) and that is the
+    # only scalar look at the partition.
+    plan = plan_for(part)
+    vcut = int(((plan.home_of() < 0) & (plan.rep_count > 0)).sum())
+    assert vcut > 500
+    calls.clear()
+    first = tc.run(part)
+    assert calls["placement"] == vcut
+    assert {name: calls[name] for name in PARTITION_CALLBACKS} == dict.fromkeys(
+        PARTITION_CALLBACKS, 0
+    )
+
+    # Scalar sends carry the neighbor lists, nothing else; every query and
+    # answer sits in a (tag, sender, columns...) block.
+    assert set(sent) == {"inlist"}
+    blocks = [m for m in inboxed if m[0] != "inlist"]
+    assert {m[0] for m in blocks} == {"query", "answer"}
+    assert all(isinstance(col, np.ndarray) for m in blocks for col in m[2:])
+    assert sum(m[2].size for m in blocks) > 50 * len(blocks)
+
+    # A second run reuses the table.
+    second = tc.run(part)
+    assert calls["placement"] == vcut
+    assert first.values == second.values > 0
