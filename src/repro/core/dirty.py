@@ -57,6 +57,10 @@ class RescoringModel(CostModel):
         super().__init__(name=base.name, h=base.h, g=base.g, gate=base.gate)
         self.base = base
         self.calls = 0
+        keyed = getattr(base, "keyed", None)
+        if keyed is not None:
+            # A value memo right below: count inside its lookup frame (§8.2).
+            self.h_key, self.g_key = keyed("h", self), keyed("g", self)
 
     def h_value(self, features: Mapping[str, float]) -> float:
         self.calls += 1

@@ -44,7 +44,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.costmodel.features import FEATURE_NAMES, copy_key, copy_keys, with_master
 from repro.costmodel.model import CostModel
@@ -153,6 +153,8 @@ class MemoizedCostModel(CostModel):
         self.max_entries = max_entries
         self._memo_h: Dict[tuple, float] = {}
         self._memo_g: Dict[tuple, float] = {}
+        #: :meth:`h_value` / :meth:`g_value` of a ready-made key.
+        self.h_key, self.g_key = self.keyed("h"), self.keyed("g")
 
     #: Memo key of a feature mapping (the Mapping entry points only; the
     #: refiners arrive through ``h_key``/``g_key`` with the key in hand).
@@ -192,13 +194,26 @@ class MemoizedCostModel(CostModel):
         """Memoized ``g_A(X(v))`` (bit-identical to the base model's)."""
         return self._memoized(self._memo_g, features, self.base.g_value)
 
-    def h_key(self, key: tuple) -> float:
-        """:meth:`h_value` of a ready-made key: no mapping on a hit."""
-        return self._lookup(self._memo_h, key, None, self.base.h_value)
+    def keyed(self, which: str, counter=None) -> Callable[[tuple], float]:
+        """``h_key`` (``which="h"``) or ``g_key`` as a closure that answers a
+        hit — nine requests in ten — in its own frame; a miss takes
+        :meth:`_lookup`, which builds the mapping.  ``counter.calls``, when
+        given (the session's :class:`~repro.core.dirty.RescoringModel`), is
+        bumped per request in that same frame."""
+        memo = self._memo_h if which == "h" else self._memo_g
+        compute = self.base.h_value if which == "h" else self.base.g_value
+        stats, lookup = self.stats, self._lookup
 
-    def g_key(self, key: tuple) -> float:
-        """:meth:`g_value` of a ready-made key: no mapping on a hit."""
-        return self._lookup(self._memo_g, key, None, self.base.g_value)
+        def price(key: tuple) -> float:
+            if counter is not None:
+                counter.calls += 1
+            value = memo.get(key, _MISS)
+            if value is _MISS:
+                return lookup(memo, key, None, compute)
+            stats.value_hits += 1
+            return value
+
+        return price
 
 
 def memoize_cost_model(
@@ -304,7 +319,7 @@ class GainCache:
     any structural event touches it.
 
     A bound cache is the refiners' *scorer*: the phase bodies ask it
-    for ``price_as_ecut`` / ``merged_price`` / ``massign_scores`` /
+    for ``price_as_ecut`` / ``merged_price`` / ``host_scores`` /
     ``master_delta`` and for the fragment order (``cheapest`` /
     ``ascending``), and never look behind it.  :class:`DirectScorer`
     answers the same questions straight off the tracker.
@@ -332,10 +347,6 @@ class GainCache:
         self._ecut_price: Dict[int, float] = {}
         self._merged: Dict[int, Dict[Tuple[int, int], float]] = {}
         self._massign: Dict[int, Dict[int, Tuple[float, float]]] = {}
-        # (v, {fid: (cost_bearing, key)}): the per-vertex pass behind the
-        # Eq. 5 pairs of the vertex MAssign is scoring, taken once for all
-        # of its hosts.
-        self._copies: Tuple[int, Dict[int, tuple]] = (-1, {})
         # Vertices with any cached gain: the invalidation listener runs
         # on every mutation event, so the common no-entry case must be a
         # single membership check.
@@ -372,8 +383,6 @@ class GainCache:
         bucket = self._massign.pop(v, None)
         if bucket:
             dropped += len(bucket)
-        if self._copies[0] == v:
-            self._copies = (-1, {})
         self.stats.invalidations += dropped
 
     # ------------------------------------------------------------------
@@ -404,30 +413,41 @@ class GainCache:
             self.stats.vertex_hits += 1
         return price
 
-    def massign_scores(self, v: int, fid: int) -> Tuple[float, float]:
-        """Cached Eq. 5 pair ``(g^j_A(v), Δh master)`` for ``v`` at ``fid``."""
+    def host_scores(self, v: int, hosts: Sequence[int]) -> List[Tuple[float, float]]:
+        """Cached Eq. 5 pairs ``(g^j_A(v), Δh master)`` of ``v``, one per host.
+
+        One call scores every host MAssign weighs for ``v``; the per-vertex
+        pass behind the missing pairs is taken once.
+        """
         bucket = self._massign.setdefault(v, {})
-        pair = bucket.get(fid)
-        if pair is None:
-            self.stats.vertex_misses += 1
-            self._cached.add(v)
-            model, avg = self.tracker.cost_model, self.tracker.avg_degree
-            cached, copies = self._copies
-            if cached != v:
-                copies = {
-                    host: (bearing, key)
-                    for host, bearing, key in copy_keys(self.partition, v, avg)
-                }
-                self._copies = (v, copies)
-            # (.get: the placement index may have lost track of a copy.)
-            bearing, key = copies.get(fid) or copy_key(self.partition, v, fid, avg)
-            pair = bucket[fid] = (
-                model.g_key(with_master(key, True)),
-                model.master_delta_key(bearing, key),
-            )
-        else:
-            self.stats.vertex_hits += 1
-        return pair
+        stats = self.stats
+        copies = None
+        pairs = []
+        for fid in hosts:
+            pair = bucket.get(fid)
+            if pair is None:
+                stats.vertex_misses += 1
+                if copies is None:
+                    self._cached.add(v)
+                    model, avg = self.tracker.cost_model, self.tracker.avg_degree
+                    copies = {
+                        host: (bearing, key)
+                        for host, bearing, key in copy_keys(self.partition, v, avg)
+                    }
+                # (.get: the placement index may have lost track of a copy.)
+                bearing, key = copies.get(fid) or copy_key(self.partition, v, fid, avg)
+                pair = bucket[fid] = (
+                    model.g_key(with_master(key, True)),
+                    model.master_delta_key(bearing, key),
+                )
+            else:
+                stats.vertex_hits += 1
+            pairs.append(pair)
+        return pairs
+
+    def massign_scores(self, v: int, fid: int) -> Tuple[float, float]:
+        """:meth:`host_scores` of the single host ``fid``."""
+        return self.host_scores(v, (fid,))[0]
 
     def master_delta(self, v: int, fid: int) -> float:
         """Δh of mastering ``v`` at ``fid`` (a hit right after Eq. 5
@@ -452,15 +472,18 @@ class DirectScorer:
         """VMigrate merged price: always ``compute()``."""
         return compute()
 
-    def massign_scores(self, v: int, fid: int) -> Tuple[float, float]:
-        """Eq. 5 pair ``(g^j_A(v), Δh master)`` for ``v`` at ``fid``."""
+    def host_scores(self, v: int, hosts: Sequence[int]) -> List[Tuple[float, float]]:
+        """Eq. 5 pairs ``(g^j_A(v), Δh master)`` of ``v``, one per host."""
         tracker = self.tracker
         model, partition = tracker.cost_model, tracker.partition
         avg = tracker.avg_degree
-        return (
-            model.comm_cost_if_master_at(partition, v, fid, avg),
-            model.comp_master_delta(partition, v, fid, avg),
-        )
+        return [
+            (
+                model.comm_cost_if_master_at(partition, v, fid, avg),
+                model.comp_master_delta(partition, v, fid, avg),
+            )
+            for fid in hosts
+        ]
 
     def master_delta(self, v: int, fid: int) -> float:
         """Δh of mastering ``v`` at ``fid``."""

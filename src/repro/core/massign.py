@@ -56,9 +56,10 @@ def massign(
     base degenerates to all zeros, so both modes agree there.
     """
     partition = tracker.partition
+    fragments = partition.fragments
     if scorer is None:
         scorer = DirectScorer(tracker)
-    massign_scores = scorer.massign_scores
+    host_scores = scorer.host_scores
     if vertices is None:
         vertices = sorted(
             v for v, hosts in partition.vertex_fragments() if len(hosts) > 1
@@ -80,9 +81,7 @@ def massign(
         # repair cadence) have no copy to score; skip them so Eq. 5 only
         # considers real hosting fragments.
         hosts = sorted(
-            fid
-            for fid in partition.placement(v)
-            if partition.fragments[fid].has_vertex(v)
+            [fid for fid in partition._placement.get(v, ()) if v in fragments[fid]._incident]
         )
         if len(hosts) < 2:
             continue
@@ -91,8 +90,7 @@ def massign(
         best_score = float("inf")
         best_gain = 0.0
         best_delta = 0.0
-        for fid in hosts:
-            g_here, h_delta = massign_scores(v, fid)
+        for fid, (g_here, h_delta) in zip(hosts, host_scores(v, hosts)):
             if caps is None:
                 score = comp[fid] + comm[fid] + g_here + h_delta
             else:

@@ -296,8 +296,7 @@ class ME2H:
     ) -> None:
         v, edges = unit
         if edges:
-            for edge in edges:
-                output.add_edge_to(fid, edge)
+            output.transfer_star(v, edges, fid)
         else:
             output.add_vertex_to(fid, v)
         output.set_master(v, fid)

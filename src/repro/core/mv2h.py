@@ -167,8 +167,7 @@ class MV2H:
     def _assign_unit(output: HybridPartition, unit: Unit, fid: int) -> None:
         v, edges = unit
         if edges:
-            for edge in edges:
-                output.add_edge_to(fid, edge)
+            output.transfer_star(v, edges, fid)
         else:
             output.add_vertex_to(fid, v)
 

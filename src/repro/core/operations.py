@@ -39,28 +39,13 @@ def emigrate(partition: HybridPartition, v: int, src: int, dst: int) -> None:
     # Sorted: incident() is a frozenset whose iteration order is not
     # stable across Python builds; the mutation sequence should be.
     edges = sorted(src_fragment.incident(v))
-    for edge in edges:
-        partition.add_edge_to(dst, edge)
-        u = edge[0] if edge[1] == v else edge[1]
-        keep = (
-            u != v
-            and src_fragment.has_vertex(u)
-            and partition.cost_bearing(u, src)
-        )
-        if not keep:
-            partition.remove_edge_from(src, edge)
-    if not edges:
-        # Isolated candidate: move the bare copy.
-        partition.add_vertex_to(dst, v)
-        if src_fragment.has_vertex(v):
-            partition.remove_vertex_from(src, v)
-    else:
-        # Placement self-check before the master moves: a no-op when the
-        # indexes are consistent (the edge loop put the copy there), but
-        # heals a stale _placement entry — e.g. after injected index
-        # corruption when dst already held every edge being migrated, so
-        # add_edge_to returned early without re-indexing the endpoint.
-        partition.add_vertex_to(dst, v)
+    partition.transfer_star(v, edges, dst, src=src, keep="bearing")
+    # The bare copy of an isolated candidate; otherwise a placement
+    # self-check before the master moves, which heals a stale _placement
+    # entry (injected index corruption) when dst already held every edge.
+    partition.add_vertex_to(dst, v)
+    if not edges and src_fragment.has_vertex(v):
+        partition.remove_vertex_from(src, v)
     partition.set_master(v, dst)
 
 
@@ -90,9 +75,9 @@ def vmigrate(partition: HybridPartition, v: int, src: int, dst: int) -> None:
     if not partition.fragments[dst].has_vertex(v):
         raise ValueError(f"VMigrate destination {dst} holds no copy of vertex {v}")
     src_fragment = partition.fragments[src]
-    for edge in sorted(src_fragment.incident(v)):
-        partition.add_edge_to(dst, edge)
-        partition.remove_edge_from(src, edge)
+    partition.transfer_star(
+        v, sorted(src_fragment.incident(v)), dst, src=src, keep="none"
+    )
     if src_fragment.has_vertex(v) and src_fragment.incident_count(v) == 0:
         partition.remove_vertex_from(src, v)
 
@@ -112,35 +97,8 @@ def vmerge(
     costs" rule.  Other copies of ``v`` become dummies (the master moves
     to ``dst``, making it the designated e-cut node).
     """
-    graph = partition.graph
-    dst_fragment = partition.fragments[dst]
     if missing is None:
-        missing = [
-            edge
-            for edge in graph.incident_edges(v)
-            if not dst_fragment.has_edge(edge)
-        ]
-    for edge in missing:
-        holders = [
-            fid
-            for fid in sorted(partition.placement(v))
-            if fid != dst and partition.fragments[fid].has_edge(edge)
-        ]
-        if not holders:
-            u = edge[0] if edge[1] == v else edge[1]
-            holders = [
-                fid
-                for fid in sorted(partition.placement(u))
-                if fid != dst and partition.fragments[fid].has_edge(edge)
-            ]
-        partition.add_edge_to(dst, edge)
-        for fid in holders:
-            u = edge[0] if edge[1] == v else edge[1]
-            far_bearing = (
-                u != v
-                and partition.fragments[fid].has_vertex(u)
-                and partition.cost_bearing(u, fid)
-            )
-            if not far_bearing:
-                partition.remove_edge_from(fid, edge)
+        has_edge = partition.fragments[dst].has_edge
+        missing = [e for e in partition.graph.incident_edges(v) if not has_edge(e)]
+    partition.transfer_star(v, list(missing), dst, keep="bearing")
     partition.set_master(v, dst)

@@ -294,7 +294,7 @@ def _parallel_massign_impl(
 ) -> None:
     partition, tracker, guard = state.partition, state.tracker, state.guard
     cluster, stats = state.cluster, state.stats
-    massign_scores = state.scorer.massign_scores
+    host_scores = state.scorer.host_scores
     # Each worker is responsible for the border vertices it currently
     # masters; comp snapshot is shared, comm accumulators persist.
     # ``vertices`` restricts the pass to the dirty region (DESIGN §15);
@@ -339,8 +339,7 @@ def _parallel_massign_impl(
                 current = partition.master(v)
                 best_fid, best_score = hosts[0], float("inf")
                 best_gain, best_delta = 0.0, 0.0
-                for host in hosts:
-                    g_here, h_delta = massign_scores(v, host)
+                for host, (g_here, h_delta) in zip(hosts, host_scores(v, hosts)):
                     if caps is None:
                         score = comp[host] + comm[host] + g_here + h_delta
                     else:

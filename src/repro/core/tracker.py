@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.costmodel.features import copy_key, copy_keys, ecut_key
+from repro.costmodel.features import ecut_key, priced_copies
 from repro.costmodel.model import CostModel
 from repro.graph.metrics import average_degree
 from repro.partition.hybrid import HybridPartition
@@ -98,6 +98,7 @@ class CostTracker:
         self._comm_contrib: Dict[int, Tuple[int, float]] = {}
         self._dirty: Set[int] = set()
         self._cost_listeners: List[Callable[[int], None]] = []
+        self._moved: Set[int] = set()  # fragments a flush changed C_h of
         partition.add_listener(self._mark_dirty)
         try:
             self.seeded = seed is not None and self._restore(seed)
@@ -181,58 +182,35 @@ class CostTracker:
 
     def _reprice(self, v: int) -> None:
         """Recompute all of v's contributions; apply deltas to the sums."""
-        partition = self.partition
-        # Fragment-cost change notifications are only assembled when a
-        # listener is registered (the gain cache's fragment index); the
-        # plain path pays nothing.
-        listeners = self._cost_listeners
+        comp = self._comp
         old_copies = self._copy_contrib.pop(v, None)
         if old_copies:
             for fid, contrib in old_copies.items():
-                self._comp[fid] -= contrib
+                comp[fid] -= contrib
         old_comm = self._comm_contrib.pop(v, None)
         if old_comm is not None:
             self._comm[old_comm[0]] -= old_comm[1]
 
-        # One pass over v's real copies (ghost placement entries — index
+        # The copies Eqs. 2-3 charge (ghost placement entries — index
         # corruption awaiting the guard's repair — have no copy to price).
-        copies = copy_keys(partition, v, self.avg_degree, priced_only=True)
+        bearing, master, g_key = priced_copies(self.partition, v, self.avg_degree)
         model = self.cost_model
         new_copies: Dict[int, float] = {}
-        for fid, bearing, key in copies:
-            if bearing:
-                contrib = model.h_key(key)
-                if contrib:
-                    new_copies[fid] = contrib
-                    self._comp[fid] += contrib
+        for fid, key in bearing:
+            contrib = model.h_key(key)
+            if contrib:
+                new_copies[fid] = contrib
+                comp[fid] += contrib
         if new_copies:
             self._copy_contrib[v] = new_copies
-        if listeners and (old_copies or new_copies):
-            touched: Set[int] = set()
-            if old_copies:
-                touched.update(old_copies)
-            if new_copies:
-                touched.update(new_copies)
-            self._notify_cost(touched)
-        if partition.is_border(v):
-            master = partition._masters.get(v)
-            for fid, _bearing, key in copies:
-                if fid == master:
-                    break
-            else:
-                # The master's host is missing from the placement index
-                # (or the master points at a non-host): price the copy
-                # straight off its fragment, if it has one.
-                key = None
-                if master is not None:
-                    try:
-                        key = copy_key(partition, v, master, self.avg_degree)[1]
-                    except KeyError:
-                        pass
-            if key is not None:
-                contrib = model.g_key(key)
-                self._comm_contrib[v] = (master, contrib)
-                self._comm[master] += contrib
+        # Fragments whose C_h moved, for the gain cache's fragment index: it
+        # only marks, so it hears once per flush; no listener, no cost.
+        if self._cost_listeners:
+            self._moved.update(old_copies or (), new_copies)
+        if g_key is not None:
+            contrib = model.g_key(g_key)
+            self._comm_contrib[v] = (master, contrib)
+            self._comm[master] += contrib
 
     def _notify_cost(self, fids: Set[int]) -> None:
         for listener in self._cost_listeners:
@@ -245,6 +223,8 @@ class CostTracker:
         dirty, self._dirty = self._dirty, set()
         for v in dirty:
             self._reprice(v)
+        self._notify_cost(self._moved)
+        self._moved.clear()
 
     # ------------------------------------------------------------------
     # Queries

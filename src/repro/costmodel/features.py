@@ -26,16 +26,16 @@ the cross-copy merge work, which no degree variable can express.  The
 constant 1 needed by polynomial intercepts is handled by the monomial
 representation, not by a feature.
 
-The refiners never build this mapping per copy: :func:`copy_keys` reads
-what all copies of a vertex share once and emits each copy's variables as a
-tuple in :data:`FEATURE_NAMES` order — the *key* the cost model's
-``h_key`` / ``g_key`` funnel prices and the value memo is keyed on
-(DESIGN §8.2).  :func:`vertex_features` is that key zipped with the names.
+The refiners never build this mapping per copy: :func:`copy_keys` (all
+copies of a vertex) and :func:`priced_copies` (those Eqs. 2-3 charge) emit a
+copy's variables as a tuple in :data:`FEATURE_NAMES` order — the *key* the
+cost model's ``h_key`` / ``g_key`` funnel prices and the value memo is keyed
+on (DESIGN §8.2).  :func:`vertex_features` is that key zipped with the names.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graph.metrics import average_degree
 from repro.partition.hybrid import HybridPartition, NodeRole, copy_role
@@ -112,6 +112,63 @@ def copy_keys(
     if copies and master is None:
         raise KeyError(f"vertex {v} has no copies in the partition")
     return copies
+
+
+def priced_copies(
+    partition: HybridPartition, v: int, avg_degree: float
+) -> Tuple[Sequence[Tuple[int, FeatureKey]], Optional[int], Optional[FeatureKey]]:
+    """What Eqs. 2-3 charge for ``v``: ``(bearing, master, g_key)``.
+
+    ``bearing`` holds ``(fid, key)`` per cost-bearing copy (``h`` is charged
+    at each ``fid``); ``g_key`` is the master copy's key when ``v`` is
+    replicated and that copy exists (``g`` is charged at ``master``), else
+    ``None``.  An e-cut vertex whose home and master are both indexed hosts
+    holding a copy is read straight off the indexes.  Everything else (v-cut
+    vertices, ghost or lost hosts, a master at a non-host) takes the
+    :func:`copy_keys` pass, and a master copy the placement index lost is
+    still priced, off its fragment.
+    """
+    hosts = partition._placement.get(v)
+    if not hosts:
+        return (), None, None
+    master = partition._masters.get(v)
+    total, d_in_g, d_out_g = partition._graph_facts.get(v) or partition._facts(v)
+    home = partition._home(v, total)
+    fragments = partition.fragments
+    if home is not None and home in hosts and master in hosts:
+        fragment = fragments[home]
+        bucket = fragment._incident.get(v)
+        there = fragments[master]
+        far = bucket if master == home else there._incident.get(v)
+        if bucket is not None and far is not None:
+            d_in_g, d_out_g, d_g = float(d_in_g), float(d_out_g), float(total)
+            mirrors, avg_degree = float(len(hosts) - 1), float(avg_degree)
+            key = (
+                float(fragment._in_deg.get(v, 0)), float(fragment._out_deg.get(v, 0)),
+                d_in_g, d_out_g, mirrors, avg_degree,
+                0.0, float(len(bucket)), d_g, 1.0 if master == home else 0.0,
+            )
+            if master == home:
+                return ((home, key),), master, key if mirrors else None
+            return ((home, key),), master, (
+                float(there._in_deg.get(v, 0)), float(there._out_deg.get(v, 0)),
+                d_in_g, d_out_g, mirrors, avg_degree,
+                1.0, float(len(far)), d_g, 1.0,
+            )
+    copies = copy_keys(partition, v, avg_degree, priced_only=True)
+    g_key = None
+    if len(hosts) > 1:
+        for fid, _bearing, g_key in copies:
+            if fid == master:
+                break
+        else:
+            g_key = None
+            if master is not None:
+                try:
+                    g_key = copy_key(partition, v, master, avg_degree)[1]
+                except KeyError:
+                    pass  # the master points at a fragment with no copy
+    return [(fid, key) for fid, bearing, key in copies if bearing], master, g_key
 
 
 def copy_key(

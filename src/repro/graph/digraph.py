@@ -263,6 +263,10 @@ class Graph:
             return (u, v) in self._edge_set
         return ((u, v) if u <= v else (v, u)) in self._edge_set
 
+    def contains_edges(self, edges: Iterable[Edge]) -> bool:
+        """Whether every edge of ``edges``, given in canonical form, exists."""
+        return self._edge_set.issuperset(edges)
+
     def canonical_edge(self, u: int, v: int) -> Edge:
         """Return the canonical key under which ``(u, v)`` is stored."""
         if self._directed or u <= v:

@@ -19,9 +19,10 @@ Role semantics (Section 2):
   with at least one local edge is a *v-cut node* and bears the cost of its
   local edges; zero-edge copies are dummies.
 
-Mutations go through the ``add_edge_to`` / ``remove_edge_from`` /
-``add_vertex_to`` / ``remove_vertex_from`` primitives so listeners (the
-refiners' incremental cost trackers) can be notified of every vertex whose
+Mutations go through the single-edge verbs ``add_edge_to`` /
+``remove_edge_from`` / ``add_vertex_to`` / ``remove_vertex_from`` or, for a
+refiner's move, the star transaction ``transfer_star``, so listeners (the
+refiners' incremental cost trackers) are told of every vertex whose
 features may have changed.  Partitions nobody observes yet (constructors,
 ``copy``, deserialization) are filled by :meth:`HybridPartition._bulk_load`
 instead (DESIGN §8.2).
@@ -30,7 +31,7 @@ instead (DESIGN §8.2).
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import Graph
 from repro.partition.fragment import Edge, Fragment
@@ -203,15 +204,24 @@ class HybridPartition:
         self._listeners.remove(callback)
 
     def _notify(self, v: int) -> None:
-        self._generation += 1
+        self._notify_all((v,))
+
+    def _notify_all(self, touched: Collection[int]) -> None:
+        """Journal and announce one transaction's touched vertices: each
+        once, in first-touch order — the order that lays out the listeners'
+        dirty sets, whose iteration feeds float sums (DESIGN §8.2).
+        Listeners only mark, so hearing at the end is hearing during."""
         journal = self._journal
-        journal.append(v)
+        journal.extend(touched)
+        self._generation += len(touched)
         if len(journal) > JOURNAL_CAP:
-            drop = len(journal) // 2
+            # Oldest half out, and whatever a batch larger than that adds.
+            drop = max(len(journal) // 2, len(journal) - JOURNAL_CAP)
             del journal[:drop]
             self._journal_start += drop
         for callback in self._listeners:
-            callback(v)
+            for v in touched:
+                callback(v)
 
     def mutations_since(self, generation: int) -> Optional[Set[int]]:
         """Vertices notified after ``generation``, or None when unknown.
@@ -368,29 +378,48 @@ class HybridPartition:
 
     def remove_vertex_from(self, fid: int, v: int) -> None:
         """Remove the (edge-free) copy of ``v`` from fragment ``fid``."""
-        fragment = self.fragments[fid]
-        if not fragment.has_vertex(v):
-            return
-        fragment._remove_vertex(v)
+        if self.fragments[fid].has_vertex(v):
+            self._prune(fid, v)
+            self._notify(v)
+
+    def _prune(self, fid: int, v: int) -> None:
+        """Drop the edge-free copy of ``v`` at ``fid`` from fragment and indexes.
+
+        An index that runs out of hosts asks the fragments before ``v`` is
+        declared gone: one that lost track of a copy (state corruption, as
+        ``add_vertex_to`` heals) must not take a live vertex's master.
+        """
+        self.fragments[fid]._remove_vertex(v)
         hosts = self._placement.get(v)
-        hosts.discard(fid)
+        if hosts is not None:
+            hosts.discard(fid)
         full = self._full.get(v)
         if full is not None:
             full.discard(fid)
         if not hosts:
-            del self._placement[v]
-            self._masters.pop(v, None)
-            self._full.pop(v, None)
-        elif self._masters.get(v) == fid:
+            hosts = {f.fid for f in self.fragments if v in f._incident}
+            if not hosts:
+                self._placement.pop(v, None)
+                self._masters.pop(v, None)
+                self._full.pop(v, None)
+                return
+            self._placement[v] = hosts
+        if self._masters.get(v) == fid:
             self._masters[v] = min(hosts)
-        self._notify(v)
 
     def add_edge_to(self, fid: int, edge: Edge) -> bool:
         """Add ``edge`` to fragment ``fid``; True if it was not there."""
         graph = self.graph
         if not graph.has_edge(*edge):
             raise ValueError(f"edge {edge} does not exist in the graph")
-        edge = graph.canonical_edge(*edge)
+        touched: Dict[int, None] = {}
+        if not self._enter(fid, graph.canonical_edge(*edge), touched):
+            return False
+        self._notify_all(touched)
+        return True
+
+    def _enter(self, fid: int, edge: Edge, touched: Dict[int, None]) -> bool:
+        """Put canonical ``edge`` into fragment ``fid``; True if it was new."""
         u, v = edge
         fragment = self.fragments[fid]
         incident = fragment._incident
@@ -401,11 +430,7 @@ class HybridPartition:
             self._place(u, fid)
         if new_v:
             self._place(v, fid)
-        # A set, not a pair: listeners see each endpoint once, and the
-        # order they first see it in is part of the bit-identity contract.
-        for w in {u, v}:
-            self._refresh_fullness(w, fid)
-            self._notify(w)
+        self._settle(fid, edge, False, touched)
         return True
 
     def _place(self, v: int, fid: int) -> None:
@@ -418,6 +443,18 @@ class HybridPartition:
         if v not in self._masters:
             self._masters[v] = fid
 
+    def _settle(self, fid: int, edge: Edge, prune: bool, touched: Dict[int, None]) -> None:
+        """Per endpoint of an ``edge`` that entered or left ``fid``: fullness,
+        pruning of a copy left edge-free (unless it is the last one) and the
+        first touch.  A set, not a pair: the order listeners first see the
+        endpoints in is part of the bit-identity contract."""
+        incident = self.fragments[fid]._incident
+        for w in {edge[0], edge[1]}:
+            self._refresh_fullness(w, fid)
+            if prune and not incident[w] and len(self._placement.get(w, ())) > 1:
+                self._prune(fid, w)
+            touched[w] = None
+
     def remove_edge_from(self, fid: int, edge: Edge, prune: bool = True) -> bool:
         """Remove ``edge`` from fragment ``fid``; True if it was present.
 
@@ -427,17 +464,100 @@ class HybridPartition:
         V = ∪V_i holds).
         """
         edge = self.graph.canonical_edge(*edge)
-        fragment = self.fragments[fid]
-        if not fragment._remove_edge(edge):
+        if not self.fragments[fid]._remove_edge(edge):
             return False
-        incident = fragment._incident
-        for w in {edge[0], edge[1]}:
-            self._refresh_fullness(w, fid)
-            if prune and not incident[w] and len(self._placement.get(w, ())) > 1:
-                self.remove_vertex_from(fid, w)
-            else:
-                self._notify(w)
+        touched: Dict[int, None] = {}
+        self._settle(fid, edge, prune, touched)
+        self._notify_all(touched)
         return True
+
+    def transfer_star(
+        self,
+        v: int,
+        edges: Sequence[Edge],
+        dst: int,
+        src: Optional[int] = None,
+        keep: str = "all",
+    ) -> None:
+        """Bring the star ``(v, edges)`` into fragment ``dst``: one transaction.
+
+        The refiners' unit of mutation (DESIGN §8.2).  ``edges`` are
+        canonical edges of the graph incident to ``v``, checked once, up
+        front.  Each is added to ``dst`` and then leaves its sources as
+        ``keep`` says: ``"all"`` touches no source (a unit being placed),
+        ``"none"`` migrates every edge (VMigrate), ``"bearing"`` replicates
+        it where its far endpoint's copy bears cost and migrates it
+        otherwise (EMigrate, VMerge).  The source is ``src``, or with
+        ``src=None`` the other copies of ``v`` (failing that, of the far
+        endpoint) holding the edge.  Equal, edge for edge, to
+        ``add_edge_to`` then ``remove_edge_from`` per source, except that
+        each touched vertex is journalled and announced once, at the end,
+        in first-touch order, and the fullness of ``v``'s own copies —
+        which nothing in between reads — is settled per fragment, last.
+        """
+        if keep not in ("all", "none", "bearing"):
+            raise ValueError(f"unknown keep rule {keep!r}")
+        if src == dst:
+            raise ValueError("a star's source and destination must differ")
+        if not self.graph.contains_edges(edges):
+            raise ValueError(f"star of vertex {v} holds an edge the graph lacks")
+        fragments, facts, placement = self.fragments, self._graph_facts, self._placement
+        incident, add = fragments[dst]._incident, fragments[dst]._add_edge
+        refresh, place, prune = self._refresh_fullness, self._place, self._prune
+        lookup, bearing = src is None and keep != "all", keep == "bearing"
+        sources = () if keep == "all" or src is None else (src,)
+        touched: Dict[int, None] = {}
+        changed = set()  # fragments whose copy of v gained or lost an edge
+        try:
+            for edge in edges:
+                a, b = edge
+                u = a if b == v else b
+                if lookup:
+                    sources = self._holders(v, edge, dst) or self._holders(u, edge, dst)
+                # Once v is touched only the far endpoint is left to settle:
+                # the walk of _settle in a straight line.
+                if u != v and v in touched:
+                    new_u = u not in incident
+                    if add(edge):
+                        if new_u:
+                            place(u, dst)
+                        refresh(u, dst)
+                        touched[u] = None
+                        changed.add(dst)
+                elif self._enter(dst, edge, touched):
+                    changed.add(dst)
+                for fid in sources:
+                    fragment = fragments[fid]
+                    bucket = fragment._incident.get(u)
+                    if bearing and u != v and bucket is not None:
+                        # u's fullness at dst is settled: its home can be read.
+                        home = self._home(u, (facts.get(u) or self._facts(u))[0])
+                        if copy_role(home, fid, len(bucket)) is not NodeRole.DUMMY:
+                            continue
+                    if not fragment._remove_edge(edge):
+                        continue
+                    changed.add(fid)
+                    if u != v and v in touched:
+                        refresh(u, fid)
+                        if not bucket and len(placement.get(u, ())) > 1:
+                            prune(fid, u)
+                        touched[u] = None
+                        if not fragment._incident[v] and len(placement.get(v, ())) > 1:
+                            prune(fid, v)
+                    else:
+                        self._settle(fid, edge, True, touched)
+        finally:
+            for fid in changed:
+                refresh(v, fid)
+            self._notify_all(touched)
+
+    def _holders(self, w: int, edge: Edge, dst: int) -> List[int]:
+        """Fragments other than ``dst`` hosting ``w`` and holding ``edge``."""
+        return [
+            fid
+            for fid in sorted(self._placement.get(w, ()))
+            if fid != dst and edge in self.fragments[fid]._edges
+        ]
 
     def graph_changed(self, vertices: Iterable[int]) -> None:
         """Re-sync per-vertex caches after an in-place graph mutation.

@@ -276,3 +276,42 @@ def test_add_vertex_to_heals_stale_placement_entry():
     assert 0 in partition._placement[1]  # ...but the index is healed
     partition.set_master(1, 0)  # and the master move cannot crash
     check_partition(partition)
+
+
+# ----------------------------------------------------------------------
+# Regression: removing the last *indexed* copy of a vertex that still has
+# real ones (chaos "drop" twice on one vertex, then two VMigrates)
+# ----------------------------------------------------------------------
+def test_vmigrate_off_the_last_indexed_copy_survives_under_the_guard():
+    """The placement index of ``v`` is down to one host while two more
+    fragments hold copies.  VMigrating away from the indexed copy used to
+    delete the entry and the master; the next VMigrate then raised
+    ``AttributeError: 'NoneType' object has no attribute 'discard'``.
+    Removal (and the star transaction's prune step, which shares it) now
+    asks the fragments first, so the guarded run ends valid."""
+    from repro.core.driver import RefineSession
+    from repro.core.operations import vmigrate
+    from repro.graph.digraph import Graph
+    from repro.integrity.chaos import apply_payload
+
+    graph = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)], directed=False)
+    assignment = {edge: fid for edge, fid in zip(sorted(graph.edges()), (0, 0, 1, 1, 2, 2))}
+    partition = HybridPartition.from_edge_assignment(graph, assignment, 3)
+    assert partition.placement(0) == {0, 1, 2}
+    config = GuardConfig(check_interval=1000)  # nothing repairs in between
+    with RefineSession(partition, builtin_cost_model("tc"), config, True, None) as session:
+        for fid in (1, 2):
+            apply_payload(
+                partition,
+                {"kind": "placement", "op": "drop", "vertex": 0, "fragment": fid},
+            )
+        vmigrate(partition, 0, 0, 1)  # off the last indexed copy
+        assert partition.placement(0) == {1, 2}
+        assert partition.master(0) == 1
+        session.guard.step()
+        vmigrate(partition, 0, 1, 2)  # used to raise AttributeError
+        session.guard.step()
+        stats = session.guard.finish()
+    check_partition(partition)
+    assert partition.placement(0) == {2}
+    assert stats.unrepaired_violations == 0
