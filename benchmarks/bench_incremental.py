@@ -17,7 +17,7 @@ Measures the two halves of the DESIGN §15 fast path and emits
    compared against a full re-refinement of the same mutated partition,
    and the final parallel cost must match the full pass within 1%.
 
-Standalone usage (what CI's incremental-smoke step runs):
+Standalone usage (a step of CI's pipeline-bench job):
 
     PYTHONPATH=src python benchmarks/bench_incremental.py --smoke
 

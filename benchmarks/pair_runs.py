@@ -1,7 +1,7 @@
 """Paired parent/change runs of the pipeline benchmark, and the verdict.
 
     python3 benchmarks/pair_runs.py --parent DIR --change DIR \\
-        --workload W [--pairs 10] [--seed 1] [--seconds T]
+        --workload W [--pairs 10] [--seed 1] [--seconds T] [--scale X]
 
 Runs ``benchmarks/pipeline/run.py`` of two checkouts alternately — the side
 that goes first flips every pair, so drift of a shared host hits both — and
@@ -25,10 +25,11 @@ import subprocess
 import sys
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed, seconds, scale):
     """One untraced run of ``checkout``'s benchmark: its metrics by name."""
     command = [sys.executable, os.path.join("benchmarks", "pipeline", "run.py"),
-               "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+               "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+               "--scale", str(scale)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True,
                           timeout=600)
     lines = done.stdout.strip().splitlines()
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None,
                         help="measuring window per run (default: run_seconds of "
                              "the change's BENCHMARK.json)")
+    parser.add_argument("--scale", type=float, default=1.0,
+                        help="workload size multiplier, passed to run.py "
+                             "(the driver measures at 1.0)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -92,9 +96,11 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     for pair in range(args.pairs):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(checkouts[side], args.workload, args.seed, seconds))
+            runs[side].append(run_once(checkouts[side], args.workload, args.seed, seconds,
+                                       args.scale))
 
-    print(f"# {args.workload} seed={args.seed} pairs={args.pairs} seconds={seconds}")
+    print(f"# {args.workload} seed={args.seed} pairs={args.pairs} seconds={seconds}"
+          f" scale={args.scale}")
     print(f"{'metric':<18}{'parent med [q1, q3]':>34}{'change med [q1, q3]':>34}"
           f"{'change':>9}{'wins':>6}{'ties':>6}  verdict")
     regressed = False

@@ -13,26 +13,26 @@ regions, not a random vertex subset (ablated in
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Tuple
+from typing import Collection, List, Optional, Tuple
 
 from repro.core.tracker import CostTracker
 from repro.partition.fragment import Edge
-from repro.partition.hybrid import NodeRole
+from repro.partition.hybrid import NodeRole, copy_role
 
 Candidate = Tuple[int, Tuple[Edge, ...]]
 
 
 def bfs_order(partition, fid: int) -> List[int]:
     """BFS traversal order of fragment ``fid``'s local subgraph."""
-    fragment = partition.fragments[fid]
+    incident = partition.fragments[fid]._incident
     order: List[int] = []
     visited = set()
-    # Sorted seeds and sorted edge expansion: fragment.vertices() is
-    # insertion-ordered and incident() is a frozenset, both of which
+    # Sorted seeds and sorted edge expansion: the fragment's vertex index
+    # is insertion-ordered and its edge buckets are sets, both of which
     # vary across Python builds/histories.  Ties break by vertex id so
     # the traversal (and every refinement decision downstream) is
     # reproducible.
-    for seed in sorted(fragment.vertices()):
+    for seed in sorted(incident):
         if seed in visited:
             continue
         queue = deque([seed])
@@ -40,7 +40,7 @@ def bfs_order(partition, fid: int) -> List[int]:
         while queue:
             v = queue.popleft()
             order.append(v)
-            for edge in sorted(fragment.incident(v)):
+            for edge in sorted(incident[v]):
                 u = edge[0] if edge[1] == v else edge[1]
                 if u not in visited:
                     visited.add(u)
@@ -54,27 +54,34 @@ def get_candidates(
     budget: float,
     role: NodeRole = NodeRole.ECUT,
     order: List[int] = None,
+    only: Optional[Collection[int]] = None,
 ) -> List[Candidate]:
     """Select migration candidates from fragment ``fid``.
 
     ``role`` filters which copies are candidate units: e-cut nodes for
     E2H (EMigrate moves whole vertices), v-cut nodes for V2H.  ``order``
     overrides the BFS traversal (used by the random-order ablation).
+    ``only`` is a dirty scope's frontier (DESIGN §15): the keep rule still
+    runs over the whole fragment, but units outside it are never built.
 
     Returns ``(v, local incident edges)`` pairs, in traversal order.
     """
     partition = tracker.partition
-    fragment = partition.fragments[fid]
+    incident = partition.fragments[fid]._incident
     if order is None:
         order = bfs_order(partition, fid)
+    tracker.ensure_current()
+    contributions, facts = tracker._copy_contrib, partition._graph_facts
     kept_cost = 0.0
     candidates: List[Candidate] = []
     for v in order:
-        if partition.role(v, fid) is not role:
+        bucket = incident[v]
+        home = partition._home(v, (facts.get(v) or partition._facts(v))[0])
+        if copy_role(home, fid, len(bucket)) is not role:
             continue
-        contribution = tracker.copy_comp_cost(v, fid)
+        contribution = (contributions.get(v) or {}).get(fid, 0.0)
         if kept_cost + contribution <= budget:
             kept_cost += contribution
-        else:
-            candidates.append((v, tuple(sorted(fragment.incident(v)))))
+        elif only is None or v in only:
+            candidates.append((v, tuple(sorted(bucket))))
     return candidates

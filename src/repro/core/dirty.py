@@ -88,9 +88,9 @@ def dirty_frontier(graph: Graph, dirty_vertices: Iterable[int]) -> Set[int]:
     n = graph.num_vertices
     frontier = {v for v in dirty_vertices if 0 <= v < n}
     for v in tuple(frontier):
-        frontier.update(int(u) for u in graph.out_neighbors(v))
+        frontier.update(graph.out_neighbors(v).tolist())
         if graph.directed:
-            frontier.update(int(u) for u in graph.in_neighbors(v))
+            frontier.update(graph.in_neighbors(v).tolist())
     return frontier
 
 

@@ -274,9 +274,8 @@ def run_pass(
                 found = get_candidates(
                     tracker, fid, tracker.keep_budget(fid, budget),
                     refiner.role, order=order,
+                    only=None if scope is None else scope.frontier,
                 )
-                if scope is not None:
-                    found = [unit for unit in found if unit[0] in scope.frontier]
                 state.candidates[fid] = found
                 stats.candidates += len(found)
 

@@ -206,10 +206,10 @@ def apply_mutations(target: MutationTarget, batch: MutationBatch) -> Set[int]:
             raise ValueError("all partitions must share one graph object")
 
     # Structural fixes are applied per operation (routing depends on the
-    # evolving placements), but the cache re-sync — graph_changed, which
-    # forces a CSR rebuild — runs once per partition at the end: fullness
-    # and incident counts are derived state, so healing the final graph
-    # is equivalent to healing after every step.
+    # evolving placements), but the cache re-sync — graph_changed, whose
+    # degree reads fold the graph's pending log — runs once per partition
+    # at the end: fullness and incident counts are derived state, so
+    # healing the final graph is equivalent to healing after every step.
     dirty: Set[int] = set()
 
     def ensure_vertex(vid: int) -> None:

@@ -113,9 +113,9 @@ class CostTracker:
     def snapshot(self) -> TrackerSeed:
         """Capture current state as a :class:`TrackerSeed`.
 
-        The seed deep-copies the contribution maps, so it stays valid
-        however this tracker (or a tracker restored from it) mutates
-        afterwards.
+        The per-vertex maps are copied, the per-copy dicts inside them
+        shared: ``_reprice`` replaces a vertex's dict, never edits it, so
+        the seed outlives whatever this or a restored tracker does next.
         """
         self._flush()
         return TrackerSeed(
@@ -124,7 +124,7 @@ class CostTracker:
             avg_degree=self.avg_degree,
             comp=list(self._comp),
             comm=list(self._comm),
-            copy_contrib={v: dict(c) for v, c in self._copy_contrib.items()},
+            copy_contrib=dict(self._copy_contrib),
             comm_contrib=dict(self._comm_contrib),
         )
 
@@ -145,7 +145,7 @@ class CostTracker:
         self.avg_degree = seed.avg_degree
         self._comp = list(seed.comp)
         self._comm = list(seed.comm)
-        self._copy_contrib = {v: dict(c) for v, c in seed.copy_contrib.items()}
+        self._copy_contrib = dict(seed.copy_contrib)
         self._comm_contrib = dict(seed.comm_contrib)
         self._dirty = set(delta)
         return True

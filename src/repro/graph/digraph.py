@@ -1,10 +1,12 @@
 """Core graph data structure.
 
-:class:`Graph` is the single graph type used throughout the library.  It
-stores edges in NumPy arrays and materializes CSR (compressed sparse row)
-indices for both out- and in-adjacency so that the degree metrics of the
-paper's cost model (Section 3.1) are O(1) lookups and neighbor scans are
-contiguous slices.
+:class:`Graph` is the single graph type used throughout the library.  Its
+source of truth is a set of *sorted packed-key tables* (DESIGN §16): the
+canonical edge table holds one ``src << 32 | dst`` key per edge, and each
+CSR (compressed sparse row) adjacency is its own sorted table keyed
+``(owner, half, neighbour)``, so the degree metrics of the paper's cost
+model (Section 3.1) are O(1) lookups and neighbor scans are contiguous
+``int64`` slices.
 
 Vertices are integers ``0 .. num_vertices - 1``.  Undirected graphs store
 each edge once in canonical ``(min, max)`` order; adjacency queries expose
@@ -13,21 +15,56 @@ construction (the paper's partition model treats the edge set as a set).
 
 Graphs are *mostly* immutable: the streaming-ingestion hooks
 :meth:`Graph.add_vertex`, :meth:`Graph.add_edge` and
-:meth:`Graph.remove_edge` (DESIGN §15) mutate the edge set in place,
-bump :attr:`Graph.version`, and rebuild the array/CSR caches lazily on
-the next array access.  Any :class:`~repro.partition.hybrid.
-HybridPartition` built over the graph must be re-synced through
-``HybridPartition.graph_changed`` after such a mutation.
+:meth:`Graph.remove_edge` (DESIGN §15) bump :attr:`Graph.version` and
+append to a pending log; the next array read folds the log into every
+table with one ``searchsorted`` + ``np.insert`` / ``np.delete`` and an
+``indptr`` tail shift — nothing is re-sorted or rebuilt.  Any
+:class:`~repro.partition.hybrid.HybridPartition` built over the graph
+must be re-synced through ``HybridPartition.graph_changed`` after such a
+mutation.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Sequence, Tuple
 
 import numpy as np
 
 Edge = Tuple[int, int]
+
+#: Key stride: a fixed ``owner << 32``, so growing the graph never re-keys.
+_STRIDE = 1 << 32
+#: Bit 31 flags the second half of an undirected adjacency row, which
+#: leaves 31 bits for the neighbour: ids stay below ``_MAX_VERTICES``.
+_HALF = 1 << 31
+_LOW = _HALF - 1
+_MAX_VERTICES = 1 << 31
+
+
+def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys >> 32, minlength=n), out=indptr[1:])
+    return indptr
+
+
+def _patch(keys: np.ndarray, add: np.ndarray, drop: np.ndarray) -> np.ndarray:
+    """One sorted key table with sorted ``drop`` taken out and ``add`` put in."""
+    if len(drop):
+        keys = np.delete(keys, np.searchsorted(keys, drop))
+    if len(add):
+        keys = np.insert(keys, np.searchsorted(keys, add), add)
+    return keys
+
+
+def _shift(indptr: np.ndarray, add: np.ndarray, drop: np.ndarray, n: int) -> np.ndarray:
+    """``indptr`` grown to ``n`` rows, each tail shifted by its owners' net change."""
+    step = np.bincount((add >> 32) + 1, minlength=n + 1)
+    step -= np.bincount((drop >> 32) + 1, minlength=n + 1)
+    np.cumsum(step, out=step)
+    step[: len(indptr)] += indptr
+    step[len(indptr) :] += indptr[-1]
+    return step
 
 
 class Graph:
@@ -47,16 +84,17 @@ class Graph:
     __slots__ = (
         "_num_vertices",
         "_directed",
-        "_src",
-        "_dst",
+        "_keys",
+        "_adj_keys",
         "_out_indptr",
         "_out_indices",
         "_in_indptr",
         "_in_indices",
-        "_edge_set",
+        "_members",
+        "_pending",
+        "_stale",
         "_digest",
         "_version",
-        "_arrays_stale",
     )
 
     def __init__(
@@ -67,61 +105,63 @@ class Graph:
     ) -> None:
         if num_vertices < 0:
             raise ValueError("num_vertices must be non-negative")
-        self._num_vertices = int(num_vertices)
+        if num_vertices > _MAX_VERTICES:
+            raise ValueError(f"num_vertices must not exceed {_MAX_VERTICES}")
+        self._num_vertices = n = int(num_vertices)
         self._directed = bool(directed)
 
-        pairs = self._canonical_pairs(edges)
-        if pairs:
-            arr = np.asarray(sorted(pairs), dtype=np.int64)
-            src, dst = arr[:, 0], arr[:, 1]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            pairs = np.array(edges, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("edge endpoint out of range: id does not fit 64 bits") from None
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        elif pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        src, dst = pairs[:, 0], pairs[:, 1]
         if len(src):
             lo = int(min(src.min(), dst.min()))
             hi = int(max(src.max(), dst.max()))
-            if lo < 0 or hi >= num_vertices:
+            if lo < 0 or hi >= n:
                 bad = lo if lo < 0 else hi
                 raise ValueError(
                     f"edge endpoint {bad} out of range for a graph with "
-                    f"{num_vertices} vertices (valid ids: 0..{num_vertices - 1})"
+                    f"{n} vertices (valid ids: 0..{n - 1})"
                 )
-        self._src = src
-        self._dst = dst
-        self._edge_set = pairs
+        if not directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        #: Canonical edge table: sorted ``src << 32 | dst``.  For a
+        #: directed graph it doubles as the out-CSR's ``(src, dst)`` table.
+        self._keys = keys = np.unique((src << 32) | dst)
+        #: The scalar view of the same set, kept current by the hooks, so
+        #: ``has_edge`` / ``num_edges`` never wait for a fold.
+        self._members = set(keys.tolist())
+        #: Net edge changes not yet in the tables: key -> present afterwards.
+        self._pending: Dict[int, bool] = {}
+        self._stale = False
         self._digest: str = ""
         self._version = 0
-        self._arrays_stale = False
+        #: Directed: the in-CSR's ``(dst, src)`` table.  Undirected: the one
+        #: table behind both CSRs, ``(owner, half, neighbour)`` — per owner
+        #: ``v`` first the ``(v, w), w >= v`` half, then the ``(u, v), u <= v``
+        #: half, each ascending.
+        self._adj_keys = self._adjacent(keys)
+        self._in_indptr = _indptr(self._adj_keys, n)
+        self._out_indptr = _indptr(keys, n) if directed else self._in_indptr
+        self._set_indices()
 
-        out_src = np.concatenate([src, dst]) if not directed else src
-        out_dst = np.concatenate([dst, src]) if not directed else dst
-        self._out_indptr, self._out_indices = self._build_csr(out_src, out_dst)
-        if directed:
-            self._in_indptr, self._in_indices = self._build_csr(dst, src)
-        else:
-            self._in_indptr, self._in_indices = self._out_indptr, self._out_indices
-
-    def _canonical_pairs(self, edges: Iterable[Edge]) -> set:
-        pairs = set()
+    def _adjacent(self, keys: np.ndarray) -> np.ndarray:
+        """The second table's sorted keys for canonical ``keys``."""
+        swapped = ((keys & _LOW) << 32) | (keys >> 32)
         if self._directed:
-            for u, v in edges:
-                pairs.add((int(u), int(v)))
-        else:
-            for u, v in edges:
-                u, v = int(u), int(v)
-                pairs.add((u, v) if u <= v else (v, u))
-        return pairs
+            return np.sort(swapped)
+        return np.sort(np.concatenate([keys, swapped | _HALF]))
 
-    def _build_csr(
-        self, src: np.ndarray, dst: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n = self._num_vertices
-        counts = np.bincount(src, minlength=n) if len(src) else np.zeros(n, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        order = np.argsort(src, kind="stable") if len(src) else np.empty(0, dtype=np.int64)
-        indices = dst[order] if len(src) else np.empty(0, dtype=np.int64)
-        return indptr, indices
+    def _set_indices(self) -> None:
+        self._in_indices = self._adj_keys & _LOW
+        self._out_indices = self._keys & _LOW if self._directed else self._in_indices
 
     # ------------------------------------------------------------------
     # Mutation hooks (streaming ingestion, DESIGN §15)
@@ -136,31 +176,39 @@ class Graph:
             )
         return v
 
-    def _invalidate_arrays(self) -> None:
+    def _key(self, u: int, v: int) -> int:
+        """Packed key of ``(u, v)``'s canonical form, endpoints range-checked."""
+        u, v = self.canonical_edge(self._check_endpoint(u), self._check_endpoint(v))
+        return u << 32 | v
+
+    def _log(self, key: int, present: bool) -> None:
+        """Record one net change; a change that undoes a pending one cancels it."""
+        if self._pending.pop(key, None) is None:
+            self._pending[key] = present
+        self._touch()
+
+    def _touch(self) -> None:
         self._version += 1
         self._digest = ""
-        self._arrays_stale = True
+        self._stale = True
 
-    def _refresh(self) -> None:
-        """Rebuild the canonical edge arrays and CSR indices if stale."""
-        if not self._arrays_stale:
-            return
-        if self._edge_set:
-            arr = np.asarray(sorted(self._edge_set), dtype=np.int64)
-            src, dst = arr[:, 0], arr[:, 1]
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        self._src = src
-        self._dst = dst
-        out_src = np.concatenate([src, dst]) if not self._directed else src
-        out_dst = np.concatenate([dst, src]) if not self._directed else dst
-        self._out_indptr, self._out_indices = self._build_csr(out_src, out_dst)
+    def _fold(self) -> None:
+        """Fold the pending log (and appended vertices) into the tables."""
+        n = self._num_vertices
+        self._stale = False
+        pending, self._pending = self._pending, {}
+        log = np.fromiter(pending, np.int64, len(pending))
+        present = np.fromiter(pending.values(), bool, len(pending))
+        add, drop = np.sort(log[present]), np.sort(log[~present])
+        self._keys = _patch(self._keys, add, drop)
         if self._directed:
-            self._in_indptr, self._in_indices = self._build_csr(dst, src)
-        else:
-            self._in_indptr, self._in_indices = self._out_indptr, self._out_indices
-        self._arrays_stale = False
+            self._out_indptr = _shift(self._out_indptr, add, drop, n)
+        add, drop = self._adjacent(add), self._adjacent(drop)
+        self._adj_keys = _patch(self._adj_keys, add, drop)
+        self._in_indptr = _shift(self._in_indptr, add, drop, n)
+        if not self._directed:
+            self._out_indptr = self._in_indptr
+        self._set_indices()
 
     @property
     def version(self) -> int:
@@ -175,8 +223,10 @@ class Graph:
     def add_vertex(self) -> int:
         """Append one isolated vertex and return its id."""
         v = self._num_vertices
+        if v >= _MAX_VERTICES:
+            raise ValueError(f"num_vertices must not exceed {_MAX_VERTICES}")
         self._num_vertices += 1
-        self._invalidate_arrays()
+        self._touch()
         return v
 
     def add_edge(self, u: int, v: int) -> bool:
@@ -186,22 +236,20 @@ class Graph:
         inserting ``(v, u)`` after ``(u, v)`` is a no-op.  Raises
         :class:`ValueError` when either endpoint is out of range.
         """
-        u, v = self._check_endpoint(u), self._check_endpoint(v)
-        edge = self.canonical_edge(u, v)
-        if edge in self._edge_set:
+        key = self._key(u, v)
+        if key in self._members:
             return False
-        self._edge_set.add(edge)
-        self._invalidate_arrays()
+        self._members.add(key)
+        self._log(key, True)
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Delete edge ``(u, v)``; True if it was present."""
-        u, v = self._check_endpoint(u), self._check_endpoint(v)
-        edge = self.canonical_edge(u, v)
-        if edge not in self._edge_set:
+        key = self._key(u, v)
+        if key not in self._members:
             return False
-        self._edge_set.discard(edge)
-        self._invalidate_arrays()
+        self._members.discard(key)
+        self._log(key, False)
         return True
 
     # ------------------------------------------------------------------
@@ -215,7 +263,7 @@ class Graph:
     @property
     def num_edges(self) -> int:
         """Number of (distinct) edges in the graph."""
-        return len(self._edge_set)
+        return len(self._members)
 
     @property
     def directed(self) -> bool:
@@ -227,11 +275,16 @@ class Graph:
         """Range over all vertex ids."""
         return range(self._num_vertices)
 
+    def _columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The canonical ``(src, dst)`` columns, unpacked from the edge table."""
+        if self._stale:
+            self._fold()
+        return self._keys >> 32, self._keys & _LOW
+
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges as ``(u, v)`` tuples (canonical order)."""
-        self._refresh()
-        for u, v in zip(self._src.tolist(), self._dst.tolist()):
-            yield (u, v)
+        src, dst = self._columns()
+        yield from zip(src.tolist(), dst.tolist())
 
     def digest(self) -> str:
         """Content hash of the graph, stable across processes and hash seeds.
@@ -244,28 +297,33 @@ class Graph:
         (:mod:`repro.eval.engine`).
         """
         if not self._digest:
-            self._refresh()
             hasher = hashlib.sha256()
             hasher.update(f"graph:{self._num_vertices}:{int(self._directed)}:".encode())
-            hasher.update(np.ascontiguousarray(self._src, dtype="<i8").tobytes())
-            hasher.update(np.ascontiguousarray(self._dst, dtype="<i8").tobytes())
+            for column in self._columns():
+                hasher.update(column.astype("<i8").tobytes())
             self._digest = hasher.hexdigest()
         return self._digest
 
     def edge_array(self) -> np.ndarray:
         """Return an ``(m, 2)`` int64 array of edges (canonical order)."""
-        self._refresh()
-        return np.stack([self._src, self._dst], axis=1) if len(self._src) else np.empty((0, 2), dtype=np.int64)
+        return np.stack(self._columns(), axis=1)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether edge ``(u, v)`` exists (direction-insensitive if undirected)."""
-        if self._directed:
-            return (u, v) in self._edge_set
-        return ((u, v) if u <= v else (v, u)) in self._edge_set
+        if not self._directed and u > v:
+            u, v = v, u
+        # Range-checked so an id >= 2**32 cannot alias a stored key, and
+        # multiplied rather than shifted so a narrow NumPy scalar cannot
+        # wrap silently.
+        return 0 <= v < _STRIDE and u * _STRIDE + v in self._members
 
     def contains_edges(self, edges: Iterable[Edge]) -> bool:
         """Whether every edge of ``edges``, given in canonical form, exists."""
-        return self._edge_set.issuperset(edges)
+        # One subset test in C; an id that cannot be packed becomes a key
+        # (-1) no stored edge has.
+        return self._members.issuperset(
+            [u * _STRIDE + v if 0 <= v < _STRIDE else -1 for u, v in edges]
+        )
 
     def canonical_edge(self, u: int, v: int) -> Edge:
         """Return the canonical key under which ``(u, v)`` is stored."""
@@ -278,44 +336,56 @@ class Graph:
     # ------------------------------------------------------------------
     def out_neighbors(self, v: int) -> np.ndarray:
         """Out-neighbors of ``v`` (all neighbors if undirected)."""
-        self._refresh()
+        if self._stale:
+            self._fold()
         return self._out_indices[self._out_indptr[v] : self._out_indptr[v + 1]]
 
     def in_neighbors(self, v: int) -> np.ndarray:
         """In-neighbors of ``v`` (all neighbors if undirected)."""
-        self._refresh()
+        if self._stale:
+            self._fold()
         return self._in_indices[self._in_indptr[v] : self._in_indptr[v + 1]]
 
     def neighbors(self, v: int) -> np.ndarray:
         """All neighbors of ``v`` regardless of direction (deduplicated)."""
-        if not self._directed:
-            return self.out_neighbors(v)
-        return np.unique(np.concatenate([self.out_neighbors(v), self.in_neighbors(v)]))
+        if self._directed:
+            return np.unique(np.concatenate([self.out_neighbors(v), self.in_neighbors(v)]))
+        # Only a self-loop repeats: it closes the row's second half.
+        row = self.out_neighbors(v)
+        return row[:-1] if self.has_edge(v, v) else row
 
     def out_degree(self, v: int) -> int:
         """``d⁻_G(v)``: out-degree of ``v`` in the full graph."""
-        self._refresh()
+        if self._stale:
+            self._fold()
         return int(self._out_indptr[v + 1] - self._out_indptr[v])
 
     def in_degree(self, v: int) -> int:
         """``d⁺_G(v)``: in-degree of ``v`` in the full graph."""
-        self._refresh()
+        if self._stale:
+            self._fold()
         return int(self._in_indptr[v + 1] - self._in_indptr[v])
 
     def degree(self, v: int) -> int:
-        """Total incident-edge count of ``v`` (in + out; undirected: degree)."""
+        """Total incident-edge count of ``v`` (in + out; undirected: degree).
+
+        A self-loop counts twice, the usual convention;
+        :meth:`incident_edge_count` counts it once.
+        """
         if self._directed:
             return self.out_degree(v) + self.in_degree(v)
         return self.out_degree(v)
 
     def out_degrees(self) -> np.ndarray:
         """Vector of out-degrees for all vertices."""
-        self._refresh()
+        if self._stale:
+            self._fold()
         return np.diff(self._out_indptr)
 
     def in_degrees(self) -> np.ndarray:
         """Vector of in-degrees for all vertices."""
-        self._refresh()
+        if self._stale:
+            self._fold()
         return np.diff(self._in_indptr)
 
     def incident_edges(self, v: int) -> Iterator[Edge]:
@@ -337,11 +407,16 @@ class Graph:
                     yield e
 
     def incident_edge_count(self, v: int) -> int:
-        """``|E_v|``: number of distinct edges incident to ``v``."""
-        if self._directed:
-            extra = 1 if self.has_edge(v, v) else 0
-            return self.out_degree(v) + self.in_degree(v) - extra
-        return self.out_degree(v)
+        """``|E_v|``: number of distinct edges incident to ``v``.
+
+        A self-loop sits in both adjacency rows (directed) or both halves
+        of the one row (undirected) but is one edge.
+        """
+        if self._stale:
+            self._fold()
+        out, into = self._out_indptr, self._in_indptr
+        total = int(out[v + 1] - out[v]) - (v * _STRIDE + v in self._members)
+        return total + int(into[v + 1] - into[v]) if self._directed else total
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -350,7 +425,7 @@ class Graph:
         """Return an undirected copy (edge directions dropped)."""
         if not self._directed:
             return self
-        return Graph(self._num_vertices, self._edge_set, directed=False)
+        return Graph(self._num_vertices, self.edge_array(), directed=False)
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph on ``vertices``, relabeled to ``0..len-1``.
@@ -360,7 +435,7 @@ class Graph:
         keep = {int(v): i for i, v in enumerate(vertices)}
         edges = [
             (keep[u], keep[v])
-            for u, v in self._edge_set
+            for u, v in self.edges()
             if u in keep and v in keep
         ]
         return Graph(len(keep), edges, directed=self._directed)
@@ -375,8 +450,8 @@ class Graph:
         return (
             self._num_vertices == other._num_vertices
             and self._directed == other._directed
-            and self._edge_set == other._edge_set
+            and self._members == other._members
         )
 
     def __hash__(self) -> int:
-        return hash((self._num_vertices, self._directed, frozenset(self._edge_set)))
+        return hash((self._num_vertices, self._directed, frozenset(self.edges())))

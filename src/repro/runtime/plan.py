@@ -577,11 +577,11 @@ class FragmentPlan:
         full fragment; an edge-free vertex is at home on its master.
         """
         if self._home_of is None:
-            total = self.degrees()  # |E_v|
-            if self.graph.directed:  # out + in counts a self-loop twice
-                ea = self.graph.edge_array()
-                total = total.copy()
-                total[ea[ea[:, 0] == ea[:, 1], 0]] -= 1
+            # |E_v|: the degree counts a self-loop twice (out + in, or both
+            # halves of an undirected row)
+            ea = self.graph.edge_array()
+            total = self.degrees().copy()
+            total[ea[ea[:, 0] == ea[:, 1], 0]] -= 1
             nfrag = self.num_fragments
             lowest = np.full(self.num_vertices, nfrag, dtype=np.int64)
             at_master = total == 0

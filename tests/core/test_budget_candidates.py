@@ -1,6 +1,8 @@
 """Tests for budget estimation, fragment classification and GetCandidates."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.budget import classify_fragments, compute_budget
 from repro.core.candidates import bfs_order, get_candidates
@@ -11,6 +13,7 @@ from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition, NodeRole
 
 from tests.conftest import make_edge_cut, make_vertex_cut
+from tests.core.test_star_moves import build, scenarios
 
 
 @pytest.fixture()
@@ -105,3 +108,57 @@ class TestGetCandidates:
         kept = {5, 4}
         assert all(v not in kept for v, _ in cands)
         tracker.detach()
+
+
+# ----------------------------------------------------------------------
+# The dirty-scope filter lives inside GetCandidates (DESIGN §15)
+# ----------------------------------------------------------------------
+def per_call_candidates(tracker, fid, budget, role, order):
+    """GetCandidates asking the public API per vertex, as it did before the
+    loop read the fragment's buckets and the flushed contributions itself."""
+    partition = tracker.partition
+    kept, found = 0.0, []
+    for v in order:
+        if partition.role(v, fid) is not role:
+            continue
+        contribution = tracker.copy_comp_cost(v, fid)
+        if kept + contribution <= budget:
+            kept += contribution
+        else:
+            found.append((v, tuple(sorted(partition.fragments[fid].incident(v)))))
+    return found
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.floats(min_value=0.0, max_value=1.0), st.randoms(use_true_random=False))
+def test_only_equals_filtering_afterwards(scenario, share, rng):
+    graph, fragments, family, model_name, seed, _ops = scenario
+    model = builtin_cost_model(model_name)
+    partition = build(graph, fragments, family, model, seed)
+    tracker = CostTracker(partition, model)
+    try:
+        frontier = {v for v in graph.vertices if rng.random() < 0.4}
+        for fid in range(partition.num_fragments):
+            budget = share * tracker.comp_cost(fid)
+            arbitrary = sorted(partition.fragments[fid].vertices())
+            for role in (NodeRole.ECUT, NodeRole.VCUT):
+                for order in (None, arbitrary):
+                    everything = get_candidates(tracker, fid, budget, role, order=order)
+                    assert everything == per_call_candidates(
+                        tracker, fid, budget, role,
+                        bfs_order(partition, fid) if order is None else order,
+                    )
+                    scoped = get_candidates(
+                        tracker, fid, budget, role, order=order, only=frontier
+                    )
+                    assert scoped == [u for u in everything if u[0] in frontier]
+    finally:
+        tracker.detach()
+
+
+def test_a_vertex_outside_the_fragment_is_a_key_error(skewed):
+    _g, p = skewed
+    tracker = CostTracker(p, constant_cost_model())
+    with pytest.raises(KeyError):
+        get_candidates(tracker, 1, budget=0.0, order=[0])
+    tracker.detach()

@@ -129,3 +129,49 @@ def test_price_as_ecut_matches_post_move_contribution(power_graph):
     emigrate(p, v, 0, 1)
     assert tracker.copy_comp_cost(v, 1) == pytest.approx(price, rel=1e-9)
     tracker.detach()
+
+
+def test_one_seed_restored_twice_shares_no_mutable_state(power_graph):
+    """A seed shares its per-copy dicts with every tracker restored from it
+    (DESIGN §15): repricing replaces a vertex's dict, so driving one tracker
+    must leave the seed and its sibling exactly as they were."""
+    p = make_edge_cut(power_graph, 3)
+    model = builtin_cost_model("pr")
+    first = CostTracker(p, model)
+    seed = first.snapshot()
+    first.detach()
+
+    def state(obj, prefix="_"):  # a tracker's fields, or (prefix "") a seed's
+        comp, comm, copies, comms = (
+            getattr(obj, prefix + name)
+            for name in ("comp", "comm", "copy_contrib", "comm_contrib")
+        )
+        return (
+            [c.hex() for c in comp], [c.hex() for c in comm],
+            {v: dict(c) for v, c in copies.items()}, dict(comms),
+        )
+
+    captured = state(seed, "")
+    driven, sibling = CostTracker(p, model, seed=seed), CostTracker(p, model, seed=seed)
+    assert driven.seeded and sibling.seeded
+    assert state(driven) == state(sibling) == captured
+    sibling.detach()  # hears nothing from here on: any change would be a leak
+    moved = 0
+    for v in power_graph.vertices:
+        if p.designated_home(v) == 0 and moved < 12:
+            emigrate(p, v, 0, 1 + moved % 2)
+            driven.ensure_current()
+            moved += 1
+    for v, hosts in list(p.vertex_fragments())[:40]:
+        if len(hosts) > 1:
+            p.set_master(v, max(hosts))
+    assert_tracker_exact(driven)
+    assert state(driven) != captured
+    assert state(sibling) == captured and state(seed, "") == captured
+    # Still replayable: a third tracker restores it and catches up by delta.
+    third = CostTracker(p, model, seed=seed)
+    assert third.seeded
+    assert_tracker_exact(third)
+    assert state(seed, "") == captured
+    driven.detach()
+    third.detach()

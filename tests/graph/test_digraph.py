@@ -96,6 +96,19 @@ class TestIncidentEdges:
         g = Graph(2, [(0, 0), (0, 1)])
         assert g.incident_edge_count(0) == 2
 
+    def test_undirected_self_loop_is_one_incident_edge(self):
+        g = Graph(3, [(0, 0), (0, 1)], directed=False)
+        assert g.incident_edge_count(0) == 2 == len(list(g.incident_edges(0)))
+        # The loop still counts twice in the degree (the usual convention)
+        # and closes both halves of the adjacency row ...
+        assert g.degree(0) == g.out_degree(0) == g.in_degree(0) == 3
+        assert g.out_neighbors(0).tolist() == [0, 1, 0]
+        # ... but ``neighbors`` is documented as deduplicated, row order kept.
+        assert g.neighbors(0).tolist() == [0, 1]
+        assert g.neighbors(1).tolist() == [0]
+        g.remove_edge(0, 0)
+        assert g.incident_edge_count(0) == 1 and g.neighbors(0).tolist() == [1]
+
     def test_incident_edges_undirected_canonical(self):
         g = Graph(3, [(2, 1)], directed=False)
         assert set(g.incident_edges(2)) == {(1, 2)}

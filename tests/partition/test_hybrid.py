@@ -82,6 +82,17 @@ class TestRoles:
         assert p.is_ecut_vertex(0)
         assert p.role(0, 0) is NodeRole.ECUT
 
+    def test_undirected_self_loop_vertex_is_ecut_and_full_at_home(self):
+        # |E_0| is 2 (the loop once): fragment 0 holds both, so it is full.
+        g = Graph(3, [(0, 0), (0, 1)], directed=False)
+        p = HybridPartition.from_vertex_assignment(g, [0, 0, 1], 2)
+        check_partition(p)
+        assert p.global_incident_count(0) == 2
+        assert p.full_fragments(0) == frozenset({0})
+        assert p.designated_home(0) == 0 and p.is_ecut_vertex(0)
+        assert p.role(0, 0) is NodeRole.ECUT
+        assert is_edge_cut(p)
+
     def test_role_of_absent_copy_raises(self, tiny):
         p = HybridPartition.from_vertex_assignment(tiny, [0, 0, 0], 2)
         with pytest.raises(KeyError):
