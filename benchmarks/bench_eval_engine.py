@@ -42,7 +42,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SMOKE_SECTIONS = "exp3,exp4"
 
 
-def _run_sweep(cache_dir, jobs, sections=None, extra_args=()):
+def _run_sweep(cache_dir, jobs, sections=None):
     """One ``run_all --quick`` subprocess; returns (wall, stdout, stderr)."""
     cmd = [
         sys.executable,
@@ -56,7 +56,6 @@ def _run_sweep(cache_dir, jobs, sections=None, extra_args=()):
     ]
     if sections:
         cmd += ["--only", sections]
-    cmd += list(extra_args)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -111,17 +110,6 @@ def run_bench(jobs, sections=None):
         warm_parallel_s, warm_parallel_out, warm_parallel_err = _run_sweep(
             parallel_cache, jobs=jobs, sections=sections
         )
-        # Informational comparison row: a cold serial sweep on the scalar
-        # reference path (--no-kernels) in its own cache.  The stdout
-        # tables are not byte-compared against the kernel run because
-        # fresh caches re-measure partitioner wall-clock columns; the
-        # simulated quantities themselves are bit-identical by contract
-        # (asserted by tests/runtime/test_kernel_differential.py).
-        no_kernels_cache = os.path.join(workspace, "no-kernels-cache")
-        no_kernels_s, _no_kernels_out, no_kernels_err = _run_sweep(
-            no_kernels_cache, jobs=1, sections=sections,
-            extra_args=("--no-kernels",),
-        )
 
         return {
             "cpu_count": os.cpu_count(),
@@ -129,8 +117,6 @@ def run_bench(jobs, sections=None):
             "sections": sections or "all",
             "serial_cold_s": cold_serial_s,
             "parallel_cold_s": cold_parallel_s,
-            "no_kernels_cold_s": no_kernels_s,
-            "kernels_sweep_speedup": no_kernels_s / cold_serial_s,
             "warm_serial_s": warm_serial_s,
             "warm_parallel_s": warm_parallel_s,
             "speedup": cold_serial_s / cold_parallel_s,
@@ -141,7 +127,6 @@ def run_bench(jobs, sections=None):
             ),
             "cold_serial": _stderr_stats(cold_serial_err),
             "cold_parallel": _stderr_stats(cold_parallel_err),
-            "cold_no_kernels": _stderr_stats(no_kernels_err),
             "warm_serial": _stderr_stats(warm_serial_err),
             "warm_parallel": _stderr_stats(warm_parallel_err),
         }
@@ -204,11 +189,6 @@ def main(argv=None) -> int:
         f"({report['speedup']:.2f}x), "
         f"warm replay {report['warm_serial_s']:.1f}s "
         f"({report['warm_ratio']:.0%} of cold)"
-    )
-    print(
-        f"cold serial --no-kernels {report['no_kernels_cold_s']:.1f}s "
-        f"({report['kernels_sweep_speedup']:.2f}x sweep-level kernel "
-        "speedup, informational)"
     )
     print(
         f"warm hits: serial {report['warm_serial']['render_hits']}, "

@@ -1,23 +1,21 @@
 """Algorithm protocol and shared helpers for partition transparency.
 
 Hybrid partitions may *replicate* edges (Section 2), so algorithms that
-aggregate over edges must not double count.  Two helpers address this:
-
-* :func:`compute_edge_owners` designates one owning fragment per edge
-  (lowest fragment id) for edge-parallel aggregation such as PageRank's
-  scatter phase;
-* bearing-copy iteration (via ``partition.cost_bearing``) designates the
-  vertex copies at which vertex-centric computation happens, matching the
-  cost attribution of Eq. 2.
+aggregate over edges must not double count.  The tables that prevent it
+live on the partition's :class:`~repro.runtime.plan.FragmentPlan`:
+``owned_edges`` designates one owning fragment per edge for
+edge-parallel aggregation such as PageRank's scatter phase, and
+``roles`` marks the cost-bearing (non-dummy) copies at which
+vertex-centric computation happens, matching the cost attribution of
+Eq. 2.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.partition.fragment import Edge
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.clusterspec import cluster_spec_default, coerce_cluster_spec
@@ -25,28 +23,14 @@ from repro.runtime.costclock import CostClock
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.instrumentation import RunProfile
 
-
-#: process-wide default for the vectorized kernel path; per-run
-#: ``use_kernels`` params override it.
-_KERNELS_DEFAULT = True
-
-
-def kernels_default() -> bool:
-    """Current process-wide default for ``use_kernels``."""
-    return _KERNELS_DEFAULT
-
-
-def set_kernels_default(enabled: bool) -> bool:
-    """Set the process-wide kernel default; returns the previous value.
-
-    ``evaluate --no-kernels`` and ``run_all --no-kernels`` use this to
-    select the scalar reference path without threading a flag through
-    every call site.
-    """
-    global _KERNELS_DEFAULT
-    previous = _KERNELS_DEFAULT
-    _KERNELS_DEFAULT = bool(enabled)
-    return previous
+#: run params every algorithm accepts; :meth:`Algorithm._cluster` consumes them
+RUNTIME_PARAMS = (
+    "faults",
+    "checkpoint_interval",
+    "cluster_spec",
+    "backend",
+    "shm_workers",
+)
 
 
 @dataclass
@@ -77,6 +61,9 @@ class Algorithm(abc.ABC):
     #: short registry name, e.g. ``"pr"``
     name: str = "abstract"
 
+    #: the algorithm's own ``run`` params, next to :data:`RUNTIME_PARAMS`
+    run_params: Tuple[str, ...] = ()
+
     #: default runtime-degradation config; see :meth:`configure_faults`
     fault_plan: Optional[Union[FaultPlan, FaultInjector]] = None
     checkpoint_interval: int = 0
@@ -90,10 +77,10 @@ class Algorithm(abc.ABC):
     ) -> AlgorithmResult:
         """Execute over ``partition`` on a fresh simulated cluster.
 
-        All implementations additionally accept the runtime params
-        ``faults`` (a :class:`FaultPlan`) and ``checkpoint_interval``
-        (supersteps between state snapshots), consumed by
-        :meth:`_cluster` before algorithm-specific params are read.
+        All implementations accept the :data:`RUNTIME_PARAMS` (e.g.
+        ``faults``, a :class:`FaultPlan`, and ``checkpoint_interval``,
+        supersteps between state snapshots) next to their own
+        :attr:`run_params`; any other key is a ``TypeError``.
         """
 
     def configure_faults(
@@ -114,29 +101,32 @@ class Algorithm(abc.ABC):
         self,
         partition: HybridPartition,
         clock: Optional[CostClock],
-        params: Optional[Dict[str, Any]] = None,
+        params: Dict[str, Any],
     ) -> Cluster:
-        """Build the run's cluster, consuming runtime params if present.
+        """Build the run's cluster, consuming the runtime params.
 
         The ``cluster_spec`` run param (a :class:`ClusterSpec`, its dict
         payload, or a spec file path) activates heterogeneous-capacity
-        accounting; it defaults to the process-wide active spec.  Both
-        the vectorized kernels and the scalar loops charge through the
-        cluster built here, so one spec covers every execution path.
+        accounting; it defaults to the process-wide active spec.
+
+        What is left in ``params`` afterwards must be the algorithm's own
+        :attr:`run_params`: a misspelt key would otherwise run with the
+        default it was meant to replace.
         """
-        faults = self.fault_plan
-        checkpoint_interval = self.checkpoint_interval
-        spec = None
-        backend = None
-        shm_workers = None
-        if params is not None:
-            faults = params.pop("faults", faults)
-            checkpoint_interval = int(
-                params.pop("checkpoint_interval", checkpoint_interval) or 0
+        faults = params.pop("faults", self.fault_plan)
+        checkpoint_interval = int(
+            params.pop("checkpoint_interval", self.checkpoint_interval) or 0
+        )
+        spec = params.pop("cluster_spec", None)
+        backend = params.pop("backend", None)
+        shm_workers = params.pop("shm_workers", None)
+        unknown = sorted(set(params) - set(self.run_params))
+        if unknown:
+            raise TypeError(
+                f"{self.name}.run() got unexpected param(s) "
+                f"{', '.join(unknown)}; accepted: "
+                f"{', '.join(self.run_params + RUNTIME_PARAMS)}"
             )
-            spec = params.pop("cluster_spec", None)
-            backend = params.pop("backend", None)
-            shm_workers = params.pop("shm_workers", None)
         if spec is None:
             spec = cluster_spec_default()
         return Cluster(
@@ -148,71 +138,6 @@ class Algorithm(abc.ABC):
             backend=backend,
             shm_workers=shm_workers,
         )
-
-    @staticmethod
-    def _use_kernels(params: Optional[Dict[str, Any]] = None) -> bool:
-        """Resolve (and consume) the per-run ``use_kernels`` param."""
-        if params is not None and "use_kernels" in params:
-            return bool(params.pop("use_kernels"))
-        return kernels_default()
-
-    @staticmethod
-    def _check_backend(cluster: Cluster, use_kernels: bool) -> None:
-        """Reject backend/path combinations that cannot execute.
-
-        The shm backend parallelizes the *kernel* compute over worker
-        processes; the scalar reference loops have no array state to
-        publish, so they run only on the simulated backend.
-        """
-        if cluster.backend != "simulated" and not use_kernels:
-            raise ValueError(
-                f"backend={cluster.backend!r} requires the vectorized "
-                "kernels; use use_kernels=True (default) or "
-                "backend='simulated' for the scalar oracle"
-            )
-
-
-def compute_edge_owners(
-    partition: HybridPartition, target_aware: bool = False
-) -> Dict[Edge, int]:
-    """Designate one owning fragment per edge.
-
-    Replicated edges are processed only by their owner in edge-parallel
-    phases, which keeps sums (e.g. PageRank contributions) exact.
-
-    With ``target_aware`` (used by PageRank on directed graphs) the owner
-    prefers fragments where the edge's *target* copy is cost-bearing —
-    ideally the target's designated home — so that the work an edge
-    generates lands on the copy the cost model charges it to (``h_PR ∝
-    d⁺_L`` of the bearing copy).  Without it, ties break to the lowest
-    hosting fragment.
-    """
-    holders: Dict[Edge, list] = {}
-    for fragment in partition.fragments:
-        fid = fragment.fid
-        for edge in fragment.edges():
-            holders.setdefault(edge, []).append(fid)
-    owners: Dict[Edge, int] = {}
-    for edge, fids in holders.items():
-        if not target_aware or len(fids) == 1:
-            owners[edge] = min(fids)
-            continue
-        target = edge[1]
-        home = partition.designated_home(target)
-        if home is not None and home in fids:
-            owners[edge] = home
-            continue
-        bearing = [f for f in fids if partition.cost_bearing(target, f)]
-        owners[edge] = min(bearing) if bearing else min(fids)
-    return owners
-
-
-def bearing_copies(partition: HybridPartition) -> Iterator[Tuple[int, int]]:
-    """Iterate ``(fid, v)`` over all cost-bearing (non-dummy) copies."""
-    for fragment in partition.fragments:
-        for v in fragment.vertices():
-            if partition.cost_bearing(v, fragment.fid):
-                yield fragment.fid, v
 
 
 def global_or(cluster: Cluster, flags: Dict[int, bool]) -> bool:

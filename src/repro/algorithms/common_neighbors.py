@@ -25,8 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.base import Algorithm, AlgorithmResult
-from repro.partition.hybrid import HybridPartition, NodeRole
-from repro.runtime.bsp import Cluster
+from repro.partition.hybrid import HybridPartition
 from repro.runtime.costclock import CostClock
 from repro.runtime.plan import ECUT as ROLE_ECUT
 from repro.runtime.plan import DUMMY as ROLE_DUMMY
@@ -38,6 +37,7 @@ class CommonNeighbors(Algorithm):
     """Count common out-neighbors for all vertex pairs."""
 
     name = "cn"
+    run_params = ("theta", "return_pairs")
 
     def __init__(self, theta: Optional[float] = None, return_pairs: bool = False) -> None:
         self.theta = theta
@@ -54,88 +54,14 @@ class CommonNeighbors(Algorithm):
         return_pairs = bool(params.get("return_pairs", self.return_pairs))
         if theta is None:
             theta = math.inf
-        use_kernels = self._use_kernels(params)
-        graph = partition.graph
         cluster = self._cluster(partition, clock, params)
-        self._check_backend(cluster, use_kernels)
-        if use_kernels:
-            return self._run_kernel(partition, cluster, theta, return_pairs)
-
-        pair_counts: Dict[Tuple[int, int], int] = {}
-        total = 0
-        cluster.set_snapshot(lambda: (total, pair_counts))
-
-        def count_pairs(fid: int, v: int, neighbors: List[int]) -> None:
-            nonlocal total
-            k = len(neighbors)
-            ops = k * (k - 1) // 2
-            cluster.charge(fid, ops, vertex=v)
-            total += ops
-            if return_pairs:
-                neighbors = sorted(set(neighbors))
-                for i in range(len(neighbors)):
-                    for j in range(i + 1, len(neighbors)):
-                        key = (neighbors[i], neighbors[j])
-                        pair_counts[key] = pair_counts.get(key, 0) + 1
-
-        # Superstep 1: e-cut vertices count locally; v-cut copies ship
-        # their local in-neighbor lists to the master.
-        for fragment in partition.fragments:
-            fid = fragment.fid
-            for v in fragment.vertices():
-                if graph.in_degree(v) > theta:
-                    continue
-                role = partition.role(v, fid)
-                if role is NodeRole.DUMMY:
-                    continue
-                local_in = sorted(set(fragment.local_in_neighbors(v)))
-                cluster.charge(fid, len(local_in), vertex=v)
-                if role is NodeRole.ECUT:
-                    count_pairs(fid, v, local_in)
-                else:  # v-cut copy: master merges the partial lists
-                    master = partition.master(v)
-                    cluster.send(
-                        fid,
-                        master,
-                        ("inlist", v, local_in),
-                        nbytes=8.0 * max(1, len(local_in)),
-                        master_vertex=v,
-                    )
-        inboxes = cluster.deliver()
-
-        # Superstep 2: masters merge partial lists and count cross pairs.
-        merged: Dict[int, set] = {}
-        merged_fid: Dict[int, int] = {}
-        for fid in range(cluster.num_workers):
-            for _tag, v, local_in in inboxes[fid]:
-                merged.setdefault(v, set()).update(local_in)
-                merged_fid[v] = fid
-        for v, neighbors in merged.items():
-            count_pairs(merged_fid[v], v, sorted(neighbors))
-        cluster.deliver()
-
-        profile = cluster.finish()
-        values: Any = pair_counts if return_pairs else total
-        return AlgorithmResult(values=values, profile=profile)
-
-    def _run_kernel(
-        self,
-        partition: HybridPartition,
-        cluster: Cluster,
-        theta: float,
-        return_pairs: bool,
-    ) -> AlgorithmResult:
-        """Vectorized twin of the scalar path (bit-identical output).
-
-        The master-side merge of a v-cut vertex's partial in-neighbor
-        lists equals its *global* unique in-neighbor row: every in-edge
-        lives in some fragment, and a fragment holding one has the
-        target as a bearing (non-dummy) copy, so the shipped lists
-        jointly cover the global set.  E-cut homes hold all incident
-        edges, so their local list is the global row too.  Both cases
-        therefore read from one shared global in-neighbor CSR.
-        """
-        graph = partition.graph
+        # The master-side merge of a v-cut vertex's partial in-neighbor
+        # lists equals its *global* unique in-neighbor row: every in-edge
+        # lives in some fragment, and a fragment holding one has the
+        # target as a bearing (non-dummy) copy, so the shipped lists
+        # jointly cover the global set.  E-cut homes hold all incident
+        # edges, so their local list is the global row too.  Both cases
+        # therefore read from one shared global in-neighbor CSR.
         plan = get_plan(partition)
         gin = plan.global_in_csr()
         in_degs = plan.in_degrees()

@@ -10,10 +10,10 @@ in-degree — the ``h_PR ∝ d⁺_L`` of Table 5 — and synchronization traffic
 per replicated vertex is proportional to its mirror count ``r`` —
 ``g_PR ∝ r``.
 
-Two implementations share the cost model bit for bit: the scalar
-reference loop below and a vectorized kernel over the partition's
-:class:`~repro.runtime.plan.FragmentPlan` (default; ``use_kernels=False``
-selects the scalar oracle).
+The run is a vectorized kernel over the partition's
+:class:`~repro.runtime.plan.FragmentPlan`; the scalar loop it replaced is
+the test suite's differential oracle (``scalar_runs``) and charges the
+cost model bit for bit the same.
 """
 
 from __future__ import annotations
@@ -22,12 +22,11 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmResult, compute_edge_owners
+from repro.algorithms.base import Algorithm, AlgorithmResult
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.bsp import Cluster
 from repro.runtime.costclock import CostClock
 from repro.runtime.plan import get_plan
-from repro.runtime.sync import SyncRoute, sync_by_master
+from repro.runtime.sync import SyncRoute
 
 
 class PageRank(Algorithm):
@@ -36,14 +35,13 @@ class PageRank(Algorithm):
     Parameters accepted by :meth:`run`:
 
     * ``iterations`` — number of power iterations;
-    * ``damping`` — damping factor (default 0.85);
-    * ``use_kernels`` — vectorized path on/off (default: process-wide
-      setting, normally on).
+    * ``damping`` — damping factor (default 0.85).
 
     Result values: ``{vertex: rank}`` over all vertices.
     """
 
     name = "pr"
+    run_params = ("iterations", "damping")
 
     def __init__(self, iterations: int = 10, damping: float = 0.85) -> None:
         self.iterations = iterations
@@ -58,81 +56,10 @@ class PageRank(Algorithm):
         """Run PageRank over the partition (see class docs)."""
         iterations = int(params.get("iterations", self.iterations))
         damping = float(params.get("damping", self.damping))
-        use_kernels = self._use_kernels(params)
         graph = partition.graph
         n = max(1, graph.num_vertices)
         base = (1.0 - damping) / n
-
         cluster = self._cluster(partition, clock, params)
-        self._check_backend(cluster, use_kernels)
-        if use_kernels:
-            return self._run_kernel(partition, cluster, iterations, damping, base)
-
-        owners = compute_edge_owners(partition, target_aware=graph.directed)
-
-        # Every fragment holds the current rank of each vertex copy.
-        ranks: Dict[int, Dict[int, float]] = {
-            f.fid: {v: 1.0 / n for v in f.vertices()} for f in partition.fragments
-        }
-        cluster.set_snapshot(lambda: ranks)
-        # The scatter degree is the out-degree on both branches (the
-        # undirected CSR stores both directions), materialized once as
-        # Python ints instead of per-edge CSR lookups.
-        degs = graph.out_degrees().tolist()
-
-        for _ in range(iterations):
-            sums: Dict[int, Dict[int, float]] = {
-                fid: {} for fid in range(cluster.num_workers)
-            }
-            for fragment in partition.fragments:
-                fid = fragment.fid
-                local_sums = sums[fid]
-                local_ranks = ranks[fid]
-                for edge in fragment.edges():
-                    if owners[edge] != fid:
-                        continue
-                    u, w = edge
-                    if graph.directed:
-                        targets = ((u, w),)
-                    else:
-                        targets = ((u, w), (w, u)) if u != w else ((u, w),)
-                    for src, dst in targets:
-                        deg = degs[src]
-                        if deg == 0:
-                            continue
-                        local_sums[dst] = local_sums.get(dst, 0.0) + local_ranks[src] / deg
-                        cluster.charge(fid, 1, vertex=dst)
-
-            combined = sync_by_master(
-                cluster,
-                sums,
-                combine=lambda a, b: a + b,
-                finalize=lambda _v, total: base + damping * total,
-            )
-            for fragment in partition.fragments:
-                fid = fragment.fid
-                updates = combined[fid]
-                local_ranks = ranks[fid]
-                for v in fragment.vertices():
-                    local_ranks[v] = updates.get(v, base)
-
-        profile = cluster.finish()
-        values: Dict[int, float] = {}
-        for v, _hosts in partition.vertex_fragments():
-            values[v] = ranks[partition.master(v)][v]
-        return AlgorithmResult(values=values, profile=profile)
-
-    def _run_kernel(
-        self,
-        partition: HybridPartition,
-        cluster: Cluster,
-        iterations: int,
-        damping: float,
-        base: float,
-    ) -> AlgorithmResult:
-        """Vectorized twin of the scalar loop (bit-identical output)."""
-        graph = partition.graph
-        n = max(1, graph.num_vertices)
         plan = get_plan(partition)
         target_aware = graph.directed
 

@@ -13,16 +13,15 @@ out-degree — ``h_SSSP ∝ d⁻_L`` — and sync traffic gives ``g_SSSP ∝ r``
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.algorithms.base import Algorithm, AlgorithmResult, global_or
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.bsp import Cluster
 from repro.runtime.costclock import CostClock
 from repro.runtime.plan import gather_segments, get_plan
-from repro.runtime.sync import sync_by_master, sync_by_master_arrays
+from repro.runtime.sync import sync_by_master_arrays
 
 INF = math.inf
 
@@ -35,6 +34,7 @@ class SingleSourceShortestPath(Algorithm):
     """
 
     name = "sssp"
+    run_params = ("source", "max_iterations")
 
     def __init__(self, source: int = 0, max_iterations: int = 100_000) -> None:
         self.source = source
@@ -49,79 +49,13 @@ class SingleSourceShortestPath(Algorithm):
         """Run SSSP from ``source`` over the partition (see class docs)."""
         source = int(params.get("source", self.source))
         max_iterations = int(params.get("max_iterations", self.max_iterations))
-        use_kernels = self._use_kernels(params)
-        graph = partition.graph
+        num_vertices = partition.graph.num_vertices
+        if not 0 <= source < num_vertices:
+            raise ValueError(
+                f"sssp source {source} is not a vertex "
+                f"(num_vertices={num_vertices})"
+            )
         cluster = self._cluster(partition, clock, params)
-        self._check_backend(cluster, use_kernels)
-        if use_kernels:
-            return self._run_kernel(partition, cluster, source, max_iterations)
-
-        dist: Dict[int, Dict[int, float]] = {
-            f.fid: {v: INF for v in f.vertices()} for f in partition.fragments
-        }
-        active: Dict[int, Set[int]] = {f.fid: set() for f in partition.fragments}
-        cluster.set_snapshot(lambda: (dist, active))
-        for fid in partition.placement(source):
-            dist[fid][source] = 0.0
-            active[fid].add(source)
-
-        for _ in range(max_iterations):
-            proposals: Dict[int, Dict[int, float]] = {
-                fid: {} for fid in range(cluster.num_workers)
-            }
-            for fragment in partition.fragments:
-                fid = fragment.fid
-                local = dist[fid]
-                prop = proposals[fid]
-                for u in active[fid]:
-                    # Dummy copies hold duplicate edges of the designated
-                    # home; only cost-bearing copies relax.
-                    if not partition.cost_bearing(u, fid):
-                        continue
-                    du = local[u]
-                    for edge in fragment.incident(u):
-                        if graph.directed:
-                            if edge[0] != u:
-                                continue
-                            w = edge[1]
-                        else:
-                            w = edge[0] if edge[1] == u else edge[1]
-                        cluster.charge(fid, 1, vertex=u)
-                        cand = du + 1.0
-                        if cand < local.get(w, INF) and cand < prop.get(w, INF):
-                            prop[w] = cand
-
-            combined = sync_by_master(cluster, proposals, combine=min)
-
-            changed = {fid: False for fid in range(cluster.num_workers)}
-            for fragment in partition.fragments:
-                fid = fragment.fid
-                local = dist[fid]
-                now_active: Set[int] = set()
-                for v, d in combined[fid].items():
-                    if d < local[v]:
-                        local[v] = d
-                        now_active.add(v)
-                        changed[fid] = True
-                active[fid] = now_active
-            if not global_or(cluster, changed):
-                break
-
-        profile = cluster.finish()
-        values = {
-            v: dist[partition.master(v)][v]
-            for v, _hosts in partition.vertex_fragments()
-        }
-        return AlgorithmResult(values=values, profile=profile)
-
-    def _run_kernel(
-        self,
-        partition: HybridPartition,
-        cluster: Cluster,
-        source: int,
-        max_iterations: int,
-    ) -> AlgorithmResult:
-        """Vectorized twin of the scalar loop (bit-identical output)."""
         plan = get_plan(partition)
         dist: Dict[int, np.ndarray] = {
             f.fid: np.full(plan.verts(f.fid).size, INF)

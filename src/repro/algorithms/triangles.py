@@ -14,28 +14,27 @@ pairs of its oriented out-neighbors and verifies the closing edge:
 Pivots that are v-cut first merge their partial neighbor lists at the
 master (as CN does), deduplicating replicated edges.
 
-Two routes, one wire.  The default kernel route (:func:`_run_kernels`) is
-array-native from the first missed wedge to the last answer — on a v-cut
-partition the remote queries are most of the run, not a tail of it:
-every missed wedge expands through the plan's query-target table, leaves
-in one ``send_batch`` per contiguous run, travels as one columnar block
-per destination, is answered by one membership test per inbox, and
-resolves against a count vector.  The ``use_kernels=False`` reference
-(:func:`_run_scalar`) sends and answers one message at a time; both issue
-the same messages in the same order, so charges, fate draws, makespans
-and checkpoints agree bit for bit (DESIGN §10).
+The run is array-native from the first missed wedge to the last answer —
+on a v-cut partition the remote queries are most of the run, not a tail of
+it: every missed wedge expands through the plan's query-target table,
+leaves in one ``send_batch`` per contiguous run, travels as one columnar
+block per destination, is answered by one membership test per inbox, and
+resolves against a count vector.  The one-message-at-a-time loop it
+replaced is the test suite's differential oracle (``scalar_runs``); both
+issue the same messages in the same order, so charges, fate draws,
+makespans and checkpoints agree bit for bit (DESIGN §10).
 
 Result values: the global triangle count.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.algorithms.base import Algorithm, AlgorithmResult
-from repro.partition.hybrid import HybridPartition, NodeRole
+from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.costclock import CostClock
 from repro.runtime.plan import ECUT as ROLE_ECUT
@@ -57,11 +56,8 @@ class TriangleCounting(Algorithm):
         **params: Any,
     ) -> AlgorithmResult:
         """Count triangles over the partition (see class docs)."""
-        use_kernels = self._use_kernels(params)
         cluster = self._cluster(partition, clock, params)
-        self._check_backend(cluster, use_kernels)
-        route = _run_kernels if use_kernels else _run_scalar
-        triangles = route(partition, cluster)
+        triangles = _count(partition, cluster)
         return AlgorithmResult(values=triangles, profile=cluster.finish())
 
 
@@ -89,8 +85,8 @@ def _closing(plan: FragmentPlan, fid: int, a: np.ndarray, b: np.ndarray) -> np.n
     return plan.has_edges(fid, np.minimum(a, b), np.maximum(a, b))
 
 
-def _run_kernels(partition: HybridPartition, cluster: Cluster) -> int:
-    """The array-native route: no per-message Python anywhere."""
+def _count(partition: HybridPartition, cluster: Cluster) -> int:
+    """The whole pump on ``cluster``: no per-message Python anywhere."""
     plan = get_plan(partition)
     targets = plan.query_targets()
     border = plan.border_mask
@@ -269,130 +265,5 @@ def _run_kernels(partition: HybridPartition, cluster: Cluster) -> int:
                     9.0,
                     payloads=("answer", qid, _closing(plan, fid, qa, qb)),
                 )
-        inboxes = cluster.deliver()
-    return triangles
-
-
-def _run_scalar(partition: HybridPartition, cluster: Cluster) -> int:
-    """The ``use_kernels=False`` reference: one message at a time."""
-    graph = partition.graph
-
-    def order(v: int) -> Tuple[int, int]:
-        return (graph.degree(v), v)
-
-    def local_has(fid: int, a: int, b: int) -> bool:
-        fragment = partition.fragments[fid]
-        return fragment.has_edge(graph.canonical_edge(a, b)) or (
-            graph.directed and fragment.has_edge(graph.canonical_edge(b, a))
-        )
-
-    triangles = 0
-    # qid -> [outstanding replies, found flag]
-    pending: Dict[int, List] = {}
-    next_qid = 0
-    cluster.set_snapshot(lambda: (triangles, pending))
-
-    def remote_check(fid: int, pivot: int, a: int, b: int) -> None:
-        """Query remote fragments for closing edge (a, b)."""
-        nonlocal next_qid
-        # One query to a's designated home suffices when a is e-cut
-        # (the home holds all of a's edges); otherwise every bearing
-        # copy of a must be asked (dummy copies hold only duplicates).
-        home = partition.designated_home(a)
-        if home is not None:
-            targets = [] if home == fid else [home]
-        else:
-            targets = [
-                f
-                for f in partition.placement(a)
-                if f != fid and partition.cost_bearing(a, f)
-            ]
-        if not targets:
-            return  # fid already holds all relevant edges of a
-        qid = next_qid
-        next_qid += 1
-        pending[qid] = [len(targets), False]
-        for target in targets:
-            cluster.send(
-                fid,
-                target,
-                ("query", qid, a, b, fid),
-                nbytes=20.0,
-                master_vertex=pivot if partition.is_border(pivot) else None,
-            )
-
-    def check_wedge(fid: int, pivot: int, a: int, b: int) -> None:
-        """Verify closing edge (a, b) for a wedge generated at ``fid``."""
-        nonlocal triangles
-        cluster.charge(fid, 1, vertex=pivot)
-        if local_has(fid, a, b):
-            triangles += 1
-            return
-        remote_check(fid, pivot, a, b)
-
-    def process_pivot(fid: int, pivot: int, neighbors: Set[int]) -> None:
-        ordered = sorted((w for w in neighbors if order(w) > order(pivot)), key=order)
-        k = len(ordered)
-        cluster.charge(fid, k * (k - 1) // 2, vertex=pivot)
-        for i in range(k):
-            for j in range(i + 1, k):
-                check_wedge(fid, pivot, ordered[i], ordered[j])
-
-    # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
-    for fragment in partition.fragments:
-        fid = fragment.fid
-        for v in fragment.vertices():
-            role = partition.role(v, fid)
-            if role is NodeRole.DUMMY:
-                continue
-            local_nbrs = set(fragment.local_out_neighbors(v)) | set(
-                fragment.local_in_neighbors(v)
-            )
-            local_nbrs.discard(v)
-            cluster.charge(fid, max(1, len(local_nbrs)), vertex=v)
-            if role is NodeRole.ECUT:
-                process_pivot(fid, v, local_nbrs)
-            else:
-                cluster.send(
-                    fid,
-                    partition.master(v),
-                    ("inlist", v, sorted(local_nbrs)),
-                    nbytes=8.0 * max(1, len(local_nbrs)),
-                    master_vertex=v,
-                )
-
-    # Pump supersteps until all queries/answers/list merges settle.
-    merged: Dict[int, Set[int]] = {}
-    merged_at: Dict[int, int] = {}
-    inboxes = cluster.deliver()
-    while any(inboxes.values()):
-        # Merge v-cut neighbor lists that arrived this superstep.
-        arrivals: Set[int] = set()
-        for fid in range(cluster.num_workers):
-            for msg in inboxes[fid]:
-                if msg[0] == "inlist":
-                    _tag, v, nbrs = msg
-                    merged.setdefault(v, set()).update(nbrs)
-                    merged_at[v] = fid
-                    arrivals.add(v)
-        for v in sorted(arrivals):
-            process_pivot(merged_at[v], v, merged.pop(v))
-        for fid in range(cluster.num_workers):
-            for msg in inboxes[fid]:
-                tag = msg[0]
-                if tag == "query":
-                    _tag, qid, a, b, reply_to = msg
-                    found = local_has(fid, a, b)
-                    cluster.charge(fid, 1)
-                    cluster.send(fid, reply_to, ("answer", qid, found), nbytes=9.0)
-                elif tag == "answer":
-                    _tag, qid, found = msg
-                    entry = pending[qid]
-                    entry[0] -= 1
-                    entry[1] = entry[1] or found
-                    if entry[0] == 0:
-                        if entry[1]:
-                            triangles += 1
-                        del pending[qid]
         inboxes = cluster.deliver()
     return triangles

@@ -18,10 +18,9 @@ import numpy as np
 
 from repro.algorithms.base import Algorithm, AlgorithmResult, global_or
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.bsp import Cluster
 from repro.runtime.costclock import CostClock
 from repro.runtime.plan import get_plan
-from repro.runtime.sync import sync_by_master, sync_by_master_arrays
+from repro.runtime.sync import sync_by_master_arrays
 
 
 class WeaklyConnectedComponents(Algorithm):
@@ -32,6 +31,7 @@ class WeaklyConnectedComponents(Algorithm):
     """
 
     name = "wcc"
+    run_params = ("max_iterations",)
 
     def __init__(self, max_iterations: int = 10_000) -> None:
         self.max_iterations = max_iterations
@@ -44,72 +44,7 @@ class WeaklyConnectedComponents(Algorithm):
     ) -> AlgorithmResult:
         """Run WCC to fixpoint over the partition (see class docs)."""
         max_iterations = int(params.get("max_iterations", self.max_iterations))
-        use_kernels = self._use_kernels(params)
         cluster = self._cluster(partition, clock, params)
-        self._check_backend(cluster, use_kernels)
-        if use_kernels:
-            return self._run_kernel(partition, cluster, max_iterations)
-
-        labels: Dict[int, Dict[int, int]] = {
-            f.fid: {v: v for v in f.vertices()} for f in partition.fragments
-        }
-        cluster.set_snapshot(lambda: labels)
-
-        for _ in range(max_iterations):
-            proposals: Dict[int, Dict[int, int]] = {
-                fid: {} for fid in range(cluster.num_workers)
-            }
-            for fragment in partition.fragments:
-                fid = fragment.fid
-                local = labels[fid]
-                prop = proposals[fid]
-                # Local relaxation sweep: each cost-bearing copy scans its
-                # local edges (a dummy copy's edges are duplicates of the
-                # designated home's, so skipping it loses nothing).
-                for v in fragment.vertices():
-                    if not partition.cost_bearing(v, fid):
-                        continue
-                    best = local[v]
-                    for edge in fragment.incident(v):
-                        u = edge[0] if edge[1] == v else edge[1]
-                        if local[u] < best:
-                            best = local[u]
-                        cluster.charge(fid, 1, vertex=v)
-                    if best < local[v]:
-                        prop[v] = best
-                # Replicated vertices must sync even without a local win,
-                # so mirrors learn about remote improvements.
-                for v in fragment.vertices():
-                    if partition.is_border(v) and v not in prop:
-                        prop[v] = min(prop.get(v, local[v]), local[v])
-
-            combined = sync_by_master(cluster, proposals, combine=min)
-
-            changed = {fid: False for fid in range(cluster.num_workers)}
-            for fragment in partition.fragments:
-                fid = fragment.fid
-                local = labels[fid]
-                for v, label in combined[fid].items():
-                    if label < local[v]:
-                        local[v] = label
-                        changed[fid] = True
-            if not global_or(cluster, changed):
-                break
-
-        profile = cluster.finish()
-        values = {
-            v: labels[partition.master(v)][v]
-            for v, _hosts in partition.vertex_fragments()
-        }
-        return AlgorithmResult(values=values, profile=profile)
-
-    def _run_kernel(
-        self,
-        partition: HybridPartition,
-        cluster: Cluster,
-        max_iterations: int,
-    ) -> AlgorithmResult:
-        """Vectorized twin of the scalar loop (bit-identical output)."""
         plan = get_plan(partition)
         labels: Dict[int, np.ndarray] = {
             f.fid: plan.verts(f.fid).copy() for f in partition.fragments

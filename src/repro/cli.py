@@ -408,7 +408,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             try:
                 result = algorithm.run(
                     partition,
-                    use_kernels=not args.no_kernels,
                     cluster_spec=cluster_spec,
                     **run_kwargs,
                 )
@@ -416,7 +415,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 if profiler is not None:
                     profiler.disable()
         except ValueError as exc:
-            # e.g. a crash naming a worker the partition doesn't have
+            # e.g. a crash naming a worker the partition doesn't have, or
+            # an SSSP source that is not a vertex
             print(f"error: {exc}", file=sys.stderr)
             return 2
         row = [
@@ -466,8 +466,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         argv.append("--no-cache")
     if args.only:
         argv += ["--only", args.only]
-    if args.no_kernels:
-        argv.append("--no-kernels")
     if args.cluster_spec is not None:
         argv += ["--cluster-spec", args.cluster_spec]
     if args.backend is not None:
@@ -725,11 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--partition", required=True)
     ev.add_argument("--algorithms", default="pr,wcc,sssp")
     ev.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help="use the scalar reference loops instead of the vectorized kernels",
-    )
-    ev.add_argument(
         "--cluster-spec",
         metavar="PATH",
         help="JSON cluster spec; superstep times and transfer charges "
@@ -830,11 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         metavar="NAMES",
         help="comma-separated experiment subset (exp1..exp6, appendix, hetero)",
-    )
-    sweep.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help="run algorithms via the scalar reference loops",
     )
     sweep.add_argument(
         "--cluster-spec",

@@ -187,22 +187,13 @@ def compute_run_cell(
     partition: Dict,
     algorithm: str,
     params: Optional[Dict] = None,
-    use_kernels: bool = True,
 ) -> Dict:
-    """Simulated execution of ``algorithm`` over a serialized partition.
-
-    ``use_kernels`` pins the execution path explicitly so worker
-    processes honor the planner's choice regardless of their own
-    process-wide default.  An explicit ``use_kernels`` inside ``params``
-    wins.
-    """
+    """Simulated execution of ``algorithm`` over a serialized partition."""
     from repro.algorithms.registry import get_algorithm
     from repro.partition.serialize import partition_from_dict
 
-    run_params = dict(params or {})
-    run_params.setdefault("use_kernels", bool(use_kernels))
     result = get_algorithm(algorithm).run(
-        partition_from_dict(partition, graph), **run_params
+        partition_from_dict(partition, graph), **(params or {})
     )
     return {
         "kind": "run",

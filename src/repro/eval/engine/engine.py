@@ -298,19 +298,17 @@ class EvalEngine:
             result = get_algorithm(algorithm).run(partition, **run_params)
             return result.makespan
 
-        from repro.algorithms.base import kernels_default
         from repro.partition.serialize import partition_to_dict
 
-        use_kernels = bool(run_params.pop("use_kernels", kernels_default()))
         content, payload = self._digest_and_payload(partition)
-        key = keys.run_key(content, algorithm, run_params, use_kernels)
+        key = keys.run_key(content, algorithm, run_params)
 
         def compute() -> Dict:
             serialized = (
                 payload if payload is not None else partition_to_dict(partition)
             )
             return cells.compute_run_cell(
-                partition.graph, serialized, algorithm, run_params, use_kernels
+                partition.graph, serialized, algorithm, run_params
             )
 
         return self._load_or_compute(key, compute)["makespan"]

@@ -102,7 +102,6 @@ def physical_key(job: Job, dep_meta: Optional[Dict], virtual: bool) -> str:
             cells.cell_deps_content(spec, dep_meta),
             spec["algorithm"],
             spec["params"],
-            spec.get("use_kernels", True),
         )
     if kind == "composite":
         return keys.composite_key(
@@ -159,7 +158,6 @@ def compute_cell(spec: Dict, dep_payload: Optional[Dict], virtual: bool) -> Dict
             partition,
             spec["algorithm"],
             spec["params"],
-            spec.get("use_kernels", True),
         )
     if kind == "composite":
         graph = _graph_for(spec["dataset"])

@@ -120,10 +120,10 @@ class Planner:
     def _fold_cluster_spec(params: Dict) -> Dict:
         """Record the active cluster spec's payload at plan time.
 
-        Mirrors ``use_kernels``: ``run_all --cluster-spec`` flips the
-        process-wide default before planning, so every planned cell
-        carries the exact spec its workers must rebuild.  Homogeneous
-        plans leave ``params`` untouched (legacy job ids unchanged).
+        ``run_all --cluster-spec`` flips the process-wide default before
+        planning, so every planned cell carries the exact spec its
+        workers must rebuild.  Homogeneous plans leave ``params``
+        untouched (legacy job ids unchanged).
         """
         from repro.runtime.clusterspec import spec_payload
 
@@ -219,18 +219,12 @@ class Planner:
         view: Optional[str] = None,
     ) -> Job:
         """Plan a run cell over the output of ``on`` (optionally one view)."""
-        from repro.algorithms.base import kernels_default
-
         spec = {
             "kind": "run",
             "dataset": dataset,
             "algorithm": algorithm,
             "params": self._fold_backend(self._fold_cluster_spec(dict(params or {}))),
             "view": view,
-            # Recorded at plan time so subprocess workers execute the
-            # same path the planning process selected (run_all
-            # --no-kernels flips the process-wide default first).
-            "use_kernels": kernels_default(),
         }
         return self.graph.add(Job(_jid("run", spec, (on.jid,)), "run", spec, (on.jid,)))
 

@@ -128,22 +128,17 @@ def run_key(
     partition_content: str,
     algorithm: str,
     params: Optional[Dict] = None,
-    use_kernels: bool = True,
 ) -> str:
     """Key of a run cell (simulated algorithm execution) over a partition.
 
     Run cells record only simulated quantities, which are deterministic,
-    so the key carries no virtual-walls tag.  The execution path
-    (vectorized kernels vs scalar reference) is part of the digest: the
-    two are bit-identical by contract, but keying them separately keeps
-    cached artifacts honest about how they were produced.
+    so the key carries no virtual-walls tag.
     """
     return config_digest(
         "run",
         partition=partition_content,
         algorithm=algorithm,
         params=params or {},
-        use_kernels=bool(use_kernels),
     )
 
 

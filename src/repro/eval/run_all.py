@@ -282,12 +282,6 @@ def main(argv=None) -> int:
         help=f"comma-separated subset of {','.join(SECTION_NAMES)}",
     )
     parser.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help="run algorithms via the scalar reference loops (slower; "
-        "results are bit-identical to the kernel path)",
-    )
-    parser.add_argument(
         "--cluster-spec",
         metavar="PATH",
         help="JSON cluster spec (per-worker speeds/bandwidths); refiners "
@@ -400,16 +394,10 @@ def main(argv=None) -> int:
     if args.trace_out and args.trace_in:
         parser.error("--trace-out and --trace-in are mutually exclusive")
 
-    if args.no_kernels:
-        # Flip the default before planning: run specs record the flag, so
-        # subprocess workers execute the scalar path too.
-        from repro.algorithms.base import set_kernels_default
-
-        set_kernels_default(False)
-
     if args.cluster_spec:
-        # Same pattern: planned cells record the spec payload, so spawn
-        # workers rebuild the identical heterogeneous cluster.
+        # Flip the default before planning: planned cells record the spec
+        # payload, so spawn workers rebuild the identical heterogeneous
+        # cluster.
         from repro.runtime.clusterspec import ClusterSpec, set_cluster_spec_default
 
         try:

@@ -30,11 +30,7 @@ byte-identically (:mod:`repro.runtime.trace`).
 
 from repro.runtime.checkpoint import Checkpoint, CheckpointManager
 from repro.runtime.costclock import CostClock
-from repro.runtime.failover import (
-    FailoverDecision,
-    FailoverState,
-    ScalarFailoverState,
-)
+from repro.runtime.failover import FailoverDecision, FailoverState
 from repro.runtime.faults import (
     CrashFault,
     FaultInjector,
@@ -50,7 +46,6 @@ from repro.runtime.instrumentation import (
 )
 from repro.runtime.trace import FailureTrace, TraceEvent, minimize
 from repro.runtime.bsp import Cluster
-from repro.runtime.sync import sync_by_master
 
 __all__ = [
     "Checkpoint",
@@ -66,11 +61,9 @@ __all__ = [
     "MessageFate",
     "PermanentLossFault",
     "RunProfile",
-    "ScalarFailoverState",
     "StragglerFault",
     "SuperstepRecord",
     "TraceEvent",
     "Cluster",
     "minimize",
-    "sync_by_master",
 ]

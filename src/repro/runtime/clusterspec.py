@@ -247,9 +247,9 @@ def set_cluster_spec_default(
 ) -> Optional[ClusterSpec]:
     """Set the process-wide spec; returns the previous one.
 
-    Mirrors ``set_kernels_default``: ``run_all --cluster-spec`` flips
-    this before planning so every planned run/refine cell records the
-    spec payload and spawn workers reproduce it.
+    ``run_all --cluster-spec`` flips this before planning so every
+    planned run/refine cell records the spec payload and spawn workers
+    reproduce it.
     """
     global _SPEC_DEFAULT
     previous = _SPEC_DEFAULT

@@ -83,8 +83,7 @@ def set_backend_default(
     """Set the process-wide backend default; returns the previous pair.
 
     ``run_all --backend shm`` uses this to select the backend without
-    threading a flag through every call site, mirroring
-    :func:`repro.algorithms.base.set_kernels_default`.
+    threading a flag through every call site.
     """
     global _BACKEND_DEFAULT, _SHM_WORKERS_DEFAULT
     if backend not in _BACKENDS:

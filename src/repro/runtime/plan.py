@@ -1,12 +1,13 @@
 """Fragment execution plans: NumPy views of a :class:`HybridPartition`.
 
-The scalar algorithm implementations walk Python sets and dicts edge by
-edge.  A :class:`FragmentPlan` compiles the same information once into
-flat NumPy arrays — per-fragment vertex/slot indices, owned-edge lists,
-role codes, local adjacency in CSR form, and the master/mirror routing
-tables used by :func:`repro.runtime.sync.sync_by_master_arrays` — so the
-vectorized kernels can replace inner interpreter loops with array
-reductions while reproducing the scalar path bit for bit.
+A :class:`HybridPartition` is Python sets and dicts, and the scalar
+loops the algorithms started as (now the test suite's differential
+oracle) walk it edge by edge.  A :class:`FragmentPlan` compiles the same
+information once into flat NumPy arrays — per-fragment vertex/slot
+indices, owned-edge lists, role codes, local adjacency in CSR form, and
+the master/mirror routing tables used by
+:func:`repro.runtime.sync.sync_by_master_arrays` — so the algorithms run
+as array reductions while reproducing those loops bit for bit.
 
 Bit-identity depends on two ordering contracts that every table here
 honors:
@@ -19,8 +20,7 @@ honors:
 * **Plans are immutable snapshots.**  The plan records the partition's
   mutation ``generation`` at compile time; any vertex move bumps the
   counter, making ``valid`` False.  A stale plan is never partially
-  updated, so scalar and kernel paths always observe the same partition
-  state.
+  updated, so every run observes one consistent partition state.
 
 Plans are cached on the partition object itself (``_kernel_plan``) so
 repeated runs over the same partition pay the compilation cost once.

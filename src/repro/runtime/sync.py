@@ -3,14 +3,16 @@
 The paper's communication model (Eq. 3) charges synchronization to the
 master copy of each replicated vertex: mirrors send their partial values
 to the master, the master aggregates, and broadcasts the result back
-[22, 24].  :func:`sync_by_master` implements exactly that exchange in two
-supersteps of the cluster simulator and is used by every
-partition-transparent algorithm.
+[22, 24].  :class:`SyncRoute` compiles that exchange for a set of
+``{fid: ids}`` and runs it in two supersteps of the cluster simulator;
+:func:`sync_by_master_arrays` is "compile, run once".  Both are held
+bit-identical to the per-message dict exchange kept as the test suite's
+oracle (``scalar_runs.sync_by_master``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,91 +20,6 @@ from repro.runtime.bsp import Cluster
 from repro.runtime.plan import FragmentPlan, gather_segments
 
 VALUE_BYTES = 12  # (vertex id, scalar) wire estimate
-
-
-def sync_by_master(
-    cluster: Cluster,
-    partial_values: Dict[int, Dict[int, Any]],
-    combine: Callable[[Any, Any], Any],
-    value_bytes: Optional[Callable[[Any], float]] = None,
-    finalize: Optional[Callable[[int, Any], Any]] = None,
-) -> Dict[int, Dict[int, Any]]:
-    """Aggregate per-copy partial values at each vertex's master.
-
-    Parameters
-    ----------
-    cluster:
-        The BSP cluster; two supersteps are consumed.
-    partial_values:
-        ``{fid: {vertex: value}}`` — each worker's local partial per vertex
-        copy it holds.  Vertices hosted by a single fragment are combined
-        locally at zero communication cost.
-    combine:
-        Associative/commutative reducer applied at the master.
-    value_bytes:
-        Wire-size estimator for one value (default: 12 bytes).
-    finalize:
-        Optional ``(vertex, combined) -> value`` applied at the master
-        before broadcasting back.
-
-    Returns
-    -------
-    ``{fid: {vertex: combined_value}}`` with the combined value available
-    at **every** fragment holding a copy of the vertex.
-    """
-    partition = cluster.partition
-    size_of = value_bytes or (lambda _val: float(VALUE_BYTES))
-
-    # Superstep A: mirrors ship partials to the master worker.  Sender
-    # fids and vertices are visited in sorted order so the seeded fault
-    # stream sees one canonical send sequence regardless of how the
-    # caller's dicts were built (the vectorized path replays it).
-    for fid in sorted(partial_values):
-        values = partial_values[fid]
-        for v in sorted(values):
-            master = partition.master(v)
-            cluster.send(
-                fid,
-                master,
-                ("partial", v, values[v]),
-                nbytes=size_of(values[v]),
-                master_vertex=v if partition.is_border(v) else None,
-            )
-    inboxes = cluster.deliver()
-
-    # Superstep B: masters combine and broadcast back to mirrors.  The
-    # combine/finalize work is charged to the vertex's *master* worker
-    # as recorded in the partition, not to whichever inbox the partial
-    # happened to land in.
-    combined: Dict[int, Any] = {}
-    for fid in range(cluster.num_workers):
-        for _tag, v, value in inboxes[fid]:
-            if v in combined:
-                combined[v] = combine(combined[v], value)
-                cluster.charge(partition.master(v), 1)
-            else:
-                combined[v] = value
-    if finalize is not None:
-        for v in combined:
-            combined[v] = finalize(v, combined[v])
-            cluster.charge(partition.master(v), 1)
-    for v, value in combined.items():
-        master = partition.master(v)
-        for fid in sorted(partition.placement(v)):
-            cluster.send(
-                master,
-                fid,
-                ("combined", v, value),
-                nbytes=size_of(value),
-                master_vertex=v if partition.is_border(v) else None,
-            )
-    inboxes = cluster.deliver()
-
-    out: Dict[int, Dict[int, Any]] = {f: {} for f in range(cluster.num_workers)}
-    for fid in range(cluster.num_workers):
-        for _tag, v, value in inboxes[fid]:
-            out[fid][v] = value
-    return out
 
 
 class SyncRoute:
@@ -248,7 +165,7 @@ def sync_by_master_arrays(
     value_bytes: float = float(VALUE_BYTES),
     finalize: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
 ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Array twin of :func:`sync_by_master`, bit-identical to it.
+    """Aggregate per-copy partial values at each vertex's master.
 
     Parameters
     ----------

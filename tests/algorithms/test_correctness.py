@@ -111,6 +111,25 @@ class TestSsspUnreachable:
         result = get_algorithm("sssp").run(partition, source=10)
         assert result.values == reference_sssp(graph, 10)
 
+    @pytest.mark.parametrize("source", [-1, 49, 10**6])
+    def test_source_must_be_a_vertex(self, source):
+        graph = GRAPHS["grid"]
+        assert graph.num_vertices == 49
+        partition = make_edge_cut(graph, 3, seed=5)
+        with pytest.raises(ValueError, match=rf"source {source} .*num_vertices=49"):
+            get_algorithm("sssp").run(partition, source=source)
+
+
+class TestRunParams:
+    """A key ``run`` does not know is an error, not a silent default."""
+
+    @pytest.mark.parametrize("stale", ["itertions", "use_kernels"])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_unknown_param_rejected(self, name, stale):
+        partition = make_edge_cut(GRAPHS["grid"], 3, seed=5)
+        with pytest.raises(TypeError, match=rf"{stale}; accepted: .*faults"):
+            get_algorithm(name).run(partition, **{stale: False})
+
 
 class TestRegistry:
     def test_all_names_instantiable(self):

@@ -1,15 +1,18 @@
 """Tests for instrumentation profiles: the cost shapes the models learn."""
 
+import numpy as np
 import pytest
 
-from repro.algorithms.base import bearing_copies, compute_edge_owners, global_or
+from repro.algorithms.base import global_or
 from repro.algorithms.registry import get_algorithm
 from repro.graph.digraph import Graph
 from repro.graph.generators import chung_lu_power_law, star_graph
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
+from repro.runtime.plan import DUMMY, get_plan
 
 from tests.conftest import make_edge_cut, make_vertex_cut
+from tests.oracles import plan_tables
 
 
 @pytest.fixture(scope="module")
@@ -17,17 +20,48 @@ def graph():
     return chung_lu_power_law(200, 6.0, seed=41)
 
 
+def _owners(partition, target_aware=False):
+    """``{edge: owning fid}`` read off ``FragmentPlan.owned_edges``."""
+    plan = get_plan(partition)
+    owners = {}
+    for fragment in partition.fragments:
+        src, dst = plan.owned_edges(fragment.fid, target_aware)
+        for edge in zip(src.tolist(), dst.tolist()):
+            assert edge not in owners, f"{edge} owned twice"
+            owners[edge] = fragment.fid
+    assert owners == plan_tables.compute_edge_owners(partition, target_aware)
+    return owners
+
+
+def _bearing_copies(partition):
+    """``(fid, v)`` per non-dummy slot of ``FragmentPlan.roles``."""
+    plan = get_plan(partition)
+    copies = []
+    for fragment in partition.fragments:
+        roles = plan.roles(fragment.fid)
+        assert np.array_equal(roles, plan_tables.roles(partition, fragment.fid))
+        bearing = plan.verts(fragment.fid)[roles != DUMMY]
+        copies += [(fragment.fid, v) for v in bearing.tolist()]
+    assert copies == [
+        (f.fid, v)
+        for f in partition.fragments
+        for v in f.vertices()
+        if partition.cost_bearing(v, f.fid)
+    ]
+    return copies
+
+
 class TestEdgeOwners:
     def test_every_edge_owned_once(self, graph):
         p = make_edge_cut(graph, 3)
-        owners = compute_edge_owners(p)
+        owners = _owners(p)
         assert set(owners) == set(graph.edges())
         for edge, fid in owners.items():
             assert p.fragments[fid].has_edge(edge)
 
     def test_target_aware_prefers_home(self, graph):
         p = make_edge_cut(graph, 3)
-        owners = compute_edge_owners(p, target_aware=True)
+        owners = _owners(p, target_aware=True)
         for edge, fid in list(owners.items())[:200]:
             home = p.designated_home(edge[1])
             if home is not None and p.fragments[home].has_edge(edge):
@@ -35,19 +69,19 @@ class TestEdgeOwners:
 
     def test_vertex_cut_ownership_unique(self, graph):
         p = make_vertex_cut(graph, 3)
-        owners = compute_edge_owners(p)
+        owners = _owners(p)
         assert len(owners) == graph.num_edges
 
 
 class TestBearingCopies:
     def test_edge_cut_one_bearing_copy_per_vertex(self, graph):
         p = make_edge_cut(graph, 3)
-        copies = list(bearing_copies(p))
+        copies = _bearing_copies(p)
         assert len(copies) == graph.num_vertices
 
     def test_vertex_cut_bearing_at_least_one(self, graph):
         p = make_vertex_cut(graph, 3)
-        seen = {v for _fid, v in bearing_copies(p)}
+        seen = {v for _fid, v in _bearing_copies(p)}
         assert seen == set(graph.vertices)
 
 

@@ -65,6 +65,32 @@ def test_partition_evaluate_metrics_pipeline(graph_file, tmp_path, capsys):
     assert "f_v" in out and "lambda_e" in out
 
 
+def test_evaluate_sssp_without_a_source_vertex_is_a_one_line_error(tmp_path, capsys):
+    """SSSP's default source 0 is not a vertex of an empty graph."""
+    from repro.graph.digraph import Graph
+    from repro.graph.io import write_edge_list
+
+    graph_file, part_file = tmp_path / "empty.txt", tmp_path / "p.json"
+    write_edge_list(Graph(0, [], directed=True), graph_file)
+    assert main(
+        [
+            "partition", "--graph", str(graph_file), "--partitioner", "hash",
+            "--fragments", "2", "--out", str(part_file),
+        ]
+    ) == 0
+    capsys.readouterr()
+    rc = main(
+        [
+            "evaluate", "--graph", str(graph_file),
+            "--partition", str(part_file), "--algorithms", "sssp",
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sssp source 0 is not a vertex (num_vertices=0)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.slow
 def test_partition_with_refinement(graph_file, tmp_path, capsys):
     part_file = tmp_path / "p.json"

@@ -1,20 +1,22 @@
-"""Failover differential suite: every algorithm, both cuts, both paths.
+"""Failover differential suite: every algorithm, both cuts, both routes.
 
 The full cross product the issue's CI job runs: 5 algorithms x
 {edge-cut, vertex-cut} baselines x {transient crash, permanent loss} x
-{vectorized kernels, scalar reference}.  In every cell the faulty run's
-results must be bit-identical to the clean run on the same path, and the
+{shipped kernels, their scalar reference in
+``tests/oracles/scalar_runs.py``}.  In every cell the faulty run's
+results must be bit-identical to the clean run on the same route, and the
 loss cells must show degraded-mode accounting (a promoted-master count
 and a failover charge) with a strictly larger makespan.
 """
 
 import pytest
 
-from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm
+from repro.algorithms.registry import ALGORITHM_NAMES
 from repro.eval.harness import algorithm_params
 from repro.graph.generators import chung_lu_power_law
 from repro.partitioners.base import get_partitioner
 from repro.runtime.faults import CrashFault, FaultPlan, PermanentLossFault
+from tests.oracles.scalar_runs import ROUTES
 
 CRASH_PLAN = FaultPlan(seed=11, crashes=(CrashFault(worker=1, superstep=1),))
 LOSS_PLAN = FaultPlan(seed=11, losses=(PermanentLossFault(worker=1, superstep=1),))
@@ -32,27 +34,23 @@ def partitions():
     }
 
 
-def clean_run(partitions, name, cut, use_kernels):
-    key = (name, cut, use_kernels)
+def clean_run(partitions, name, cut, route):
+    key = (name, cut, route)
     if key not in _CLEAN:
         params = algorithm_params(name, "")
-        _CLEAN[key] = get_algorithm(name).run(
-            partitions[cut], use_kernels=use_kernels, **params
-        )
+        _CLEAN[key] = ROUTES[route](name, partitions[cut], **params)
     return _CLEAN[key]
 
 
-@pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "scalar"])
+@pytest.mark.parametrize("route", ["kernels", "scalar"])
 @pytest.mark.parametrize("fault", ["crash", "loss"])
 @pytest.mark.parametrize("cut", ["edge", "vertex"])
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
-def test_faulty_results_bit_identical(partitions, name, cut, fault, use_kernels):
-    clean = clean_run(partitions, name, cut, use_kernels)
+def test_faulty_results_bit_identical(partitions, name, cut, fault, route):
+    clean = clean_run(partitions, name, cut, route)
     params = algorithm_params(name, "")
-    faulty = (
-        get_algorithm(name)
-        .configure_faults(PLANS[fault], checkpoint_interval=2)
-        .run(partitions[cut], use_kernels=use_kernels, **params)
+    faulty = ROUTES[route](
+        name, partitions[cut], faults=PLANS[fault], checkpoint_interval=2, **params
     )
     assert faulty.values == clean.values
     profile = faulty.profile
@@ -69,20 +67,12 @@ def test_faulty_results_bit_identical(partitions, name, cut, fault, use_kernels)
 
 @pytest.mark.parametrize("cut", ["edge", "vertex"])
 def test_kernel_and_scalar_paths_agree_after_loss(partitions, cut):
-    """Degraded-mode accounting is path-independent, not just results."""
-    runs = {
-        use_kernels: get_algorithm("pr")
-        .configure_faults(LOSS_PLAN, checkpoint_interval=2)
-        .run(partitions[cut], use_kernels=use_kernels)
-        for use_kernels in (True, False)
-    }
-    assert runs[True].values == runs[False].values
-    assert runs[True].makespan == pytest.approx(runs[False].makespan)
-    assert (
-        runs[True].profile.promoted_masters
-        == runs[False].profile.promoted_masters
+    """Degraded-mode accounting is route-independent, not just results."""
+    kernels, scalar = (
+        run("pr", partitions[cut], faults=LOSS_PLAN, checkpoint_interval=2)
+        for run in (ROUTES["kernels"], ROUTES["scalar"])
     )
-    assert (
-        runs[True].profile.replaced_vertices
-        == runs[False].profile.replaced_vertices
-    )
+    assert kernels.values == scalar.values
+    assert kernels.makespan == pytest.approx(scalar.makespan)
+    assert kernels.profile.promoted_masters == scalar.profile.promoted_masters
+    assert kernels.profile.replaced_vertices == scalar.profile.replaced_vertices

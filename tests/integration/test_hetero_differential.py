@@ -6,19 +6,21 @@ Two contracts lock the feature down:
   1.0 must be indistinguishable from passing no spec at all: identical
   refined partitions for all six refiners (E2H/V2H/ME2H/MV2H and their
   parallel drivers), identical refinement profiles, and identical
-  makespans and ``RunProfile`` dicts for all five algorithms on both the
-  vectorized-kernel and scalar execution paths.
-* **Skewed path agreement** — with a genuinely skewed spec the kernel
-  and scalar paths must still agree bit-for-bit with each other: the
-  heterogeneous accounting (per-worker speed division, per-link
-  bandwidth division at the barrier) is the same arithmetic in both.
+  makespans and ``RunProfile`` dicts for all five algorithms — for the
+  shipped kernels and for their scalar reference
+  (``tests/oracles/scalar_runs.py``), so the cross-check below compares
+  against a reference that is itself spec-neutral.
+* **Skewed path agreement** — with a genuinely skewed spec the kernels
+  and the scalar reference must still agree bit-for-bit with each
+  other: the heterogeneous accounting (per-worker speed division,
+  per-link bandwidth division at the barrier) happens in the cluster
+  both charge through.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.registry import get_algorithm
 from repro.core.e2h import E2H
 from repro.core.me2h import ME2H
 from repro.core.mv2h import MV2H
@@ -29,6 +31,7 @@ from repro.graph.generators import chung_lu_power_law
 from repro.partition.serialize import partition_to_dict
 from repro.partitioners.base import get_partitioner
 from repro.runtime.clusterspec import ClusterSpec
+from tests.oracles.scalar_runs import ROUTES
 
 N = 4
 ALGORITHMS = ("cn", "tc", "wcc", "pr", "sssp")
@@ -106,12 +109,9 @@ def refined(cuts):
     return out
 
 
-def _run(partition, algorithm, spec, use_kernels):
-    result = get_algorithm(algorithm).run(
-        partition,
-        cluster_spec=spec,
-        use_kernels=use_kernels,
-        **PARAMS.get(algorithm, {}),
+def _run(partition, algorithm, spec, route="kernels"):
+    result = ROUTES[route](
+        algorithm, partition, cluster_spec=spec, **PARAMS.get(algorithm, {})
     )
     return result.makespan, result.profile.to_dict(), result.values
 
@@ -136,16 +136,16 @@ def test_skewed_refinement_diverges(refined, refiner):
     assert refined[refiner, "skewed"][0] != refined[refiner, "none"][0]
 
 
-@pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "scalar"])
+@pytest.mark.parametrize("route", ["kernels", "scalar"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("refiner", REFINERS)
-def test_uniform_run_bit_identical(refined, refiner, algorithm, use_kernels):
+def test_uniform_run_bit_identical(refined, refiner, algorithm, route):
     partition = refined[refiner, "none"][2][algorithm]
     makespan_none, profile_none, values_none = _run(
-        partition, algorithm, None, use_kernels
+        partition, algorithm, None, route
     )
     makespan_uni, profile_uni, values_uni = _run(
-        partition, algorithm, UNIFORM, use_kernels
+        partition, algorithm, UNIFORM, route
     )
     assert makespan_none == makespan_uni
     assert profile_none == profile_uni
@@ -153,14 +153,14 @@ def test_uniform_run_bit_identical(refined, refiner, algorithm, use_kernels):
 
 
 # ----------------------------------------------------------------------
-# Skewed spec: kernels and scalar paths agree bit for bit
+# Skewed spec: kernels and the scalar reference agree bit for bit
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("refiner", REFINERS)
 def test_skewed_kernels_scalar_agree(refined, refiner, algorithm):
     partition = refined[refiner, "skewed"][2][algorithm]
-    makespan_k, profile_k, values_k = _run(partition, algorithm, SKEWED, True)
-    makespan_s, profile_s, values_s = _run(partition, algorithm, SKEWED, False)
+    makespan_k, profile_k, values_k = _run(partition, algorithm, SKEWED)
+    makespan_s, profile_s, values_s = _run(partition, algorithm, SKEWED, "scalar")
     assert makespan_k == makespan_s
     assert profile_k == profile_s
     assert values_k == values_s
@@ -169,6 +169,6 @@ def test_skewed_kernels_scalar_agree(refined, refiner, algorithm):
 def test_skewed_run_slower_than_uniform(refined):
     """Sanity: degrading a worker cannot speed up the same partition."""
     partition = refined["E2H", "none"][2]["pr"]
-    uniform_ms, _p, _v = _run(partition, "pr", None, True)
-    skewed_ms, _p, _v = _run(partition, "pr", SKEWED, True)
+    uniform_ms, _p, _v = _run(partition, "pr", None)
+    skewed_ms, _p, _v = _run(partition, "pr", SKEWED)
     assert skewed_ms > uniform_ms

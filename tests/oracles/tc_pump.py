@@ -4,9 +4,12 @@ Verbatim copy of ``repro.algorithms.triangles`` as it stood when the kernel
 route batched only single-home closing endpoints and dropped to the scalar
 ``remote_check`` (one ``partition.role`` / ``designated_home`` callback and one
 ``Cluster.send`` per target) for every v-cut endpoint, with one Python tuple
-per query / answer in the inboxes and a ``pending`` dict entry per query.  The
-one edit: ``Cluster.send_batch(payloads=[...])`` took one object per message
-then; :func:`_send_rows` below is that row form.  The array-native pump must
+per query / answer in the inboxes and a ``pending`` dict entry per query.  Two
+edits: ``Cluster.send_batch(payloads=[...])`` took one object per message
+then, :func:`_send_rows` below is that row form; and ``use_kernels``, a run
+param then, is pinned to the kernel route this file freezes (its
+``use_kernels=False`` branches are the loop of ``scalar_runs``, which is what
+the suites call for it).  The array-native pump must
 keep producing this run's values, makespan, profile, fate-stream draws and
 checkpoint bytes (``tests/runtime/test_tc_pump.py``).
 """
@@ -63,9 +66,8 @@ class TriangleCounting(Algorithm):
     ) -> AlgorithmResult:
         """Count triangles over the partition (see class docs)."""
         graph = partition.graph
-        use_kernels = self._use_kernels(params)
+        use_kernels = True
         cluster = self._cluster(partition, clock, params)
-        self._check_backend(cluster, use_kernels)
 
         def order(v: int) -> Tuple[int, int]:
             return (graph.degree(v), v)

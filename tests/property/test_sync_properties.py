@@ -1,11 +1,13 @@
 """Property-based tests for master/mirror synchronization.
 
-``sync_by_master`` is the exchange every partition-transparent algorithm
-leans on; if it ever delivered different values to different copies of a
-vertex — or different values across reruns — partition transparency
-would silently break.  For random hybrid partitions we check both
-invariants directly, plus agreement with a sequential reference
-combine.
+``sync_by_master_arrays`` is the exchange every partition-transparent
+algorithm leans on; if it ever delivered different values to different
+copies of a vertex — or different values across reruns — partition
+transparency would silently break.  For random hybrid partitions and both
+reductions we check both invariants directly, plus agreement with a
+sequential reference combine and, value for value and makespan for
+makespan, with the per-message dict exchange it replaced
+(``tests/oracles/scalar_runs.sync_by_master``).
 """
 
 import hypothesis.strategies as st
@@ -14,7 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
-from repro.runtime.sync import sync_by_master
+from repro.runtime.plan import get_plan
+from repro.runtime.sync import sync_by_master_arrays
+from tests.oracles.scalar_runs import sync_by_master
+from tests.runtime.test_sync import COMBINE, as_arrays, as_dicts
 
 SETTINGS = settings(
     max_examples=30,
@@ -25,7 +30,7 @@ SETTINGS = settings(
 
 @st.composite
 def random_hybrid_partitions(draw):
-    """A random graph plus a random hybrid partition of it.
+    """A random graph, a random hybrid partition of it, and a reduction.
 
     Same recipe as the algorithm-transparency suite: start from a random
     edge-cut and duplicate a few edges into extra fragments for genuine
@@ -49,30 +54,32 @@ def random_hybrid_partitions(draw):
     for _ in range(draw(st.integers(0, 5))):
         edge = all_edges[draw(st.integers(0, len(all_edges) - 1))]
         partition.add_edge_to(draw(st.integers(0, k - 1)), edge)
-    return graph, partition
+    return graph, partition, draw(st.sampled_from(sorted(COMBINE)))
 
 
 def partials_for(partition):
     """Distinct per-copy partials: value identifies the (fid, vertex) copy."""
     return {
-        fragment.fid: {v: fragment.fid * 1000 + v for v in fragment.vertices()}
+        fragment.fid: {v: float(fragment.fid * 1000 + v) for v in fragment.vertices()}
         for fragment in partition.fragments
     }
 
 
-def run_sync(partition):
+def run_sync(partition, reduce):
     cluster = Cluster(partition)
-    out = sync_by_master(
-        cluster, partials_for(partition), combine=lambda a, b: a + b
+    out = as_dicts(
+        sync_by_master_arrays(
+            cluster, get_plan(partition), as_arrays(partials_for(partition)), reduce
+        )
     )
-    return out, cluster.profile.makespan
+    return out, cluster.finish().makespan
 
 
 @given(random_hybrid_partitions())
 @SETTINGS
 def test_every_copy_sees_the_identical_combined_value(case):
-    _graph, partition = case
-    out, _makespan = run_sync(partition)
+    _graph, partition, reduce = case
+    out, _makespan = run_sync(partition, reduce)
     for v, hosts in partition.vertex_fragments():
         values = [out[fid][v] for fid in hosts]
         assert len(set(values)) == 1, f"copies of {v} disagree: {values}"
@@ -81,19 +88,23 @@ def test_every_copy_sees_the_identical_combined_value(case):
 @given(random_hybrid_partitions())
 @SETTINGS
 def test_combined_value_matches_sequential_reference(case):
-    _graph, partition = case
+    _graph, partition, reduce = case
     partials = partials_for(partition)
-    out, _makespan = run_sync(partition)
+    out, makespan = run_sync(partition, reduce)
+    sequential = {"sum": sum, "min": min}[reduce]
     for v, hosts in partition.vertex_fragments():
-        expected = sum(partials[fid][v] for fid in hosts)
+        expected = sequential(partials[fid][v] for fid in hosts)
         assert out[min(hosts)][v] == expected
+    reference = Cluster(partition)
+    assert out == sync_by_master(reference, partials, combine=COMBINE[reduce])
+    assert makespan == reference.finish().makespan
 
 
 @given(random_hybrid_partitions())
 @SETTINGS
 def test_sync_is_deterministic_across_repeated_runs(case):
-    _graph, partition = case
-    first_out, first_makespan = run_sync(partition)
-    second_out, second_makespan = run_sync(partition)
+    _graph, partition, reduce = case
+    first_out, first_makespan = run_sync(partition, reduce)
+    second_out, second_makespan = run_sync(partition, reduce)
     assert first_out == second_out
     assert first_makespan == second_makespan

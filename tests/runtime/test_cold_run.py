@@ -15,8 +15,6 @@ import random
 import numpy as np
 import pytest
 
-import repro.algorithms.base as algorithms_base
-import repro.algorithms.pagerank as pagerank_module
 from repro.algorithms import get_algorithm
 from repro.core import E2H, V2H, MutationBatch, apply_mutations
 from repro.costmodel import builtin_cost_model
@@ -52,9 +50,6 @@ def calls(monkeypatch):
         monkeypatch.setattr(
             HybridPartition, name, counted(name, getattr(HybridPartition, name))
         )
-    owners = counted("compute_edge_owners", algorithms_base.compute_edge_owners)
-    monkeypatch.setattr(algorithms_base, "compute_edge_owners", owners)
-    monkeypatch.setattr(pagerank_module, "compute_edge_owners", owners)
     monkeypatch.setattr(
         SyncRoute, "__init__", counted("route_compile", SyncRoute.__init__)
     )
@@ -95,7 +90,6 @@ def test_cold_pr_run_on_a_maintained_partition_is_array_native(calls):
     assert {name: calls[name] for name in PARTITION_CALLBACKS} == dict.fromkeys(
         PARTITION_CALLBACKS, 0
     )
-    assert calls["compute_edge_owners"] == 0
     assert calls["route_compile"] == 1
     assert calls["owner_sort"] == 1
 
@@ -126,7 +120,6 @@ def test_cold_pr_run_on_a_maintained_partition_is_array_native(calls):
     assert {name: calls[name] for name in PARTITION_CALLBACKS} == dict.fromkeys(
         PARTITION_CALLBACKS, 0
     )
-    assert calls["compute_edge_owners"] == 0
     assert calls["route_compile"] == 1
     assert calls["owner_sort"] == 1
     assert first.values.keys() == second.values.keys()

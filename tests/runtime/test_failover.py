@@ -7,7 +7,8 @@ Contracts from the issue:
   profile gains ``losses`` / ``promoted_masters`` / ``replaced_vertices``
   / ``failover_time`` and the makespan grows;
 * the vectorized :class:`FailoverState` array pass agrees decision-for-
-  decision with the :class:`ScalarFailoverState` dict/set oracle,
+  decision with the ``ScalarFailoverState`` dict/set oracle
+  (``tests/oracles/scalar_failover.py``),
   including across stacked losses;
 * fault plans are validated when attached (out-of-range workers and
   all-workers-lost plans are rejected by name), and losing the last
@@ -20,7 +21,7 @@ from repro.algorithms.registry import get_algorithm
 from repro.eval.harness import algorithm_params
 from repro.graph.generators import chung_lu_power_law
 from repro.partitioners.base import get_partitioner
-from repro.runtime.failover import FailoverState, ScalarFailoverState
+from repro.runtime.failover import FailoverState
 from repro.runtime.faults import (
     CrashFault,
     FaultPlan,
@@ -29,6 +30,7 @@ from repro.runtime.faults import (
 )
 from repro.runtime.instrumentation import RunProfile
 from repro.runtime.plan import get_plan
+from tests.oracles.scalar_failover import ScalarFailoverState
 
 LOSS_PLAN = FaultPlan(seed=5, losses=(PermanentLossFault(worker=1, superstep=1),))
 

@@ -1,6 +1,7 @@
 """Differential suite: vectorized kernels vs. the scalar reference loops.
 
-Every algorithm carries two implementations that must agree *bit for
+Every algorithm runs as an array kernel; the scalar loop it replaced is
+frozen in ``tests/oracles/scalar_runs.py``.  The two must agree *bit for
 bit*: identical ``AlgorithmResult.values``, identical makespans, and
 identical :class:`RunProfile` records — fault-free, under a seeded
 :class:`FaultPlan`, and with checkpointing enabled (checkpoint byte
@@ -35,6 +36,7 @@ from repro.runtime.plan import (
     get_plan,
     plan_stats,
 )
+from tests.oracles import scalar_runs
 
 ALGORITHMS = ("pr", "wcc", "sssp", "tc", "cn")
 
@@ -91,8 +93,8 @@ def test_kernel_matches_scalar(algorithm, family, directed, config_name):
     config = CONFIGS[config_name]
     alg = get_algorithm(algorithm)
     for partition in (_edge_cut(graph), _vertex_cut(graph)):
-        scalar = alg.run(partition, use_kernels=False, **dict(config))
-        kernel = alg.run(partition, use_kernels=True, **dict(config))
+        scalar = scalar_runs.run(algorithm, partition, **config)
+        kernel = alg.run(partition, **config)
         assert scalar.values == kernel.values
         assert scalar.makespan == kernel.makespan
         assert scalar.profile.to_dict() == kernel.profile.to_dict()
@@ -138,21 +140,6 @@ def test_wall_time_recorded_on_simulated_backend():
     payload = profile.to_dict()
     assert "wall_time_s" not in payload
     assert all("wall_time_s" not in s for s in payload["supersteps"])
-
-
-def test_kernels_default_process_wide():
-    from repro.algorithms.base import kernels_default, set_kernels_default
-
-    graph = _families(True)["powerlaw"]
-    partition = _edge_cut(graph)
-    baseline = get_algorithm("pr").run(partition, use_kernels=False)
-    previous = set_kernels_default(False)
-    try:
-        assert kernels_default() is False
-        off = get_algorithm("pr").run(partition)
-        assert off.profile.to_dict() == baseline.profile.to_dict()
-    finally:
-        set_kernels_default(previous)
 
 
 # ----------------------------------------------------------------------

@@ -143,12 +143,6 @@ def test_unknown_backend_rejected():
         set_backend_default("mpi")
 
 
-def test_shm_requires_kernels():
-    partition = _partition(True, "edge")
-    with pytest.raises(ValueError, match="use_kernels"):
-        get_algorithm("pr").run(partition, backend="shm", use_kernels=False)
-
-
 def test_wall_time_measured_but_never_serialized():
     partition = _partition(True, "edge")
     result = get_algorithm("pr").run(partition, backend="shm", shm_workers=2)

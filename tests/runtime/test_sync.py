@@ -1,77 +1,126 @@
-"""Tests for master/mirror synchronization."""
+"""Tests for master/mirror synchronization.
 
+Every case runs the shipped array exchange (``sync_by_master_arrays``) and,
+on a twin cluster, the per-message dict exchange it replaced
+(``tests/oracles/scalar_runs.sync_by_master``): the delivered values and the
+finished ``RunProfile`` must be identical before the case's own assertion
+about what the exchange guarantees is made.
+"""
+
+import numpy as np
 import pytest
 
 from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
-from repro.runtime.sync import sync_by_master
+from repro.runtime.plan import get_plan
+from repro.runtime.sync import sync_by_master_arrays
+from tests.oracles.scalar_runs import sync_by_master
+
+COMBINE = {"sum": lambda a, b: a + b, "min": min}
+
+
+def as_arrays(partials):
+    """``{fid: {vertex: value}}`` -> ``{fid: (ids, values)}``."""
+    return {
+        fid: (
+            np.fromiter(values, dtype=np.int64, count=len(values)),
+            np.fromiter(values.values(), dtype=np.float64, count=len(values)),
+        )
+        for fid, values in partials.items()
+    }
+
+
+def as_dicts(synced):
+    """``{fid: (ids, values)}`` -> ``{fid: {vertex: value}}``."""
+    return {
+        fid: dict(zip(ids.tolist(), values.tolist()))
+        for fid, (ids, values) in synced.items()
+    }
+
+
+def sync(partition, partials, reduce, finalize=None, value_bytes=12.0):
+    """One array sync of ``partials``; returns ``(values, finished profile)``.
+
+    ``finalize`` takes ``(vertex or ids, combined)`` and must work on a
+    scalar and on an array alike.
+    """
+    cluster = Cluster(partition)
+    out = as_dicts(
+        sync_by_master_arrays(
+            cluster,
+            get_plan(partition),
+            as_arrays(partials),
+            reduce,
+            value_bytes=value_bytes,
+            finalize=finalize,
+        )
+    )
+    reference = Cluster(partition)
+    assert out == sync_by_master(
+        reference,
+        partials,
+        combine=COMBINE[reduce],
+        value_bytes=lambda _value: value_bytes,
+        finalize=finalize,
+    )
+    profile = cluster.finish()
+    assert profile.to_dict() == reference.finish().to_dict()
+    return out, profile
 
 
 @pytest.fixture()
-def split_cluster():
+def split():
     # Vertex 1 split across both fragments; masters at lowest fragment.
     g = Graph(3, [(0, 1), (1, 2)])
-    p = HybridPartition.from_edge_assignment(g, {(0, 1): 0, (1, 2): 1}, 2)
-    return p, Cluster(p)
+    return HybridPartition.from_edge_assignment(g, {(0, 1): 0, (1, 2): 1}, 2)
 
 
-def test_combined_value_reaches_all_copies(split_cluster):
-    p, cluster = split_cluster
-    partials = {0: {1: 5.0}, 1: {1: 7.0}}
-    out = sync_by_master(cluster, partials, combine=lambda a, b: a + b)
+def test_combined_value_reaches_all_copies(split):
+    out, _profile = sync(split, {0: {1: 5.0}, 1: {1: 7.0}}, "sum")
     assert out[0][1] == pytest.approx(12.0)
     assert out[1][1] == pytest.approx(12.0)
 
 
-def test_finalize_applied_once(split_cluster):
-    _p, cluster = split_cluster
-    partials = {0: {1: 5.0}, 1: {1: 7.0}}
-    out = sync_by_master(
-        cluster, partials, combine=lambda a, b: a + b,
-        finalize=lambda v, total: total * 10,
+def test_finalize_applied_once(split):
+    out, _profile = sync(
+        split,
+        {0: {1: 5.0}, 1: {1: 7.0}},
+        "sum",
+        finalize=lambda _v, total: total * 10,
     )
     assert out[0][1] == pytest.approx(120.0)
 
 
-def test_single_copy_vertex_synced_locally(split_cluster):
-    p, cluster = split_cluster
-    master = p.master(0)
-    out = sync_by_master(cluster, {master: {0: 3.0}}, combine=min)
+def test_single_copy_vertex_synced_locally(split):
+    master = split.master(0)
+    out, _profile = sync(split, {master: {0: 3.0}}, "min")
     assert out[master][0] == 3.0
 
 
-def test_min_combiner(split_cluster):
-    _p, cluster = split_cluster
-    out = sync_by_master(cluster, {0: {1: 9}, 1: {1: 4}}, combine=min)
+def test_min_combiner(split):
+    out, _profile = sync(split, {0: {1: 9.0}, 1: {1: 4.0}}, "min")
     assert out[0][1] == 4
 
 
-def test_comm_attributed_to_border_masters(split_cluster):
-    p, cluster = split_cluster
-    sync_by_master(cluster, {0: {1: 1.0}, 1: {1: 2.0}}, combine=max)
-    assert cluster.profile.comm_bytes_by_master.get(1, 0) > 0
+def test_comm_attributed_to_border_masters(split):
+    _out, profile = sync(split, {0: {1: 1.0}, 1: {1: 2.0}}, "min")
+    assert profile.comm_bytes_by_master.get(1, 0) > 0
     # Vertex 0 is not replicated: no master traffic recorded.
-    assert 0 not in cluster.profile.comm_bytes_by_master
+    assert 0 not in profile.comm_bytes_by_master
 
 
-def test_custom_value_bytes_estimator(split_cluster):
-    p, cluster = split_cluster
-    sync_by_master(
-        cluster,
-        {0: {1: [1, 2, 3]}, 1: {1: [4]}},
-        combine=lambda a, b: a + b,
-        value_bytes=lambda values: 8.0 * len(values),
-    )
-    # Mirror -> master shipping charged with the list-size estimate.
-    assert cluster.profile.comm_bytes_by_master[1] >= 8.0
+def test_custom_value_bytes_estimator(split):
+    partials = {0: {1: 1.0}, 1: {1: 2.0}}
+    _out, default = sync(split, partials, "sum")
+    _out, wide = sync(split, partials, "sum", value_bytes=24.0)
+    # Every shipped value is charged at the caller's wire-size estimate.
+    assert wide.comm_bytes_by_master[1] == 2 * default.comm_bytes_by_master[1] > 0
 
 
-def test_two_supersteps_consumed(split_cluster):
-    _p, cluster = split_cluster
-    before = cluster.profile.num_supersteps
-    sync_by_master(cluster, {0: {1: 1.0}}, combine=max)
-    assert cluster.profile.num_supersteps == before + 2
+def test_two_supersteps_consumed(split):
+    _out, profile = sync(split, {0: {1: 1.0}}, "min")
+    assert profile.num_supersteps == 2
 
 
 def test_combine_finalize_charged_at_recorded_master():
@@ -82,24 +131,17 @@ def test_combine_finalize_charged_at_recorded_master():
         g, {(0, 1): 0, (1, 2): 1, (1, 3): 2}, 3
     )
     p.set_master(1, 2)
-    cluster = Cluster(p)
-    sync_by_master(
-        cluster,
+    _out, profile = sync(
+        p,
         {0: {1: 1.0}, 1: {1: 2.0}, 2: {1: 4.0}},
-        combine=lambda a, b: a + b,
+        "sum",
         finalize=lambda _v, total: total + 1.0,
     )
-    ops = cluster.profile.comp_ops_by_worker
     # Two combine calls + one finalize, all at the recorded master.
-    assert ops == {2: 3.0}
+    assert profile.comp_ops_by_worker == {2: 3.0}
 
 
 def test_array_sync_bit_identical_to_scalar_with_moved_master():
-    import numpy as np
-
-    from repro.runtime.plan import get_plan
-    from repro.runtime.sync import sync_by_master_arrays
-
     g = Graph(4, [(0, 1), (1, 2), (1, 3)])
 
     def build():

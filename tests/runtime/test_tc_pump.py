@@ -8,7 +8,8 @@ every missed wedge through ``FragmentPlan.query_targets`` and moves queries
 and answers as columnar blocks.  Nothing a run can observe may move: the
 count, the makespan, the ``RunProfile``, the arguments of every
 ``message_fate`` draw and the pickled checkpoint snapshots must equal both
-the frozen route's and the scalar ``use_kernels=False`` reference's.
+the frozen route's and the scalar reference's
+(``tests/oracles/scalar_runs.py``).
 """
 
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
 from repro.runtime.plan import get_plan
+from tests.oracles.scalar_runs import ScalarTriangleCounting
 from tests.oracles.tc_pump import TriangleCounting as FrozenTriangleCounting
 from tests.runtime.test_sync_route import RecordingInjector
 
@@ -47,9 +49,9 @@ FAULTS = FaultPlan(
 )
 
 ROUTES = {
-    "pump": (TriangleCounting, True),
-    "frozen": (FrozenTriangleCounting, True),
-    "scalar": (TriangleCounting, False),
+    "pump": TriangleCounting,
+    "frozen": FrozenTriangleCounting,
+    "scalar": ScalarTriangleCounting,
 }
 
 
@@ -72,7 +74,6 @@ def _configs(k):
 
 def _observe(route, partition, faulty, spec, interval):
     """Everything one TC run lets an observer see."""
-    algorithm, use_kernels = ROUTES[route]
     injector = RecordingInjector(FAULTS) if faulty else None
     blobs = []
     take = CheckpointManager.take
@@ -83,9 +84,8 @@ def _observe(route, partition, faulty, spec, interval):
         return checkpoint
 
     with mock.patch.object(CheckpointManager, "take", recording_take):
-        result = algorithm().run(
+        result = ROUTES[route]().run(
             partition,
-            use_kernels=use_kernels,
             faults=injector,
             cluster_spec=spec,
             checkpoint_interval=interval,
