@@ -32,12 +32,14 @@ bypassing the seeded draws).  ``repro trace show|replay|minimize``
 inspects a trace, re-runs its recorded command against it, and greedily
 drops events while a failing replay keeps failing.
 
-``sweep`` reproduces the paper's evaluation section (the experiment
-sweep of :mod:`repro.eval.run_all`) on the parallel evaluation engine:
-``--jobs N`` fans independent cells out over worker processes and
+``sweep`` reproduces the paper's evaluation section on the parallel
+evaluation engine.  It *is* :mod:`repro.eval.run_all` — the subcommand
+mounts that module's parser, so every ``run_all`` flag works here:
+``--jobs N`` fans independent cells out over worker processes,
 ``--cache-dir``/``--no-cache`` control the content-addressed artifact
-cache that later runs (and the benchmark scripts) replay from;
-``--job-timeout`` bounds each warm-phase job's wall clock.
+cache that later runs (and the benchmark scripts) replay from, and
+``--job-timeout``, ``--max-attempts`` and the ``--chaos-*`` family
+set the warm phase's failure policy and injection.
 
 ``cache verify`` audits an artifact cache root: every entry's checksum
 envelope is validated, and with ``--repair`` damaged entries are moved
@@ -60,6 +62,7 @@ from typing import List, Optional
 
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm
 from repro.costmodel.trained import trained_cost_model
+from repro.eval import run_all
 from repro.eval.reporting import format_table
 from repro.graph import generators
 from repro.graph.io import read_edge_list, read_metis, write_edge_list
@@ -351,6 +354,9 @@ def _build_fault_plan(args: argparse.Namespace):
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """``evaluate``: simulated runtimes of algorithms on a stored partition."""
+    if args.shm_workers is not None and args.backend != "shm":
+        print("error: --shm-workers requires --backend shm", file=sys.stderr)
+        return 2
     plan = _build_fault_plan(args)  # validate fault flags before heavy IO
     trace = loaded = None
     if args.trace_in:
@@ -453,32 +459,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """``sweep``: the full experiment sweep on the evaluation engine."""
-    from repro.eval import run_all
-
-    argv: List[str] = []
-    if args.quick:
-        argv.append("--quick")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.only:
-        argv += ["--only", args.only]
-    if args.cluster_spec is not None:
-        argv += ["--cluster-spec", args.cluster_spec]
-    if args.backend is not None:
-        argv += ["--backend", args.backend]
-    if args.shm_workers is not None:
-        argv += ["--shm-workers", str(args.shm_workers)]
-    if args.job_timeout is not None:
-        argv += ["--job-timeout", str(args.job_timeout)]
-    if args.trace_out is not None:
-        argv += ["--trace-out", args.trace_out]
-    if args.trace_in is not None:
-        argv += ["--trace-in", args.trace_in]
-    return run_all.main(argv)
+    return run_all.run(args, args._argv[1:])
 
 
 def _replay_trace(meta, trace_path: str) -> int:
@@ -486,8 +467,6 @@ def _replay_trace(meta, trace_path: str) -> int:
     argv = replay_argv(meta, trace_path)
     command = meta.get("command")
     if command == "run_all":
-        from repro.eval import run_all
-
         return run_all.main(argv)
     if command == "cli":
         return main(argv)
@@ -798,58 +777,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_evaluate)
 
     sweep = sub.add_parser(
-        "sweep", help="run the paper's experiment sweep on the evaluation engine"
+        "sweep",
+        help="run the paper's experiment sweep on the evaluation engine",
+        parents=[run_all.build_parser(add_help=False)],
     )
-    sweep.add_argument("--quick", action="store_true", help="reduced sweep")
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the warm phase (default: 1, serial)",
-    )
-    sweep.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="artifact cache directory (default: .repro-cache)",
-    )
-    sweep.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="use an ephemeral cache deleted after the run",
-    )
-    sweep.add_argument(
-        "--only",
-        metavar="NAMES",
-        help="comma-separated experiment subset (exp1..exp6, appendix, hetero)",
-    )
-    sweep.add_argument(
-        "--cluster-spec",
-        metavar="PATH",
-        help="JSON cluster spec forwarded to the sweep (heterogeneous cells)",
-    )
-    sweep.add_argument(
-        "--backend",
-        choices=["simulated", "shm"],
-        default=None,
-        help="execution backend forwarded to the sweep",
-    )
-    sweep.add_argument(
-        "--shm-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --backend shm",
-    )
-    sweep.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock deadline for the warm phase",
-    )
-    _add_trace_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     cache = sub.add_parser("cache", help="audit / repair an artifact cache")

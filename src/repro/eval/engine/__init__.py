@@ -41,7 +41,6 @@ from repro.eval.engine.keys import (
     config_digest,
     model_digest,
     model_payload,
-    partition_digest,
     payload_digest,
 )
 from repro.eval.engine.resilience import (
@@ -70,7 +69,6 @@ __all__ = [
     "get_engine",
     "model_digest",
     "model_payload",
-    "partition_digest",
     "payload_digest",
     "sabotage_artifact",
     "seeded_fraction",

@@ -1,35 +1,57 @@
-"""Cell computations: the unit work items of the evaluation engine.
+"""The cell table: the one definition of every evaluation cell kind.
 
-A *cell* is one cacheable step of the evaluation pipeline:
+A *cell* is one cacheable step of the evaluation pipeline.  Five kinds
+cover everything the experiments compute, and :data:`CELLS` holds one
+row per kind:
 
 ========== ==========================================================
 kind       artifact
 ========== ==========================================================
 partition  baseline partition of (graph, partitioner, n) + seconds
 refine     ParE2H / ParV2H refinement of a partition for one model
-incremental mutation batch + dirty-region re-refinement (DESIGN §15)
 run        simulated execution of one algorithm over one partition
 composite  ParME2H / ParMV2H composite refinement over a batch
 memo       any JSON-serializable computation (Exp-6 training tables)
 ========== ==========================================================
 
-Every function here takes plain JSON-serializable specs (plus the graph
-object) and returns a JSON-serializable payload, so the same code runs
-in-process for cache misses and inside spawn-safe worker processes for
-the parallel warm phase.  Cost models travel *by value* (their exact
-polynomial coefficients) so every process refines bit-identically.
+A row is ``(spec, key, compute, required)``:
+
+* ``spec(...)`` builds the cell's *spec* — a JSON dict that is the
+  cell's identity minus the content of its input.  The cluster-spec and
+  backend folds happen here and nowhere else.
+* ``key(spec, input_content, virtual)`` mints the physical cache key;
+  ``input_content`` is the graph digest for ``partition``, the content
+  digest of the consumed partition for ``refine`` / ``run`` /
+  ``composite``, and ``None`` for ``memo``.
+* ``compute(spec, graph, source, virtual)`` produces the artifact
+  payload; ``source`` is the consumed partition in serialized form.
+* ``required`` names the fields a stored payload must carry.
+
+The facade (:mod:`~repro.eval.engine.engine`), the planner
+(:mod:`~repro.eval.engine.jobs`) and the executor
+(:mod:`~repro.eval.engine.executor`) are all callers of this table: the
+planner's spec is the row's spec plus ``dataset`` (and ``view``), and
+both the warm phase and the facade mint keys through the row's ``key``
+— so a cell the planner warmed is a hit for the facade that reads it by
+construction, not by keeping copies equal.
+
+Specs and payloads are plain JSON, so the same code runs in-process for
+cache misses and inside spawn-safe worker processes for the parallel
+warm phase.  Cost models travel *by value* (their exact polynomial
+coefficients) so every process refines bit-identically.
 
 ``virtual`` replaces measured wall-clock seconds with deterministic
 proxies (the simulated refinement time; graph size for partitioners) —
 used by golden tests to pin the otherwise non-deterministic Exp-3/Exp-5
-columns.
+columns — and tags the keys of every kind that records wall-clock so
+virtual artifacts never mix with real measurements in a shared cache.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from repro.eval.engine.keys import payload_digest
+from repro.eval.engine.keys import config_digest, payload_digest
 
 
 def model_from_payload(payload: Dict):
@@ -45,13 +67,13 @@ def model_from_payload(payload: Dict):
     )
 
 
-def profile_to_payload(profile) -> Dict:
+def profile_to_payload(profile, virtual: bool = False) -> Dict:
     """Serialize the :class:`RefinementProfile` fields the experiments read."""
     return {
         "phase_times": dict(profile.phase_times),
         "phase_supersteps": dict(profile.phase_supersteps),
         "total_time": profile.total_time,
-        "wall_seconds": profile.wall_seconds,
+        "wall_seconds": profile.total_time if virtual else profile.wall_seconds,
     }
 
 
@@ -67,164 +89,208 @@ def profile_from_payload(payload: Dict):
     )
 
 
-def _virtual_partition_seconds(graph) -> float:
-    """Deterministic stand-in for partitioner wall-clock: graph size scaled."""
-    return (graph.num_vertices + graph.num_edges) * 1e-6
+# ----------------------------------------------------------------------
+# Folds: process-wide defaults recorded in the spec, so cache keys carry
+# them and spawn workers rebuild exactly what the parent selected.  The
+# homogeneous / ``simulated`` defaults fold to nothing, leaving every
+# legacy spec (and hence every legacy cache key) byte-identical.
+# ----------------------------------------------------------------------
+def _fold_cluster_spec(params: Dict) -> Dict:
+    """Normalize ``params['cluster_spec']`` to its canonical payload.
+
+    Resolves the explicit value or the process-wide default
+    (``run_all --cluster-spec`` flips it before planning) and collapses
+    uniform specs to absent.
+    """
+    from repro.runtime.clusterspec import spec_payload
+
+    payload = spec_payload(params.pop("cluster_spec", None))
+    if payload is not None:
+        params["cluster_spec"] = payload
+    return params
+
+
+def _fold_backend(params: Dict) -> Dict:
+    """Record a non-default execution backend (``run_all --backend shm``)."""
+    from repro.runtime.parallel import backend_default, shm_workers_default
+
+    if "backend" not in params:
+        backend = backend_default()
+        if backend != "simulated":
+            params["backend"] = backend
+            workers = shm_workers_default()
+            if workers is not None:
+                params.setdefault("shm_workers", workers)
+    return params
+
+
+def _walls(virtual: bool) -> Dict:
+    return {"virtual_walls": True} if virtual else {}
 
 
 # ----------------------------------------------------------------------
-# Cell bodies
+# partition
 # ----------------------------------------------------------------------
-def compute_partition_cell(graph, baseline: str, n: int, virtual: bool = False) -> Dict:
-    """Partition ``graph`` with ``baseline`` into ``n`` fragments."""
+def _partition_spec(baseline: str, n: int) -> Dict:
+    return {"kind": "partition", "baseline": baseline, "n": n}
+
+
+def _partition_key(spec: Dict, graph_digest: str, virtual: bool) -> str:
+    return config_digest(
+        "partition",
+        graph=graph_digest,
+        baseline=spec["baseline"],
+        n=spec["n"],
+        **_walls(virtual),
+    )
+
+
+def _compute_partition(spec: Dict, graph, source, virtual: bool) -> Dict:
     import time
 
     from repro.partition.serialize import partition_to_dict
     from repro.partitioners.base import get_partitioner
 
     start = time.perf_counter()
-    partition = get_partitioner(baseline).partition(graph, n)
+    partition = get_partitioner(spec["baseline"]).partition(graph, spec["n"])
     seconds = time.perf_counter() - start
     if virtual:
-        seconds = _virtual_partition_seconds(graph)
+        # Deterministic stand-in for partitioner wall-clock: graph size scaled.
+        seconds = (graph.num_vertices + graph.num_edges) * 1e-6
     payload = partition_to_dict(partition)
     return {
         "kind": "partition",
-        "baseline": baseline,
-        "n": n,
+        "baseline": spec["baseline"],
+        "n": spec["n"],
         "partition": payload,
         "content": payload_digest(payload),
         "seconds": seconds,
     }
 
 
-def compute_refine_cell(
-    graph,
-    initial: Dict,
-    algorithm: str,
-    cut_type: str,
-    model: Dict,
-    kwargs: Optional[Dict] = None,
-    virtual: bool = False,
+# ----------------------------------------------------------------------
+# refine
+# ----------------------------------------------------------------------
+def _refine_spec(
+    algorithm: str, cut_type: str, model: Dict, kwargs: Optional[Dict] = None
 ) -> Dict:
-    """Refine a serialized partition with ParE2H / ParV2H for one model."""
-    from repro.core import refiner_class
-    from repro.partition.serialize import partition_from_dict, partition_to_dict
-
-    refiner_cls = refiner_class(cut_type, parallel=True)
-    refiner = refiner_cls(model_from_payload(model), **(kwargs or {}))
-    refined, profile = refiner.refine(partition_from_dict(initial, graph))
-    profile_payload = profile_to_payload(profile)
-    if virtual:
-        profile_payload["wall_seconds"] = profile.total_time
-    payload = partition_to_dict(refined)
     return {
         "kind": "refine",
         "algorithm": algorithm,
-        "partition": payload,
-        "content": payload_digest(payload),
-        "profile": profile_payload,
+        "cut": cut_type,
+        "model": model,
+        "kwargs": _fold_cluster_spec(dict(kwargs or {})),
     }
 
 
-def compute_incremental_cell(
-    graph,
-    initial: Dict,
-    algorithm: str,
-    cut_type: str,
-    model: Dict,
-    mutations: str,
-    kwargs: Optional[Dict] = None,
-    virtual: bool = False,
-) -> Dict:
-    """Incremental maintenance of a refined partition (DESIGN §15).
+def _refine_key(spec: Dict, partition_content: str, virtual: bool) -> str:
+    return config_digest(
+        "refine",
+        partition=partition_content,
+        algorithm=spec["algorithm"],
+        cut=spec["cut"],
+        model=payload_digest(spec["model"]),
+        kwargs=spec["kwargs"],
+        **_walls(virtual),
+    )
 
-    Applies the mutation batch through the in-place coherence hooks and
-    runs the dirty-region refiner over the resulting dirty set.  The
-    shared dataset graph is never touched: the batch replays against a
-    private copy, so every other cell in the process keeps seeing the
-    original graph.
-    """
-    from repro.core import MutationBatch, apply_mutations, refiner_class
-    from repro.graph.digraph import Graph
+
+def _compute_refine(spec: Dict, graph, source: Dict, virtual: bool) -> Dict:
+    from repro.core import refiner_class
     from repro.partition.serialize import partition_from_dict, partition_to_dict
 
-    refiner_cls = refiner_class(cut_type, parallel=True)
-    private = Graph(graph.num_vertices, list(graph.edges()), directed=graph.directed)
-    partition = partition_from_dict(initial, private)
-    batch = MutationBatch.parse(mutations)
-    dirty = apply_mutations(partition, batch)
-    refiner = refiner_cls(model_from_payload(model), **(kwargs or {}))
-    refined, profile = refiner.refine_incremental(partition, dirty)
-    profile_payload = profile_to_payload(profile)
-    if virtual:
-        profile_payload["wall_seconds"] = profile.total_time
-    stats = profile.stats
-    inc = stats.incremental
+    refiner_cls = refiner_class(spec["cut"], parallel=True)
+    refiner = refiner_cls(model_from_payload(spec["model"]), **spec["kwargs"])
+    refined, profile = refiner.refine(partition_from_dict(source, graph))
     payload = partition_to_dict(refined)
     return {
-        "kind": "incremental",
-        "algorithm": algorithm,
+        "kind": "refine",
+        "algorithm": spec["algorithm"],
         "partition": payload,
         "content": payload_digest(payload),
-        "profile": profile_payload,
-        "maintenance": {
-            "mutations": len(batch),
-            "batch": batch.digest(),
-            "dirty": inc.dirty if inc else len(dirty),
-            "frontier": inc.frontier if inc else 0,
-            "fragments": inc.fragments if inc else 0,
-            "seeded": bool(inc.seeded) if inc else False,
-            "rescoring_calls": stats.rescoring_calls,
-            "cost_before": stats.cost_before,
-            "cost_after": stats.cost_after,
-        },
+        "profile": profile_to_payload(profile, virtual),
     }
 
 
-def compute_run_cell(
-    graph,
-    partition: Dict,
-    algorithm: str,
-    params: Optional[Dict] = None,
-) -> Dict:
-    """Simulated execution of ``algorithm`` over a serialized partition."""
-    from repro.algorithms.registry import get_algorithm
-    from repro.partition.serialize import partition_from_dict
-
-    result = get_algorithm(algorithm).run(
-        partition_from_dict(partition, graph), **(params or {})
-    )
+# ----------------------------------------------------------------------
+# run
+# ----------------------------------------------------------------------
+def _run_spec(algorithm: str, params: Optional[Dict] = None) -> Dict:
     return {
         "kind": "run",
         "algorithm": algorithm,
+        "params": _fold_backend(_fold_cluster_spec(dict(params or {}))),
+    }
+
+
+def _run_key(spec: Dict, partition_content: str, virtual: bool) -> str:
+    # Run cells record only simulated quantities, which are
+    # deterministic, so the key carries no virtual-walls tag.
+    return config_digest(
+        "run",
+        partition=partition_content,
+        algorithm=spec["algorithm"],
+        params=spec["params"],
+    )
+
+
+def _compute_run(spec: Dict, graph, source: Dict, virtual: bool) -> Dict:
+    from repro.algorithms.registry import get_algorithm
+    from repro.partition.serialize import partition_from_dict
+
+    result = get_algorithm(spec["algorithm"]).run(
+        partition_from_dict(source, graph), **spec["params"]
+    )
+    return {
+        "kind": "run",
+        "algorithm": spec["algorithm"],
         "makespan": result.makespan,
         "profile": result.profile.to_dict(),
     }
 
 
-def compute_composite_cell(
-    graph,
-    initial: Dict,
-    cut_type: str,
-    batch: Sequence[str],
-    models: Dict[str, Dict],
-    virtual: bool = False,
-    cluster_spec: Optional[Dict] = None,
+# ----------------------------------------------------------------------
+# composite
+# ----------------------------------------------------------------------
+def _composite_spec(
+    cut_type: str, batch: Sequence[str], models: Dict[str, Dict], cluster_spec=None
 ) -> Dict:
-    """ParME2H / ParMV2H composite refinement over a serialized partition."""
+    spec = {
+        "kind": "composite",
+        "cut": cut_type,
+        "batch": list(batch),
+        "models": {name: models[name] for name in batch},
+    }
+    spec.update(_fold_cluster_spec({"cluster_spec": cluster_spec}))
+    return spec
+
+
+def _composite_key(spec: Dict, partition_content: str, virtual: bool) -> str:
+    # ``cut`` stays out of the digest (the consumed partition's content
+    # already implies it), and ``cluster_spec`` enters only when present:
+    # both keep homogeneous keys byte-identical to every existing cache.
+    extra = {"cluster_spec": spec["cluster_spec"]} if "cluster_spec" in spec else {}
+    return config_digest(
+        "composite",
+        partition=partition_content,
+        batch=spec["batch"],
+        models={name: payload_digest(m) for name, m in spec["models"].items()},
+        **extra,
+        **_walls(virtual),
+    )
+
+
+def _compute_composite(spec: Dict, graph, source: Dict, virtual: bool) -> Dict:
     from repro.core import refiner_class
     from repro.partition.serialize import partition_from_dict, partition_to_dict
 
-    refiner_cls = refiner_class(cut_type, composite=True, parallel=True)
+    batch = spec["batch"]
+    refiner_cls = refiner_class(spec["cut"], composite=True, parallel=True)
     # Rebuild models in batch order — the refiner's phase interleaving
     # follows the model dict's iteration order.
-    rebuilt = {name: model_from_payload(models[name]) for name in batch}
-    refiner = refiner_cls(rebuilt, cluster_spec=cluster_spec)
-    composite, profile = refiner.refine(partition_from_dict(initial, graph))
-    profile_payload = profile_to_payload(profile)
-    if virtual:
-        profile_payload["wall_seconds"] = profile.total_time
+    rebuilt = {name: model_from_payload(spec["models"][name]) for name in batch}
+    refiner = refiner_cls(rebuilt, cluster_spec=spec.get("cluster_spec"))
+    composite, profile = refiner.refine(partition_from_dict(source, graph))
     partitions = {
         name: partition_to_dict(composite.partition_for(name)) for name in batch
     }
@@ -233,13 +299,13 @@ def compute_composite_cell(
         "batch": list(batch),
         "partitions": partitions,
         "views": {name: payload_digest(p) for name, p in partitions.items()},
-        "profile": profile_payload,
+        "profile": profile_to_payload(profile, virtual),
     }
 
 
 # ----------------------------------------------------------------------
-# Memo cells: whitelisted module-level functions addressed by name, so
-# worker processes can execute them from a plain spec.
+# memo: whitelisted module-level functions addressed by name, so worker
+# processes can execute them from a plain spec.
 # ----------------------------------------------------------------------
 MEMO_FUNCTIONS: Dict[str, str] = {
     "exp6_table5": "repro.eval.experiments.exp6:table5_payload",
@@ -247,10 +313,20 @@ MEMO_FUNCTIONS: Dict[str, str] = {
 }
 
 
-def compute_memo_cell(memo_kind: str, params: Dict) -> Dict:
-    """Run the whitelisted memo function ``memo_kind`` with ``params``."""
+def _memo_spec(memo_kind: str, params: Optional[Dict] = None) -> Dict:
+    return {"kind": "memo", "memo_kind": memo_kind, "params": params or {}}
+
+
+def _memo_key(spec: Dict, _no_input: None, virtual: bool) -> str:
+    return config_digest(
+        "memo", memo_kind=spec["memo_kind"], params=spec["params"], **_walls(virtual)
+    )
+
+
+def _compute_memo(spec: Dict, graph, source, virtual: bool) -> Dict:
     import importlib
 
+    memo_kind = spec["memo_kind"]
     try:
         target = MEMO_FUNCTIONS[memo_kind]
     except KeyError:
@@ -259,18 +335,41 @@ def compute_memo_cell(memo_kind: str, params: Dict) -> Dict:
         ) from None
     module_name, func_name = target.split(":")
     func = getattr(importlib.import_module(module_name), func_name)
-    return {"kind": "memo", "memo_kind": memo_kind, "value": func(**params)}
+    return {"kind": "memo", "memo_kind": memo_kind, "value": func(**spec["params"])}
 
 
-#: fields every payload of a given kind must carry to be usable by its
-#: dependents and by the table-rendering phase
-REQUIRED_FIELDS: Dict[str, Sequence[str]] = {
-    "partition": ("partition", "content", "seconds"),
-    "refine": ("partition", "content", "profile"),
-    "incremental": ("partition", "content", "profile", "maintenance"),
-    "run": ("makespan", "profile"),
-    "composite": ("partitions", "views", "profile"),
-    "memo": ("value",),
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+class CellKind(NamedTuple):
+    """One row of :data:`CELLS` (see the module docstring)."""
+
+    spec: Callable[..., Dict]
+    key: Callable[[Dict, Optional[str], bool], str]
+    compute: Callable[[Dict, object, Optional[Dict], bool], Dict]
+    #: fields a payload of this kind must carry to be usable by its
+    #: dependents and by the table-rendering phase
+    required: Tuple[str, ...]
+
+
+CELLS: Dict[str, CellKind] = {
+    "partition": CellKind(
+        _partition_spec,
+        _partition_key,
+        _compute_partition,
+        ("partition", "content", "seconds"),
+    ),
+    "refine": CellKind(
+        _refine_spec, _refine_key, _compute_refine, ("partition", "content", "profile")
+    ),
+    "run": CellKind(_run_spec, _run_key, _compute_run, ("makespan", "profile")),
+    "composite": CellKind(
+        _composite_spec,
+        _composite_key,
+        _compute_composite,
+        ("partitions", "views", "profile"),
+    ),
+    "memo": CellKind(_memo_spec, _memo_key, _compute_memo, ("value",)),
 }
 
 
@@ -285,8 +384,8 @@ def payload_is_wellformed(payload) -> bool:
     """
     if not isinstance(payload, dict):
         return False
-    fields = REQUIRED_FIELDS.get(payload.get("kind"))
-    return fields is not None and all(f in payload for f in fields)
+    row = CELLS.get(payload.get("kind"))
+    return row is not None and all(f in payload for f in row.required)
 
 
 def payload_meta(payload: Dict) -> Dict:
@@ -300,14 +399,3 @@ def payload_meta(payload: Dict) -> Dict:
         for k, v in payload.items()
         if k not in ("partition", "partitions", "profile", "value")
     }
-
-
-META_FIELDS = ("content", "views", "seconds", "makespan")
-
-
-def cell_deps_content(spec: Dict, dep_meta: Dict) -> str:
-    """Content digest of the partition a dependent cell consumes."""
-    view = spec.get("view")
-    if view is not None:
-        return dep_meta["views"][view]
-    return dep_meta["content"]

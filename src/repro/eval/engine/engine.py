@@ -6,12 +6,14 @@ has two modes:
 * **passthrough** (``cache=None``, the default) — every operation runs
   the exact legacy in-process code path, no serialization, no disk.
   This keeps unit tests and library callers byte-for-byte unchanged.
-* **cached** (an :class:`ArtifactCache`) — every operation is resolved
-  to a content-addressed cell key; artifacts are loaded on a hit and
-  computed via :mod:`repro.eval.engine.cells` on a miss.  Partitions are
-  always reconstructed from their serialized payload, so a cold run
-  builds exactly the objects a warm run loads, and measured wall-clock
-  seconds are replayed from the artifact rather than re-measured.
+* **cached** (an :class:`ArtifactCache`) — every operation builds the
+  spec the planner would build for the same cell (the kind's row in
+  :data:`repro.eval.engine.cells.CELLS`), and one private ``_resolve``
+  keys it through that row, loads the artifact on a hit and computes it
+  through that row on a miss.  Partitions are always reconstructed from
+  their serialized payload, so a cold run builds exactly the objects a
+  warm run loads, and measured wall-clock seconds are replayed from the
+  artifact rather than re-measured.
 
 ``use_engine`` swaps the process-wide active engine; the harness routes
 through :func:`get_engine` so ``run_all --cache-dir`` changes behaviour
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import weakref
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.eval.engine import cells, keys
 from repro.eval.engine.cache import ArtifactCache, CacheStats
@@ -51,10 +53,6 @@ class EvalEngine:
         # recorded whenever this engine produces a partition so run cells
         # can be keyed without re-serializing.
         self._digests: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        # Summary of the most recent maintain_partition call (cached
-        # profiles drop per-run refiner stats, so the maintenance
-        # counters are surfaced here in both modes).
-        self.last_maintenance: Optional[Dict] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -72,32 +70,47 @@ class EvalEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _digest_and_payload(self, partition) -> Tuple[str, Optional[Dict]]:
-        """Content digest of ``partition`` (+ its payload when serialized).
+    def _resolve(self, spec: Dict, graph, source=None) -> Dict:
+        """Load-or-compute the cell ``spec`` describes.
 
-        Engine-produced partitions have a memoized digest; foreign ones
-        are serialized here (and the payload reused on a miss).
+        ``source`` is the live partition the cell consumes (``None`` for
+        a cell over the bare graph, or over nothing).  Engine-produced
+        partitions have a memoized content digest; foreign ones are
+        serialized here to get one, and the serialized form is reused if
+        the cell then has to be computed.
         """
-        digest = self._digests.get(partition)
-        if digest is not None:
-            return digest, None
         from repro.partition.serialize import partition_to_dict
 
-        payload = partition_to_dict(partition)
-        digest = keys.payload_digest(payload)
-        self._digests[partition] = digest
-        return digest, payload
-
-    def _load_or_compute(self, key: str, compute) -> Dict:
+        row = cells.CELLS[spec["kind"]]
+        serialized = None
+        if source is not None:
+            content = self._digests.get(source)
+            if content is None:
+                serialized = partition_to_dict(source)
+                content = self._digests[source] = keys.payload_digest(serialized)
+        else:
+            content = graph.digest() if graph is not None else None
+        key = row.key(spec, content, self.virtual)
         payload = self.cache.get(key)
         if payload is None:
             self.cache.count_miss()
-            payload = compute()
+            if source is not None and serialized is None:
+                serialized = partition_to_dict(source)
+            payload = row.compute(spec, graph, serialized, self.virtual)
             self.cache.put(key, payload)
         return payload
 
+    def _rehydrate(self, serialized: Dict, content: str, graph):
+        """Rebuild a stored partition and remember its content digest."""
+        from repro.partition.serialize import partition_from_dict
+
+        partition = partition_from_dict(serialized, graph)
+        self._digests[partition] = content
+        return partition
+
     # ------------------------------------------------------------------
-    # Operations
+    # Operations: build the spec the planner builds, then either run it
+    # on the live objects (passthrough) or resolve it through the cache.
     # ------------------------------------------------------------------
     def initial_partition(self, graph, baseline: str, n: int):
         """Baseline partition of ``graph``; returns ``(partition, seconds)``."""
@@ -110,208 +123,40 @@ class EvalEngine:
             partition = get_partitioner(baseline).partition(graph, n)
             return partition, time.perf_counter() - start
 
-        from repro.partition.serialize import partition_from_dict
-
-        key = keys.partition_key(graph.digest(), baseline, n, self.virtual)
-        payload = self._load_or_compute(
-            key, lambda: cells.compute_partition_cell(graph, baseline, n, self.virtual)
-        )
-        partition = partition_from_dict(payload["partition"], graph)
-        self._digests[partition] = payload["content"]
+        payload = self._resolve(cells.CELLS["partition"].spec(baseline, n), graph)
+        partition = self._rehydrate(payload["partition"], payload["content"], graph)
         return partition, payload["seconds"]
-
-    @staticmethod
-    def _fold_cluster_spec(params: Dict) -> Dict:
-        """Normalize ``params['cluster_spec']`` to its canonical payload.
-
-        Resolves the explicit value or the process-wide default, collapses
-        uniform specs, and stores the JSON dict form — so cache keys fold
-        the spec digest, spawn workers rebuild the exact spec, and the
-        homogeneous case leaves ``params`` (and hence every legacy cache
-        key) byte-identical.
-        """
-        from repro.runtime.clusterspec import spec_payload
-
-        payload = spec_payload(params.pop("cluster_spec", None))
-        if payload is not None:
-            params["cluster_spec"] = payload
-        return params
-
-    @staticmethod
-    def _fold_backend(params: Dict) -> Dict:
-        """Fold a non-default execution backend into run params.
-
-        Same contract as the planner's fold: ``simulated`` (the default)
-        leaves ``params`` — and hence every legacy cache key —
-        byte-identical; ``shm`` is recorded so cached cells are keyed by
-        the backend that produced them.
-        """
-        from repro.runtime.parallel import backend_default, shm_workers_default
-
-        if "backend" not in params:
-            backend = backend_default()
-            if backend != "simulated":
-                params["backend"] = backend
-                workers = shm_workers_default()
-                if workers is not None:
-                    params.setdefault("shm_workers", workers)
-        return params
 
     def refine_partition(
         self, partition, algorithm: str, cut_type: str, model, **refiner_kwargs
     ):
         """ParE2H / ParV2H refinement; returns ``(refined, profile)``."""
-        refiner_kwargs = self._fold_cluster_spec(dict(refiner_kwargs))
+        spec = cells.CELLS["refine"].spec(
+            algorithm, cut_type, keys.model_payload(model), refiner_kwargs
+        )
         if self.cache is None:
             from repro.core import refiner_class
 
-            refiner = refiner_class(cut_type, parallel=True)(model, **refiner_kwargs)
+            refiner = refiner_class(cut_type, parallel=True)(model, **spec["kwargs"])
             return refiner.refine(partition)
 
-        from repro.partition.serialize import partition_from_dict, partition_to_dict
-
-        model_payload = keys.model_payload(model)
-        content, initial_payload = self._digest_and_payload(partition)
-        key = keys.refine_key(
-            content,
-            algorithm,
-            cut_type,
-            keys.payload_digest(model_payload),
-            refiner_kwargs,
-            self.virtual,
+        payload = self._resolve(spec, partition.graph, partition)
+        refined = self._rehydrate(
+            payload["partition"], payload["content"], partition.graph
         )
-
-        def compute() -> Dict:
-            initial = (
-                initial_payload
-                if initial_payload is not None
-                else partition_to_dict(partition)
-            )
-            return cells.compute_refine_cell(
-                partition.graph,
-                initial,
-                algorithm,
-                cut_type,
-                model_payload,
-                refiner_kwargs,
-                self.virtual,
-            )
-
-        payload = self._load_or_compute(key, compute)
-        refined = partition_from_dict(payload["partition"], partition.graph)
-        self._digests[refined] = payload["content"]
         return refined, cells.profile_from_payload(payload["profile"])
-
-    def maintain_partition(
-        self, partition, algorithm: str, cut_type: str, model, mutations, **kwargs
-    ):
-        """Apply a mutation batch and dirty-region-refine; returns
-        ``(maintained partition, profile)``.
-
-        In passthrough mode this is the in-place fast path: the caller's
-        graph and partition are mutated directly.  In cached mode the
-        cell runs over private copies (the shared dataset graph is never
-        touched) and is keyed on the base partition's content digest plus
-        the batch digest, so replaying the same update stream is a hit;
-        on a hit the updated graph is rebuilt by replaying the batch's
-        graph-level ops on a copy of the caller's graph.
-        """
-        from repro.core.incremental import MutationBatch, apply_mutations
-
-        if not isinstance(mutations, MutationBatch):
-            mutations = MutationBatch.parse(str(mutations))
-        kwargs = self._fold_cluster_spec(dict(kwargs))
-        if self.cache is None:
-            from repro.core import refiner_class
-
-            refiner = refiner_class(cut_type, parallel=True)(model, **kwargs)
-            dirty = apply_mutations(partition, mutations)
-            maintained, profile = refiner.refine_incremental(partition, dirty)
-            stats = profile.stats
-            inc = stats.incremental
-            self.last_maintenance = {
-                "mutations": len(mutations),
-                "batch": mutations.digest(),
-                "dirty": inc.dirty if inc else len(dirty),
-                "frontier": inc.frontier if inc else 0,
-                "fragments": inc.fragments if inc else 0,
-                "seeded": bool(inc.seeded) if inc else False,
-                "rescoring_calls": stats.rescoring_calls,
-                "cost_before": stats.cost_before,
-                "cost_after": stats.cost_after,
-            }
-            return maintained, profile
-
-        from repro.graph.digraph import Graph
-        from repro.partition.serialize import partition_from_dict, partition_to_dict
-
-        model_payload = keys.model_payload(model)
-        content, initial_payload = self._digest_and_payload(partition)
-        key = keys.incremental_key(
-            content,
-            algorithm,
-            cut_type,
-            keys.payload_digest(model_payload),
-            mutations.digest(),
-            kwargs,
-            self.virtual,
-        )
-
-        def compute() -> Dict:
-            initial = (
-                initial_payload
-                if initial_payload is not None
-                else partition_to_dict(partition)
-            )
-            return cells.compute_incremental_cell(
-                partition.graph,
-                initial,
-                algorithm,
-                cut_type,
-                model_payload,
-                mutations.to_text(),
-                kwargs,
-                self.virtual,
-            )
-
-        payload = self._load_or_compute(key, compute)
-        self.last_maintenance = dict(payload["maintenance"])
-        graph = partition.graph
-        updated = Graph(
-            graph.num_vertices, list(graph.edges()), directed=graph.directed
-        )
-        mutations.apply_to_graph(updated)
-        maintained = partition_from_dict(payload["partition"], updated)
-        self._digests[maintained] = payload["content"]
-        return maintained, cells.profile_from_payload(payload["profile"])
 
     def run_algorithm(
         self, partition, algorithm: str, params: Optional[Dict] = None
     ) -> float:
         """Simulated makespan of ``algorithm`` on ``partition`` (seconds)."""
-        run_params = self._fold_backend(
-            self._fold_cluster_spec(dict(params) if params else {})
-        )
+        spec = cells.CELLS["run"].spec(algorithm, params)
         if self.cache is None:
             from repro.algorithms.registry import get_algorithm
 
-            result = get_algorithm(algorithm).run(partition, **run_params)
-            return result.makespan
+            return get_algorithm(algorithm).run(partition, **spec["params"]).makespan
 
-        from repro.partition.serialize import partition_to_dict
-
-        content, payload = self._digest_and_payload(partition)
-        key = keys.run_key(content, algorithm, run_params)
-
-        def compute() -> Dict:
-            serialized = (
-                payload if payload is not None else partition_to_dict(partition)
-            )
-            return cells.compute_run_cell(
-                partition.graph, serialized, algorithm, run_params
-            )
-
-        return self._load_or_compute(key, compute)["makespan"]
+        return self._resolve(spec, partition.graph, partition)["makespan"]
 
     def composite_refine(
         self,
@@ -322,62 +167,39 @@ class EvalEngine:
         cluster_spec=None,
     ):
         """ParME2H / ParMV2H over ``partition``; returns ``(composite, profile)``."""
-        from repro.runtime.clusterspec import spec_payload
-
-        spec = spec_payload(cluster_spec)
+        spec = cells.CELLS["composite"].spec(
+            cut_type,
+            batch,
+            {name: keys.model_payload(models[name]) for name in batch},
+            cluster_spec,
+        )
         if self.cache is None:
             from repro.core import refiner_class
 
             refiner_cls = refiner_class(cut_type, composite=True, parallel=True)
-            return refiner_cls(models, cluster_spec=spec).refine(partition)
+            refiner = refiner_cls(models, cluster_spec=spec.get("cluster_spec"))
+            return refiner.refine(partition)
 
         from repro.partition.composite import CompositePartition
-        from repro.partition.serialize import partition_from_dict, partition_to_dict
 
-        model_payloads = {name: keys.model_payload(models[name]) for name in batch}
-        content, initial_payload = self._digest_and_payload(partition)
-        key = keys.composite_key(
-            content,
-            batch,
-            {name: keys.payload_digest(p) for name, p in model_payloads.items()},
-            self.virtual,
-            cluster_spec=spec,
+        payload = self._resolve(spec, partition.graph, partition)
+        composite = CompositePartition(
+            {
+                name: self._rehydrate(
+                    payload["partitions"][name], payload["views"][name], partition.graph
+                )
+                for name in batch
+            }
         )
-
-        def compute() -> Dict:
-            initial = (
-                initial_payload
-                if initial_payload is not None
-                else partition_to_dict(partition)
-            )
-            return cells.compute_composite_cell(
-                partition.graph,
-                initial,
-                cut_type,
-                batch,
-                model_payloads,
-                self.virtual,
-                cluster_spec=spec,
-            )
-
-        payload = self._load_or_compute(key, compute)
-        views = {}
-        for name in batch:
-            view = partition_from_dict(payload["partitions"][name], partition.graph)
-            self._digests[view] = payload["views"][name]
-            views[name] = view
-        composite = CompositePartition(views)
         return composite, cells.profile_from_payload(payload["profile"])
 
     def memo(self, memo_kind: str, params: Optional[Dict] = None):
         """Load-or-compute a whitelisted memo cell; returns its value."""
-        params = params or {}
+        row = cells.CELLS["memo"]
+        spec = row.spec(memo_kind, params)
         if self.cache is None:
-            return cells.compute_memo_cell(memo_kind, params)["value"]
-        key = keys.memo_key(memo_kind, params, self.virtual)
-        return self._load_or_compute(
-            key, lambda: cells.compute_memo_cell(memo_kind, params)
-        )["value"]
+            return row.compute(spec, None, None, self.virtual)["value"]
+        return self._resolve(spec, None)["value"]
 
     def warm(
         self,

@@ -1,10 +1,14 @@
 """Job-graph execution: in-process, or fanned out over a process pool.
 
 The executor walks a :class:`~repro.eval.engine.jobs.JobGraph` in
-dependency order.  For every job it resolves the cell's *physical*
-cache key (which may depend on the content hash of its inputs), checks
-the artifact cache, and only computes on a miss — in-process when
-``jobs <= 1``, else on a spawn-safe :class:`ProcessPoolExecutor`.
+dependency order.  For every job it mints the cell's *physical* cache
+key (which may depend on the content hash of its inputs), checks the
+artifact cache, and only computes on a miss — in-process when
+``jobs <= 1``, else on a spawn-safe :class:`ProcessPoolExecutor`.  Key
+and compute are the two look-ups into the cell table
+(:data:`repro.eval.engine.cells.CELLS`) the facade also makes; the
+executor only translates "dataset name + upstream artifact" into the
+graph, content digest and serialized partition a row takes.
 
 Workers receive plain JSON specs plus the cache root; they rebuild the
 graph from the dataset registry, load dependency artifacts from the
@@ -40,10 +44,11 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
-from repro.eval.engine import cells, keys
+from repro.eval.datasets import load_dataset
+from repro.eval.engine import cells
 from repro.eval.engine.cache import ArtifactCache
 from repro.eval.engine.chaos import EngineChaos
-from repro.eval.engine.jobs import Job, JobGraph
+from repro.eval.engine.jobs import JobGraph
 from repro.eval.engine.resilience import (
     MissingArtifactError,
     ResilienceConfig,
@@ -63,116 +68,35 @@ class ExecutionReport:
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
 
-def _graph_for(dataset: str):
-    from repro.eval.datasets import load_dataset
-
-    return load_dataset(dataset)
-
-
-def physical_key(job: Job, dep_meta: Optional[Dict], virtual: bool) -> str:
-    """Resolve the content-addressed cache key of ``job``."""
-    spec = job.spec
-    kind = job.kind
-    if kind == "partition":
-        graph_digest = _graph_for(spec["dataset"]).digest()
-        return keys.partition_key(graph_digest, spec["baseline"], spec["n"], virtual)
-    if kind == "refine":
-        return keys.refine_key(
-            dep_meta["content"],
-            spec["algorithm"],
-            spec["cut"],
-            keys.payload_digest(spec["model"]),
-            spec["kwargs"],
-            virtual,
-        )
-    if kind == "incremental":
-        from repro.core.incremental import MutationBatch
-
-        return keys.incremental_key(
-            dep_meta["content"],
-            spec["algorithm"],
-            spec["cut"],
-            keys.payload_digest(spec["model"]),
-            MutationBatch.parse(spec["mutations"]).digest(),
-            spec["kwargs"],
-            virtual,
-        )
-    if kind == "run":
-        return keys.run_key(
-            cells.cell_deps_content(spec, dep_meta),
-            spec["algorithm"],
-            spec["params"],
-        )
-    if kind == "composite":
-        return keys.composite_key(
-            dep_meta["content"],
-            spec["batch"],
-            {name: keys.payload_digest(m) for name, m in spec["models"].items()},
-            virtual,
-            cluster_spec=spec.get("cluster_spec"),
-        )
-    if kind == "memo":
-        return keys.memo_key(spec["memo_kind"], spec["params"], virtual)
-    raise ValueError(f"unknown job kind {kind!r}")
+def _consumed(spec: Dict, upstream: Dict, whole: str, per_view: str):
+    """The part of an upstream artifact (meta or payload) a cell consumes:
+    the ``whole`` field, or its entry under ``per_view`` for a run over
+    one view of a composite."""
+    view = spec.get("view")
+    return upstream[whole] if view is None else upstream[per_view][view]
 
 
-def compute_cell(spec: Dict, dep_payload: Optional[Dict], virtual: bool) -> Dict:
-    """Compute one cell's payload from its spec and dependency artifact."""
-    kind = spec["kind"]
-    if kind == "partition":
-        graph = _graph_for(spec["dataset"])
-        return cells.compute_partition_cell(graph, spec["baseline"], spec["n"], virtual)
-    if kind == "refine":
-        graph = _graph_for(spec["dataset"])
-        return cells.compute_refine_cell(
-            graph,
-            dep_payload["partition"],
-            spec["algorithm"],
-            spec["cut"],
-            spec["model"],
-            spec["kwargs"],
-            virtual,
-        )
-    if kind == "incremental":
-        graph = _graph_for(spec["dataset"])
-        return cells.compute_incremental_cell(
-            graph,
-            dep_payload["partition"],
-            spec["algorithm"],
-            spec["cut"],
-            spec["model"],
-            spec["mutations"],
-            spec["kwargs"],
-            virtual,
-        )
-    if kind == "run":
-        graph = _graph_for(spec["dataset"])
-        view = spec.get("view")
-        partition = (
-            dep_payload["partitions"][view]
-            if view is not None
-            else dep_payload["partition"]
-        )
-        return cells.compute_run_cell(
-            graph,
-            partition,
-            spec["algorithm"],
-            spec["params"],
-        )
-    if kind == "composite":
-        graph = _graph_for(spec["dataset"])
-        return cells.compute_composite_cell(
-            graph,
-            dep_payload["partition"],
-            spec["cut"],
-            spec["batch"],
-            spec["models"],
-            virtual,
-            cluster_spec=spec.get("cluster_spec"),
-        )
-    if kind == "memo":
-        return cells.compute_memo_cell(spec["memo_kind"], spec["params"])
-    raise ValueError(f"unknown job kind {kind!r}")
+def _cell_key(spec: Dict, dep_meta: Optional[Dict], virtual: bool) -> str:
+    """Physical cache key of a planned cell: its row's key over the
+    content of its input — the upstream artifact's digest, else the
+    dataset graph's, else nothing (memo)."""
+    if dep_meta is not None:
+        content = _consumed(spec, dep_meta, "content", "views")
+    elif "dataset" in spec:
+        content = load_dataset(spec["dataset"]).digest()
+    else:
+        content = None
+    return cells.CELLS[spec["kind"]].key(spec, content, virtual)
+
+
+def _cell_payload(spec: Dict, dep_payload: Optional[Dict], virtual: bool) -> Dict:
+    """Compute a planned cell: the graph comes from the dataset registry,
+    the consumed partition from the upstream artifact."""
+    graph = load_dataset(spec["dataset"]) if "dataset" in spec else None
+    source = None
+    if dep_payload is not None:
+        source = _consumed(spec, dep_payload, "partition", "partitions")
+    return cells.CELLS[spec["kind"]].compute(spec, graph, source, virtual)
 
 
 def _load_valid(cache: ArtifactCache, key: str) -> Optional[Dict]:
@@ -219,7 +143,7 @@ def _worker(
         # The input artifact vanished or failed validation (and was
         # quarantined above): tell the parent so it can heal/re-plan.
         raise MissingArtifactError(dep_key, cache.stats.quarantined)
-    payload = compute_cell(spec, dep_payload, virtual)
+    payload = _cell_payload(spec, dep_payload, virtual)
     cache.put(key, payload)
     if chaos is not None:
         chaos.after_store(cache, key, attempt)
@@ -313,7 +237,7 @@ def _execute_serial(
             return payload
         job = graph.jobs[jid]
         dep_payload = heal_payload(job.deps[0]) if job.deps else None
-        payload = compute_cell(job.spec, dep_payload, virtual)
+        payload = _cell_payload(job.spec, dep_payload, virtual)
         cache.put(key, payload)
         return payload
 
@@ -325,7 +249,7 @@ def _execute_serial(
             stats.skipped_jobs.append(job.jid)
             continue
         dep = resolved[job.deps[0]] if job.deps else None
-        key = physical_key(job, dep["meta"] if dep else None, virtual)
+        key = _cell_key(job.spec, dep["meta"] if dep else None, virtual)
         payload = _load_valid(cache, key)
         if payload is not None:
             report.hits += 1
@@ -336,7 +260,7 @@ def _execute_serial(
         for attempt in range(policy.retry.max_attempts):
             try:
                 dep_payload = heal_payload(job.deps[0]) if job.deps else None
-                payload = compute_cell(job.spec, dep_payload, virtual)
+                payload = _cell_payload(job.spec, dep_payload, virtual)
                 break
             except Exception:
                 stats.cell_errors += 1
@@ -474,7 +398,7 @@ class _PoolScheduler:
             return payload
         job = self.graph.jobs[jid]
         dep_payload = self.heal_payload(job.deps[0]) if job.deps else None
-        payload = compute_cell(job.spec, dep_payload, self.virtual)
+        payload = _cell_payload(job.spec, dep_payload, self.virtual)
         self.cache.put(key, payload)
         return payload
 
@@ -484,7 +408,7 @@ class _PoolScheduler:
         self.stats.degraded += 1
         try:
             dep_payload = self.heal_payload(job.deps[0]) if job.deps else None
-            payload = compute_cell(job.spec, dep_payload, self.virtual)
+            payload = _cell_payload(job.spec, dep_payload, self.virtual)
         except Exception:
             self.fail_forever(jid)
             return
@@ -542,7 +466,7 @@ class _PoolScheduler:
             self.stats.skipped_jobs.append(jid)
             return
         dep = self.resolved[job.deps[0]] if job.deps else None
-        key = physical_key(job, dep["meta"] if dep else None, self.virtual)
+        key = _cell_key(job.spec, dep["meta"] if dep else None, self.virtual)
         payload = _load_valid(self.cache, key)
         if payload is not None:
             self.report.hits += 1

@@ -1,29 +1,33 @@
 """Job graph: every experiment as cells with explicit dependencies.
 
-A :class:`Job` is one cell (see :mod:`repro.eval.engine.cells`) plus the
-logical ids of the cells it consumes — ``refine`` depends on its
-``partition``, ``run`` depends on the partition / refinement / composite
-it executes over.  :class:`JobGraph` deduplicates jobs by logical id, so
-when Exp-1, Exp-2 and Exp-4 all need the same refined partition the
-graph holds it once and every consumer shares the artifact.
+A :class:`Job` is one cell plus the logical ids of the cells it consumes
+— ``refine`` depends on its ``partition``, ``run`` depends on the
+partition / refinement / composite it executes over.  :class:`JobGraph`
+deduplicates jobs by logical id, so when Exp-1, Exp-2 and Exp-4 all need
+the same refined partition the graph holds it once and every consumer
+shares the artifact.
 
 :class:`Planner` is the convenience layer experiment modules use to
-declare their cells; it resolves cost models once per algorithm and
-embeds their exact coefficients in the spec (worker processes rebuild
-them bit-identically).
+declare their cells.  A planned spec is the spec the kind's row in
+:data:`repro.eval.engine.cells.CELLS` builds — the same one the facade
+builds when it reads the cell — plus where the input comes from
+(``dataset``, and ``view`` for a run over one view of a composite).  The
+planner resolves cost models once per algorithm and embeds their exact
+coefficients in the spec (worker processes rebuild them bit-identically).
 
 Logical ids are config digests of ``(kind, spec, deps)`` — deterministic
 across processes and hash seeds.  The *physical* cache key of a cell can
 depend on the content of its inputs (a run cell is keyed by the content
-hash of the partition it executes over) and is resolved by the executor
-once dependencies complete.
+hash of the partition it executes over) and is minted by the row's
+``key`` once the executor has the dependency's content digest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.eval.engine.cells import CELLS
 from repro.eval.engine.keys import config_digest, model_payload
 
 
@@ -53,11 +57,6 @@ class JobGraph:
                 raise ValueError(f"job {job.jid} depends on unplanned job {dep}")
         self.jobs[job.jid] = job
         return job
-
-    def merge(self, other: "JobGraph") -> None:
-        """Union ``other`` into this graph (shared cells deduplicate)."""
-        for job in other.jobs.values():
-            self.add(job)
 
     def downstream_cone(self, jid: str) -> List[str]:
         """Transitive dependents of ``jid``, in insertion (topo) order.
@@ -111,47 +110,13 @@ class Planner:
             self._model_payloads[algorithm] = model_payload(model)
         return self._model_payloads[algorithm]
 
+    def _add(self, spec: Dict, deps: Tuple[str, ...] = ()) -> Job:
+        kind = spec["kind"]
+        return self.graph.add(Job(_jid(kind, spec, deps), kind, spec, deps))
+
     def partition(self, dataset: str, baseline: str, n: int) -> Job:
         """Plan the initial-partition cell for (dataset, baseline, n)."""
-        spec = {"kind": "partition", "dataset": dataset, "baseline": baseline, "n": n}
-        return self.graph.add(Job(_jid("partition", spec, ()), "partition", spec))
-
-    @staticmethod
-    def _fold_cluster_spec(params: Dict) -> Dict:
-        """Record the active cluster spec's payload at plan time.
-
-        ``run_all --cluster-spec`` flips the process-wide default before
-        planning, so every planned cell carries the exact spec its
-        workers must rebuild.  Homogeneous plans leave ``params``
-        untouched (legacy job ids unchanged).
-        """
-        from repro.runtime.clusterspec import spec_payload
-
-        payload = spec_payload(params.pop("cluster_spec", None))
-        if payload is not None:
-            params["cluster_spec"] = payload
-        return params
-
-    @staticmethod
-    def _fold_backend(params: Dict) -> Dict:
-        """Record a non-default execution backend at plan time.
-
-        Mirrors :meth:`_fold_cluster_spec`: ``run_all --backend shm``
-        flips the process-wide default before planning, so every planned
-        run cell carries the backend its workers must select.  The
-        default (``simulated``) folds to nothing, leaving legacy job ids
-        byte-identical.
-        """
-        from repro.runtime.parallel import backend_default, shm_workers_default
-
-        if "backend" not in params:
-            backend = backend_default()
-            if backend != "simulated":
-                params["backend"] = backend
-                workers = shm_workers_default()
-                if workers is not None:
-                    params.setdefault("shm_workers", workers)
-        return params
+        return self._add(dict(CELLS["partition"].spec(baseline, n), dataset=dataset))
 
     def refine(
         self,
@@ -164,51 +129,8 @@ class Planner:
     ) -> Job:
         """Plan a refine cell (auto-plans its partition dependency)."""
         base = self.partition(dataset, baseline, n)
-        spec = {
-            "kind": "refine",
-            "dataset": dataset,
-            "algorithm": algorithm,
-            "cut": cut_type,
-            "model": self._model(algorithm),
-            "kwargs": self._fold_cluster_spec(dict(kwargs)),
-        }
-        return self.graph.add(
-            Job(_jid("refine", spec, (base.jid,)), "refine", spec, (base.jid,))
-        )
-
-    def incremental(
-        self,
-        dataset: str,
-        baseline: str,
-        n: int,
-        algorithm: str,
-        cut_type: str,
-        mutations,
-        **kwargs,
-    ) -> Job:
-        """Plan an incremental-maintenance cell over a refined partition.
-
-        ``mutations`` is a :class:`~repro.core.incremental.MutationBatch`
-        or its text form; the spec stores the canonical text so the job
-        id and the physical cache key agree on the batch digest.
-        """
-        from repro.core.incremental import MutationBatch
-
-        if not isinstance(mutations, MutationBatch):
-            mutations = MutationBatch.parse(str(mutations))
-        base = self.refine(dataset, baseline, n, algorithm, cut_type)
-        spec = {
-            "kind": "incremental",
-            "dataset": dataset,
-            "algorithm": algorithm,
-            "cut": cut_type,
-            "model": self._model(algorithm),
-            "mutations": mutations.to_text(),
-            "kwargs": self._fold_cluster_spec(dict(kwargs)),
-        }
-        return self.graph.add(
-            Job(_jid("incremental", spec, (base.jid,)), "incremental", spec, (base.jid,))
-        )
+        spec = CELLS["refine"].spec(algorithm, cut_type, self._model(algorithm), kwargs)
+        return self._add(dict(spec, dataset=dataset), (base.jid,))
 
     def run(
         self,
@@ -219,14 +141,8 @@ class Planner:
         view: Optional[str] = None,
     ) -> Job:
         """Plan a run cell over the output of ``on`` (optionally one view)."""
-        spec = {
-            "kind": "run",
-            "dataset": dataset,
-            "algorithm": algorithm,
-            "params": self._fold_backend(self._fold_cluster_spec(dict(params or {}))),
-            "view": view,
-        }
-        return self.graph.add(Job(_jid("run", spec, (on.jid,)), "run", spec, (on.jid,)))
+        spec = CELLS["run"].spec(algorithm, params)
+        return self._add(dict(spec, dataset=dataset, view=view), (on.jid,))
 
     def composite(
         self,
@@ -238,19 +154,10 @@ class Planner:
     ) -> Job:
         """Plan a composite-refine cell over the whole ``batch``."""
         base = self.partition(dataset, baseline, n)
-        spec = {
-            "kind": "composite",
-            "dataset": dataset,
-            "cut": cut_type,
-            "batch": list(batch),
-            "models": {name: self._model(name) for name in batch},
-        }
-        spec.update(self._fold_cluster_spec({}))
-        return self.graph.add(
-            Job(_jid("composite", spec, (base.jid,)), "composite", spec, (base.jid,))
-        )
+        models = {name: self._model(name) for name in batch}
+        spec = CELLS["composite"].spec(cut_type, batch, models)
+        return self._add(dict(spec, dataset=dataset), (base.jid,))
 
     def memo(self, memo_kind: str, params: Optional[Dict] = None) -> Job:
         """Plan a generic memoized computation (whitelisted by name)."""
-        spec = {"kind": "memo", "memo_kind": memo_kind, "params": params or {}}
-        return self.graph.add(Job(_jid("memo", spec, ()), "memo", spec))
+        return self._add(CELLS["memo"].spec(memo_kind, params))

@@ -242,21 +242,25 @@ def build_plan(selected, quick: bool) -> Planner:
     return planner
 
 
-def _parse_only(spec: str, parser: argparse.ArgumentParser):
+def _parse_only(spec: str):
+    """``--only`` value -> selected section names, in canonical order."""
     names = [token.strip() for token in spec.split(",") if token.strip()]
     unknown = [name for name in names if name not in SECTIONS]
-    if unknown:
-        parser.error(
-            f"unknown experiment(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(SECTION_NAMES)}"
+    if unknown or not names:
+        problem = (
+            f"unknown experiment(s) {', '.join(unknown)}"
+            if unknown
+            else "no experiment named"
         )
-    # preserve canonical order regardless of how --only lists them
+        raise argparse.ArgumentTypeError(
+            f"{problem}; choose from {', '.join(SECTION_NAMES)}"
+        )
     return [name for name in SECTION_NAMES if name in names]
 
 
-def main(argv=None) -> int:
-    """Run every experiment; returns the process exit code."""
-    parser = argparse.ArgumentParser(description=__doc__)
+def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
+    """The sweep's argument parser (``repro sweep`` mounts it as a parent)."""
+    parser = argparse.ArgumentParser(description=__doc__, add_help=add_help)
     parser.add_argument("--quick", action="store_true", help="reduced sweep")
     parser.add_argument(
         "--jobs",
@@ -278,6 +282,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--only",
+        type=_parse_only,
+        default=list(SECTION_NAMES),
         metavar="NAMES",
         help=f"comma-separated subset of {','.join(SECTION_NAMES)}",
     )
@@ -377,7 +383,7 @@ def main(argv=None) -> int:
     )
     trace_group = parser.add_argument_group(
         "failure traces", "record/replay of fired chaos fates"
-    )
+    ).add_mutually_exclusive_group()
     trace_group.add_argument(
         "--trace-out",
         metavar="PATH",
@@ -389,10 +395,22 @@ def main(argv=None) -> int:
         help="replay the fates of a recorded failure trace "
         "(bypasses the --chaos-* rates)",
     )
-    raw_argv = list(argv) if argv is not None else sys.argv[1:]
-    args = parser.parse_args(argv)
-    if args.trace_out and args.trace_in:
-        parser.error("--trace-out and --trace-in are mutually exclusive")
+    return parser
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def run(args: argparse.Namespace, argv) -> int:
+    """Run the sweep ``args`` (parsed by :func:`build_parser`) selects.
+
+    ``argv`` is the token list ``args`` was parsed from; a recorded
+    failure trace stores it so ``repro trace replay`` can re-run it.
+    """
+    if args.shm_workers is not None and args.backend != "shm":
+        return _usage_error("--shm-workers requires --backend shm")
 
     if args.cluster_spec:
         # Flip the default before planning: planned cells record the spec
@@ -403,7 +421,7 @@ def main(argv=None) -> int:
         try:
             set_cluster_spec_default(ClusterSpec.load(args.cluster_spec))
         except (OSError, ValueError) as exc:
-            parser.error(str(exc))
+            return _usage_error(str(exc))
 
     if args.backend:
         # Same pattern again: planned run cells fold the non-default
@@ -413,9 +431,9 @@ def main(argv=None) -> int:
         try:
             set_backend_default(args.backend, args.shm_workers)
         except (ValueError, RuntimeError) as exc:
-            parser.error(str(exc))
+            return _usage_error(str(exc))
 
-    selected = _parse_only(args.only, parser) if args.only else list(SECTION_NAMES)
+    selected = args.only
     jobs = max(1, args.jobs)
     cfg = _sweep_config(args.quick)
     start = time.perf_counter()
@@ -457,7 +475,7 @@ def main(argv=None) -> int:
             trace = FailureTrace(
                 meta={
                     "command": "run_all",
-                    "argv": raw_argv,
+                    "argv": list(argv),
                     "engine": {"hang_seconds": args.chaos_hang_seconds},
                 }
             )
@@ -510,6 +528,12 @@ def main(argv=None) -> int:
 
     print(f"Total: {time.perf_counter() - start:.1f}s", file=sys.stderr)
     return 0
+
+
+def main(argv=None) -> int:
+    """Run every experiment; returns the process exit code."""
+    argv = list(argv) if argv is not None else sys.argv[1:]
+    return run(build_parser().parse_args(argv), argv)
 
 
 if __name__ == "__main__":

@@ -25,10 +25,10 @@ from repro.eval.engine import (
     Planner,
     canonical_json,
     config_digest,
-    model_digest,
+    model_payload,
     use_engine,
 )
-from repro.eval.engine import keys as engine_keys
+from repro.eval.engine.cells import CELLS
 from repro.eval.engine.executor import execute
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -44,20 +44,83 @@ def test_canonical_json_is_order_independent():
     assert " " not in a
 
 
+def _key(kind, content, *spec_args, virtual=False):
+    """Physical key through the cell table: build the spec, then key it."""
+    row = CELLS[kind]
+    return row.key(row.spec(*spec_args), content, virtual)
+
+
 def test_config_digest_changes_with_any_param():
-    base = engine_keys.partition_key("g0", "fennel", 4)
-    assert engine_keys.partition_key("g1", "fennel", 4) != base
-    assert engine_keys.partition_key("g0", "grid", 4) != base
-    assert engine_keys.partition_key("g0", "fennel", 8) != base
-    assert engine_keys.partition_key("g0", "fennel", 4, virtual=True) != base
+    base = _key("partition", "g0", "fennel", 4)
+    assert _key("partition", "g1", "fennel", 4) != base
+    assert _key("partition", "g0", "grid", 4) != base
+    assert _key("partition", "g0", "fennel", 8) != base
+    assert _key("partition", "g0", "fennel", 4, virtual=True) != base
+
+
+M0, M1 = {"name": "m0"}, {"name": "m1"}
 
 
 def test_refine_key_depends_on_model_and_kwargs():
-    base = engine_keys.refine_key("c0", "pr", "edge", "m0", {})
-    assert engine_keys.refine_key("c0", "pr", "edge", "m1", {}) != base
-    assert engine_keys.refine_key("c0", "pr", "edge", "m0", {"enable_esplit": False}) != base
-    assert engine_keys.refine_key("c1", "pr", "edge", "m0", {}) != base
-    assert engine_keys.refine_key("c0", "wcc", "edge", "m0", {}) != base
+    base = _key("refine", "c0", "pr", "edge", M0, {})
+    assert _key("refine", "c0", "pr", "edge", M1, {}) != base
+    assert _key("refine", "c0", "pr", "edge", M0, {"enable_esplit": False}) != base
+    assert _key("refine", "c1", "pr", "edge", M0, {}) != base
+    assert _key("refine", "c0", "wcc", "edge", M0, {}) != base
+
+
+@pytest.fixture
+def literal_model_hashes(monkeypatch):
+    """The pins were computed with the model hashes ``"m0"`` / ``"m1"``."""
+    from repro.eval.engine import cells
+
+    real = cells.payload_digest
+    monkeypatch.setattr(
+        cells, "payload_digest", lambda p: p["name"] if p in (M0, M1) else real(p)
+    )
+
+
+SKEWED = {"speeds": [0.25, 1.0], "bandwidths": [1.0, 1.0]}
+COMPOSITE_ARGS = ("edge", ["pr", "wcc"], {"pr": M0, "wcc": M1})
+TABLE5_PARAMS = {"algorithms": ["pr", "cn"], "num_graphs": 3}
+
+
+@pytest.mark.parametrize(
+    "kind, content, spec_args, virtual, expected",
+    [
+        ("partition", "g0", ("fennel", 4), False,
+         "f02ca84eb8712cb984d16defd64c5c57246dcd91a4af5717576b9b852d9928f8"),
+        ("partition", "g0", ("fennel", 4), True,
+         "47bf4b5d531147388cfa7d90774e8d466e09388f8c31e1373495f6b8c70f9859"),
+        ("refine", "c0", ("pr", "edge", M0, {}), False,
+         "0b59d8cc02d3998eba59decbb018a5fe17ed135e763053dd32aa17be062c1381"),
+        ("refine", "c0", ("pr", "edge", M0, {"enable_esplit": False}), True,
+         "faf0abad74fa6e8254d8d400665dc79ef0305bb8cd635e03e7e8e85235e57dfb"),
+        ("run", "c0", ("pr", {"iterations": 10}), False,
+         "6838c12c745edfa497198504afd00dbe7793089fdaf0a9ce55b5a0ffadb599d4"),
+        ("composite", "c0", COMPOSITE_ARGS, False,
+         "ff2dd1ed83540191839a9c4fbc9b22de839740a61ea5fd85f078af4f8afe8168"),
+        # the spec builder canonicalises the cluster spec (adds "links": {})
+        ("composite", "c0", COMPOSITE_ARGS + (SKEWED,), False,
+         "994b9af1d61735835982540026a907f5c16e626777aee7af014d5545a8edbf67"),
+        ("memo", None, ("exp6_table5", TABLE5_PARAMS), False,
+         "8c32454bef8839f3f846cf6871ff8c9a39f515fe4e84fe7f0a21bacfc46e6f4a"),
+    ],
+)
+def test_physical_keys_are_pinned(
+    literal_model_hashes, kind, content, spec_args, virtual, expected
+):
+    """Existing ``.repro-cache/`` directories must stay warm: every kind's
+    key is byte-identical to the one the positional ``keys.*_key``
+    functions minted (digests computed at the commit that deleted them)."""
+    assert _key(kind, content, *spec_args, virtual=virtual) == expected
+
+
+def test_composite_key_takes_a_cluster_spec_verbatim(literal_model_hashes):
+    spec = dict(CELLS["composite"].spec(*COMPOSITE_ARGS), cluster_spec=SKEWED)
+    assert CELLS["composite"].key(spec, "c0", False) == (
+        "b16066d3e680a9efe4d98ce237fff18059468d2ea0d1e1e45f7998dc77587733"
+    )
 
 
 def test_graph_digest_is_content_addressed():
@@ -71,13 +134,15 @@ _KEY_SCRIPT = """
 import json, sys
 from repro.costmodel.library import builtin_cost_model
 from repro.eval.datasets import load_dataset
-from repro.eval.engine import config_digest, model_digest
-from repro.eval.engine import keys
+from repro.eval.engine import config_digest, model_payload
+from repro.eval.engine.cells import CELLS
+def key(kind, content, *spec_args):
+    return CELLS[kind].key(CELLS[kind].spec(*spec_args), content, False)
 print(json.dumps({
     "config": config_digest("partition", graph="g", baseline="ne", n=4),
-    "partition": keys.partition_key(load_dataset("livejournal_like").digest(), "fennel", 2),
-    "refine": keys.refine_key("c", "pr", "edge", model_digest(builtin_cost_model("pr")), {"enable_esplit": True}),
-    "memo": keys.memo_key("exp6_table5", {"algorithms": ["pr", "cn"], "num_graphs": 3}),
+    "partition": key("partition", load_dataset("livejournal_like").digest(), "fennel", 2),
+    "refine": key("refine", "c", "pr", "edge", model_payload(builtin_cost_model("pr")), {"enable_esplit": True}),
+    "memo": key("memo", None, "exp6_table5", {"algorithms": ["pr", "cn"], "num_graphs": 3}),
 }))
 """
 
@@ -99,8 +164,8 @@ def test_cache_keys_stable_across_processes_and_hash_seeds():
     assert outputs[0]["config"] == config_digest(
         "partition", graph="g", baseline="ne", n=4
     )
-    assert outputs[0]["refine"] == engine_keys.refine_key(
-        "c", "pr", "edge", model_digest(builtin_cost_model("pr")),
+    assert outputs[0]["refine"] == _key(
+        "refine", "c", "pr", "edge", model_payload(builtin_cost_model("pr")),
         {"enable_esplit": True},
     )
 
@@ -224,12 +289,19 @@ def test_use_engine_swaps_and_restores(tmp_path):
 # ----------------------------------------------------------------------
 # Planner / executor
 # ----------------------------------------------------------------------
+BATCH = ("pr", "wcc")
+
+
 def _tiny_plan() -> Planner:
+    """One cell of every kind, plus a run over one view of the composite."""
     planner = Planner(model_for=builtin_cost_model)
     part = planner.partition("livejournal_like", "fennel", 2)
     refined = planner.refine("livejournal_like", "fennel", 2, "pr", "edge")
     planner.run("livejournal_like", "pr", part, {"iterations": 10})
     planner.run("livejournal_like", "pr", refined, {"iterations": 10})
+    composite = planner.composite("livejournal_like", "fennel", 2, BATCH, "edge")
+    planner.run("livejournal_like", "pr", composite, {"iterations": 10}, view="pr")
+    planner.memo("exp6_reference_times", {"dataset": "livejournal_like"})
     return planner
 
 
@@ -252,11 +324,13 @@ def test_job_graph_rejects_unplanned_deps():
 
 @pytest.mark.slow
 def test_executor_serial_facade_key_agreement(tmp_path):
-    """Cells warmed by the executor must be hits for the facade."""
+    """Cells warmed by the executor must be hits for the facade — for
+    every row of the cell table."""
     planner = _tiny_plan()
+    assert {job.kind for job in planner.graph} == set(CELLS)
     cache = ArtifactCache(tmp_path)
     report = execute(planner.graph, cache, jobs=1)
-    assert report.computed == report.total == 4
+    assert report.computed == report.total == 7
 
     engine = EvalEngine(cache=cache)
     graph = load_dataset("livejournal_like")
@@ -267,9 +341,14 @@ def test_executor_serial_facade_key_agreement(tmp_path):
     )
     engine.run_algorithm(partition, "pr", {"iterations": 10})
     engine.run_algorithm(refined, "pr", {"iterations": 10})
+    composite, _p = engine.composite_refine(
+        partition, "edge", BATCH, {name: builtin_cost_model(name) for name in BATCH}
+    )
+    engine.run_algorithm(composite.partition_for("pr"), "pr", {"iterations": 10})
+    engine.memo("exp6_reference_times", {"dataset": "livejournal_like"})
     delta = cache.stats.delta(before)
     assert delta.misses == 0
-    assert delta.hits == 4
+    assert delta.hits == 7
 
 
 @pytest.mark.slow
@@ -330,132 +409,12 @@ def test_run_all_quick_tables_bit_identical(tmp_path):
 @pytest.mark.timeout(600)
 def test_run_all_only_rejects_unknown_experiment(tmp_path):
     env = dict(os.environ, PYTHONPATH=SRC)
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.eval.run_all", "--quick", "--only", "exp9",
-         "--no-cache"],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path),
-    )
-    assert result.returncode == 2
-    assert "unknown experiment" in result.stderr
-
-
-# ----------------------------------------------------------------------
-# Incremental maintenance cells (DESIGN §15)
-# ----------------------------------------------------------------------
-BATCH_TEXT = "+ 0 5\n- 0 1\n+ 3 9"
-
-
-def test_incremental_key_depends_on_base_batch_and_model():
-    base = engine_keys.incremental_key("c0", "pr", "edge", "m0", "b0")
-    assert engine_keys.incremental_key("c1", "pr", "edge", "m0", "b0") != base
-    assert engine_keys.incremental_key("c0", "pr", "edge", "m0", "b1") != base
-    assert engine_keys.incremental_key("c0", "pr", "edge", "m1", "b0") != base
-    assert engine_keys.incremental_key("c0", "pr", "vertex", "m0", "b0") != base
-    assert engine_keys.incremental_key("c0", "pr", "edge", "m0", "b0") == base
-
-
-def test_planner_incremental_plans_refine_dep_and_dedups():
-    from repro.core.incremental import MutationBatch
-
-    planner = Planner(model_for=builtin_cost_model)
-    job = planner.incremental(
-        "livejournal_like", "fennel", 2, "pr", "edge", BATCH_TEXT
-    )
-    # partition + refine dependencies were auto-planned.
-    assert len(planner.graph) == 3
-    assert len(job.deps) == 1
-    # Same batch (whether text or parsed) deduplicates; a different
-    # batch is a new cell.
-    again = planner.incremental(
-        "livejournal_like", "fennel", 2, "pr", "edge",
-        MutationBatch.parse(BATCH_TEXT),
-    )
-    assert again.jid == job.jid
-    other = planner.incremental(
-        "livejournal_like", "fennel", 2, "pr", "edge", "+ 0 5"
-    )
-    assert other.jid != job.jid
-    assert len(planner.graph) == 4
-
-
-@pytest.mark.slow
-def test_maintain_partition_cached_matches_passthrough(tmp_path, small_graph):
-    from repro.graph.digraph import Graph
-
-    model = builtin_cost_model("pr")
-
-    def private_copy():
-        g = Graph(
-            small_graph.num_vertices,
-            list(small_graph.edges()),
-            directed=small_graph.directed,
+    for only, problem in (("exp9", "unknown experiment"), (",", "no experiment")):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.eval.run_all", "--quick", "--only", only,
+             "--no-cache"],
+            capture_output=True, text=True, env=env, cwd=str(tmp_path),
         )
-        return g
-
-    present = next(iter(small_graph.edges()))
-    missing = next(
-        (u, v)
-        for u in range(20)
-        for v in range(20)
-        if u != v and not small_graph.has_edge(u, v)
-    )
-    batch = f"+ {missing[0]} {missing[1]}\n- {present[0]} {present[1]}"
-
-    passthrough = EvalEngine()
-    g0 = private_copy()
-    p0, _ = passthrough.initial_partition(g0, "fennel", 2)
-    r0, _ = passthrough.refine_partition(p0, "pr", "edge", model)
-    m0, prof0 = passthrough.maintain_partition(r0, "pr", "edge", model, batch)
-    assert m0 is r0  # in-place fast path
-    assert prof0.stats.incremental is not None
-    assert passthrough.last_maintenance["dirty"] == prof0.stats.incremental.dirty
-
-    cached = EvalEngine(cache=ArtifactCache(tmp_path))
-    p1, _ = cached.initial_partition(small_graph, "fennel", 2)
-    r1, _ = cached.refine_partition(p1, "pr", "edge", model)
-    m1, prof1 = cached.maintain_partition(r1, "pr", "edge", model, batch)
-    # Cached mode computes over private copies: the shared dataset graph
-    # and the caller's refined partition stay untouched.
-    assert m1 is not r1
-    assert small_graph.has_edge(*present) and not small_graph.has_edge(*missing)
-    assert m1.graph.has_edge(*missing) and not m1.graph.has_edge(*present)
-    # Cached profiles drop refiner stats; the counters ride on the
-    # engine's maintenance summary instead.
-    assert cached.last_maintenance["dirty"] == passthrough.last_maintenance["dirty"]
-    assert (
-        cached.last_maintenance["batch"] == passthrough.last_maintenance["batch"]
-    )
-
-    # Replay is a pure cache hit and reproduces the same maintained state.
-    before = cached.stats.snapshot()
-    m2, prof2 = cached.maintain_partition(r1, "pr", "edge", model, batch)
-    delta = cached.stats.delta(before)
-    assert delta.misses == 0 and delta.hits == 1
-    assert prof2.wall_seconds == prof1.wall_seconds
-    assert m2.graph == m1.graph
-    assert {v: sorted(m2.placement(v)) for v in range(m2.graph.num_vertices)} == {
-        v: sorted(m1.placement(v)) for v in range(m1.graph.num_vertices)
-    }
-
-
-@pytest.mark.slow
-def test_executor_warms_incremental_cell_for_facade(tmp_path):
-    planner = Planner(model_for=builtin_cost_model)
-    planner.incremental("livejournal_like", "fennel", 2, "pr", "edge", BATCH_TEXT)
-    cache = ArtifactCache(tmp_path)
-    report = execute(planner.graph, cache, jobs=1)
-    assert report.computed == report.total == 3
-
-    engine = EvalEngine(cache=cache)
-    graph = load_dataset("livejournal_like")
-    before = cache.stats.snapshot()
-    partition, _ = engine.initial_partition(graph, "fennel", 2)
-    refined, _ = engine.refine_partition(
-        partition, "pr", "edge", builtin_cost_model("pr")
-    )
-    engine.maintain_partition(
-        refined, "pr", "edge", builtin_cost_model("pr"), BATCH_TEXT
-    )
-    delta = cache.stats.delta(before)
-    assert delta.misses == 0
-    assert delta.hits == 3
+        assert result.returncode == 2
+        assert problem in result.stderr
+        assert "exp1, exp2, exp3, exp4, exp5, exp6, appendix, hetero" in result.stderr

@@ -370,16 +370,12 @@ def test_failed_job_skips_only_its_downstream_cone(tmp_path, monkeypatch):
     """A job whose cell raises on every attempt (worker and in-process)
     fails permanently; only its dependents are skipped."""
     graph = _tiny_plan()
-    from repro.eval.engine import executor as executor_mod
+    from repro.eval.engine.cells import CELLS
 
-    real_compute = executor_mod.compute_cell
+    def poisoned(spec, graph, source, virtual):
+        raise RuntimeError("injected permanent cell failure")
 
-    def poisoned(spec, dep_payload, virtual):
-        if spec["kind"] == "refine":
-            raise RuntimeError("injected permanent cell failure")
-        return real_compute(spec, dep_payload, virtual)
-
-    monkeypatch.setattr(executor_mod, "compute_cell", poisoned)
+    monkeypatch.setitem(CELLS, "refine", CELLS["refine"]._replace(compute=poisoned))
     report = execute(
         graph,
         ArtifactCache(tmp_path),

@@ -91,6 +91,33 @@ def test_evaluate_sssp_without_a_source_vertex_is_a_one_line_error(tmp_path, cap
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evaluate", "--graph", "g.txt", "--partition", "p.json"],
+        ["sweep", "--quick", "--only", "exp6", "--no-cache"],
+    ],
+    ids=["evaluate", "sweep"],
+)
+def test_shm_workers_without_shm_backend_is_rejected(command, capsys):
+    """The flag used to be dropped silently (the run stayed simulated)."""
+    assert main(command + ["--shm-workers", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --shm-workers requires --backend shm\n"
+    assert captured.out == ""
+
+
+def test_sweep_takes_every_run_all_flag(capsys):
+    """``sweep`` mounts run_all's parser instead of re-declaring a subset
+    (``--max-attempts`` and friends used to be ``unrecognized arguments``)."""
+    rc = main(
+        ["sweep", "--quick", "--only", "exp6", "--no-cache", "--max-attempts", "2",
+         "--no-hedge", "--no-validate", "--chaos-seed", "7"]
+    )
+    assert rc == 0
+    assert "Exp-6" in capsys.readouterr().out
+
+
 @pytest.mark.slow
 def test_partition_with_refinement(graph_file, tmp_path, capsys):
     part_file = tmp_path / "p.json"
