@@ -21,7 +21,7 @@ reaches >= 2.5x over the in-process backend.  Hosts with fewer cores
 and segment hygiene.  ``REPRO_BENCH_SCALE`` multiplies the vertex
 count for larger-machine sweeps.
 
-Standalone usage (what CI's shm-smoke step runs):
+Standalone usage (what a step of CI's pipeline-bench job runs):
 
     PYTHONPATH=src python benchmarks/bench_shm_backend.py --smoke
 """
@@ -208,7 +208,7 @@ def main(argv=None) -> int:
 
 # ----------------------------------------------------------------------
 # pytest wrapper (the tier-1 suite does not collect benchmarks/; this
-# runs under the bench harness and CI's shm-smoke job)
+# runs under the bench harness)
 
 try:
     import pytest

@@ -8,11 +8,17 @@ edge-parallel aggregation such as PageRank's scatter phase, and
 ``roles`` marks the cost-bearing (non-dummy) copies at which
 vertex-centric computation happens, matching the cost attribution of
 Eq. 2.
+
+An algorithm does not know where it executes: its per-fragment array
+compute is a row of :data:`repro.runtime.kernels.KERNELS` that it asks
+the cluster to map over the fragments it chose, in-process or in worker
+processes (the ``backend`` run param).
 """
 
 from __future__ import annotations
 
 import abc
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -68,7 +74,6 @@ class Algorithm(abc.ABC):
     fault_plan: Optional[Union[FaultPlan, FaultInjector]] = None
     checkpoint_interval: int = 0
 
-    @abc.abstractmethod
     def run(
         self,
         partition: HybridPartition,
@@ -81,7 +86,19 @@ class Algorithm(abc.ABC):
         ``faults``, a :class:`FaultPlan`, and ``checkpoint_interval``,
         supersteps between state snapshots) next to their own
         :attr:`run_params`; any other key is a ``TypeError``.
+
+        The cluster is closed on every exit path, so what the backend
+        holds (a shared-memory arena) never outlives the run.
         """
+        with closing(self._cluster(partition, clock, params)) as cluster:
+            values = self._run(partition, cluster, params)
+            return AlgorithmResult(values=values, profile=cluster.finish())
+
+    def _run(
+        self, partition: HybridPartition, cluster: Cluster, params: Dict[str, Any]
+    ) -> Any:
+        """The supersteps on ``cluster``; returns the result values."""
+        raise NotImplementedError
 
     def configure_faults(
         self,

@@ -11,7 +11,9 @@ Example 1.  Under a hybrid partition:
   and counts the pairs — communication ∝ degree × mirrors.
 
 A degree threshold ``theta`` skips high-degree common neighbors, the
-memory-control practice the paper applies to Twitter (Exp-1: θ = 300).
+memory-control practice the paper applies to Twitter (Exp-1: θ = 300);
+that eligibility mask is the ``cn`` row of
+:data:`~repro.runtime.kernels.KERNELS`, reached through ``Cluster.map``.
 
 Result values: total pair count, or a ``{(u, w): count}`` mapping when
 ``return_pairs=True`` (tests use the mapping; benchmarks the scalar).
@@ -24,11 +26,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmResult
+from repro.algorithms.base import Algorithm
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.costclock import CostClock
+from repro.runtime.bsp import Cluster
+from repro.runtime.kernels import KERNELS
 from repro.runtime.plan import ECUT as ROLE_ECUT
-from repro.runtime.plan import DUMMY as ROLE_DUMMY
 from repro.runtime.plan import VCUT as ROLE_VCUT
 from repro.runtime.plan import get_plan
 
@@ -43,18 +45,14 @@ class CommonNeighbors(Algorithm):
         self.theta = theta
         self.return_pairs = return_pairs
 
-    def run(
-        self,
-        partition: HybridPartition,
-        clock: Optional[CostClock] = None,
-        **params: Any,
-    ) -> AlgorithmResult:
-        """Count common-neighbor pairs over the partition (see class docs)."""
+    def _run(
+        self, partition: HybridPartition, cluster: Cluster, params: Dict[str, Any]
+    ) -> Any:
+        """Common-neighbor pairs over the partition (see class docs)."""
         theta = params.get("theta", self.theta)
         return_pairs = bool(params.get("return_pairs", self.return_pairs))
         if theta is None:
             theta = math.inf
-        cluster = self._cluster(partition, clock, params)
         # The master-side merge of a v-cut vertex's partial in-neighbor
         # lists equals its *global* unique in-neighbor row: every in-edge
         # lives in some fragment, and a fragment holding one has the
@@ -64,7 +62,6 @@ class CommonNeighbors(Algorithm):
         # therefore read from one shared global in-neighbor CSR.
         plan = get_plan(partition)
         gin = plan.global_in_csr()
-        in_degs = plan.in_degrees()
 
         pair_counts: Dict[Tuple[int, int], int] = {}
         total = 0
@@ -76,29 +73,17 @@ class CommonNeighbors(Algorithm):
                     key = (neighbors[i], neighbors[j])
                     pair_counts[key] = pair_counts.get(key, 0) + 1
 
-        # shm backend: the per-fragment eligibility masks are computed in
-        # worker processes over shared degree/role views (bit-identical
-        # to the in-process expression below).
-        runner = cluster.shm_runner()
-        shm_elig = (
-            runner.cn_eligible(plan, theta) if runner is not None else None
-        )
-
         # Superstep 1: e-cut vertices count locally; v-cut copies ship
         # their local in-neighbor lists to the master.
         vcut_parts = []
-        for fragment in partition.fragments:
-            fid = fragment.fid
-            verts = plan.verts(fid)
-            if verts.size == 0:
-                continue
-            roles = plan.roles(fid)
-            if shm_elig is not None:
-                eligible = shm_elig[fid]
-            else:
-                eligible = (in_degs[verts] <= theta) & (roles != ROLE_DUMMY)
+        kernel = KERNELS["cn"]
+        fids = [f.fid for f in partition.fragments if plan.verts(f.fid).size]
+        masks = cluster.map(kernel, kernel.all_tables(plan), (), fids, (theta,))
+        for fid, eligible in zip(fids, masks):
             if not eligible.any():
                 continue
+            verts = plan.verts(fid)
+            roles = plan.roles(fid)
             lin = plan.cn_local_in_counts(fid)
             cluster.charge_bulk(fid, lin[eligible], vertices=verts[eligible])
             ecut = eligible & (roles == ROLE_ECUT)
@@ -144,6 +129,4 @@ class CommonNeighbors(Algorithm):
                         add_pairs(gin.nbrs[start:stop].tolist())
         cluster.deliver()
 
-        profile = cluster.finish()
-        values: Any = pair_counts if return_pairs else total
-        return AlgorithmResult(values=values, profile=profile)
+        return pair_counts if return_pairs else total

@@ -10,21 +10,23 @@ in-degree — the ``h_PR ∝ d⁺_L`` of Table 5 — and synchronization traffic
 per replicated vertex is proportional to its mirror count ``r`` —
 ``g_PR ∝ r``.
 
-The run is a vectorized kernel over the partition's
-:class:`~repro.runtime.plan.FragmentPlan`; the scalar loop it replaced is
-the test suite's differential oracle (``scalar_runs``) and charges the
-cost model bit for bit the same.
+The run is vectorized over the partition's
+:class:`~repro.runtime.plan.FragmentPlan` — the per-fragment scatter is
+the ``pr`` row of :data:`~repro.runtime.kernels.KERNELS` — and the scalar
+loop it replaced is the test suite's differential oracle
+(``scalar_runs``), which charges the cost model bit for bit the same.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmResult
+from repro.algorithms.base import Algorithm
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.costclock import CostClock
+from repro.runtime.bsp import Cluster
+from repro.runtime.kernels import KERNELS
 from repro.runtime.plan import get_plan
 from repro.runtime.sync import SyncRoute
 
@@ -47,21 +49,17 @@ class PageRank(Algorithm):
         self.iterations = iterations
         self.damping = damping
 
-    def run(
-        self,
-        partition: HybridPartition,
-        clock: Optional[CostClock] = None,
-        **params: Any,
-    ) -> AlgorithmResult:
-        """Run PageRank over the partition (see class docs)."""
+    def _run(
+        self, partition: HybridPartition, cluster: Cluster, params: Dict[str, Any]
+    ) -> Any:
+        """PageRank over the partition (see class docs)."""
         iterations = int(params.get("iterations", self.iterations))
         damping = float(params.get("damping", self.damping))
         graph = partition.graph
         n = max(1, graph.num_vertices)
         base = (1.0 - damping) / n
-        cluster = self._cluster(partition, clock, params)
         plan = get_plan(partition)
-        target_aware = graph.directed
+        kernel = KERNELS["pr"]
 
         ranks: Dict[int, np.ndarray] = {
             f.fid: np.full(plan.verts(f.fid).size, 1.0 / n)
@@ -77,40 +75,22 @@ class PageRank(Algorithm):
             }
 
         cluster.set_snapshot(snapshot)
-        runner = cluster.shm_runner()
         # Which vertices each fragment scatters to is fixed for the run,
-        # so the sync's routing is compiled once, outside the loop.
-        scatters = {
-            f.fid: plan.pr_scatter(f.fid, target_aware) for f in partition.fragments
-        }
-        scatters = {fid: sc for fid, sc in scatters.items() if sc.src_slots.size}
+        # so the fragments that scatter at all and the sync's routing are
+        # worked out once, outside the loop.
+        scatters = kernel.all_tables(plan)
+        fids = [fid for fid, sc in enumerate(scatters) if sc.src_slots.size]
         route = SyncRoute(
             plan,
-            {fid: sc.touched_ids for fid, sc in scatters.items()},
+            {fid: scatters[fid].touched_ids for fid in fids},
             cluster.num_workers,
         )
 
         for _ in range(iterations):
-            # shm backend: the scatter runs in worker processes over
-            # shared plan views; the returned sums are bit-identical to
-            # the in-process np.add.at below, and all cost accounting
-            # stays here in the parent.
-            shm_sums = (
-                runner.pr_scatter(plan, ranks, target_aware)
-                if runner is not None
-                else None
-            )
             partials = {}
-            for fid, sc in scatters.items():
-                local = ranks[fid]
-                if shm_sums is not None:
-                    sums = shm_sums[fid]
-                else:
-                    sums = np.zeros(local.size)
-                    # np.add.at applies updates sequentially in index order,
-                    # which is the scalar scatter order — every intermediate
-                    # rounding step matches the dict accumulation.
-                    np.add.at(sums, sc.dst_slots, local[sc.src_slots] / sc.deg)
+            scattered = cluster.map(kernel, scatters, (ranks,), fids)
+            for fid, sums in zip(fids, scattered):
+                sc = scatters[fid]
                 cluster.charge_bulk(fid, sc.ops, vertices=plan.verts(fid))
                 partials[fid] = sums[sc.touched_slots]
 
@@ -128,5 +108,4 @@ class PageRank(Algorithm):
                     new[plan.slot_of(fid)[ids]] = vals
                 ranks[fid] = new
 
-        profile = cluster.finish()
-        return AlgorithmResult(values=plan.master_values(ranks), profile=profile)
+        return plan.master_values(ranks)

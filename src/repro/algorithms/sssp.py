@@ -8,19 +8,24 @@ distance improves.  Terminates at a global fixpoint.
 
 Cost shape: relaxation work per active copy is proportional to its local
 out-degree — ``h_SSSP ∝ d⁻_L`` — and sync traffic gives ``g_SSSP ∝ r``.
+
+The relaxation is the ``sssp`` row of :data:`~repro.runtime.kernels.KERNELS`
+(``Cluster.map``); which fragments have a frontier to relax from, the
+charges and the sync are decided here.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmResult, global_or
+from repro.algorithms.base import Algorithm, global_or
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.costclock import CostClock
-from repro.runtime.plan import gather_segments, get_plan
+from repro.runtime.bsp import Cluster
+from repro.runtime.kernels import KERNELS, sssp_frontier
+from repro.runtime.plan import get_plan
 from repro.runtime.sync import sync_by_master_arrays
 
 INF = math.inf
@@ -40,13 +45,10 @@ class SingleSourceShortestPath(Algorithm):
         self.source = source
         self.max_iterations = max_iterations
 
-    def run(
-        self,
-        partition: HybridPartition,
-        clock: Optional[CostClock] = None,
-        **params: Any,
-    ) -> AlgorithmResult:
-        """Run SSSP from ``source`` over the partition (see class docs)."""
+    def _run(
+        self, partition: HybridPartition, cluster: Cluster, params: Dict[str, Any]
+    ) -> Any:
+        """SSSP from ``source`` over the partition (see class docs)."""
         source = int(params.get("source", self.source))
         max_iterations = int(params.get("max_iterations", self.max_iterations))
         num_vertices = partition.graph.num_vertices
@@ -55,8 +57,8 @@ class SingleSourceShortestPath(Algorithm):
                 f"sssp source {source} is not a vertex "
                 f"(num_vertices={num_vertices})"
             )
-        cluster = self._cluster(partition, clock, params)
         plan = get_plan(partition)
+        kernel = KERNELS["sssp"]
         dist: Dict[int, np.ndarray] = {
             f.fid: np.full(plan.verts(f.fid).size, INF)
             for f in partition.fragments
@@ -84,39 +86,29 @@ class SingleSourceShortestPath(Algorithm):
             dist[fid][slot] = 0.0
             active[fid][slot] = True
 
-        runner = cluster.shm_runner()
+        out_edges = kernel.all_tables(plan)
+        # The frontier the clock is charged from also reaches an
+        # in-process kernel, as parent-only state, so it is derived once.
+        frontiers: Dict[int, tuple] = {}
 
         for _ in range(max_iterations):
-            # shm backend: frontier relaxation runs in worker processes
-            # (the runner mirrors the skip conditions below exactly);
-            # charges are still computed here from the same sel/lens.
-            shm_best = (
-                runner.sssp_relax(plan, dist, active)
-                if runner is not None
-                else None
-            )
-            partials = {}
+            fids = []  # where an active bearing copy has a local out-edge
             for fragment in partition.fragments:
                 fid = fragment.fid
                 if not active[fid].any():
                     continue
-                t = plan.sssp_out(fid)
-                sel = np.nonzero(active[fid] & t.bearing)[0]
+                frontier = sssp_frontier(out_edges[fid], active[fid])
+                sel, idx, lens = frontier
                 if sel.size == 0:
                     continue
-                idx, lens = gather_segments(t.indptr, sel)
                 cluster.charge_bulk(fid, lens, vertices=plan.verts(fid)[sel])
-                if idx.size == 0:
-                    continue
-                local = dist[fid]
-                if shm_best is not None:
-                    best = shm_best[fid]
-                else:
-                    best = np.full(local.size, INF)
-                    np.minimum.at(
-                        best, t.targets[idx], np.repeat(local[sel], lens) + 1.0
-                    )
-                mask = best < local
+                if idx.size:
+                    fids.append(fid)
+                    frontiers[fid] = frontier
+            partials = {}
+            relaxed = cluster.map(kernel, out_edges, (dist, active, frontiers), fids)
+            for fid, best in zip(fids, relaxed):
+                mask = best < dist[fid]
                 if mask.any():
                     partials[fid] = (plan.verts(fid)[mask], best[mask])
 
@@ -138,5 +130,4 @@ class SingleSourceShortestPath(Algorithm):
             if not global_or(cluster, changed):
                 break
 
-        profile = cluster.finish()
-        return AlgorithmResult(values=plan.master_values(dist), profile=profile)
+        return plan.master_values(dist)

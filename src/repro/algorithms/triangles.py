@@ -14,9 +14,12 @@ pairs of its oriented out-neighbors and verifies the closing edge:
 Pivots that are v-cut first merge their partial neighbor lists at the
 master (as CN does), deduplicating replicated edges.
 
-The run is array-native from the first missed wedge to the last answer —
-on a v-cut partition the remote queries are most of the run, not a tail of
-it: every missed wedge expands through the plan's query-target table,
+Each fragment's e-cut wedges and the local closing-edge test are the
+``tc`` row of :data:`~repro.runtime.kernels.KERNELS`, reached through
+``Cluster.map``.  From there the run is array-native, first missed wedge
+to last answer — on a v-cut partition the remote queries are most of the
+run, not a tail of it: every missed wedge expands through the plan's
+query-target table,
 leaves in one ``send_batch`` per contiguous run, travels as one columnar
 block per destination, is answered by one membership test per inbox, and
 resolves against a count vector.  The one-message-at-a-time loop it
@@ -29,17 +32,17 @@ Result values: the global triangle count.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmResult
+from repro.algorithms.base import Algorithm
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
-from repro.runtime.costclock import CostClock
+from repro.runtime.kernels import KERNELS, closing, wedges
 from repro.runtime.plan import ECUT as ROLE_ECUT
 from repro.runtime.plan import DUMMY as ROLE_DUMMY
-from repro.runtime.plan import FragmentPlan, gather_segments, get_plan
+from repro.runtime.plan import gather_segments, get_plan
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -49,40 +52,11 @@ class TriangleCounting(Algorithm):
 
     name = "tc"
 
-    def run(
-        self,
-        partition: HybridPartition,
-        clock: Optional[CostClock] = None,
-        **params: Any,
-    ) -> AlgorithmResult:
+    def _run(
+        self, partition: HybridPartition, cluster: Cluster, params: Dict[str, Any]
+    ) -> Any:
         """Count triangles over the partition (see class docs)."""
-        cluster = self._cluster(partition, clock, params)
-        triangles = _count(partition, cluster)
-        return AlgorithmResult(values=triangles, profile=cluster.finish())
-
-
-def _wedges(
-    plan: FragmentPlan, nbrs: np.ndarray, starts: np.ndarray, ks: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every wedge ``(a, b)`` of the pivots whose oriented neighbors are
-    ``nbrs[starts[i] : starts[i] + ks[i]]``, with its pivot's index ``i``:
-    pivot-major, row-major pairs within a pivot (the scalar i < j loop)."""
-    wa, wb, rows = [_EMPTY], [_EMPTY], [_EMPTY]
-    for row, (start, k) in enumerate(zip(starts.tolist(), ks.tolist())):
-        if k >= 2:
-            seg = nbrs[start : start + k]
-            ii, jj = plan.triu_pairs(k)
-            wa.append(seg[ii])
-            wb.append(seg[jj])
-            rows.append(np.full(ii.size, row, dtype=np.int64))
-    return np.concatenate(wa), np.concatenate(wb), np.concatenate(rows)
-
-
-def _closing(plan: FragmentPlan, fid: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether ``fid`` stores the closing edge of each wedge, either way round."""
-    if plan.graph.directed:
-        return plan.has_edges(fid, a, b) | plan.has_edges(fid, b, a)
-    return plan.has_edges(fid, np.minimum(a, b), np.maximum(a, b))
+        return _count(partition, cluster)
 
 
 def _count(partition: HybridPartition, cluster: Cluster) -> int:
@@ -92,6 +66,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
     border = plan.border_mask
     degs = plan.degrees()
     kb = plan.key_base
+    directed = plan.graph.directed
     workers = range(cluster.num_workers)
     triangles = 0
     next_qid = 0
@@ -102,6 +77,10 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
     def fold() -> np.ndarray:
         owed[:] = [np.concatenate(owed)]
         return owed[0]
+
+    def stores(fid: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether ``fid`` stores the closing edge of each wedge ``(a, b)``."""
+        return closing(plan.edge_keys(fid), a, b, kb, directed)
 
     def snapshot() -> Tuple[int, Dict[int, List]]:
         """The scalar route's ``(triangles, pending)``, built only on demand."""
@@ -144,13 +123,12 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
             )
 
     # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
-    # On the shm backend the wedge enumeration + closing-edge membership
-    # run in worker processes and come back bit-identical to the
-    # in-process block; the sends stay parent-side.
-    runner = cluster.shm_runner()
-    shm_wedges = (
-        runner.tc_wedges(plan, plan.graph.directed) if runner is not None else None
-    )
+    # The kernel enumerates each fragment's e-cut wedges and hands back
+    # those whose closing edge it does not store; the sends stay here.
+    kernel = KERNELS["tc"]
+    ecut = kernel.all_tables(plan)
+    fids = [fid for fid in workers if ecut[fid].bound]
+    missed = dict(zip(fids, cluster.map(kernel, ecut, (), fids, (kb, directed))))
     for fid in workers:
         verts = plan.verts(fid)
         roles = plan.roles(fid)
@@ -161,27 +139,17 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         cluster.charge_bulk(
             fid, np.maximum(1, t.counts[nondummy]), vertices=verts[nondummy]
         )
-        is_ecut = roles[nondummy] == ROLE_ECUT
-        ecut_slots = nondummy[is_ecut]
-        found, wa, wb, wp = 0, _EMPTY, _EMPTY, _EMPTY  # missed (a, b, pivot slot)
-        if ecut_slots.size:
-            # k*(k-1) per pivot = the scalar C(k,2) upfront charge plus
-            # 1 per checked wedge.
-            ks = t.ocounts[ecut_slots]
-            cluster.charge_bulk(fid, ks * (ks - 1), vertices=verts[ecut_slots])
-            if shm_wedges is None:
-                wa, wb, row = _wedges(plan, t.onbrs, t.oindptr[ecut_slots], ks)
-                miss = ~_closing(plan, fid, wa, wb)
-                found = wa.size - int(miss.sum())
-                wa, wb, wp = wa[miss], wb[miss], ecut_slots[row[miss]]
-            elif fid in shm_wedges:
-                found, wa, wb, wp = shm_wedges[fid]
-        triangles += found
+        # k*(k-1) per pivot = the scalar C(k,2) upfront charge plus 1 per
+        # checked wedge.
+        ks = ecut[fid].ks
+        cluster.charge_bulk(fid, ks * (ks - 1), vertices=verts[ecut[fid].eslots])
+        wa, wb, wp = missed.get(fid, (_EMPTY, _EMPTY, _EMPTY))  # (a, b, pivot slot)
+        triangles += ecut[fid].bound - wa.size
         wedge, msgs = expand(np.full(wa.size, fid), wa, wb, verts[wp])
         # Queries and inlists leave in fragment vertex order — the scalar
         # send order the fault stream expects — so the query columns are
         # cut at every v-cut slot: one batch per contiguous run.
-        vslots = nondummy[~is_ecut]
+        vslots = nondummy[roles[nondummy] != ROLE_ECUT]
         vs = verts[vslots]
         lo = 0
         for v, master, start, end, hi in zip(
@@ -217,12 +185,12 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         at = plan.master_of[pivots]
         for master, k, v in zip(at.tolist(), ks.tolist(), pivots.tolist()):
             cluster.charge(master, k * (k - 1), vertex=v)
-        wa, wb, row = _wedges(plan, nbr[np.lexsort((okey, pv))], starts, ks)
+        wa, wb, row = wedges(nbr[np.lexsort((okey, pv))], starts, ks)
         src = at[row]
         miss = np.ones(wa.size, dtype=bool)
         for fid in workers:
             here = np.flatnonzero(src == fid)
-            miss[here] = ~_closing(plan, fid, wa[here], wb[here])
+            miss[here] = ~stores(fid, wa[here], wb[here])
         triangles += wa.size - int(miss.sum())
         src = src[miss]
         wedge, msgs = expand(src, wa[miss], wb[miss], pivots[row[miss]])
@@ -263,7 +231,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
                     fid,
                     reply_to,
                     9.0,
-                    payloads=("answer", qid, _closing(plan, fid, qa, qb)),
+                    payloads=("answer", qid, stores(fid, qa, qb)),
                 )
         inboxes = cluster.deliver()
     return triangles

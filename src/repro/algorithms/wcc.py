@@ -8,17 +8,22 @@ until a global fixpoint (detected with a two-superstep OR reduction).
 Cost shape: per-copy work each round is proportional to its local degree
 — ``h_WCC ∝ d_L`` — and the (small) synchronization per replicated vertex
 gives ``g_WCC ∝ r`` (Table 5).
+
+The local relaxation is the ``wcc`` row of
+:data:`~repro.runtime.kernels.KERNELS` (``Cluster.map``); charges, the
+sync and the fixpoint test stay here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmResult, global_or
+from repro.algorithms.base import Algorithm, global_or
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.costclock import CostClock
+from repro.runtime.bsp import Cluster
+from repro.runtime.kernels import KERNELS
 from repro.runtime.plan import get_plan
 from repro.runtime.sync import sync_by_master_arrays
 
@@ -36,16 +41,13 @@ class WeaklyConnectedComponents(Algorithm):
     def __init__(self, max_iterations: int = 10_000) -> None:
         self.max_iterations = max_iterations
 
-    def run(
-        self,
-        partition: HybridPartition,
-        clock: Optional[CostClock] = None,
-        **params: Any,
-    ) -> AlgorithmResult:
-        """Run WCC to fixpoint over the partition (see class docs)."""
+    def _run(
+        self, partition: HybridPartition, cluster: Cluster, params: Dict[str, Any]
+    ) -> Any:
+        """WCC to fixpoint over the partition (see class docs)."""
         max_iterations = int(params.get("max_iterations", self.max_iterations))
-        cluster = self._cluster(partition, clock, params)
         plan = get_plan(partition)
+        kernel = KERNELS["wcc"]
         labels: Dict[int, np.ndarray] = {
             f.fid: plan.verts(f.fid).copy() for f in partition.fragments
         }
@@ -57,28 +59,16 @@ class WeaklyConnectedComponents(Algorithm):
             }
 
         cluster.set_snapshot(snapshot)
-        runner = cluster.shm_runner()
+        entries = kernel.all_tables(plan)
+        fids = [f.fid for f in partition.fragments if plan.verts(f.fid).size]
 
         for _ in range(max_iterations):
-            # shm backend: the relaxation sweep runs in worker processes;
-            # outputs are bit-identical to the in-process minimum.at.
-            shm_best = (
-                runner.wcc_relax(plan, labels) if runner is not None else None
-            )
             partials = {}
-            for fragment in partition.fragments:
-                fid = fragment.fid
+            relaxed = cluster.map(kernel, entries, (labels,), fids)
+            for fid, best in zip(fids, relaxed):
                 verts = plan.verts(fid)
-                if verts.size == 0:
-                    continue
-                ent = plan.wcc_entries(fid)
+                ent = entries[fid]
                 lab = labels[fid]
-                if shm_best is not None:
-                    best = shm_best[fid]
-                else:
-                    best = lab.copy()
-                    if ent.rel_v.size:
-                        np.minimum.at(best, ent.rel_v, lab[ent.rel_u])
                 cluster.charge_bulk(fid, ent.counts, vertices=verts)
                 improved = best < lab
                 border_extra = ent.border & ~improved
@@ -106,5 +96,4 @@ class WeaklyConnectedComponents(Algorithm):
             if not global_or(cluster, changed):
                 break
 
-        profile = cluster.finish()
-        return AlgorithmResult(values=plan.master_values(labels), profile=profile)
+        return plan.master_values(labels)

@@ -85,6 +85,7 @@ from repro.runtime.faults import (
     PermanentLossFault,
     StragglerFault,
 )
+from repro.runtime.parallel import resolve_backend
 from repro.runtime.trace import FailureTrace, minimize, replay_argv
 
 
@@ -357,7 +358,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.shm_workers is not None and args.backend != "shm":
         print("error: --shm-workers requires --backend shm", file=sys.stderr)
         return 2
-    plan = _build_fault_plan(args)  # validate fault flags before heavy IO
+    try:  # backend and fault flags are validated before heavy IO
+        resolve_backend(args.backend, args.shm_workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    plan = _build_fault_plan(args)
     trace = loaded = None
     if args.trace_in:
         loaded = _load_trace_or_die(args.trace_in)

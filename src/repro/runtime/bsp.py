@@ -68,11 +68,17 @@ from repro.runtime.instrumentation import (
     RunProfile,
     SuperstepRecord,
 )
+from repro.runtime.parallel import ShmRunner, resolve_backend
 from repro.runtime.plan import get_plan
 
 
 class Cluster:
-    """Simulated BSP worker pool over a hybrid partition."""
+    """Simulated BSP worker pool over a hybrid partition.
+
+    Per-fragment array compute goes through :meth:`map`, in-process or in
+    shm worker processes (an algorithm cannot tell which); :meth:`close`
+    releases what the backend holds and must be reached on every exit path.
+    """
 
     def __init__(
         self,
@@ -93,14 +99,12 @@ class Cluster:
         self.partition = partition
         self.num_workers = partition.num_fragments
         self.clock = clock or CostClock()
-        # Execution backend: "simulated" (in-process, the oracle) or
-        # "shm" (real worker processes over shared-memory plan views).
+        # Execution backend: where :meth:`map` calls a kernel — here
+        # ("simulated") or in worker processes over shared memory ("shm").
         # Either way the CostClock below is the sole metrics source, so
         # profiles and makespans are backend-independent bit for bit.
-        from repro.runtime.parallel import resolve_backend
-
-        self.backend, self.shm_workers = resolve_backend(backend, shm_workers)
-        self._shm_runner = None
+        self.backend, workers = resolve_backend(backend, shm_workers)
+        self._shm_runner = ShmRunner(workers) if self.backend == "shm" else None
         self._wall_last = time.perf_counter()
         # Heterogeneous capacities.  A uniform spec collapses to None so
         # the homogeneous code path stays byte-for-byte the historical
@@ -150,21 +154,23 @@ class Cluster:
         if checkpoint_interval:
             self.checkpoints = CheckpointManager(checkpoint_interval, snapshot)
 
-    def shm_runner(self):
-        """The run's :class:`~repro.runtime.parallel.ShmRunner`, or None.
+    def map(self, kernel, tables, state, fids, args=()) -> list:
+        """Run ``kernel`` over fragments ``fids``; one output per fid, in order.
 
-        Returns None on the simulated backend, so kernels can gate their
-        offload with a single ``runner is not None`` check.  The runner
-        is created lazily (first kernel superstep) and torn down —
-        workers detached, arena unlinked — by :meth:`finish`.
+        ``tables`` is ``kernel.all_tables(plan)``, ``state`` a tuple of
+        per-fid array dicts, ``args`` the kernel's scalars.  The backend is
+        only *where* ``kernel.compute`` is called: here, or in worker
+        processes on shared views of the same tables.
         """
-        if self.backend != "shm":
-            return None
-        if self._shm_runner is None:
-            from repro.runtime.parallel import ShmRunner
+        if self._shm_runner is not None:
+            return self._shm_runner.map(kernel, tables, state, fids, args)
+        compute = kernel.compute
+        return [compute(tables[f], *[s[f] for s in state], *args) for f in fids]
 
-            self._shm_runner = ShmRunner(self.shm_workers)
-        return self._shm_runner
+    def close(self) -> None:
+        """Detach the shm workers and unlink the run's arena (idempotent)."""
+        if self._shm_runner is not None:
+            self._shm_runner.close()
 
     def set_snapshot(self, snapshot: Callable[[], Any]) -> None:
         """Register the algorithm's state-snapshot hook for checkpointing.
@@ -687,7 +693,5 @@ class Cluster:
         if pending:
             self.deliver()
         self._fold_bulk_attribution()
-        if self._shm_runner is not None:
-            self._shm_runner.close()
-            self._shm_runner = None
+        self.close()
         return self.profile

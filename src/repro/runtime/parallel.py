@@ -1,35 +1,29 @@
 """True-parallel shared-memory execution backend for the BSP runtime.
 
-``backend="simulated"`` (the default) runs every fragment's kernel
-compute in-process, one after another — the historical path, kept as the
-differential oracle.  ``backend="shm"`` runs the same compute in real
-worker processes over zero-copy shared-memory views of the compiled
-:class:`~repro.runtime.plan.FragmentPlan` tables
-(:mod:`repro.runtime.shm`), one dispatch per superstep phase with a
-pipe-based barrier.
+``backend="simulated"`` (the default) calls every fragment's kernel
+in-process.  ``backend="shm"`` calls *the same function*
+(:mod:`repro.runtime.kernels`) in real worker processes, over zero-copy
+shared-memory views (:mod:`repro.runtime.shm`) of the tables the kernel
+declares, one dispatch per :meth:`ShmRunner.map` with a pipe-based barrier.
 
-Division of labor — and why results stay bit-identical
-------------------------------------------------------
-Workers execute *only* the deterministic per-fragment array compute (the
-PageRank scatter, the WCC/SSSP relaxations, TC wedge membership, the CN
-eligibility mask).  Everything with ordering or randomness contracts
-stays in the parent: ``Cluster`` cost accounting, ``send_batch`` fate
-draws from the seeded fault stream, ``sync_by_master_arrays``,
-checkpoint snapshots, rollback recovery, and failover.  Each worker op
-is a bit-exact twin of the in-process kernel statement it replaces
-(same ``np.add.at``/``np.minimum.at`` sequential-update semantics over
-identical arrays), and the parent folds outputs back in ascending
-fragment order — so values, makespans, and ``RunProfile`` dicts are
-bit-identical to ``backend="simulated"`` by construction.  The simulated
+Workers execute *only* a kernel's ``compute``: deterministic array work
+over one fragment.  Which fragments run, and everything with ordering or
+randomness contracts, stays in the parent: ``Cluster`` cost accounting,
+``send_batch`` fate draws, ``sync_by_master_arrays``, checkpoint
+snapshots, rollback recovery, failover.  Parent and worker import one
+kernel table and outputs come back in the order asked for, so values,
+makespans, and ``RunProfile`` dicts are those of ``backend="simulated"``
+(``tests/runtime/test_shm_differential.py``).  The simulated
 :class:`~repro.runtime.costclock.CostClock` remains the sole metrics
 source; real wall-clock time is recorded separately
 (``SuperstepRecord.wall_time_s``) and excluded from canonical dicts.
 
 Worker pools are spawned lazily, cached per worker count, and reused
-across runs (arena attach/detach is per run).  Any worker failure
-condemns the whole pool — pending pipe traffic is unrecoverable — and
-the runner unlinks its arena before raising :class:`ShmWorkerError`, so
-crashes never leak ``/dev/shm`` segments.
+across runs (arena attach/detach is per run).  A run's arena is unlinked
+on every way out of it: ``Algorithm.run`` closes its ``Cluster`` (and so
+its runner) in a ``with``, and a worker failure — which condemns the whole
+pool, pending pipe traffic being unrecoverable — unlinks before raising
+:class:`ShmWorkerError`.
 """
 
 from __future__ import annotations
@@ -38,12 +32,13 @@ import atexit
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.runtime import shm as shm_mod
-from repro.runtime.plan import DUMMY, FragmentPlan, gather_segments
+from repro.runtime.kernels import KERNELS, Kernel
 
 _BACKENDS = ("simulated", "shm")
 
@@ -77,6 +72,26 @@ def shm_workers_default() -> Optional[int]:
     return _SHM_WORKERS_DEFAULT
 
 
+def _validated(
+    backend: str, shm_workers: Optional[int]
+) -> Tuple[str, Optional[int]]:
+    """The pair, once both values are ones the backend can honour."""
+    if backend not in _BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
+        )
+    if shm_workers is not None and (type(shm_workers) is not int or shm_workers < 1):
+        raise ValueError(
+            f"shm_workers must be a positive integer, got {shm_workers!r}"
+        )
+    if backend == "shm" and not shm_available():
+        raise RuntimeError(
+            "backend='shm' needs POSIX shared memory (Linux); "
+            "this platform only supports backend='simulated'"
+        )
+    return backend, shm_workers
+
+
 def set_backend_default(
     backend: str, shm_workers: Optional[int] = None
 ) -> Tuple[str, Optional[int]]:
@@ -86,18 +101,8 @@ def set_backend_default(
     threading a flag through every call site.
     """
     global _BACKEND_DEFAULT, _SHM_WORKERS_DEFAULT
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    if backend == "shm" and not shm_available():
-        raise RuntimeError(
-            "backend='shm' needs POSIX shared memory (Linux); "
-            "this platform only supports backend='simulated'"
-        )
     previous = (_BACKEND_DEFAULT, _SHM_WORKERS_DEFAULT)
-    _BACKEND_DEFAULT = backend
-    _SHM_WORKERS_DEFAULT = int(shm_workers) if shm_workers else None
+    _BACKEND_DEFAULT, _SHM_WORKERS_DEFAULT = _validated(backend, shm_workers)
     return previous
 
 
@@ -105,21 +110,12 @@ def resolve_backend(
     backend: Optional[str] = None, shm_workers: Optional[int] = None
 ) -> Tuple[str, int]:
     """Resolve per-run overrides against the process defaults."""
-    if backend is None:
-        backend = _BACKEND_DEFAULT
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {_BACKENDS}"
-        )
-    workers = shm_workers if shm_workers else _SHM_WORKERS_DEFAULT
-    if not workers:
-        workers = max(1, min(4, os.cpu_count() or 1))
-    if backend == "shm" and not shm_available():
-        raise RuntimeError(
-            "backend='shm' needs POSIX shared memory (Linux); "
-            "use backend='simulated' on this platform"
-        )
-    return backend, max(1, int(workers))
+    backend, workers = _validated(
+        _BACKEND_DEFAULT if backend is None else backend, shm_workers
+    )
+    if workers is None:
+        workers = _SHM_WORKERS_DEFAULT or max(1, min(4, os.cpu_count() or 1))
+    return backend, workers
 
 
 def crash_next_dispatch() -> None:
@@ -134,108 +130,28 @@ def last_shm_stats() -> Optional[Dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# Worker-side ops: bit-exact twins of the in-process kernel statements
+# Worker side.  Arena keys per fragment (written by ``ShmRunner._publish``):
+# ``{fid}/t/{name}`` tables, ``{fid}/s{slot}/{i}`` state, ``{fid}/o/{i}``
+# outputs and ``{fid}/n`` how much of each output is filled.
 # ----------------------------------------------------------------------
-_INF = float("inf")
-_TRIU: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+def _run_fragment(kernel: Kernel, view, fid: int, slot: int, args) -> None:
+    """Worker side: the kernel table's own ``compute``, on arena views."""
+    t = SimpleNamespace(**{name: view(f"{fid}/t/{name}") for name in kernel.reads})
+    state = [view(f"{fid}/s{slot}/{i}") for i in range(len(kernel.state))]
+    outs = kernel.compute(t, *state, *args)
+    if len(kernel.out) == 1:
+        outs = (outs,)
+    lens = view(f"{fid}/n")
+    for i, arr in enumerate(outs):
+        lens[i] = arr.size
+        view(f"{fid}/o/{i}")[: arr.size] = arr
 
 
-def _triu_pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
-    pair = _TRIU.get(k)
-    if pair is None:
-        pair = np.triu_indices(k, 1)
-        _TRIU[k] = pair
-    return pair
-
-
-def _has_keys(stored: np.ndarray, a: np.ndarray, b: np.ndarray, kb: int) -> np.ndarray:
-    """Worker twin of ``FragmentPlan.has_edges`` on published key arrays."""
-    keys = a * kb + b
-    if stored.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    pos = np.searchsorted(stored, keys)
-    pos = np.minimum(pos, stored.size - 1)
-    return stored[pos] == keys
-
-
-def _op_pr(view, fid: int, slot: int, args) -> None:
-    local = view(f"st{slot}/{fid}")
-    out = view(f"out/{fid}")
-    out[:] = 0.0
-    np.add.at(
-        out,
-        view(f"pr/{fid}/dst"),
-        local[view(f"pr/{fid}/src")] / view(f"pr/{fid}/deg"),
-    )
-
-
-def _op_wcc(view, fid: int, slot: int, args) -> None:
-    lab = view(f"st{slot}/{fid}")
-    out = view(f"out/{fid}")
-    out[:] = lab
-    rel_v = view(f"wcc/{fid}/rel_v")
-    if rel_v.size:
-        np.minimum.at(out, rel_v, lab[view(f"wcc/{fid}/rel_u")])
-
-
-def _op_sssp(view, fid: int, slot: int, args) -> None:
-    local = view(f"st{slot}/{fid}")
-    active = view(f"ac{slot}/{fid}")
-    out = view(f"out/{fid}")
-    out[:] = _INF
-    sel = np.nonzero(active & view(f"sssp/{fid}/bearing"))[0]
-    idx, lens = gather_segments(view(f"sssp/{fid}/indptr"), sel)
-    np.minimum.at(
-        out, view(f"sssp/{fid}/targets")[idx], np.repeat(local[sel], lens) + 1.0
-    )
-
-
-def _op_tc(view, fid: int, slot: int, args) -> None:
-    kb, directed = args
-    eslots = view(f"tc/{fid}/eslots")
-    oindptr = view(f"tc/{fid}/oindptr")
-    onbrs = view(f"tc/{fid}/onbrs")
-    meta = view(f"out/{fid}/meta")
-    meta[:] = 0
-    wa_parts, wb_parts, wp_parts = [], [], []
-    for s in eslots.tolist():
-        start = int(oindptr[s])
-        k = int(oindptr[s + 1]) - start
-        if k < 2:
-            continue
-        seg = onbrs[start : start + k]
-        ii, jj = _triu_pairs(k)
-        wa_parts.append(seg[ii])
-        wb_parts.append(seg[jj])
-        wp_parts.append(np.full(ii.size, s, dtype=np.int64))
-    if not wa_parts:
-        return
-    wa = np.concatenate(wa_parts)
-    wb = np.concatenate(wb_parts)
-    wp = np.concatenate(wp_parts)
-    stored = view(f"tc/{fid}/ekeys")
-    if directed:
-        found = _has_keys(stored, wa, wb, kb) | _has_keys(stored, wb, wa, kb)
-    else:
-        found = _has_keys(stored, np.minimum(wa, wb), np.maximum(wa, wb), kb)
-    miss = np.nonzero(~found)[0]
-    meta[0] = int(found.sum())
-    meta[1] = miss.size
-    if miss.size:
-        view(f"out/{fid}/wa")[: miss.size] = wa[miss]
-        view(f"out/{fid}/wb")[: miss.size] = wb[miss]
-        view(f"out/{fid}/wp")[: miss.size] = wp[miss]
-
-
-def _op_cn(view, fid: int, slot: int, args) -> None:
-    (theta,) = args
-    out = view(f"out/{fid}")
-    out[:] = (view(f"cn/{fid}/indeg") <= theta) & (
-        view(f"cn/{fid}/roles") != DUMMY
-    )
-
-
-_OPS = {"pr": _op_pr, "wcc": _op_wcc, "sssp": _op_sssp, "tc": _op_tc, "cn": _op_cn}
+def _collect_fragment(kernel: Kernel, view, fid: int):
+    """Parent side: copies of what :func:`_run_fragment` left for ``fid``."""
+    lens = view(f"{fid}/n").tolist()
+    outs = tuple(view(f"{fid}/o/{i}")[:n].copy() for i, n in enumerate(lens))
+    return outs[0] if len(outs) == 1 else outs
 
 
 def _worker_main(conn) -> None:
@@ -259,16 +175,16 @@ def _worker_main(conn) -> None:
                         arena.close()
                     conn.send(("ok",))
                 elif tag == "run":
-                    _tag, name, op, fids, slot, args, crash = msg
+                    _tag, name, kernel_name, fids, slot, args, crash = msg
                     if crash:
                         os._exit(17)
                     view = arenas[name].view
-                    fn = _OPS[op]
+                    kernel = KERNELS[kernel_name]
                     walls: Dict[int, float] = {}
                     t_start = time.perf_counter()
                     for fid in fids:
                         t0 = time.perf_counter()
-                        fn(view, fid, slot, args)
+                        _run_fragment(kernel, view, fid, slot, args)
                         walls[fid] = time.perf_counter() - t0
                     conn.send(("done", walls, time.perf_counter() - t_start))
                 elif tag == "exit":
@@ -377,48 +293,45 @@ atexit.register(_shutdown_pools)
 # Per-run dispatcher
 # ----------------------------------------------------------------------
 class ShmRunner:
-    """Dispatches one run's fragment compute to the shared worker pool.
+    """Dispatches one run's kernel to the shared worker pool.
 
-    Lazily publishes one arena per run on the first per-algorithm call
-    (plan tables + double-buffered state + output buffers), then each
-    call writes the current state into the live buffer slot, dispatches
-    the fragments round-robin over the pool, waits for every worker
-    (the superstep barrier), and returns per-fragment output copies for
-    the parent to fold in canonical ascending-fid order.
+    :meth:`map` is the whole interface: its first dispatch publishes one
+    arena for the run (the kernel's tables, double-buffered state,
+    output buffers), every dispatch spreads the fragments round-robin
+    over the pool and waits for every worker (the superstep barrier).
     """
 
     def __init__(self, num_workers: int) -> None:
-        self.num_workers = max(1, int(num_workers))
+        self.num_workers = num_workers
         self.closed = False
         self._arena: Optional[shm_mod.SharedArena] = None
-        self._algorithm: Optional[str] = None
+        self._kernel: Optional[Kernel] = None
         self._epoch = 0
-        self._fids: List[int] = []
         self.dispatches = 0
         self.seconds_by_fragment: Dict[int, float] = {}
         self.seconds_by_worker: Dict[int, float] = {}
 
     # -- arena publication ---------------------------------------------
-    def _publish(self, builder: shm_mod.ArenaBuilder, algorithm: str) -> None:
+    def _publish(self, kernel: Kernel, tables) -> None:
+        builder = shm_mod.ArenaBuilder()
+        for fid, t in enumerate(tables):
+            for name in kernel.reads:
+                builder.add(f"{fid}/t/{name}", getattr(t, name))
+            size = kernel.size(t)
+            for i, dtype in enumerate(kernel.state):
+                builder.add_zeros(f"{fid}/s0/{i}", size, dtype)
+                builder.add_zeros(f"{fid}/s1/{i}", size, dtype)
+            builder.add_zeros(f"{fid}/n", len(kernel.out), np.int64)
+            for i, dtype in enumerate(kernel.out):
+                builder.add_zeros(f"{fid}/o/{i}", size, dtype)
         self._arena = builder.seal()
-        self._algorithm = algorithm
+        self._kernel = kernel
         pool = _get_pool(self.num_workers)
         try:
             pool.broadcast(("attach", self._arena.payload()))
         except (ShmWorkerError, EOFError, OSError, BrokenPipeError) as exc:
             self._abort()
             raise ShmWorkerError(f"shm worker attach failed: {exc}") from exc
-
-    def _require(self, algorithm: str) -> bool:
-        """True when the arena for ``algorithm`` is already published."""
-        if self._algorithm is None:
-            return False
-        if self._algorithm != algorithm:
-            raise ShmWorkerError(
-                f"runner already bound to {self._algorithm!r}, "
-                f"cannot serve {algorithm!r}"
-            )
-        return True
 
     # -- dispatch / barrier --------------------------------------------
     def _dispatch(self, op: str, fids: List[int], slot: int, args) -> None:
@@ -431,7 +344,7 @@ class ShmRunner:
         ]
         assignment = [(w, fl) for w, fl in assignment if fl]
         try:
-            first = assignment[0][0] if assignment else 0
+            first = assignment[0][0]
             for w, fl in assignment:
                 pool.conns[w].send(
                     ("run", self._arena.name, op, fl, slot, args, crash and w == first)
@@ -468,180 +381,24 @@ class ShmRunner:
             self._arena.close(unlink=True)
             self._arena = None
 
-    def _collect(self, fids: List[int]) -> Dict[int, np.ndarray]:
-        return {f: self._arena.view(f"out/{f}").copy() for f in fids}
-
-    # -- PageRank -------------------------------------------------------
-    def pr_scatter(
-        self, plan: FragmentPlan, ranks: Dict[int, np.ndarray], target_aware: bool
-    ) -> Dict[int, np.ndarray]:
-        """Per-fragment scatter sums, the twin of the in-process add.at."""
-        if not self._require("pr"):
-            builder = shm_mod.ArenaBuilder()
-            fids = []
-            for f in range(plan.num_fragments):
-                sc = plan.pr_scatter(f, target_aware)
-                size = plan.verts(f).size
-                builder.add(f"pr/{f}/src", sc.src_slots)
-                builder.add(f"pr/{f}/dst", sc.dst_slots)
-                builder.add(f"pr/{f}/deg", sc.deg)
-                builder.add_zeros(f"st0/{f}", size, np.float64)
-                builder.add_zeros(f"st1/{f}", size, np.float64)
-                builder.add_zeros(f"out/{f}", size, np.float64)
-                if sc.src_slots.size:
-                    fids.append(f)
-            self._fids = fids
-            self._publish(builder, "pr")
+    # -- the one entry point ---------------------------------------------
+    def map(self, kernel: Kernel, tables, state, fids: List[int], args=()) -> list:
+        """``kernel`` over fragments ``fids`` in the workers: publish every
+        fragment of ``tables`` on first use, write the declared ``state`` of
+        ``fids`` into the live slot, dispatch, barrier, copy outputs out."""
+        if not fids:
+            return []
+        if self._arena is None:
+            self._publish(kernel, tables)
+        assert self._kernel is kernel, "a run maps one kernel"
+        view = self._arena.view
         slot = self._epoch & 1
         self._epoch += 1
-        for f in self._fids:
-            self._arena.view(f"st{slot}/{f}")[...] = ranks[f]
-        self._dispatch("pr", self._fids, slot, ())
-        return self._collect(self._fids)
-
-    # -- WCC ------------------------------------------------------------
-    def wcc_relax(
-        self, plan: FragmentPlan, labels: Dict[int, np.ndarray]
-    ) -> Dict[int, np.ndarray]:
-        """Per-fragment min-label relaxation (twin of minimum.at)."""
-        if not self._require("wcc"):
-            builder = shm_mod.ArenaBuilder()
-            fids = []
-            for f in range(plan.num_fragments):
-                ent = plan.wcc_entries(f)
-                size = plan.verts(f).size
-                builder.add(f"wcc/{f}/rel_v", ent.rel_v)
-                builder.add(f"wcc/{f}/rel_u", ent.rel_u)
-                builder.add_zeros(f"st0/{f}", size, np.int64)
-                builder.add_zeros(f"st1/{f}", size, np.int64)
-                builder.add_zeros(f"out/{f}", size, np.int64)
-                if size:
-                    fids.append(f)
-            self._fids = fids
-            self._publish(builder, "wcc")
-        slot = self._epoch & 1
-        self._epoch += 1
-        for f in self._fids:
-            self._arena.view(f"st{slot}/{f}")[...] = labels[f]
-        self._dispatch("wcc", self._fids, slot, ())
-        return self._collect(self._fids)
-
-    # -- SSSP -----------------------------------------------------------
-    def sssp_relax(
-        self,
-        plan: FragmentPlan,
-        dist: Dict[int, np.ndarray],
-        active: Dict[int, np.ndarray],
-    ) -> Dict[int, np.ndarray]:
-        """Per-fragment relaxation for fragments with active frontier."""
-        if not self._require("sssp"):
-            builder = shm_mod.ArenaBuilder()
-            for f in range(plan.num_fragments):
-                t = plan.sssp_out(f)
-                size = plan.verts(f).size
-                builder.add(f"sssp/{f}/indptr", t.indptr)
-                builder.add(f"sssp/{f}/targets", t.targets)
-                builder.add(f"sssp/{f}/bearing", t.bearing)
-                builder.add_zeros(f"st0/{f}", size, np.float64)
-                builder.add_zeros(f"st1/{f}", size, np.float64)
-                builder.add_zeros(f"ac0/{f}", size, bool)
-                builder.add_zeros(f"ac1/{f}", size, bool)
-                builder.add_zeros(f"out/{f}", size, np.float64)
-            self._publish(builder, "sssp")
-        # The frontier changes every superstep, so the dispatched set is
-        # recomputed to mirror the in-process skip conditions exactly.
-        fids = []
-        for f in range(plan.num_fragments):
-            if not active[f].any():
-                continue
-            t = plan.sssp_out(f)
-            sel = active[f] & t.bearing
-            if not sel.any():
-                continue
-            if int((t.indptr[1:] - t.indptr[:-1])[sel].sum()) == 0:
-                continue
-            fids.append(f)
-        slot = self._epoch & 1
-        self._epoch += 1
-        for f in fids:
-            self._arena.view(f"st{slot}/{f}")[...] = dist[f]
-            self._arena.view(f"ac{slot}/{f}")[...] = active[f]
-        if fids:
-            self._dispatch("sssp", fids, slot, ())
-        return self._collect(fids)
-
-    # -- Triangle counting ---------------------------------------------
-    def tc_wedges(
-        self, plan: FragmentPlan, directed: bool
-    ) -> Dict[int, Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """Wedge enumeration + closing-edge membership per fragment.
-
-        Returns ``{fid: (found_count, wa_miss, wb_miss, wp_miss)}`` for
-        fragments with any e-cut wedge work; the parent counts the
-        found triangles and regroups the misses per pivot slot.
-        """
-        if not self._require("tc"):
-            from repro.runtime.plan import ECUT
-
-            builder = shm_mod.ArenaBuilder()
-            fids = []
-            for f in range(plan.num_fragments):
-                roles = plan.roles(f)
-                t = plan.tc_tables(f)
-                nondummy = np.nonzero(roles != DUMMY)[0]
-                eslots = nondummy[roles[nondummy] == ECUT]
-                ks = t.ocounts[eslots]
-                bound = int((ks * (ks - 1) // 2).sum())
-                builder.add(f"tc/{f}/eslots", eslots)
-                builder.add(f"tc/{f}/oindptr", t.oindptr)
-                builder.add(f"tc/{f}/onbrs", t.onbrs)
-                builder.add(f"tc/{f}/ekeys", plan.edge_keys(f))
-                builder.add_zeros(f"out/{f}/meta", 2, np.int64)
-                builder.add_zeros(f"out/{f}/wa", bound, np.int64)
-                builder.add_zeros(f"out/{f}/wb", bound, np.int64)
-                builder.add_zeros(f"out/{f}/wp", bound, np.int64)
-                if bound:
-                    fids.append(f)
-            self._fids = fids
-            self._publish(builder, "tc")
-        if self._fids:
-            self._dispatch(
-                "tc", self._fids, 0, (int(plan.key_base), bool(directed))
-            )
-        out = {}
-        for f in self._fids:
-            meta = self._arena.view(f"out/{f}/meta")
-            found = int(meta[0])
-            m = int(meta[1])
-            out[f] = (
-                found,
-                self._arena.view(f"out/{f}/wa")[:m].copy(),
-                self._arena.view(f"out/{f}/wb")[:m].copy(),
-                self._arena.view(f"out/{f}/wp")[:m].copy(),
-            )
-        return out
-
-    # -- Common neighbors ----------------------------------------------
-    def cn_eligible(
-        self, plan: FragmentPlan, theta: float
-    ) -> Dict[int, np.ndarray]:
-        """Per-fragment eligibility mask (twin of the in-process mask)."""
-        if not self._require("cn"):
-            builder = shm_mod.ArenaBuilder()
-            fids = []
-            in_degs = plan.in_degrees()
-            for f in range(plan.num_fragments):
-                verts = plan.verts(f)
-                builder.add(f"cn/{f}/indeg", in_degs[verts])
-                builder.add(f"cn/{f}/roles", plan.roles(f))
-                builder.add_zeros(f"out/{f}", verts.size, bool)
-                if verts.size:
-                    fids.append(f)
-            self._fids = fids
-            self._publish(builder, "cn")
-        if self._fids:
-            self._dispatch("cn", self._fids, 0, (float(theta),))
-        return self._collect(self._fids)
+        for i, per_fid in enumerate(state[: len(kernel.state)]):
+            for f in fids:
+                view(f"{f}/s{slot}/{i}")[...] = per_fid[f]
+        self._dispatch(kernel.name, fids, slot, args)
+        return [_collect_fragment(kernel, view, f) for f in fids]
 
     # -- lifecycle ------------------------------------------------------
     def _flush_stats(self) -> None:

@@ -40,6 +40,7 @@ or rolled-back refinement) revalidates the existing snapshot in place.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain
 from types import SimpleNamespace
 from typing import Dict, Optional, Tuple
@@ -113,6 +114,22 @@ def gather_segments(
     return idx, lens
 
 
+def has_keys(stored: np.ndarray, a: np.ndarray, b: np.ndarray, kb: int) -> np.ndarray:
+    """Whether each packed key ``a * kb + b`` is in the sorted ``stored``."""
+    keys = a * kb + b
+    if stored.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    pos = np.searchsorted(stored, keys)
+    pos = np.minimum(pos, stored.size - 1)
+    return stored[pos] == keys
+
+
+@lru_cache(maxsize=512)
+def triu_pairs(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major upper-triangle index pairs for a size-``k`` row."""
+    return np.triu_indices(k, 1)
+
+
 class FragmentPlan:
     """Immutable array snapshot of a partition for kernel execution.
 
@@ -176,7 +193,6 @@ class FragmentPlan:
         self._sssp: Dict[int, SimpleNamespace] = {}
         self._cn_lin: Dict[int, np.ndarray] = {}
         self._tc: Dict[int, SimpleNamespace] = {}
-        self._triu: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._gin: Optional[SimpleNamespace] = None
         self._targets: Optional[SimpleNamespace] = None
         self._home_of: Optional[np.ndarray] = None
@@ -280,13 +296,7 @@ class FragmentPlan:
         Callers must pass endpoints already in the graph's canonical
         stored orientation (directed: as-is; undirected: ``min, max``).
         """
-        keys = a * self.key_base + b
-        stored = self.edge_keys(fid)
-        if stored.size == 0:
-            return np.zeros(keys.shape, dtype=bool)
-        pos = np.searchsorted(stored, keys)
-        pos = np.minimum(pos, stored.size - 1)
-        return stored[pos] == keys
+        return has_keys(self.edge_keys(fid), a, b, self.key_base)
 
     # ------------------------------------------------------------------
     # Graph-level degree tables
@@ -650,11 +660,7 @@ class FragmentPlan:
 
     def triu_pairs(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row-major upper-triangle index pairs for a size-``k`` row."""
-        pair = self._triu.get(k)
-        if pair is None:
-            pair = np.triu_indices(k, 1)
-            self._triu[k] = pair
-        return pair
+        return triu_pairs(k)
 
     def global_in_csr(self) -> SimpleNamespace:
         """Graph-level unique in-neighbor CSR (ids ascending per row).
@@ -869,7 +875,6 @@ def _patch_plan(
     new._cn_lin = {f: c for f, c in old._cn_lin.items() if f not in touched}
     new._tc = {f: ns for f, ns in old._tc.items() if f not in touched}
     # Graph-level tables depend only on the (unchanged) graph.
-    new._triu = old._triu
     new._gin = old._gin
     new._degrees = old._degrees
     new._out_degrees = old._out_degrees

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.eval import run_all
+from repro.runtime.parallel import backend_default
 
 
 @pytest.fixture()
@@ -105,6 +107,28 @@ def test_shm_workers_without_shm_backend_is_rejected(command, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --shm-workers requires --backend shm\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize(
+    "entry, command",
+    [
+        (main, ["evaluate", "--graph", "g.txt", "--partition", "p.json"]),
+        (main, ["sweep", "--quick", "--only", "exp6", "--no-cache"]),
+        (run_all.main, ["--quick", "--only", "exp6", "--no-cache"]),
+    ],
+    ids=["evaluate", "sweep", "run_all"],
+)
+def test_shm_workers_must_be_a_positive_integer(entry, command, workers, capsys):
+    """``0`` used to mean "auto" and a negative count one worker, silently."""
+    rc = entry(command + ["--backend", "shm", f"--shm-workers={workers}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: shm_workers must be a positive integer, got {workers}\n"
+    )
+    assert captured.out == ""
+    assert backend_default() == "simulated"
 
 
 def test_sweep_takes_every_run_all_flag(capsys):

@@ -135,16 +135,6 @@ class TriangleCounting(Algorithm):
         # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
         if use_kernels:
             plan = get_plan(partition)
-            # shm backend: wedge enumeration + closing-edge membership (the
-            # bulk of superstep 1) run in worker processes; found counts
-            # and missed wedges come back bit-identical to the in-process
-            # block below.  The query/answer pump stays parent-side.
-            runner = cluster.shm_runner()
-            shm_wedges = (
-                runner.tc_wedges(plan, graph.directed)
-                if runner is not None
-                else None
-            )
             for fragment in partition.fragments:
                 fid = fragment.fid
                 verts = plan.verts(fid)
@@ -168,43 +158,36 @@ class TriangleCounting(Algorithm):
                     cluster.charge_bulk(
                         fid, ks * (ks - 1), vertices=verts[ecut_slots]
                     )
-                    if shm_wedges is not None:
-                        entry = shm_wedges.get(fid)
-                        if entry is not None:
-                            found_count, wa_m, wb_m, wp_m = entry
-                            triangles += found_count
-                            miss_by_slot = _group_misses(wa_m, wb_m, wp_m)
-                    else:
-                        wa_parts, wb_parts, wp_parts = [], [], []
-                        for slot, k in zip(ecut_slots.tolist(), ks.tolist()):
-                            if k < 2:
-                                continue
-                            start = int(t.oindptr[slot])
-                            seg = t.onbrs[start : start + k]
-                            ii, jj = plan.triu_pairs(k)
-                            wa_parts.append(seg[ii])
-                            wb_parts.append(seg[jj])
-                            wp_parts.append(
-                                np.full(ii.size, slot, dtype=np.int64)
+                    wa_parts, wb_parts, wp_parts = [], [], []
+                    for slot, k in zip(ecut_slots.tolist(), ks.tolist()):
+                        if k < 2:
+                            continue
+                        start = int(t.oindptr[slot])
+                        seg = t.onbrs[start : start + k]
+                        ii, jj = plan.triu_pairs(k)
+                        wa_parts.append(seg[ii])
+                        wb_parts.append(seg[jj])
+                        wp_parts.append(
+                            np.full(ii.size, slot, dtype=np.int64)
+                        )
+                    if wa_parts:
+                        wa = np.concatenate(wa_parts)
+                        wb = np.concatenate(wb_parts)
+                        wp = np.concatenate(wp_parts)
+                        if graph.directed:
+                            found = plan.has_edges(
+                                fid, wa, wb
+                            ) | plan.has_edges(fid, wb, wa)
+                        else:
+                            found = plan.has_edges(
+                                fid, np.minimum(wa, wb), np.maximum(wa, wb)
                             )
-                        if wa_parts:
-                            wa = np.concatenate(wa_parts)
-                            wb = np.concatenate(wb_parts)
-                            wp = np.concatenate(wp_parts)
-                            if graph.directed:
-                                found = plan.has_edges(
-                                    fid, wa, wb
-                                ) | plan.has_edges(fid, wb, wa)
-                            else:
-                                found = plan.has_edges(
-                                    fid, np.minimum(wa, wb), np.maximum(wa, wb)
-                                )
-                            triangles += int(found.sum())
-                            miss = np.nonzero(~found)[0]
-                            if miss.size:
-                                miss_by_slot = _group_misses(
-                                    wa[miss], wb[miss], wp[miss]
-                                )
+                        triangles += int(found.sum())
+                        miss = np.nonzero(~found)[0]
+                        if miss.size:
+                            miss_by_slot = _group_misses(
+                                wa[miss], wb[miss], wp[miss]
+                            )
                 # Queries and inlists go out in fragment vertex order —
                 # the scalar send order the fault stream expects.
                 # Single-home queries accumulate into one batch per

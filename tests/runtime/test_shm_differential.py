@@ -23,9 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.algorithms.registry import get_algorithm
+from repro.graph.digraph import Graph
 from repro.graph.generators import chung_lu_power_law
 from repro.partition.hybrid import HybridPartition
+from repro.runtime import parallel
 from repro.runtime import shm as shm_mod
+from repro.runtime.bsp import Cluster
 from repro.runtime.faults import (
     CrashFault,
     FaultPlan,
@@ -37,6 +40,7 @@ from repro.runtime.parallel import (
     backend_default,
     crash_next_dispatch,
     last_shm_stats,
+    resolve_backend,
     set_backend_default,
     shm_available,
 )
@@ -123,6 +127,38 @@ def test_shm_matches_simulated(algorithm, directed, cut, config_name):
     assert not shm_mod.live_arena_names()
 
 
+@pytest.mark.parametrize("cut", ["edge", "vertex"])
+def test_sssp_frontier_without_bearing_out_edges(cut, monkeypatch):
+    """The source starts active on every fragment that holds a copy of it;
+    one of them has nothing to relax from — a dummy mirror on the edge cut,
+    a bearing copy with only an in-edge on the vertex cut — and is left out
+    of the first superstep by the one skip rule both backends share."""
+    graph = Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)], directed=True)
+    if cut == "edge":
+        partition = HybridPartition.from_vertex_assignment(graph, [0, 0, 1, 1], 2)
+    else:
+        partition = HybridPartition.from_edge_assignment(
+            graph, {(0, 1): 0, (1, 2): 0, (2, 0): 1, (2, 3): 1}, 2
+        )
+    assert sorted(partition.placement(0)) == [0, 1]
+    dispatched = []
+    real_map = Cluster.map
+
+    def recording_map(self, kernel, tables, state, fids, args=()):
+        dispatched.append(list(fids))
+        return real_map(self, kernel, tables, state, fids, args)
+
+    monkeypatch.setattr(Cluster, "map", recording_map)
+    alg = get_algorithm("sssp")
+    sim = alg.run(partition, backend="simulated")
+    in_process, dispatched[:] = list(dispatched), []
+    shm = alg.run(partition, backend="shm", shm_workers=2)
+    assert in_process[0] == [0] and dispatched == in_process
+    assert sim.values == shm.values == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
+    assert sim.makespan == shm.makespan
+    assert sim.profile.to_dict() == shm.profile.to_dict()
+
+
 def test_backend_default_process_wide():
     partition = _partition(True, "edge")
     baseline = get_algorithm("pr").run(partition, backend="simulated")
@@ -141,6 +177,19 @@ def test_unknown_backend_rejected():
         get_algorithm("pr").run(_partition(True, "edge"), backend="mpi")
     with pytest.raises(ValueError):
         set_backend_default("mpi")
+
+
+@pytest.mark.parametrize("workers", [0, -3, 1.5, True, "2"])
+def test_shm_workers_must_be_a_positive_integer(workers):
+    """``0`` used to mean "auto"; ``-3`` and ``1.5`` ran on one worker."""
+    with pytest.raises(ValueError, match="shm_workers must be a positive integer"):
+        resolve_backend("shm", workers)
+    with pytest.raises(ValueError, match="shm_workers must be a positive integer"):
+        get_algorithm("pr").run(_partition(True, "edge"), shm_workers=workers)
+    with pytest.raises(ValueError, match="shm_workers must be a positive integer"):
+        set_backend_default("shm", workers)
+    assert backend_default() == "simulated"
+    assert resolve_backend("shm", None)[1] >= 1
 
 
 def test_wall_time_measured_but_never_serialized():
@@ -206,6 +255,37 @@ def test_worker_crash_unwinds_without_leaks(algorithm, workers, cut):
     shm = get_algorithm(algorithm).run(
         partition, backend="shm", shm_workers=workers
     )
+    assert sim.profile.to_dict() == shm.profile.to_dict()
+    assert _shm_leftovers() == before
+
+
+@pytest.mark.parametrize("algorithm", ["wcc", "sssp"])
+def test_exception_mid_run_unwinds_without_leaks(algorithm, monkeypatch):
+    """Not a worker failure: the parent raises between two supersteps.  The
+    arena used to stay linked, and the workers attached, until exit."""
+    import importlib
+
+    partition = _partition(True, "edge")
+    module = importlib.import_module(type(get_algorithm(algorithm)).__module__)
+    before = _shm_leftovers()
+    get_algorithm(algorithm).run(partition, backend="shm", shm_workers=2)
+    pool = parallel._POOLS[2]
+
+    def failing_sync(*_args, **_kwargs):
+        assert len(shm_mod.live_arena_names()) == 1  # a superstep has run
+        raise KeyError("sync failed")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "sync_by_master_arrays", failing_sync)
+        with pytest.raises(KeyError, match="sync failed"):
+            get_algorithm(algorithm).run(partition, backend="shm", shm_workers=2)
+    assert shm_mod.live_arena_names() == []
+    assert _shm_leftovers() == before
+    # The pool was not at fault: the same workers serve the next run.
+    sim = get_algorithm(algorithm).run(partition, backend="simulated")
+    shm = get_algorithm(algorithm).run(partition, backend="shm", shm_workers=2)
+    assert parallel._POOLS[2] is pool
+    assert sim.values == shm.values
     assert sim.profile.to_dict() == shm.profile.to_dict()
     assert _shm_leftovers() == before
 
