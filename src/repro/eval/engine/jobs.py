@@ -7,8 +7,11 @@ deduplicates jobs by logical id, so when Exp-1, Exp-2 and Exp-4 all need
 the same refined partition the graph holds it once and every consumer
 shares the artifact.
 
-:class:`Planner` is the convenience layer experiment modules use to
-declare their cells.  A planned spec is the spec the kind's row in
+:class:`Planner` is the cell source that declares: each experiment's
+traversal (``repro.eval.experiments``) asks it for the same cells it asks
+a :class:`~repro.eval.harness.Reader` for when the tables are printed,
+so the job graph holds exactly the cells the render reads.  A planned
+spec is the spec the kind's row in
 :data:`repro.eval.engine.cells.CELLS` builds — the same one the facade
 builds when it reads the cell — plus where the input comes from
 (``dataset``, and ``view`` for a run over one view of a composite).  The
@@ -161,3 +164,7 @@ class Planner:
     def memo(self, memo_kind: str, params: Optional[Dict] = None) -> Job:
         """Plan a generic memoized computation (whitelisted by name)."""
         return self._add(CELLS["memo"].spec(memo_kind, params))
+
+    def derive(self, post: Callable, *cells) -> None:
+        """A pure post-step over cell values: nothing to plan."""
+        return None

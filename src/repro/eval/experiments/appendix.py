@@ -11,45 +11,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.eval.datasets import load_dataset
-from repro.eval.harness import (
-    algorithm_params,
-    initial_partition,
-    refine_for,
-    run_algorithm,
-)
+from repro.eval.harness import BASELINES, algorithm_params, reading
 
 E2H_FLAGS = ("enable_emigrate", "enable_esplit", "enable_massign")
 V2H_FLAGS = ("enable_vmigrate", "enable_vmerge", "enable_massign")
 
 
 def _cut_and_flags(baseline: str):
-    cut = "edge" if baseline in ("xtrapulp", "fennel", "hash") else "vertex"
+    cut = BASELINES.get(baseline, ("unknown", None))[0]
+    if cut not in ("edge", "vertex"):
+        raise ValueError(f"cannot refine a {cut!r} baseline ({baseline!r})")
     return cut, (E2H_FLAGS if cut == "edge" else V2H_FLAGS)
 
 
-def plan_phase_speedups(
-    planner,
-    dataset: str = "twitter_like",
-    baseline: str = "xtrapulp",
-    algorithms: Sequence[str] = ("cn", "tc", "wcc", "pr", "sssp"),
-    num_fragments: int = 8,
-) -> None:
-    """Plan every cell :func:`phase_speedups` will read (same loops)."""
-    cut, flags = _cut_and_flags(baseline)
-    part = planner.partition(dataset, baseline, num_fragments)
-    for algorithm in algorithms:
-        params = algorithm_params(algorithm, dataset)
-        planner.run(dataset, algorithm, part, params)
-        for k in range(1, len(flags) + 1):
-            kwargs = {flag: (idx < k) for idx, flag in enumerate(flags)}
-            refined = planner.refine(
-                dataset, baseline, num_fragments, algorithm, cut, **kwargs
-            )
-            planner.run(dataset, algorithm, refined, params)
-
-
-def phase_speedups(
+def phase_cells(
+    source,
     dataset: str = "twitter_like",
     baseline: str = "xtrapulp",
     algorithms: Sequence[str] = ("cn", "tc", "wcc", "pr", "sssp"),
@@ -59,22 +35,34 @@ def phase_speedups(
 
     ``S_k`` is the speedup of the k-phase refiner over the unrefined
     baseline; phase k's marginal contribution is ``S_k − S_{k−1}``.
+    A hybrid or unknown ``baseline`` raises ``ValueError`` before any
+    cell is asked for.
     """
-    graph = load_dataset(dataset)
     cut, flags = _cut_and_flags(baseline)
-    initial, _seconds = initial_partition(graph, baseline, num_fragments)
+    initial = source.partition(dataset, baseline, num_fragments)
 
     out: Dict[str, List[float]] = {}
     for algorithm in algorithms:
-        base_time = run_algorithm(initial, algorithm, dataset)
+        params = algorithm_params(algorithm, dataset)
+        base_time = source.run(dataset, algorithm, initial, params)
         speedups: List[float] = []
         for k in range(1, len(flags) + 1):
             kwargs = {flag: (idx < k) for idx, flag in enumerate(flags)}
-            refined, _profile = refine_for(initial, algorithm, cut, **kwargs)
-            refined_time = run_algorithm(refined, algorithm, dataset)
-            speedups.append(base_time / refined_time if refined_time else 0.0)
+            refined = source.refine(
+                dataset, baseline, num_fragments, algorithm, cut, **kwargs
+            )
+            refined_time = source.run(dataset, algorithm, refined, params)
+            speedups.append(source.derive(speedup, base_time, refined_time))
         out[algorithm] = speedups
     return out
+
+
+def speedup(base_time: float, refined_time: float) -> float:
+    """Speedup of a refined run over the baseline run."""
+    return base_time / refined_time if refined_time else 0.0
+
+
+phase_speedups = reading(phase_cells)
 
 
 def contribution_rows(data: Dict[str, List[float]]) -> List[List]:

@@ -15,13 +15,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.tracker import CostTracker
 from repro.costmodel.trained import trained_cost_model
-from repro.eval.datasets import load_dataset
-from repro.eval.harness import (
-    BASELINES,
-    algorithm_params,
-    partition_and_refine,
-    run_algorithm,
-)
+from repro.eval.harness import BASELINES, algorithm_params, reading
 from repro.partition.quality import (
     cost_balance_factor,
     edge_balance_factor,
@@ -33,39 +27,8 @@ from repro.partition.quality import (
 Series = Dict[str, List[Tuple[int, float]]]
 
 
-def plan_figure9(
-    planner,
-    algorithm: str,
-    dataset: str,
-    fragment_counts: Sequence[int] = (2, 4, 8),
-    baselines: Iterable[str] = BASELINES,
-) -> None:
-    """Plan every cell :func:`figure9_series` will read (same loops)."""
-    params = algorithm_params(algorithm, dataset)
-    for baseline in baselines:
-        cut_type, _refined_label = BASELINES[baseline]
-        for n in fragment_counts:
-            part = planner.partition(dataset, baseline, n)
-            planner.run(dataset, algorithm, part, params)
-            if cut_type in ("edge", "vertex"):
-                refined = planner.refine(dataset, baseline, n, algorithm, cut_type)
-                planner.run(dataset, algorithm, refined, params)
-
-
-def plan_table3(
-    planner,
-    dataset: str = "twitter_like",
-    num_fragments: int = 8,
-    cost_algorithm: str = "cn",
-) -> None:
-    """Plan the partition/refine cells :func:`table3_rows` will read."""
-    for baseline, (cut_type, _label) in BASELINES.items():
-        planner.partition(dataset, baseline, num_fragments)
-        if cut_type in ("edge", "vertex"):
-            planner.refine(dataset, baseline, num_fragments, cost_algorithm, cut_type)
-
-
-def figure9_series(
+def figure9_cells(
+    source,
     algorithm: str,
     dataset: str,
     fragment_counts: Sequence[int] = (2, 4, 8),
@@ -76,18 +39,22 @@ def figure9_series(
     Labels follow the paper: a baseline name for the initial partition
     and its H-variant (HFennel, HGrid, ...) for the refined one.
     """
-    graph = load_dataset(dataset)
+    params = algorithm_params(algorithm, dataset)
     series: Series = {}
     for baseline in baselines:
         cut_type, refined_label = BASELINES[baseline]
         for n in fragment_counts:
-            bundle = partition_and_refine(graph, baseline, algorithm, n, dataset)
-            base_time = run_algorithm(bundle.initial, algorithm, dataset)
+            initial = source.partition(dataset, baseline, n)
+            base_time = source.run(dataset, algorithm, initial, params)
             series.setdefault(baseline, []).append((n, base_time))
-            if bundle.refined is not None:
-                refined_time = run_algorithm(bundle.refined, algorithm, dataset)
+            if cut_type in ("edge", "vertex"):
+                refined = source.refine(dataset, baseline, n, algorithm, cut_type)
+                refined_time = source.run(dataset, algorithm, refined, params)
                 series.setdefault(refined_label, []).append((n, refined_time))
     return series
+
+
+figure9_series = reading(figure9_cells)
 
 
 def speedups(series: Series) -> Dict[str, float]:
@@ -104,16 +71,17 @@ def speedups(series: Series) -> Dict[str, float]:
     return out
 
 
-def table3_rows(
+def table3_cells(
+    source,
     dataset: str = "twitter_like",
     num_fragments: int = 8,
     cost_algorithm: str = "cn",
 ) -> List[List]:
     """Table 3: f_v, f_e, λ_e, λ_v, λ_CN for every partitioner ± refinement."""
-    graph = load_dataset(dataset)
     model = trained_cost_model(cost_algorithm)
 
-    def metrics(label: str, partition) -> List:
+    def metrics(label: str, cell) -> List:
+        partition, _measure = cell
         tracker = CostTracker(partition, model)
         lam_cost = cost_balance_factor(partition, model)
         tracker.detach()
@@ -128,13 +96,17 @@ def table3_rows(
 
     rows: List[List] = []
     for baseline, (cut_type, refined_label) in BASELINES.items():
-        bundle = partition_and_refine(
-            graph, baseline, cost_algorithm, num_fragments, dataset
-        )
-        rows.append(metrics(baseline, bundle.initial))
-        if bundle.refined is not None:
-            rows.append(metrics(refined_label, bundle.refined))
+        initial = source.partition(dataset, baseline, num_fragments)
+        rows.append(source.derive(metrics, baseline, initial))
+        if cut_type in ("edge", "vertex"):
+            refined = source.refine(
+                dataset, baseline, num_fragments, cost_algorithm, cut_type
+            )
+            rows.append(source.derive(metrics, refined_label, refined))
     return rows
+
+
+table3_rows = reading(table3_cells)
 
 
 def table3_headers() -> List[str]:

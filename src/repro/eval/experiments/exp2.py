@@ -15,43 +15,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.eval.datasets import load_dataset
-from repro.eval.harness import (
-    BASELINES,
-    BATCH,
-    algorithm_params,
-    composite_refine,
-    initial_partition,
-    partition_and_refine,
-    run_algorithm,
-)
+from repro.eval.harness import BASELINES, BATCH, algorithm_params, reading
 
 
-def plan_table4(
-    planner,
-    dataset: str = "twitter_like",
-    num_fragments: int = 8,
-    baselines: Sequence[str] = ("xtrapulp", "fennel", "grid", "ne"),
-    batch: Tuple[str, ...] = BATCH,
-) -> None:
-    """Plan every cell :func:`table4` will read (same loops)."""
-    for baseline in baselines:
-        cut_type, _label = BASELINES[baseline]
-        part = planner.partition(dataset, baseline, num_fragments)
-        composite = planner.composite(
-            dataset, baseline, num_fragments, batch, cut_type
-        )
-        for algorithm in batch:
-            params = algorithm_params(algorithm, dataset)
-            planner.run(dataset, algorithm, part, params)
-            refined = planner.refine(
-                dataset, baseline, num_fragments, algorithm, cut_type
-            )
-            planner.run(dataset, algorithm, refined, params)
-            planner.run(dataset, algorithm, composite, params, view=algorithm)
-
-
-def table4(
+def table4_cells(
+    source,
     dataset: str = "twitter_like",
     num_fragments: int = 8,
     baselines: Sequence[str] = ("xtrapulp", "fennel", "grid", "ne"),
@@ -62,31 +30,40 @@ def table4(
     Returns ``{baseline: {algorithm: {"initial": s, "parhp": s,
     "parmhp": s}}}`` plus a ``"batch"`` pseudo-algorithm with totals.
     """
-    graph = load_dataset(dataset)
     out: Dict[str, Dict[str, Dict[str, float]]] = {}
     for baseline in baselines:
+        cut_type, _label = BASELINES[baseline]
         rows: Dict[str, Dict[str, float]] = {}
-        composite, _profile, _base_s = composite_refine(
-            graph, baseline, num_fragments, batch
+        composite = source.composite(
+            dataset, baseline, num_fragments, batch, cut_type
         )
-        initial, _seconds = initial_partition(graph, baseline, num_fragments)
+        initial = source.partition(dataset, baseline, num_fragments)
         for algorithm in batch:
-            bundle = partition_and_refine(
-                graph, baseline, algorithm, num_fragments, dataset
+            params = algorithm_params(algorithm, dataset)
+            refined = source.refine(
+                dataset, baseline, num_fragments, algorithm, cut_type
             )
             rows[algorithm] = {
-                "initial": run_algorithm(initial, algorithm, dataset),
-                "parhp": run_algorithm(bundle.refined, algorithm, dataset),
-                "parmhp": run_algorithm(
-                    composite.partition_for(algorithm), algorithm, dataset
+                "initial": source.run(dataset, algorithm, initial, params),
+                "parhp": source.run(dataset, algorithm, refined, params),
+                "parmhp": source.run(
+                    dataset, algorithm, composite, params, view=algorithm
                 ),
             }
-        rows["batch"] = {
-            scheme: sum(rows[a][scheme] for a in batch)
-            for scheme in ("initial", "parhp", "parmhp")
-        }
+        rows["batch"] = source.derive(batch_sums, [rows[a] for a in batch])
         out[baseline] = rows
     return out
+
+
+def batch_sums(rows: List[Dict[str, float]]) -> Dict[str, float]:
+    """Per scheme, the seconds of the whole batch."""
+    return {
+        scheme: sum(row[scheme] for row in rows)
+        for scheme in ("initial", "parhp", "parmhp")
+    }
+
+
+table4 = reading(table4_cells)
 
 
 def table4_rows(data: Dict[str, Dict[str, Dict[str, float]]]) -> List[List]:

@@ -16,45 +16,38 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.eval.datasets import load_dataset
-from repro.eval.harness import BASELINES, partition_and_refine
+from repro.eval.harness import BASELINES, reading
 
 
-def plan_figure9k(
-    planner,
-    dataset: str = "twitter_like",
-    algorithm: str = "tc",
-    fragment_counts: Sequence[int] = (2, 4, 8),
-    baselines: Sequence[str] = ("xtrapulp", "fennel", "grid", "ne"),
-) -> None:
-    """Plan the partition/refine cells :func:`figure9k` will read."""
-    for baseline in baselines:
-        cut_type, _label = BASELINES[baseline]
-        for n in fragment_counts:
-            planner.partition(dataset, baseline, n)
-            planner.refine(dataset, baseline, n, algorithm, cut_type)
-
-
-def figure9k(
+def figure9k_cells(
+    source,
     dataset: str = "twitter_like",
     algorithm: str = "tc",
     fragment_counts: Sequence[int] = (2, 4, 8),
     baselines: Sequence[str] = ("xtrapulp", "fennel", "grid", "ne"),
 ) -> Dict[str, List[Tuple[int, float, float, float]]]:
     """Per baseline: ``[(n, partition s, refine s, refine share)]``."""
-    graph = load_dataset(dataset)
     out: Dict[str, List[Tuple[int, float, float, float]]] = {}
     for baseline in baselines:
+        cut_type, label = BASELINES[baseline]
         points = []
         for n in fragment_counts:
-            bundle = partition_and_refine(graph, baseline, algorithm, n, dataset)
-            refine_s = bundle.refine_profile.wall_seconds
-            total = bundle.partition_seconds + refine_s
-            points.append(
-                (n, bundle.partition_seconds, refine_s, refine_s / total)
-            )
-        out[BASELINES[baseline][1] or baseline] = points
+            initial = source.partition(dataset, baseline, n)
+            refined = source.refine(dataset, baseline, n, algorithm, cut_type)
+            points.append(source.derive(refine_share, n, initial, refined))
+        out[label or baseline] = points
     return out
+
+
+def refine_share(n: int, initial, refined) -> Tuple[int, float, float, float]:
+    """One Fig. 9(k) point: ``(n, partition s, refine s, refine share)``."""
+    _partition, partition_s = initial
+    refine_s = refined[1].wall_seconds
+    total = partition_s + refine_s
+    return n, partition_s, refine_s, refine_s / total
+
+
+figure9k = reading(figure9k_cells)
 
 
 def rows(data: Dict[str, List[Tuple[int, float, float, float]]]) -> List[List]:

@@ -18,33 +18,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.eval.datasets import load_dataset
-from repro.eval.harness import (
-    BASELINES,
-    BATCH,
-    composite_refine,
-    initial_partition,
-    partition_and_refine,
-)
+from repro.eval.harness import BASELINES, BATCH, reading
 
 
-def plan_figure10b(
-    planner,
-    dataset: str = "twitter_like",
-    num_fragments: int = 8,
-    baselines: Sequence[str] = ("xtrapulp", "fennel", "grid", "ne"),
-    batch: Tuple[str, ...] = BATCH,
-) -> None:
-    """Plan every cell :func:`figure10b` will read (same loops)."""
-    for baseline in baselines:
-        cut_type, _label = BASELINES[baseline]
-        planner.partition(dataset, baseline, num_fragments)
-        for algorithm in batch:
-            planner.refine(dataset, baseline, num_fragments, algorithm, cut_type)
-        planner.composite(dataset, baseline, num_fragments, batch, cut_type)
-
-
-def figure10b(
+def figure10b_cells(
+    source,
     dataset: str = "twitter_like",
     num_fragments: int = 8,
     baselines: Sequence[str] = ("xtrapulp", "fennel", "grid", "ne"),
@@ -55,44 +33,62 @@ def figure10b(
     Returns ``{baseline: {parhp_s, parmhp_s, time_saving, initial_ratio,
     separate_ratio, composite_ratio, space_saving, extra_over_initial}}``.
     """
-    graph = load_dataset(dataset)
     out: Dict[str, Dict[str, float]] = {}
-    graph_size = graph.num_vertices + graph.num_edges
     for baseline in baselines:
+        cut_type, _label = BASELINES[baseline]
         # Five separate application-driven refinements (ParHP).
-        parhp_seconds = 0.0
-        for algorithm in batch:
-            bundle = partition_and_refine(
-                graph, baseline, algorithm, num_fragments, dataset
+        parhp_times = [
+            source.derive(
+                simulated_seconds,
+                source.refine(dataset, baseline, num_fragments, algorithm, cut_type),
             )
-            parhp_seconds += bundle.refine_profile.total_time
-
+            for algorithm in batch
+        ]
         # One composite refinement (ParMHP).
-        composite, profile, base_seconds = composite_refine(
-            graph, baseline, num_fragments, batch
+        composite = source.composite(
+            dataset, baseline, num_fragments, batch, cut_type
         )
         # Storage of the single static initial partition, for the
         # "extra space over initial" comparison.
-        initial, _seconds = initial_partition(graph, baseline, num_fragments)
-        initial_ratio = (
-            initial.total_vertex_copies() + initial.total_edge_copies()
-        ) / graph_size
-
-        separate = composite.separate_storage_ratio()
-        comp_ratio = composite.composite_replication_ratio()
-        out[baseline] = {
-            "parhp_s": parhp_seconds,
-            "parmhp_s": profile.total_time,
-            "time_saving": (parhp_seconds - profile.total_time)
-            / max(parhp_seconds, 1e-12),
-            "initial_ratio": initial_ratio,
-            "separate_ratio": separate,
-            "composite_ratio": comp_ratio,
-            "space_saving": composite.space_saving(),
-            "extra_over_initial": (comp_ratio - initial_ratio)
-            / max(initial_ratio, 1e-12),
-        }
+        initial = source.partition(dataset, baseline, num_fragments)
+        out[baseline] = source.derive(ratios, parhp_times, composite, initial)
     return out
+
+
+def simulated_seconds(refinement) -> float:
+    """Simulated BSP time of one refinement."""
+    return refinement[1].total_time
+
+
+def ratios(parhp_times: List[float], composite_cell, initial_cell) -> Dict[str, float]:
+    """One Fig. 10(b) row: separate vs composite time and space."""
+    parhp_seconds = 0.0
+    for seconds in parhp_times:
+        parhp_seconds += seconds
+    composite, profile = composite_cell
+    initial, _seconds = initial_cell
+    graph = initial.graph
+    initial_ratio = (
+        initial.total_vertex_copies() + initial.total_edge_copies()
+    ) / (graph.num_vertices + graph.num_edges)
+
+    separate = composite.separate_storage_ratio()
+    comp_ratio = composite.composite_replication_ratio()
+    return {
+        "parhp_s": parhp_seconds,
+        "parmhp_s": profile.total_time,
+        "time_saving": (parhp_seconds - profile.total_time)
+        / max(parhp_seconds, 1e-12),
+        "initial_ratio": initial_ratio,
+        "separate_ratio": separate,
+        "composite_ratio": comp_ratio,
+        "space_saving": composite.space_saving(),
+        "extra_over_initial": (comp_ratio - initial_ratio)
+        / max(initial_ratio, 1e-12),
+    }
+
+
+figure10b = reading(figure10b_cells)
 
 
 def rows(data: Dict[str, Dict[str, float]]) -> List[List]:

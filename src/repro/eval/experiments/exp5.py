@@ -11,36 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.eval.datasets import load_dataset
-from repro.eval.harness import (
-    BASELINES,
-    BATCH,
-    composite_refine,
-    partition_and_refine,
-)
+from repro.eval.harness import BASELINES, BATCH, reading
 
 
-def plan_figure9l(
-    planner,
-    algorithm: str = "cn",
-    factors: Sequence[int] = (1, 2, 3, 4, 5),
-    num_fragments: int = 8,
-    baselines: Sequence[str] = ("xtrapulp", "fennel", "grid", "ne"),
-    composite: bool = False,
-) -> None:
-    """Plan the refine/composite cells :func:`figure9l` will read."""
-    for factor in factors:
-        dataset = f"scale_{factor}"
-        for baseline in baselines:
-            cut_type, _label = BASELINES[baseline]
-            planner.partition(dataset, baseline, num_fragments)
-            if composite:
-                planner.composite(dataset, baseline, num_fragments, BATCH, cut_type)
-            else:
-                planner.refine(dataset, baseline, num_fragments, algorithm, cut_type)
-
-
-def figure9l(
+def figure9l_cells(
+    source,
     algorithm: str = "cn",
     factors: Sequence[int] = (1, 2, 3, 4, 5),
     num_fragments: int = 8,
@@ -54,22 +29,30 @@ def figure9l(
     """
     out: Dict[str, List[Tuple[int, float]]] = {}
     for factor in factors:
-        graph = load_dataset(f"scale_{factor}")
+        dataset = f"scale_{factor}"
         for baseline in baselines:
-            label = BASELINES[baseline][1] or baseline
+            cut_type, label = BASELINES[baseline]
+            label = label or baseline
             if composite:
-                _comp, profile, _s = composite_refine(
-                    graph, baseline, num_fragments, BATCH
+                cell = source.composite(
+                    dataset, baseline, num_fragments, BATCH, cut_type
                 )
-                seconds = profile.wall_seconds
                 label = "Par M" + label[1:] if label.startswith("H") else label
             else:
-                bundle = partition_and_refine(
-                    graph, baseline, algorithm, num_fragments, f"scale_{factor}"
+                cell = source.refine(
+                    dataset, baseline, num_fragments, algorithm, cut_type
                 )
-                seconds = bundle.refine_profile.wall_seconds
+            seconds = source.derive(wall_seconds, cell)
             out.setdefault(label, []).append((factor, seconds))
     return out
+
+
+def wall_seconds(refinement) -> float:
+    """Wall-clock seconds of one refinement."""
+    return refinement[1].wall_seconds
+
+
+figure9l = reading(figure9l_cells)
 
 
 def rows(data: Dict[str, List[Tuple[int, float]]]) -> List[List]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.algorithms import reference
@@ -23,6 +24,7 @@ from repro.costmodel.trained import (
     TRAIN_PARAMS,
 )
 from repro.costmodel.training import TrainingReport, fit_cost_function
+from repro.eval.harness import reading
 
 
 @dataclass
@@ -145,11 +147,14 @@ def table5_payload(
     return {"rows": [row.as_row() for row in rows]}
 
 
-def table5_rows(**kwargs) -> List[List]:
+def table5_cells(source, **kwargs) -> List[List]:
     """Printable Table 5 rows via the active engine (memoized)."""
-    from repro.eval.engine import get_engine
+    return source.derive(
+        itemgetter("rows"), source.memo("exp6_table5", _table5_params(**kwargs))
+    )
 
-    return get_engine().memo("exp6_table5", _table5_params(**kwargs))["rows"]
+
+table5_rows = reading(table5_cells)
 
 
 def reference_times_payload(dataset: str) -> Dict:
@@ -159,18 +164,12 @@ def reference_times_payload(dataset: str) -> Dict:
     return {"times": gunrock_substitute_times(load_dataset(dataset))}
 
 
-def reference_times(dataset: str) -> Dict[str, float]:
+def reference_times_cells(source, dataset: str) -> Dict[str, float]:
     """Reference timings via the active engine (memoized)."""
-    from repro.eval.engine import get_engine
-
-    return get_engine().memo("exp6_reference_times", {"dataset": dataset})["times"]
-
-
-def plan_table5(planner, **kwargs) -> None:
-    """Plan the Table 5 training memo cell."""
-    planner.memo("exp6_table5", _table5_params(**kwargs))
+    return source.derive(
+        itemgetter("times"),
+        source.memo("exp6_reference_times", {"dataset": dataset}),
+    )
 
 
-def plan_reference_times(planner, dataset: str) -> None:
-    """Plan the reference-timing memo cell."""
-    planner.memo("exp6_reference_times", {"dataset": dataset})
+reference_times = reading(reference_times_cells)

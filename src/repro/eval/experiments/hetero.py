@@ -25,14 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.eval.datasets import load_dataset
-from repro.eval.engine import get_engine
-from repro.eval.harness import (
-    BASELINES,
-    algorithm_params,
-    initial_partition,
-    refine_for,
-)
+from repro.eval.harness import BASELINES, algorithm_params, reading
 from repro.runtime.clusterspec import ClusterSpec
 
 #: evaluation scenarios, in table order
@@ -67,45 +60,8 @@ def _run_params(algorithm: str, dataset: str, spec: ClusterSpec) -> Dict:
     return {**algorithm_params(algorithm, dataset), "cluster_spec": spec.to_dict()}
 
 
-def plan_hetero(
-    planner,
-    dataset: str = "twitter_like",
-    num_fragments: int = 4,
-    baselines: Sequence[str] = ("xtrapulp", "ne"),
-    algorithms: Sequence[str] = ("pr", "wcc", "sssp"),
-    scenarios: Sequence[str] = SCENARIOS,
-) -> None:
-    """Plan every cell :func:`hetero_table` will read (same loops)."""
-    uniform = ClusterSpec.uniform(num_fragments)
-    for scenario in scenarios:
-        spec = scenario_spec(scenario, num_fragments)
-        for baseline in baselines:
-            cut_type, _label = BASELINES[baseline]
-            part = planner.partition(dataset, baseline, num_fragments)
-            for algorithm in algorithms:
-                params = _run_params(algorithm, dataset, spec)
-                planner.run(dataset, algorithm, part, params)
-                blind = planner.refine(
-                    dataset,
-                    baseline,
-                    num_fragments,
-                    algorithm,
-                    cut_type,
-                    cluster_spec=uniform.to_dict(),
-                )
-                planner.run(dataset, algorithm, blind, params)
-                aware = planner.refine(
-                    dataset,
-                    baseline,
-                    num_fragments,
-                    algorithm,
-                    cut_type,
-                    cluster_spec=spec.to_dict(),
-                )
-                planner.run(dataset, algorithm, aware, params)
-
-
-def hetero_table(
+def hetero_cells(
+    source,
     dataset: str = "twitter_like",
     num_fragments: int = 4,
     baselines: Sequence[str] = ("xtrapulp", "ne"),
@@ -118,7 +74,6 @@ def hetero_table(
     "blind": s, "aware": s}}}}`` — simulated seconds on the scenario's
     cluster under each refinement policy.
     """
-    graph = load_dataset(dataset)
     uniform = ClusterSpec.uniform(num_fragments)
     out: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = {}
     for scenario in scenarios:
@@ -126,31 +81,24 @@ def hetero_table(
         per_baseline: Dict[str, Dict[str, Dict[str, float]]] = {}
         for baseline in baselines:
             cut_type, _label = BASELINES[baseline]
-            initial, _seconds = initial_partition(graph, baseline, num_fragments)
+            initial = source.partition(dataset, baseline, num_fragments)
             rows: Dict[str, Dict[str, float]] = {}
             for algorithm in algorithms:
                 params = _run_params(algorithm, dataset, spec)
-                blind, _p = refine_for(
-                    initial,
-                    algorithm,
-                    cut_type,
-                    cluster_spec=uniform.to_dict(),
-                )
-                aware, _p = refine_for(
-                    initial,
-                    algorithm,
-                    cut_type,
-                    cluster_spec=spec.to_dict(),
-                )
-                engine = get_engine()
+                args = (dataset, baseline, num_fragments, algorithm, cut_type)
+                blind = source.refine(*args, cluster_spec=uniform.to_dict())
+                aware = source.refine(*args, cluster_spec=spec.to_dict())
                 rows[algorithm] = {
-                    "initial": engine.run_algorithm(initial, algorithm, params),
-                    "blind": engine.run_algorithm(blind, algorithm, params),
-                    "aware": engine.run_algorithm(aware, algorithm, params),
+                    "initial": source.run(dataset, algorithm, initial, params),
+                    "blind": source.run(dataset, algorithm, blind, params),
+                    "aware": source.run(dataset, algorithm, aware, params),
                 }
             per_baseline[baseline] = rows
         out[scenario] = per_baseline
     return out
+
+
+hetero_table = reading(hetero_cells)
 
 
 def rows(data: Dict[str, Dict[str, Dict[str, Dict[str, float]]]]) -> List[List]:

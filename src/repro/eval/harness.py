@@ -17,17 +17,25 @@ computes in-process exactly as before; ``run_all --cache-dir`` installs
 a caching engine so identical (dataset, partitioner, n, model) cells are
 computed once, shared across experiments, and replayed from disk on
 later runs.
+
+Each experiment writes its cell requests once, as a *traversal* over a
+cell source with the verbs of :class:`~repro.eval.engine.Planner`
+(``partition``, ``refine``, ``run``, ``composite``, ``memo``, and
+``derive`` for a pure post-step over their values).  Walked over the
+planner it declares the job graph; walked over a :class:`Reader` it gets
+each cell's value through the active engine and builds the table.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.parallel import RefinementProfile
 from repro.costmodel.model import CostModel
 from repro.costmodel.trained import trained_cost_model, trained_cost_models
-from repro.eval.datasets import CN_THETA
+from repro.eval.datasets import CN_THETA, load_dataset
 from repro.eval.engine import get_engine
 from repro.graph.digraph import Graph
 from repro.partition.composite import CompositePartition
@@ -146,3 +154,65 @@ def composite_refine(
         initial, cut_type, batch, models
     )
     return composite, profile, partition_seconds
+
+
+class Reader:
+    """The cell source that reads: each verb returns the cell's value.
+
+    The verbs take the :class:`~repro.eval.engine.Planner`'s arguments
+    and return what the engine's operations return — ``partition`` a
+    ``(partition, seconds)`` pair, ``refine`` / ``composite`` a
+    ``(partition, profile)`` pair, ``run`` the makespan, ``memo`` the
+    value — and ``derive`` applies a pure post-step to such values.
+    Like the planner's, ``refine`` and ``composite`` fetch their own
+    input partition; the reader keeps the last one it read, so a
+    traversal that asks for a partition and then refines it reads it
+    once, and holds no other.
+    """
+
+    def __init__(self) -> None:
+        self._last: Optional[Tuple[Tuple, Tuple[HybridPartition, float]]] = None
+
+    def partition(self, dataset: str, baseline: str, n: int):
+        key = (dataset, baseline, n)
+        if self._last is None or self._last[0] != key:
+            self._last = key, initial_partition(load_dataset(dataset), baseline, n)
+        return self._last[1]
+
+    def refine(self, dataset, baseline, n, algorithm, cut_type, **kwargs):
+        initial, _seconds = self.partition(dataset, baseline, n)
+        return refine_for(initial, algorithm, cut_type, **kwargs)
+
+    def run(self, dataset, algorithm, on, params=None, view=None) -> float:
+        partition = on[0] if view is None else on[0].partition_for(view)
+        return get_engine().run_algorithm(partition, algorithm, params)
+
+    def composite(self, dataset, baseline, n, batch, cut_type):
+        initial, _seconds = self.partition(dataset, baseline, n)
+        models = {name: trained_cost_model(name) for name in batch}
+        return get_engine().composite_refine(initial, cut_type, batch, models)
+
+    def memo(self, memo_kind: str, params: Optional[Dict] = None):
+        return get_engine().memo(memo_kind, params)
+
+    def derive(self, post: Callable, *values):
+        return post(*values)
+
+
+def reading(cells: Callable) -> Callable:
+    """The public entry point of the traversal ``cells``: it walks it over
+    a fresh :class:`Reader` and returns the table.
+
+    It takes the traversal's arguments after ``source`` and reports that
+    as its signature, so each parameter list and default is written once.
+    """
+
+    def read(*args, **kwargs):
+        return cells(Reader(), *args, **kwargs)
+
+    signature = inspect.signature(cells)
+    read.__signature__ = signature.replace(
+        parameters=tuple(signature.parameters.values())[1:]
+    )
+    read.__doc__ = cells.__doc__
+    return read

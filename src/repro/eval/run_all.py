@@ -12,11 +12,14 @@ The sweep runs on the evaluation engine (:mod:`repro.eval.engine`):
 every experiment cell — initial partition, refinement, simulated run,
 composite refinement, model training — is keyed by a canonical config
 digest and stored in a content-addressed cache (``--cache-dir``, default
-``.repro-cache/``).  With ``--jobs N`` the independent cells are first
-executed on a process pool (the *warm phase*), then the tables are
-rendered serially from the cached artifacts — so the stdout tables are
-byte-identical to a serial run, and a warm cache replays the whole sweep
-(including measured wall-clock columns) without recomputing.
+``.repro-cache/``).  Each section is one callable that walks its
+experiments' traversals: with ``--jobs N`` it is first walked over the
+planner, and the cells it declares are executed on a process pool (the
+*warm phase*); then it is walked over a reader and the tables are
+rendered serially from the cached artifacts — so the render reads
+exactly the planned cells, the stdout tables are byte-identical to a
+serial run, and a warm cache replays the whole sweep (including
+measured wall-clock columns) without recomputing.
 
 Diagnostics (cache hit/miss counters per experiment, warm-phase summary,
 total wall time) go to stderr; stdout carries only the tables.
@@ -49,9 +52,11 @@ import shutil
 import sys
 import tempfile
 import time
+from typing import Callable
 
 from repro.eval.engine import ArtifactCache, EvalEngine, Planner, use_engine
 from repro.eval.experiments import appendix, exp1, exp2, exp3, exp4, exp5, exp6, hetero
+from repro.eval.harness import Reader
 from repro.eval.reporting import format_table, series_block
 
 #: default on-disk artifact cache, shared with the benchmark scripts
@@ -94,59 +99,22 @@ def _sweep_config(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Planning: declare every cell a section will read (the warm phase
-# executes them in parallel before the serial table rendering).
+# Sections.  Each walks its experiments' traversals over ``source`` and
+# returns the function that prints their tables.  Walked over the planner
+# it declares every cell the warm phase executes (the printer is
+# dropped); walked over a reader it reads the same cells and prints.
 # ----------------------------------------------------------------------
-def _plan_exp1(planner: Planner, cfg: dict) -> None:
-    for algorithm, names in cfg["datasets"].items():
-        for dataset in names:
-            exp1.plan_figure9(planner, algorithm, dataset, cfg["ns"])
-    exp1.plan_table3(planner)
+def _exp1(source, cfg: dict) -> Callable[[], None]:
+    panels = [
+        (algorithm, dataset, exp1.figure9_cells(source, algorithm, dataset, cfg["ns"]))
+        for algorithm, names in cfg["datasets"].items()
+        for dataset in names
+    ]
+    table3 = exp1.table3_cells(source)
 
-
-def _plan_exp2(planner: Planner, cfg: dict) -> None:
-    exp2.plan_table4(planner, num_fragments=cfg["table_n"])
-
-
-def _plan_exp3(planner: Planner, cfg: dict) -> None:
-    exp3.plan_figure9k(planner, fragment_counts=cfg["ns"])
-
-
-def _plan_exp4(planner: Planner, cfg: dict) -> None:
-    exp4.plan_figure10b(planner, num_fragments=cfg["table_n"])
-
-
-def _plan_exp5(planner: Planner, cfg: dict) -> None:
-    exp5.plan_figure9l(planner, factors=cfg["factors"])
-
-
-def _plan_exp6(planner: Planner, cfg: dict) -> None:
-    exp6.plan_table5(planner, num_graphs=cfg["num_graphs"])
-    exp6.plan_reference_times(planner, cfg["reference_dataset"])
-
-
-def _plan_appendix(planner: Planner, cfg: dict) -> None:
-    for baseline in cfg["appendix_baselines"]:
-        appendix.plan_phase_speedups(planner, baseline=baseline)
-
-
-def _plan_hetero(planner: Planner, cfg: dict) -> None:
-    hetero.plan_hetero(
-        planner,
-        num_fragments=cfg["hetero_n"],
-        baselines=cfg["hetero_baselines"],
-        algorithms=cfg["hetero_algorithms"],
-    )
-
-
-# ----------------------------------------------------------------------
-# Rendering: compute-or-load through the engine and print the tables.
-# ----------------------------------------------------------------------
-def _render_exp1(cfg: dict) -> None:
-    _banner("Exp-1: effectiveness (Fig. 9(a-j))")
-    for algorithm, names in cfg["datasets"].items():
-        for dataset in names:
-            series = exp1.figure9_series(algorithm, dataset, cfg["ns"])
+    def show() -> None:
+        _banner("Exp-1: effectiveness (Fig. 9(a-j))")
+        for algorithm, dataset, series in panels:
             print()
             print(
                 series_block(
@@ -157,89 +125,115 @@ def _render_exp1(cfg: dict) -> None:
             )
             print("avg speedups:", exp1.speedups(series))
 
-    _banner("Table 3: partition metrics (twitter_like, n=8)")
-    print(format_table(exp1.table3_headers(), exp1.table3_rows()))
+        _banner("Table 3: partition metrics (twitter_like, n=8)")
+        print(format_table(exp1.table3_headers(), table3))
+
+    return show
 
 
-def _render_exp2(cfg: dict) -> None:
-    _banner("Exp-2: composite effectiveness (Table 4 / Fig. 10(a))")
-    data = exp2.table4(num_fragments=cfg["table_n"])
-    baselines = list(data)
-    print(format_table(exp2.table4_headers(baselines), exp2.table4_rows(data)))
-    print("batch overhead of ParMHP vs ParHP:", {
-        k: f"{v:.1%}" for k, v in exp2.composite_overhead(data).items()
-    })
+def _exp2(source, cfg: dict) -> Callable[[], None]:
+    data = exp2.table4_cells(source, num_fragments=cfg["table_n"])
+
+    def show() -> None:
+        _banner("Exp-2: composite effectiveness (Table 4 / Fig. 10(a))")
+        baselines = list(data)
+        print(format_table(exp2.table4_headers(baselines), exp2.table4_rows(data)))
+        print("batch overhead of ParMHP vs ParHP:", {
+            k: f"{v:.1%}" for k, v in exp2.composite_overhead(data).items()
+        })
+
+    return show
 
 
-def _render_exp3(cfg: dict) -> None:
-    _banner("Exp-3: refiner efficiency (Fig. 9(k))")
-    eff = exp3.figure9k(fragment_counts=cfg["ns"])
-    print(format_table(exp3.HEADERS, exp3.rows(eff)))
+def _exp3(source, cfg: dict) -> Callable[[], None]:
+    eff = exp3.figure9k_cells(source, fragment_counts=cfg["ns"])
+
+    def show() -> None:
+        _banner("Exp-3: refiner efficiency (Fig. 9(k))")
+        print(format_table(exp3.HEADERS, exp3.rows(eff)))
+
+    return show
 
 
-def _render_exp4(cfg: dict) -> None:
-    _banner("Exp-4: composite efficiency (Fig. 10(b) + space)")
-    comp = exp4.figure10b(num_fragments=cfg["table_n"])
-    print(format_table(exp4.HEADERS, exp4.rows(comp)))
+def _exp4(source, cfg: dict) -> Callable[[], None]:
+    comp = exp4.figure10b_cells(source, num_fragments=cfg["table_n"])
+
+    def show() -> None:
+        _banner("Exp-4: composite efficiency (Fig. 10(b) + space)")
+        print(format_table(exp4.HEADERS, exp4.rows(comp)))
+
+    return show
 
 
-def _render_exp5(cfg: dict) -> None:
-    _banner("Exp-5: scalability (Fig. 9(l))")
-    scal = exp5.figure9l(factors=cfg["factors"])
-    print(format_table(exp5.headers(scal), exp5.rows(scal)))
+def _exp5(source, cfg: dict) -> Callable[[], None]:
+    scal = exp5.figure9l_cells(source, factors=cfg["factors"])
+
+    def show() -> None:
+        _banner("Exp-5: scalability (Fig. 9(l))")
+        print(format_table(exp5.headers(scal), exp5.rows(scal)))
+
+    return show
 
 
-def _render_exp6(cfg: dict) -> None:
-    _banner("Exp-6: cost model learning (Table 5)")
-    print(format_table(exp6.HEADERS, exp6.table5_rows(num_graphs=cfg["num_graphs"])))
-    reference_times = exp6.reference_times(cfg["reference_dataset"])
-    print(
-        "single-machine reference times (Gunrock substitute):",
-        {k: f"{v:.2f}s" for k, v in reference_times.items()},
-    )
+def _exp6(source, cfg: dict) -> Callable[[], None]:
+    table5 = exp6.table5_cells(source, num_graphs=cfg["num_graphs"])
+    reference_times = exp6.reference_times_cells(source, cfg["reference_dataset"])
+
+    def show() -> None:
+        _banner("Exp-6: cost model learning (Table 5)")
+        print(format_table(exp6.HEADERS, table5))
+        print(
+            "single-machine reference times (Gunrock substitute):",
+            {k: f"{v:.2f}s" for k, v in reference_times.items()},
+        )
+
+    return show
 
 
-def _render_appendix(cfg: dict) -> None:
-    _banner("Appendix: phase decomposition (Fig. 11)")
-    for baseline in cfg["appendix_baselines"]:
-        decomposition = appendix.phase_speedups(baseline=baseline)
-        print(f"\n[{'ParE2H' if baseline == 'xtrapulp' else 'ParV2H'} on {baseline}]")
-        print(format_table(appendix.HEADERS, appendix.contribution_rows(decomposition)))
+def _appendix(source, cfg: dict) -> Callable[[], None]:
+    decompositions = {
+        baseline: appendix.phase_cells(source, baseline=baseline)
+        for baseline in cfg["appendix_baselines"]
+    }
+
+    def show() -> None:
+        _banner("Appendix: phase decomposition (Fig. 11)")
+        for baseline, decomposition in decompositions.items():
+            print(f"\n[{'ParE2H' if baseline == 'xtrapulp' else 'ParV2H'} on {baseline}]")
+            print(format_table(appendix.HEADERS, appendix.contribution_rows(decomposition)))
+
+    return show
 
 
-def _render_hetero(cfg: dict) -> None:
-    _banner("Hetero: capacity-aware refinement on skewed clusters (§13)")
-    data = hetero.hetero_table(
+def _hetero(source, cfg: dict) -> Callable[[], None]:
+    data = hetero.hetero_cells(
+        source,
         num_fragments=cfg["hetero_n"],
         baselines=cfg["hetero_baselines"],
         algorithms=cfg["hetero_algorithms"],
     )
-    print(format_table(hetero.HEADERS, hetero.rows(data)))
-    print(
-        "best blind/aware speedup per scenario:",
-        {k: f"{v:.2f}x" for k, v in hetero.capacity_gains(data).items()},
-    )
+
+    def show() -> None:
+        _banner("Hetero: capacity-aware refinement on skewed clusters (§13)")
+        print(format_table(hetero.HEADERS, hetero.rows(data)))
+        print(
+            "best blind/aware speedup per scenario:",
+            {k: f"{v:.2f}x" for k, v in hetero.capacity_gains(data).items()},
+        )
+
+    return show
 
 
 SECTIONS = {
-    "exp1": (_plan_exp1, _render_exp1),
-    "exp2": (_plan_exp2, _render_exp2),
-    "exp3": (_plan_exp3, _render_exp3),
-    "exp4": (_plan_exp4, _render_exp4),
-    "exp5": (_plan_exp5, _render_exp5),
-    "exp6": (_plan_exp6, _render_exp6),
-    "appendix": (_plan_appendix, _render_appendix),
-    "hetero": (_plan_hetero, _render_hetero),
+    "exp1": _exp1,
+    "exp2": _exp2,
+    "exp3": _exp3,
+    "exp4": _exp4,
+    "exp5": _exp5,
+    "exp6": _exp6,
+    "appendix": _appendix,
+    "hetero": _hetero,
 }
-
-
-def build_plan(selected, quick: bool) -> Planner:
-    """The job graph covering every cell the selected sections read."""
-    cfg = _sweep_config(quick)
-    planner = Planner()
-    for name in selected:
-        SECTIONS[name][0](planner, cfg)
-    return planner
 
 
 def _parse_only(spec: str):
@@ -411,6 +405,50 @@ def run(args: argparse.Namespace, argv) -> int:
     """
     if args.shm_workers is not None and args.backend != "shm":
         return _usage_error("--shm-workers requires --backend shm")
+    if args.jobs < 1:
+        return _usage_error(f"jobs must be a positive integer, got {args.jobs}")
+
+    # Validate every policy before anything is created or flipped.
+    from repro.eval.engine import EngineChaos, ResilienceConfig, RetryPolicy
+    from repro.runtime.trace import FailureTrace
+
+    try:
+        if args.trace_in:
+            loaded = FailureTrace.load(args.trace_in)
+            engine_meta = loaded.meta.get("engine", {})
+            chaos = EngineChaos(
+                seed=args.chaos_seed,
+                hang_seconds=float(
+                    engine_meta.get("hang_seconds", args.chaos_hang_seconds)
+                ),
+                scripted=loaded.engine_script(),
+            )
+        else:
+            chaos = EngineChaos(
+                seed=args.chaos_seed,
+                kill_rate=args.chaos_kill,
+                hang_rate=args.chaos_hang,
+                corrupt_rate=args.chaos_corrupt,
+                torn_rate=args.chaos_torn,
+                hang_seconds=args.chaos_hang_seconds,
+                first_attempt_only=not args.chaos_every_attempt,
+            )
+        resilience = ResilienceConfig(
+            retry=RetryPolicy(max_attempts=args.max_attempts, seed=args.chaos_seed),
+            timeout=args.job_timeout,
+            hedge=not args.no_hedge,
+        )
+    except (OSError, ValueError) as exc:
+        return _usage_error(str(exc))
+    trace = None
+    if args.trace_out:
+        trace = FailureTrace(
+            meta={
+                "command": "run_all",
+                "argv": list(argv),
+                "engine": {"hang_seconds": args.chaos_hang_seconds},
+            }
+        )
 
     if args.cluster_spec:
         # Flip the default before planning: planned cells record the spec
@@ -434,7 +472,7 @@ def run(args: argparse.Namespace, argv) -> int:
             return _usage_error(str(exc))
 
     selected = args.only
-    jobs = max(1, args.jobs)
+    jobs = args.jobs
     cfg = _sweep_config(args.quick)
     start = time.perf_counter()
 
@@ -447,44 +485,6 @@ def run(args: argparse.Namespace, argv) -> int:
         ephemeral = tempfile.mkdtemp(prefix="repro-cache-")
         cache_root = ephemeral
 
-    from repro.eval.engine import EngineChaos, ResilienceConfig, RetryPolicy
-    from repro.runtime.trace import FailureTrace
-
-    trace = None
-    if args.trace_in:
-        loaded = FailureTrace.load(args.trace_in)
-        engine_meta = loaded.meta.get("engine", {})
-        chaos = EngineChaos(
-            seed=args.chaos_seed,
-            hang_seconds=float(
-                engine_meta.get("hang_seconds", args.chaos_hang_seconds)
-            ),
-            scripted=loaded.engine_script(),
-        )
-    else:
-        chaos = EngineChaos(
-            seed=args.chaos_seed,
-            kill_rate=args.chaos_kill,
-            hang_rate=args.chaos_hang,
-            corrupt_rate=args.chaos_corrupt,
-            torn_rate=args.chaos_torn,
-            hang_seconds=args.chaos_hang_seconds,
-            first_attempt_only=not args.chaos_every_attempt,
-        )
-        if args.trace_out:
-            trace = FailureTrace(
-                meta={
-                    "command": "run_all",
-                    "argv": list(argv),
-                    "engine": {"hang_seconds": args.chaos_hang_seconds},
-                }
-            )
-    resilience = ResilienceConfig(
-        retry=RetryPolicy(max_attempts=max(1, args.max_attempts), seed=args.chaos_seed),
-        timeout=args.job_timeout,
-        hedge=not args.no_hedge,
-    )
-
     engine = EvalEngine(
         cache=ArtifactCache(cache_root, validate=not args.no_validate)
     )
@@ -493,7 +493,9 @@ def run(args: argparse.Namespace, argv) -> int:
             # Chaos needs a warm phase to inject into, so a chaos-injected
             # serial run still warms first (the render replays artifacts).
             if jobs > 1 or not chaos.is_empty:
-                planner = build_plan(selected, args.quick)
+                planner = Planner()
+                for name in selected:
+                    SECTIONS[name](planner, cfg)
                 report = engine.warm(
                     planner.graph,
                     jobs=jobs,
@@ -513,7 +515,7 @@ def run(args: argparse.Namespace, argv) -> int:
                     )
             for name in selected:
                 before = engine.stats.snapshot()
-                SECTIONS[name][1](cfg)
+                SECTIONS[name](Reader(), cfg)()
                 delta = engine.stats.delta(before)
                 print(f"[cache] {name}: {delta.describe()}", file=sys.stderr)
     finally:

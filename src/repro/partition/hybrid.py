@@ -347,9 +347,16 @@ class HybridPartition:
             raise KeyError(f"vertex {v} has no copies in the partition") from None
 
     def set_master(self, v: int, fid: int) -> None:
-        """Reassign the master of ``v`` to fragment ``fid`` (MAssign)."""
+        """Reassign the master of ``v`` to fragment ``fid`` (MAssign).
+
+        The fragment, not the placement index, decides whether ``fid``
+        holds a copy: a stale index entry (state corruption, as
+        ``add_vertex_to`` heals) is restored rather than refused.
+        """
         if fid not in self._placement.get(v, ()):
-            raise ValueError(f"fragment {fid} holds no copy of vertex {v}")
+            if not self.fragments[fid].has_vertex(v):
+                raise ValueError(f"fragment {fid} holds no copy of vertex {v}")
+            self.add_vertex_to(fid, v)
         if self._masters.get(v) != fid:
             self._masters[v] = fid
             self._notify(v)

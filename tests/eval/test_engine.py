@@ -13,11 +13,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.costmodel.library import builtin_cost_model
+from repro.eval import harness, run_all
 from repro.eval.datasets import load_dataset
 from repro.eval.engine import (
     ArtifactCache,
@@ -292,16 +295,20 @@ def test_use_engine_swaps_and_restores(tmp_path):
 BATCH = ("pr", "wcc")
 
 
-def _tiny_plan() -> Planner:
+def _tiny_cells(source) -> None:
     """One cell of every kind, plus a run over one view of the composite."""
+    part = source.partition("livejournal_like", "fennel", 2)
+    refined = source.refine("livejournal_like", "fennel", 2, "pr", "edge")
+    source.run("livejournal_like", "pr", part, {"iterations": 10})
+    source.run("livejournal_like", "pr", refined, {"iterations": 10})
+    composite = source.composite("livejournal_like", "fennel", 2, BATCH, "edge")
+    source.run("livejournal_like", "pr", composite, {"iterations": 10}, view="pr")
+    source.memo("exp6_reference_times", {"dataset": "livejournal_like"})
+
+
+def _tiny_plan() -> Planner:
     planner = Planner(model_for=builtin_cost_model)
-    part = planner.partition("livejournal_like", "fennel", 2)
-    refined = planner.refine("livejournal_like", "fennel", 2, "pr", "edge")
-    planner.run("livejournal_like", "pr", part, {"iterations": 10})
-    planner.run("livejournal_like", "pr", refined, {"iterations": 10})
-    composite = planner.composite("livejournal_like", "fennel", 2, BATCH, "edge")
-    planner.run("livejournal_like", "pr", composite, {"iterations": 10}, view="pr")
-    planner.memo("exp6_reference_times", {"dataset": "livejournal_like"})
+    _tiny_cells(planner)
     return planner
 
 
@@ -323,7 +330,7 @@ def test_job_graph_rejects_unplanned_deps():
 
 
 @pytest.mark.slow
-def test_executor_serial_facade_key_agreement(tmp_path):
+def test_executor_serial_facade_key_agreement(tmp_path, monkeypatch):
     """Cells warmed by the executor must be hits for the facade — for
     every row of the cell table."""
     planner = _tiny_plan()
@@ -332,20 +339,10 @@ def test_executor_serial_facade_key_agreement(tmp_path):
     report = execute(planner.graph, cache, jobs=1)
     assert report.computed == report.total == 7
 
-    engine = EvalEngine(cache=cache)
-    graph = load_dataset("livejournal_like")
+    monkeypatch.setattr(harness, "trained_cost_model", builtin_cost_model)
     before = cache.stats.snapshot()
-    partition, _s = engine.initial_partition(graph, "fennel", 2)
-    refined, _p = engine.refine_partition(
-        partition, "pr", "edge", builtin_cost_model("pr")
-    )
-    engine.run_algorithm(partition, "pr", {"iterations": 10})
-    engine.run_algorithm(refined, "pr", {"iterations": 10})
-    composite, _p = engine.composite_refine(
-        partition, "edge", BATCH, {name: builtin_cost_model(name) for name in BATCH}
-    )
-    engine.run_algorithm(composite.partition_for("pr"), "pr", {"iterations": 10})
-    engine.memo("exp6_reference_times", {"dataset": "livejournal_like"})
+    with use_engine(EvalEngine(cache=cache)):
+        _tiny_cells(harness.Reader())
     delta = cache.stats.delta(before)
     assert delta.misses == 0
     assert delta.hits == 7
@@ -418,3 +415,35 @@ def test_run_all_only_rejects_unknown_experiment(tmp_path):
         assert result.returncode == 2
         assert problem in result.stderr
         assert "exp1, exp2, exp3, exp4, exp5, exp6, appendix, hetero" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--job-timeout", "-1"], "error: timeout must be positive (or None)\n"),
+        (["--chaos-kill", "1.5"], "error: kill_rate must be in [0, 1], got 1.5\n"),
+        (["--jobs", "0"], "error: jobs must be a positive integer, got 0\n"),
+        (["--jobs", "-3"], "error: jobs must be a positive integer, got -3\n"),
+        (["--max-attempts", "0"], "error: max_attempts must be >= 1\n"),
+    ],
+    ids=["job-timeout", "chaos-kill", "jobs-0", "jobs-neg", "max-attempts"],
+)
+@pytest.mark.parametrize(
+    "entry, command",
+    [
+        (run_all.main, ["--quick", "--only", "exp6", "--no-cache"]),
+        (cli_main, ["sweep", "--quick", "--only", "exp6", "--no-cache"]),
+    ],
+    ids=["run_all", "sweep"],
+)
+def test_run_all_rejects_bad_policy_values(
+    entry, command, flags, message, tmp_path, monkeypatch, capsys
+):
+    """Each used to end in a traceback or be clamped to 1 silently, and a
+    rejected ``--no-cache`` run left its temp cache behind."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert entry(command + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+    assert list(tmp_path.glob("repro-cache-*")) == []

@@ -278,6 +278,47 @@ def test_add_vertex_to_heals_stale_placement_entry():
     check_partition(partition)
 
 
+def test_v2h_vmerge_into_stale_placement_entry_survives():
+    """Exact repro of a VMerge crash under chaos seed 1123.
+
+    Chaos dropped fragment 1 from ``_placement[3]`` while fragment 1
+    still held vertex 3; the VMerge of 3 into fragment 1 brought edge
+    (0, 3) over without re-indexing the already-present endpoint, and
+    ``set_master`` raised ``ValueError: fragment 1 holds no copy of
+    vertex 3``.  ``set_master`` now asks the fragment and heals the index.
+    """
+    from repro.graph.digraph import Graph
+
+    graph = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 3)], directed=False)
+    partition = HybridPartition.from_edge_assignment(
+        graph, {(0, 1): 0, (0, 2): 0, (0, 3): 0, (1, 3): 1}, 2
+    )
+    refiner = V2H(
+        builtin_cost_model("tc"),
+        guard_config=GuardConfig(
+            check_interval=2, chaos=ChaosPlan(seed=1123, corrupt_rate=0.5)
+        ),
+    )
+    refined = refiner.refine(partition)
+    check_partition(refined)
+    assert refiner.last_stats.guard.unrepaired_violations == 0
+
+
+def test_set_master_heals_stale_placement_entry():
+    """Direct unit repro: a held-but-unindexed copy can take the master."""
+    from repro.graph.digraph import Graph
+
+    graph = Graph(4, [(0, 1), (2, 3)], directed=False)
+    partition = HybridPartition.from_vertex_assignment(graph, [0, 0, 1, 1], 2)
+    partition._placement[1].discard(0)
+    partition.set_master(1, 0)
+    assert 0 in partition._placement[1]
+    assert partition.master(1) == 0
+    check_partition(partition)
+    with pytest.raises(ValueError):
+        partition.set_master(1, 1)  # fragment 1 really holds no copy
+
+
 # ----------------------------------------------------------------------
 # Regression: removing the last *indexed* copy of a vertex that still has
 # real ones (chaos "drop" twice on one vertex, then two VMigrates)
