@@ -25,8 +25,8 @@ and the table gains failure/recovery/checkpoint columns.  ``--lose``
 removes a worker permanently: the cluster promotes surviving replicas
 and continues on the survivors (failover columns appear).
 
-Failure traces: ``evaluate``, ``partition``, and ``sweep`` accept
-``--trace-out PATH`` (record every fired fault/corruption/chaos fate to
+Failure traces: ``evaluate`` and ``partition`` accept
+``--trace-out PATH`` (record every fired fault/corruption fate to
 a JSONL trace) and ``--trace-in PATH`` (replay a recorded trace exactly,
 bypassing the seeded draws).  ``repro trace show|replay|minimize``
 inspects a trace, re-runs its recorded command against it, and greedily
@@ -36,10 +36,8 @@ drops events while a failing replay keeps failing.
 evaluation engine.  It *is* :mod:`repro.eval.run_all` — the subcommand
 mounts that module's parser, so every ``run_all`` flag works here:
 ``--jobs N`` fans independent cells out over worker processes,
-``--cache-dir``/``--no-cache`` control the content-addressed artifact
-cache that later runs (and the benchmark scripts) replay from, and
-``--job-timeout``, ``--max-attempts`` and the ``--chaos-*`` family
-set the warm phase's failure policy and injection.
+and ``--cache-dir``/``--no-cache`` control the content-addressed
+artifact cache that later runs (and the benchmark scripts) replay from.
 
 ``cache verify`` audits an artifact cache root: every entry's checksum
 envelope is validated, and with ``--repair`` damaged entries are moved
@@ -463,22 +461,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """``sweep``: the full experiment sweep on the evaluation engine."""
-    return run_all.run(args, args._argv[1:])
-
-
 def _replay_trace(meta, trace_path: str) -> int:
     """Re-run a trace's recorded command with ``--trace-in trace_path``."""
     argv = replay_argv(meta, trace_path)
     command = meta.get("command")
-    if command == "run_all":
-        return run_all.main(argv)
     if command == "cli":
         return main(argv)
     print(
-        f"error: trace records unknown command {command!r} "
-        "(expected 'cli' or 'run_all')",
+        f"error: trace records unknown command {command!r} (expected 'cli')",
         file=sys.stderr,
     )
     return 2
@@ -787,7 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the paper's experiment sweep on the evaluation engine",
         parents=[run_all.build_parser(add_help=False)],
     )
-    sweep.set_defaults(func=cmd_sweep)
+    sweep.set_defaults(func=run_all.run)
 
     cache = sub.add_parser("cache", help="audit / repair an artifact cache")
     cache.add_argument(

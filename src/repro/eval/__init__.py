@@ -20,7 +20,6 @@ from repro.eval.harness import (
     BASELINES,
     refine_for,
     run_algorithm,
-    partition_and_refine,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "BASELINES",
     "refine_for",
     "run_algorithm",
-    "partition_and_refine",
 ]

@@ -18,12 +18,9 @@ fast twice over:
   (:mod:`repro.eval.engine.cache`) stores serialized partitions and run
   profiles, so a second ``run_all``, a ``--quick`` run after a full run,
   or any benchmark script replays artifacts instead of recomputing;
-* a **resilience layer** (:mod:`repro.eval.engine.resilience`) — worker
-  crashes, hung jobs, and corrupt artifacts are retried with seeded
-  backoff, timed out / hedged, quarantined and recomputed, or degraded
-  to in-process execution, so partial failure never aborts a sweep; the
-  seeded :mod:`repro.eval.engine.chaos` harness injects those failures
-  deterministically for tests and benchmarks.
+* one **recovery rule**: a damaged artifact is quarantined and
+  recomputed from its ancestor chain wherever it is read, and a broken
+  process pool hands the rest of the graph to the serial walk.
 
 :class:`~repro.eval.engine.engine.EvalEngine` is the facade the
 evaluation harness delegates to; ``use_engine`` installs one for a
@@ -33,7 +30,6 @@ is installed).
 """
 
 from repro.eval.engine.cache import ArtifactCache, CacheAudit, CacheStats
-from repro.eval.engine.chaos import EngineChaos, sabotage_artifact
 from repro.eval.engine.engine import EvalEngine, get_engine, use_engine
 from repro.eval.engine.jobs import Job, JobGraph, Planner
 from repro.eval.engine.keys import (
@@ -43,34 +39,20 @@ from repro.eval.engine.keys import (
     model_payload,
     payload_digest,
 )
-from repro.eval.engine.resilience import (
-    MissingArtifactError,
-    ResilienceConfig,
-    ResilienceStats,
-    RetryPolicy,
-    seeded_fraction,
-)
 
 __all__ = [
     "ArtifactCache",
     "CacheAudit",
     "CacheStats",
-    "EngineChaos",
     "EvalEngine",
     "Job",
     "JobGraph",
-    "MissingArtifactError",
     "Planner",
-    "ResilienceConfig",
-    "ResilienceStats",
-    "RetryPolicy",
     "canonical_json",
     "config_digest",
     "get_engine",
     "model_digest",
     "model_payload",
     "payload_digest",
-    "sabotage_artifact",
-    "seeded_fraction",
     "use_engine",
 ]

@@ -9,8 +9,9 @@ benign: last writer wins with identical bytes.
 Every file is an *envelope* ``{"checksum": sha256(payload), "payload":
 ...}``.  Reads validate the checksum: truncated, unparseable, or
 mismatching entries are **quarantined** — moved to
-``<root>/quarantine/`` — and reported as a miss, so the cell is
-transparently recomputed instead of poisoning the sweep.  ``verify``
+``<root>/quarantine/``, never over an earlier damaged copy — and
+reported as a miss, so the cell is transparently recomputed instead of
+poisoning the sweep.  ``verify``
 audits a whole cache root (and, with ``repair``, quarantines bad
 entries and removes orphaned temp files left by interrupted writes);
 the ``repro cache verify --repair`` CLI wraps it.
@@ -130,17 +131,10 @@ class ArtifactCache:
         store (an artifact read five times in one sweep is parsed once).
         Memory hits and disk hits both count as cache hits — either way
         the cell was not recomputed.
-    validate:
-        Verify the content checksum on every disk read and quarantine
-        damaged entries (default).  ``False`` skips the digest check —
-        only meaningful for measuring its overhead (bench_resilience).
     """
 
-    def __init__(
-        self, root: PathLike, memory_entries: int = 128, validate: bool = True
-    ) -> None:
+    def __init__(self, root: PathLike, memory_entries: int = 128) -> None:
         self.root = os.fspath(root)
-        self.validate = validate
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, Dict]" = OrderedDict()
         self._memory_entries = memory_entries
@@ -148,9 +142,6 @@ class ArtifactCache:
     def path_for(self, key: str) -> str:
         """On-disk location of the artifact stored under ``key``."""
         return os.path.join(self.root, key[:2], f"{key}.json")
-
-    # Backwards-compatible alias (pre-resilience internal name).
-    _path = path_for
 
     def __contains__(self, key: str) -> bool:
         return key in self._memory or os.path.exists(self.path_for(key))
@@ -206,7 +197,7 @@ class ArtifactCache:
             checksum = envelope["checksum"]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             return None
-        if self.validate and payload_digest(payload) != checksum:
+        if payload_digest(payload) != checksum:
             return None
         return payload
 
@@ -240,30 +231,23 @@ class ArtifactCache:
         self.stats.bytes_written += len(text)
         self._remember(key, payload)
 
-    def restore(self, key: str) -> bool:
-        """Re-write ``key``'s artifact from the in-memory copy, if held.
-
-        The memory LRU only ever holds validated payloads, so when a
-        disk entry is damaged after the parent already read (or wrote)
-        it, the scheduler can heal the file without recomputing.
-        """
-        payload = self._memory.get(key)
-        if payload is None:
-            return False
-        self.put(key, payload)
-        return True
-
     # ------------------------------------------------------------------
     # Quarantine and audit
     # ------------------------------------------------------------------
     def quarantine(self, key: str) -> bool:
-        """Move ``key``'s damaged file to the quarantine sidecar directory."""
+        """Move ``key``'s damaged file to the quarantine sidecar directory.
+
+        Every damaged copy is kept: the first lands at ``<key>.json``,
+        later ones at the first free ``<key>.N.json``.
+        """
         path = self.path_for(key)
-        target_dir = os.path.join(self.root, QUARANTINE_DIR)
+        slot = None
         try:
-            os.makedirs(target_dir, exist_ok=True)
-            os.replace(path, os.path.join(target_dir, f"{key}.json"))
+            slot = self._claim_quarantine_slot(key)
+            os.replace(path, slot)
         except OSError:
+            if slot is not None:
+                os.unlink(slot)
             # Lost a race with another healer (or the file vanished):
             # either way it is no longer readable at its shard path.
             if os.path.exists(path):
@@ -271,6 +255,20 @@ class ArtifactCache:
         self.forget(key)
         self.stats.quarantined += 1
         return True
+
+    def _claim_quarantine_slot(self, key: str) -> str:
+        """Create (exclusively) and return the first free quarantine path."""
+        directory = os.path.join(self.root, QUARANTINE_DIR)
+        os.makedirs(directory, exist_ok=True)
+        n = 0
+        while True:
+            name = f"{key}.json" if n == 0 else f"{key}.{n}.json"
+            slot = os.path.join(directory, name)
+            try:
+                os.close(os.open(slot, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                return slot
+            except FileExistsError:
+                n += 1
 
     def _shard_dirs(self) -> List[str]:
         try:

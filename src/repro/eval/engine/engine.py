@@ -201,36 +201,13 @@ class EvalEngine:
             return row.compute(spec, None, None, self.virtual)["value"]
         return self._resolve(spec, None)["value"]
 
-    def warm(
-        self,
-        job_graph: JobGraph,
-        jobs: int = 1,
-        resilience=None,
-        chaos=None,
-        trace=None,
-    ):
-        """Execute ``job_graph`` into the cache (cached engines only).
-
-        ``resilience`` is a :class:`~repro.eval.engine.resilience.
-        ResilienceConfig` (defaults apply when ``None``); ``chaos`` is an
-        :class:`~repro.eval.engine.chaos.EngineChaos` failure-injection
-        plan for tests and benchmarks; ``trace`` is a
-        :class:`~repro.runtime.trace.FailureTrace` that records every
-        fired chaos fate for later replay.
-        """
+    def warm(self, job_graph: JobGraph, jobs: int = 1):
+        """Execute ``job_graph`` into the cache (cached engines only)."""
         if self.cache is None:
             raise ValueError("cannot warm a passthrough engine (no cache)")
         from repro.eval.engine.executor import execute
 
-        return execute(
-            job_graph,
-            self.cache,
-            jobs=jobs,
-            virtual=self.virtual,
-            resilience=resilience,
-            chaos=chaos,
-            trace=trace,
-        )
+        return execute(job_graph, self.cache, jobs=jobs, virtual=self.virtual)
 
 
 # ----------------------------------------------------------------------

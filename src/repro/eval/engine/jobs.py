@@ -28,7 +28,7 @@ hash of the partition it executes over) and is minted by the row's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.eval.engine.cells import CELLS
 from repro.eval.engine.keys import config_digest, model_payload
@@ -60,20 +60,6 @@ class JobGraph:
                 raise ValueError(f"job {job.jid} depends on unplanned job {dep}")
         self.jobs[job.jid] = job
         return job
-
-    def downstream_cone(self, jid: str) -> List[str]:
-        """Transitive dependents of ``jid``, in insertion (topo) order.
-
-        The resilient executor skips exactly this set when a job fails
-        permanently — every other job in the DAG still completes.
-        """
-        cone = {jid}
-        out: List[str] = []
-        for job in self.jobs.values():
-            if job.jid != jid and any(dep in cone for dep in job.deps):
-                cone.add(job.jid)
-                out.append(job.jid)
-        return out
 
     def __len__(self) -> int:
         return len(self.jobs)

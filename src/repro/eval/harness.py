@@ -29,7 +29,6 @@ each cell's value through the active engine and builds the table.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.parallel import RefinementProfile
@@ -38,7 +37,6 @@ from repro.costmodel.trained import trained_cost_model, trained_cost_models
 from repro.eval.datasets import CN_THETA, load_dataset
 from repro.eval.engine import get_engine
 from repro.graph.digraph import Graph
-from repro.partition.composite import CompositePartition
 from repro.partition.hybrid import HybridPartition
 
 #: baseline name -> (cut type, refined-variant label)
@@ -53,19 +51,6 @@ BASELINES: Dict[str, Tuple[str, Optional[str]]] = {
 
 #: the paper's fixed mixed workload (Section 7)
 BATCH = ("cn", "tc", "wcc", "pr", "sssp")
-
-
-@dataclass
-class PartitionBundle:
-    """An initial partition plus its application-driven refinement."""
-
-    dataset: str
-    baseline: str
-    num_fragments: int
-    initial: HybridPartition
-    refined: Optional[HybridPartition]
-    partition_seconds: float
-    refine_profile: Optional[RefinementProfile]
 
 
 def algorithm_params(algorithm: str, dataset: str) -> Dict:
@@ -113,47 +98,6 @@ def refine_for(
     return get_engine().refine_partition(
         partition, algorithm, cut_type, model, **refiner_kwargs
     )
-
-
-def partition_and_refine(
-    graph: Graph,
-    baseline: str,
-    algorithm: str,
-    num_fragments: int,
-    dataset: str = "",
-) -> PartitionBundle:
-    """Build the baseline partition and, when applicable, refine it."""
-    cut_type, _label = BASELINES[baseline]
-    initial, partition_seconds = initial_partition(graph, baseline, num_fragments)
-    refined = None
-    profile = None
-    if cut_type in ("edge", "vertex"):
-        refined, profile = refine_for(initial, algorithm, cut_type)
-    return PartitionBundle(
-        dataset=dataset,
-        baseline=baseline,
-        num_fragments=num_fragments,
-        initial=initial,
-        refined=refined,
-        partition_seconds=partition_seconds,
-        refine_profile=profile,
-    )
-
-
-def composite_refine(
-    graph: Graph,
-    baseline: str,
-    num_fragments: int,
-    batch: Tuple[str, ...] = BATCH,
-) -> Tuple[CompositePartition, RefinementProfile, float]:
-    """ParME2H / ParMV2H over a baseline; returns (composite, profile, base s)."""
-    cut_type, _label = BASELINES[baseline]
-    models = {name: trained_cost_model(name) for name in batch}
-    initial, partition_seconds = initial_partition(graph, baseline, num_fragments)
-    composite, profile = get_engine().composite_refine(
-        initial, cut_type, batch, models
-    )
-    return composite, profile, partition_seconds
 
 
 class Reader:

@@ -24,20 +24,10 @@ measured wall-clock columns) without recomputing.
 Diagnostics (cache hit/miss counters per experiment, warm-phase summary,
 total wall time) go to stderr; stdout carries only the tables.
 
-The warm phase is resilient (:mod:`repro.eval.engine.resilience`):
-worker crashes and transient cell errors retry with seeded backoff,
-``--job-timeout`` abandons (and hedges) stragglers, corrupt cache
-artifacts are quarantined and recomputed, and repeatedly failing jobs
-degrade to in-process execution.  A ``[resilience]`` stderr line reports
-what happened whenever anything did.  The ``--chaos-*`` flags inject
-deterministic failures (worker kills, hangs, artifact corruption) to
-exercise those paths; the stdout tables stay byte-identical regardless.
-By default only a job's first attempt can be sabotaged;
-``--chaos-every-attempt`` exposes retries to chaos too (convergence is
-then no longer guaranteed — pair it with low rates).  ``--trace-out``
-records every fired chaos fate to a JSONL failure trace;
-``--trace-in`` replays a recorded trace exactly, bypassing the rates
-(see ``repro trace`` for show/replay/minimize tooling).
+A damaged cache artifact is quarantined and recomputed where it is
+read; if the warm phase's process pool breaks, the rest of the graph is
+computed in-process.  A cell that raises ends the sweep with its
+traceback.
 
 The benchmarks under ``benchmarks/`` invoke the same experiment modules
 one table/figure at a time; this script is the one-shot reproduction of
@@ -301,94 +291,6 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for --backend shm (default: min(4, cpus))",
     )
-    resilience_group = parser.add_argument_group(
-        "resilience", "failure policy of the warm phase"
-    )
-    resilience_group.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job wall-clock deadline; overdue jobs are hedged/retried",
-    )
-    resilience_group.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        metavar="N",
-        help="pool attempts per job before in-process degradation (default: 3)",
-    )
-    resilience_group.add_argument(
-        "--no-hedge",
-        action="store_true",
-        help="abandon overdue jobs instead of racing a duplicate attempt",
-    )
-    resilience_group.add_argument(
-        "--no-validate",
-        action="store_true",
-        help="skip artifact checksum validation (overhead measurement only)",
-    )
-    chaos_group = parser.add_argument_group(
-        "chaos injection", "deterministic failure injection (tests/benchmarks)"
-    )
-    chaos_group.add_argument(
-        "--chaos-seed", type=int, default=0, help="seed for chaos fate draws"
-    )
-    chaos_group.add_argument(
-        "--chaos-kill",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="probability a first attempt kills its worker process",
-    )
-    chaos_group.add_argument(
-        "--chaos-hang",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="probability a first attempt hangs before computing",
-    )
-    chaos_group.add_argument(
-        "--chaos-corrupt",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="probability a stored artifact is corrupted in place",
-    )
-    chaos_group.add_argument(
-        "--chaos-torn",
-        type=float,
-        default=0.0,
-        metavar="RATE",
-        help="probability a stored artifact is truncated mid-JSON",
-    )
-    chaos_group.add_argument(
-        "--chaos-hang-seconds",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="how long a hung job sleeps (default: 1.0)",
-    )
-    chaos_group.add_argument(
-        "--chaos-every-attempt",
-        action="store_true",
-        help="let chaos sabotage retries too, not just attempt 0 "
-        "(convergence is no longer guaranteed; pair with low rates)",
-    )
-    trace_group = parser.add_argument_group(
-        "failure traces", "record/replay of fired chaos fates"
-    ).add_mutually_exclusive_group()
-    trace_group.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="record every fired chaos fate to a JSONL failure trace",
-    )
-    trace_group.add_argument(
-        "--trace-in",
-        metavar="PATH",
-        help="replay the fates of a recorded failure trace "
-        "(bypasses the --chaos-* rates)",
-    )
     return parser
 
 
@@ -397,58 +299,12 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def run(args: argparse.Namespace, argv) -> int:
-    """Run the sweep ``args`` (parsed by :func:`build_parser`) selects.
-
-    ``argv`` is the token list ``args`` was parsed from; a recorded
-    failure trace stores it so ``repro trace replay`` can re-run it.
-    """
+def run(args: argparse.Namespace) -> int:
+    """Run the sweep ``args`` (parsed by :func:`build_parser`) selects."""
     if args.shm_workers is not None and args.backend != "shm":
         return _usage_error("--shm-workers requires --backend shm")
     if args.jobs < 1:
         return _usage_error(f"jobs must be a positive integer, got {args.jobs}")
-
-    # Validate every policy before anything is created or flipped.
-    from repro.eval.engine import EngineChaos, ResilienceConfig, RetryPolicy
-    from repro.runtime.trace import FailureTrace
-
-    try:
-        if args.trace_in:
-            loaded = FailureTrace.load(args.trace_in)
-            engine_meta = loaded.meta.get("engine", {})
-            chaos = EngineChaos(
-                seed=args.chaos_seed,
-                hang_seconds=float(
-                    engine_meta.get("hang_seconds", args.chaos_hang_seconds)
-                ),
-                scripted=loaded.engine_script(),
-            )
-        else:
-            chaos = EngineChaos(
-                seed=args.chaos_seed,
-                kill_rate=args.chaos_kill,
-                hang_rate=args.chaos_hang,
-                corrupt_rate=args.chaos_corrupt,
-                torn_rate=args.chaos_torn,
-                hang_seconds=args.chaos_hang_seconds,
-                first_attempt_only=not args.chaos_every_attempt,
-            )
-        resilience = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=args.max_attempts, seed=args.chaos_seed),
-            timeout=args.job_timeout,
-            hedge=not args.no_hedge,
-        )
-    except (OSError, ValueError) as exc:
-        return _usage_error(str(exc))
-    trace = None
-    if args.trace_out:
-        trace = FailureTrace(
-            meta={
-                "command": "run_all",
-                "argv": list(argv),
-                "engine": {"hang_seconds": args.chaos_hang_seconds},
-            }
-        )
 
     if args.cluster_spec:
         # Flip the default before planning: planned cells record the spec
@@ -485,46 +341,30 @@ def run(args: argparse.Namespace, argv) -> int:
         ephemeral = tempfile.mkdtemp(prefix="repro-cache-")
         cache_root = ephemeral
 
-    engine = EvalEngine(
-        cache=ArtifactCache(cache_root, validate=not args.no_validate)
-    )
+    engine = EvalEngine(cache=ArtifactCache(cache_root))
     try:
         with use_engine(engine):
-            # Chaos needs a warm phase to inject into, so a chaos-injected
-            # serial run still warms first (the render replays artifacts).
-            if jobs > 1 or not chaos.is_empty:
+            if jobs > 1:
                 planner = Planner()
                 for name in selected:
                     SECTIONS[name](planner, cfg)
-                report = engine.warm(
-                    planner.graph,
-                    jobs=jobs,
-                    resilience=resilience,
-                    chaos=chaos,
-                    trace=trace,
-                )
+                report = engine.warm(planner.graph, jobs=jobs)
+                recovered = ""
+                if report.quarantined:
+                    recovered += f", {report.quarantined} quarantined"
+                if report.worker_crashes:
+                    recovered += ", pool broke: finished in-process"
                 print(
                     f"[warm] {report.total} cells: {report.computed} computed, "
-                    f"{report.hits} from cache ({jobs} jobs)",
+                    f"{report.hits} from cache ({jobs} jobs){recovered}",
                     file=sys.stderr,
                 )
-                if report.resilience.total_events:
-                    print(
-                        f"[resilience] {report.resilience.describe()}",
-                        file=sys.stderr,
-                    )
             for name in selected:
                 before = engine.stats.snapshot()
                 SECTIONS[name](Reader(), cfg)()
                 delta = engine.stats.delta(before)
                 print(f"[cache] {name}: {delta.describe()}", file=sys.stderr)
     finally:
-        if trace is not None:
-            trace.save(args.trace_out)
-            print(
-                f"[trace] {len(trace)} fates recorded to {args.trace_out}",
-                file=sys.stderr,
-            )
         if ephemeral is not None:
             shutil.rmtree(ephemeral, ignore_errors=True)
 
@@ -534,8 +374,7 @@ def run(args: argparse.Namespace, argv) -> int:
 
 def main(argv=None) -> int:
     """Run every experiment; returns the process exit code."""
-    argv = list(argv) if argv is not None else sys.argv[1:]
-    return run(build_parser().parse_args(argv), argv)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

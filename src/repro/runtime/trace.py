@@ -1,9 +1,8 @@
 """Failure traces: record/replay for every injection stack.
 
-The repository injects failures in three places — the BSP substrate
-(:mod:`repro.runtime.faults`), the partition state
-(:mod:`repro.integrity.chaos`), and the evaluation engine
-(:mod:`repro.eval.engine.chaos`).  All three draw their fates from
+The repository injects failures in two places — the BSP substrate
+(:mod:`repro.runtime.faults`) and the partition state
+(:mod:`repro.integrity.chaos`).  Both draw their fates from
 seeded counter-keyed hashes, which makes any chaotic run reproducible
 *given the same configuration*.  A :class:`FailureTrace` removes even
 that caveat: while a run executes, every drawn fate that actually fires
@@ -18,10 +17,9 @@ Trace file format (JSONL, one object per line):
 
 * line 1 — header: ``{"trace_format": 1, "meta": {...}}``.  ``meta``
   carries the recording command's argv (so ``repro trace replay`` can
-  re-run it), the serialized :class:`~repro.runtime.faults.FaultPlan`
+  re-run it) and the serialized :class:`~repro.runtime.faults.FaultPlan`
   (stragglers are declarative, not drawn, so replay reconstructs them
-  from the plan), and engine-chaos parameters that are not per-event
-  (``hang_seconds``).  No timestamps: a recorded file is byte-stable.
+  from the plan).  No timestamps: a recorded file is byte-stable.
 * following lines — events: ``{"stream", "scope", "kind", "index",
   "payload"}``:
 
@@ -32,11 +30,10 @@ Trace file format (JSONL, one object per line):
   runtime    algorithm name            ``crash`` / superstep     ``{"worker": w}``
   runtime    algorithm name            ``loss`` / superstep      ``{"worker": w}``
   integrity  chaos salt                ``corruption`` / step     re-applicable corruption op
-  engine     ``""``                    ``fate`` / attempt        ``{"kind": chaos kind, "key": cache key}``
   ========== ========================= ======================== =======
 
 Only non-benign fates are recorded (a delivered message, a step with no
-corruption, an attempt with no chaos draw produce no event), so removing
+corruption produce no event), so removing
 an event from a trace makes exactly that one injection benign — which is
 what makes greedy minimization well-defined.
 
@@ -48,7 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: current trace file format version
 TRACE_FORMAT = 1
@@ -58,10 +55,10 @@ TRACE_FORMAT = 1
 class TraceEvent:
     """One recorded injection (a fate that actually fired)."""
 
-    stream: str  # "runtime" | "integrity" | "engine"
-    scope: str  # algorithm name / chaos salt / "" for the engine
-    kind: str  # "message" | "crash" | "loss" | "corruption" | "fate"
-    index: int  # message counter / superstep / step counter / attempt
+    stream: str  # "runtime" | "integrity"
+    scope: str  # algorithm name / chaos salt
+    kind: str  # "message" | "crash" | "loss" | "corruption"
+    index: int  # message counter / superstep / step counter
     payload: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -170,18 +167,6 @@ class FailureTrace:
         """Replay cursor over this trace's integrity events for ``scope``."""
         return IntegrityReplay(
             [e for e in self.events if e.stream == "integrity" and e.scope == scope]
-        )
-
-    def engine_script(self) -> Tuple[Tuple[str, str, int], ...]:
-        """Engine fates as ``(kind, key, attempt)`` triples, event order.
-
-        This is the value of
-        :attr:`repro.eval.engine.chaos.EngineChaos.scripted`.
-        """
-        return tuple(
-            (str(e.payload["kind"]), str(e.payload["key"]), e.index)
-            for e in self.events
-            if e.stream == "engine" and e.kind == "fate"
         )
 
 

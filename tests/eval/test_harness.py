@@ -6,13 +6,10 @@ from repro.eval.harness import (
     BASELINES,
     BATCH,
     algorithm_params,
-    composite_refine,
-    partition_and_refine,
     refine_for,
     run_algorithm,
 )
 from repro.graph.generators import chung_lu_power_law
-from repro.partition.validation import check_partition
 from repro.partitioners.base import get_partitioner
 
 
@@ -38,31 +35,7 @@ def test_run_algorithm_returns_seconds(small_graph):
     assert seconds > 0
 
 
-def test_partition_and_refine_edge_baseline(small_graph):
-    bundle = partition_and_refine(small_graph, "fennel", "pr", 3)
-    assert bundle.refined is not None
-    check_partition(bundle.refined)
-    assert bundle.partition_seconds > 0
-    assert bundle.refine_profile.total_time > 0
-
-
-def test_partition_and_refine_hybrid_baseline_not_refined(small_graph):
-    bundle = partition_and_refine(small_graph, "ginger", "pr", 3)
-    assert bundle.refined is None
-    assert bundle.refine_profile is None
-
-
 def test_refine_for_rejects_hybrid_cut(small_graph):
     p = get_partitioner("ginger").partition(small_graph, 3)
     with pytest.raises(ValueError):
         refine_for(p, "pr", "hybrid")
-
-
-def test_composite_refine_small_batch(small_graph):
-    composite, profile, base_seconds = composite_refine(
-        small_graph, "grid", 3, batch=("pr", "wcc")
-    )
-    assert base_seconds > 0
-    assert profile.total_time > 0
-    for name in ("pr", "wcc"):
-        check_partition(composite.partition_for(name))

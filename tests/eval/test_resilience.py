@@ -1,46 +1,52 @@
-"""Resilience tests: chaos-injected executor runs and cache self-healing.
+"""Artifact integrity and the executor's one recovery rule.
 
 The contract points of DESIGN.md §11:
 
-* **Recovery** — worker kills, hung jobs, and corrupt/torn artifacts are
-  retried / hedged / quarantined-and-recomputed; a sweep never aborts,
-  and repeated failures degrade jobs to in-process execution.
-* **Determinism under failure** — a chaos-injected cold run leaves a
-  cache from which a clean run replays byte-identical tables (5 seeds).
-* **Cache self-healing** — malformed JSON, checksum mismatches, and
-  truncated artifacts read as misses (never exceptions), damaged files
-  are quarantined to a sidecar directory, and ``verify --repair``
-  audits/heals a whole cache root including orphaned temp files.
+* **Damage reads as a miss** — malformed JSON, a missing envelope, a
+  checksum mismatch and a torn tail all read as misses (never
+  exceptions); the damaged file is quarantined to a sidecar directory,
+  every copy kept, and ``verify --repair`` audits/heals a whole cache
+  root including orphaned temp files.
+* **Recompute where read** — a damaged artifact is recomputed from its
+  ancestor chain by whichever process reads it.
+* **A broken pool finishes serially** — with identical metas.
+* **A failing cell raises** — out of ``execute``, on both paths.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
-import subprocess
-import sys
-from pathlib import Path
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.costmodel.library import builtin_cost_model
-from repro.eval.engine import (
-    ArtifactCache,
-    EngineChaos,
-    MissingArtifactError,
-    Planner,
-    ResilienceConfig,
-    RetryPolicy,
-    sabotage_artifact,
-    seeded_fraction,
-)
+from repro.eval.engine import ArtifactCache, Planner
+from repro.eval.engine import executor
+from repro.eval.engine.cells import CELLS, payload_meta
 from repro.eval.engine.executor import execute
-from repro.eval.engine.resilience import ResilienceStats
 
-SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-FAST_RETRY = RetryPolicy(base_delay=0.01, max_delay=0.05)
+def sabotage_artifact(path: str, mode: str = "corrupt") -> None:
+    """Damage the artifact file at ``path`` in place.
+
+    ``corrupt`` overwrites a slice of the body (the checksum no longer
+    matches, or the JSON no longer parses); ``torn`` truncates the file
+    mid-JSON as an interrupted non-atomic write would.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if mode == "torn":
+        damaged = data[: max(1, len(data) // 2)]
+    else:
+        mid = len(data) // 2
+        damaged = data[:mid] + b"0" * min(8, len(data) - mid) + data[mid + 8 :]
+        if damaged == data:
+            damaged = data[:-2] + b"!}"
+    with open(path, "wb") as handle:
+        handle.write(damaged)
 
 
 def _tiny_plan():
@@ -53,100 +59,47 @@ def _tiny_plan():
     return planner.graph
 
 
-def _strip_seconds(meta):
-    """Deterministic part of an execution meta (partitioner wall-clock
-    is re-measured per cold computation)."""
-    return {
-        jid: {k: v for k, v in entry.items() if k != "seconds"}
-        for jid, entry in meta.items()
-    }
+def _chain_of(graph, report, kind):
+    """The ``(spec, key)`` chain of the first ``kind`` job of a virtual
+    run that produced ``report``."""
+    chains = {}
+    for job in graph:
+        chains[job.jid] = executor._chain(job, chains, report, True)
+        if job.kind == kind:
+            return chains[job.jid]
+    raise LookupError(kind)
+
+
+class _InlinePool:
+    """Stands in for ``ProcessPoolExecutor``: runs each submission at once,
+    in this process (so a patched cell table reaches the "worker")."""
+
+    def __init__(self, max_workers=None, mp_context=None) -> None:
+        pass
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False) -> None:
+        pass
+
+
+class _BrokenPool(_InlinePool):
+    """A pool whose every worker dies."""
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
 
 
 # ----------------------------------------------------------------------
-# Policy primitives
-# ----------------------------------------------------------------------
-def test_seeded_fraction_is_deterministic_and_uniformish():
-    draws = [seeded_fraction(7, "x", i) for i in range(200)]
-    assert draws == [seeded_fraction(7, "x", i) for i in range(200)]
-    assert all(0.0 <= d < 1.0 for d in draws)
-    assert 0.3 < sum(draws) / len(draws) < 0.7
-    assert seeded_fraction(8, "x", 0) != seeded_fraction(7, "x", 0)
-
-
-def test_retry_policy_backoff_grows_and_caps():
-    policy = RetryPolicy(base_delay=0.1, factor=2.0, max_delay=0.5, jitter=0.0)
-    delays = [policy.delay("k", n) for n in (1, 2, 3, 4, 5)]
-    assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]
-    jittered = RetryPolicy(base_delay=0.1, jitter=0.5)
-    assert 0.1 <= jittered.delay("k", 1) <= 0.15
-    # deterministic: same (seed, key, attempt) -> same delay
-    assert jittered.delay("k", 1) == jittered.delay("k", 1)
-    assert jittered.delay("other", 1) != jittered.delay("k", 1)
-
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(factor=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.5)
-    with pytest.raises(ValueError):
-        ResilienceConfig(timeout=0.0)
-    with pytest.raises(ValueError):
-        ResilienceConfig(degrade_after=0)
-    with pytest.raises(ValueError):
-        EngineChaos(kill_rate=1.5)
-    with pytest.raises(ValueError):
-        EngineChaos(hang_seconds=-1.0)
-
-
-def test_resilience_stats_merge_and_describe():
-    a = ResilienceStats(retries=2, quarantined=1, failed_jobs=["j1"])
-    b = ResilienceStats(timeouts=3, hedges=1, skipped_jobs=["j2"])
-    a.merge(b)
-    assert a.retries == 2 and a.timeouts == 3 and a.hedges == 1
-    assert a.total_events == 2 + 3 + 1 + 1 + 1  # + failed job
-    assert "2 retries" in a.describe()
-    assert "1 failed" in a.describe()
-    assert a.as_dict()["skipped_jobs"] == ["j2"]
-    assert ResilienceStats().total_events == 0
-
-
-def test_chaos_fates_are_deterministic_and_first_attempt_only():
-    chaos = EngineChaos(seed=5, kill_rate=0.5, corrupt_rate=0.5)
-    fates = {key: chaos.fates(key, 0) for key in ("a", "b", "c", "d", "e")}
-    assert fates == {key: chaos.fates(key, 0) for key in fates}
-    assert any(fates.values())  # at 50% something fires over 5 keys
-    assert all(chaos.fates(key, 1) == [] for key in fates)
-    later = EngineChaos(seed=5, kill_rate=1.0, first_attempt_only=False)
-    assert later.fates("a", 3) == ["kill-worker"]
-    assert EngineChaos().is_empty
-    assert not chaos.is_empty
-
-
-def test_missing_artifact_error_survives_pickling():
-    exc = pickle.loads(pickle.dumps(MissingArtifactError("deadbeef", 2)))
-    assert exc.key == "deadbeef"
-    assert exc.quarantined == 2
-    assert "deadbeef" in str(exc)
-
-
-def test_downstream_cone():
-    from repro.eval.engine.jobs import Job, JobGraph
-
-    graph = JobGraph()
-    graph.add(Job("a", "memo", {}))
-    graph.add(Job("b", "memo", {}, ("a",)))
-    graph.add(Job("c", "memo", {}, ("b",)))
-    graph.add(Job("d", "memo", {}))
-    assert graph.downstream_cone("a") == ["b", "c"]
-    assert graph.downstream_cone("b") == ["c"]
-    assert graph.downstream_cone("d") == []
-
-
-# ----------------------------------------------------------------------
-# Cache self-healing
+# Cache integrity
 # ----------------------------------------------------------------------
 def _put_one(tmp_path, payload=None):
     cache = ArtifactCache(tmp_path)
@@ -155,66 +108,51 @@ def _put_one(tmp_path, payload=None):
     return cache, key
 
 
-def test_cache_malformed_json_reads_as_miss_and_quarantines(tmp_path):
+def _write(path, text):
+    with open(path, "w") as handle:
+        handle.write(text)
+
+
+def _mismatch(path):
+    with open(path) as handle:
+        envelope = json.load(handle)
+    envelope["payload"]["value"] = [9, 9, 9]
+    _write(path, json.dumps(envelope))
+
+
+DAMAGE = {
+    "malformed-json": lambda path: _write(path, "{ not json"),
+    # valid JSON, but a pre-envelope legacy artifact (raw payload)
+    "missing-envelope": lambda path: _write(path, '{"kind": "memo", "value": 1}'),
+    "checksum-mismatch": _mismatch,
+    "torn-tail": lambda path: sabotage_artifact(path, mode="torn"),
+}
+
+
+@pytest.mark.parametrize("damage", list(DAMAGE), ids=list(DAMAGE))
+def test_cache_damage_reads_as_miss_and_quarantines(tmp_path, damage):
     cache, key = _put_one(tmp_path)
-    with open(cache.path_for(key), "w") as handle:
-        handle.write("{ not json")
+    DAMAGE[damage](cache.path_for(key))
     cache.forget(key)
     assert cache.get(key) is None  # no exception
     assert cache.stats.quarantined == 1
     assert not os.path.exists(cache.path_for(key))
-    assert os.path.exists(os.path.join(str(tmp_path), "quarantine", f"{key}.json"))
+    assert os.listdir(tmp_path / "quarantine") == [f"{key}.json"]
     assert "1 quarantined" in cache.stats.describe()
 
 
-def test_cache_missing_envelope_keys_read_as_miss(tmp_path):
+def test_quarantine_keeps_every_damaged_copy(tmp_path):
     cache, key = _put_one(tmp_path)
-    # valid JSON, but a pre-envelope legacy artifact (raw payload)
-    with open(cache.path_for(key), "w") as handle:
-        json.dump({"kind": "memo", "value": 1}, handle)
-    cache.forget(key)
-    assert cache.get(key) is None
-    assert cache.stats.quarantined == 1
-
-
-def test_cache_checksum_mismatch_quarantined(tmp_path):
-    cache, key = _put_one(tmp_path)
-    sabotage_artifact(cache.path_for(key), mode="corrupt")
-    cache.forget(key)
-    assert cache.get(key) is None
-    assert cache.stats.quarantined == 1
-
-
-def test_cache_torn_write_quarantined(tmp_path):
-    cache, key = _put_one(tmp_path)
-    sabotage_artifact(cache.path_for(key), mode="torn")
-    cache.forget(key)
-    assert cache.get(key) is None
-    assert cache.stats.quarantined == 1
-
-
-def test_cache_restore_heals_from_memory(tmp_path):
-    cache, key = _put_one(tmp_path)
-    sabotage_artifact(cache.path_for(key), mode="corrupt")
-    assert cache.restore(key)  # the put left a validated in-memory copy
-    cache.forget(key)
-    assert cache.get(key) == {"kind": "memo", "value": [1, 2, 3]}
-    assert cache.stats.quarantined == 0
-
-
-def test_cache_validate_off_skips_checksum(tmp_path):
-    cache, key = _put_one(tmp_path)
-    trusting = ArtifactCache(tmp_path, validate=False)
-    # flip payload bytes but keep the JSON parseable: without validation
-    # the (wrong) payload is returned rather than quarantined
-    path = cache.path_for(key)
-    with open(path) as handle:
-        envelope = json.load(handle)
-    envelope["payload"]["value"] = [9, 9, 9]
-    with open(path, "w") as handle:
-        json.dump(envelope, handle)
-    assert trusting.get(key) == {"kind": "memo", "value": [9, 9, 9]}
-    assert cache.validate and not trusting.validate
+    for _ in range(2):
+        cache.put(key, {"kind": "memo", "value": [1, 2, 3]})
+        sabotage_artifact(cache.path_for(key), mode="torn")
+        cache.forget(key)
+        assert cache.get(key) is None
+    assert cache.stats.quarantined == 2
+    assert sorted(os.listdir(tmp_path / "quarantine")) == [
+        f"{key}.1.json",
+        f"{key}.json",
+    ]
 
 
 def test_cache_verify_audits_and_repairs(tmp_path):
@@ -263,170 +201,63 @@ def test_cache_verify_cli(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Executor failure paths (real cells, small graph)
+# The recovery rule (real cells, small graph, virtual wall-clock so
+# metas compare exactly across runs)
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-@pytest.mark.timeout(600)
-def test_pool_survives_worker_kills(tmp_path):
+@pytest.fixture(scope="module")
+def clean(tmp_path_factory):
+    """A tiny plan, and the report of a clean serial run of it."""
     graph = _tiny_plan()
-    chaos = EngineChaos(seed=2, kill_rate=0.5)
-    policy = ResilienceConfig(retry=FAST_RETRY)
-    report = execute(graph, ArtifactCache(tmp_path), jobs=2, resilience=policy, chaos=chaos)
-    assert len(report.meta) == report.total == len(graph)
-    assert report.resilience.worker_crashes > 0
-    assert not report.resilience.failed_jobs
+    cache = ArtifactCache(tmp_path_factory.mktemp("clean"))
+    return graph, execute(graph, cache, jobs=1, virtual=True)
 
 
-@pytest.mark.slow
-@pytest.mark.timeout(600)
-def test_pool_times_out_and_hedges_hung_jobs(tmp_path):
-    graph = _tiny_plan()
-    chaos = EngineChaos(seed=0, hang_rate=0.9, hang_seconds=2.0)
-    policy = ResilienceConfig(retry=FAST_RETRY, timeout=0.6)
-    report = execute(graph, ArtifactCache(tmp_path), jobs=2, resilience=policy, chaos=chaos)
-    assert len(report.meta) == report.total
-    assert report.resilience.timeouts > 0
-    assert report.resilience.hedges > 0
-
-
-@pytest.mark.slow
-@pytest.mark.timeout(600)
-def test_pool_degrades_poisoned_jobs_to_in_process(tmp_path):
-    # Every pool attempt hangs (not just the first): the scheduler must
-    # fall back to computing in-process, where chaos cannot fire.
-    graph = _tiny_plan()
-    chaos = EngineChaos(
-        seed=0, hang_rate=1.0, hang_seconds=3.0, first_attempt_only=False
-    )
-    policy = ResilienceConfig(retry=FAST_RETRY, timeout=0.4, hedge=False)
-    report = execute(graph, ArtifactCache(tmp_path), jobs=2, resilience=policy, chaos=chaos)
-    assert len(report.meta) == report.total
-    assert report.resilience.degraded > 0
-    assert report.resilience.timeouts > 0
-    assert not report.resilience.failed_jobs
-
-
-@pytest.mark.slow
-@pytest.mark.timeout(600)
-def test_pool_replans_corrupted_dependencies(tmp_path):
-    # Every first-attempt artifact is corrupted after store: dependents
-    # find their inputs damaged, quarantine them, and the scheduler
-    # re-plans just the dependency's cone until the DAG converges.
-    graph = _tiny_plan()
-    chaos = EngineChaos(seed=1, corrupt_rate=1.0)
-    policy = ResilienceConfig(retry=FAST_RETRY)
+def test_materialise_heals_a_damaged_dependency_where_it_is_read(tmp_path, clean):
+    graph, report = clean
+    chain = _chain_of(graph, report, "refine")
     cache = ArtifactCache(tmp_path)
-    report = execute(graph, cache, jobs=2, resilience=policy, chaos=chaos)
-    assert len(report.meta) == report.total
-    assert report.resilience.quarantined > 0
-    # the cache heals fully under verify --repair (leaf artifacts are
-    # damaged but unread during the warm phase)
-    cache.verify(repair=True)
-    assert cache.verify().healthy
+    executor._materialise(cache, chain, True)
+    sabotage_artifact(cache.path_for(chain[0][1]), mode="corrupt")
+    os.unlink(cache.path_for(chain[1][1]))
+
+    fresh = ArtifactCache(tmp_path)
+    payload, computed = executor._materialise(fresh, chain, True)
+    assert computed
+    assert fresh.stats.quarantined == 1
+    assert fresh.get(chain[0][1]) is not None  # the input was recomputed too
+    jid = next(job.jid for job in graph if job.kind == "refine")
+    assert payload_meta(payload) == report.meta[jid]
 
 
-@pytest.mark.slow
-@pytest.mark.timeout(900)
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_chaos_cold_run_then_clean_run_is_identical(tmp_path, seed):
-    """5 seeds: a chaos-injected cold run leaves a cache from which a
-    clean serial run replays every cell without recomputing — the
-    byte-identical-tables guarantee at the engine level."""
-    graph = _tiny_plan()
-    chaos = EngineChaos(
-        seed=seed, kill_rate=0.2, hang_rate=0.1, corrupt_rate=0.3,
-        torn_rate=0.2, hang_seconds=1.0,
-    )
-    policy = ResilienceConfig(retry=FAST_RETRY, timeout=20.0)
+@pytest.mark.timeout(600)
+def test_pool_recomputes_a_corrupted_partition(tmp_path, clean):
+    graph, report = clean
     cache = ArtifactCache(tmp_path)
-    chaotic = execute(graph, cache, jobs=2, resilience=policy, chaos=chaos)
-    assert len(chaotic.meta) == chaotic.total
-    # clean warm run in the same cache: replays artifacts (any damaged
-    # leaf is healed on read), identical metas, zero failure events
-    clean = execute(graph, cache, jobs=1)
-    assert clean.meta == chaotic.meta
-    assert clean.computed == 0 or clean.computed <= clean.total
-    assert _strip_seconds(clean.meta) == _strip_seconds(chaotic.meta)
+    execute(graph, cache, jobs=1, virtual=True)
+    partition_key = _chain_of(graph, report, "partition")[-1][1]
+    sabotage_artifact(cache.path_for(partition_key), mode="corrupt")
+
+    healed = execute(graph, ArtifactCache(tmp_path), jobs=2, virtual=True)
+    assert healed.quarantined >= 1
+    assert healed.computed == 1 and healed.hits == healed.total - 1
+    assert healed.meta == report.meta
 
 
-@pytest.mark.slow
-@pytest.mark.timeout(600)
-def test_serial_chaos_run_converges(tmp_path):
-    graph = _tiny_plan()
-    chaos = EngineChaos(seed=9, corrupt_rate=0.5, torn_rate=0.5)
-    report = execute(
-        graph,
-        ArtifactCache(tmp_path),
-        jobs=1,
-        resilience=ResilienceConfig(retry=FAST_RETRY),
-        chaos=chaos,
-    )
-    assert len(report.meta) == report.total
+def test_broken_pool_finishes_serially(tmp_path, clean, monkeypatch):
+    graph, report = clean
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", _BrokenPool)
+    broken = execute(graph, ArtifactCache(tmp_path), jobs=2, virtual=True)
+    assert broken.worker_crashes == 1
+    assert broken.computed == broken.total
+    assert broken.meta == report.meta
 
 
-@pytest.mark.slow
-@pytest.mark.timeout(600)
-def test_failed_job_skips_only_its_downstream_cone(tmp_path, monkeypatch):
-    """A job whose cell raises on every attempt (worker and in-process)
-    fails permanently; only its dependents are skipped."""
-    graph = _tiny_plan()
-    from repro.eval.engine.cells import CELLS
-
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_poisoned_cell_raises_out_of_execute(tmp_path, monkeypatch, jobs):
     def poisoned(spec, graph, source, virtual):
-        raise RuntimeError("injected permanent cell failure")
+        raise RuntimeError("poisoned cell")
 
     monkeypatch.setitem(CELLS, "refine", CELLS["refine"]._replace(compute=poisoned))
-    report = execute(
-        graph,
-        ArtifactCache(tmp_path),
-        jobs=1,
-        resilience=ResilienceConfig(retry=FAST_RETRY),
-    )
-    refine_jobs = [job.jid for job in graph if job.kind == "refine"]
-    run_on_refined = [
-        job.jid for job in graph if job.kind == "run" and job.deps[0] in refine_jobs
-    ]
-    assert report.resilience.failed_jobs == refine_jobs
-    assert sorted(report.resilience.skipped_jobs) == sorted(run_on_refined)
-    # everything outside the cone completed
-    assert len(report.meta) == report.total - len(refine_jobs) - len(run_on_refined)
-    assert report.resilience.cell_errors >= FAST_RETRY.max_attempts
-
-
-# ----------------------------------------------------------------------
-# run_all end to end: chaos sweep, byte-identical stdout
-# ----------------------------------------------------------------------
-def _run_all(workspace: Path, *extra: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run(
-        [
-            sys.executable, "-m", "repro.eval.run_all",
-            "--quick", "--only", "exp3",
-            "--cache-dir", str(workspace / "cache"), *extra,
-        ],
-        capture_output=True, text=True, env=env, check=True, cwd=str(workspace),
-    )
-
-
-@pytest.mark.slow
-@pytest.mark.timeout(1800)
-def test_run_all_chaos_sweep_tables_bit_identical(tmp_path):
-    """The acceptance criterion: a --jobs 4 sweep with seeded chaos
-    (kills + corruption + hangs) completes, reports its recoveries on
-    stderr, and prints tables byte-identical to a clean serial run."""
-    chaotic = _run_all(
-        tmp_path,
-        "--jobs", "4",
-        "--job-timeout", "120",
-        "--chaos-seed", "11",
-        "--chaos-kill", "0.15",
-        "--chaos-corrupt", "0.2",
-        "--chaos-hang", "0.1",
-        "--chaos-hang-seconds", "1.0",
-    )
-    clean = _run_all(tmp_path)
-    assert chaotic.stdout == clean.stdout
-    assert "Exp-3" in clean.stdout
-    assert "[resilience]" in chaotic.stderr
-    assert "[warm]" in chaotic.stderr
-    assert "[resilience]" not in clean.stderr
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", _InlinePool)
+    with pytest.raises(RuntimeError, match="poisoned cell"):
+        execute(_tiny_plan(), ArtifactCache(tmp_path), jobs=jobs, virtual=True)

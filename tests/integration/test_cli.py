@@ -131,12 +131,12 @@ def test_shm_workers_must_be_a_positive_integer(entry, command, workers, capsys)
     assert backend_default() == "simulated"
 
 
-def test_sweep_takes_every_run_all_flag(capsys):
+def test_sweep_takes_every_run_all_flag(capsys, tmp_path):
     """``sweep`` mounts run_all's parser instead of re-declaring a subset
-    (``--max-attempts`` and friends used to be ``unrecognized arguments``)."""
+    (run_all-only flags used to be ``unrecognized arguments``)."""
     rc = main(
-        ["sweep", "--quick", "--only", "exp6", "--no-cache", "--max-attempts", "2",
-         "--no-hedge", "--no-validate", "--chaos-seed", "7"]
+        ["sweep", "--quick", "--only", "exp6", "--jobs", "1",
+         "--cache-dir", str(tmp_path / "cache")]
     )
     assert rc == 0
     assert "Exp-6" in capsys.readouterr().out
