@@ -18,9 +18,9 @@ Standalone usage (what CI's eval-smoke step runs):
     PYTHONPATH=src python benchmarks/bench_eval_engine.py --smoke
 
 ``--smoke`` restricts the sweep to ``--only exp3,exp4`` and skips the
-acceptance-bar assertions (like bench_refine_speed's smoke mode); the
-full bench asserts warm replay < 25% of cold wall-clock always, and a
->= 2x parallel speedup when the machine actually has >= 4 cores.
+acceptance-bar assertions; the full bench asserts warm replay < 25% of
+cold wall-clock always, and a >= 2x parallel speedup when the machine
+actually has >= 4 cores.
 """
 
 import argparse

@@ -57,7 +57,7 @@ def run_bench(vertices, algorithms):
     from repro.graph.generators import chung_lu_power_law
     from repro.partition.quality import vertex_replication_ratio
     from repro.runtime.failover import FailoverState
-    from repro.runtime.plan import get_plan
+    from repro.runtime.plan import plan_for
 
     graph = chung_lu_power_law(
         vertices, 6.0, exponent=2.1, directed=True, seed=7
@@ -103,7 +103,7 @@ def run_bench(vertices, algorithms):
             .configure_faults(_loss_plan(), checkpoint_interval=2)
             .run(part)
         )
-        state = FailoverState(get_plan(part))
+        state = FailoverState(plan_for(part))
         start = time.perf_counter()
         decision = state.fail(1, [0, 2, 3])
         promote_wall = time.perf_counter() - start

@@ -32,7 +32,7 @@ from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS
 from repro.runtime.plan import ECUT as ROLE_ECUT
 from repro.runtime.plan import VCUT as ROLE_VCUT
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 
 
 class CommonNeighbors(Algorithm):
@@ -60,7 +60,7 @@ class CommonNeighbors(Algorithm):
         # jointly cover the global set.  E-cut homes hold all incident
         # edges, so their local list is the global row too.  Both cases
         # therefore read from one shared global in-neighbor CSR.
-        plan = get_plan(partition)
+        plan = plan_for(partition)
         gin = plan.global_in_csr()
 
         pair_counts: Dict[Tuple[int, int], int] = {}

@@ -27,7 +27,7 @@ from repro.algorithms.base import Algorithm
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 from repro.runtime.sync import SyncRoute
 
 
@@ -58,7 +58,7 @@ class PageRank(Algorithm):
         graph = partition.graph
         n = max(1, graph.num_vertices)
         base = (1.0 - damping) / n
-        plan = get_plan(partition)
+        plan = plan_for(partition)
         kernel = KERNELS["pr"]
 
         route = SyncRoute.of(plan)

@@ -29,7 +29,7 @@ from repro.algorithms.base import Algorithm, global_or, iterations_param
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS
-from repro.runtime.plan import gather_segments, get_plan
+from repro.runtime.plan import gather_segments, plan_for
 from repro.runtime.sync import SyncRoute
 
 INF = math.inf
@@ -61,7 +61,7 @@ class SingleSourceShortestPath(Algorithm):
                 f"sssp source {source} is not a vertex "
                 f"(num_vertices={num_vertices})"
             )
-        plan = get_plan(partition)
+        plan = plan_for(partition)
         route = SyncRoute.of(plan)
         kernel = KERNELS["sssp"]
         out_edges = kernel.all_tables(plan)

@@ -42,7 +42,7 @@ from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS, closing, wedges
 from repro.runtime.plan import ECUT as ROLE_ECUT
 from repro.runtime.plan import DUMMY as ROLE_DUMMY
-from repro.runtime.plan import gather_segments, get_plan
+from repro.runtime.plan import gather_segments, plan_for
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -61,7 +61,7 @@ class TriangleCounting(Algorithm):
 
 def _count(partition: HybridPartition, cluster: Cluster) -> int:
     """The whole pump on ``cluster``: no per-message Python anywhere."""
-    plan = get_plan(partition)
+    plan = plan_for(partition)
     targets = plan.query_targets()
     border = plan.border_mask
     degs = plan.degrees()

@@ -26,7 +26,7 @@ from repro.algorithms.base import Algorithm, global_or, iterations_param
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 from repro.runtime.sync import SyncRoute
 
 
@@ -48,7 +48,7 @@ class WeaklyConnectedComponents(Algorithm):
     ) -> Any:
         """WCC to fixpoint over the partition (see class docs)."""
         max_iterations = iterations_param(params, "max_iterations", self.max_iterations)
-        plan = get_plan(partition)
+        plan = plan_for(partition)
         route = SyncRoute.of(plan)
         kernel = KERNELS["wcc"]
         labels = route.copy_id.copy()

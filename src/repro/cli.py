@@ -199,12 +199,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.no_incremental and not args.apply_mutations:
-        print(
-            "error: --no-incremental requires --apply-mutations",
-            file=sys.stderr,
-        )
-        return 2
     if args.out_graph and not args.apply_mutations:
         print(
             "error: --out-graph requires --apply-mutations",
@@ -253,20 +247,16 @@ def cmd_partition(args: argparse.Namespace) -> int:
         plan_for(partition)
         plan_before = plan_stats().snapshot()
         if refiner is not None and dirty:
-            if args.no_incremental:
-                partition = refiner.refine(partition, in_place=True)
-            else:
-                partition = refiner.refine_incremental(partition, dirty)
+            partition = refiner.refine_incremental(partition, dirty)
             stats = refiner.last_stats
-        plan_for(partition, incremental=not args.no_incremental)
+        plan_for(partition)
         plan_after = plan_stats().snapshot()
         recompiled, patched, revalidated = (
             a - b for a, b in zip(plan_after, plan_before)
         )
-        mode = "full re-refinement" if args.no_incremental else "dirty-region"
         summary = (
             f"incremental: {len(batch)} mutations, {len(dirty)} dirty "
-            f"vertices ({mode}); plans patched={patched} "
+            f"vertices (dirty-region); plans patched={patched} "
             f"recompiled={recompiled} revalidated={revalidated}"
         )
         if stats is not None:
@@ -283,7 +273,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             write_edge_list(partition.graph, args.out_graph)
             print(f"wrote mutated {partition.graph} to {args.out_graph}")
     check_partition(partition)
-    if stats is not None and stats.gain_cache is not None:
+    if stats is not None:
         c = stats.gain_cache
         print(
             f"gain cache: {c.hits} hits / {c.misses} misses "
@@ -644,12 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after partitioning, apply a mutation batch ('+ u v' insert, "
         "'- u v' delete, bare id = ensure vertex) and maintain the "
         "partition incrementally",
-    )
-    part.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="with --apply-mutations: re-refine from scratch instead of "
-        "the dirty-region fast path (reference behaviour)",
     )
     part.add_argument(
         "--out-graph",

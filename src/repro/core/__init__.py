@@ -36,7 +36,6 @@ from repro.core.dirty import (
     touched_fragments,
 )
 from repro.core.gaincache import (
-    DirectScorer,
     FragmentCostIndex,
     GainCache,
     GainCacheStats,
@@ -79,7 +78,6 @@ __all__ = [
     "classify_fragments",
     "get_candidates",
     "GainCache",
-    "DirectScorer",
     "GainCacheStats",
     "FragmentCostIndex",
     "MemoizedCostModel",

@@ -8,9 +8,8 @@ phases to a cluster (Section 5.3).  This module is that skeleton:
 * :class:`RefineSession` builds the evaluation stack — guarded model →
   gain cache → counting layer → cost tracker → refinement guard — once
   per output partition, and is the only place that tears it down;
-* ``session.scorer`` answers every pricing question a phase body asks:
-  the bound :class:`~repro.core.gaincache.GainCache`, or the uncached
-  :class:`~repro.core.gaincache.DirectScorer` oracle;
+* ``session.scorer`` — the bound :class:`~repro.core.gaincache.GainCache`
+  — answers every pricing question a phase body asks;
 * :func:`run_pass` is the single-output pass body.  Its *scope* is
   data: ``None`` refines everything, a :class:`DirtyScope` narrows the
   pass to a dirty frontier (DESIGN §15) — a full pass is an incremental
@@ -38,7 +37,7 @@ from repro.core.dirty import (
     dirty_frontier,
     touched_fragments,
 )
-from repro.core.gaincache import DirectScorer, GainCache, GainCacheStats
+from repro.core.gaincache import GainCache
 from repro.core.tracker import CostTracker, TrackerSeed
 from repro.costmodel.guarded import guard_cost_model
 from repro.costmodel.model import CostModel
@@ -56,11 +55,12 @@ class RefineSession:
     """The evaluation stack around one partition, built and torn down once.
 
     ``guard_config`` adds cost-model guardrails and the invariant
-    watchdog; ``use_gain_cache`` picks the scorer; ``seed`` warm-starts
-    the tracker.  ``output_name`` marks a composite output built *up*
-    from empty: it salts the chaos draws, defers coverage invariants to
-    the final check and drops best-so-far tracking (a constructive
-    algorithm has no earlier valid state to fall back to).
+    watchdog; ``seed`` warm-starts the tracker.  ``output_name`` marks a
+    composite output built *up* from empty: it salts the chaos draws,
+    defers coverage invariants to the final check and drops best-so-far
+    tracking (a constructive algorithm has no earlier valid state to
+    fall back to).  ``scorer`` is the stack's bound
+    :class:`~repro.core.gaincache.GainCache`.
 
     A context manager: leaving the block, normally or by exception,
     detaches every listener the stack put on the partition; so does a
@@ -72,15 +72,13 @@ class RefineSession:
         partition: HybridPartition,
         cost_model: CostModel,
         guard_config: Optional[GuardConfig],
-        use_gain_cache: bool,
         cluster_spec: Optional[ClusterSpec],
         seed: Optional[TrackerSeed] = None,
         output_name: Optional[str] = None,
     ) -> None:
         self.partition = partition
         self.guard_stats: Optional[GuardStats] = None
-        self.gain_cache_stats: Optional[GainCacheStats] = None
-        self.cache: Optional[GainCache] = None
+        self.scorer: Optional[GainCache] = None
         self.tracker: Optional[CostTracker] = None
         self.guard: Optional[RefinementGuard] = None
         try:
@@ -91,13 +89,11 @@ class RefineSession:
                     cost_model,
                     on_intervention=self.guard_stats.note_cost_model_intervention,
                 )
-            if use_gain_cache:
-                # The memo wraps the (possibly guarded) model: values are
-                # identical either way, and guardrail checks still apply
-                # to every distinct evaluation.
-                self.cache = GainCache(partition, model)
-                self.gain_cache_stats = self.cache.stats
-                model = self.cache.model
+            # The memo wraps the (possibly guarded) model: values are
+            # identical either way, and guardrail checks still apply to
+            # every distinct evaluation.
+            self.scorer = GainCache(partition, model)
+            model = self.scorer.model
             #: The stack below the counting layer (what a nested pass
             #: over the same partition should evaluate through).
             self.model = model
@@ -107,9 +103,7 @@ class RefineSession:
             self.tracker = CostTracker(
                 partition, self.counted, spec=cluster_spec, seed=seed
             )
-            if self.cache is not None:
-                self.cache.bind(self.tracker)
-            self.scorer = self.cache or DirectScorer(self.tracker)
+            self.scorer.bind(self.tracker)
             self.cost_before = self.tracker.parallel_cost()
             if guard_config is not None:
                 composite = output_name is not None
@@ -137,8 +131,8 @@ class RefineSession:
             self.guard.watchdog.detach()
         if self.tracker is not None:
             self.tracker.detach()
-        if self.cache is not None:
-            self.cache.detach()
+        if self.scorer is not None:
+            self.scorer.detach()
 
     def __enter__(self) -> "RefineSession":
         return self
@@ -197,7 +191,7 @@ class PassState:
 
     partition: HybridPartition
     tracker: CostTracker
-    scorer: Any  #: bound GainCache or DirectScorer
+    scorer: GainCache  #: the session's bound scorer
     guard: Optional[RefinementGuard]
     stats: Any  #: the executor's :class:`~repro.core.e2h.RefineStats`
     budget: float
@@ -225,12 +219,12 @@ def run_pass(
     """One refinement pass of a single-output refiner, in place.
 
     ``refiner`` supplies the knobs (``cost_model``, ``guard_config``,
-    ``use_gain_cache``, ``cluster_spec``, ``budget_slack``, ``role``,
-    ``candidate_order``) and ``_phase_plan()``: ``(name, enabled, body)``
-    triples whose bodies take the :class:`PassState`.  ``executor``
-    supplies the run's ``stats`` record, ``open(partition)`` (the Par
-    cluster, or None), ``setup(select, state)``, ``phase(name, body,
-    state)`` and ``result(partition)``, which is returned.  Publishes
+    ``cluster_spec``, ``budget_slack``, ``role``, ``candidate_order``)
+    and ``_phase_plan()``: ``(name, enabled, body)`` triples whose
+    bodies take the :class:`PassState`.  ``executor`` supplies the run's
+    ``stats`` record, ``open(partition)`` (the Par cluster, or None),
+    ``setup(select, state)``, ``phase(name, body, state)`` and
+    ``result(partition)``, which is returned.  Publishes
     ``refiner.last_stats`` (and ``last_seed`` when ``capture_seed``).
     """
     stats = executor.stats
@@ -244,7 +238,6 @@ def run_pass(
         partition,
         refiner.cost_model,
         refiner.guard_config,
-        refiner.use_gain_cache,
         refiner.cluster_spec,
         seed=None if scope is None else scope.seed,
     ) as session:
@@ -293,7 +286,7 @@ def run_pass(
         if capture_seed:
             refiner.last_seed = tracker.snapshot()
     stats.guard = session.guard_stats
-    stats.gain_cache = session.gain_cache_stats
+    stats.gain_cache = session.scorer.stats
     stats.rescoring_calls = session.counted.calls
     refiner.last_stats = stats
     return executor.result(partition)

@@ -14,6 +14,9 @@ E2H reduces the parallel cost ``max_i C_A(F_i)`` in two stages:
 
 2. **Redistribute communication cost** guided by ``g_A`` via *MAssign*.
 
+Every move is priced through the pass's gain cache
+(:class:`~repro.core.gaincache.GainCache`, the session's only scorer).
+
 Phases can be individually disabled to reproduce the appendix ablation
 (ParE2H₁/₂/₃, Fig. 11(a)).
 """
@@ -57,7 +60,7 @@ class RefineStats:
     cost_before: float = 0.0
     cost_after: float = 0.0
     guard: Optional[GuardStats] = None
-    gain_cache: Optional[GainCacheStats] = None
+    gain_cache: GainCacheStats = field(default_factory=GainCacheStats)
     #: h/g funnel requests reaching the cost model (tracker rebuild,
     #: candidate pricing, Eq. 5 scoring) — the incremental path's currency.
     rescoring_calls: int = 0
@@ -91,9 +94,9 @@ def sequential_massign(state: PassState) -> None:
     vertices, residual = state.massign_scope()
     state.stats.master_moves = massign(
         state.tracker,
+        state.scorer,
         vertices=None if vertices is None else sorted(vertices),
         guard=state.guard,
-        scorer=state.scorer,
         residual=residual,
     )
 
@@ -179,11 +182,6 @@ class E2H(SingleOutputRefiner):
         Phase switches for the appendix ablation.
     budget_slack:
         Multiplier on the average-cost budget (1.0 = the paper's B).
-    use_gain_cache:
-        Route candidate scoring through :class:`~repro.core.gaincache.
-        GainCache` (memoized cost-model evaluations, cached per-vertex
-        prices, bucketed fragment queue).  Bit-identical to the uncached
-        reference path; disable to run the reference oracle.
     guard_config:
         Optional :class:`~repro.integrity.guard.GuardConfig` enabling the
         guarded pipeline: invariant watchdog + repair/rollback at the
@@ -211,7 +209,6 @@ class E2H(SingleOutputRefiner):
         budget_slack: float = 1.0,
         candidate_order: str = "bfs",
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         if candidate_order not in ("bfs", "arbitrary"):
@@ -223,7 +220,6 @@ class E2H(SingleOutputRefiner):
         self.budget_slack = budget_slack
         self.candidate_order = candidate_order
         self.guard_config = guard_config
-        self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None

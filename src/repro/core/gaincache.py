@@ -5,9 +5,10 @@ iteration — ``price_as_ecut`` per EMigrate attempt, merged prices per
 VMigrate destination, Eq. 5 scores per MAssign host — and every score
 bottoms out in a polynomial evaluation over the copy's metric variables.
 That is the hottest path in the repo.  This module removes the redundant
-work in three layers, each of which is **exact**: the cached refiners
-produce bit-identical partitions and bit-identical tracked costs to the
-uncached reference path.
+work in three layers, each of which is **exact**: every answer is the
+float a direct evaluation off the tracker would give (the differential
+suite runs the refiners under such an uncached scorer and compares
+partitions and tracked costs bit for bit).
 
 1. :class:`MemoizedCostModel` — ``h_A``/``g_A`` are pure functions of
    the feature vector, so their values are memoized on the exact feature
@@ -321,8 +322,7 @@ class GainCache:
     A bound cache is the refiners' *scorer*: the phase bodies ask it
     for ``price_as_ecut`` / ``merged_price`` / ``host_scores`` /
     ``master_delta`` and for the fragment order (``cheapest`` /
-    ``ascending``), and never look behind it.  :class:`DirectScorer`
-    answers the same questions straight off the tracker.
+    ``ascending``), and never look behind it; it is the only scorer.
 
     Lifecycle (owned by :class:`~repro.core.driver.RefineSession`)::
 
@@ -340,8 +340,10 @@ class GainCache:
         max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
         self.partition = partition
-        self.stats = GainCacheStats()
-        self.model = memoize_cost_model(model, self.stats, max_entries)
+        self.model = memoize_cost_model(model, max_entries=max_entries)
+        #: One stats object per evaluation stack: a cache over an already
+        #: memoized model (a nested pass) counts into that memo's stats.
+        self.stats = self.model.stats
         self.tracker: Optional["CostTracker"] = None
         self.index: Optional[FragmentCostIndex] = None
         self._ecut_price: Dict[int, float] = {}
@@ -453,50 +455,3 @@ class GainCache:
         """Δh of mastering ``v`` at ``fid`` (a hit right after Eq. 5
         scored that host, with the identical value)."""
         return self.massign_scores(v, fid)[1]
-
-
-class DirectScorer:
-    """The uncached reference scorer: every answer straight off the tracker.
-
-    Same surface as a bound :class:`GainCache`, no memory: each call is
-    the evaluation the cache is exact against, at the same tracker
-    flush boundaries.  ``use_gain_cache=False`` selects it; it stays in
-    ``src/`` because the differential suite uses it as the oracle.
-    """
-
-    def __init__(self, tracker: "CostTracker") -> None:
-        self.tracker = tracker
-        self.price_as_ecut = tracker.price_as_ecut
-
-    def merged_price(self, v: int, src: int, dst: int, compute) -> float:
-        """VMigrate merged price: always ``compute()``."""
-        return compute()
-
-    def host_scores(self, v: int, hosts: Sequence[int]) -> List[Tuple[float, float]]:
-        """Eq. 5 pairs ``(g^j_A(v), Δh master)`` of ``v``, one per host."""
-        tracker = self.tracker
-        model, partition = tracker.cost_model, tracker.partition
-        avg = tracker.avg_degree
-        return [
-            (
-                model.comm_cost_if_master_at(partition, v, fid, avg),
-                model.comp_master_delta(partition, v, fid, avg),
-            )
-            for fid in hosts
-        ]
-
-    def master_delta(self, v: int, fid: int) -> float:
-        """Δh of mastering ``v`` at ``fid``."""
-        tracker = self.tracker
-        return tracker.cost_model.comp_master_delta(
-            tracker.partition, v, fid, tracker.avg_degree
-        )
-
-    def cheapest(self) -> int:
-        """``argmin_i load(F_i)``, lowest fragment id among ties."""
-        tracker = self.tracker
-        return min(range(tracker.partition.num_fragments), key=tracker.load)
-
-    def ascending(self, fids: Sequence[int]) -> List[int]:
-        """``fids`` by ascending load (stable: ties keep id order)."""
-        return sorted(fids, key=self.tracker.load)

@@ -9,7 +9,8 @@ master goes to the hosting fragment minimizing
 — current computation load, communication already assigned this pass,
 plus the communication the vertex itself would incur there.  MAssign
 never moves edges, so it cannot worsen the computational balance the
-earlier phases achieved.
+earlier phases achieved.  The Eq. 5 terms come from the session's gain
+cache (:class:`~repro.core.gaincache.GainCache`).
 
 On a heterogeneous cluster (tracker built with a non-uniform
 ClusterSpec) Eq. 5 scores in *time* units instead of cost units: the
@@ -23,28 +24,27 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.core.gaincache import DirectScorer
 from repro.core.tracker import CostTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.core.gaincache import GainCache
     from repro.integrity.guard import RefinementGuard
 
 
 def massign(
     tracker: CostTracker,
+    scorer: "GainCache",
     vertices: Optional[Iterable[int]] = None,
     guard: Optional["RefinementGuard"] = None,
-    scorer=None,
     residual: bool = False,
 ) -> int:
     """Reassign masters of border vertices by Eq. 5; return moves made.
 
-    ``vertices`` restricts the pass (used by the batched parallel
-    variant); default is every border vertex in ascending id order.
-    ``guard`` (the guarded pipeline) is stepped once per master move.
-    ``scorer`` supplies the per-host ``(g, Δh)`` score pairs: the
-    session's gain cache, or (default) a direct evaluation off the
-    tracker — values are identical either way.
+    ``scorer`` — the session's gain cache, bound to ``tracker`` —
+    supplies the per-host ``(g, Δh)`` score pairs.  ``vertices``
+    restricts the pass (used by the batched parallel variant); default
+    is every border vertex in ascending id order.  ``guard`` (the
+    guarded pipeline) is stepped once per master move.
 
     ``residual`` (the dirty-region path, DESIGN §15) starts the
     communication accumulators from the fragments' *current* C_g minus
@@ -57,8 +57,6 @@ def massign(
     """
     partition = tracker.partition
     fragments = partition.fragments
-    if scorer is None:
-        scorer = DirectScorer(tracker)
     host_scores = scorer.host_scores
     if vertices is None:
         vertices = sorted(

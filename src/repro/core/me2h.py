@@ -119,9 +119,7 @@ def massign_outputs(sessions: Dict[str, RefineSession], guards: _GuardSet) -> No
             break
         try:
             massign(
-                session.tracker,
-                guard=guards.guards.get(name),
-                scorer=session.scorer,
+                session.tracker, session.scorer, guard=guards.guards.get(name)
             )
         except RefinementBudgetExceeded:
             guards.exhausted = True
@@ -152,7 +150,6 @@ def composite_pass(refiner, partition: HybridPartition) -> CompositePartition:
                     outputs[name],
                     refiner.cost_models[name],
                     refiner.guard_config,
-                    refiner.use_gain_cache,
                     refiner.cluster_spec,
                     output_name=name,
                 )
@@ -165,8 +162,7 @@ def composite_pass(refiner, partition: HybridPartition) -> CompositePartition:
     for name, session in sessions.items():
         if session.guard_stats is not None:
             stats.guard[name] = session.guard_stats
-        if session.gain_cache_stats is not None:
-            stats.gain_cache[name] = session.gain_cache_stats
+        stats.gain_cache[name] = session.scorer.stats
         stats.rescoring_calls += session.counted.calls
     refiner.last_stats = stats
     return CompositePartition(outputs)
@@ -196,9 +192,7 @@ def maintain_outputs(
         stats.budgets[name] = wstats.budget
         if wstats.guard is not None:
             stats.guard[name] = wstats.guard
-        memo_stats = wstats.gain_cache
-        if memo_stats is not None:
-            stats.gain_cache[name] = memo_stats
+        stats.gain_cache[name] = wstats.gain_cache
         stats.phase_seconds[name] = sum(wstats.phase_seconds.values())
         stats.rescoring_calls += wstats.rescoring_calls
         stats.incremental[name] = wstats.incremental
@@ -216,7 +210,6 @@ class ME2H:
         budget_slack: float = 1.2,
         use_getdest: bool = True,
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         if not cost_models:
@@ -228,7 +221,6 @@ class ME2H:
         # forfeiting the set-cover sharing that keeps f_c low.
         self.use_getdest = use_getdest
         self.guard_config = guard_config
-        self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_stats: Optional[CompositeStats] = None
         # Persistent per-algorithm dirty-region workers: their tracker
@@ -240,7 +232,6 @@ class ME2H:
             model,
             budget_slack=self.budget_slack,
             guard_config=self.guard_config,
-            use_gain_cache=self.use_gain_cache,
             cluster_spec=self.cluster_spec,
         )
 

@@ -49,7 +49,6 @@ class MV2H:
         budget_slack: float = 1.2,
         vmerge_passes: int = 1,
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         if not cost_models:
@@ -58,7 +57,6 @@ class MV2H:
         self.budget_slack = budget_slack
         self.vmerge_passes = vmerge_passes
         self.guard_config = guard_config
-        self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_stats: Optional[CompositeStats] = None
         # Persistent per-algorithm dirty-region workers (DESIGN §15).
@@ -70,7 +68,6 @@ class MV2H:
             budget_slack=self.budget_slack,
             vmerge_passes=self.vmerge_passes,
             guard_config=self.guard_config,
-            use_gain_cache=self.use_gain_cache,
             cluster_spec=self.cluster_spec,
         )
 
@@ -109,7 +106,6 @@ class MV2H:
                     enable_vmerge=True,
                     enable_massign=False,
                     vmerge_passes=self.vmerge_passes,
-                    use_gain_cache=self.use_gain_cache,
                     cluster_spec=self.cluster_spec,
                 )
                 merger.refine(session.partition, in_place=True)

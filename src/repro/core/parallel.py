@@ -170,7 +170,6 @@ class ParE2H(_ParRefiner):
         enable_massign: bool = True,
         budget_slack: float = 1.0,
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         self.cost_model = cost_model
@@ -181,7 +180,6 @@ class ParE2H(_ParRefiner):
         self.enable_massign = enable_massign
         self.budget_slack = budget_slack
         self.guard_config = guard_config
-        self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
@@ -383,7 +381,6 @@ class ParV2H(_ParRefiner):
         budget_slack: float = 1.0,
         vmerge_passes: int = 2,
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         self.cost_model = cost_model
@@ -395,7 +392,6 @@ class ParV2H(_ParRefiner):
         self.budget_slack = budget_slack
         self.vmerge_passes = vmerge_passes
         self.guard_config = guard_config
-        self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
@@ -593,7 +589,6 @@ class ParME2H(_CompositeParallelMixin):
         clock: Optional[CostClock] = None,
         budget_slack: float = 1.2,
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
@@ -601,7 +596,6 @@ class ParME2H(_CompositeParallelMixin):
             cost_models,
             budget_slack=budget_slack,
             guard_config=guard_config,
-            use_gain_cache=use_gain_cache,
             cluster_spec=self.cluster_spec,
         )
         self.batch_size = batch_size
@@ -619,7 +613,6 @@ class ParMV2H(_CompositeParallelMixin):
         budget_slack: float = 1.2,
         vmerge_passes: int = 1,
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
@@ -628,7 +621,6 @@ class ParMV2H(_CompositeParallelMixin):
             budget_slack=budget_slack,
             vmerge_passes=vmerge_passes,
             guard_config=guard_config,
-            use_gain_cache=use_gain_cache,
             cluster_spec=self.cluster_spec,
         )
         self.batch_size = batch_size

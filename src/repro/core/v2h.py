@@ -110,7 +110,6 @@ class V2H(SingleOutputRefiner):
         budget_slack: float = 1.0,
         vmerge_passes: int = 2,
         guard_config: Optional[GuardConfig] = None,
-        use_gain_cache: bool = True,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
         self.cost_model = cost_model
@@ -120,7 +119,6 @@ class V2H(SingleOutputRefiner):
         self.budget_slack = budget_slack
         self.vmerge_passes = vmerge_passes
         self.guard_config = guard_config
-        self.use_gain_cache = use_gain_cache
         self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None

@@ -243,7 +243,7 @@ class HybridPartition:
     def generation(self) -> int:
         """Monotonic mutation counter.
 
-        Incremented on every copy-set change; :func:`repro.runtime.plan.get_plan`
+        Incremented on every copy-set change; :func:`repro.runtime.plan.plan_for`
         compares it against the generation a cached plan was compiled at,
         so plan invalidation needs no listener registration (refiners fire
         thousands of mutations and pay for every registered listener).

@@ -73,7 +73,7 @@ from repro.runtime.instrumentation import (
     SuperstepRecord,
 )
 from repro.runtime.parallel import ShmRunner, resolve_backend
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 
 
 class Cluster:
@@ -606,7 +606,7 @@ class Cluster:
             if past.index >= resume_from
         ]
         if self._failover_state is None:
-            self._failover_state = FailoverState(get_plan(self.partition))
+            self._failover_state = FailoverState(plan_for(self.partition))
         decision = self._failover_state.fail(dead, survivors)
         promotion_time = self._op_time(
             self.partition.graph.num_vertices + decision.promoted_count

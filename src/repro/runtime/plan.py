@@ -899,11 +899,14 @@ def plan_for(
 ) -> FragmentPlan:
     """Return a current plan for ``partition``, patching when possible.
 
-    A cached valid plan is returned as-is.  A stale plan whose dirty
-    region (per the partition's mutation journal) covers at most
-    ``max_patch_fraction`` of the vertices is delta-patched — O(dirty)
-    row recomputation plus array memcpy instead of re-reading the whole
-    placement index — with arrays bit-identical to a fresh compile.
+    A cached valid plan is returned as-is.  Staleness is a generation
+    compare — no listener registration, so a cached plan adds nothing to
+    refinement mutations and a warm partition revalidates in O(1).  A
+    stale plan whose dirty region (per the partition's mutation journal)
+    covers at most ``max_patch_fraction`` of the vertices is
+    delta-patched — O(dirty) row recomputation plus array memcpy instead
+    of re-reading the whole placement index — with arrays bit-identical
+    to a fresh compile.
     Everything else (``incremental=False``, journal window exceeded,
     graph structurally changed, large delta) recompiles from scratch.
     """
@@ -918,16 +921,3 @@ def plan_for(
     plan = FragmentPlan(partition)
     partition._kernel_plan = plan
     return plan
-
-
-def get_plan(partition: HybridPartition) -> FragmentPlan:
-    """Return the partition's cached plan, patching or rebuilding if stale.
-
-    Staleness is detected by comparing the partition's mutation
-    generation against the one recorded at compile time — no listener
-    registration, so a cached plan adds zero overhead to refinement
-    mutations and a warm partition revalidates in O(1).  Stale plans
-    with a small journalled delta are brought current by
-    :func:`plan_for`'s array patch rather than a full recompile.
-    """
-    return plan_for(partition)

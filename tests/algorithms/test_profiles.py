@@ -9,7 +9,7 @@ from repro.graph.digraph import Graph
 from repro.graph.generators import chung_lu_power_law, star_graph
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
-from repro.runtime.plan import DUMMY, get_plan
+from repro.runtime.plan import DUMMY, plan_for
 
 from tests.conftest import make_edge_cut, make_vertex_cut
 from tests.oracles import plan_tables
@@ -22,7 +22,7 @@ def graph():
 
 def _owners(partition, target_aware=False):
     """``{edge: owning fid}`` read off ``FragmentPlan.owned_edges``."""
-    plan = get_plan(partition)
+    plan = plan_for(partition)
     owners = {}
     for fragment in partition.fragments:
         src, dst = plan.owned_edges(fragment.fid, target_aware)
@@ -35,7 +35,7 @@ def _owners(partition, target_aware=False):
 
 def _bearing_copies(partition):
     """``(fid, v)`` per non-dummy slot of ``FragmentPlan.roles``."""
-    plan = get_plan(partition)
+    plan = plan_for(partition)
     copies = []
     for fragment in partition.fragments:
         roles = plan.roles(fragment.fid)

@@ -11,6 +11,10 @@ whose scope is everything.  Two checks pin it:
 * ``refine_incremental`` with every vertex dirty and no seed walks the
   same budget / classification / candidate sets as ``refine``.
 
+The ``cache_off`` cases run the same refiners under the uncached
+``DirectScorer`` (``tests/oracles/direct_scorer.py``) in place of the
+gain cache.
+
 The fixture is a pin, not an expectation to refresh: regenerate it
 (``PYTHONPATH=src python -m tests.core.test_driver`` from the repo root)
 only when a refiner's move order is changed on purpose.
@@ -27,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import E2H, ME2H, MV2H, V2H, ParE2H, ParV2H
+from repro.core.gaincache import memoize_cost_model
 from repro.costmodel.library import builtin_cost_model
 from repro.costmodel.model import CostModel
 from repro.graph.generators import chung_lu_power_law
@@ -35,6 +40,7 @@ from repro.partition.serialize import partition_to_dict
 from repro.runtime.clusterspec import ClusterSpec
 
 from tests.conftest import make_edge_cut, make_vertex_cut
+from tests.oracles.direct_scorer import use_direct_scorer
 
 GOLDEN = Path(__file__).parent / "golden" / "driver_full_pass.json"
 
@@ -62,16 +68,17 @@ def _graph():
     return chung_lu_power_law(150, 5.0, exponent=2.1, directed=True, seed=4)
 
 
-def _build(case: str):
+def _build(case: str, monkeypatch):
     """``(refiner, initial partition)`` of one parametrised case."""
     name, guard, cache, spec = case.split("-")
     refiner_cls, make = SINGLE[name]
+    if cache == "cache_off":
+        use_direct_scorer(monkeypatch)
     refiner = refiner_cls(
         builtin_cost_model("pr"),
         guard_config=GuardConfig(check_interval=16)
         if guard == "guard_on"
         else None,
-        use_gain_cache=cache == "cache_on",
         cluster_spec=SPECS[spec],
     )
     return refiner, make(_graph(), 4, seed=1)
@@ -88,8 +95,9 @@ def _stats_dict(stats) -> dict:
 
 def _capture(case: str) -> dict:
     """Everything a full pass publishes, in JSON-comparable form."""
-    refiner, base = _build(case)
-    result = refiner.refine(base)
+    with pytest.MonkeyPatch.context() as patch:
+        refiner, base = _build(case, patch)
+        result = refiner.refine(base)
     if isinstance(result, tuple):
         refined, profile = result
         stats = profile.stats
@@ -119,13 +127,13 @@ def test_full_scope_is_byte_identical_to_pre_driver_refine(case, golden):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_everything_dirty_visits_the_same_candidates(case):
-    refiner, base = _build(case)
+def test_everything_dirty_visits_the_same_candidates(case, monkeypatch):
+    refiner, base = _build(case, monkeypatch)
     result = refiner.refine(base)
     full = result[1].stats if isinstance(result, tuple) else refiner.last_stats
     assert full.candidates > 0  # the comparison below is not vacuous
 
-    refiner, base = _build(case)
+    refiner, base = _build(case, monkeypatch)
     everything = range(base.graph.num_vertices)
     result = refiner.refine_incremental(
         base, everything, in_place=False, seed=None
@@ -225,8 +233,8 @@ def test_failing_cost_model_leaks_no_listener(name, guard):
 # One place publishes stats
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["pare2h", "parv2h"])
-def test_par_refiners_publish_last_stats(name):
-    refiner, base = _build(f"{name}-guard_off-cache_on-uniform")
+def test_par_refiners_publish_last_stats(name, monkeypatch):
+    refiner, base = _build(f"{name}-guard_off-cache_on-uniform", monkeypatch)
     assert refiner.last_stats is None
     refined, profile = refiner.refine(base, capture_seed=True)
     assert refiner.last_stats is profile.stats
@@ -249,6 +257,43 @@ def test_full_composite_pass_counts_rescoring_calls(name):
     )
     assert stats.rescoring_calls == memo_requests > 0
     assert not hasattr(stats, "cost_before")
+
+
+def test_a_cache_over_a_memoized_model_counts_into_that_memo():
+    """One stats object per evaluation stack: a refiner handed an
+    already-memoized model reports the memo's own counters."""
+    memo = memoize_cost_model(builtin_cost_model("pr"))
+    refiner = V2H(memo)
+    refiner.refine(make_vertex_cut(_graph(), 4, seed=1))
+    stats = refiner.last_stats.gain_cache
+    assert stats is memo.stats
+    assert stats.value_hits + stats.value_misses > 0
+    assert stats.vertex_hits + stats.vertex_misses > 0
+
+
+def test_mv2h_output_counters_include_its_vmerge_pass(monkeypatch):
+    """MV2H's nested VMerge pass evaluates through the output's memo, so
+    its vertex hits, misses and invalidations land in that output's
+    ``CompositeStats.gain_cache`` entry rather than a stats object no
+    one reads."""
+    from repro.core import mv2h
+
+    nested = []
+
+    class RecordingV2H(V2H):
+        def refine(self, partition, **kwargs):
+            result = super().refine(partition, **kwargs)
+            nested.append(self.last_stats.gain_cache)
+            return result
+
+    monkeypatch.setattr(mv2h, "V2H", RecordingV2H)
+    refiner = MV2H({alg: builtin_cost_model(alg) for alg in ("pr", "wcc")})
+    refiner.refine(make_vertex_cut(_graph(), 4, seed=1))
+    outputs = refiner.last_stats.gain_cache
+    assert len(nested) == len(outputs) == 2
+    for name, pass_stats in zip(("pr", "wcc"), nested):
+        assert pass_stats is outputs[name]
+        assert pass_stats.vertex_misses > 0
 
 
 def test_refiner_class_lookup():

@@ -1,13 +1,15 @@
 """Differential suite: gain-cached refiners vs. the uncached oracle.
 
 The gain cache (``repro.core.gaincache``, DESIGN.md §8) promises *exact*
-speedups: with ``use_gain_cache=True`` every refiner must produce
-bit-identical partitions, bit-identical tracked costs, and an identical
-mutation sequence to the uncached reference path.  This suite checks
-that promise for all six refiners across a grid of generated graphs and
-seeds, plus a hypothesis property test that interleaves random partition
-mutations with cache queries and compares every answer against a fresh
-raw-model evaluation (catching stale-invalidation bugs directly).
+speedups: every refiner must produce bit-identical partitions,
+bit-identical tracked costs, and an identical mutation sequence to the
+same refiner run under the uncached ``DirectScorer``
+(``tests/oracles/direct_scorer.py``, installed with ``monkeypatch``).
+This suite checks that promise for all six refiners across a grid of
+generated graphs and seeds, plus a hypothesis property test that
+interleaves random partition mutations with cache queries and compares
+every answer against a fresh raw-model evaluation (catching
+stale-invalidation bugs directly).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.graph.generators import chung_lu_power_law, road_grid
 from repro.partition.serialize import partition_to_dict
 
 from tests.conftest import make_edge_cut, make_vertex_cut
+from tests.oracles.direct_scorer import use_direct_scorer
 
 NUM_FRAGMENTS = 4
 SEEDS = (0, 1, 2, 3, 4)
@@ -86,14 +89,14 @@ class RunResult:
     cache_stats: object = None
 
 
-def _run_single(refiner_cls, graph, input_kind, seed, use_gain_cache):
+def _run_single(refiner_cls, graph, input_kind, seed):
     model = builtin_cost_model("pr")
     working = _initial(graph, input_kind, seed)
     # The refiner mutates ``working`` in place; the partition listener
     # records the exact mutation sequence (vertex per structural event).
     moves: List[int] = []
     working.add_listener(moves.append)
-    refiner = refiner_cls(model, use_gain_cache=use_gain_cache)
+    refiner = refiner_cls(model)
     result = refiner.refine(working, in_place=True)
     working.remove_listener(moves.append)
     if isinstance(result, tuple):  # parallel refiners: (partition, profile)
@@ -121,10 +124,10 @@ def _run_single(refiner_cls, graph, input_kind, seed, use_gain_cache):
     )
 
 
-def _run_composite(refiner_cls, graph, input_kind, seed, use_gain_cache):
+def _run_composite(refiner_cls, graph, input_kind, seed):
     models = {name: builtin_cost_model(name) for name in COMPOSITE_ALGS}
     initial = _initial(graph, input_kind, seed)
-    refiner = refiner_cls(models, use_gain_cache=use_gain_cache)
+    refiner = refiner_cls(models)
     composite = refiner.refine(initial)
     stats = refiner.last_stats
     return RunResult(
@@ -141,6 +144,13 @@ def _run_composite(refiner_cls, graph, input_kind, seed, use_gain_cache):
     )
 
 
+def _per_output(cache_stats) -> List:
+    """``RefineStats.gain_cache`` or ``CompositeStats.gain_cache``, listed."""
+    if isinstance(cache_stats, dict):
+        return list(cache_stats.values())
+    return [cache_stats]
+
+
 REFINERS = {
     "e2h": (E2H, "edge", _run_single),
     "v2h": (V2H, "vertex", _run_single),
@@ -154,26 +164,29 @@ REFINERS = {
 @pytest.mark.parametrize("graph_kind", sorted(GRAPHS))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("refiner_key", sorted(REFINERS))
-def test_cached_path_bit_identical(refiner_key, graph_kind, seed):
+def test_cached_path_bit_identical(refiner_key, graph_kind, seed, monkeypatch):
     """Cached and uncached runs agree on partitions, costs, and moves."""
     refiner_cls, input_kind, runner = REFINERS[refiner_key]
     graph = _graph(graph_kind, seed)
-    cached = runner(refiner_cls, graph, input_kind, seed, True)
-    uncached = runner(refiner_cls, graph, input_kind, seed, False)
+    cached = runner(refiner_cls, graph, input_kind, seed)
+    with monkeypatch.context() as patch:
+        use_direct_scorer(patch)
+        uncached = runner(refiner_cls, graph, input_kind, seed)
 
     assert cached.partitions == uncached.partitions
     assert cached.costs == uncached.costs  # exact float equality
     assert cached.moves == uncached.moves
     assert cached.stats == uncached.stats
-    # The cached run actually exercised the cache; the oracle did not.
-    assert cached.cache_stats is not None
-    assert uncached.cache_stats in (None, {})
+    # The cached run actually exercised the cache; the oracle has none.
+    for stats in _per_output(cached.cache_stats):
+        assert stats.hits + stats.misses > 0
+    assert set(_per_output(uncached.cache_stats)) == {None}
 
 
 def test_cache_reports_hits_on_repeat_work():
     """A refinement with repeated candidate scoring records cache hits."""
     graph = _graph("powerlaw_directed", 0)
-    result = _run_single(E2H, graph, "edge", 0, True)
+    result = _run_single(E2H, graph, "edge", 0)
     stats = result.cache_stats
     assert stats.hits + stats.misses > 0
     assert stats.value_hits > 0  # feature profiles repeat on power laws

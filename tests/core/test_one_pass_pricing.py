@@ -28,6 +28,7 @@ from repro.partition.hybrid import HybridPartition, NodeRole
 
 from tests.conftest import make_edge_cut
 from tests.oracles import per_copy_pricing as oracle
+from tests.oracles.direct_scorer import use_direct_scorer
 
 AVG = 3.5
 
@@ -198,19 +199,22 @@ class SpyModel(CostModel):
         return super().g_value(features)
 
 
-@pytest.mark.parametrize("use_gain_cache", [True, False])
-def test_an_overriding_model_sees_every_distinct_evaluation(use_gain_cache):
+@pytest.mark.parametrize("cached", [True, False])
+def test_an_overriding_model_sees_every_distinct_evaluation(cached, monkeypatch):
     """Keyed callers never bypass ``h_value`` / ``g_value`` overrides: a
-    cached pass reaches them once per memo miss, an uncached one once per
-    rescoring call — each time with a Mapping."""
+    pass under the gain cache reaches them once per memo miss, one under
+    the uncached oracle scorer once per rescoring call — each time with
+    a Mapping."""
+    if not cached:
+        use_direct_scorer(monkeypatch)
     base = builtin_cost_model("pr")
     spy = SpyModel(base.name, base.h, base.g, base.gate)
     graph = chung_lu_power_law(150, 5.0, exponent=2.1, directed=True, seed=4)
-    refiner = E2H(spy, use_gain_cache=use_gain_cache)
+    refiner = E2H(spy)
     refiner.refine(make_edge_cut(graph, 4, seed=1), in_place=True)
     stats = refiner.last_stats
     assert spy.mapping_calls > 0
-    if use_gain_cache:
+    if cached:
         assert spy.mapping_calls == stats.gain_cache.value_misses
     else:
         assert spy.mapping_calls == stats.rescoring_calls

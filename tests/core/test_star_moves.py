@@ -71,9 +71,9 @@ class World:
             self.moves = frozen
             self.assign = {"me2h": frozen.me2h_assign_unit, "mv2h": frozen.mv2h_assign_unit}
         else:
-            session = RefineSession(partition, model, None, True, None)
+            session = RefineSession(partition, model, None, None)
             self.cache, self.counted, self.tracker = (
-                session.cache, session.counted, session.tracker
+                session.scorer, session.counted, session.tracker
             )
             self.moves = live
             self.assign = {"me2h": ME2H._assign_unit, "mv2h": MV2H._assign_unit}

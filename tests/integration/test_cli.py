@@ -252,33 +252,6 @@ def test_out_graph_requires_apply_mutations(graph_file, tmp_path, capsys):
     assert "--out-graph requires" in capsys.readouterr().err
 
 
-def test_partition_apply_mutations_full_mode(
-    graph_file, mutation_file, tmp_path, capsys
-):
-    rc = main(
-        [
-            "partition", "--graph", str(graph_file), "--partitioner", "grid",
-            "--fragments", "3", "--refine", "pr",
-            "--apply-mutations", str(mutation_file), "--no-incremental",
-            "--out", str(tmp_path / "p.json"),
-        ]
-    )
-    assert rc == 0
-    assert "full re-refinement" in capsys.readouterr().out
-
-
-def test_no_incremental_requires_apply_mutations(graph_file, tmp_path, capsys):
-    rc = main(
-        [
-            "partition", "--graph", str(graph_file), "--partitioner", "grid",
-            "--fragments", "3", "--no-incremental",
-            "--out", str(tmp_path / "p.json"),
-        ]
-    )
-    assert rc == 2
-    assert "--no-incremental requires" in capsys.readouterr().err
-
-
 def test_apply_mutations_bad_file(graph_file, tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("+ 0\n")

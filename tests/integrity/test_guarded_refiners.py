@@ -5,17 +5,13 @@ The two contract points of DESIGN.md §6:
 * **Bit-identity** — guards at any cadence with no chaos never change a
   refiner's output partition or reported costs;
 * **Chaos survival** — under deterministic corruption of placements,
-  masters, and role tags (≥ 5 seeds), every guarded refiner returns a
+  masters, and role tags (seven seeds), every guarded refiner returns a
   partition passing ``check_partition`` with zero unrepaired
   violations, and ``GuardedCostModel`` keeps NaN/inf predictions away
   from move selection.
-
-``REPRO_CHAOS_SEED`` (set by the CI chaos-smoke matrix) adds an extra
-seed to the sweep.
 """
 
 import math
-import os
 
 import pytest
 
@@ -35,11 +31,7 @@ from repro.partition.validation import check_partition
 
 from tests.conftest import make_edge_cut, make_vertex_cut
 
-SEEDS = (3, 5, 7, 11, 13) + (
-    (int(os.environ["REPRO_CHAOS_SEED"]),)
-    if os.environ.get("REPRO_CHAOS_SEED")
-    else ()
-)
+SEEDS = (3, 5, 7, 11, 13, 29, 47)
 
 COMPOSITE_MODELS = {
     "pr": builtin_cost_model("pr"),
@@ -340,7 +332,7 @@ def test_vmigrate_off_the_last_indexed_copy_survives_under_the_guard():
     partition = HybridPartition.from_edge_assignment(graph, assignment, 3)
     assert partition.placement(0) == {0, 1, 2}
     config = GuardConfig(check_interval=1000)  # nothing repairs in between
-    with RefineSession(partition, builtin_cost_model("tc"), config, True, None) as session:
+    with RefineSession(partition, builtin_cost_model("tc"), config, None) as session:
         for fid in (1, 2):
             apply_payload(
                 partition,

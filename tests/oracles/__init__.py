@@ -16,4 +16,7 @@ import it from ``src/``.
 * ``scalar_runs`` — the five scalar BSP loops (``run(name, partition,
   **params)``) and the per-message ``sync_by_master``
 * ``scalar_failover`` — ``ScalarFailoverState``, the dict/set failover pass
+* ``direct_scorer`` — ``DirectScorer``, the uncached scorer, and
+  ``use_direct_scorer(monkeypatch)``, which puts it where the driver
+  builds its ``GainCache``
 """

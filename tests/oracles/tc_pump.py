@@ -25,7 +25,7 @@ from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.costclock import CostClock
 from repro.runtime.plan import ECUT as ROLE_ECUT
 from repro.runtime.plan import DUMMY as ROLE_DUMMY
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 
 
 def _send_rows(cluster, src, dsts, nbytes, master_vertices=None, payloads=()):
@@ -134,7 +134,7 @@ class TriangleCounting(Algorithm):
 
         # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
         if use_kernels:
-            plan = get_plan(partition)
+            plan = plan_for(partition)
             for fragment in partition.fragments:
                 fid = fragment.fid
                 verts = plan.verts(fid)

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 from tests.oracles.master_sync import sync_by_master_arrays
 from tests.oracles.scalar_runs import sync_by_master
 from tests.runtime.test_sync import COMBINE, as_arrays, as_dicts, route_sync
@@ -67,7 +67,7 @@ def partials_for(partition):
 
 
 def run_sync(partition, reduce):
-    plan = get_plan(partition)
+    plan = plan_for(partition)
     partials = as_arrays(partials_for(partition))
     cluster = Cluster(partition)
     out = as_dicts(route_sync(cluster, plan, partials, reduce))

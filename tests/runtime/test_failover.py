@@ -29,7 +29,7 @@ from repro.runtime.faults import (
     StragglerFault,
 )
 from repro.runtime.instrumentation import RunProfile
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 from tests.oracles.scalar_failover import ScalarFailoverState
 
 LOSS_PLAN = FaultPlan(seed=5, losses=(PermanentLossFault(worker=1, superstep=1),))
@@ -195,7 +195,7 @@ def test_degraded_runs_are_reproducible(partition):
 @pytest.mark.parametrize("baseline", ["fennel", "dbh"])
 def test_failover_state_matches_scalar_oracle(graph, baseline):
     partition = get_partitioner(baseline).partition(graph, 4)
-    fast = FailoverState(get_plan(partition))
+    fast = FailoverState(plan_for(partition))
     slow = ScalarFailoverState(partition)
     for dead, survivors in ((1, [0, 2, 3]), (3, [0, 2])):
         a = fast.fail(dead, survivors)
@@ -214,7 +214,7 @@ def test_failover_state_matches_scalar_oracle(graph, baseline):
 
 def test_heir_shares_sum_to_one(graph):
     partition = get_partitioner("fennel").partition(graph, 4)
-    decision = FailoverState(get_plan(partition)).fail(2, [0, 1, 3])
+    decision = FailoverState(plan_for(partition)).fail(2, [0, 1, 3])
     assert decision.heir_shares
     assert abs(sum(decision.heir_shares.values()) - 1.0) < 1e-12
     assert all(fid in (0, 1, 3) for fid in decision.heir_shares)

@@ -33,7 +33,7 @@ from repro.runtime.plan import (
     ECUT,
     VCUT,
     FragmentPlan,
-    get_plan,
+    plan_for,
     plan_stats,
 )
 from tests.oracles import scalar_runs
@@ -106,9 +106,9 @@ def test_plan_generation_counter_invalidation():
     partition = _edge_cut(graph)
     listeners_before = len(partition._listeners)
     gen = partition.generation
-    plan = get_plan(partition)
-    assert get_plan(partition) is plan
-    # get_plan registers no mutation listeners: validity is checked by
+    plan = plan_for(partition)
+    assert plan_for(partition) is plan
+    # plan_for registers no mutation listeners: validity is checked by
     # comparing generation counters instead.
     assert len(partition._listeners) == listeners_before
     assert plan.valid
@@ -125,7 +125,7 @@ def test_plan_generation_counter_invalidation():
     # Forcing valid=True cannot resurrect a plan from an older generation.
     plan.valid = True
     assert not plan.valid
-    rebuilt = get_plan(partition)
+    rebuilt = plan_for(partition)
     assert rebuilt is not plan
     assert rebuilt.valid
 
@@ -211,13 +211,13 @@ def _check_routing_tables(plan: FragmentPlan, partition: HybridPartition):
 @given(partition_cases())
 @SETTINGS
 def test_plan_routing_tables_match_partition(partition):
-    _check_routing_tables(get_plan(partition), partition)
+    _check_routing_tables(plan_for(partition), partition)
 
 
 @given(partition_cases(), st.data())
 @SETTINGS
 def test_plan_invalidates_and_rebuilds_after_mutations(partition, data):
-    plan = get_plan(partition)
+    plan = plan_for(partition)
     _check_routing_tables(plan, partition)
 
     n = partition.graph.num_vertices
@@ -247,7 +247,7 @@ def test_plan_invalidates_and_rebuilds_after_mutations(partition, data):
     if mutated:
         assert not plan.valid, "mutation did not invalidate the cached plan"
     before = plan_stats().snapshot()
-    rebuilt = get_plan(partition)
+    rebuilt = plan_for(partition)
     if mutated:
         # A stale plan is brought current one of three ways: a net-empty
         # journal revalidates the same object, a small dirty region is
@@ -262,4 +262,4 @@ def test_plan_invalidates_and_rebuilds_after_mutations(partition, data):
         assert rebuilt.valid
     _check_routing_tables(rebuilt, partition)
     # The rebuilt plan is cached until the next mutation.
-    assert get_plan(partition) is rebuilt
+    assert plan_for(partition) is rebuilt

@@ -19,7 +19,7 @@ from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm
 from repro.runtime import parallel
 from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 from tests.runtime.test_shm_differential import _partition
 
 SRC = Path(repro.__file__).parent
@@ -72,7 +72,7 @@ def test_worker_entry_calls_the_table_function(algorithm, monkeypatch):
     """``_run_fragment`` — all a worker does per fragment — looks the
     function up in the same table and leaves what it returned."""
     kernel = KERNELS[algorithm]
-    plan = get_plan(_partition(False, "edge"))
+    plan = plan_for(_partition(False, "edge"))
     args = {"tc": (int(plan.key_base), False), "cn": (3.0,)}.get(algorithm, ())
     tables = kernel.all_tables(plan)
     fid = max(range(plan.num_fragments), key=lambda f: kernel.size(tables[f]))

@@ -15,7 +15,7 @@ import pytest
 from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 from repro.runtime.sync import VALUE_BYTES, SyncRoute
 from tests.oracles.master_sync import sync_by_master_arrays
 from tests.oracles.scalar_runs import sync_by_master
@@ -70,7 +70,7 @@ def sync(partition, partials, reduce, finalize=None, value_bytes=12.0):
     ``finalize`` takes ``(vertex or ids, combined)`` and must work on a
     scalar and on an array alike.
     """
-    plan = get_plan(partition)
+    plan = plan_for(partition)
     cluster = Cluster(partition)
     out = as_dicts(
         route_sync(cluster, plan, as_arrays(partials), reduce, value_bytes, finalize)
@@ -195,7 +195,7 @@ def test_array_sync_bit_identical_to_scalar_with_moved_master():
     c_arrays = Cluster(p_arrays)
     out_arrays = route_sync(
         c_arrays,
-        get_plan(p_arrays),
+        plan_for(p_arrays),
         {
             0: (np.array([1]), np.array([1.0])),
             1: (np.array([1]), np.array([2.0])),

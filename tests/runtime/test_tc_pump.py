@@ -29,7 +29,7 @@ from repro.partitioners.base import get_partitioner
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
-from repro.runtime.plan import get_plan
+from repro.runtime.plan import plan_for
 from tests.oracles.scalar_runs import ScalarTriangleCounting
 from tests.oracles.tc_pump import TriangleCounting as FrozenTriangleCounting
 from tests.runtime.test_sync_route import RecordingInjector
@@ -160,7 +160,7 @@ def test_targets_leave_in_placement_order_not_ascending():
     """Past 8 fragments ``placement()`` is not sorted; faults see the order."""
     graph = chung_lu_power_law(200, 8.0, exponent=2.1, directed=False, seed=9)
     partition = get_partitioner("hdrf").partition(graph, 24)
-    plan = get_plan(partition)
+    plan = plan_for(partition)
     targets = plan.query_targets()
     rows = np.split(targets.fids, targets.indptr[1:-1])
     ascending = np.concatenate([np.sort(row) for row in rows])
