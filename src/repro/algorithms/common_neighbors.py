@@ -101,25 +101,21 @@ class CommonNeighbors(Algorithm):
                             add_pairs(gin.nbrs[start:stop].tolist())
             vcut = eligible & (roles == ROLE_VCUT)
             if vcut.any():
-                vs = verts[vcut]
-                cluster.send_batch(
-                    fid,
-                    plan.master_of[vs],
-                    8.0 * np.maximum(1, lin[vcut]),
-                    master_vertices=vs,
-                )
-                vcut_parts.append(vs)
+                vcut_parts.append((np.full(vcut.sum(), fid), verts[vcut], lin[vcut]))
+        if vcut_parts:
+            # Every fragment's lists in one fid-major stream.
+            senders, vs, lens = map(np.concatenate, zip(*vcut_parts))
+            cluster.send_batch(
+                senders, plan.master_of[vs], 8.0 * np.maximum(1, lens), master_vertices=vs
+            )
         cluster.deliver()
 
         # Superstep 2: masters merge partial lists and count cross pairs.
         if vcut_parts:
-            uvs = np.unique(np.concatenate(vcut_parts))
-            masters = plan.master_of[uvs]
+            uvs = np.unique(vs)
             k = gin.counts[uvs]
             ops = k * (k - 1) // 2
-            for m in np.unique(masters):
-                sel = masters == m
-                cluster.charge_bulk(int(m), ops[sel], vertices=uvs[sel])
+            cluster.charge_bulk(plan.master_of[uvs], ops, vertices=uvs)
             total += int(ops.sum())
             if return_pairs:
                 for v in uvs.tolist():

@@ -16,16 +16,16 @@ master (as CN does), deduplicating replicated edges.
 
 Each fragment's e-cut wedges and the local closing-edge test are the
 ``tc`` row of :data:`~repro.runtime.kernels.KERNELS`, reached through
-``Cluster.map``.  From there the run is array-native, first missed wedge
-to last answer — on a v-cut partition the remote queries are most of the
-run, not a tail of it: every missed wedge expands through the plan's
-query-target table,
-leaves in one ``send_batch`` per contiguous run, travels as one columnar
-block per destination, is answered by one membership test per inbox, and
-resolves against a count vector.  The one-message-at-a-time loop it
-replaced is the test suite's differential oracle (``scalar_runs``); both
-issue the same messages in the same order, so charges, fate draws,
-makespans and checkpoints agree bit for bit (DESIGN §10).
+``Cluster.map``.  From there the run is array-native: every missed wedge
+expands through the plan's query-target table, and each superstep is one
+message stream in the scalar send order, cut every :data:`STRIDE`
+messages into multi-sender ``send_batch`` calls.  Superstep 1 mixes
+queries with ``inlist`` blocks (vertices plus a CSR into one flat neighbor
+column), so it is accounted payload-less and each kind is ``post``-ed.
+The one-message-at-a-time loop it replaced is the test suite's
+differential oracle (``scalar_runs``); both issue the same messages in the
+same order, so charges, fate draws, makespans and checkpoints agree bit
+for bit (DESIGN §10).
 
 Result values: the global triangle count.
 """
@@ -45,6 +45,17 @@ from repro.runtime.plan import DUMMY as ROLE_DUMMY
 from repro.runtime.plan import gather_segments, plan_for
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+STRIDE = 1 << 16
+"""Messages per ``send_batch`` / ``post`` call: bounds each call's transient arrays."""
+
+
+def _cuts(*cols):
+    """Columns aligned with the first one, cut every :data:`STRIDE`
+    messages; a CSR pair ``(indptr, flat)`` is cut by rows."""
+    for lo in range(0, cols[0].size, STRIDE):
+        hi = lo + STRIDE
+        yield [(c[0][lo : hi + 1], c[1]) if type(c) is tuple else c[lo:hi] for c in cols]
 
 
 class TriangleCounting(Algorithm):
@@ -98,8 +109,8 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         copy in ``placement()`` order) except its own fragment; one left
         with nobody to ask is settled — the fragment already holds all
         the relevant edges — and takes no qid.  Returns, wedge-major, each
-        message's wedge index and the aligned columns ``(dst, master
-        vertex, qid, a, b)``.
+        message's wedge index and the aligned columns ``(sender, dst,
+        master vertex, qid, a, b)``.
         """
         nonlocal next_qid
         idx, lens = gather_segments(targets.indptr, wa)
@@ -113,14 +124,8 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         next_qid += int(live.sum())
         owed.append(asked[live])
         attributed = np.where(border[pivots], pivots, -1)
-        return wedge, (dst, attributed[wedge], qid[wedge], wa[wedge], wb[wedge])
-
-    def send(fid: int, msgs, lo: int, hi: int) -> None:
-        if hi > lo:
-            dst, attributed, qid, a, b = (col[lo:hi] for col in msgs)
-            cluster.send_batch(
-                fid, dst, 20.0, master_vertices=attributed, payloads=("query", qid, a, b)
-            )
+        src, *cols = (col[wedge] for col in (src, attributed, qid, wa, wb))
+        return wedge, (src, dst, *cols)
 
     # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
     # The kernel enumerates each fragment's e-cut wedges and hands back
@@ -129,6 +134,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
     ecut = kernel.all_tables(plan)
     fids = [fid for fid in workers if ecut[fid].bound]
     missed = dict(zip(fids, cluster.map(kernel, ecut, (), fids, (kb, directed))))
+    misses, inlists = [(_EMPTY,) * 5], [(_EMPTY,) * 5]
     for fid in workers:
         verts = plan.verts(fid)
         roles = plan.roles(fid)
@@ -143,48 +149,46 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         # checked wedge.
         ks = ecut[fid].ks
         cluster.charge_bulk(fid, ks * (ks - 1), vertices=verts[ecut[fid].eslots])
-        wa, wb, wp = missed.get(fid, (_EMPTY, _EMPTY, _EMPTY))  # (a, b, pivot slot)
+        wa, wb, wp = missed.get(fid, (_EMPTY,) * 3)  # (a, b, pivot slot)
         triangles += ecut[fid].bound - wa.size
-        wedge, msgs = expand(np.full(wa.size, fid), wa, wb, verts[wp])
-        # Queries and inlists leave in fragment vertex order — the scalar
-        # send order the fault stream expects — so the query columns are
-        # cut at every v-cut slot: one batch per contiguous run.
+        misses.append((np.full(wa.size, fid), wp, wa, wb, verts[wp]))
         vslots = nondummy[roles[nondummy] != ROLE_ECUT]
-        vs = verts[vslots]
-        lo = 0
-        for v, master, start, end, hi in zip(
-            vs.tolist(),
-            plan.master_of[vs].tolist(),
-            t.indptr[vslots].tolist(),
-            t.indptr[vslots + 1].tolist(),
-            np.searchsorted(wp[wedge], vslots).tolist(),
-        ):
-            send(fid, msgs, lo, hi)
-            lo = hi
-            cluster.send(
-                fid,
-                master,
-                ("inlist", v, t.nbrs[start:end]),
-                nbytes=8.0 * max(1, end - start),
-                master_vertex=v,
-            )
-        send(fid, msgs, lo, wedge.size)
+        idx, lens = gather_segments(t.indptr, vslots)
+        inlists.append((np.full(lens.size, fid), vslots, verts[vslots], lens, t.nbrs[idx]))
+    src, slot, wa, wb, pivots = map(np.concatenate, zip(*misses))
+    wedge, (qsrc, qdst, qmv, qid, qa, qb) = expand(src, wa, wb, pivots)
+    isrc, islot, iv, lens, nbrs = map(np.concatenate, zip(*inlists))
+    idst = plan.master_of[iv]
+    # One stream, fid-major in fragment vertex order — the scalar send
+    # order the fault stream expects: an e-cut slot's queries in wedge
+    # order or a v-cut slot's inlist.  It is accounted in that order and
+    # each kind is posted.
+    key = np.concatenate([qsrc * kb + slot[wedge], isrc * kb + islot])
+    order = np.argsort(key, kind="stable")
+    wire = np.concatenate([np.full(qdst.size, 20.0), 8.0 * np.maximum(1, lens)])
+    stream = [np.concatenate(c)[order] for c in ((qsrc, isrc), (qdst, idst), (qmv, iv))]
+    for s, d, m, w in _cuts(*stream, wire[order]):
+        cluster.send_batch(s, d, w, master_vertices=m)
+    for s, d, *cols in _cuts(qsrc, qdst, qid, qa, qb):
+        cluster.post(s, d, ("query", *cols))
+    csr = (np.concatenate(([0], np.cumsum(lens))), nbrs)
+    for s, d, v, rows in _cuts(isrc, idst, iv, csr):
+        cluster.post(s, d, ("inlist", v, rows))
 
     def merged_pivots(lists: List[Tuple]) -> None:
         """Wedges of the v-cut pivots whose partial lists met at their masters."""
         nonlocal triangles
         # One sort merges and deduplicates every list, pivots ascending;
         # a second orders each pivot's higher-ranked neighbors by rank.
-        owner = np.repeat([m[1] for m in lists], [m[2].size for m in lists])
-        keys = np.unique(owner * kb + np.concatenate([m[2] for m in lists]))
+        owner = np.concatenate([np.repeat(m[2], np.diff(m[3][0])) for m in lists])
+        keys = np.unique(owner * kb + np.concatenate([m[3][1] for m in lists]))
         pv, nbr = keys // kb, keys % kb
         okey = degs[nbr] * kb + nbr
         above = okey > degs[pv] * kb + pv
         pv, nbr, okey = pv[above], nbr[above], okey[above]
         pivots, starts, ks = np.unique(pv, return_index=True, return_counts=True)
         at = plan.master_of[pivots]
-        for master, k, v in zip(at.tolist(), ks.tolist(), pivots.tolist()):
-            cluster.charge(master, k * (k - 1), vertex=v)
+        cluster.charge_bulk(at, ks * (ks - 1), vertices=pivots)
         wa, wb, row = wedges(nbr[np.lexsort((okey, pv))], starts, ks)
         src = at[row]
         miss = np.ones(wa.size, dtype=bool)
@@ -192,46 +196,39 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
             here = np.flatnonzero(src == fid)
             miss[here] = ~stores(fid, wa[here], wb[here])
         triangles += wa.size - int(miss.sum())
-        src = src[miss]
-        wedge, msgs = expand(src, wa[miss], wb[miss], pivots[row[miss]])
-        # The queries interleave senders in pivot order and the fate
-        # stream counts them in that order: one batch per same-sender run.
-        sender = src[wedge]
-        cuts = np.flatnonzero(np.diff(sender, prepend=-1, append=-1)).tolist()
-        for lo, hi in zip(cuts, cuts[1:]):
-            send(int(sender[lo]), msgs, lo, hi)
+        # Queries leave in pivot order, which interleaves senders.
+        _, msgs = expand(src[miss], wa[miss], wb[miss], pivots[row[miss]])
+        for s, d, m, *cols in _cuts(*msgs):
+            cluster.send_batch(s, d, 20.0, master_vertices=m, payloads=("query", *cols))
 
     # Pump supersteps until all list merges/queries/answers settle.
     inboxes = cluster.deliver()
     while any(inboxes.values()):
-        lists = [m for fid in workers for m in inboxes[fid] if m[0] == "inlist"]
+        # Blocks are (tag, senders, columns...); concatenated in inbox
+        # order they are the scalar route's message sequence.
+        blocks = [m for fid in workers for m in inboxes[fid]]
+        lists = [m for m in blocks if m[0] == "inlist"]
         if lists:
             merged_pivots(lists)
+        answers = [m for m in blocks if m[0] == "answer"]
+        if answers:
+            qid = np.concatenate([m[2] for m in answers])
+            hit = np.concatenate([m[3] for m in answers])
+            # All of a qid's answers land in one superstep.
+            left = fold()
+            left -= np.bincount(qid, minlength=left.size)
+            triangles += np.unique(qid[hit]).size
+        replies = []
         for fid in workers:
-            # Blocks are (tag, sender, columns...); concatenated in inbox
-            # order they are the scalar route's message sequence.
-            answers = [m for m in inboxes[fid] if m[0] == "answer"]
-            if answers:
-                qid = np.concatenate([m[2] for m in answers])
-                hit = np.concatenate([m[3] for m in answers])
-                # All of a qid's answers land in this inbox this superstep.
-                left = fold()
-                left -= np.bincount(qid, minlength=left.size)
-                triangles += np.unique(qid[hit]).size
             queries = [m for m in inboxes[fid] if m[0] == "query"]
             if queries:
-                qid, qa, qb = (
-                    np.concatenate([m[i] for m in queries]) for i in (2, 3, 4)
-                )
-                reply_to = np.repeat(
-                    [m[1] for m in queries], [m[2].size for m in queries]
+                ask, qid, qa, qb = (
+                    np.concatenate([m[i] for m in queries]) for i in range(1, 5)
                 )
                 cluster.charge(fid, qid.size)
-                cluster.send_batch(
-                    fid,
-                    reply_to,
-                    9.0,
-                    payloads=("answer", qid, stores(fid, qa, qb)),
-                )
+                replies.append((np.full(qid.size, fid), ask, qid, stores(fid, qa, qb)))
+        if replies:
+            for s, d, *cols in _cuts(*map(np.concatenate, zip(*replies))):
+                cluster.send_batch(s, d, 9.0, payloads=("answer", *cols))
         inboxes = cluster.deliver()
     return triangles

@@ -16,7 +16,8 @@ Algorithms interleave three calls:
 Messages to the local worker are delivered but cost zero bytes, matching
 a shared-memory shortcut on a real deployment.  :meth:`Cluster.charge_bulk`
 and :meth:`Cluster.send_batch` are the array forms; either may name one
-worker per entry, so a whole superstep is one call.  What they account
+worker per entry, so a whole superstep is one call (:meth:`Cluster.post`
+enqueues payloads a payload-less ``send_batch`` accounted).  What they account
 lands in a per-worker float64 ledger that ``deliver`` reads and
 ``finish`` folds into the :class:`RunProfile` dicts.
 
@@ -73,7 +74,7 @@ from repro.runtime.instrumentation import (
     SuperstepRecord,
 )
 from repro.runtime.parallel import ShmRunner, resolve_backend
-from repro.runtime.plan import plan_for
+from repro.runtime.plan import gather_segments, plan_for
 
 
 class Cluster:
@@ -289,17 +290,14 @@ class Cluster:
         """Post a batch of messages in array order.
 
         ``src`` is the sending worker, or an array aligned with ``dsts``
-        naming each message's sender, so one call can account a whole
-        superstep.  Accounts like ``send(src[i], dsts[i], ..., nbytes[i],
-        master_vertex=master_vertices[i])`` for every ``i``;
-        ``master_vertices`` uses ``-1`` as the "no attribution" sentinel.
-        Without ``payloads`` no inbox objects are enqueued (pure
-        accounting).  With them ``src`` must be one worker and
-        ``payloads`` is columnar, ``(tag, col_0, col_1, ...)``: each
-        destination gets one *block* ``(tag, src, col_0[sel], ...)``
-        holding its messages in array order — one inbox object per (call,
-        destination), never one per message.  Every argument is checked
-        against ``dsts`` before anything is enqueued, drawn or charged.
+        naming each message's sender, so one call can carry a whole
+        superstep of every fragment.  Accounts like ``send(src[i],
+        dsts[i], ..., nbytes[i], master_vertex=master_vertices[i])`` for
+        every ``i``; ``master_vertices`` uses ``-1`` as the "no
+        attribution" sentinel.  With ``payloads`` the messages are also
+        enqueued by :meth:`post`; without, the call is pure accounting.
+        Every argument is checked against ``dsts`` before anything is
+        enqueued, drawn or charged.
 
         Fault-stream contract: per-message fates are drawn one by one,
         for exactly the remote nonzero-byte messages, **in array order**
@@ -308,37 +306,28 @@ class Cluster:
         the scalar path and faulty runs stay bit-deterministic.
         """
         dsts = np.asarray(dsts, dtype=np.int64)
-        if payloads is not None and np.ndim(src):
-            raise ValueError("payload blocks need a single sending worker")
         srcs = self._workers_of(src, dsts.shape, "source")
         self._check_fids(dsts, "destination")
-        wire = np.asarray(nbytes if np.ndim(nbytes) else np.full(dsts.shape, nbytes), np.float64)
+        wire = np.asarray(nbytes, np.float64)
         mv = None if master_vertices is None else np.asarray(master_vertices, np.int64)
-        tag, *cols = (None,) if payloads is None else payloads
-        cols = [np.asarray(col) for col in cols]
-        for what, shapes in (
-            ("nbytes", [wire.shape]),
-            ("master_vertices", [] if mv is None else [mv.shape]),
-            ("payload columns", [col.shape for col in cols]),
-        ):
-            if any(shape[:1] != dsts.shape for shape in shapes):
+        for what, arr in (("nbytes", wire if wire.ndim else None), ("master_vertices", mv)):
+            if arr is not None and arr.shape[:1] != dsts.shape:
                 raise ValueError(
-                    f"{what} of shapes {shapes} do not align with {dsts.size} destinations"
+                    f"{what} of shape {arr.shape} does not align with "
+                    f"{dsts.size} destinations"
                 )
         if payloads is not None:
-            order = np.argsort(dsts, kind="stable")
-            grouped = dsts[order]
-            cuts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
-            for sel in np.split(order, cuts) if dsts.size else ():
-                block = (tag, src, *(col[sel] for col in cols))
-                self._outbox[int(dsts[sel[0]])].append(block)
-        remote = np.flatnonzero((dsts != srcs) & (wire > 0))
-        if remote.size == 0:
-            return
-        srcs = srcs[remote]
-        dsts = dsts[remote]
-        wire = wire[remote]
+            self.post(srcs, dsts, payloads)
+        remote = (dsts != srcs) & (wire > 0)
+        if not remote.all():
+            remote = np.flatnonzero(remote)
+            if remote.size == 0:
+                return
+            srcs, dsts = srcs[remote], dsts[remote]
+            wire = wire[remote] if wire.ndim else wire
+            mv = None if mv is None else mv[remote]
         if self.faults is not None:
+            wire = np.array(np.broadcast_to(wire, dsts.shape))
             step = self._step_index
             for i, (s, d) in enumerate(zip(srcs.tolist(), dsts.tolist())):
                 fate = self.faults.message_fate(step, s, d)
@@ -348,9 +337,13 @@ class Cluster:
                         self.profile.messages_dropped += 1
                     else:
                         self.profile.messages_duplicated += 1
-        # Both ends pay each message's bytes.
-        moved = np.bincount(srcs, weights=wire, minlength=self.num_workers)
-        moved += np.bincount(dsts, weights=wire, minlength=self.num_workers)
+        # Both ends pay each message's bytes.  A scalar ``nbytes`` stays
+        # one: a count times a dyadic size is the per-message sum exactly.
+        weights = wire if wire.ndim else None
+        moved = np.bincount(srcs, weights, self.num_workers)
+        moved = moved + np.bincount(dsts, weights, self.num_workers)
+        if weights is None:
+            moved = moved * wire
         self._step_bytes += moved
         self._bytes_total += moved
         if self._hetero:
@@ -359,14 +352,52 @@ class Cluster:
             # (byte counts are dyadic, the divided values need not be).
             np.add.at(self._step_link_bytes, (srcs, dsts), wire)
         if mv is not None:
-            mv = mv[remote]
             attributed = mv >= 0
             if attributed.any():
                 if self._master_bytes_acc is None:
                     self._master_bytes_acc = np.zeros(
                         self.partition.graph.num_vertices, dtype=np.float64
                     )
-                np.add.at(self._master_bytes_acc, mv[attributed], wire[attributed])
+                share = wire[attributed] if wire.ndim else wire
+                np.add.at(self._master_bytes_acc, mv[attributed], share)
+
+    def post(
+        self, src: Union[int, np.ndarray], dsts: np.ndarray, payloads: Sequence[Any]
+    ) -> None:
+        """Enqueue messages without accounting them (the rest of :meth:`send_batch`).
+
+        ``payloads`` is columnar, ``(tag, col_0, col_1, ...)``: each column
+        is aligned with ``dsts``, or is a CSR pair ``(indptr, flat)`` with
+        one row per message.  Each destination gets one *block* ``(tag,
+        senders, col_0[sel], ...)`` — the per-message sender column, CSR
+        columns sliced to its rows — holding its messages in array order.
+        Every column's alignment is checked before anything is enqueued.
+        A caller whose stream mixes kinds accounts it once, in send order,
+        with a payload-less :meth:`send_batch` and posts each kind here.
+        """
+        dsts = np.asarray(dsts, dtype=np.int64)
+        srcs = self._workers_of(src, dsts.shape, "source")
+        self._check_fids(dsts, "destination")
+        tag, *cols = payloads
+        csr = [isinstance(col, tuple) for col in cols]
+        cols = [tuple(map(np.asarray, c)) if r else np.asarray(c) for c, r in zip(cols, csr)]
+        rows = [(c[0].size - 1,) if r else c.shape[:1] for c, r in zip(cols, csr)]
+        if any(shape != dsts.shape for shape in rows):
+            raise ValueError(
+                f"payload columns of shapes {rows} do not align with "
+                f"{dsts.size} destinations"
+            )
+        order = np.argsort(dsts, kind="stable")
+        cuts = np.flatnonzero(np.diff(dsts[order])) + 1
+        for sel in np.split(order, cuts) if dsts.size else ():
+            block = [tag, srcs[sel]]
+            for col, ragged in zip(cols, csr):
+                if ragged:
+                    idx, lens = gather_segments(col[0], sel)
+                    block.append((np.concatenate(([0], np.cumsum(lens))), col[1][idx]))
+                else:
+                    block.append(col[sel])
+            self._outbox[int(dsts[sel[0]])].append(tuple(block))
 
     def _fold_ledger(self) -> None:
         """Fold the run totals and dense accumulators into the profile's dicts."""

@@ -6,6 +6,8 @@ from repro.core.e2h import E2H
 from repro.core.tracker import CostTracker
 from repro.core.v2h import V2H
 from repro.costmodel.library import builtin_cost_model
+from repro.graph.digraph import Graph
+from repro.partition.hybrid import HybridPartition
 from repro.partition.validation import check_partition
 
 from tests.conftest import make_edge_cut, make_vertex_cut
@@ -72,6 +74,41 @@ class TestE2H:
         refiner = E2H(model)
         refined = refiner.refine(initial)
         assert refiner.last_stats.split_edges > 0 or refined.is_vcut_vertex(0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="MAssign moves a full master's C_h with it without pricing it: "
+        "after ESplit GainCache.host_scores prices dh = 0.0 on every host "
+        "(master_delta_key reads only the M feature), but designated_home "
+        "follows a full master",
+    )
+    def test_massign_prices_the_home_that_follows_a_full_master(self):
+        """The input the property test found: E2H must not raise its own cost.
+
+        After ESplit, MAssign moves the masters of 3 and 5 to F0, where each
+        has a full copy; ``designated_home`` then makes F0 carry both
+        (2 × 41.1 µ of C_h), priced at Δh = 0.0, and F0 goes from 164.5 µ to
+        246.8 µ.
+        """
+        graph = Graph(8, [(1, 3), (1, 5), (2, 4), (4, 6)], directed=False)
+        initial = HybridPartition.from_vertex_assignment(
+            graph, [1, 0, 2, 1, 1, 2, 0, 0], 3
+        )
+        model = builtin_cost_model("wcc")
+        tracker = CostTracker(initial, model)
+        before_max = max(tracker.comp_costs())
+        budget = sum(tracker.comp_costs()) / initial.num_fragments
+        max_price = max(tracker.price_as_ecut(v) for v in graph.vertices)
+        tracker.detach()
+        refiner = E2H(model)
+        refined = refiner.refine(initial)
+        check_partition(refined)
+        tracker = CostTracker(refined, model)
+        after_max = max(tracker.comp_costs())
+        tracker.detach()
+        # Today: cost 4.24e-4 -> 4.74e-4, max C_h 1.23e-4 -> 2.47e-4.
+        assert refiner.last_stats.cost_after <= refiner.last_stats.cost_before
+        assert after_max <= (max(before_max, budget) + 2.0 * max_price) * 1.05
 
 
 class TestV2H:

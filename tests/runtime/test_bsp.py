@@ -17,6 +17,12 @@ def make_partition():
     return HybridPartition.from_vertex_assignment(g, [0, 0, 1, 1], 2)
 
 
+def _listed(block):
+    """A payload block with its columns as lists, for comparison."""
+    tag, *cols = block
+    return (tag, *(col.tolist() for col in cols))
+
+
 @pytest.fixture()
 def cluster():
     return Cluster(make_partition(), clock=CLOCK)
@@ -69,14 +75,42 @@ class TestMessaging:
         )
         cluster.send_batch(0, [1], 20.0, payloads=("query", [10], [4.5]))
         inboxes = cluster.deliver()
-        # (tag, sender, columns...), each column in send order.
-        assert [(m[0], m[1], m[2].tolist(), m[3].tolist()) for m in inboxes[1]] == [
-            ("query", 0, [7, 9], [1.5, 3.5]),
-            ("query", 0, [10], [4.5]),
+        # (tag, senders, columns...), each column in send order.
+        assert [_listed(m) for m in inboxes[1]] == [
+            ("query", [0, 0], [7, 9], [1.5, 3.5]),
+            ("query", [0], [10], [4.5]),
         ]
-        assert [(m[0], m[1], m[2].tolist()) for m in inboxes[0]] == [("query", 0, [8])]
+        assert [_listed(m) for m in inboxes[0]] == [("query", [0], [8], [2.5])]
         cluster.finish()
         assert cluster.profile.bytes_by_worker == {0: 60.0, 1: 60.0}
+
+    def test_multi_sender_blocks_carry_the_sender_column(self):
+        """One call from several workers: each block names every message's sender."""
+        partition = HybridPartition.from_vertex_assignment(
+            Graph(6, [(0, 1), (2, 3), (4, 5)]), [0, 0, 1, 1, 2, 2], 3
+        )
+        cluster = Cluster(partition, clock=CLOCK)
+        cluster.send_batch([2, 0, 1, 2], [1, 1, 0, 1], 8.0, payloads=("t", [5, 6, 7, 8]))
+        # A sender array that misses a destination still raises before
+        # anything moves: nothing of this call reaches the inboxes below.
+        with pytest.raises(ValueError, match="source workers"):
+            cluster.send_batch([0, 1, 2], [1, 2], 8.0, payloads=("t", [5, 6]))
+        inboxes = cluster.deliver()
+        assert [_listed(m) for m in inboxes[1]] == [("t", [2, 0, 2], [5, 6, 8])]
+        assert [_listed(m) for m in inboxes[0]] == [("t", [1], [7])]
+        assert cluster.finish().bytes_by_worker == {0: 16.0, 1: 32.0, 2: 16.0}
+
+    def test_post_enqueues_csr_rows_without_accounting(self, cluster):
+        """A CSR column arrives sliced to each block's rows; nothing is charged."""
+        indptr, flat = np.array([0, 2, 2, 5]), np.array([10, 11, 20, 21, 22])
+        cluster.post([0, 1, 1], [1, 0, 1], ("inlist", [3, 4, 5], (indptr, flat)))
+        inboxes = cluster.deliver()
+        ((tag, senders, vs, (ptr, nbrs)),) = inboxes[1]
+        assert (tag, senders.tolist(), vs.tolist()) == ("inlist", [0, 1], [3, 5])
+        assert (ptr.tolist(), nbrs.tolist()) == ([0, 2, 5], [10, 11, 20, 21, 22])
+        ((_, _, vs, (ptr, nbrs)),) = inboxes[0]
+        assert (vs.tolist(), ptr.tolist(), nbrs.tolist()) == ([4], [0, 0], [])
+        assert cluster.finish().bytes_by_worker == {}
 
 
 class TestClock:
@@ -152,11 +186,10 @@ class TestValidation:
             # 16 / 8 / 8 bytes used to be charged before the raise.
             ((0, [1, 2], 8.0), {"master_vertices": [3, 4, 5]}, "master_vertices"),
             (([0, 1, 2], [1, 2], 8.0), {}, "source workers"),
-            (([0, 1], [1, 2], 8.0), {"payloads": ("t", [5, 6])}, "single sending"),
             (([0, 3], [1, 2], 8.0), {}, "source worker id 3"),
             ((0, [1, 2], 8.0), {"payloads": ("t", [5, 6, 7])}, "payload columns"),
         ],
-        ids=["nbytes", "master_vertices", "src-shape", "src-payloads", "src-range", "column"],
+        ids=["nbytes", "master_vertices", "src-shape", "src-range", "column"],
     )
     def test_rejected_send_batch_leaves_no_trace(self, args, kwargs, match):
         """Every argument is checked against ``dsts`` before anything moves."""

@@ -6,7 +6,8 @@ run must not fall back to per-vertex / per-edge callbacks into
 ``HybridPartition``, must compile exactly one sync route per plan, and must sort
 the edge-owner table once per ``target_aware`` flag per plan.  A triangle
 count on a vertex cut must read ``placement()`` once per v-cut vertex per
-plan and move every query and answer in a columnar block.
+plan, make no scalar ``Cluster.send``, move every message in a columnar
+block and issue one ``send_batch`` per ``STRIDE`` messages of a superstep.
 """
 
 import collections
@@ -15,7 +16,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.algorithms import get_algorithm
+from repro.algorithms import get_algorithm, triangles
 from repro.core import E2H, V2H, MutationBatch, apply_mutations
 from repro.costmodel import builtin_cost_model
 from repro.graph.generators import chung_lu_power_law
@@ -138,12 +139,17 @@ def test_tc_run_on_a_vertex_cut_is_array_native(calls, monkeypatch):
     part = V2H(builtin_cost_model("tc")).refine(part, in_place=True)
     tc = get_algorithm("tc")
 
-    sent, inboxed = [], []
-    send, deliver = Cluster.send, Cluster.deliver
+    sent, batches, inboxed = [], collections.Counter(), []
+    send, send_batch, deliver = Cluster.send, Cluster.send_batch, Cluster.deliver
 
     def recording_send(self, src, dst, payload, *args, **kwargs):
         sent.append(payload[0])
         return send(self, src, dst, payload, *args, **kwargs)
+
+    def recording_send_batch(self, src, dsts, *args, **kwargs):
+        batches[self._step_index, "calls"] += 1
+        batches[self._step_index, "messages"] += len(dsts)
+        return send_batch(self, src, dsts, *args, **kwargs)
 
     def recording_deliver(self):
         inboxes = deliver(self)
@@ -151,6 +157,7 @@ def test_tc_run_on_a_vertex_cut_is_array_native(calls, monkeypatch):
         return inboxes
 
     monkeypatch.setattr(Cluster, "send", recording_send)
+    monkeypatch.setattr(Cluster, "send_batch", recording_send_batch)
     monkeypatch.setattr(Cluster, "deliver", recording_deliver)
 
     # First run on the plan: the target table reads placement() once per
@@ -166,13 +173,23 @@ def test_tc_run_on_a_vertex_cut_is_array_native(calls, monkeypatch):
         PARTITION_CALLBACKS, 0
     )
 
-    # Scalar sends carry the neighbor lists, nothing else; every query and
-    # answer sits in a (tag, sender, columns...) block.
-    assert set(sent) == {"inlist"}
-    blocks = [m for m in inboxed if m[0] != "inlist"]
-    assert {m[0] for m in blocks} == {"query", "answer"}
-    assert all(isinstance(col, np.ndarray) for m in blocks for col in m[2:])
-    assert sum(m[2].size for m in blocks) > 50 * len(blocks)
+    # No scalar send: each superstep is one stream, cut every STRIDE
+    # messages, plus one cut where superstep 2+ turns from the merged
+    # pivots' queries to the answers.
+    assert sent == []
+    steps = sorted({step for step, _ in batches})
+    assert len(steps) == 3
+    for step in steps:
+        cuts = -(-batches[step, "messages"] // triangles.STRIDE)
+        assert batches[step, "calls"] <= cuts + 1, f"superstep {step}"
+    # Every message sits in a (tag, senders, columns...) block; an inlist
+    # block is its vertices plus a CSR into one flat neighbor column.
+    assert {m[0] for m in inboxed} == {"inlist", "query", "answer"}
+    assert all(isinstance(col, np.ndarray) for m in inboxed for col in m[1:3])
+    assert sum(m[2].size for m in inboxed) > 50 * len(inboxed)
+    for _, senders, vs, (indptr, nbrs) in (m for m in inboxed if m[0] == "inlist"):
+        assert senders.size == vs.size == indptr.size - 1
+        assert indptr[-1] == nbrs.size
 
     # A second run reuses the table.
     second = tc.run(part)

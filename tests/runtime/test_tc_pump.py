@@ -12,6 +12,7 @@ the frozen route's and the scalar reference's
 (``tests/oracles/scalar_runs.py``).
 """
 
+import collections
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,6 +20,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 
+from repro.algorithms import triangles
 from repro.algorithms.triangles import TriangleCounting
 from repro.core.v2h import V2H
 from repro.costmodel.library import builtin_cost_model
@@ -26,6 +28,7 @@ from repro.graph.digraph import Graph
 from repro.graph.generators import chung_lu_power_law
 from repro.partition.hybrid import HybridPartition
 from repro.partitioners.base import get_partitioner
+from repro.runtime.bsp import Cluster
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
@@ -154,6 +157,27 @@ def test_pump_matches_on_a_refined_vertex_cut():
     # Snapshots with queries in flight, not just the final count.
     assert len(_observe("pump", partition, False, None, 1)["checkpoints"]) >= 3
     assert_routes_agree(partition)
+
+
+def test_a_superstep_longer_than_one_stride_keeps_fates_and_checkpoints():
+    """Streams are cut every ``STRIDE`` messages; the cuts move no draw."""
+    graph = chung_lu_power_law(600, 8.0, exponent=2.1, directed=False, seed=5)
+    partition = get_partitioner("hdrf").partition(graph, 8)
+    partition = V2H(builtin_cost_model("tc")).refine(partition)
+    messages = collections.Counter()
+    send_batch = Cluster.send_batch
+
+    def counting(self, src, dsts, *args, **kwargs):
+        messages[self._step_index] += len(dsts)
+        return send_batch(self, src, dsts, *args, **kwargs)
+
+    config = (True, None, 1)
+    with mock.patch.object(Cluster, "send_batch", counting):
+        pump = _observe("pump", partition, *config)
+    assert max(messages.values()) > triangles.STRIDE
+    assert pump["draws"] and len(pump["checkpoints"]) >= 3
+    for reference in ("frozen", "scalar"):
+        assert _observe(reference, partition, *config) == pump, reference
 
 
 def test_targets_leave_in_placement_order_not_ascending():
