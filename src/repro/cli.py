@@ -25,12 +25,12 @@ and the table gains failure/recovery/checkpoint columns.  ``--lose``
 removes a worker permanently: the cluster promotes surviving replicas
 and continues on the survivors (failover columns appear).
 
-Failure traces: ``evaluate`` and ``partition`` accept
-``--trace-out PATH`` (record every fired fault/corruption fate to
-a JSONL trace) and ``--trace-in PATH`` (replay a recorded trace exactly,
-bypassing the seeded draws).  ``repro trace show|replay|minimize``
-inspects a trace, re-runs its recorded command against it, and greedily
-drops events while a failing replay keeps failing.
+Failure traces: ``evaluate`` accepts ``--trace-out PATH`` (record
+every fired fault fate to a JSONL trace) and ``--trace-in PATH``
+(replay a recorded trace exactly, bypassing the seeded draws).
+``repro trace show|replay|minimize`` inspects a trace, re-runs its
+recorded command against it, and greedily drops events while a failing
+replay keeps failing.
 
 ``sweep`` reproduces the paper's evaluation section on the parallel
 evaluation engine.  It *is* :mod:`repro.eval.run_all` — the subcommand
@@ -44,12 +44,10 @@ envelope is validated, and with ``--repair`` damaged entries are moved
 to the ``quarantine/`` sidecar (future sweeps recompute them) and
 orphaned temp files from interrupted writes are deleted.
 
-``partition --refine ALG`` accepts guarded-refinement flags
-(``--guard-interval``, ``--chaos-seed``, ``--corrupt-rate``,
-``--max-refine-seconds``): the refiner then runs under the
-:mod:`repro.integrity` watchdog, repairing or rolling back corrupted
-partition state and early-stopping with the best partition seen when
-the wall-clock budget runs out.
+``partition --refine ALG --max-refine-seconds S`` runs the refiner
+under a :mod:`repro.integrity` guard: it early-stops with the best
+partition seen when the wall-clock budget runs out, and the result is
+checked once after the pass.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ from repro.eval import run_all
 from repro.eval.reporting import format_table
 from repro.graph import generators
 from repro.graph.io import read_edge_list, read_metis, write_edge_list
-from repro.integrity.chaos import ChaosPlan
 from repro.integrity.guard import GuardConfig
 from repro.partition.quality import (
     cost_balance_factor,
@@ -127,37 +124,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_guard_config(
-    args: argparse.Namespace,
-    trace: Optional[FailureTrace] = None,
-    replay_trace: Optional[FailureTrace] = None,
-) -> Optional[GuardConfig]:
-    """Assemble a GuardConfig from partition's guard flags (None if unused)."""
-    wants_guard = (
-        args.guard_interval is not None
-        or args.chaos_seed is not None
-        or args.corrupt_rate > 0
-        or args.max_refine_seconds is not None
-        or trace is not None
-        or replay_trace is not None
-    )
-    if not wants_guard:
+def _build_guard_config(args: argparse.Namespace) -> Optional[GuardConfig]:
+    """A GuardConfig for ``--max-refine-seconds`` (None if unused)."""
+    if args.max_refine_seconds is None:
         return None
     try:
-        chaos = None
-        if args.corrupt_rate > 0:
-            chaos = ChaosPlan(
-                seed=args.chaos_seed or 0, corrupt_rate=args.corrupt_rate
-            )
-        return GuardConfig(
-            check_interval=(
-                args.guard_interval if args.guard_interval is not None else 64
-            ),
-            chaos=chaos,
-            max_seconds=args.max_refine_seconds,
-            trace=trace,
-            replay_trace=replay_trace,
-        )
+        return GuardConfig(max_seconds=args.max_refine_seconds)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
@@ -185,17 +157,11 @@ def _load_cluster_spec_or_die(args: argparse.Namespace):
 
 def cmd_partition(args: argparse.Namespace) -> int:
     """``partition``: cut a graph, optionally refine, save as JSON."""
-    trace = loaded = None
-    if args.trace_in:
-        loaded = _load_trace_or_die(args.trace_in)
-    elif args.trace_out:
-        trace = FailureTrace(
-            meta={"command": "cli", "argv": list(getattr(args, "_argv", []))}
-        )
-    guard_config = _build_guard_config(args, trace=trace, replay_trace=loaded)
+    guard_config = _build_guard_config(args)
     if guard_config is not None and not args.refine:
         print(
-            "error: guard flags require --refine (guards wrap the refiner)",
+            "error: --max-refine-seconds requires --refine (guards wrap "
+            "the refiner)",
             file=sys.stderr,
         )
         return 2
@@ -283,9 +249,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     if stats is not None and stats.guard is not None:
         g = stats.guard
         print(
-            f"guard: {g.checks} checks, {g.corruptions_injected} corruptions, "
-            f"{g.repairs} repairs, {g.rollbacks} rollbacks, "
-            f"{g.unrepaired_violations} unrepaired"
+            f"guard: {g.steps} steps, {g.snapshots} snapshots, "
+            f"{g.cost_model_interventions} cost-model interventions"
             + (", early-stopped" if g.early_stopped else "")
             + f" ({g.overhead_seconds * 1e3:.1f} ms overhead)"
         )
@@ -293,12 +258,6 @@ def cmd_partition(args: argparse.Namespace) -> int:
     print(
         f"wrote {args.fragments}-way partition ({label}) of {graph} to {args.out}"
     )
-    if trace is not None:
-        trace.save(args.trace_out)
-        print(
-            f"[trace] {len(trace)} events recorded to {args.trace_out}",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -578,23 +537,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-def _add_trace_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the mutually exclusive ``--trace-out``/``--trace-in`` pair."""
-    group = parser.add_argument_group(
-        "failure traces", "record / replay every fired fault deterministically"
-    ).add_mutually_exclusive_group()
-    group.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="record fired faults/corruptions/chaos fates to a JSONL trace",
-    )
-    group.add_argument(
-        "--trace-in",
-        metavar="PATH",
-        help="replay a recorded trace exactly, bypassing the seeded draws",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
     parser = argparse.ArgumentParser(
@@ -647,34 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON cluster spec; the refiner balances capacity shares "
         "instead of raw cost (see examples/cluster_skewed.json)",
     )
-    guard = part.add_argument_group(
-        "guarded refinement",
-        "run the refiner under the integrity watchdog (requires --refine)",
-    )
-    guard.add_argument(
-        "--guard-interval",
-        type=int,
-        metavar="STEPS",
-        help="refinement moves between incremental invariant checks",
-    )
-    guard.add_argument(
-        "--chaos-seed",
-        type=int,
-        help="seed for deterministic partition corruption",
-    )
-    guard.add_argument(
-        "--corrupt-rate",
-        type=float,
-        default=0.0,
-        help="per-step probability of injecting one corruption",
-    )
-    guard.add_argument(
+    part.add_argument(
         "--max-refine-seconds",
         type=float,
         metavar="SECONDS",
-        help="wall-clock budget; early-stop with the best partition seen",
+        help="wall-clock refinement budget (requires --refine); early-stop "
+        "with the best partition seen",
     )
-    _add_trace_flags(part)
     part.set_defaults(func=cmd_partition)
 
     ev = sub.add_parser("evaluate", help="run algorithms on a stored partition")
@@ -753,7 +674,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="supersteps between state checkpoints (0 = off)",
     )
-    _add_trace_flags(ev)
+    group = ev.add_argument_group(
+        "failure traces", "record / replay every fired fault deterministically"
+    ).add_mutually_exclusive_group()
+    group.add_argument(
+        "--trace-out",
+        metavar="PATH",
+        help="record fired fault fates to a JSONL trace",
+    )
+    group.add_argument(
+        "--trace-in",
+        metavar="PATH",
+        help="replay a recorded trace exactly, bypassing the seeded draws",
+    )
     ev.set_defaults(func=cmd_evaluate)
 
     sweep = sub.add_parser(

@@ -25,7 +25,6 @@ variants order their moves differently by design.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -54,10 +53,9 @@ from repro.runtime.clusterspec import ClusterSpec
 class RefineSession:
     """The evaluation stack around one partition, built and torn down once.
 
-    ``guard_config`` adds cost-model guardrails and the invariant
-    watchdog; ``seed`` warm-starts the tracker.  ``output_name`` marks a
-    composite output built *up* from empty: it salts the chaos draws,
-    defers coverage invariants to the final check and drops best-so-far
+    ``guard_config`` adds cost-model guardrails and the refinement
+    guard; ``seed`` warm-starts the tracker.  ``output_name`` marks a
+    composite output built *up* from empty: it drops best-so-far
     tracking (a constructive algorithm has no earlier valid state to
     fall back to).  ``scorer`` is the stack's bound
     :class:`~repro.core.gaincache.GainCache`.
@@ -106,29 +104,23 @@ class RefineSession:
             self.scorer.bind(self.tracker)
             self.cost_before = self.tracker.parallel_cost()
             if guard_config is not None:
-                composite = output_name is not None
                 self.guard = RefinementGuard(
                     partition,
-                    dataclasses.replace(guard_config, coverage_checks=False)
-                    if composite
-                    else guard_config,
+                    guard_config,
                     stats=self.guard_stats,
                     # From-scratch evaluation: querying the tracker here
                     # would change its lazy-flush boundaries and perturb
                     # float accumulation order in the cached costs.
                     cost_fn=None
-                    if composite
+                    if output_name is not None
                     else (lambda: model.parallel_cost(partition)),
-                    chaos_salt=output_name or "",
                 )
         except BaseException:
             self.close()
             raise
 
     def close(self) -> None:
-        """Detach the watchdog, tracker and cache listeners."""
-        if self.guard is not None:
-            self.guard.watchdog.detach()
+        """Detach the tracker and cache listeners."""
         if self.tracker is not None:
             self.tracker.detach()
         if self.scorer is not None:

@@ -184,10 +184,9 @@ class E2H(SingleOutputRefiner):
         Multiplier on the average-cost budget (1.0 = the paper's B).
     guard_config:
         Optional :class:`~repro.integrity.guard.GuardConfig` enabling the
-        guarded pipeline: invariant watchdog + repair/rollback at the
-        configured cadence, cost-model guardrails, and step/wall-clock
-        budgets with best-so-far early stop.  ``None`` (default) runs
-        unguarded with zero overhead.
+        guarded pipeline: cost-model guardrails, step/wall-clock budgets
+        with best-so-far early stop, and a post-pass invariant check.
+        ``None`` (default) runs unguarded with zero overhead.
     cluster_spec:
         Optional heterogeneous :class:`~repro.runtime.clusterspec.
         ClusterSpec` (or its dict payload / file path).  When given and

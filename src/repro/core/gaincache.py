@@ -20,7 +20,7 @@ partitions and tracked costs bit for bit).
    merged prices, MAssign Eq. 5 score pairs) cached per vertex and
    **lazily invalidated** through the partition's mutation listeners:
    any structural event touching ``v`` drops ``v``'s cached gains, the
-   same hook the integrity watchdog rides.
+   same hook the incremental tracker rides.
 
 3. :class:`FragmentCostIndex` — a bucketed fragment queue over the
    tracker's per-fragment ``C_h`` so ``cheapest()`` (ESplit/EAssign's
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.costmodel.features import FEATURE_NAMES, copy_key, copy_keys, with_master
+from repro.costmodel.features import FEATURE_NAMES, copy_keys, with_master
 from repro.costmodel.model import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -315,9 +315,9 @@ class GainCache:
     Owns the memoized cost model the refiner's tracker evaluates
     through, the per-vertex gain caches, and (after :meth:`bind`) the
     :class:`FragmentCostIndex`.  Subscribes to the partition's mutation
-    listeners — the same hooks the incremental tracker and the integrity
-    watchdog use — and drops every cached gain of a vertex the moment
-    any structural event touches it.
+    listeners — the same hooks the incremental tracker uses — and drops
+    every cached gain of a vertex the moment any structural event
+    touches it.
 
     A bound cache is the refiners' *scorer*: the phase bodies ask it
     for ``price_as_ecut`` / ``merged_price`` / ``host_scores`` /
@@ -436,8 +436,7 @@ class GainCache:
                         host: (bearing, key)
                         for host, bearing, key in copy_keys(self.partition, v, avg)
                     }
-                # (.get: the placement index may have lost track of a copy.)
-                bearing, key = copies.get(fid) or copy_key(self.partition, v, fid, avg)
+                bearing, key = copies[fid]
                 pair = bucket[fid] = (
                     model.g_key(with_master(key, True)),
                     model.master_delta_key(bearing, key),

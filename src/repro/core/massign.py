@@ -56,7 +56,6 @@ def massign(
     base degenerates to all zeros, so both modes agree there.
     """
     partition = tracker.partition
-    fragments = partition.fragments
     host_scores = scorer.host_scores
     if vertices is None:
         vertices = sorted(
@@ -75,12 +74,7 @@ def massign(
     bws = tracker.bandwidths
     moves = 0
     for v in vertices:
-        # Ghost placement entries (index corruption awaiting the guard's
-        # repair cadence) have no copy to score; skip them so Eq. 5 only
-        # considers real hosting fragments.
-        hosts = sorted(
-            [fid for fid in partition._placement.get(v, ()) if v in fragments[fid]._incident]
-        )
+        hosts = sorted(partition._placement.get(v, ()))
         if len(hosts) < 2:
             continue
         current = partition.master(v)
@@ -101,12 +95,10 @@ def massign(
                 best_gain = g_here
                 best_delta = h_delta
         if current != best_fid:
-            # Master-dependent computation moves with the master (a
-            # corrupted master pointing at a non-host carries none).
-            if partition.fragments[current].has_vertex(v):
-                # Scored in the loop above (pre-mutation): a gain-cache
-                # hit with the identical value.
-                comp[current] -= scorer.master_delta(v, current)
+            # Master-dependent computation moves with the master; scored
+            # in the loop above (pre-mutation): a gain-cache hit with the
+            # identical value.
+            comp[current] -= scorer.master_delta(v, current)
             partition.set_master(v, best_fid)
             moves += 1
             if guard is not None:

@@ -74,8 +74,8 @@ class _GuardSet:
 
     The composite refiners build ``k`` output partitions *up* from
     empty, so two semantics differ from the single-partition guard:
-    coverage invariants are deferred to the final check (the sessions
-    are opened with an ``output_name``), and a budget exhaustion must
+    there is no best-so-far snapshot to fall back to (the sessions are
+    opened with an ``output_name``), and a budget exhaustion must
     not abort — the remaining units still need homes for the outputs to
     be valid.  Exhaustion instead flips :attr:`exhausted`, which the
     phases read to fall back to cheapest-fragment assignment (the

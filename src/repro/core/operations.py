@@ -40,12 +40,11 @@ def emigrate(partition: HybridPartition, v: int, src: int, dst: int) -> None:
     # stable across Python builds; the mutation sequence should be.
     edges = sorted(src_fragment.incident(v))
     partition.transfer_star(v, edges, dst, src=src, keep="bearing")
-    # The bare copy of an isolated candidate; otherwise a placement
-    # self-check before the master moves, which heals a stale _placement
-    # entry (injected index corruption) when dst already held every edge.
-    partition.add_vertex_to(dst, v)
-    if not edges and src_fragment.has_vertex(v):
-        partition.remove_vertex_from(src, v)
+    if not edges:
+        # The bare copy of an isolated candidate.
+        partition.add_vertex_to(dst, v)
+        if src_fragment.has_vertex(v):
+            partition.remove_vertex_from(src, v)
     partition.set_master(v, dst)
 
 

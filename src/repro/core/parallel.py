@@ -301,12 +301,7 @@ def _parallel_massign_impl(
     work: Dict[int, List[int]] = {fid: [] for fid in range(partition.num_fragments)}
     for v, hosts in partition.vertex_fragments():
         if len(hosts) > 1 and (vertices is None or v in vertices):
-            master = partition.master(v)
-            # A corrupted master pointing outside [0, n) still needs a
-            # worker; fall back to the lowest host until repair runs.
-            if master not in work:
-                master = min(hosts)
-            work[master].append(v)
+            work[partition.master(v)].append(v)
     for fid in work:
         work[fid].sort()
     comp = tracker.comp_costs()
@@ -324,13 +319,7 @@ def _parallel_massign_impl(
         for fid in range(partition.num_fragments):
             batch, work[fid] = work[fid][:batch_size], work[fid][batch_size:]
             for v in batch:
-                # Only fragments actually holding a copy can be scored
-                # (ghost placement entries await the guard's repair).
-                hosts = sorted(
-                    h
-                    for h in partition.placement(v)
-                    if partition.fragments[h].has_vertex(v)
-                )
+                hosts = sorted(partition.placement(v))
                 if len(hosts) < 2:
                     continue
                 cluster.charge(fid, (C1_OPS + C2_OPS) * len(hosts))
@@ -348,13 +337,9 @@ def _parallel_massign_impl(
                         best_score, best_fid = score, host
                         best_gain, best_delta = g_here, h_delta
                 if current != best_fid:
-                    if (
-                        0 <= current < partition.num_fragments
-                        and partition.fragments[current].has_vertex(v)
-                    ):
-                        # Scored pre-mutation above: a gain-cache hit
-                        # with the identical value.
-                        comp[current] -= state.scorer.master_delta(v, current)
+                    # Scored pre-mutation above: a gain-cache hit with
+                    # the identical value.
+                    comp[current] -= state.scorer.master_delta(v, current)
                     comp[best_fid] += best_delta
                     cluster.send(fid, best_fid, None, nbytes=12.0)
                     partition.set_master(v, best_fid)

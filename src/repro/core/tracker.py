@@ -191,8 +191,7 @@ class CostTracker:
         if old_comm is not None:
             self._comm[old_comm[0]] -= old_comm[1]
 
-        # The copies Eqs. 2-3 charge (ghost placement entries — index
-        # corruption awaiting the guard's repair — have no copy to price).
+        # The copies Eqs. 2-3 charge.
         bearing, master, g_key = priced_copies(self.partition, v, self.avg_degree)
         model = self.cost_model
         new_copies: Dict[int, float] = {}

@@ -72,10 +72,11 @@ def copy_keys(
     What all copies of ``v`` share — global degrees, mirror count, master,
     designated home — is read once; each copy adds three fragment-local
     integers.  ``hosts`` defaults to the placement index's entry; a host
-    whose fragment holds no copy (index corruption awaiting repair) is
-    skipped.  ``priced_only`` keeps just the copies Eqs. 2-3 charge, the
-    cost-bearing ones and the master's: one or two for an e-cut vertex,
-    however replicated.  Copies without a master raise ``KeyError``.
+    whose fragment holds no copy is skipped (what makes :func:`copy_key`
+    raise ``KeyError`` for it).  ``priced_only`` keeps just the copies
+    Eqs. 2-3 charge, the cost-bearing ones and the master's: one or two
+    for an e-cut vertex, however replicated.  Copies without a master
+    raise ``KeyError``.
     """
     if hosts is None:
         hosts = partition._placement.get(v)
@@ -122,61 +123,46 @@ def priced_copies(
     ``bearing`` holds ``(fid, key)`` per cost-bearing copy (``h`` is charged
     at each ``fid``); ``g_key`` is the master copy's key when ``v`` is
     replicated and that copy exists (``g`` is charged at ``master``), else
-    ``None``.  An e-cut vertex whose home and master are both indexed hosts
-    holding a copy is read straight off the indexes.  Everything else (v-cut
-    vertices, ghost or lost hosts, a master at a non-host) takes the
-    :func:`copy_keys` pass, and a master copy the placement index lost is
-    still priced, off its fragment.
+    ``None``.  An e-cut vertex is read straight off the indexes; a v-cut
+    vertex takes the :func:`copy_keys` pass.
     """
     hosts = partition._placement.get(v)
     if not hosts:
         return (), None, None
-    master = partition._masters.get(v)
+    master = partition._masters[v]
     total, d_in_g, d_out_g = partition._graph_facts.get(v) or partition._facts(v)
     home = partition._home(v, total)
     fragments = partition.fragments
-    if home is not None and home in hosts and master in hosts:
+    if home is not None:
         fragment = fragments[home]
-        bucket = fragment._incident.get(v)
+        bucket = fragment._incident[v]
         there = fragments[master]
-        far = bucket if master == home else there._incident.get(v)
-        if bucket is not None and far is not None:
-            d_in_g, d_out_g, d_g = float(d_in_g), float(d_out_g), float(total)
-            mirrors, avg_degree = float(len(hosts) - 1), float(avg_degree)
-            key = (
-                float(fragment._in_deg.get(v, 0)), float(fragment._out_deg.get(v, 0)),
-                d_in_g, d_out_g, mirrors, avg_degree,
-                0.0, float(len(bucket)), d_g, 1.0 if master == home else 0.0,
-            )
-            if master == home:
-                return ((home, key),), master, key if mirrors else None
-            return ((home, key),), master, (
-                float(there._in_deg.get(v, 0)), float(there._out_deg.get(v, 0)),
-                d_in_g, d_out_g, mirrors, avg_degree,
-                1.0, float(len(far)), d_g, 1.0,
-            )
+        d_in_g, d_out_g, d_g = float(d_in_g), float(d_out_g), float(total)
+        mirrors, avg_degree = float(len(hosts) - 1), float(avg_degree)
+        key = (
+            float(fragment._in_deg.get(v, 0)), float(fragment._out_deg.get(v, 0)),
+            d_in_g, d_out_g, mirrors, avg_degree,
+            0.0, float(len(bucket)), d_g, 1.0 if master == home else 0.0,
+        )
+        if master == home:
+            return ((home, key),), master, key if mirrors else None
+        return ((home, key),), master, (
+            float(there._in_deg.get(v, 0)), float(there._out_deg.get(v, 0)),
+            d_in_g, d_out_g, mirrors, avg_degree,
+            1.0, float(len(there._incident[v])), d_g, 1.0,
+        )
     copies = copy_keys(partition, v, avg_degree, priced_only=True)
     g_key = None
     if len(hosts) > 1:
-        for fid, _bearing, g_key in copies:
-            if fid == master:
-                break
-        else:
-            g_key = None
-            if master is not None:
-                try:
-                    g_key = copy_key(partition, v, master, avg_degree)[1]
-                except KeyError:
-                    pass  # the master points at a fragment with no copy
+        g_key = next(key for fid, _bearing, key in copies if fid == master)
     return [(fid, key) for fid, bearing, key in copies if bearing], master, g_key
 
 
 def copy_key(
     partition: HybridPartition, v: int, fid: int, avg_degree: Optional[float] = None
 ) -> Tuple[bool, FeatureKey]:
-    """``(cost_bearing, key)`` of the copy of ``v`` at ``fid``, read off the
-    fragment (so it answers for a copy the placement index lost track of);
-    ``KeyError`` when there is none.  ``avg_degree`` defaults to the graph's.
+    """``(cost_bearing, key)`` of the copy of ``v`` at ``fid``; ``KeyError``
+    when there is none.  ``avg_degree`` defaults to the graph's.
     """
     if avg_degree is None:
         avg_degree = average_degree(partition.graph)

@@ -1,44 +1,24 @@
-"""Partition integrity: watchdogs, chaos injection, repair, and guards.
+"""Guarded refinement: budgets, best-so-far snapshots, a post-pass check.
 
-The refinement algorithms of Sections 5-6 assume two things the real
-world does not grant: that the learned cost model only ever returns
-sane numbers, and that every move leaves the :class:`~repro.partition.
-hybrid.HybridPartition` structurally valid.  This package removes both
-assumptions (see DESIGN.md §6):
-
-* :mod:`~repro.integrity.watchdog` — an incremental variant of
-  :func:`repro.partition.validation.check_partition` that re-verifies
-  only the vertices touched since the last check and returns structured
-  violation reports instead of raising;
-* :mod:`~repro.integrity.chaos` — a seeded, deterministic corruption
-  driver (the partition-side mirror of :mod:`repro.runtime.faults`)
-  so detection and repair are actually testable;
-* :mod:`~repro.integrity.repair` — local repair that re-derives the
-  placement / full-copy / master indexes from fragment contents;
-* :mod:`~repro.integrity.guard` — the harness the refiners call at a
-  configurable cadence: check, repair or roll back to the last good
-  snapshot, enforce step/wall-clock budgets, and keep the best
-  partition seen for graceful early stops.
+The refinement algorithms of Sections 5-6 trust two things: that the
+learned cost model only ever returns sane numbers, and that a pass
+finishes in reasonable time.  :mod:`~repro.integrity.guard` bounds the
+second (step and wall-clock budgets that early-stop with the best
+partition seen) and checks the result once after the pass; the cost
+model's guardrails live in :mod:`repro.costmodel.guarded` (see
+DESIGN.md §6).
 """
 
-from repro.integrity.chaos import ChaosPlan, Corruption, PartitionChaos
 from repro.integrity.guard import (
     GuardConfig,
     GuardStats,
     RefinementBudgetExceeded,
     RefinementGuard,
 )
-from repro.integrity.repair import repair_indexes
-from repro.integrity.watchdog import InvariantWatchdog
 
 __all__ = [
-    "ChaosPlan",
-    "Corruption",
-    "PartitionChaos",
     "GuardConfig",
     "GuardStats",
     "RefinementBudgetExceeded",
     "RefinementGuard",
-    "repair_indexes",
-    "InvariantWatchdog",
 ]

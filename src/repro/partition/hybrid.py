@@ -347,16 +347,9 @@ class HybridPartition:
             raise KeyError(f"vertex {v} has no copies in the partition") from None
 
     def set_master(self, v: int, fid: int) -> None:
-        """Reassign the master of ``v`` to fragment ``fid`` (MAssign).
-
-        The fragment, not the placement index, decides whether ``fid``
-        holds a copy: a stale index entry (state corruption, as
-        ``add_vertex_to`` heals) is restored rather than refused.
-        """
+        """Reassign the master of ``v`` to fragment ``fid`` (MAssign)."""
         if fid not in self._placement.get(v, ()):
-            if not self.fragments[fid].has_vertex(v):
-                raise ValueError(f"fragment {fid} holds no copy of vertex {v}")
-            self.add_vertex_to(fid, v)
+            raise ValueError(f"fragment {fid} holds no copy of vertex {v}")
         if self._masters.get(v) != fid:
             self._masters[v] = fid
             self._notify(v)
@@ -365,21 +358,12 @@ class HybridPartition:
     # Mutation primitives
     # ------------------------------------------------------------------
     def add_vertex_to(self, fid: int, v: int) -> bool:
-        """Ensure a copy of ``v`` in fragment ``fid``; True if newly added.
-
-        Also heals a stale placement index: if the fragment already holds
-        the copy but ``_placement`` does not record it (state corruption,
-        e.g. injected by chaos tests), the index entry is restored so a
-        subsequent ``set_master(v, fid)`` cannot fail against reality.
-        """
+        """Ensure a copy of ``v`` in fragment ``fid``; True if newly added."""
         added = self.fragments[fid]._add_vertex(v)
-        stale = not added and fid not in self._placement.get(v, ())
-        if added or stale:
+        if added:
             self._place(v, fid)
             if self._facts(v)[0] == 0:
                 self._full.setdefault(v, set()).add(fid)
-            elif stale:
-                self._refresh_fullness(v, fid)
             self._notify(v)
         return added
 
@@ -390,28 +374,19 @@ class HybridPartition:
             self._notify(v)
 
     def _prune(self, fid: int, v: int) -> None:
-        """Drop the edge-free copy of ``v`` at ``fid`` from fragment and indexes.
-
-        An index that runs out of hosts asks the fragments before ``v`` is
-        declared gone: one that lost track of a copy (state corruption, as
-        ``add_vertex_to`` heals) must not take a live vertex's master.
-        """
+        """Drop the edge-free copy of ``v`` at ``fid`` from fragment and indexes."""
         self.fragments[fid]._remove_vertex(v)
-        hosts = self._placement.get(v)
-        if hosts is not None:
-            hosts.discard(fid)
+        hosts = self._placement[v]
+        hosts.discard(fid)
         full = self._full.get(v)
         if full is not None:
             full.discard(fid)
         if not hosts:
-            hosts = {f.fid for f in self.fragments if v in f._incident}
-            if not hosts:
-                self._placement.pop(v, None)
-                self._masters.pop(v, None)
-                self._full.pop(v, None)
-                return
-            self._placement[v] = hosts
-        if self._masters.get(v) == fid:
+            del self._placement[v]
+            del self._masters[v]
+            self._full.pop(v, None)
+            return
+        if self._masters[v] == fid:
             self._masters[v] = min(hosts)
 
     def add_edge_to(self, fid: int, edge: Edge) -> bool:

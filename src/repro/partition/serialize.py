@@ -88,8 +88,8 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
     identity: fragments, placement, full-copy, and master indexes are
     rebuilt from the payload while registered listeners stay attached
     (every restored vertex is re-notified so incremental cost trackers
-    reprice lazily).  This is the rollback primitive of the guarded
-    refinement pipeline (:mod:`repro.integrity.guard`).
+    reprice lazily).  This is how the refinement guard restores its
+    best-so-far snapshot (:mod:`repro.integrity.guard`).
     """
     if int(data["num_fragments"]) != partition.num_fragments:
         raise ValueError(
@@ -98,9 +98,8 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
             f"{partition.num_fragments}"
         )
     # Vertices placed before the restore must be re-priced even if the
-    # snapshot no longer places them (it always does — coverage holds in
-    # any snapshot of a valid partition — but corrupted pre-restore
-    # state may hold extras).
+    # snapshot no longer places them (a snapshot of a valid partition
+    # always does; one taken mid-construction may not).
     stale = {v for v, _hosts in partition.vertex_fragments()}
     partition.fragments = [
         Fragment(fid, partition.graph.directed)

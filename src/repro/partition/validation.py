@@ -9,18 +9,16 @@ and every refiner must leave the partition in a state where
 Two entry points share one implementation:
 
 * :func:`collect_violations` walks the partition and returns a
-  structured, non-raising report — the basis of the incremental
-  :class:`repro.integrity.watchdog.InvariantWatchdog` that guards the
-  refiners in production;
+  structured, non-raising report of every violation;
 * :func:`check_partition` raises :class:`PartitionInvariantError` on the
-  first violation, preserving the original fail-fast API (and its exact
-  messages) for tests.
+  first violation — the fail-fast API the tests and the refinement
+  guard's post-pass check use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.partition.hybrid import HybridPartition, NodeRole
 
@@ -61,11 +59,11 @@ class Violation:
 
 
 def _vertex_index_violations(partition: HybridPartition, v: int) -> List[Violation]:
-    """Master / role / full-index checks for one vertex (defensive).
+    """Master / role / full-index checks for one vertex.
 
-    Unlike the historical checker this never raises on corrupted
-    internal indexes: a placement entry pointing at a fragment without a
-    copy becomes a ``placement-ghost`` violation rather than a KeyError.
+    Never raises on inconsistent indexes: a placement entry pointing at
+    a fragment without a copy becomes a ``placement-ghost`` violation
+    rather than a KeyError.
     """
     out: List[Violation] = []
     hosts = partition.placement(v)
@@ -189,95 +187,7 @@ def _fragment_violations(
     return out
 
 
-def vertex_violations(
-    partition: HybridPartition, v: int, coverage: bool = True
-) -> List[Violation]:
-    """Every invariant check scoped to one vertex.
-
-    The unit of work of the incremental watchdog: coverage of ``v`` and
-    its incident edges, placement-index agreement in both directions,
-    master/role/full-index consistency.  Never raises, even on corrupted
-    internal indexes.
-
-    With ``coverage=False`` the vertex/edge coverage checks are skipped —
-    the composite refiners build their output partitions incrementally,
-    so mid-construction states legitimately cover only part of the graph
-    while the index invariants must hold throughout.
-    """
-    graph = partition.graph
-    out: List[Violation] = []
-    host_fragments = [
-        fragment for fragment in partition.fragments if fragment.has_vertex(v)
-    ]
-    hosts = partition.placement(v)
-    if not host_fragments:
-        if coverage and 0 <= v < graph.num_vertices:
-            out.append(
-                Violation(
-                    "vertex-coverage",
-                    f"vertices not covered by any fragment: [{v}]",
-                    vertex=v,
-                )
-            )
-        for fid in sorted(hosts):
-            out.append(
-                Violation(
-                    "placement-ghost",
-                    f"placement index lists fragment {fid} without a copy of vertex {v}",
-                    fid=fid,
-                    vertex=v,
-                )
-            )
-        return out
-    for fragment in host_fragments:
-        if fragment.fid not in hosts:
-            out.append(
-                Violation(
-                    "placement-index",
-                    f"placement index missing fragment {fragment.fid} for vertex {v}",
-                    fid=fragment.fid,
-                    vertex=v,
-                )
-            )
-        for edge in fragment.incident(v):
-            u, w = edge
-            if not graph.has_edge(u, w):
-                out.append(
-                    Violation(
-                        "edge-graph",
-                        f"edge {edge} not in graph",
-                        fid=fragment.fid,
-                        edge=edge,
-                    )
-                )
-            if not fragment.has_vertex(u) or not fragment.has_vertex(w):
-                out.append(
-                    Violation(
-                        "endpoint",
-                        f"fragment {fragment.fid} holds edge {edge} without endpoints",
-                        fid=fragment.fid,
-                        edge=edge,
-                    )
-                )
-    if coverage:
-        for edge in graph.incident_edges(v):
-            if not any(fragment.has_edge(edge) for fragment in host_fragments):
-                out.append(
-                    Violation(
-                        "edge-coverage",
-                        f"edges not covered by any fragment: [{edge}]",
-                        vertex=v,
-                        edge=edge,
-                    )
-                )
-    out.extend(_vertex_index_violations(partition, v))
-    return out
-
-
-def collect_violations(
-    partition: HybridPartition,
-    fragments: Optional[Sequence[int]] = None,
-) -> List[Violation]:
+def collect_violations(partition: HybridPartition) -> List[Violation]:
     """Collect every invariant violation without raising.
 
     Invariants checked (Section 2):
@@ -293,53 +203,35 @@ def collect_violations(
        every non-empty copy of a v-cut vertex must be VCUT;
     7. the cached full-copy index (which role tags derive from) agrees
        with fragment contents.
-
-    With ``fragments`` (a sequence of fragment ids) the scan is scoped to
-    those fragments and the vertices they host; the *global* coverage
-    invariants (1-2), which cannot be decided from a subset, are skipped.
-    This is what makes the incremental watchdog cheap.
     """
     graph = partition.graph
-    scoped = fragments is not None
-    frag_list = (
-        partition.fragments
-        if not scoped
-        else [partition.fragments[fid] for fid in fragments]
-    )
     violations: List[Violation] = []
     seen_vertices = set()
     seen_edges = set()
-    for fragment in frag_list:
+    for fragment in partition.fragments:
         violations.extend(_fragment_violations(partition, fragment))
         seen_vertices.update(fragment.vertices())
         seen_edges.update(fragment.edges())
 
-    if not scoped:
-        missing_vertices = set(graph.vertices) - seen_vertices
-        if missing_vertices:
-            message = (
-                f"vertices not covered by any fragment: {sorted(missing_vertices)[:5]}..."
-                if len(missing_vertices) > 5
-                else f"vertices not covered by any fragment: {sorted(missing_vertices)}"
-            )
-            violations.append(Violation("vertex-coverage", message))
-        missing_edges = set(graph.edges()) - seen_edges
-        if missing_edges:
-            sample = sorted(missing_edges)[:5]
-            violations.append(
-                Violation(
-                    "edge-coverage",
-                    f"edges not covered by any fragment: {sample}",
-                    edge=sample[0],
-                )
-            )
-        vertices: Iterable[int] = (
-            v for v, _hosts in partition.vertex_fragments()
+    missing_vertices = set(graph.vertices) - seen_vertices
+    if missing_vertices:
+        message = (
+            f"vertices not covered by any fragment: {sorted(missing_vertices)[:5]}..."
+            if len(missing_vertices) > 5
+            else f"vertices not covered by any fragment: {sorted(missing_vertices)}"
         )
-    else:
-        vertices = sorted(seen_vertices)
-
-    for v in vertices:
+        violations.append(Violation("vertex-coverage", message))
+    missing_edges = set(graph.edges()) - seen_edges
+    if missing_edges:
+        sample = sorted(missing_edges)[:5]
+        violations.append(
+            Violation(
+                "edge-coverage",
+                f"edges not covered by any fragment: {sample}",
+                edge=sample[0],
+            )
+        )
+    for v, _hosts in partition.vertex_fragments():
         violations.extend(_vertex_index_violations(partition, v))
     return violations
 

@@ -1,13 +1,12 @@
-"""Failure traces: record/replay for every injection stack.
+"""Failure traces: record/replay for the fault injector.
 
-The repository injects failures in two places — the BSP substrate
-(:mod:`repro.runtime.faults`) and the partition state
-(:mod:`repro.integrity.chaos`).  Both draw their fates from
-seeded counter-keyed hashes, which makes any chaotic run reproducible
-*given the same configuration*.  A :class:`FailureTrace` removes even
-that caveat: while a run executes, every drawn fate that actually fires
-is appended as a :class:`TraceEvent`; replaying the trace feeds those
-exact events back to the injectors, bypassing the seeded hash entirely.
+The repository injects failures into the BSP substrate
+(:mod:`repro.runtime.faults`), drawing fates from seeded counter-keyed
+hashes, which makes any faulty run reproducible *given the same
+configuration*.  A :class:`FailureTrace` removes even that caveat:
+while a run executes, every drawn fate that actually fires is appended
+as a :class:`TraceEvent`; replaying the trace feeds those exact events
+back to the injector, bypassing the seeded hash entirely.
 A CI flake, a fuzzing hit, or a production incident thereby becomes a
 small JSONL file that reproduces forever — and can be *minimized* by
 greedily dropping events while the failure keeps reproducing
@@ -29,15 +28,13 @@ Trace file format (JSONL, one object per line):
   runtime    algorithm name            ``message`` / msg counter ``{"fate": "drop"|"duplicate"}``
   runtime    algorithm name            ``crash`` / superstep     ``{"worker": w}``
   runtime    algorithm name            ``loss`` / superstep      ``{"worker": w}``
-  integrity  chaos salt                ``corruption`` / step     re-applicable corruption op
   ========== ========================= ======================== =======
 
-Only non-benign fates are recorded (a delivered message, a step with no
-corruption produce no event), so removing
-an event from a trace makes exactly that one injection benign — which is
-what makes greedy minimization well-defined.
+Only non-benign fates are recorded (a delivered message produces no
+event), so removing an event from a trace makes exactly that one
+injection benign — which is what makes greedy minimization well-defined.
 
-This module is dependency-free on purpose: the injector modules import
+This module is dependency-free on purpose: the injector module imports
 it, never the other way around.
 """
 
@@ -55,10 +52,10 @@ TRACE_FORMAT = 1
 class TraceEvent:
     """One recorded injection (a fate that actually fired)."""
 
-    stream: str  # "runtime" | "integrity"
-    scope: str  # algorithm name / chaos salt
-    kind: str  # "message" | "crash" | "loss" | "corruption"
-    index: int  # message counter / superstep / step counter
+    stream: str  # "runtime"
+    scope: str  # algorithm name
+    kind: str  # "message" | "crash" | "loss"
+    index: int  # message counter / superstep
     payload: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -163,12 +160,6 @@ class FailureTrace:
             [e for e in self.events if e.stream == "runtime" and e.scope == scope]
         )
 
-    def integrity_replay(self, scope: str) -> "IntegrityReplay":
-        """Replay cursor over this trace's integrity events for ``scope``."""
-        return IntegrityReplay(
-            [e for e in self.events if e.stream == "integrity" and e.scope == scope]
-        )
-
 
 class RuntimeReplay:
     """Per-run lookup of recorded BSP substrate fates."""
@@ -200,19 +191,6 @@ class RuntimeReplay:
     def lost_workers(self, superstep: int) -> List[int]:
         """Workers recorded as permanently lost at ``superstep``."""
         return list(self._losses.get(superstep, ()))
-
-
-class IntegrityReplay:
-    """Per-guard lookup of recorded partition corruptions."""
-
-    def __init__(self, events: List[TraceEvent]) -> None:
-        self.corruptions: Dict[int, Dict[str, Any]] = {
-            event.index: dict(event.payload) for event in events
-        }
-
-    def corruption_at(self, step: int) -> Optional[Dict[str, Any]]:
-        """Corruption payload recorded for guard step ``step``, if any."""
-        return self.corruptions.get(step)
 
 
 # ----------------------------------------------------------------------

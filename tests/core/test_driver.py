@@ -76,7 +76,7 @@ def _build(case: str, monkeypatch):
         use_direct_scorer(monkeypatch)
     refiner = refiner_cls(
         builtin_cost_model("pr"),
-        guard_config=GuardConfig(check_interval=16)
+        guard_config=GuardConfig(snapshot_interval=16)
         if guard == "guard_on"
         else None,
         cluster_spec=SPECS[spec],
@@ -169,7 +169,7 @@ def _run(name, refiner, partition):
     return refiner.refine(partition)
 
 
-@pytest.mark.parametrize("guard", [None, GuardConfig(check_interval=4)])
+@pytest.mark.parametrize("guard", [None, GuardConfig(snapshot_interval=4)])
 @pytest.mark.parametrize("name", sorted(ALL_REFINERS))
 def test_spec_mismatch_leaks_no_listener(name, guard):
     refiner_cls, make = ALL_REFINERS[name]
@@ -199,7 +199,7 @@ class _FusedPolynomial:
         return self.base.evaluate(features)
 
 
-@pytest.mark.parametrize("guard", [None, GuardConfig(check_interval=4)])
+@pytest.mark.parametrize("guard", [None, GuardConfig(snapshot_interval=4)])
 @pytest.mark.parametrize("name", sorted(ALL_REFINERS))
 def test_failing_cost_model_leaks_no_listener(name, guard):
     """``h_value`` raising on the N-th call — during the tracker

@@ -156,6 +156,40 @@ def test_partition_with_refinement(graph_file, tmp_path, capsys):
     assert "pr-driven refinement" in out
 
 
+def test_partition_refine_wall_clock_budget_early_stops(graph_file, tmp_path, capsys):
+    from repro.graph.io import read_edge_list
+    from repro.partition.serialize import load_partition
+    from repro.partition.validation import check_partition
+
+    part_file = tmp_path / "p.json"
+    rc = main(
+        [
+            "partition", "--graph", str(graph_file), "--partitioner", "fennel",
+            "--fragments", "3", "--refine", "pr", "--max-refine-seconds", "1e-9",
+            "--out", str(part_file),
+        ]
+    )
+    assert rc == 0
+    guard_line = next(
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith("guard:")
+    )
+    assert "early-stopped" in guard_line
+    assert "snapshots" in guard_line
+    check_partition(load_partition(part_file, read_edge_list(graph_file)))
+
+
+def test_max_refine_seconds_requires_refine(graph_file, tmp_path, capsys):
+    rc = main(
+        [
+            "partition", "--graph", str(graph_file), "--max-refine-seconds", "1",
+            "--out", str(tmp_path / "p.json"),
+        ]
+    )
+    assert rc == 2
+    assert "requires --refine" in capsys.readouterr().err
+
+
 def test_refine_hybrid_baseline_rejected(graph_file, tmp_path, capsys):
     rc = main(
         [

@@ -160,34 +160,6 @@ class TestMutations:
         p.remove_edge_from(0, (0, 2))
         assert p.full_fragments(0) == frozenset()
 
-    @pytest.mark.parametrize("master", [1, 2])
-    def test_removal_consults_the_fragments_before_a_vertex_is_gone(self, master):
-        """A placement index that lost a host (chaos "drop") must not take
-        the master of a vertex that still has a copy, nor crash when that
-        copy goes too."""
-        p = HybridPartition(Graph(4, [(0, 1), (1, 2)]), 3)
-        v = 3
-        p.add_vertex_to(1, v)
-        p.add_vertex_to(2, v)
-        p.set_master(v, master)
-        p._placement[v].discard(1)  # the index forgets the copy at fragment 1
-        p.remove_vertex_from(2, v)  # the last *indexed* copy
-        assert p.fragments[1].has_vertex(v)
-        assert p.placement(v) == frozenset({1})  # healed off the fragments
-        assert p.master(v) == 1  # kept, or re-elected among the real hosts
-        p.remove_vertex_from(1, v)  # used to raise AttributeError
-        assert v not in p._placement and v not in p._masters and v not in p._full
-
-    def test_pruning_an_unindexed_copy_never_raises(self, tiny):
-        p = HybridPartition(tiny, 2)
-        p.add_edge_to(0, (0, 1))
-        p.add_edge_to(1, (0, 1))
-        del p._placement[0]  # the whole entry lost
-        p.remove_edge_from(1, (0, 1), prune=False)
-        p.remove_vertex_from(1, 0)
-        assert p.placement(0) == frozenset({0})
-        assert p.master(0) == 0
-
     def test_listener_fires_on_mutation(self, tiny):
         p = HybridPartition(tiny, 2)
         touched = []
