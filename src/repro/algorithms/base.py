@@ -172,18 +172,26 @@ def iterations_param(params: Dict[str, Any], name: str, default: int) -> int:
     return int(value)
 
 
-def global_or(cluster: Cluster, flags: Dict[int, bool]) -> bool:
-    """Reduce per-worker booleans to a global OR (two supersteps).
+def global_or(
+    cluster: Cluster, flags: Union[np.ndarray, Dict[int, bool]]
+) -> bool:
+    """Reduce per-worker flags to a global OR (two supersteps).
 
-    Worker 0 coordinates; used for convergence detection in WCC/SSSP.
-    Each way is one ``send_batch`` of one-byte messages — every worker in
-    ``flags`` to worker 0, then worker 0 to every worker — accounted like
-    the per-worker sends they stand for; no payload travels, since the
-    result is known the moment the flags are.
+    ``flags`` is one entry per worker (an array; every worker votes) or a
+    ``{worker: flag}`` dict of the voters.  Worker 0 coordinates; used for
+    convergence detection in WCC/SSSP.  Each way is one ``send_batch`` of
+    one-byte messages — every voter to worker 0, then worker 0 to every
+    worker — accounted like the per-worker sends they stand for; no
+    payload travels, since the result is known the moment the flags are.
     """
-    senders = np.fromiter(flags, np.int64, len(flags))
-    cluster.send_batch(senders, np.zeros_like(senders), 1.0)
+    if isinstance(flags, dict):
+        voters = np.fromiter(flags, np.int64, len(flags))
+        vote = any(flags.values())
+    else:
+        voters = cluster.workers
+        vote = bool(flags.any())
+    cluster.send_batch(voters, np.zeros_like(voters), 1.0)
     cluster.deliver()
-    cluster.send_batch(0, np.arange(cluster.num_workers), 1.0)
+    cluster.send_batch(0, cluster.workers, 1.0)
     cluster.deliver()
-    return any(flags.values())
+    return vote

@@ -13,7 +13,8 @@ Example 1.  Under a hybrid partition:
 A degree threshold ``theta`` skips high-degree common neighbors, the
 memory-control practice the paper applies to Twitter (Exp-1: θ = 300);
 that eligibility mask is the ``cn`` row of
-:data:`~repro.runtime.kernels.KERNELS`, reached through ``Cluster.map``.
+:data:`~repro.runtime.kernels.KERNELS`, reached through one
+``Cluster.map`` over every copy.
 
 Result values: total pair count, or a ``{(u, w): count}`` mapping when
 ``return_pairs=True`` (tests use the mapping; benchmarks the scalar).
@@ -77,9 +78,12 @@ class CommonNeighbors(Algorithm):
         # their local in-neighbor lists to the master.
         vcut_parts = []
         kernel = KERNELS["cn"]
+        tables = kernel.tables(plan)
         fids = [f.fid for f in partition.fragments if plan.verts(f.fid).size]
-        masks = cluster.map(kernel, kernel.all_tables(plan), (), fids, (theta,))
-        for fid, eligible in zip(fids, masks):
+        mask = cluster.map(kernel, tables, (), fids, (theta,))
+        cuts = tables.cuts["copies"]
+        for fid in fids:
+            eligible = mask[cuts[fid] : cuts[fid + 1]]
             if not eligible.any():
                 continue
             verts = plan.verts(fid)

@@ -11,8 +11,9 @@ per replicated vertex is proportional to its mirror count ``r`` —
 ``g_PR ∝ r``.
 
 The run is vectorized over the partition's
-:class:`~repro.runtime.plan.FragmentPlan` — the per-fragment scatter is
-the ``pr`` row of :data:`~repro.runtime.kernels.KERNELS` — and the scalar
+:class:`~repro.runtime.plan.FragmentPlan` — the scatter is the ``pr`` row
+of :data:`~repro.runtime.kernels.KERNELS`, one call per superstep over the
+plan's copy space — and the scalar
 loop it replaced is the test suite's differential oracle
 (``scalar_runs``), which charges the cost model bit for bit the same.
 """
@@ -77,19 +78,14 @@ class PageRank(Algorithm):
         # Which vertices each fragment scatters to is fixed for the run,
         # so the fragments that scatter at all and the sync's selection
         # are worked out once, outside the loop.
-        scatters = kernel.all_tables(plan)
-        fids = [fid for fid, sc in enumerate(scatters) if sc.src_slots.size]
-        ops = np.concatenate([sc.ops for sc in scatters])
-        touched = ops > 0
-        step = route.select(touched)
-        sums = np.zeros(route.size)
+        scatter = kernel.tables(plan)
+        bounds = scatter.cuts["scatter"]
+        fids = [fid for fid in range(plan.num_fragments) if bounds[fid] < bounds[fid + 1]]
+        step = route.select(scatter.ops > 0)
 
         for _ in range(iterations):
-            scattered = cluster.map(kernel, scatters, (views,), fids)
-            cluster.charge_bulk(route.copy_fid, ops, vertices=route.copy_id)
-            for fid, out in zip(fids, scattered):
-                sums[route.offsets[fid] : route.offsets[fid + 1]] = out
-
+            sums = cluster.map(kernel, scatter, (ranks,), fids)
+            cluster.charge_bulk(route.copy_fid, scatter.ops, vertices=route.copy_id)
             receivers, vals = route.run(
                 cluster,
                 step,

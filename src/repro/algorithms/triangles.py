@@ -14,12 +14,14 @@ pairs of its oriented out-neighbors and verifies the closing edge:
 Pivots that are v-cut first merge their partial neighbor lists at the
 master (as CN does), deduplicating replicated edges.
 
-Each fragment's e-cut wedges and the local closing-edge test are the
-``tc`` row of :data:`~repro.runtime.kernels.KERNELS`, reached through
-``Cluster.map``.  From there the run is array-native: every missed wedge
-expands through the plan's query-target table, and each superstep is one
-message stream in the scalar send order, cut every :data:`STRIDE`
-messages into multi-sender ``send_batch`` calls.  Superstep 1 mixes
+The e-cut wedges and the local closing-edge test are the ``tc`` row of
+:data:`~repro.runtime.kernels.KERNELS`, reached through one
+``Cluster.map`` over every fragment's pivots; its table's fragment-keyed
+edge set answers every later closing-edge test too.  From there the run
+is array-native: every missed wedge expands through the plan's
+query-target table, and each superstep is one message stream in the
+scalar send order, cut every :data:`STRIDE` messages into multi-sender
+``send_batch`` calls.  Superstep 1 mixes
 queries with ``inlist`` blocks (vertices plus a CSR into one flat neighbor
 column), so it is accounted payload-less and each kind is ``post``-ed.
 The one-message-at-a-time loop it replaced is the test suite's
@@ -89,10 +91,6 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         owed[:] = [np.concatenate(owed)]
         return owed[0]
 
-    def stores(fid: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether ``fid`` stores the closing edge of each wedge ``(a, b)``."""
-        return closing(plan.edge_keys(fid), a, b, kb, directed)
-
     def snapshot() -> Tuple[int, Dict[int, List]]:
         """The scalar route's ``(triangles, pending)``, built only on demand."""
         left = fold()
@@ -128,13 +126,19 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         return wedge, (src, dst, *cols)
 
     # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
-    # The kernel enumerates each fragment's e-cut wedges and hands back
-    # those whose closing edge it does not store; the sends stay here.
+    # The kernel enumerates the e-cut wedges and hands back those whose
+    # closing edge the pivot's fragment does not store (fragment-major);
+    # the sends stay here.
     kernel = KERNELS["tc"]
-    ecut = kernel.all_tables(plan)
-    fids = [fid for fid in workers if ecut[fid].bound]
-    missed = dict(zip(fids, cluster.map(kernel, ecut, (), fids, (kb, directed))))
-    misses, inlists = [(_EMPTY,) * 5], [(_EMPTY,) * 5]
+    ecut = kernel.tables(plan)
+    pairs = ecut.ks * (ecut.ks - 1) // 2
+    fids = np.unique(ecut.fids[pairs > 0]).tolist()
+    wa, wb, wp = cluster.map(kernel, ecut, (), fids, (kb, directed))
+    triangles += int(pairs.sum()) - wa.size
+    row = np.searchsorted(ecut.eslots, wp)  # each missed wedge's pivot
+    src, pivots = ecut.fids[row], ecut.verts[row]
+    slot = wp - np.asarray(ecut.cuts["copies"])[src]
+    inlists = [(_EMPTY,) * 5]
     for fid in workers:
         verts = plan.verts(fid)
         roles = plan.roles(fid)
@@ -145,17 +149,12 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         cluster.charge_bulk(
             fid, np.maximum(1, t.counts[nondummy]), vertices=verts[nondummy]
         )
-        # k*(k-1) per pivot = the scalar C(k,2) upfront charge plus 1 per
-        # checked wedge.
-        ks = ecut[fid].ks
-        cluster.charge_bulk(fid, ks * (ks - 1), vertices=verts[ecut[fid].eslots])
-        wa, wb, wp = missed.get(fid, (_EMPTY,) * 3)  # (a, b, pivot slot)
-        triangles += ecut[fid].bound - wa.size
-        misses.append((np.full(wa.size, fid), wp, wa, wb, verts[wp]))
         vslots = nondummy[roles[nondummy] != ROLE_ECUT]
         idx, lens = gather_segments(t.indptr, vslots)
         inlists.append((np.full(lens.size, fid), vslots, verts[vslots], lens, t.nbrs[idx]))
-    src, slot, wa, wb, pivots = map(np.concatenate, zip(*misses))
+    # k*(k-1) per pivot = the scalar C(k,2) upfront charge plus 1 per
+    # checked wedge.
+    cluster.charge_bulk(ecut.fids, 2 * pairs, vertices=ecut.verts)
     wedge, (qsrc, qdst, qmv, qid, qa, qb) = expand(src, wa, wb, pivots)
     isrc, islot, iv, lens, nbrs = map(np.concatenate, zip(*inlists))
     idst = plan.master_of[iv]
@@ -191,10 +190,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         cluster.charge_bulk(at, ks * (ks - 1), vertices=pivots)
         wa, wb, row = wedges(nbr[np.lexsort((okey, pv))], starts, ks)
         src = at[row]
-        miss = np.ones(wa.size, dtype=bool)
-        for fid in workers:
-            here = np.flatnonzero(src == fid)
-            miss[here] = ~stores(fid, wa[here], wb[here])
+        miss = ~closing(ecut.ekeys, wa, wb, kb, directed, src)
         triangles += wa.size - int(miss.sum())
         # Queries leave in pivot order, which interleaves senders.
         _, msgs = expand(src[miss], wa[miss], wb[miss], pivots[row[miss]])
@@ -226,7 +222,8 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
                     np.concatenate([m[i] for m in queries]) for i in range(1, 5)
                 )
                 cluster.charge(fid, qid.size)
-                replies.append((np.full(qid.size, fid), ask, qid, stores(fid, qa, qb)))
+                hit = closing(ecut.ekeys, qa, qb, kb, directed, fid)
+                replies.append((np.full(qid.size, fid), ask, qid, hit))
         if replies:
             for s, d, *cols in _cuts(*map(np.concatenate, zip(*replies))):
                 cluster.send_batch(s, d, 9.0, payloads=("answer", *cols))

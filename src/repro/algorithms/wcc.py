@@ -10,10 +10,11 @@ Cost shape: per-copy work each round is proportional to its local degree
 gives ``g_WCC ∝ r`` (Table 5).
 
 The local relaxation is the ``wcc`` row of
-:data:`~repro.runtime.kernels.KERNELS` (``Cluster.map``); charges, the
-sync and the fixpoint test stay here.  Labels are one flat array over the
-plan's copy space (:class:`~repro.runtime.sync.SyncRoute`) that the
-kernel sees as per-fragment views.
+:data:`~repro.runtime.kernels.KERNELS` (``Cluster.map``, one call per
+superstep); charges, the sync and the fixpoint test stay here.  Labels
+are one flat array over the plan's copy space
+(:class:`~repro.runtime.sync.SyncRoute`), the space the kernel's tables
+index.
 """
 
 from __future__ import annotations
@@ -61,27 +62,24 @@ class WeaklyConnectedComponents(Algorithm):
             }
 
         cluster.set_snapshot(snapshot)
-        entries = kernel.all_tables(plan)
+        entries = kernel.tables(plan)
         fids = [fid for fid, arr in enumerate(views) if arr.size]
-        counts = np.concatenate([t.counts for t in entries])
-        border = np.concatenate([t.border for t in entries])
 
         for _ in range(max_iterations):
-            relaxed = cluster.map(kernel, entries, (views,), fids)
-            cluster.charge_bulk(route.copy_fid, counts, vertices=route.copy_id)
             # Relaxation never raises a label, so ``best`` is the label
             # every copy ships: improved ones and, improved or not, every
             # border copy, so mirrors learn of remote improvements.
-            best = np.concatenate([labels[:0], *relaxed])
+            best = cluster.map(kernel, entries, (labels,), fids)
+            cluster.charge_bulk(route.copy_fid, entries.counts, vertices=route.copy_id)
             receivers, vals = route.run(
-                cluster, route.select((best < labels) | border), best, reduce="min"
+                cluster, route.select((best < labels) | entries.border), best, reduce="min"
             )
 
             better = vals < labels[receivers]
             improved = receivers[better]
             labels[improved] = vals[better].astype(np.int64)
             changed = np.bincount(route.copy_fid[improved], minlength=route.num_workers)
-            if not global_or(cluster, dict(enumerate((changed > 0).tolist()))):
+            if not global_or(cluster, changed):
                 break
 
         return plan.master_values(dict(enumerate(views)))

@@ -16,7 +16,7 @@ milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,38 +59,35 @@ def _random_vertex_cut(
     return HybridPartition.from_edge_assignment(graph, assignment, num_fragments)
 
 
-def collect_training_data(
-    algorithm_name: str,
-    graphs: Sequence[Graph],
-    num_fragments: int = 4,
-    seed: int = 0,
-    algorithm_params: Optional[Dict] = None,
-) -> Tuple[List[Tuple[Mapping[str, float], float]], List[Tuple[Mapping[str, float], float]]]:
-    """Run ``algorithm_name`` over ``graphs`` and harvest training samples.
+Samples = List[Tuple[Mapping[str, float], float]]
 
-    Each graph is run twice: once under a random edge-cut and once under a
-    random vertex-cut, mirroring the paper's mixed training partitions.
 
-    Returns ``(comp_samples, comm_samples)`` as ``(features, cost)``
-    tuples ready for :func:`repro.costmodel.training.fit_cost_function`.
-    """
+def training_partitions(
+    graphs: Sequence[Graph], num_fragments: int = 4, seed: int = 0
+) -> Iterator[Tuple[Graph, HybridPartition]]:
+    """A random edge-cut then a random vertex-cut of each graph, drawn in
+    that order from one ``seed``-ed stream, one graph at a time."""
+    rng = np.random.default_rng(seed)
+    for graph in graphs:
+        yield graph, _random_edge_cut(graph, num_fragments, rng)
+        yield graph, _random_vertex_cut(graph, num_fragments, rng)
+
+
+def harvest(
+    algorithms: Mapping[str, Optional[Dict]],
+    partitions: Iterable[Tuple[Graph, HybridPartition]],
+) -> Dict[str, Tuple[Samples, Samples]]:
+    """Run every algorithm (name → run params) on each ``(graph,
+    partition)`` — runs leave a partition as it was, so one serves them
+    all — and harvest each one's ``(comp_samples, comm_samples)``."""
     from repro.algorithms.registry import get_algorithm
 
-    algorithm = get_algorithm(algorithm_name)
-    params = algorithm_params or {}
-    rng = np.random.default_rng(seed)
-    comp_samples: List[Tuple[Mapping[str, float], float]] = []
-    comm_samples: List[Tuple[Mapping[str, float], float]] = []
-
-    for graph in graphs:
-        partitions = (
-            _random_edge_cut(graph, num_fragments, rng),
-            _random_vertex_cut(graph, num_fragments, rng),
-        )
-        for partition in partitions:
-            result = algorithm.run(partition, **params)
-            profile = result.profile
-            avg = average_degree(graph)
+    samples: Dict[str, Tuple[Samples, Samples]] = {name: ([], []) for name in algorithms}
+    for graph, partition in partitions:
+        avg = average_degree(graph)
+        for name, params in algorithms.items():
+            profile = get_algorithm(name).run(partition, **(params or {})).profile
+            comp_samples, comm_samples = samples[name]
             for (fid, v), ops in profile.comp_ops_by_copy.items():
                 if ops <= 0:
                     continue
@@ -102,7 +99,26 @@ def collect_training_data(
                 fid = partition.master(v)
                 features = vertex_features(partition, v, fid, avg)
                 comm_samples.append((features, nbytes * BYTE_MILLISECONDS))
-    return comp_samples, comm_samples
+    return samples
+
+
+def collect_training_data(
+    algorithm_name: str,
+    graphs: Sequence[Graph],
+    num_fragments: int = 4,
+    seed: int = 0,
+    algorithm_params: Optional[Dict] = None,
+) -> Tuple[Samples, Samples]:
+    """Run ``algorithm_name`` over ``graphs`` and harvest training samples.
+
+    Each graph is run twice: once under a random edge-cut and once under a
+    random vertex-cut, mirroring the paper's mixed training partitions.
+
+    Returns ``(comp_samples, comm_samples)`` as ``(features, cost)``
+    tuples ready for :func:`repro.costmodel.training.fit_cost_function`.
+    """
+    partitions = training_partitions(graphs, num_fragments, seed)
+    return harvest({algorithm_name: algorithm_params}, partitions)[algorithm_name]
 
 
 def default_training_graphs(seed: int = 0, scale: int = 1) -> List[Graph]:

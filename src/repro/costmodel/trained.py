@@ -21,7 +21,11 @@ import os
 from functools import lru_cache
 from typing import Dict, Optional, Sequence
 
-from repro.costmodel.collection import collect_training_data, default_training_graphs
+from repro.costmodel.collection import (
+    default_training_graphs,
+    harvest,
+    training_partitions,
+)
 from repro.costmodel.model import CostModel
 from repro.costmodel.polynomial import Monomial, PolynomialCostFunction
 from repro.costmodel.training import fit_cost_function
@@ -73,14 +77,17 @@ def train_models(
     scale: int = 1,
     seed: int = 0,
 ) -> Dict[str, CostModel]:
-    """Train fresh cost models for ``algorithms`` on the simulator."""
+    """Train fresh cost models for ``algorithms`` on the simulator, every
+    one of them on the same random partitions of the training roster."""
     graphs = default_training_graphs(seed=seed, scale=scale)[:num_graphs]
+    samples = harvest(
+        {algorithm: TRAIN_PARAMS.get(algorithm) for algorithm in algorithms},
+        training_partitions(graphs, num_fragments=4, seed=seed),
+    )
     models: Dict[str, CostModel] = {}
     for algorithm in algorithms:
         params = TRAIN_PARAMS.get(algorithm)
-        comp, comm = collect_training_data(
-            algorithm, graphs, num_fragments=4, seed=seed, algorithm_params=params
-        )
+        comp, comm = samples[algorithm]
         h_report = fit_cost_function(
             comp,
             H_VARIABLES[algorithm],

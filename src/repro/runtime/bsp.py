@@ -18,8 +18,9 @@ a shared-memory shortcut on a real deployment.  :meth:`Cluster.charge_bulk`
 and :meth:`Cluster.send_batch` are the array forms; either may name one
 worker per entry, so a whole superstep is one call (:meth:`Cluster.post`
 enqueues payloads a payload-less ``send_batch`` accounted).  What they account
-lands in a per-worker float64 ledger that ``deliver`` reads and
-``finish`` folds into the :class:`RunProfile` dicts.
+lands in a per-worker float64 ledger that ``deliver`` reads; ``finish``
+folds the run totals into the :class:`RunProfile` and hands it the dense
+per-copy and per-master accumulators, which it folds on first read.
 
 Fault tolerance (optional, zero-cost when off)
 ----------------------------------------------
@@ -56,8 +57,7 @@ so algorithm results stay bit-identical to a clean run.
 from __future__ import annotations
 
 import time
-from itertools import repeat
-from operator import add, mul
+from operator import mul
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -72,6 +72,7 @@ from repro.runtime.instrumentation import (
     FailureEvent,
     RunProfile,
     SuperstepRecord,
+    fold,
 )
 from repro.runtime.parallel import ShmRunner, resolve_backend
 from repro.runtime.plan import gather_segments, plan_for
@@ -80,9 +81,10 @@ from repro.runtime.plan import gather_segments, plan_for
 class Cluster:
     """Simulated BSP worker pool over a hybrid partition.
 
-    Per-fragment array compute goes through :meth:`map`, in-process or in
-    shm worker processes (an algorithm cannot tell which); :meth:`close`
-    releases what the backend holds and must be reached on every exit path.
+    Array compute over the plan's copy space goes through :meth:`map`,
+    in-process or in shm worker processes (an algorithm cannot tell
+    which); :meth:`close` releases what the backend holds and must be
+    reached on every exit path.
     """
 
     def __init__(
@@ -103,6 +105,7 @@ class Cluster:
             )
         self.partition = partition
         self.num_workers = partition.num_fragments
+        self.workers = np.arange(self.num_workers, dtype=np.int64)
         self.clock = clock or CostClock()
         # Execution backend: where :meth:`map` calls a kernel — here
         # ("simulated") or in worker processes over shared memory ("shm").
@@ -119,23 +122,17 @@ class Cluster:
             spec.validate_for(self.num_workers)
         self._hetero_spec = effective_spec(spec)
         self._hetero = self._hetero_spec is not None
-        self._linkbw: Optional[np.ndarray] = None
-        self._step_link_bytes: Optional[np.ndarray] = None
-        if self._hetero:
-            bws = np.asarray(self._hetero_spec.bandwidths, dtype=np.float64)
-            linkbw = np.minimum.outer(bws, bws)
-            for lsrc, ldst, lbw in self._hetero_spec.links:
-                linkbw[lsrc, ldst] = lbw
-            np.fill_diagonal(linkbw, 1.0)  # local delivery is free anyway
-            self._linkbw = linkbw
-            self._step_link_bytes = np.zeros(
-                (self.num_workers, self.num_workers), dtype=np.float64
-            )
+        self._linkbw = self._link_bandwidths() if self._hetero else None
+        # the pending superstep's raw bytes per (src, dst) link
+        self._step_link_bytes = (
+            np.zeros((self.num_workers, self.num_workers)) if self._hetero else None
+        )
         self.profile = RunProfile(num_workers=self.num_workers)
         # The ledger: this superstep's and the run's per-worker ops and
-        # bytes, one float64 slot per worker.  The run totals, per-copy op
-        # counts and per-master byte counts are folded into the profile
-        # dicts once, in finish().
+        # bytes, one float64 slot per worker, and the run's per-copy op
+        # counts and per-master byte counts, one dense slot each (plus a
+        # trash slot for unattributed bytes).  finish() folds the run
+        # totals into the profile and hands it the dense accumulators.
         self._step_ops = np.zeros(self.num_workers)
         self._step_bytes = np.zeros(self.num_workers)
         self._ops_total = np.zeros(self.num_workers)
@@ -162,18 +159,29 @@ class Cluster:
         if checkpoint_interval:
             self.checkpoints = CheckpointManager(checkpoint_interval, snapshot)
 
-    def map(self, kernel, tables, state, fids, args=()) -> list:
-        """Run ``kernel`` over fragments ``fids``; one output per fid, in order.
+    def _link_bandwidths(self) -> np.ndarray:
+        """Effective bandwidth of every (src, dst) link of the hetero spec."""
+        bws = np.asarray(self._hetero_spec.bandwidths, dtype=np.float64)
+        linkbw = np.minimum.outer(bws, bws)
+        for lsrc, ldst, lbw in self._hetero_spec.links:
+            linkbw[lsrc, ldst] = lbw
+        np.fill_diagonal(linkbw, 1.0)  # local delivery is free anyway
+        return linkbw
 
-        ``tables`` is ``kernel.all_tables(plan)``, ``state`` a tuple of
-        per-fid array dicts, ``args`` the kernel's scalars.  The backend is
-        only *where* ``kernel.compute`` is called: here, or in worker
-        processes on shared views of the same tables.
+    def map(self, kernel, tables, state, fids, args=()):
+        """Run ``kernel`` over the plan's copy space; its output(s) per copy.
+
+        ``tables`` is ``kernel.tables(plan)``, ``state`` a tuple of
+        copy-space arrays, ``args`` the kernel's scalars.  ``fids`` are the
+        fragments with work: every other fragment's rows must be idle —
+        their output is ``kernel.fill`` — so a backend may skip them.  The
+        backend is only *where* ``kernel.compute`` is called: here, once
+        over every copy, or in worker processes on each fragment's rows of
+        the same tables.
         """
         if self._shm_runner is not None:
             return self._shm_runner.map(kernel, tables, state, fids, args)
-        compute = kernel.compute
-        return [compute(tables[f], *[s[f] for s in state], *args) for f in fids]
+        return kernel.compute(tables, *state, *args)
 
     def close(self) -> None:
         """Detach the shm workers and unlink the run's arena (idempotent)."""
@@ -205,7 +213,7 @@ class Cluster:
     def _check_fids(self, fids: np.ndarray, role: str) -> None:
         """:meth:`_check_fid` over an int64 array, in one pass when all are
         valid (a negative id, read as unsigned, is out of range too)."""
-        if fids.size and fids.view(np.uint64).max() >= self.num_workers:
+        if fids.size and np.maximum.reduce(fids.view(np.uint64)) >= self.num_workers:
             self._check_fid(int(fids[(fids < 0) | (fids >= self.num_workers)][0]), role)
 
     def _workers_of(self, fid, shape: tuple, role: str) -> np.ndarray:
@@ -256,28 +264,26 @@ class Cluster:
         ops[i], vertex=vertices[i])`` for every ``i``: totals are exact
         because every charge in the runtime is integer-valued (dyadic), so
         a ``bincount`` equals the scalar accumulation bit for bit.
-        Per-copy attribution lands in a dense accumulator folded into
-        ``profile.comp_ops_by_copy`` by :meth:`finish`.
+        Per-copy attribution lands in a dense accumulator that
+        :meth:`finish` hands to the profile.  A zero charge adds nothing
+        anywhere, so only negative ones need filtering out.
         """
         ops = np.asarray(ops, dtype=np.float64)
         fids = self._workers_of(fid, ops.shape, "charged")
-        positive = ops > 0
-        if not positive.any():
-            return
-        kept = ops[positive]
-        fids = fids[positive]
-        per_worker = np.bincount(fids, weights=kept, minlength=self.num_workers)
+        if vertices is not None:
+            vertices = np.asarray(vertices, dtype=np.int64)
+        if ops.size and np.minimum.reduce(ops) < 0:
+            kept = ops > 0
+            ops, fids = ops[kept], fids[kept]
+            vertices = None if vertices is None else vertices[kept]
+        per_worker = np.bincount(fids, ops, self.num_workers)
         self._step_ops += per_worker
         self._ops_total += per_worker
         if vertices is not None:
             n = self.partition.graph.num_vertices
             if self._copy_ops_acc is None:
                 self._copy_ops_acc = np.zeros(self.num_workers * n)
-            np.add.at(
-                self._copy_ops_acc,
-                fids * n + np.asarray(vertices, dtype=np.int64)[positive],
-                kept,
-            )
+            np.add.at(self._copy_ops_acc, fids * n + vertices, ops)
 
     def send_batch(
         self,
@@ -318,9 +324,13 @@ class Cluster:
                 )
         if payloads is not None:
             self.post(srcs, dsts, payloads)
-        remote = (dsts != srcs) & (wire > 0)
-        if not remote.all():
-            remote = np.flatnonzero(remote)
+        remote = dsts != srcs
+        if wire.ndim:
+            remote &= wire > 0
+        elif wire <= 0:
+            return
+        remote = remote.nonzero()[0]
+        if remote.size < dsts.size:
             if remote.size == 0:
                 return
             srcs, dsts = srcs[remote], dsts[remote]
@@ -352,14 +362,10 @@ class Cluster:
             # (byte counts are dyadic, the divided values need not be).
             np.add.at(self._step_link_bytes, (srcs, dsts), wire)
         if mv is not None:
-            attributed = mv >= 0
-            if attributed.any():
-                if self._master_bytes_acc is None:
-                    self._master_bytes_acc = np.zeros(
-                        self.partition.graph.num_vertices, dtype=np.float64
-                    )
-                share = wire[attributed] if wire.ndim else wire
-                np.add.at(self._master_bytes_acc, mv[attributed], share)
+            if self._master_bytes_acc is None:
+                # one slot per vertex and, last, the trash slot ``-1`` hits
+                self._master_bytes_acc = np.zeros(self.partition.graph.num_vertices + 1)
+            np.add.at(self._master_bytes_acc, mv, wire)
 
     def post(
         self, src: Union[int, np.ndarray], dsts: np.ndarray, payloads: Sequence[Any]
@@ -400,14 +406,9 @@ class Cluster:
             self._outbox[int(dsts[sel[0]])].append(tuple(block))
 
     def _fold_ledger(self) -> None:
-        """Fold the run totals and dense accumulators into the profile's dicts."""
-
-        def fold(into: Dict, keys: list, amounts: np.ndarray) -> None:
-            # On top of whatever scalar charges already attributed.
-            into.update(
-                zip(keys, map(add, map(into.get, keys, repeat(0.0)), amounts.tolist()))
-            )
-
+        """Fold the run totals into the profile's dicts and hand it the
+        charged entries of the dense accumulators, folded on first read —
+        each on top of whatever scalar charges already attributed."""
         for into, totals in (
             (self.profile.comp_ops_by_worker, self._ops_total),
             (self.profile.bytes_by_worker, self._bytes_total),
@@ -416,19 +417,14 @@ class Cluster:
             fold(into, charged.tolist(), totals[charged])
             totals.fill(0.0)
         if self._copy_ops_acc is not None:
+            acc, self._copy_ops_acc = self._copy_ops_acc, None
+            charged = np.flatnonzero(acc)
             n = self.partition.graph.num_vertices
-            charged = np.flatnonzero(self._copy_ops_acc)
-            fold(
-                self.profile.comp_ops_by_copy,
-                list(zip((charged // n).tolist(), (charged % n).tolist())),
-                self._copy_ops_acc[charged],
-            )
-            self._copy_ops_acc = None
+            self.profile.defer("comp_ops_by_copy", charged, acc[charged], n)
         if self._master_bytes_acc is not None:
-            acc = self._master_bytes_acc
-            charged = np.nonzero(acc)[0]
-            fold(self.profile.comm_bytes_by_master, charged.tolist(), acc[charged])
-            self._master_bytes_acc = None
+            acc, self._master_bytes_acc = self._master_bytes_acc[:-1], None
+            charged = np.flatnonzero(acc)
+            self.profile.defer("comm_bytes_by_master", charged, acc[charged])
 
     def send(
         self,
@@ -728,8 +724,8 @@ class Cluster:
         return inboxes
 
     def finish(self) -> RunProfile:
-        """Flush a trailing superstep if any work is pending, fold the
-        ledger into the profile's dicts and return the profile."""
+        """Flush a trailing superstep if any work is pending, hand the
+        ledger to the profile (:meth:`_fold_ledger`) and return it."""
         pending = (
             self._step_ops.any()
             or self._step_bytes.any()

@@ -17,7 +17,17 @@ protection is visible next to the makespan it protects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import repeat
+from operator import add
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+
+def fold(into: Dict, keys: list, amounts: np.ndarray) -> None:
+    """Add ``amounts`` to ``into`` under ``keys``, on top of what it holds:
+    a key already there keeps its place, a new one is appended in order."""
+    into.update(zip(keys, map(add, map(into.get, keys, repeat(0.0)), amounts.tolist())))
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,13 @@ class RunProfile:
     ``wall_time_s`` sums the measured per-superstep wall clock; like the
     per-record field it is excluded from :meth:`to_dict` so profiles
     compare bit-identically across execution backends.
+
+    ``comp_ops_by_copy`` (keyed ``(fid, vertex)``) and
+    ``comm_bytes_by_master`` are folded on read: ``Cluster.finish`` hands
+    over the dense accumulators it charged (:meth:`defer`), and the
+    first read of either attribute — training, :meth:`to_dict`,
+    equality — builds the dict, with the keys, order and floats an eager
+    fold would have given.  A run whose ledger nobody reads never builds it.
     """
 
     num_workers: int
@@ -152,6 +169,32 @@ class RunProfile:
     replaced_vertices: int = 0
     failover_time: float = 0.0
     wall_time_s: float = 0.0  # measured; never serialized
+
+    def defer(
+        self, name: str, codes: np.ndarray, amounts: np.ndarray, base: Optional[int] = None
+    ) -> None:
+        """Fold ``amounts`` into the ledger dict ``name`` on its first read,
+        under the keys ``codes`` — ``divmod(code, base)`` pairs with a base."""
+        into = getattr(self, name)  # an earlier hand-over is folded first
+        del self.__dict__[name]
+        self.__dict__.setdefault("_deferred", {})[name] = (into, codes, amounts, base)
+
+    def __getattr__(self, name: str):
+        # Reached only when ``name`` is not set: a ledger handed over by
+        # :meth:`defer` and not read yet.
+        deferred = self.__dict__.get("_deferred")
+        if not deferred or name not in deferred:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        into, codes, amounts, base = deferred.pop(name)
+        if base is None:
+            keys = codes.tolist()
+        else:
+            keys = list(zip((codes // base).tolist(), (codes % base).tolist()))
+        fold(into, keys, amounts)
+        self.__dict__[name] = into
+        return into
 
     @property
     def num_supersteps(self) -> int:
@@ -183,15 +226,16 @@ class RunProfile:
     def to_dict(self) -> Dict:
         """JSON-serializable representation of the full profile.
 
-        Tuple keys of ``comp_ops_by_copy`` become ``"v,fid"`` strings and
-        int keys become strings; floats round-trip exactly through JSON.
+        Tuple keys ``(fid, v)`` of ``comp_ops_by_copy`` become ``"fid,v"``
+        strings and int keys become strings; floats round-trip exactly
+        through JSON.
         This is what the evaluation engine's artifact cache stores for a
         ``run`` cell (:mod:`repro.eval.engine`).
         """
         return {
             "num_workers": self.num_workers,
             "comp_ops_by_copy": {
-                f"{v},{fid}": ops for (v, fid), ops in self.comp_ops_by_copy.items()
+                f"{fid},{v}": ops for (fid, v), ops in self.comp_ops_by_copy.items()
             },
             "comm_bytes_by_master": {
                 str(v): b for v, b in self.comm_bytes_by_master.items()
@@ -218,8 +262,8 @@ class RunProfile:
         """Inverse of :meth:`to_dict`."""
 
         def copy_key(text: str) -> Tuple[int, int]:
-            v, fid = text.split(",")
-            return (int(v), int(fid))
+            fid, v = text.split(",")
+            return (int(fid), int(v))
 
         return cls(
             num_workers=int(data["num_workers"]),

@@ -1,14 +1,16 @@
 """True-parallel shared-memory execution backend for the BSP runtime.
 
-``backend="simulated"`` (the default) calls every fragment's kernel
-in-process.  ``backend="shm"`` calls *the same function*
-(:mod:`repro.runtime.kernels`) in real worker processes, over zero-copy
-shared-memory views (:mod:`repro.runtime.shm`) of the tables the kernel
-declares, one dispatch per :meth:`ShmRunner.map` with a pipe-based barrier.
+``backend="simulated"`` (the default) calls a kernel in-process, once
+over the whole copy space.  ``backend="shm"`` calls *the same function*
+(:mod:`repro.runtime.kernels`) in real worker processes, each on its
+fragments' row slices of the tables the kernel declares, held in
+shared memory (:mod:`repro.runtime.shm`) — one dispatch per
+:meth:`ShmRunner.map` with a pipe-based barrier, the outputs stitched
+back into the copy space in fragment order.
 
 Workers execute *only* a kernel's ``compute``: deterministic array work
-over one fragment.  Which fragments run, and everything with ordering or
-randomness contracts, stays in the parent: ``Cluster`` cost accounting,
+over one fragment's rows.  Which fragments run, and everything with
+ordering or randomness contracts, stays in the parent: ``Cluster`` cost accounting,
 ``send_batch`` fate draws, the master sync (``SyncRoute``), checkpoint
 snapshots, rollback recovery, failover.  Parent and worker import one
 kernel table and outputs come back in the order asked for, so values,
@@ -296,9 +298,10 @@ class ShmRunner:
     """Dispatches one run's kernel to the shared worker pool.
 
     :meth:`map` is the whole interface: its first dispatch publishes one
-    arena for the run (the kernel's tables, double-buffered state,
-    output buffers), every dispatch spreads the fragments round-robin
-    over the pool and waits for every worker (the superstep barrier).
+    arena for the run (every fragment's rows of the kernel's tables,
+    double-buffered state, output buffers), every dispatch spreads the
+    fragments round-robin over the pool and waits for every worker (the
+    superstep barrier).
     """
 
     def __init__(self, num_workers: int) -> None:
@@ -306,6 +309,7 @@ class ShmRunner:
         self.closed = False
         self._arena: Optional[shm_mod.SharedArena] = None
         self._kernel: Optional[Kernel] = None
+        self._sizes: List[int] = []  # per fragment: its buffers' length
         self._epoch = 0
         self.dispatches = 0
         self.seconds_by_fragment: Dict[int, float] = {}
@@ -314,10 +318,10 @@ class ShmRunner:
     # -- arena publication ---------------------------------------------
     def _publish(self, kernel: Kernel, tables) -> None:
         builder = shm_mod.ArenaBuilder()
-        for fid, t in enumerate(tables):
+        for fid, size in enumerate(self._sizes):
+            t = kernel.rows(tables, fid)
             for name in kernel.reads:
                 builder.add(f"{fid}/t/{name}", getattr(t, name))
-            size = kernel.size(t)
             for i, dtype in enumerate(kernel.state):
                 builder.add_zeros(f"{fid}/s0/{i}", size, dtype)
                 builder.add_zeros(f"{fid}/s1/{i}", size, dtype)
@@ -382,23 +386,42 @@ class ShmRunner:
             self._arena = None
 
     # -- the one entry point ---------------------------------------------
-    def map(self, kernel: Kernel, tables, state, fids: List[int], args=()) -> list:
+    def map(self, kernel: Kernel, tables, state, fids: List[int], args=()):
         """``kernel`` over fragments ``fids`` in the workers: publish every
-        fragment of ``tables`` on first use, write the declared ``state`` of
-        ``fids`` into the live slot, dispatch, barrier, copy outputs out."""
-        if not fids:
-            return []
-        if self._arena is None:
-            self._publish(kernel, tables)
-        assert self._kernel is kernel, "a run maps one kernel"
-        view = self._arena.view
-        slot = self._epoch & 1
-        self._epoch += 1
-        for i, per_fid in enumerate(state[: len(kernel.state)]):
+        fragment's rows of ``tables`` on first use, write the rows of the
+        declared copy-space ``state`` of ``fids`` into the live slot,
+        dispatch, barrier, and stitch the outputs back into the copy space
+        — the other fragments' rows hold ``kernel.fill``."""
+        cuts = tables.cuts["copies"]
+        if not self._sizes:
+            self._sizes = [
+                kernel.size(kernel.rows(tables, f)) for f in range(len(cuts) - 1)
+            ]
+        outs = {}
+        if fids:
+            if self._arena is None:
+                self._publish(kernel, tables)
+            assert self._kernel is kernel, "a run maps one kernel"
+            view = self._arena.view
+            slot = self._epoch & 1
+            self._epoch += 1
+            for i, flat in enumerate(state[: len(kernel.state)]):
+                for f in fids:
+                    view(f"{f}/s{slot}/{i}")[...] = flat[cuts[f] : cuts[f + 1]]
+            self._dispatch(kernel.name, fids, slot, args)
             for f in fids:
-                view(f"{f}/s{slot}/{i}")[...] = per_fid[f]
-        self._dispatch(kernel.name, fids, slot, args)
-        return [_collect_fragment(kernel, view, f) for f in fids]
+                got = _collect_fragment(kernel, view, f)
+                outs[f] = (got,) if len(kernel.out) == 1 else got
+        stitched = tuple(
+            np.concatenate(
+                [
+                    outs[f][i] if f in outs else np.full(size, kernel.fill, dtype)
+                    for f, size in enumerate(self._sizes)
+                ]
+            )
+            for i, dtype in enumerate(kernel.out)
+        )
+        return stitched[0] if len(stitched) == 1 else stitched
 
     # -- lifecycle ------------------------------------------------------
     def _flush_stats(self) -> None:

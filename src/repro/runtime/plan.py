@@ -106,12 +106,16 @@ def gather_segments(
     sel = np.asarray(sel, dtype=np.int64)
     starts = indptr[sel]
     lens = indptr[sel + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return _EMPTY, lens
-    offsets = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - offsets, lens)
-    return idx, lens
+    return gather_runs(starts, lens), lens
+
+
+def gather_runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[i] : starts[i] + lens[i]``, back
+    to back in order."""
+    ends = lens.cumsum()
+    if ends.size == 0 or ends[-1] == 0:
+        return _EMPTY
+    return np.arange(ends[-1], dtype=np.int64) + np.repeat(starts - ends + lens, lens)
 
 
 def has_keys(stored: np.ndarray, a: np.ndarray, b: np.ndarray, kb: int) -> np.ndarray:
@@ -188,9 +192,6 @@ class FragmentPlan:
         self._edge_arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._edge_keys: Dict[int, np.ndarray] = {}
         self._owned: Dict[bool, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
-        self._pr: Dict[Tuple[int, bool], SimpleNamespace] = {}
-        self._wcc: Dict[int, SimpleNamespace] = {}
-        self._sssp: Dict[int, SimpleNamespace] = {}
         self._cn_lin: Dict[int, np.ndarray] = {}
         self._tc: Dict[int, SimpleNamespace] = {}
         self._gin: Optional[SimpleNamespace] = None
@@ -199,8 +200,10 @@ class FragmentPlan:
         self._degrees: Optional[np.ndarray] = None
         self._out_degrees: Optional[np.ndarray] = None
         self._in_degrees: Optional[np.ndarray] = None
-        #: the master sync over this plan's copies (``SyncRoute.of``)
+        #: the master sync over this plan's copies (``SyncRoute.of``) and
+        #: the kernel tables laid out in its copy space (``Kernel.tables``)
         self._sync_route = None
+        self._kernel_tables: Dict[str, SimpleNamespace] = {}
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -228,6 +231,15 @@ class FragmentPlan:
             )
             self._verts[fid] = arr
         return arr
+
+    def copy_space(self) -> Tuple[list, np.ndarray]:
+        """The copy space: every vertex copy, fragment-major and in
+        :meth:`verts` slot order within a fragment — each fragment's first
+        copy (and the total last), and every copy's vertex."""
+        verts = [self.verts(fid) for fid in range(self.num_fragments)]
+        bounds = np.zeros(len(verts) + 1, dtype=np.int64)
+        np.cumsum([v.size for v in verts], out=bounds[1:])
+        return bounds.tolist(), np.concatenate([_EMPTY, *verts])
 
     def slot_of(self, fid: int) -> np.ndarray:
         """Dense slot index per vertex id (-1 for vertices not on fid)."""
@@ -384,126 +396,8 @@ class FragmentPlan:
         return cache[fid]
 
     # ------------------------------------------------------------------
-    # Algorithm-specific tables
+    # Algorithm-specific tables (the kernels' own live in ``_kernel_tables``)
     # ------------------------------------------------------------------
-    def pr_scatter(self, fid: int, target_aware: bool = False) -> SimpleNamespace:
-        """PageRank scatter table over the fragment's owned edges.
-
-        ``src_slots``/``dst_slots`` expand each owned edge into its
-        scatter targets in the scalar loop's order: directed edges
-        contribute ``src -> dst``; undirected edges contribute both
-        directions (self-loops once).  ``deg`` is the source's scatter
-        degree per target, ``ops`` counts contributions per destination
-        slot, and ``touched_ids`` lists receiving vertices slot-ascending.
-        """
-        key = (fid, bool(target_aware))
-        ns = self._pr.get(key)
-        if ns is None:
-            src, dst = self.owned_edges(fid, target_aware)
-            if not self.graph.directed and src.size:
-                # Interleave (src->dst, dst->src) per edge, dropping the
-                # reverse leg of self-loops, to match the scalar
-                # ``((u, w), (w, u))`` target order.
-                s = np.empty(2 * src.size, dtype=np.int64)
-                d = np.empty(2 * src.size, dtype=np.int64)
-                s[0::2] = src
-                s[1::2] = dst
-                d[0::2] = dst
-                d[1::2] = src
-                keep = np.ones(2 * src.size, dtype=bool)
-                keep[1::2] = src != dst
-                s = s[keep]
-                d = d[keep]
-            else:
-                s, d = src, dst
-            slots = self.slot_of(fid)
-            src_slots = slots[s] if s.size else _EMPTY
-            dst_slots = slots[d] if d.size else _EMPTY
-            verts = self.verts(fid)
-            ops = np.bincount(dst_slots, minlength=verts.size).astype(np.float64)
-            touched_slots = np.nonzero(ops > 0)[0]
-            # PageRank divides by the *scatter* degree, which for both
-            # the directed and undirected branch equals the out-degree
-            # (undirected CSR stores both directions).
-            deg = (
-                self.out_degrees()[s].astype(np.float64) if s.size else
-                np.empty(0, dtype=np.float64)
-            )
-            ns = SimpleNamespace(
-                src_slots=src_slots,
-                dst_slots=dst_slots,
-                deg=deg,
-                ops=ops,
-                touched_slots=touched_slots,
-                touched_ids=verts[touched_slots],
-            )
-            self._pr[key] = ns
-        return ns
-
-    def wcc_entries(self, fid: int) -> SimpleNamespace:
-        """Per-copy incident-edge entries for label relaxation.
-
-        One entry per (bearing vertex copy v, incident edge e): ``rel_v``
-        is v's slot, ``rel_u`` the other endpoint's slot.  Entry counts
-        per bearing slot reproduce the scalar per-edge charges.
-        """
-        ns = self._wcc.get(fid)
-        if ns is None:
-            src, dst = self.edge_arrays(fid)
-            loop = src != dst
-            ent_v = np.concatenate([src, dst[loop]]) if src.size else _EMPTY
-            ent_u = np.concatenate([dst, src[loop]]) if src.size else _EMPTY
-            slots = self.slot_of(fid)
-            roles = self.roles(fid)
-            size = self.verts(fid).size
-            bearing = roles != DUMMY
-            sv = slots[ent_v] if ent_v.size else _EMPTY
-            su = slots[ent_u] if ent_u.size else _EMPTY
-            keep = bearing[sv] if sv.size else np.zeros(0, dtype=bool)
-            rel_v = sv[keep]
-            rel_u = su[keep]
-            counts = np.bincount(rel_v, minlength=size).astype(np.float64)
-            ns = SimpleNamespace(
-                rel_v=rel_v,
-                rel_u=rel_u,
-                bearing=bearing,
-                counts=counts,
-                border=self.border_mask[self.verts(fid)]
-                if size
-                else np.zeros(0, dtype=bool),
-            )
-            self._wcc[fid] = ns
-        return ns
-
-    def sssp_out(self, fid: int) -> SimpleNamespace:
-        """Local out-adjacency CSR over slots (undirected: both ways)."""
-        ns = self._sssp.get(fid)
-        if ns is None:
-            src, dst = self.edge_arrays(fid)
-            if self.graph.directed:
-                ev, et = src, dst
-            else:
-                loop = src != dst
-                ev = np.concatenate([src, dst[loop]]) if src.size else _EMPTY
-                et = np.concatenate([dst, src[loop]]) if src.size else _EMPTY
-            slots = self.slot_of(fid)
-            sv = slots[ev] if ev.size else _EMPTY
-            st = slots[et] if et.size else _EMPTY
-            order = np.argsort(sv, kind="stable")
-            sv = sv[order]
-            st = st[order]
-            size = self.verts(fid).size
-            counts = np.bincount(sv, minlength=size)
-            indptr = np.zeros(size + 1, dtype=np.int64)
-            np.cumsum(counts, out=indptr[1:])
-            ns = SimpleNamespace(
-                indptr=indptr,
-                targets=st,
-                bearing=self.roles(fid) != DUMMY,
-            )
-            self._sssp[fid] = ns
-        return ns
-
     def cn_local_in_counts(self, fid: int) -> np.ndarray:
         """Unique local in-neighbor count per slot (CN charge basis)."""
         counts = self._cn_lin.get(fid)
@@ -713,9 +607,10 @@ def _touched_fragments(old: FragmentPlan, rows: Dict[int, list]) -> set:
 def _drop_fragment_caches(plan: FragmentPlan, touched: set) -> None:
     """Evict lazy tables of fragments whose internal state may have churned.
 
-    Owner-dependent tables (``_owned``/``_pr``) are dropped wholesale:
-    edge ownership is assigned globally, and one sort over every stored
-    edge rebuilds it on the next run.  So is the query-target table.
+    Owner-dependent tables (``_owned``) are dropped wholesale: edge
+    ownership is assigned globally, and one sort over every stored edge
+    rebuilds it on the next run.  So are the query-target table and
+    everything laid out in the copy space.
     """
     for cache in (
         plan._verts,
@@ -724,17 +619,15 @@ def _drop_fragment_caches(plan: FragmentPlan, touched: set) -> None:
         plan._edge_lists,
         plan._edge_arrays,
         plan._edge_keys,
-        plan._wcc,
-        plan._sssp,
         plan._cn_lin,
         plan._tc,
     ):
         for fid in touched:
             cache.pop(fid, None)
     plan._owned = {}
-    plan._pr = {}
     plan._targets = None
     plan._sync_route = None  # its copy space is the fragments' slot order
+    plan._kernel_tables = {}
 
 
 def _patch_home_rows(plan: FragmentPlan, dirty) -> None:
@@ -871,11 +764,9 @@ def _patch_plan(
         f: k for f, k in old._edge_keys.items() if f not in touched
     }
     new._owned = {}
-    new._pr = {}
     new._targets = None
     new._sync_route = None
-    new._wcc ={f: ns for f, ns in old._wcc.items() if f not in touched}
-    new._sssp = {f: ns for f, ns in old._sssp.items() if f not in touched}
+    new._kernel_tables = {}
     new._cn_lin = {f: c for f, c in old._cn_lin.items() if f not in touched}
     new._tc = {f: ns for f, ns in old._tc.items() if f not in touched}
     # Graph-level tables depend only on the (unchanged) graph.

@@ -36,11 +36,12 @@ class SyncRoute:
     ``plan.verts(fid)`` slot order within a fragment, so a fragment's
     state is the slice ``offsets[fid]:offsets[fid + 1]`` of one flat
     array (:meth:`views`).  Everything that depends on the plan alone is
-    fixed here: each copy's fragment and vertex; the sender order
-    (fragment-major, ascending id within a fragment — the scalar send
-    order); and, per placement-CSR entry, the copy it addresses
-    (``place_copy``).  Routes hold no cluster state, so
-    one serves every run on the plan and dies with it.
+    fixed here: each copy's fragment, vertex, master and attribution (its
+    vertex when replicated, else ``-1``); each copy's rank in the sender
+    order (fragment-major, ascending id within a fragment — the scalar
+    send order); and, per placement-CSR entry ``(v, fid)``, the copy it
+    addresses, v's master and v's attribution.  Routes hold no cluster
+    state, so one serves every run on the plan and dies with it.
     """
 
     def __init__(
@@ -50,18 +51,21 @@ class SyncRoute:
         self.num_workers = workers
         self.value_bytes = value_bytes
         self.workers = np.arange(workers, dtype=np.int64)
-        verts = [plan.verts(fid) for fid in range(workers)]
-        sizes = [v.size for v in verts]
+        bounds, copy_id = plan.copy_space()
         #: copy-space start of each fragment (length ``num_workers + 1``)
-        self.offsets = np.zeros(workers + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self.offsets[1:])
-        self.size = int(self.offsets[-1])
+        self.offsets = np.array(bounds, dtype=np.int64)
+        self.size = bounds[-1]
         #: per copy: its fragment and its vertex
-        self.copy_fid = np.repeat(self.workers, sizes)
-        self.copy_id = np.concatenate([_EMPTY, *verts])
+        self.copy_fid = np.repeat(self.workers, np.diff(self.offsets))
+        self.copy_id = copy_id
         self.master_of = plan.master_of
-        self.border_mask = plan.border_mask
-        self.send_order = np.lexsort((self.copy_id, self.copy_fid))
+        attributed = np.where(
+            plan.border_mask, np.arange(plan.num_vertices, dtype=np.int64), -1
+        )
+        self.copy_master = self.master_of[self.copy_id]
+        self.copy_mv = attributed[self.copy_id]
+        self.send_rank = np.empty(self.size, dtype=np.int64)
+        self.send_rank[np.lexsort((self.copy_id, self.copy_fid))] = np.arange(self.size)
         self.place_indptr = plan.place_indptr
         self.place_fids = plan.place_fids
         #: per placement-CSR entry ``(v, fid)``: the copy it addresses
@@ -70,6 +74,8 @@ class SyncRoute:
         for fid in range(workers):
             at = np.flatnonzero(plan.place_fids == fid)
             self.place_copy[at] = self.offsets[fid] + plan.slot_of(fid)[rows[at]]
+        self.place_master = self.master_of[rows]
+        self.place_mv = attributed[rows]
 
     @classmethod
     def of(cls, plan: FragmentPlan) -> "SyncRoute":
@@ -94,33 +100,38 @@ class SyncRoute:
         targets and the copy each target addresses all follow from it.
         A caller whose mask is fixed (PageRank) selects once per run.
         """
-        copies = self.send_order[sent[self.send_order]]
-        ids = self.copy_id[copies]
+        copies = sent.nonzero()[0]
+        copies = copies[self.send_rank[copies].argsort()]
         step = SimpleNamespace(
             copies=copies,
             senders=self.copy_fid[copies],
-            masters=self.master_of[ids],
-            mv=np.where(self.border_mask[ids], ids, -1),
+            masters=self.copy_master[copies],
+            mv=self.copy_mv[copies],
         )
         if copies.size == 0:
             return step
-        step.uids, step.first, step.inverse = np.unique(
-            ids, return_index=True, return_inverse=True
-        )
+        # ``np.unique(ids, return_index=True, return_inverse=True)``, unrolled
+        ids = self.copy_id[copies]
+        perm = np.argsort(ids, kind="stable")
+        ids = ids[perm]
+        head = np.empty(ids.size, dtype=bool)
+        head[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=head[1:])
+        step.uids, step.first = ids[head], perm[head]
+        step.inverse = np.empty(perm.size, dtype=np.int64)
+        step.inverse[perm] = head.cumsum() - 1
         umaster = self.master_of[step.uids]
         step.finalize_ops = np.bincount(umaster, minlength=self.num_workers)
         step.combine_ops = (
             np.bincount(step.masters, minlength=self.num_workers) - step.finalize_ops
         )
-        step.order = np.lexsort((step.first, umaster))
-        bids = step.uids[step.order]
-        idx, step.lens = gather_segments(self.place_indptr, bids)
+        # masters ascending, first arrival within a master (firsts are unique)
+        step.order = (umaster * copies.size + step.first).argsort()
+        idx, step.lens = gather_segments(self.place_indptr, step.uids[step.order])
         step.targets = self.place_fids[idx]
         step.receivers = self.place_copy[idx]
-        step.broadcasters = np.repeat(umaster[step.order], step.lens)
-        step.broadcast_mv = np.repeat(
-            np.where(self.border_mask[bids], bids, -1), step.lens
-        )
+        step.broadcasters = self.place_master[idx]
+        step.broadcast_mv = self.place_mv[idx]
         return step
 
     def run(

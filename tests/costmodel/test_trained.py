@@ -56,3 +56,16 @@ def test_cache_corrupt_file(tmp_path):
 
 def test_algorithms_roster():
     assert set(ALGORITHMS) == {"cn", "tc", "wcc", "pr", "sssp"}
+
+
+@pytest.mark.parametrize("algorithms", [("sssp", "wcc", "pr"), ("cn", "tc")])
+def test_shared_partitions_train_the_models_one_at_a_time_would(algorithms):
+    """One ``train_models`` call builds the random partitions once and
+    runs every algorithm on them; each model is the one training that
+    algorithm alone gives."""
+    shared = train_models(list(algorithms), num_graphs=2)
+    for name in algorithms:
+        alone = train_models([name], num_graphs=2)[name]
+        assert shared[name].h.to_dict() == alone.h.to_dict()
+        assert shared[name].g.to_dict() == alone.g.to_dict()
+        assert shared[name].gate == alone.gate

@@ -8,6 +8,9 @@ the edge-owner table once per ``target_aware`` flag per plan.  A triangle
 count on a vertex cut must read ``placement()`` once per v-cut vertex per
 plan, make no scalar ``Cluster.send``, move every message in a columnar
 block and issue one ``send_batch`` per ``STRIDE`` messages of a superstep.
+An in-process SSSP superstep must call its kernel once, over the whole
+copy space, and a run whose profile nobody reads must never build the
+per-copy and per-master ledger dicts.
 """
 
 import collections
@@ -19,10 +22,11 @@ import pytest
 from repro.algorithms import get_algorithm, triangles
 from repro.core import E2H, V2H, MutationBatch, apply_mutations
 from repro.costmodel import builtin_cost_model
-from repro.graph.generators import chung_lu_power_law
+from repro.graph.generators import chung_lu_power_law, road_grid
 from repro.partition.hybrid import HybridPartition
 from repro.partitioners.base import get_partitioner
 from repro.runtime.bsp import Cluster
+from repro.runtime.kernels import KERNELS
 from repro.runtime.plan import FragmentPlan, plan_for, plan_stats
 from repro.runtime.sync import SyncRoute
 
@@ -195,3 +199,35 @@ def test_tc_run_on_a_vertex_cut_is_array_native(calls, monkeypatch):
     second = tc.run(part)
     assert calls["placement"] == vcut
     assert first.values == second.values > 0
+
+
+def test_sssp_superstep_is_one_kernel_call(monkeypatch):
+    graph = road_grid(24, 24, seed=3)
+    part = get_partitioner("fennel").partition(graph, 8)
+    route = SyncRoute.of(plan_for(part))
+    kernel = KERNELS["sssp"]
+    spans, compute = [], kernel.compute
+
+    def counted(tables, *args):
+        spans.append(tables.bearing.size)
+        return compute(tables, *args)
+
+    monkeypatch.setattr(kernel, "compute", counted)
+    sssp = get_algorithm("sssp")
+    first = sssp.run(part, source=300)
+
+    # One iteration is four supersteps (the sync's two, the vote's two)
+    # and one kernel call over every copy, whatever the fragment count.
+    assert len(spans) > 20
+    assert first.profile.num_supersteps == 4 * len(spans)
+    assert set(spans) == {route.size}
+
+    # Nobody read the ledger, so it was never built; the first read
+    # builds it, and it is the one an identical run builds.
+    unread = vars(first.profile)
+    assert "comp_ops_by_copy" not in unread and "comm_bytes_by_master" not in unread
+    again = sssp.run(part, source=300).profile
+    assert first.profile.to_dict() == again.to_dict()
+    assert first.profile.comp_ops_by_copy and first.profile.comm_bytes_by_master
+    assert "comp_ops_by_copy" in vars(first.profile)
+    assert all(0 <= fid < 8 for fid, _ in first.profile.comp_ops_by_copy)

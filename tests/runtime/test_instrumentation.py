@@ -117,3 +117,27 @@ def test_profile_from_dict_defaults_optional_fault_fields():
     assert restored.recovery_time == 0.0
     assert restored.supersteps[0].failures == []
     assert restored.messages_dropped == 0
+
+
+def test_copy_keys_are_fragment_first():
+    """``Cluster`` keys a copy ``(fid, vertex)``; the wire form is
+    ``"fid,v"`` — ``"3,17"`` is fragment 3's copy of vertex 17 — and it
+    reads back to the same key, whether charged scalar or in bulk."""
+    from repro.graph.digraph import Graph
+    from repro.partition.hybrid import HybridPartition
+    from repro.runtime.bsp import Cluster
+
+    partition = HybridPartition.from_vertex_assignment(Graph(20, []), [3] * 20, 4)
+    for charge in (
+        lambda c: c.charge(3, 2.0, vertex=17),
+        lambda c: c.charge_bulk(3, [2.0], vertices=[17]),
+    ):
+        cluster = Cluster(partition)
+        charge(cluster)
+        profile = cluster.finish()
+        assert profile.comp_ops_by_copy == {(3, 17): 2.0}
+        payload = profile.to_dict()
+        assert payload["comp_ops_by_copy"] == {"3,17": 2.0}
+        restored = RunProfile.from_dict(json.loads(json.dumps(payload)))
+        assert restored.comp_ops_by_copy == {(3, 17): 2.0}
+        assert restored.to_dict() == payload

@@ -40,9 +40,9 @@ def _spied(monkeypatch, kernel):
 
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHM_NAMES))
 def test_in_process_map_calls_the_table_function(algorithm, monkeypatch):
-    """Once per dispatched fragment per superstep on ``simulated``; never
-    in the parent on ``shm`` — the workers, spawned from a fresh import,
-    run their own copy of the same table."""
+    """Once per map on ``simulated``, over the whole copy space; never in
+    the parent on ``shm`` — the workers, spawned from a fresh import, run
+    their own copy of the same table."""
     assert sorted(KERNELS) == sorted(ALGORITHM_NAMES)
     calls, _ = _spied(monkeypatch, KERNELS[algorithm])
     dispatched = []
@@ -56,7 +56,7 @@ def test_in_process_map_calls_the_table_function(algorithm, monkeypatch):
     monkeypatch.setattr(Cluster, "map", recording_map)
     partition = _partition(True, "vertex")
     sim = get_algorithm(algorithm).run(partition, backend="simulated")
-    assert len(calls) == sum(dispatched) > 0
+    assert len(calls) == len(dispatched) > 0 and sum(dispatched) > 0
     if not parallel.shm_available():
         return
     in_process, calls[:] = list(dispatched), []
