@@ -48,6 +48,12 @@ def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
     return indptr
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)``, by one sort and a neighbour compare."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
 def _patch(keys: np.ndarray, add: np.ndarray, drop: np.ndarray) -> np.ndarray:
     """One sorted key table with sorted ``drop`` taken out and ``add`` put in."""
     if len(drop):
@@ -95,6 +101,7 @@ class Graph:
         "_stale",
         "_digest",
         "_version",
+        "_neighbours",
     )
 
     def __init__(
@@ -134,7 +141,7 @@ class Graph:
             src, dst = np.minimum(src, dst), np.maximum(src, dst)
         #: Canonical edge table: sorted ``src << 32 | dst``.  For a
         #: directed graph it doubles as the out-CSR's ``(src, dst)`` table.
-        self._keys = keys = np.unique((src << 32) | dst)
+        self._keys = keys = _sorted_unique((src << 32) | dst)
         #: The scalar view of the same set, kept current by the hooks, so
         #: ``has_edge`` / ``num_edges`` never wait for a fold.
         self._members = set(keys.tolist())
@@ -143,6 +150,9 @@ class Graph:
         self._stale = False
         self._digest: str = ""
         self._version = 0
+        #: ``neighbors``' unique-neighbour CSR ``(indptr, indices)``, built on
+        #: first use and dropped with the other stale state by ``_touch``.
+        self._neighbours = None
         #: Directed: the in-CSR's ``(dst, src)`` table.  Undirected: the one
         #: table behind both CSRs, ``(owner, half, neighbour)`` — per owner
         #: ``v`` first the ``(v, w), w >= v`` half, then the ``(u, v), u <= v``
@@ -190,6 +200,7 @@ class Graph:
     def _touch(self) -> None:
         self._version += 1
         self._digest = ""
+        self._neighbours = None
         self._stale = True
 
     def _fold(self) -> None:
@@ -325,6 +336,22 @@ class Graph:
             [u * _STRIDE + v if 0 <= v < _STRIDE else -1 for u, v in edges]
         )
 
+    def has_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """:meth:`has_edge` of every ``(src[i], dst[i])``, as a bool array."""
+        src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+        if not self._directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        if self._stale:
+            self._fold()
+        n, table = self._num_vertices, self._keys
+        found = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        keys = (src[found] << 32) | dst[found]
+        at = np.searchsorted(table, keys)
+        hit = at < len(table)
+        hit[hit] = table[at[hit]] == keys[hit]
+        found[found] = hit
+        return found
+
     def canonical_edge(self, u: int, v: int) -> Edge:
         """Return the canonical key under which ``(u, v)`` is stored."""
         if self._directed or u <= v:
@@ -347,12 +374,31 @@ class Graph:
         return self._in_indices[self._in_indptr[v] : self._in_indptr[v + 1]]
 
     def neighbors(self, v: int) -> np.ndarray:
-        """All neighbors of ``v`` regardless of direction (deduplicated)."""
+        """All neighbors of ``v`` regardless of direction (deduplicated).
+
+        Directed: ascending.  Undirected: the adjacency row without the
+        self-loop's closing repeat.  A read-only slice of a CSR built once
+        per graph version.
+        """
+        table = self._neighbours
+        if table is None:
+            table = self._neighbours = self._neighbour_table()
+        indptr, indices = table
+        return indices[indptr[v] : indptr[v + 1]]
+
+    def _neighbour_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._stale:
+            self._fold()
         if self._directed:
-            return np.unique(np.concatenate([self.out_neighbors(v), self.in_neighbors(v)]))
-        # Only a self-loop repeats: it closes the row's second half.
-        row = self.out_neighbors(v)
-        return row[:-1] if self.has_edge(v, v) else row
+            # Both tables' (owner, neighbour) keys, deduplicated and sorted.
+            keys = _sorted_unique(np.concatenate([self._keys, self._adj_keys]))
+        else:
+            # Only a self-loop repeats: it closes the row's second half.
+            adj = self._adj_keys
+            keys = adj[((adj & _HALF) == 0) | ((adj & _LOW) != adj >> 32)]
+        indices = keys & _LOW
+        indices.flags.writeable = False
+        return _indptr(keys, self._num_vertices), indices
 
     def out_degree(self, v: int) -> int:
         """``d⁻_G(v)``: out-degree of ``v`` in the full graph."""
@@ -405,6 +451,43 @@ class Graph:
                 if e not in seen:
                     seen.add(e)
                     yield e
+
+    def incident_stream(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every vertex's :meth:`incident_edges`, in order, as three columns.
+
+        Returns ``(owner, src, dst)`` int64 arrays: owner ascending and,
+        per owner ``v``, exactly the canonical edges ``incident_edges(v)``
+        yields in the order it yields them — directed: the out-row, then
+        the in-row without the self-loop's repeat; undirected: the row's
+        two halves canonicalised, the self-loop once.
+        """
+        if self._stale:
+            self._fold()
+        adj = self._adj_keys
+        owner, nbr = adj >> 32, adj & _LOW
+        # The in-row (second half) repeats a self-loop the out-row holds.
+        second = (adj & _HALF) != 0 if not self._directed else np.ones(len(adj), bool)
+        keep = ~second | (nbr != owner)
+        adj, owner, nbr, second = adj[keep], owner[keep], nbr[keep], second[keep]
+        if not self._directed:
+            return owner, np.where(second, nbr, owner), np.where(second, owner, nbr)
+        keys = self._keys
+        out_owner = keys >> 32
+        # Scatter each owner's out-row ahead of its in-row.
+        out_at = np.arange(len(keys)) + _indptr(adj, self._num_vertices)[out_owner]
+        in_at = np.arange(len(adj)) + self._out_indptr[owner + 1]
+        columns = np.empty((3, len(keys) + len(adj)), dtype=np.int64)
+        columns[:, out_at] = out_owner, out_owner, keys & _LOW
+        columns[:, in_at] = owner, nbr, owner
+        return columns[0], columns[1], columns[2]
+
+    def incident_edge_counts(self) -> np.ndarray:
+        """Vector of :meth:`incident_edge_count` for all vertices."""
+        src, dst = self._columns()
+        loops = np.bincount(src[src == dst], minlength=self._num_vertices)
+        if self._directed:
+            return np.diff(self._out_indptr) + np.diff(self._in_indptr) - loops
+        return np.diff(self._out_indptr) - loops
 
     def incident_edge_count(self, v: int) -> int:
         """``|E_v|``: number of distinct edges incident to ``v``.

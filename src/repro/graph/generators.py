@@ -31,6 +31,32 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+_NO_KEYS = np.empty(0, dtype=np.int64)
+
+
+def _take_new(
+    keys: np.ndarray, u: np.ndarray, v: np.ndarray, directed: bool, need: int
+) -> np.ndarray:
+    """``keys`` plus the first ``need`` distinct drawn pairs it lacks.
+
+    Pairs are packed ``u << 32 | v`` (canonical ``(min, max)`` when
+    undirected) and taken in draw order, self-loops skipped: the edges a
+    loop adding draws to a set until it holds ``len(keys) + need`` would
+    keep.
+    """
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    drawn = ((u << 32) | v)[u != v]
+    distinct, first = np.unique(drawn, return_index=True)
+    first = np.sort(first[~np.isin(distinct, keys)])[:need]
+    return np.concatenate([keys, drawn[first]])
+
+
+def _keyed_graph(num_vertices: int, keys: np.ndarray, directed: bool) -> Graph:
+    return Graph(num_vertices, np.stack([keys >> 32, keys & 0xFFFFFFFF], axis=1), directed)
+
+
 def erdos_renyi(
     num_vertices: int,
     num_edges: int,
@@ -39,24 +65,17 @@ def erdos_renyi(
 ) -> Graph:
     """G(n, m) random graph with ``num_edges`` distinct edges."""
     rng = _rng(seed)
-    edges = set()
     max_possible = num_vertices * (num_vertices - 1)
     if not directed:
         max_possible //= 2
     target = min(num_edges, max_possible)
-    while len(edges) < target:
-        need = target - len(edges)
+    keys = _NO_KEYS
+    while len(keys) < target:
+        need = target - len(keys)
         u = rng.integers(0, num_vertices, size=2 * need + 8)
         v = rng.integers(0, num_vertices, size=2 * need + 8)
-        for a, b in zip(u.tolist(), v.tolist()):
-            if a == b:
-                continue
-            if not directed and a > b:
-                a, b = b, a
-            edges.add((a, b))
-            if len(edges) >= target:
-                break
-    return Graph(num_vertices, edges, directed=directed)
+        keys = _take_new(keys, u, v, directed, need)
+    return _keyed_graph(num_vertices, keys, directed)
 
 
 def chung_lu_power_law(
@@ -85,22 +104,15 @@ def chung_lu_power_law(
     # Identity mapping from weight rank to vertex id keeps vertex 0 the
     # highest-degree hub, which makes tests and examples easy to reason
     # about; callers that need shuffled ids can relabel.
-    edges = set()
+    keys = _NO_KEYS
     attempts = 0
-    while len(edges) < target and attempts < 12:
-        need = target - len(edges)
+    while len(keys) < target and attempts < 12:
+        need = target - len(keys)
         u = rng.choice(num_vertices, size=need + need // 2 + 8, p=probs)
         v = rng.choice(num_vertices, size=need + need // 2 + 8, p=probs)
-        for a, b in zip(u.tolist(), v.tolist()):
-            if a == b:
-                continue
-            if not directed and a > b:
-                a, b = b, a
-            edges.add((a, b))
-            if len(edges) >= target:
-                break
+        keys = _take_new(keys, u, v, directed, need)
         attempts += 1
-    return Graph(num_vertices, edges, directed=directed)
+    return _keyed_graph(num_vertices, keys, directed)
 
 
 def rmat(
@@ -123,12 +135,12 @@ def rmat(
     d = 1.0 - a - b - c
     if d < -1e-9:
         raise ValueError("RMAT probabilities must sum to at most 1")
-    edges = set()
+    keys = _NO_KEYS
     probs = np.array([a, b, c, max(d, 0.0)])
     probs = probs / probs.sum()
     attempts = 0
-    while len(edges) < target and attempts < 12:
-        need = target - len(edges)
+    while len(keys) < target and attempts < 12:
+        need = target - len(keys)
         batch = need + need // 2 + 8
         quadrants = rng.choice(4, size=(batch, scale), p=probs)
         row_bits = (quadrants >> 1) & 1
@@ -136,16 +148,9 @@ def rmat(
         powers = 1 << np.arange(scale - 1, -1, -1)
         us = (row_bits * powers).sum(axis=1)
         vs = (col_bits * powers).sum(axis=1)
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v:
-                continue
-            if not directed and u > v:
-                u, v = v, u
-            edges.add((u, v))
-            if len(edges) >= target:
-                break
+        keys = _take_new(keys, us, vs, directed, need)
         attempts += 1
-    return Graph(n, edges, directed=directed)
+    return _keyed_graph(n, keys, directed)
 
 
 def road_grid(rows: int, cols: int, diagonal_prob: float = 0.0, seed: int = 0) -> Graph:

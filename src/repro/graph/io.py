@@ -15,21 +15,24 @@ count is ``max id + 1``.
 from __future__ import annotations
 
 import os
-from typing import Union
+import re
+from typing import Optional, Union
 
-from repro.graph.digraph import Graph
+import numpy as np
+
+from repro.graph.digraph import _MAX_VERTICES, Graph
 
 PathLike = Union[str, "os.PathLike[str]"]
 
 
 def write_edge_list(graph: Graph, path: PathLike) -> None:
     """Write ``graph`` to ``path`` in header + edge-list format."""
+    src, dst = graph.edge_array().T
     with open(path, "w", encoding="ascii") as handle:
         handle.write(
             f"# directed={int(graph.directed)} num_vertices={graph.num_vertices}\n"
+            + "".join(map("%d %d\n".__mod__, zip(src.tolist(), dst.tolist())))
         )
-        for u, v in graph.edges():
-            handle.write(f"{u} {v}\n")
 
 
 def write_metis(graph: Graph, path: PathLike) -> None:
@@ -96,7 +99,66 @@ def read_edge_list(path: PathLike) -> Graph:
     ``num_vertices`` all raise :class:`ValueError` naming the offending
     line — a partitioning run on a silently mangled graph wastes far
     more time than a loud parse error.
+
+    A file in :func:`write_edge_list`'s own shape is parsed in bulk; any
+    other file goes to the line scanner, which alone defines what is
+    accepted and every error message.
     """
+    graph = _read_plain(path)
+    return graph if graph is not None else _scan_edge_list(path)
+
+
+#: write_edge_list's header, the only one the bulk parse accepts
+_HEADER = re.compile(rb"# directed=([01]) num_vertices=([0-9]{1,10})\n")
+_DIGITS = 10
+
+
+def _read_plain(path: PathLike) -> Optional[Graph]:
+    """The bulk parse: the graph of a file that is an optional
+    :func:`write_edge_list` header and then ``u v`` lines only (decimal
+    ids, one space, ``\\n`` ends, the last one optional), in range and
+    free of duplicates — or ``None`` for any other file."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    directed, num_vertices = True, None
+    header = _HEADER.match(data)
+    if header:
+        directed, num_vertices = header.group(1) == b"1", int(header.group(2))
+        data = data[header.end() :]
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    text = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero((text < 48) | (text > 57))  # every non-digit ends a token
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    lengths = ends - starts
+    if (
+        len(ends) % 2
+        or (text[ends[0::2]] != 32).any()
+        or (text[ends[1::2]] != 10).any()
+        or (lengths < 1).any()
+        or (lengths > _DIGITS).any()
+    ):
+        return None
+    ids = np.zeros(len(ends), dtype=np.int64)
+    for place in range(int(lengths.max(initial=0))):
+        more = lengths > place
+        ids[more] = ids[more] * 10 + (text[starts[more] + place] - 48)
+    src, dst = ids[0::2], ids[1::2]
+    if num_vertices is None:
+        num_vertices = int(ids.max(initial=-1)) + 1
+    if num_vertices > _MAX_VERTICES or (len(ids) and ids.max() >= num_vertices):
+        return None
+    if not directed:
+        keys = np.sort((np.minimum(src, dst) << 32) | np.maximum(src, dst))
+    else:
+        keys = np.sort((src << 32) | dst)
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return Graph(num_vertices, np.stack([src, dst], axis=1), directed=directed)
+
+
+def _scan_edge_list(path: PathLike) -> Graph:
+    """The line scanner behind :func:`read_edge_list`."""
     directed = True
     num_vertices = None
     entries = []  # (line number, u, v)

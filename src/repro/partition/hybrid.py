@@ -31,7 +31,11 @@ instead (DESIGN §8.2).
 from __future__ import annotations
 
 import enum
+from collections import Counter
+from itertools import chain, repeat, starmap
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.graph.digraph import Graph
 from repro.partition.fragment import Edge, Fragment
@@ -111,11 +115,8 @@ class HybridPartition:
         for v, fid in enumerate(homes):
             if not 0 <= fid < num_fragments:
                 raise ValueError(f"assignment for vertex {v} out of range")
-        part._bulk_load(
-            (fid, (v,), graph.incident_edges(v)) for v, fid in enumerate(homes)
-        )
-        for v, fid in enumerate(homes):
-            part._masters[v] = fid
+        part._bulk_load(_home_events(graph, np.asarray(homes, dtype=np.int64)))
+        part._masters.update(enumerate(homes))
         return part
 
     @classmethod
@@ -132,65 +133,197 @@ class HybridPartition:
         assignment-iteration order (MAssign can reassign it later).
         """
         part = cls(graph, num_fragments)
-
-        def batches():
-            for edge, fid in assignment.items():
-                fid = int(fid)
-                if not 0 <= fid < num_fragments:
-                    raise ValueError(f"assignment for edge {edge} out of range")
-                if not graph.has_edge(*edge):
-                    raise ValueError(f"edge {edge} does not exist in the graph")
-                yield fid, (), (graph.canonical_edge(*edge),)
-            # Isolated vertices still need a home.
-            for v in graph.vertices:
-                if v not in part._placement:
-                    yield v % num_fragments, (v,), ()
-
-        part._bulk_load(batches())
+        fids = np.fromiter(map(int, assignment.values()), np.int64, len(assignment))
+        src, dst = np.array(list(assignment), dtype=np.int64).reshape(-1, 2).T
+        ok = (fids >= 0) & (fids < num_fragments)
+        ok &= graph.has_edges(src, dst)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            edge = list(assignment)[first]
+            if not 0 <= fids[first] < num_fragments:
+                raise ValueError(f"assignment for edge {edge} out of range")
+            raise ValueError(f"edge {edge} does not exist in the graph")
+        if not graph.directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        # Isolated vertices still need a home.
+        isolated = np.ones(graph.num_vertices, dtype=bool)
+        isolated[src] = isolated[dst] = False
+        isolated = np.flatnonzero(isolated)
+        part._bulk_load(
+            np.concatenate(
+                [
+                    _block(fids, src, dst),
+                    _block(isolated % num_fragments, isolated, np.full_like(isolated, -1)),
+                ],
+                axis=1,
+            )
+        )
         return part
 
-    def _bulk_load(
-        self, batches: Iterable[Tuple[int, Iterable[int], Iterable[Edge]]]
-    ) -> None:
-        """Fill this *empty* partition from ``(fid, vertices, edges)`` batches.
+    def _bulk_load(self, events: np.ndarray, tuples: Optional[np.ndarray] = None) -> None:
+        """Build every index of this partition from a ``(3, k)`` int64 event array.
 
-        The constructor body behind ``from_*_assignment``, :meth:`copy` and
-        deserialization.  A batch puts its vertices, then its (canonical,
-        existing) edges, into fragment ``fid`` with the container insertions
-        ``add_vertex_to`` / ``add_edge_to`` would make, in their order —
-        index iteration orders feed float sums downstream (DESIGN §8.2);
-        only the per-vertex ``_full`` sets, read through ``in`` / ``min`` /
-        ``==`` alone, are order-free — but fullness is computed once per
-        copy at the end and nobody is notified: an in-place restore wakes
-        its own listeners.
+        Column ``(fid, v, -1)`` puts a copy of vertex ``v`` into fragment
+        ``fid``; column ``(fid, u, w)`` the canonical, existing edge
+        ``(u, w)`` with its endpoint copies.  ``tuples``, an object array
+        of the columns' edge tuples, lets a caller that already holds them
+        (:meth:`copy`) have them stored; otherwise one is made per distinct
+        edge.  The constructor body behind ``from_*_assignment``,
+        :meth:`copy` and deserialization.  Every
+        index comes out as ``add_vertex_to`` / ``add_edge_to`` called per
+        column, in column order, would leave it — key orders and set
+        layouts included, since index iteration orders feed float sums
+        downstream (DESIGN §8.2) — but each container is built once, in C,
+        from orders a few array sorts derive: the first touch of each
+        ``(vertex, fid)`` copy, the first occurrence of each ``(edge,
+        fid)`` pair and each bucket's edges in event order.  The indexes
+        share one int object per vertex id and one tuple per edge,
+        fullness is read off bucket sizes, and nobody is notified: an
+        in-place restore wakes its own listeners.
         """
-        full, place = self._full, self._place
-        for fid, vertices, edges in batches:
-            fragment = self.fragments[fid]
-            incident = fragment._incident
-            for v in vertices:
-                if fragment._add_vertex(v):
-                    place(v, fid)
-                    if self._facts(v)[0] == 0:
-                        full.setdefault(v, set()).add(fid)
-            for edge in edges:
-                u, w = edge
-                new_u, new_w = u not in incident, w not in incident
-                if not fragment._add_edge(edge):
-                    continue
-                if new_u:
-                    place(u, fid)
-                if new_w:
-                    place(w, fid)
-                # Same key order as add_edge_to's endpoint-set walk.
-                for x in {u, w}:
-                    if x not in full:
-                        full[x] = set()
-        for fragment in self.fragments:
-            fid = fragment.fid
-            for v, bucket in fragment._incident.items():
-                if bucket and len(bucket) == self._facts(v)[0]:
-                    full[v].add(fid)
+        graph, k = self.graph, self.num_fragments
+        n = graph.num_vertices
+        counts = graph.incident_edge_counts()
+        # One int object per vertex id, indexed like an array.
+        vertex = np.arange(n).astype(object)
+        if not self._graph_facts:
+            self._graph_facts = dict(
+                zip(
+                    vertex.tolist(),
+                    zip(counts.tolist(), graph.in_degrees().tolist(), graph.out_degrees().tolist()),
+                )
+            )
+        fids, src, dst = events
+        del events
+        # _full opens a vertex's key when an edge of it is first stored
+        # (walking {u, w}) or, edge-free, when its first copy is placed.
+        opens = (dst >= 0) | (counts[src] == 0)
+        full_keys = _first_touches(src[opens], dst[opens], n)
+
+        # Copies: the first touch of each (vertex, fid); an edge touches u, then w.
+        pair = np.stack([src, dst], axis=1).ravel() * k + np.repeat(fids, 2)
+        pair[1::2][dst < 0] = n * k  # a bare vertex's empty slot: one last group
+        order = _stable_order(pair)
+        pair = pair[order]
+        head = np.ones(len(pair), dtype=bool)
+        head[1:] = pair[1:] != pair[:-1]
+        copy_at = np.empty(len(pair), dtype=np.int64)
+        copy_at[order] = np.cumsum(head) - 1  # touch -> its copy's index in keys
+        keys, first = pair[head], order[head]
+        if len(keys) and keys[-1] == n * k:
+            keys, first = keys[:-1], first[:-1]
+        del opens, pair, order, head
+        # ... in global first-touch order: placement, hosts, default masters;
+        by_touch = np.argsort(first)
+        touch_v, touch_f = np.divmod(keys[by_touch], k)
+        opened = np.full(n, len(by_touch))
+        np.minimum.at(opened, touch_v, np.arange(len(by_touch)))
+        opened = np.sort(opened[opened < len(by_touch)])
+        placed = touch_v[opened]
+        slot = np.empty(n, dtype=np.int64)
+        slot[placed] = np.arange(len(placed))
+        host_counts = np.bincount(slot[touch_v], minlength=len(placed))
+        hosts = touch_f[_stable_order(slot[touch_v])]
+        masters = touch_f[opened]
+        # ... and fragment-major: each fragment's _incident key order.
+        by_fragment = np.argsort(keys % k * len(copy_at) + first)
+        rank = np.empty_like(by_fragment)
+        rank[by_fragment] = np.arange(len(by_fragment))
+        copy_v, copy_f = np.divmod(keys[by_fragment], k)
+        del keys, first, by_touch, opened, by_fragment
+
+        # Stored edges: the first occurrence of each (edge, fid), ordered by
+        # edge, then fid, then event; one id per distinct edge.
+        edge_at = np.flatnonzero(dst >= 0)
+        order = _stable_order(fids[edge_at])
+        edge = src[edge_at] * n + dst[edge_at]
+        order = order[_stable_order(edge[order])]
+        edge, edge_f = edge[order], fids[edge_at[order]]
+        fresh = np.ones(len(edge), dtype=bool)
+        fresh[1:] = edge[1:] != edge[:-1]
+        kept = fresh.copy()
+        kept[1:] |= edge_f[1:] != edge_f[:-1]
+        distinct = edge[fresh]
+        if tuples is not None:
+            tuples = tuples[edge_at[order[fresh]]]
+        edge_ids = np.empty(len(edge), dtype=np.int64)
+        edge_ids[order] = np.cumsum(fresh) - 1
+        kept = np.sort(order[kept])
+        edge_ids, kept = edge_ids[kept], edge_at[kept]
+        u, w, edge_f = src[kept], dst[kept], fids[kept]
+        # Buckets: per copy, its stored edges in event order.
+        loose = np.ones(2 * len(kept), dtype=bool)
+        loose[1::2] = u != w  # a self-loop is one bucket entry
+        bucket_rank = rank[np.stack([copy_at[2 * kept], copy_at[2 * kept + 1]], axis=1).ravel()[loose]]
+        sizes = np.bincount(bucket_rank, minlength=len(rank))
+        bucket_edges = np.repeat(edge_ids, 2)[loose][_stable_order(bucket_rank)]
+        # The event columns go before any container is built.
+        del fids, src, dst, edge_at, order, edge, fresh, kept, copy_at, rank, bucket_rank
+        # Fullness: copies holding all of E_v, fragment by fragment, and
+        # every copy of an edge-free vertex, in its hosts' order.
+        full = (sizes > 0) & (sizes == counts[copy_v])
+        edge_free = counts[touch_v] == 0
+        full_v = np.concatenate([copy_v[full], touch_v[edge_free]])
+        full_f = np.concatenate([copy_f[full], touch_f[edge_free]])
+        slot[full_keys] = np.arange(len(full_keys))
+        full_counts = np.bincount(slot[full_v], minlength=len(full_keys))
+        full_f = full_f[_stable_order(slot[full_v])]
+        del full, edge_free, full_v, slot, touch_v, touch_f
+        # Per fragment: its copies, its stored edges, its degree streams.
+        copy_cut = _fragment_cut(copy_f, k)
+        by_edge_f = _stable_order(edge_f)
+        edge_cut = _fragment_cut(edge_f[by_edge_f], k)
+        stored = edge_ids[by_edge_f]
+        if graph.directed:
+            out_stream, in_stream, degree_cut = u[by_edge_f], w[by_edge_f], edge_cut
+        else:
+            stream = np.stack([u, w], axis=1).ravel()[loose]
+            stream_f = np.repeat(edge_f, 2)[loose]
+            by_stream_f = _stable_order(stream_f)
+            out_stream = in_stream = stream[by_stream_f]
+            degree_cut = _fragment_cut(stream_f[by_stream_f], k)
+        del u, w, edge_f, by_edge_f, loose, edge_ids, copy_f
+
+        # Every set is allocated empty before any is filled: the allocations
+        # that pace the cyclic GC then meet empty sets and no long list.
+        copies = vertex[copy_v].tolist()
+        placed = vertex[placed].tolist()
+        full_keys = vertex[full_keys].tolist()
+        sets = list(starmap(set, repeat((), len(copies) + len(placed) + len(full_keys))))
+        buckets, sets = sets[: len(copies)], sets[len(copies) :]
+        host_sets, full_sets = sets[: len(placed)], sets[len(placed) :]
+        if tuples is None:
+            # One tuple per distinct edge, shared by every copy that stores
+            # it, allocated in the order the fragments' edge sets first hold
+            # them: the fills below then walk memory mostly in address order.
+            first = np.full(len(distinct), len(stored))
+            np.minimum.at(first, stored, np.arange(len(stored)))
+            by_first = np.argsort(first)
+            distinct = distinct[by_first]
+            tuples = np.empty(len(distinct), dtype=object)
+            tuples[by_first] = np.fromiter(
+                zip(vertex[distinct // n].tolist(), vertex[distinct % n].tolist()),
+                dtype=object,
+                count=len(distinct),
+            )
+            del first, by_first
+        edge = tuples
+        del copy_v, distinct, sets, tuples
+        _fill(buckets, edge[bucket_edges].tolist(), sizes)
+        _fill(host_sets, hosts.tolist(), host_counts)
+        _fill(full_sets, full_f.tolist(), full_counts)
+        del bucket_edges, hosts, full_f
+        self._placement = dict(zip(placed, host_sets))
+        self._masters = dict(zip(placed, masters.tolist()))
+        self._full = dict(zip(full_keys, full_sets))
+        for fid, fragment in enumerate(self.fragments):
+            a, b = copy_cut[fid], copy_cut[fid + 1]
+            fragment._incident = dict(zip(copies[a:b], buckets[a:b]))
+            a, b = edge_cut[fid], edge_cut[fid + 1]
+            fragment._edges = set(edge[stored[a:b]].tolist())
+            a, b = degree_cut[fid], degree_cut[fid + 1]
+            fragment._out_deg = dict(Counter(vertex[out_stream[a:b]].tolist()))
+            fragment._in_deg = dict(Counter(vertex[in_stream[a:b]].tolist()))
 
     # ------------------------------------------------------------------
     # Listener registration (used by incremental cost trackers)
@@ -598,12 +731,7 @@ class HybridPartition:
         """Deep copy (fragments, placement, masters); listeners not copied."""
         clone = HybridPartition(self.graph, self.num_fragments)
         clone._graph_facts = dict(self._graph_facts)
-        # Fragment-major: the clone's index orders are those of this
-        # traversal, not the source's (DESIGN §8.2).
-        clone._bulk_load(
-            (fid, fragment.vertices(), fragment.edges())
-            for fid, fragment in enumerate(self.fragments)
-        )
+        clone._bulk_load(*_fragment_events(self.fragments))
         clone._masters.update(self._masters)
         return clone
 
@@ -612,3 +740,83 @@ class HybridPartition:
             f"F{f.fid}(|V|={f.num_vertices},|E|={f.num_edges})" for f in self.fragments
         )
         return f"HybridPartition[{sizes}]"
+
+
+def _block(fids, src: np.ndarray, dst) -> np.ndarray:
+    """Loader events putting vertices ``src`` (``dst`` = -1) or edges
+    ``(src, dst)`` into fragments ``fids`` (arrays or scalars)."""
+    return np.stack(np.broadcast_arrays(fids, src, dst)).astype(np.int64, copy=False)
+
+
+def _fragment_events(fragments: List[Fragment]) -> Tuple[np.ndarray, np.ndarray]:
+    """Loader events of ``fragments``, each's vertices then its edges, and
+    the edges' own tuples: fragment-major, so a copy's index orders are
+    those of this traversal, not its source's (DESIGN §8.2)."""
+    blocks, tuples = [], []
+    for fid, fragment in enumerate(fragments):
+        vertices = np.fromiter(fragment._incident, np.int64, len(fragment._incident))
+        edges = list(fragment._edges)
+        src, dst = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2).T
+        blocks += [_block(fid, vertices, -1), _block(fid, src, dst)]
+        tuples += [None] * len(vertices) + edges
+    return np.concatenate(blocks, axis=1), np.fromiter(tuples, object, len(tuples))
+
+
+def _home_events(graph: Graph, homes: np.ndarray) -> np.ndarray:
+    """Per vertex ``v`` in id order: ``v``, then ``incident_edges(v)``, at
+    ``homes[v]``."""
+    owner, src, dst = graph.incident_stream()
+    n = graph.num_vertices
+    row = np.bincount(owner, minlength=n)
+    bare = np.arange(n) + np.cumsum(row) - row
+    at = np.arange(len(owner)) + owner + 1
+    events = np.empty((3, n + len(owner)), dtype=np.int64)
+    events[0, bare], events[1, bare], events[2, bare] = homes, np.arange(n), -1
+    events[0, at], events[1, at], events[2, at] = homes[owner], src, dst
+    return events
+
+
+def _fragment_cut(fids: np.ndarray, k: int) -> List[int]:
+    """Bounds of each fragment's run in ascending ``fids``."""
+    return np.searchsorted(fids, np.arange(k + 1)).tolist()
+
+
+def _cut(items: list, sizes: np.ndarray) -> Iterator[list]:
+    """``items`` cut into consecutive runs of ``sizes``."""
+    ends = np.cumsum(sizes).tolist()
+    return map(items.__getitem__, map(slice, [0] + ends[:-1], ends))
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative int64 keys: one
+    plain sort of ``key << b | index`` where the pair fits in 63 bits."""
+    shift = max(len(keys) - 1, 1).bit_length()
+    if len(keys) and int(keys.max()) >> (62 - shift):
+        return np.argsort(keys, kind="stable")
+    return np.sort((keys << shift) | np.arange(len(keys))) & ((1 << shift) - 1)
+
+
+def _fill(sets: List[set], items: list, sizes: np.ndarray) -> None:
+    """Add consecutive runs of ``items``, ``sizes`` long, to ``sets`` in turn:
+    the layout ``set(run)`` gives, without a tracked allocation."""
+    for _ in map(set.update, sets, _cut(items, sizes)):
+        pass
+
+
+def _first_touches(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Vertices in the order a walk first meets them: per event ``src[i]``
+    when ``dst[i] < 0``, else the set ``{src[i], dst[i]}`` in the order the
+    interpreter iterates it — the walk ``_settle`` makes over an edge."""
+    walk = np.stack([src, dst], axis=1).ravel()
+    first = np.full(n, len(walk))
+    at = np.flatnonzero(walk >= 0)
+    np.minimum.at(first, walk[at], at)
+    first = first[first < len(walk)]
+    met = np.zeros(len(walk), dtype=bool)
+    met[first] = True
+    # Where an edge meets both endpoints first, set order decides.
+    both = np.flatnonzero(met[0::2] & met[1::2] & (src != dst))
+    pairs = zip(src[both].tolist(), dst[both].tolist())
+    flip = both[np.fromiter((next(iter({a, b})) != a for a, b in pairs), bool, len(both))]
+    walk[2 * flip], walk[2 * flip + 1] = dst[flip], src[flip]
+    return walk[np.sort(first)]

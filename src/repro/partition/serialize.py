@@ -15,10 +15,12 @@ import json
 import os
 from typing import Dict, Union
 
+import numpy as np
+
 from repro.graph.digraph import Graph
 from repro.partition.composite import CompositePartition
 from repro.partition.fragment import Fragment
-from repro.partition.hybrid import HybridPartition
+from repro.partition.hybrid import HybridPartition, _block, _first_touches
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -46,16 +48,27 @@ def partition_to_dict(partition: HybridPartition) -> Dict:
     }
 
 
-def _payload_batches(data: Dict, graph: Graph):
-    """Loader batches of a payload: per fragment its edges, then its vertices."""
+def _payload_events(data: Dict, graph: Graph) -> np.ndarray:
+    """Loader events of a payload: per fragment its edges, then its vertices.
+
+    Raises ``ValueError`` for the first edge the graph lacks or vertex it
+    does not have, in payload order.
+    """
+    blocks = []
     for fid, fragment in enumerate(data["fragments"]):
-        edges = []
-        for u, v in fragment["edges"]:
-            if not graph.has_edge(u, v):
-                raise ValueError(f"edge {(u, v)} does not exist in the graph")
-            edges.append(graph.canonical_edge(u, v))
-        yield fid, (), edges
-        yield fid, [int(v) for v in fragment["vertices"]], ()
+        src, dst = np.array(fragment["edges"], dtype=np.int64).reshape(-1, 2).T
+        exists = graph.has_edges(src, dst)
+        if not exists.all():
+            bad = int(np.argmin(exists))
+            raise ValueError(f"edge {(int(src[bad]), int(dst[bad]))} does not exist in the graph")
+        if not graph.directed:
+            src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        vertices = np.array(fragment["vertices"], dtype=np.int64).reshape(-1)
+        outside = (vertices < 0) | (vertices >= graph.num_vertices)
+        if outside.any():
+            raise ValueError(f"vertex {int(vertices[outside][0])} does not exist in the graph")
+        blocks += [_block(fid, src, dst), _block(fid, vertices, -1)]
+    return np.concatenate(blocks, axis=1) if blocks else np.empty((3, 0), dtype=np.int64)
 
 
 def partition_from_dict(data: Dict, graph: Graph) -> HybridPartition:
@@ -72,7 +85,7 @@ def partition_from_dict(data: Dict, graph: Graph) -> HybridPartition:
     ):
         raise ValueError("partition payload does not match the supplied graph")
     partition = HybridPartition(graph, int(data["num_fragments"]))
-    partition._bulk_load(_payload_batches(data, graph))
+    partition._bulk_load(_payload_events(data, graph))
     for v, fid in data["masters"].items():
         v, fid = int(v), int(fid)
         if fid not in partition._placement.get(v, ()):
@@ -97,6 +110,7 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
             f"{data['num_fragments']} fragments, partition has "
             f"{partition.num_fragments}"
         )
+    events = _payload_events(data, partition.graph)
     # Vertices placed before the restore must be re-priced even if the
     # snapshot no longer places them (a snapshot of a valid partition
     # always does; one taken mid-construction may not).
@@ -105,25 +119,14 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
         Fragment(fid, partition.graph.directed)
         for fid in range(partition.num_fragments)
     ]
-    partition._placement.clear()
-    partition._full.clear()
-    partition._masters.clear()
     # Listeners hear of each vertex in the order per-edge re-insertion
     # would first have touched it (edge endpoints, then edge-less copies,
     # fragment by fragment), then of the leftovers: the order a tracker
     # first sees dirty vertices in feeds its float sums (DESIGN §8.2).
-    touched: Dict[int, None] = {}
-
-    def batches():
-        for fid, vertices, edges in _payload_batches(data, partition.graph):
-            for u, v in edges:
-                for w in {u, v}:
-                    touched.setdefault(w)
-            for v in vertices:
-                touched.setdefault(v)
-            yield fid, vertices, edges
-
-    partition._bulk_load(batches())
+    touched = dict.fromkeys(
+        _first_touches(events[1], events[2], partition.graph.num_vertices).tolist()
+    )
+    partition._bulk_load(events)
     for v, fid in data["masters"].items():
         partition._masters[int(v)] = int(fid)
     for v in partition._placement:

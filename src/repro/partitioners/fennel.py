@@ -51,6 +51,8 @@ class Fennel(Partitioner):
 
         assignment: List[int] = [-1] * n
         sizes = [0] * num_fragments
+        # α·γ·|V_i|^{γ−1} per fragment; only the grown fragment's changes.
+        penalties = [self._penalty(alpha, 0)] * num_fragments
         order = self.order if self.order is not None else range(n)
         for v in order:
             neighbor_counts = [0] * num_fragments
@@ -63,9 +65,7 @@ class Fennel(Partitioner):
             for fid in range(num_fragments):
                 if sizes[fid] + 1 > capacity:
                     continue
-                score = neighbor_counts[fid] - alpha * self.gamma * (
-                    sizes[fid] ** (self.gamma - 1.0)
-                )
+                score = neighbor_counts[fid] - penalties[fid]
                 if score > best_score:
                     best_score = score
                     best_fid = fid
@@ -73,7 +73,12 @@ class Fennel(Partitioner):
                 best_fid = min(range(num_fragments), key=sizes.__getitem__)
             assignment[v] = best_fid
             sizes[best_fid] += 1
+            penalties[best_fid] = self._penalty(alpha, sizes[best_fid])
         return HybridPartition.from_vertex_assignment(graph, assignment, num_fragments)
+
+    def _penalty(self, alpha: float, size: int) -> float:
+        """The objective's size penalty ``α · γ · |V_i|^{γ−1}``."""
+        return alpha * self.gamma * (size ** (self.gamma - 1.0))
 
 
 register_partitioner("fennel", Fennel)

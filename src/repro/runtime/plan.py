@@ -23,7 +23,9 @@ honors:
   updated, so every run observes one consistent partition state.
 
 Plans are cached on the partition object itself (``_kernel_plan``) so
-repeated runs over the same partition pay the compilation cost once.
+repeated runs over the same partition pay the compilation cost once.  A
+plan refers back to its partition weakly, so a dropped partition and its
+plan are freed at once rather than left as a cycle for the GC.
 
 Incremental maintenance (DESIGN §15): when a stale plan's delta — the
 vertex set reported by ``HybridPartition.mutations_since`` — is small,
@@ -40,6 +42,7 @@ or rolled-back refinement) revalidates the existing snapshot in place.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from itertools import chain
 from types import SimpleNamespace
@@ -142,6 +145,18 @@ class FragmentPlan:
     per-algorithm tables are compiled lazily on first use and memoized
     for the plan's lifetime.
     """
+
+    @property
+    def partition(self) -> HybridPartition:
+        """The partition this plan was compiled from, held weakly: it
+        caches the plan (``_kernel_plan``), and a strong link back would
+        leave every dropped partition as cyclic garbage that only a full
+        GC pass frees.  Keep the partition while you use its plan."""
+        return self._partition()
+
+    @partition.setter
+    def partition(self, partition: HybridPartition) -> None:
+        self._partition = weakref.ref(partition)
 
     def __init__(self, partition: HybridPartition) -> None:
         self.partition = partition

@@ -51,9 +51,11 @@ def assert_indistinguishable(got: HybridPartition, want: HybridPartition) -> Non
     """Same contents and same iteration order of every ordered index."""
     assert list(got.vertex_fragments()) == list(want.vertex_fragments())
     assert list(got._masters.items()) == list(want._masters.items())
+    fresh = HybridPartition(want.graph, 1)
     for v in want.graph.vertices:
         assert list(got._placement.get(v, ())) == list(want._placement.get(v, ()))
         assert got.full_fragments(v) == want.full_fragments(v)
+        assert got._graph_facts[v] == fresh._facts(v)
     for mine, theirs in zip(got.fragments, want.fragments):
         assert list(mine.vertices()) == list(theirs.vertices())
         assert list(mine.edges()) == list(theirs.edges())

@@ -45,9 +45,13 @@ def partition() -> HybridPartition:
     graph = chung_lu_power_law(240, 6.0, exponent=2.1, directed=True, seed=11)
     vcut = get_partitioner("hdrf").partition(graph, FRAGMENTS - 1)
     part = HybridPartition(graph, FRAGMENTS)
-    part._bulk_load(
-        (f.fid, tuple(f.vertices()), tuple(f.edges())) for f in vcut.fragments
-    )
+    events = []  # per fragment its vertices, then its edges
+    for f in vcut.fragments:
+        vertices = np.fromiter(f.vertices(), dtype=np.int64)
+        src, dst = np.array(list(f.edges()), dtype=np.int64).reshape(-1, 2).T
+        events.append(np.stack([np.full_like(vertices, f.fid), vertices, np.full_like(vertices, -1)]))
+        events.append(np.stack([np.full_like(src, f.fid), src, dst]))
+    part._bulk_load(np.concatenate(events, axis=1))
     assert part.fragments[FRAGMENTS - 1].num_vertices == 0
     assert any(part.is_border(v) for v in graph.vertices)
     assert any(not part.is_border(v) for v in graph.vertices)
