@@ -13,7 +13,7 @@ workspace the warm replay must reproduce the cold run's stdout tables
 exactly (measured wall-clock columns included — they are stored in the
 artifacts and replayed, not re-measured).
 
-Standalone usage (what CI's eval-smoke step runs):
+Standalone usage (what a CI pipeline-bench step runs):
 
     PYTHONPATH=src python benchmarks/bench_eval_engine.py --smoke
 

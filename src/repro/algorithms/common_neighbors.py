@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.algorithms.base import Algorithm
+from repro.graph.digraph import _sorted_unique
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS
@@ -116,7 +117,7 @@ class CommonNeighbors(Algorithm):
 
         # Superstep 2: masters merge partial lists and count cross pairs.
         if vcut_parts:
-            uvs = np.unique(vs)
+            uvs = _sorted_unique(vs)
             k = gin.counts[uvs]
             ops = k * (k - 1) // 2
             cluster.charge_bulk(plan.master_of[uvs], ops, vertices=uvs)

@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.algorithms.base import Algorithm
+from repro.graph.digraph import _sorted_unique
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.kernels import KERNELS, closing, wedges
@@ -132,7 +133,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
     kernel = KERNELS["tc"]
     ecut = kernel.tables(plan)
     pairs = ecut.ks * (ecut.ks - 1) // 2
-    fids = np.unique(ecut.fids[pairs > 0]).tolist()
+    fids = _sorted_unique(ecut.fids[pairs > 0]).tolist()
     wa, wb, wp = cluster.map(kernel, ecut, (), fids, (kb, directed))
     triangles += int(pairs.sum()) - wa.size
     row = np.searchsorted(ecut.eslots, wp)  # each missed wedge's pivot
@@ -180,7 +181,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         # One sort merges and deduplicates every list, pivots ascending;
         # a second orders each pivot's higher-ranked neighbors by rank.
         owner = np.concatenate([np.repeat(m[2], np.diff(m[3][0])) for m in lists])
-        keys = np.unique(owner * kb + np.concatenate([m[3][1] for m in lists]))
+        keys = _sorted_unique(owner * kb + np.concatenate([m[3][1] for m in lists]))
         pv, nbr = keys // kb, keys % kb
         okey = degs[nbr] * kb + nbr
         above = okey > degs[pv] * kb + pv
@@ -213,7 +214,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
             # All of a qid's answers land in one superstep.
             left = fold()
             left -= np.bincount(qid, minlength=left.size)
-            triangles += np.unique(qid[hit]).size
+            triangles += _sorted_unique(qid[hit]).size
         replies = []
         for fid in workers:
             queries = [m for m in inboxes[fid] if m[0] == "query"]

@@ -7,7 +7,7 @@ cost fits — and returns the remaining cost-bearing nodes, with their
 local incident edges, as migration candidates.  The BFS order is what
 preserves locality: the kept sub-fragment is a union of connected
 regions, not a random vertex subset (ablated in
-``benchmarks/bench_ablation_candidates.py``).
+``benchmarks/bench_ablations.py``).
 """
 
 from __future__ import annotations

@@ -246,8 +246,7 @@ def apply_mutations(target: MutationTarget, batch: MutationBatch) -> Set[int]:
             for partition in partitions:
                 holders = [
                     fid
-                    for fid in partition.placement(edge[0])
-                    & partition.placement(edge[1])
+                    for fid in sorted(partition.placement(edge[0]) & partition.placement(edge[1]))
                     if partition.fragments[fid].has_edge(edge)
                 ]
                 for fid in holders:

@@ -177,7 +177,7 @@ class CostTracker:
         self._copy_contrib.clear()
         self._comm_contrib.clear()
         self._dirty.clear()
-        for v, _hosts in list(self.partition.vertex_fragments()):
+        for v in sorted(self.partition._placement):
             self._reprice(v)
 
     def _reprice(self, v: int) -> None:
@@ -220,7 +220,9 @@ class CostTracker:
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, set()
-        for v in dirty:
+        # Vertex-id order: the float sums never depend on the order the
+        # vertices were dirtied in (DESIGN §8.2).
+        for v in sorted(dirty):
             self._reprice(v)
         self._notify_cost(self._moved)
         self._moved.clear()

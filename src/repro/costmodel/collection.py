@@ -38,10 +38,6 @@ class TrainingSample:
     features: Mapping[str, float]
     cost: float
 
-    def as_tuple(self) -> Tuple[Mapping[str, float], float]:
-        """``(features, cost)`` pair for the trainer."""
-        return (self.features, self.cost)
-
 
 def _random_edge_cut(
     graph: Graph, num_fragments: int, rng: np.random.Generator

@@ -67,7 +67,8 @@ def copy_keys(
     hosts: Optional[Iterable[int]] = None,
     priced_only: bool = False,
 ) -> List[Tuple[int, bool, FeatureKey]]:
-    """``(fid, cost_bearing, key)`` for every real copy of ``v``, in one pass.
+    """``(fid, cost_bearing, key)`` for every real copy of ``v``, in one
+    pass, fids ascending.
 
     What all copies of ``v`` share — global degrees, mirror count, master,
     designated home — is read once; each copy adds three fragment-local
@@ -94,7 +95,7 @@ def copy_keys(
     avg_degree = float(avg_degree)
     fragments = partition.fragments
     copies = []
-    for fid in hosts:
+    for fid in sorted(hosts):
         fragment = fragments[fid]
         bucket = fragment._incident.get(v)
         if bucket is None:

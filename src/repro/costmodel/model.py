@@ -99,18 +99,6 @@ class CostModel:
         bearing, key = copy_key(partition, v, fid, avg_degree)
         return self.h_key(key) if bearing else 0.0
 
-    def vertex_comm_cost(
-        self,
-        partition: HybridPartition,
-        v: int,
-        avg_degree: Optional[float] = None,
-    ) -> float:
-        """``g_A(X(v))`` charged at the master of ``v`` (0 if not border)."""
-        if not partition.is_border(v):
-            return 0.0
-        fid = partition.master(v)
-        return self.g_key(copy_key(partition, v, fid, avg_degree)[1])
-
     def comm_cost_if_master_at(
         self,
         partition: HybridPartition,

@@ -452,35 +452,6 @@ class Graph:
                     seen.add(e)
                     yield e
 
-    def incident_stream(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every vertex's :meth:`incident_edges`, in order, as three columns.
-
-        Returns ``(owner, src, dst)`` int64 arrays: owner ascending and,
-        per owner ``v``, exactly the canonical edges ``incident_edges(v)``
-        yields in the order it yields them — directed: the out-row, then
-        the in-row without the self-loop's repeat; undirected: the row's
-        two halves canonicalised, the self-loop once.
-        """
-        if self._stale:
-            self._fold()
-        adj = self._adj_keys
-        owner, nbr = adj >> 32, adj & _LOW
-        # The in-row (second half) repeats a self-loop the out-row holds.
-        second = (adj & _HALF) != 0 if not self._directed else np.ones(len(adj), bool)
-        keep = ~second | (nbr != owner)
-        adj, owner, nbr, second = adj[keep], owner[keep], nbr[keep], second[keep]
-        if not self._directed:
-            return owner, np.where(second, nbr, owner), np.where(second, owner, nbr)
-        keys = self._keys
-        out_owner = keys >> 32
-        # Scatter each owner's out-row ahead of its in-row.
-        out_at = np.arange(len(keys)) + _indptr(adj, self._num_vertices)[out_owner]
-        in_at = np.arange(len(adj)) + self._out_indptr[owner + 1]
-        columns = np.empty((3, len(keys) + len(adj)), dtype=np.int64)
-        columns[:, out_at] = out_owner, out_owner, keys & _LOW
-        columns[:, in_at] = owner, nbr, owner
-        return columns[0], columns[1], columns[2]
-
     def incident_edge_counts(self) -> np.ndarray:
         """Vector of :meth:`incident_edge_count` for all vertices."""
         src, dst = self._columns()

@@ -53,11 +53,11 @@ class Fragment:
         return len(self._edges)
 
     def vertices(self) -> Iterator[int]:
-        """Iterate over vertex ids present in this fragment."""
+        """Iterate over vertex ids present in this fragment, in no set order."""
         return iter(self._incident)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate over local edges."""
+        """Iterate over local edges, in no set order."""
         return iter(self._edges)
 
     def has_vertex(self, v: int) -> bool:
@@ -84,10 +84,6 @@ class Fragment:
     def local_out_degree(self, v: int) -> int:
         """``d⁻_L(v)``: out-degree of ``v``'s copy within this fragment."""
         return self._out_deg.get(v, 0)
-
-    def local_degree(self, v: int) -> int:
-        """Number of distinct local edges incident to ``v``."""
-        return self.incident_count(v)
 
     def local_out_neighbors(self, v: int) -> Iterator[int]:
         """Local out-neighbors of ``v`` (all neighbors if undirected)."""

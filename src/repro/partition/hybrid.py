@@ -24,20 +24,24 @@ Mutations go through the single-edge verbs ``add_edge_to`` /
 refiner's move, the star transaction ``transfer_star``, so listeners (the
 refiners' incremental cost trackers) are told of every vertex whose
 features may have changed.  Partitions nobody observes yet (constructors,
-``copy``, deserialization) are filled by :meth:`HybridPartition._bulk_load`
-instead (DESIGN §8.2).
+deserialization) are filled by :meth:`HybridPartition._bulk_load` instead,
+and ``copy`` copies the containers.
+
+No result depends on the order an index was filled in: whatever reads an
+index in order reads it by vertex id, then fragment id, then packed edge
+key (DESIGN §8.2), so two partitions with equal contents refine, price
+and run identically however they were built.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import Counter
-from itertools import chain, repeat, starmap
+from itertools import repeat, starmap
 from typing import Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.digraph import Graph
+from repro.graph.digraph import Graph, _sorted_unique
 from repro.partition.fragment import Edge, Fragment
 
 
@@ -115,7 +119,19 @@ class HybridPartition:
         for v, fid in enumerate(homes):
             if not 0 <= fid < num_fragments:
                 raise ValueError(f"assignment for vertex {v} out of range")
-        part._bulk_load(_home_events(graph, np.asarray(homes, dtype=np.int64)))
+        home = np.asarray(homes, dtype=np.int64)
+        src, dst = graph.edge_array().T
+        cut = home[src] != home[dst]
+        part._bulk_load(
+            np.concatenate(
+                [
+                    _block(home, np.arange(len(home)), -1),
+                    _block(home[src], src, dst),
+                    _block(home[dst[cut]], src[cut], dst[cut]),
+                ],
+                axis=1,
+            )
+        )
         part._masters.update(enumerate(homes))
         return part
 
@@ -160,26 +176,22 @@ class HybridPartition:
         )
         return part
 
-    def _bulk_load(self, events: np.ndarray, tuples: Optional[np.ndarray] = None) -> None:
+    def _bulk_load(self, events: np.ndarray) -> None:
         """Build every index of this partition from a ``(3, k)`` int64 event array.
 
         Column ``(fid, v, -1)`` puts a copy of vertex ``v`` into fragment
         ``fid``; column ``(fid, u, w)`` the canonical, existing edge
-        ``(u, w)`` with its endpoint copies.  ``tuples``, an object array
-        of the columns' edge tuples, lets a caller that already holds them
-        (:meth:`copy`) have them stored; otherwise one is made per distinct
-        edge.  The constructor body behind ``from_*_assignment``,
-        :meth:`copy` and deserialization.  Every
-        index comes out as ``add_vertex_to`` / ``add_edge_to`` called per
-        column, in column order, would leave it — key orders and set
-        layouts included, since index iteration orders feed float sums
-        downstream (DESIGN §8.2) — but each container is built once, in C,
-        from orders a few array sorts derive: the first touch of each
-        ``(vertex, fid)`` copy, the first occurrence of each ``(edge,
-        fid)`` pair and each bucket's edges in event order.  The indexes
-        share one int object per vertex id and one tuple per edge,
-        fullness is read off bucket sizes, and nobody is notified: an
-        in-place restore wakes its own listeners.
+        ``(u, w)`` with its endpoint copies.  The constructor body behind
+        ``from_*_assignment`` and deserialization.  Every index holds what
+        ``add_vertex_to`` / ``add_edge_to`` called per column would leave,
+        but each container is built once, in C, from sorted columns, keys
+        in vertex-id order: no consumer reads an index in any order but a
+        canonical one (DESIGN §8.2).  The one order the columns keep is a
+        rule, not a layout: a vertex's default master is the fragment of
+        its first copy in column order, an edge touching ``u`` before
+        ``w``.  The indexes share one int object per vertex id and one
+        tuple per edge, fullness is read off bucket sizes, and nobody is
+        notified: an in-place restore wakes its own listeners.
         """
         graph, k = self.graph, self.num_fragments
         n = graph.num_vertices
@@ -195,94 +207,73 @@ class HybridPartition:
             )
         fids, src, dst = events
         del events
-        # _full opens a vertex's key when an edge of it is first stored
-        # (walking {u, w}) or, edge-free, when its first copy is placed.
-        opens = (dst >= 0) | (counts[src] == 0)
-        full_keys = _first_touches(src[opens], dst[opens], n)
-
-        # Copies: the first touch of each (vertex, fid); an edge touches u, then w.
-        pair = np.stack([src, dst], axis=1).ravel() * k + np.repeat(fids, 2)
-        pair[1::2][dst < 0] = n * k  # a bare vertex's empty slot: one last group
-        order = _stable_order(pair)
-        pair = pair[order]
-        head = np.ones(len(pair), dtype=bool)
-        head[1:] = pair[1:] != pair[:-1]
-        copy_at = np.empty(len(pair), dtype=np.int64)
-        copy_at[order] = np.cumsum(head) - 1  # touch -> its copy's index in keys
-        keys, first = pair[head], order[head]
+        # Copies: the distinct (vertex, fid) touches, vertex-major, each
+        # with its first touch; a bare vertex's empty slot sorts last.
+        touch = np.stack([src, dst], axis=1).ravel() * k + np.repeat(fids, 2)
+        touch[1::2][dst < 0] = n * k
+        order = _stable_order(touch)
+        touch = touch[order]
+        head = _heads(touch)
+        keys, first = touch[head], order[head]
         if len(keys) and keys[-1] == n * k:
             keys, first = keys[:-1], first[:-1]
-        del opens, pair, order, head
-        # ... in global first-touch order: placement, hosts, default masters;
-        by_touch = np.argsort(first)
-        touch_v, touch_f = np.divmod(keys[by_touch], k)
-        opened = np.full(n, len(by_touch))
-        np.minimum.at(opened, touch_v, np.arange(len(by_touch)))
-        opened = np.sort(opened[opened < len(by_touch)])
-        placed = touch_v[opened]
-        slot = np.empty(n, dtype=np.int64)
-        slot[placed] = np.arange(len(placed))
-        host_counts = np.bincount(slot[touch_v], minlength=len(placed))
-        hosts = touch_f[_stable_order(slot[touch_v])]
-        masters = touch_f[opened]
-        # ... and fragment-major: each fragment's _incident key order.
-        by_fragment = np.argsort(keys % k * len(copy_at) + first)
+        copy_v, copy_f = np.divmod(keys, k)
+        # Per placed vertex: its hosts, ascending, and the fragment it touched first.
+        starts = np.flatnonzero(_heads(copy_v))
+        placed = copy_v[starts]
+        host_counts = np.diff(np.append(starts, len(keys)))
+        masters = fids[np.minimum.reduceat(first, starts) // 2] if len(starts) else starts
+        # Stored edges: the distinct (edge, fid) pairs, edge-major, over one
+        # id per distinct edge.
+        at = np.flatnonzero(dst >= 0)
+        edge = src[at] * n + dst[at]
+        order = np.argsort(edge)
+        fresh = _heads(edge[order])
+        distinct = edge[order[fresh]]
+        edge_id = np.empty(len(edge), dtype=np.int64)
+        edge_id[order] = np.cumsum(fresh) - 1
+        stored_edge, stored_f = np.divmod(_sorted_unique(edge_id * k + fids[at]), k)
+        # The event columns go before any container is built.
+        del fids, src, dst, touch, order, head, first, starts, at, edge, fresh, edge_id
+        u, w = np.divmod(distinct[stored_edge], n)
+        u_copy = np.searchsorted(keys, u * k + stored_f)
+        w_copy = np.searchsorted(keys, w * k + stored_f)
+        loose = u != w  # a self-loop is one bucket entry
+        del u, w, keys
+        # Per copy, in copy order: bucket size and fullness (a bucket of
+        # |E_v| edges; every copy of an edge-free vertex).
+        size = np.bincount(u_copy, minlength=len(copy_v)) + np.bincount(
+            w_copy[loose], minlength=len(copy_v)
+        )
+        full = size == counts[copy_v]
+        full_v, full_f = copy_v[full], copy_f[full]
+        full_starts = np.flatnonzero(_heads(full_v))
+        full_keys = full_v[full_starts]
+        full_counts = np.diff(np.append(full_starts, len(full_v)))
+        # ... and fragment-major, ids ascending: buckets and local degrees
+        # (an undirected edge counts at both ends, a self-loop once).
+        by_fragment = _stable_order(copy_f)
         rank = np.empty_like(by_fragment)
         rank[by_fragment] = np.arange(len(by_fragment))
-        copy_v, copy_f = np.divmod(keys[by_fragment], k)
-        del keys, first, by_touch, opened, by_fragment
-
-        # Stored edges: the first occurrence of each (edge, fid), ordered by
-        # edge, then fid, then event; one id per distinct edge.
-        edge_at = np.flatnonzero(dst >= 0)
-        order = _stable_order(fids[edge_at])
-        edge = src[edge_at] * n + dst[edge_at]
-        order = order[_stable_order(edge[order])]
-        edge, edge_f = edge[order], fids[edge_at[order]]
-        fresh = np.ones(len(edge), dtype=bool)
-        fresh[1:] = edge[1:] != edge[:-1]
-        kept = fresh.copy()
-        kept[1:] |= edge_f[1:] != edge_f[:-1]
-        distinct = edge[fresh]
-        if tuples is not None:
-            tuples = tuples[edge_at[order[fresh]]]
-        edge_ids = np.empty(len(edge), dtype=np.int64)
-        edge_ids[order] = np.cumsum(fresh) - 1
-        kept = np.sort(order[kept])
-        edge_ids, kept = edge_ids[kept], edge_at[kept]
-        u, w, edge_f = src[kept], dst[kept], fids[kept]
-        # Buckets: per copy, its stored edges in event order.
-        loose = np.ones(2 * len(kept), dtype=bool)
-        loose[1::2] = u != w  # a self-loop is one bucket entry
-        bucket_rank = rank[np.stack([copy_at[2 * kept], copy_at[2 * kept + 1]], axis=1).ravel()[loose]]
-        sizes = np.bincount(bucket_rank, minlength=len(rank))
-        bucket_edges = np.repeat(edge_ids, 2)[loose][_stable_order(bucket_rank)]
-        # The event columns go before any container is built.
-        del fids, src, dst, edge_at, order, edge, fresh, kept, copy_at, rank, bucket_rank
-        # Fullness: copies holding all of E_v, fragment by fragment, and
-        # every copy of an edge-free vertex, in its hosts' order.
-        full = (sizes > 0) & (sizes == counts[copy_v])
-        edge_free = counts[touch_v] == 0
-        full_v = np.concatenate([copy_v[full], touch_v[edge_free]])
-        full_f = np.concatenate([copy_f[full], touch_f[edge_free]])
-        slot[full_keys] = np.arange(len(full_keys))
-        full_counts = np.bincount(slot[full_v], minlength=len(full_keys))
-        full_f = full_f[_stable_order(slot[full_v])]
-        del full, edge_free, full_v, slot, touch_v, touch_f
-        # Per fragment: its copies, its stored edges, its degree streams.
-        copy_cut = _fragment_cut(copy_f, k)
-        by_edge_f = _stable_order(edge_f)
-        edge_cut = _fragment_cut(edge_f[by_edge_f], k)
-        stored = edge_ids[by_edge_f]
+        bucket_rank = rank[np.concatenate([u_copy, w_copy[loose]])]
+        bucket_edges = np.concatenate([stored_edge, stored_edge[loose]])[_stable_order(bucket_rank)]
         if graph.directed:
-            out_stream, in_stream, degree_cut = u[by_edge_f], w[by_edge_f], edge_cut
+            out_deg = np.bincount(u_copy, minlength=len(copy_v))[by_fragment]
+            in_deg = np.bincount(w_copy, minlength=len(copy_v))[by_fragment]
         else:
-            stream = np.stack([u, w], axis=1).ravel()[loose]
-            stream_f = np.repeat(edge_f, 2)[loose]
-            by_stream_f = _stable_order(stream_f)
-            out_stream = in_stream = stream[by_stream_f]
-            degree_cut = _fragment_cut(stream_f[by_stream_f], k)
-        del u, w, edge_f, by_edge_f, loose, edge_ids, copy_f
+            out_deg = in_deg = size[by_fragment]
+        hosts, size, copy_v = copy_f, size[by_fragment], copy_v[by_fragment]
+        copy_cut = _fragment_cut(copy_f[by_fragment], k)
+        # Each fragment's stored edges, in ascending packed key.
+        by_edge_f = _stable_order(stored_f)
+        edge_cut = _fragment_cut(stored_f[by_edge_f], k)
+        stored = stored_edge[by_edge_f]
+        # One tuple per distinct edge, shared by every copy that stores it,
+        # allocated in the order the fragments' edge sets first hold them:
+        # the fills below then walk memory mostly in address order.
+        by_first = _stable_order(stored_f[_heads(stored_edge)])
+        del u_copy, w_copy, loose, full, full_v, full_starts, copy_f, rank, bucket_rank
+        del stored_edge, stored_f, by_fragment, by_edge_f
 
         # Every set is allocated empty before any is filled: the allocations
         # that pace the cyclic GC then meet empty sets and no long list.
@@ -292,38 +283,28 @@ class HybridPartition:
         sets = list(starmap(set, repeat((), len(copies) + len(placed) + len(full_keys))))
         buckets, sets = sets[: len(copies)], sets[len(copies) :]
         host_sets, full_sets = sets[: len(placed)], sets[len(placed) :]
-        if tuples is None:
-            # One tuple per distinct edge, shared by every copy that stores
-            # it, allocated in the order the fragments' edge sets first hold
-            # them: the fills below then walk memory mostly in address order.
-            first = np.full(len(distinct), len(stored))
-            np.minimum.at(first, stored, np.arange(len(stored)))
-            by_first = np.argsort(first)
-            distinct = distinct[by_first]
-            tuples = np.empty(len(distinct), dtype=object)
-            tuples[by_first] = np.fromiter(
-                zip(vertex[distinct // n].tolist(), vertex[distinct % n].tolist()),
-                dtype=object,
-                count=len(distinct),
-            )
-            del first, by_first
-        edge = tuples
-        del copy_v, distinct, sets, tuples
-        _fill(buckets, edge[bucket_edges].tolist(), sizes)
+        distinct = distinct[by_first]
+        edge = np.empty(len(distinct), dtype=object)
+        edge[by_first] = np.fromiter(
+            zip(vertex[distinct // n].tolist(), vertex[distinct % n].tolist()),
+            dtype=object,
+            count=len(distinct),
+        )
+        del distinct, by_first, sets
+        _fill(buckets, edge[bucket_edges].tolist(), size)
         _fill(host_sets, hosts.tolist(), host_counts)
         _fill(full_sets, full_f.tolist(), full_counts)
-        del bucket_edges, hosts, full_f
+        del bucket_edges, hosts, full_f, size
         self._placement = dict(zip(placed, host_sets))
         self._masters = dict(zip(placed, masters.tolist()))
         self._full = dict(zip(full_keys, full_sets))
         for fid, fragment in enumerate(self.fragments):
             a, b = copy_cut[fid], copy_cut[fid + 1]
             fragment._incident = dict(zip(copies[a:b], buckets[a:b]))
+            fragment._out_deg = _degrees(copy_v[a:b], out_deg[a:b], vertex)
+            fragment._in_deg = _degrees(copy_v[a:b], in_deg[a:b], vertex)
             a, b = edge_cut[fid], edge_cut[fid + 1]
             fragment._edges = set(edge[stored[a:b]].tolist())
-            a, b = degree_cut[fid], degree_cut[fid + 1]
-            fragment._out_deg = dict(Counter(vertex[out_stream[a:b]].tolist()))
-            fragment._in_deg = dict(Counter(vertex[in_stream[a:b]].tolist()))
 
     # ------------------------------------------------------------------
     # Listener registration (used by incremental cost trackers)
@@ -340,10 +321,10 @@ class HybridPartition:
         self._notify_all((v,))
 
     def _notify_all(self, touched: Collection[int]) -> None:
-        """Journal and announce one transaction's touched vertices: each
-        once, in first-touch order — the order that lays out the listeners'
-        dirty sets, whose iteration feeds float sums (DESIGN §8.2).
-        Listeners only mark, so hearing at the end is hearing during."""
+        """Journal and announce one transaction's touched vertices, each
+        once.  Listeners only mark, so hearing at the end is hearing
+        during, and in any order: what they mark is read in vertex-id
+        order (DESIGN §8.2)."""
         journal = self._journal
         journal.extend(touched)
         self._generation += len(touched)
@@ -416,12 +397,6 @@ class HybridPartition:
     def is_border(self, v: int) -> bool:
         """Whether ``v`` is replicated (``v ∈ F.O``)."""
         return len(self._placement.get(v, ())) > 1
-
-    def border_nodes(self, fid: int) -> Iterator[int]:
-        """``F_i.O``: replicated vertices present in fragment ``fid``."""
-        for v in self.fragments[fid].vertices():
-            if self.is_border(v):
-                yield v
 
     def full_fragments(self, v: int) -> FrozenSet[int]:
         """Fragments holding the complete incident edge set of ``v``."""
@@ -527,13 +502,13 @@ class HybridPartition:
         graph = self.graph
         if not graph.has_edge(*edge):
             raise ValueError(f"edge {edge} does not exist in the graph")
-        touched: Dict[int, None] = {}
+        touched: Set[int] = set()
         if not self._enter(fid, graph.canonical_edge(*edge), touched):
             return False
         self._notify_all(touched)
         return True
 
-    def _enter(self, fid: int, edge: Edge, touched: Dict[int, None]) -> bool:
+    def _enter(self, fid: int, edge: Edge, touched: Set[int]) -> bool:
         """Put canonical ``edge`` into fragment ``fid``; True if it was new."""
         u, v = edge
         fragment = self.fragments[fid]
@@ -558,17 +533,16 @@ class HybridPartition:
         if v not in self._masters:
             self._masters[v] = fid
 
-    def _settle(self, fid: int, edge: Edge, prune: bool, touched: Dict[int, None]) -> None:
+    def _settle(self, fid: int, edge: Edge, prune: bool, touched: Set[int]) -> None:
         """Per endpoint of an ``edge`` that entered or left ``fid``: fullness,
         pruning of a copy left edge-free (unless it is the last one) and the
-        first touch.  A set, not a pair: the order listeners first see the
-        endpoints in is part of the bit-identity contract."""
+        touch.  A self-loop's one endpoint is settled once."""
         incident = self.fragments[fid]._incident
-        for w in {edge[0], edge[1]}:
+        for w in edge if edge[0] != edge[1] else edge[:1]:
             self._refresh_fullness(w, fid)
             if prune and not incident[w] and len(self._placement.get(w, ())) > 1:
                 self._prune(fid, w)
-            touched[w] = None
+            touched.add(w)
 
     def remove_edge_from(self, fid: int, edge: Edge, prune: bool = True) -> bool:
         """Remove ``edge`` from fragment ``fid``; True if it was present.
@@ -581,7 +555,7 @@ class HybridPartition:
         edge = self.graph.canonical_edge(*edge)
         if not self.fragments[fid]._remove_edge(edge):
             return False
-        touched: Dict[int, None] = {}
+        touched: Set[int] = set()
         self._settle(fid, edge, prune, touched)
         self._notify_all(touched)
         return True
@@ -607,8 +581,8 @@ class HybridPartition:
         endpoint) holding the edge.  Equal, edge for edge, to
         ``add_edge_to`` then ``remove_edge_from`` per source, except that
         each touched vertex is journalled and announced once, at the end,
-        in first-touch order, and the fullness of ``v``'s own copies —
-        which nothing in between reads — is settled per fragment, last.
+        and the fullness of ``v``'s own copies — which nothing in between
+        reads — is settled per fragment, last.
         """
         if keep not in ("all", "none", "bearing"):
             raise ValueError(f"unknown keep rule {keep!r}")
@@ -621,7 +595,7 @@ class HybridPartition:
         refresh, place, prune = self._refresh_fullness, self._place, self._prune
         lookup, bearing = src is None and keep != "all", keep == "bearing"
         sources = () if keep == "all" or src is None else (src,)
-        touched: Dict[int, None] = {}
+        touched: Set[int] = set()
         changed = set()  # fragments whose copy of v gained or lost an edge
         try:
             for edge in edges:
@@ -629,18 +603,16 @@ class HybridPartition:
                 u = a if b == v else b
                 if lookup:
                     sources = self._holders(v, edge, dst) or self._holders(u, edge, dst)
-                # Once v is touched only the far endpoint is left to settle:
-                # the walk of _settle in a straight line.
-                if u != v and v in touched:
-                    new_u = u not in incident
-                    if add(edge):
+                new_u, new_v = u not in incident, v not in incident
+                if add(edge):
+                    changed.add(dst)
+                    if new_v:
+                        place(v, dst)
+                    if u != v:
                         if new_u:
                             place(u, dst)
                         refresh(u, dst)
-                        touched[u] = None
-                        changed.add(dst)
-                elif self._enter(dst, edge, touched):
-                    changed.add(dst)
+                        touched.add(u)
                 for fid in sources:
                     fragment = fragments[fid]
                     bucket = fragment._incident.get(u)
@@ -652,18 +624,18 @@ class HybridPartition:
                     if not fragment._remove_edge(edge):
                         continue
                     changed.add(fid)
-                    if u != v and v in touched:
+                    if u != v:
                         refresh(u, fid)
                         if not bucket and len(placement.get(u, ())) > 1:
                             prune(fid, u)
-                        touched[u] = None
-                        if not fragment._incident[v] and len(placement.get(v, ())) > 1:
-                            prune(fid, v)
-                    else:
-                        self._settle(fid, edge, True, touched)
+                        touched.add(u)
+                    if not fragment._incident[v] and len(placement.get(v, ())) > 1:
+                        prune(fid, v)
         finally:
             for fid in changed:
                 refresh(v, fid)
+            if changed:
+                touched.add(v)
             self._notify_all(touched)
 
     def _holders(self, w: int, edge: Edge, dst: int) -> List[int]:
@@ -723,16 +695,25 @@ class HybridPartition:
         return sum(f.num_edges for f in self.fragments)
 
     def vertex_fragments(self) -> Iterator[Tuple[int, FrozenSet[int]]]:
-        """Iterate ``(v, fragments holding v)`` pairs."""
-        for v, hosts in self._placement.items():
-            yield v, frozenset(hosts)
+        """Iterate ``(v, fragments holding v)`` pairs, ``v`` ascending."""
+        placement = self._placement
+        for v in sorted(placement):
+            yield v, frozenset(placement[v])
 
     def copy(self) -> "HybridPartition":
-        """Deep copy (fragments, placement, masters); listeners not copied."""
+        """Deep copy (fragments, indexes, masters); listeners not copied.
+
+        Vertex ids and edge tuples are shared: they are immutable.
+        """
         clone = HybridPartition(self.graph, self.num_fragments)
         clone._graph_facts = dict(self._graph_facts)
-        clone._bulk_load(*_fragment_events(self.fragments))
-        clone._masters.update(self._masters)
+        clone._placement = {v: set(hosts) for v, hosts in self._placement.items()}
+        clone._full = {v: set(full) for v, full in self._full.items()}
+        clone._masters = dict(self._masters)
+        for mine, theirs in zip(clone.fragments, self.fragments):
+            mine._incident = {v: set(bucket) for v, bucket in theirs._incident.items()}
+            mine._edges = set(theirs._edges)
+            mine._in_deg, mine._out_deg = dict(theirs._in_deg), dict(theirs._out_deg)
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -746,34 +727,6 @@ def _block(fids, src: np.ndarray, dst) -> np.ndarray:
     """Loader events putting vertices ``src`` (``dst`` = -1) or edges
     ``(src, dst)`` into fragments ``fids`` (arrays or scalars)."""
     return np.stack(np.broadcast_arrays(fids, src, dst)).astype(np.int64, copy=False)
-
-
-def _fragment_events(fragments: List[Fragment]) -> Tuple[np.ndarray, np.ndarray]:
-    """Loader events of ``fragments``, each's vertices then its edges, and
-    the edges' own tuples: fragment-major, so a copy's index orders are
-    those of this traversal, not its source's (DESIGN §8.2)."""
-    blocks, tuples = [], []
-    for fid, fragment in enumerate(fragments):
-        vertices = np.fromiter(fragment._incident, np.int64, len(fragment._incident))
-        edges = list(fragment._edges)
-        src, dst = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2).T
-        blocks += [_block(fid, vertices, -1), _block(fid, src, dst)]
-        tuples += [None] * len(vertices) + edges
-    return np.concatenate(blocks, axis=1), np.fromiter(tuples, object, len(tuples))
-
-
-def _home_events(graph: Graph, homes: np.ndarray) -> np.ndarray:
-    """Per vertex ``v`` in id order: ``v``, then ``incident_edges(v)``, at
-    ``homes[v]``."""
-    owner, src, dst = graph.incident_stream()
-    n = graph.num_vertices
-    row = np.bincount(owner, minlength=n)
-    bare = np.arange(n) + np.cumsum(row) - row
-    at = np.arange(len(owner)) + owner + 1
-    events = np.empty((3, n + len(owner)), dtype=np.int64)
-    events[0, bare], events[1, bare], events[2, bare] = homes, np.arange(n), -1
-    events[0, at], events[1, at], events[2, at] = homes[owner], src, dst
-    return events
 
 
 def _fragment_cut(fids: np.ndarray, k: int) -> List[int]:
@@ -803,20 +756,15 @@ def _fill(sets: List[set], items: list, sizes: np.ndarray) -> None:
         pass
 
 
-def _first_touches(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Vertices in the order a walk first meets them: per event ``src[i]``
-    when ``dst[i] < 0``, else the set ``{src[i], dst[i]}`` in the order the
-    interpreter iterates it — the walk ``_settle`` makes over an edge."""
-    walk = np.stack([src, dst], axis=1).ravel()
-    first = np.full(n, len(walk))
-    at = np.flatnonzero(walk >= 0)
-    np.minimum.at(first, walk[at], at)
-    first = first[first < len(walk)]
-    met = np.zeros(len(walk), dtype=bool)
-    met[first] = True
-    # Where an edge meets both endpoints first, set order decides.
-    both = np.flatnonzero(met[0::2] & met[1::2] & (src != dst))
-    pairs = zip(src[both].tolist(), dst[both].tolist())
-    flip = both[np.fromiter((next(iter({a, b})) != a for a, b in pairs), bool, len(both))]
-    walk[2 * flip], walk[2 * flip + 1] = dst[flip], src[flip]
-    return walk[np.sort(first)]
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in ``keys`` starts."""
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return head
+
+
+def _degrees(vertices: np.ndarray, degrees: np.ndarray, vertex: np.ndarray) -> Dict[int, int]:
+    """``{v: degree}`` over the copies with a nonzero ``degrees``, in
+    ``vertices`` order, keyed by the shared int objects of ``vertex``."""
+    some = degrees > 0
+    return dict(zip(vertex[vertices[some]].tolist(), degrees[some].tolist()))

@@ -20,7 +20,7 @@ import numpy as np
 from repro.graph.digraph import Graph
 from repro.partition.composite import CompositePartition
 from repro.partition.fragment import Fragment
-from repro.partition.hybrid import HybridPartition, _block, _first_touches
+from repro.partition.hybrid import HybridPartition, _block
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -28,7 +28,8 @@ FORMAT_VERSION = 1
 
 
 def partition_to_dict(partition: HybridPartition) -> Dict:
-    """JSON-serializable representation of a hybrid partition."""
+    """JSON-serializable representation of a hybrid partition, in
+    canonical order: vertices, edges and master keys ascending."""
     return {
         "version": FORMAT_VERSION,
         "num_fragments": partition.num_fragments,
@@ -42,9 +43,7 @@ def partition_to_dict(partition: HybridPartition) -> Dict:
             }
             for fragment in partition.fragments
         ],
-        "masters": {
-            str(v): partition.master(v) for v, _h in partition.vertex_fragments()
-        },
+        "masters": {str(v): partition.master(v) for v, _h in partition.vertex_fragments()},
     }
 
 
@@ -100,9 +99,10 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
     The inverse of :func:`partition_to_dict` that preserves object
     identity: fragments, placement, full-copy, and master indexes are
     rebuilt from the payload while registered listeners stay attached
-    (every restored vertex is re-notified so incremental cost trackers
-    reprice lazily).  This is how the refinement guard restores its
-    best-so-far snapshot (:mod:`repro.integrity.guard`).
+    (every restored vertex, and every vertex placed before the restore,
+    is notified once, so incremental cost trackers reprice lazily).  This
+    is how the refinement guard restores its best-so-far snapshot
+    (:mod:`repro.integrity.guard`).
     """
     if int(data["num_fragments"]) != partition.num_fragments:
         raise ValueError(
@@ -114,27 +114,15 @@ def restore_partition_state(partition: HybridPartition, data: Dict) -> None:
     # Vertices placed before the restore must be re-priced even if the
     # snapshot no longer places them (a snapshot of a valid partition
     # always does; one taken mid-construction may not).
-    stale = {v for v, _hosts in partition.vertex_fragments()}
+    stale = set(partition._placement)
     partition.fragments = [
         Fragment(fid, partition.graph.directed)
         for fid in range(partition.num_fragments)
     ]
-    # Listeners hear of each vertex in the order per-edge re-insertion
-    # would first have touched it (edge endpoints, then edge-less copies,
-    # fragment by fragment), then of the leftovers: the order a tracker
-    # first sees dirty vertices in feeds its float sums (DESIGN §8.2).
-    touched = dict.fromkeys(
-        _first_touches(events[1], events[2], partition.graph.num_vertices).tolist()
-    )
     partition._bulk_load(events)
     for v, fid in data["masters"].items():
         partition._masters[int(v)] = int(fid)
-    for v in partition._placement:
-        stale.add(v)
-    for v in stale:
-        touched.setdefault(v)
-    for v in touched:
-        partition._notify(v)
+    partition._notify_all(stale.union(partition._placement))
 
 
 def save_partition(partition: HybridPartition, path: PathLike) -> None:

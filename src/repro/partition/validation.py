@@ -150,10 +150,11 @@ def _vertex_index_violations(partition: HybridPartition, v: int) -> List[Violati
 def _fragment_violations(
     partition: HybridPartition, fragment
 ) -> List[Violation]:
-    """Placement-index agreement and edge sanity for one fragment."""
+    """Placement-index agreement and edge sanity for one fragment, in
+    ascending vertex and edge order."""
     graph = partition.graph
     out: List[Violation] = []
-    for v in fragment.vertices():
+    for v in sorted(fragment.vertices()):
         hosts = partition.placement(v)
         if fragment.fid not in hosts:
             out.append(
@@ -164,7 +165,7 @@ def _fragment_violations(
                     vertex=v,
                 )
             )
-    for edge in fragment.edges():
+    for edge in sorted(fragment.edges()):
         u, v = edge
         if not graph.has_edge(u, v):
             out.append(

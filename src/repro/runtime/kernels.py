@@ -3,7 +3,7 @@
 A :class:`Kernel` row declares what its compute reads and writes next to
 the function that does it.  Every table is laid out in the plan's *copy
 space* (:class:`~repro.runtime.sync.SyncRoute`: every vertex copy,
-fragment-major, slot order within a fragment) and indexes it, so a
+ordered by (fid, id)) and indexes it, so a
 fragment's rows are a contiguous run of each table and one ``compute``
 over several fragments' rows returns the concatenation of their per-
 fragment results.  ``Cluster.map`` therefore makes one call per map over
@@ -91,7 +91,7 @@ def _stacked(
     plan: FragmentPlan, offsets: list, both_ways: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Every fragment's stored edges as copy-space ``(from, to)`` pairs,
-    fragment-major in ``edge_arrays`` order; with ``both_ways`` the
+    fragment-major in ``edge_arrays`` (packed-key) order; with ``both_ways`` the
     reverses follow each fragment's edges (a self-loop's once)."""
     froms, tos = [_EMPTY], [_EMPTY]
     for fid in range(plan.num_fragments):
@@ -271,8 +271,7 @@ def tc_tables(plan: FragmentPlan) -> SimpleNamespace:
         eslots.append(slots + offsets[fid])
         ks.append(t.ocounts[slots])
         onbrs.append(t.onbrs[gather_segments(t.oindptr, slots)[0]])
-        src, dst = plan.edge_arrays(fid)
-        ekeys.append(np.sort((fid * kb + src) * kb + dst))
+        ekeys.append(fid * kb * kb + plan.edge_keys(fid))
     ks_all = np.concatenate(ks)
     ends = np.cumsum(ks_all)
     pivots = _bounds([e.size for e in eslots[1:]])

@@ -12,11 +12,14 @@ as array reductions while reproducing those loops bit for bit.
 Bit-identity depends on two ordering contracts that every table here
 honors:
 
-* **Fragment iteration order is preserved.**  ``verts(fid)`` snapshots
-  ``Fragment.vertices()`` in its native iteration order and
-  ``edge_list(fid)`` snapshots ``Fragment.edges()`` likewise, so any
-  kernel that charges or sends "per vertex copy" does so in exactly the
-  order the scalar loop would have.
+* **Orders are canonical.**  ``verts(fid)`` lists a fragment's vertices
+  by ascending id and ``edge_arrays(fid)`` its edges by ascending packed
+  key ``u * key_base + v``; the copy space, and every table laid out in
+  it, is ordered by (fid, id), and a vertex's hosts by fid.  No table
+  reads the order a partition index happens to iterate in, so two
+  partitions with equal contents compile to equal plans however they
+  were built, and any kernel that charges or sends "per vertex copy"
+  does so in the order the scalar loop walks, sorted the same way.
 * **Plans are immutable snapshots.**  The plan records the partition's
   mutation ``generation`` at compile time; any vertex move bumps the
   counter, making ``valid`` False.  A stale plan is never partially
@@ -50,6 +53,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.digraph import _sorted_unique
 from repro.partition.hybrid import HybridPartition
 
 #: integer role codes used in per-fragment ``roles`` arrays
@@ -193,8 +197,7 @@ class FragmentPlan:
         self.rep_count[ids] = lens
         #: True where the vertex is replicated on more than one fragment
         self.border_mask = self.rep_count > 1
-        # Placement CSR: for each vertex, its host fids in ascending
-        # order (matching ``sorted(partition.placement(v))``).
+        # Placement CSR: for each vertex, its host fids in ascending order.
         self.place_fids = fids[np.lexsort((fids, np.repeat(ids, lens)))]
         self.place_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self.rep_count, out=self.place_indptr[1:])
@@ -203,7 +206,6 @@ class FragmentPlan:
         self._verts: Dict[int, np.ndarray] = {}
         self._slots: Dict[int, np.ndarray] = {}
         self._roles: Dict[int, np.ndarray] = {}
-        self._edge_lists: Dict[int, list] = {}
         self._edge_arrays: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._edge_keys: Dict[int, np.ndarray] = {}
         self._owned: Dict[bool, Dict[int, Tuple[np.ndarray, np.ndarray]]] = {}
@@ -238,19 +240,18 @@ class FragmentPlan:
     # Per-fragment basics
     # ------------------------------------------------------------------
     def verts(self, fid: int) -> np.ndarray:
-        """Fragment ``fid``'s vertices in ``Fragment.vertices()`` order."""
+        """Fragment ``fid``'s vertices, ascending: its slot order."""
         arr = self._verts.get(fid)
         if arr is None:
-            arr = np.fromiter(
-                self.partition.fragments[fid].vertices(), dtype=np.int64
-            )
+            incident = self.partition.fragments[fid]._incident
+            arr = np.sort(np.fromiter(incident, np.int64, len(incident)))
             self._verts[fid] = arr
         return arr
 
     def copy_space(self) -> Tuple[list, np.ndarray]:
-        """The copy space: every vertex copy, fragment-major and in
-        :meth:`verts` slot order within a fragment — each fragment's first
-        copy (and the total last), and every copy's vertex."""
+        """The copy space: every vertex copy, ordered by (fid, id) — each
+        fragment's first copy (and the total last), and every copy's
+        vertex."""
         verts = [self.verts(fid) for fid in range(self.num_fragments)]
         bounds = np.zeros(len(verts) + 1, dtype=np.int64)
         np.cumsum([v.size for v in verts], out=bounds[1:])
@@ -291,31 +292,25 @@ class FragmentPlan:
         return arr
 
     def edge_list(self, fid: int) -> list:
-        """Fragment ``fid``'s edges in ``Fragment.edges()`` order."""
-        edges = self._edge_lists.get(fid)
-        if edges is None:
-            edges = list(self.partition.fragments[fid].edges())
-            self._edge_lists[fid] = edges
-        return edges
+        """Fragment ``fid``'s edges as tuples, in :meth:`edge_arrays` order."""
+        src, dst = self.edge_arrays(fid)
+        return list(zip(src.tolist(), dst.tolist()))
 
     def edge_arrays(self, fid: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(src, dst)`` arrays of the fragment's edges, list order."""
+        """``(src, dst)`` arrays of the fragment's edges, by ascending
+        packed key (:meth:`edge_keys`)."""
         pair = self._edge_arrays.get(fid)
         if pair is None:
-            edges = self.edge_list(fid)
-            flat = np.fromiter(
-                chain.from_iterable(edges), np.int64, 2 * len(edges)
-            )
-            pair = (flat[0::2].copy(), flat[1::2].copy())
-            self._edge_arrays[fid] = pair
+            pair = self._edge_arrays[fid] = np.divmod(self.edge_keys(fid), self.key_base)
         return pair
 
     def edge_keys(self, fid: int) -> np.ndarray:
         """Sorted packed keys ``u * key_base + v`` of the stored edges."""
         keys = self._edge_keys.get(fid)
         if keys is None:
-            src, dst = self.edge_arrays(fid)
-            keys = np.sort(src * self.key_base + dst)
+            edges = self.partition.fragments[fid]._edges
+            flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+            keys = np.sort(flat[0::2] * self.key_base + flat[1::2])
             self._edge_keys[fid] = keys
         return keys
 
@@ -393,8 +388,8 @@ class FragmentPlan:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Edges of ``fid`` it owns (see :meth:`_edge_owner_table`).
 
-        Owner filtering preserves ``edge_list`` order so per-edge charge
-        sequences match the scalar scatter loop exactly.
+        Owner filtering preserves :meth:`edge_arrays` order so per-edge
+        charge sequences match the scalar scatter loop exactly.
         """
         flag = bool(target_aware)
         cache = self._owned.get(flag)
@@ -427,7 +422,7 @@ class FragmentPlan:
             slots = self.slot_of(fid)
             size = self.verts(fid).size
             if ev.size:
-                keys = np.unique(slots[ev] * self.key_base + en)
+                keys = _sorted_unique(slots[ev] * self.key_base + en)
                 counts = np.bincount(keys // self.key_base, minlength=size)
             else:
                 counts = np.zeros(size, dtype=np.int64)
@@ -457,7 +452,7 @@ class FragmentPlan:
             size = verts.size
             kb = self.key_base
             if ev.size:
-                keys = np.unique(slots[ev] * kb + en)
+                keys = _sorted_unique(slots[ev] * kb + en)
                 tslot = keys // kb
                 tnbr = keys % kb
             else:
@@ -521,22 +516,15 @@ class FragmentPlan:
 
         Row ``v`` of ``fids`` (via ``indptr``) is ``[home_of[v]]`` when v
         is e-cut — the home holds all of v's edges — else v's cost-bearing
-        copies (dummy copies hold only duplicates) in
-        ``partition.placement(v)`` iteration order.  That is a hash-table
-        order, ascending only up to 8 fragments, and it is the order the
-        scalar TC loop sends in — hence which message a seeded fault
-        doubles — so it is read here, once per v-cut vertex, and never
-        re-derived from ``place_fids``.
+        copies (dummy copies hold only duplicates), fids ascending: the
+        order TC sends its queries in, hence which message a seeded fault
+        doubles.
         """
         if self._targets is None:
             home = self.home_of()
             vcut = np.flatnonzero((home < 0) & (self.rep_count > 0))
-            lens = self.rep_count[vcut]
-            fids = np.fromiter(
-                chain.from_iterable(map(self.partition.placement, vcut.tolist())),
-                np.int64,
-                int(lens.sum()),
-            )
+            at, lens = gather_segments(self.place_indptr, vcut)
+            fids = self.place_fids[at]
             owner = np.repeat(vcut, lens)
             bearing = np.zeros(fids.size, dtype=bool)
             for fid in range(self.num_fragments):
@@ -556,18 +544,15 @@ class FragmentPlan:
     def master_values(self, state: Dict[int, np.ndarray]) -> dict:
         """``{v: state[master fid][slot of v]}`` over every placed vertex.
 
-        ``state`` holds one per-slot array per fragment.  Keys are the
-        placement index's own, in its order, as in the scalar loops'
-        result dicts (a kept result allocates no second set of ints).
+        ``state`` holds one per-slot array per fragment.  Keys ascend.
         """
-        placement = self.partition._placement
-        ids = np.fromiter(placement, np.int64, len(placement))
+        ids = np.flatnonzero(self.rep_count)
         masters = self.master_of[ids]
         out = np.empty(ids.size, dtype=state[0].dtype)
         for fid, arr in state.items():
             at = masters == fid
             out[at] = arr[self.slot_of(fid)[ids[at]]]
-        return dict(zip(placement, out.tolist()))
+        return dict(zip(ids.tolist(), out.tolist()))
 
     def triu_pairs(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row-major upper-triangle index pairs for a size-``k`` row."""
@@ -590,10 +575,10 @@ class FragmentPlan:
                 s = ea[:, 0].astype(np.int64)
                 d = ea[:, 1].astype(np.int64)
                 if g.directed:
-                    keys = np.unique(d * kb + s)
+                    keys = _sorted_unique(d * kb + s)
                 else:
                     loop = s != d
-                    keys = np.unique(
+                    keys = _sorted_unique(
                         np.concatenate([d * kb + s, (s * kb + d)[loop]])
                     )
                 tv = keys // kb
@@ -631,7 +616,6 @@ def _drop_fragment_caches(plan: FragmentPlan, touched: set) -> None:
         plan._verts,
         plan._slots,
         plan._roles,
-        plan._edge_lists,
         plan._edge_arrays,
         plan._edge_keys,
         plan._cn_lin,
@@ -655,9 +639,7 @@ def _patch_home_rows(plan: FragmentPlan, dirty) -> None:
         plan._home_of[v] = -1 if home is None else home
 
 
-def _patch_plan(
-    old: FragmentPlan, partition: HybridPartition, max_fraction: float
-) -> Optional[FragmentPlan]:
+def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[FragmentPlan]:
     """Patch a stale plan into a current one; None when patching can't apply.
 
     Returns either a *new* :class:`FragmentPlan` whose arrays are
@@ -677,7 +659,7 @@ def _patch_plan(
     if delta is None:
         return None
     n = old.num_vertices
-    if len(delta) > max(1, int(max_fraction * n)):
+    if len(delta) > max(1, int(PATCH_FRACTION * n)):
         return None
     dirty = sorted(v for v in delta if 0 <= v < n)
 
@@ -707,7 +689,7 @@ def _patch_plan(
     if not changed:
         # Net-empty delta (aborted/rolled-back refinement, force
         # invalidation with no mutation): the routing tables still hold.
-        # Fragment-internal state (edge sets, roles, insertion order)
+        # Fragment-internal state (edge sets, roles)
         # may have churned and reverted only in aggregate, so touched
         # fragments' lazy tables are still evicted.
         _drop_fragment_caches(old, touched)
@@ -769,9 +751,6 @@ def _patch_plan(
     new._verts = {f: a for f, a in old._verts.items() if f not in touched}
     new._slots = {f: a for f, a in old._slots.items() if f not in touched}
     new._roles = {f: a for f, a in old._roles.items() if f not in touched}
-    new._edge_lists = {
-        f: e for f, e in old._edge_lists.items() if f not in touched
-    }
     new._edge_arrays = {
         f: p for f, p in old._edge_arrays.items() if f not in touched
     }
@@ -798,18 +777,14 @@ def _patch_plan(
     return new
 
 
-def plan_for(
-    partition: HybridPartition,
-    incremental: bool = True,
-    max_patch_fraction: float = PATCH_FRACTION,
-) -> FragmentPlan:
+def plan_for(partition: HybridPartition, incremental: bool = True) -> FragmentPlan:
     """Return a current plan for ``partition``, patching when possible.
 
     A cached valid plan is returned as-is.  Staleness is a generation
     compare — no listener registration, so a cached plan adds nothing to
     refinement mutations and a warm partition revalidates in O(1).  A
     stale plan whose dirty region (per the partition's mutation journal)
-    covers at most ``max_patch_fraction`` of the vertices is
+    covers at most :data:`PATCH_FRACTION` of the vertices is
     delta-patched — O(dirty) row recomputation plus array memcpy instead
     of re-reading the whole placement index — with arrays bit-identical
     to a fresh compile.
@@ -820,7 +795,7 @@ def plan_for(
     if plan is not None and plan.valid:
         return plan
     if plan is not None and incremental:
-        patched = _patch_plan(plan, partition, max_patch_fraction)
+        patched = _patch_plan(plan, partition)
         if patched is not None:
             partition._kernel_plan = patched
             return patched

@@ -32,14 +32,12 @@ _EMPTY = np.empty(0, dtype=np.int64)
 class SyncRoute:
     """The mirror→master→mirror exchange over a plan's copy space.
 
-    *Copy space* is every vertex copy, fragment-major and in
-    ``plan.verts(fid)`` slot order within a fragment, so a fragment's
-    state is the slice ``offsets[fid]:offsets[fid + 1]`` of one flat
-    array (:meth:`views`).  Everything that depends on the plan alone is
-    fixed here: each copy's fragment, vertex, master and attribution (its
-    vertex when replicated, else ``-1``); each copy's rank in the sender
-    order (fragment-major, ascending id within a fragment — the scalar
-    send order); and, per placement-CSR entry ``(v, fid)``, the copy it
+    *Copy space* is every vertex copy ordered by (fid, id) — also the
+    scalar send order — so a fragment's state is the slice
+    ``offsets[fid]:offsets[fid + 1]`` of one flat array (:meth:`views`).
+    Everything that depends on the plan alone is fixed here: each copy's
+    fragment, vertex, master and attribution (its vertex when replicated,
+    else ``-1``); and, per placement-CSR entry ``(v, fid)``, the copy it
     addresses, v's master and v's attribution.  Routes hold no cluster
     state, so one serves every run on the plan and dies with it.
     """
@@ -64,8 +62,6 @@ class SyncRoute:
         )
         self.copy_master = self.master_of[self.copy_id]
         self.copy_mv = attributed[self.copy_id]
-        self.send_rank = np.empty(self.size, dtype=np.int64)
-        self.send_rank[np.lexsort((self.copy_id, self.copy_fid))] = np.arange(self.size)
         self.place_indptr = plan.place_indptr
         self.place_fids = plan.place_fids
         #: per placement-CSR entry ``(v, fid)``: the copy it addresses
@@ -101,7 +97,6 @@ class SyncRoute:
         A caller whose mask is fixed (PageRank) selects once per run.
         """
         copies = sent.nonzero()[0]
-        copies = copies[self.send_rank[copies].argsort()]
         step = SimpleNamespace(
             copies=copies,
             senders=self.copy_fid[copies],

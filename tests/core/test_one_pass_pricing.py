@@ -40,9 +40,10 @@ def outcome(fn, *args):
 
 
 def oracle_copies(partition: HybridPartition, v: int):
-    """The per-copy route's answer to ``copy_keys(partition, v, AVG)``."""
+    """The per-copy route's answer to ``copy_keys(partition, v, AVG)``:
+    one entry per copy, fids ascending."""
     copies = []
-    for fid in partition._placement.get(v, ()):
+    for fid in sorted(partition._placement.get(v, ())):
         role = oracle.role(partition, v, fid)
         features = oracle.vertex_features(partition, v, fid, AVG)
         copies.append(

@@ -6,10 +6,11 @@ tracker repricing off ``features.priced_copies`` through one-frame pricers.
 The per-edge operations, the per-reprice copy list and the three-frame
 funnel are frozen in ``tests/oracles/per_edge_moves.py``.  Two identical
 worlds — the live stack and the frozen one — take the same random sequence of
-moves, master flips, cache queries and flushes, and after
-**every** step must agree on every container and its iteration order, the
-mutation journal's first-touch order, the tracker's dirty set, its float
-sums to the bit, and every counter.
+moves, master flips, cache queries and flushes, and after **every** step
+must agree on every container's contents and the canonical vertex walk,
+the vertices the step journalled, the tracker's dirty set, its float sums
+to the bit, and every counter.  Insertion orders may differ: nothing
+reads them (DESIGN §8.2).
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from tests.oracles import per_edge_moves as frozen
 
 
 def layout(partition: HybridPartition) -> dict:
-    """Every container of ``partition``, with its iteration order."""
+    """Every container of ``partition`` by contents, and the canonical walk."""
     return {
         "fragments": [
             (
-                list(f._incident),
                 {v: sorted(bucket) for v, bucket in f._incident.items()},
                 sorted(f._edges),
                 dict(f._in_deg),
@@ -43,9 +43,10 @@ def layout(partition: HybridPartition) -> dict:
             )
             for f in partition.fragments
         ],
-        "placement": (list(partition._placement), partition._placement),
-        "full": (list(partition._full), partition._full),
-        "masters": (list(partition._masters), partition._masters),
+        "placement": partition._placement,
+        "full": partition._full,
+        "masters": partition._masters,
+        "vertex walk": list(partition.vertex_fragments()),
     }
 
 
@@ -133,12 +134,12 @@ class World:
         return {
             **layout(partition),
             "step delta": partition.mutations_since(self.mark),
-            "step first touches": list(dict.fromkeys(journal)),
-            "dirty": list(tracker._dirty),
+            "step touches": sorted(set(journal)),
+            "dirty": tracker._dirty,
             "comp": [c.hex() for c in tracker._comp],
             "comm": [c.hex() for c in tracker._comm],
-            "copy contrib": (list(tracker._copy_contrib), tracker._copy_contrib),
-            "comm contrib": (list(tracker._comm_contrib), tracker._comm_contrib),
+            "copy contrib": tracker._copy_contrib,
+            "comm contrib": tracker._comm_contrib,
             "cache stats": self.cache.stats.as_dict(),
             "rescoring calls": self.counted.calls,
         }

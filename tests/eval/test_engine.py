@@ -4,7 +4,7 @@ The heavyweight guarantee — ``run_all --quick`` printing byte-identical
 tables for ``--jobs 1``, ``--jobs 4`` and a warm-cache rerun — is
 asserted by :func:`test_run_all_quick_tables_bit_identical` on a reduced
 experiment subset sharing one cache workspace (the full-sweep version
-runs in CI's eval-smoke job).
+runs in CI's pipeline-bench job).
 """
 
 from __future__ import annotations

@@ -6,6 +6,8 @@ Verbatim bodies of the routing loop of ``FragmentPlan.__init__``, of
 filled by one call into ``HybridPartition`` per vertex, copy or edge.  The
 array-derived tables of ``repro.runtime.plan`` must keep giving these
 answers, dtype and order included (``tests/runtime/test_plan_tables.py``).
+Re-frozen once in canonical order: a fragment's vertices and edges are
+walked sorted, where they were walked in index insertion order.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def routing_tables(partition: HybridPartition) -> Dict[str, np.ndarray]:
 
 
 def roles(partition: HybridPartition, fid: int) -> np.ndarray:
-    verts = np.fromiter(partition.fragments[fid].vertices(), dtype=np.int64)
+    verts = np.array(sorted(partition.fragments[fid].vertices()), dtype=np.int64)
     return np.fromiter(
         (_ROLE_CODE[partition.role(int(v), fid)] for v in verts),
         dtype=np.int8,
@@ -107,7 +109,7 @@ def owned_edges(
     cache = {}
     for fragment in partition.fragments:
         f = fragment.fid
-        kept = [e for e in fragment.edges() if owners[e] == f]
+        kept = [e for e in sorted(fragment.edges()) if owners[e] == f]
         if kept:
             arr = np.asarray(kept, dtype=np.int64)
             cache[f] = (arr[:, 0].copy(), arr[:, 1].copy())

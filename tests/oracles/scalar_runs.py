@@ -12,7 +12,10 @@ edge by edge, sends and answers one message at a time, never touches a
 ``FragmentPlan``.  The kernels must keep producing these runs' values,
 makespans, ``RunProfile`` records, fate-stream draws and checkpoint blobs
 (``tests/runtime/test_kernel_differential.py`` and the hetero / failover /
-TC-pump differentials).
+TC-pump differentials).  Re-frozen once in canonical order: a fragment's
+vertices and edges, and a vertex's hosts, are walked sorted, as the plan
+lays them out (DESIGN §8.2), where they were walked in index insertion
+order (and hash order, for hosts).
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ class ScalarPageRank(PageRank):
 
         # Every fragment holds the current rank of each vertex copy.
         ranks: Dict[int, Dict[int, float]] = {
-            f.fid: {v: 1.0 / n for v in f.vertices()} for f in partition.fragments
+            f.fid: {v: 1.0 / n for v in sorted(f.vertices())} for f in partition.fragments
         }
         cluster.set_snapshot(lambda: ranks)
         # The scatter degree is the out-degree on both branches (the
@@ -155,7 +158,7 @@ class ScalarPageRank(PageRank):
                 fid = fragment.fid
                 local_sums = sums[fid]
                 local_ranks = ranks[fid]
-                for edge in fragment.edges():
+                for edge in sorted(fragment.edges()):
                     if owners[edge] != fid:
                         continue
                     u, w = edge
@@ -180,7 +183,7 @@ class ScalarPageRank(PageRank):
                 fid = fragment.fid
                 updates = combined[fid]
                 local_ranks = ranks[fid]
-                for v in fragment.vertices():
+                for v in sorted(fragment.vertices()):
                     local_ranks[v] = updates.get(v, base)
 
         profile = cluster.finish()
@@ -202,7 +205,7 @@ class ScalarWeaklyConnectedComponents(WeaklyConnectedComponents):
         cluster = self._cluster(partition, clock, params)
 
         labels: Dict[int, Dict[int, int]] = {
-            f.fid: {v: v for v in f.vertices()} for f in partition.fragments
+            f.fid: {v: v for v in sorted(f.vertices())} for f in partition.fragments
         }
         cluster.set_snapshot(lambda: labels)
 
@@ -217,7 +220,7 @@ class ScalarWeaklyConnectedComponents(WeaklyConnectedComponents):
                 # Local relaxation sweep: each cost-bearing copy scans its
                 # local edges (a dummy copy's edges are duplicates of the
                 # designated home's, so skipping it loses nothing).
-                for v in fragment.vertices():
+                for v in sorted(fragment.vertices()):
                     if not partition.cost_bearing(v, fid):
                         continue
                     best = local[v]
@@ -230,7 +233,7 @@ class ScalarWeaklyConnectedComponents(WeaklyConnectedComponents):
                         prop[v] = best
                 # Replicated vertices must sync even without a local win,
                 # so mirrors learn about remote improvements.
-                for v in fragment.vertices():
+                for v in sorted(fragment.vertices()):
                     if partition.is_border(v) and v not in prop:
                         prop[v] = min(prop.get(v, local[v]), local[v])
 
@@ -269,11 +272,11 @@ class ScalarSingleSourceShortestPath(SingleSourceShortestPath):
         cluster = self._cluster(partition, clock, params)
 
         dist: Dict[int, Dict[int, float]] = {
-            f.fid: {v: INF for v in f.vertices()} for f in partition.fragments
+            f.fid: {v: INF for v in sorted(f.vertices())} for f in partition.fragments
         }
         active: Dict[int, Set[int]] = {f.fid: set() for f in partition.fragments}
         cluster.set_snapshot(lambda: (dist, active))
-        for fid in partition.placement(source):
+        for fid in sorted(partition.placement(source)):
             dist[fid][source] = 0.0
             active[fid].add(source)
 
@@ -363,7 +366,7 @@ class ScalarCommonNeighbors(CommonNeighbors):
         # their local in-neighbor lists to the master.
         for fragment in partition.fragments:
             fid = fragment.fid
-            for v in fragment.vertices():
+            for v in sorted(fragment.vertices()):
                 if graph.in_degree(v) > theta:
                     continue
                 role = partition.role(v, fid)
@@ -444,7 +447,7 @@ def _run_scalar(partition: HybridPartition, cluster: Cluster) -> int:
         else:
             targets = [
                 f
-                for f in partition.placement(a)
+                for f in sorted(partition.placement(a))
                 if f != fid and partition.cost_bearing(a, f)
             ]
         if not targets:
@@ -481,7 +484,7 @@ def _run_scalar(partition: HybridPartition, cluster: Cluster) -> int:
     # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
     for fragment in partition.fragments:
         fid = fragment.fid
-        for v in fragment.vertices():
+        for v in sorted(fragment.vertices()):
             role = partition.role(v, fid)
             if role is NodeRole.DUMMY:
                 continue

@@ -11,7 +11,9 @@ param then, is pinned to the kernel route this file freezes (its
 ``use_kernels=False`` branches are the loop of ``scalar_runs``, which is what
 the suites call for it).  The array-native pump must
 keep producing this run's values, makespan, profile, fate-stream draws and
-checkpoint bytes (``tests/runtime/test_tc_pump.py``).
+checkpoint bytes (``tests/runtime/test_tc_pump.py``).  Re-frozen once in
+canonical order: a fragment's vertices and a v-cut vertex's query targets
+are walked sorted, where they were walked in insertion and hash order.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class TriangleCounting(Algorithm):
             else:
                 targets = [
                     f
-                    for f in partition.placement(a)
+                    for f in sorted(partition.placement(a))
                     if f != fid and partition.cost_bearing(a, f)
                 ]
             if not targets:
@@ -268,7 +270,7 @@ class TriangleCounting(Algorithm):
         else:
             for fragment in partition.fragments:
                 fid = fragment.fid
-                for v in fragment.vertices():
+                for v in sorted(fragment.vertices()):
                     role = partition.role(v, fid)
                     if role is NodeRole.DUMMY:
                         continue

@@ -1,13 +1,16 @@
 """The bulk loader equals per-edge construction (DESIGN §8.2).
 
-``HybridPartition._bulk_load`` replaced five edge-by-edge construction
+``HybridPartition._bulk_load`` replaced the edge-by-edge construction
 sites.  Their frozen per-edge bodies live in ``tests/oracles``; here random
-graphs go through both and every index, *including the iteration orders
-that feed float sums downstream*, must come out the same.
+graphs go through both and every index must hold the same contents.  The
+orders need not match — the oracles fill their indexes in insertion
+order — so what is compared in order is what is read in order: the
+canonical vertex walk, the serialized partition and the refined costs.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -48,21 +51,21 @@ seeds = st.integers(min_value=0, max_value=2**16)
 
 
 def assert_indistinguishable(got: HybridPartition, want: HybridPartition) -> None:
-    """Same contents and same iteration order of every ordered index."""
+    """Same contents in every index, and the same canonical orders."""
     assert list(got.vertex_fragments()) == list(want.vertex_fragments())
-    assert list(got._masters.items()) == list(want._masters.items())
+    assert got._placement == want._placement
+    assert got._masters == want._masters
     fresh = HybridPartition(want.graph, 1)
     for v in want.graph.vertices:
-        assert list(got._placement.get(v, ())) == list(want._placement.get(v, ()))
         assert got.full_fragments(v) == want.full_fragments(v)
         assert got._graph_facts[v] == fresh._facts(v)
     for mine, theirs in zip(got.fragments, want.fragments):
-        assert list(mine.vertices()) == list(theirs.vertices())
-        assert list(mine.edges()) == list(theirs.edges())
+        assert mine._incident == theirs._incident
+        assert mine._edges == theirs._edges
         for v in theirs.vertices():
-            assert list(mine._incident[v]) == list(theirs._incident[v])
             assert mine.local_in_degree(v) == theirs.local_in_degree(v)
             assert mine.local_out_degree(v) == theirs.local_out_degree(v)
+    assert json.dumps(partition_to_dict(got)) == json.dumps(partition_to_dict(want))
 
 
 def refined_costs(partition: HybridPartition):
@@ -122,7 +125,7 @@ def test_from_edge_assignment(graph, n, seed):
 
 @SETTINGS
 @given(graphs(), fragment_counts, seeds)
-def test_copy_reproduces_the_fragment_major_clone_order(graph, n, seed):
+def test_copy_equals_per_edge_reinsertion(graph, n, seed):
     source = churned(graph, n, seed)
     got, want = source.copy(), oracle.copy(source)
     assert_indistinguishable(got, want)
@@ -144,8 +147,8 @@ def test_serialize_round_trip(graph, n, seed):
 @SETTINGS
 @given(graphs(), fragment_counts, seeds)
 def test_restore_in_place_with_a_tracker_attached(graph, n, seed):
-    """Listeners still hear of every restored and every stale vertex, in
-    the order per-edge re-insertion first touched them."""
+    """Listeners hear of every restored and every stale vertex, each once,
+    and the tracker reprices them to the oracle's sums."""
     snapshot = partition_to_dict(
         HybridPartition.from_vertex_assignment(
             graph, vertex_assignment(graph, n, seed + 1), n
@@ -162,17 +165,19 @@ def test_restore_in_place_with_a_tracker_attached(graph, n, seed):
         restore(partition, snapshot)
         after = {v for v, _hosts in partition.vertex_fragments()}
         assert set(heard) == before | after
+        if restore is restore_partition_state:
+            assert len(heard) == len(set(heard))
         assert partition.mutations_since(generation) == before | after
         outcomes.append(
             (
-                list(dict.fromkeys(heard)),
+                sorted(set(heard)),
                 [c.hex() for c in tracker.comp_costs()],
                 [c.hex() for c in tracker.comm_costs()],
                 partition,
             )
         )
-    (order, comp, comm, got), (want_order, want_comp, want_comm, want) = outcomes
-    assert order == want_order
+    (heard, comp, comm, got), (want_heard, want_comp, want_comm, want) = outcomes
+    assert heard == want_heard
     assert (comp, comm) == (want_comp, want_comm)
     assert_indistinguishable(got, want)
 

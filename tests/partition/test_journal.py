@@ -17,6 +17,7 @@ from repro.costmodel.library import builtin_cost_model
 from repro.graph.digraph import Graph
 from repro.partition import hybrid
 from repro.partition.hybrid import HybridPartition
+from repro.runtime import plan as plan_module
 from repro.runtime.plan import FragmentPlan, plan_for, plan_stats
 
 LEAVES = 12
@@ -102,13 +103,14 @@ def test_a_plan_older_than_the_window_is_recompiled_not_patched(monkeypatch):
     partition = star()
     plan_for(partition)
     monkeypatch.setattr(hybrid, "JOURNAL_CAP", 8)
+    monkeypatch.setattr(plan_module, "PATCH_FRACTION", 1.0)
     partition.transfer_star(0, spokes(partition, 0)[:3], 1, src=0, keep="none")
     recompiled, patched, _ = plan_stats().snapshot()
-    inside = plan_for(partition, incremental=True, max_patch_fraction=1.0)
+    inside = plan_for(partition, incremental=True)
     assert plan_stats().snapshot()[:2] == (recompiled, patched + 1)
     partition.transfer_star(0, spokes(partition, 0), 2, src=0, keep="none")
     assert partition.mutations_since(inside.generation) is None
-    outside = plan_for(partition, incremental=True, max_patch_fraction=1.0)
+    outside = plan_for(partition, incremental=True)
     assert plan_stats().snapshot()[:2] == (recompiled + 1, patched + 1)
     fresh = FragmentPlan(partition)
     for name in ("master_of", "rep_count", "border_mask", "place_indptr", "place_fids"):

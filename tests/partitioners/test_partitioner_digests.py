@@ -2,8 +2,8 @@
 
 ``golden/partitioner_digests.json`` holds, per partitioner and input graph,
 the SHA-256 of ``partition_to_dict`` serialized *without* sorting keys, so
-the master mapping's key order (the placement index's insertion order)
-is pinned along with every fragment's contents.  The graphs carry
+the serializer's canonical order (master keys by vertex id) is pinned
+along with every fragment's contents.  The graphs carry
 self-loops and come in both directions, the cases where
 ``Graph.neighbors`` has to drop a repeat.
 

@@ -5,8 +5,9 @@ Counts calls instead of timing them.  On a maintained partition (compile
 run must not fall back to per-vertex / per-edge callbacks into
 ``HybridPartition``, must compile exactly one sync route per plan, and must sort
 the edge-owner table once per ``target_aware`` flag per plan.  A triangle
-count on a vertex cut must read ``placement()`` once per v-cut vertex per
-plan, make no scalar ``Cluster.send``, move every message in a columnar
+count on a vertex cut must make no scalar look at the partition either
+(its query targets come off the plan's placement CSR), no scalar
+``Cluster.send``, move every message in a columnar
 block and issue one ``send_batch`` per ``STRIDE`` messages of a superstep.
 An in-process SSSP superstep must call its kernel once, over the whole
 copy space, and a run whose profile nobody reads must never build the
@@ -36,6 +37,7 @@ PARTITION_CALLBACKS = (
     "cost_bearing",
     "vertex_fragments",
     "is_border",
+    "placement",
 )
 
 
@@ -51,7 +53,7 @@ def calls(monkeypatch):
 
         return wrapper
 
-    for name in PARTITION_CALLBACKS + ("placement",):
+    for name in PARTITION_CALLBACKS:
         monkeypatch.setattr(
             HybridPartition, name, counted(name, getattr(HybridPartition, name))
         )
@@ -164,15 +166,12 @@ def test_tc_run_on_a_vertex_cut_is_array_native(calls, monkeypatch):
     monkeypatch.setattr(Cluster, "send_batch", recording_send_batch)
     monkeypatch.setattr(Cluster, "deliver", recording_deliver)
 
-    # First run on the plan: the target table reads placement() once per
-    # v-cut vertex (its iteration order is the send order) and that is the
-    # only scalar look at the partition.
+    # The target table reads the plan's placement CSR, not the partition.
     plan = plan_for(part)
     vcut = int(((plan.home_of() < 0) & (plan.rep_count > 0)).sum())
     assert vcut > 500
     calls.clear()
     first = tc.run(part)
-    assert calls["placement"] == vcut
     assert {name: calls[name] for name in PARTITION_CALLBACKS} == dict.fromkeys(
         PARTITION_CALLBACKS, 0
     )
@@ -197,7 +196,9 @@ def test_tc_run_on_a_vertex_cut_is_array_native(calls, monkeypatch):
 
     # A second run reuses the table.
     second = tc.run(part)
-    assert calls["placement"] == vcut
+    assert {name: calls[name] for name in PARTITION_CALLBACKS} == dict.fromkeys(
+        PARTITION_CALLBACKS, 0
+    )
     assert first.values == second.values > 0
 
 

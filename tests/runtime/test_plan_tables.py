@@ -8,6 +8,8 @@ equal theirs in value, dtype and order, on fresh compiles and on plans
 brought current by ``plan_for``'s patch.
 """
 
+from unittest import mock
+
 import numpy as np
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.incremental import MutationBatch, apply_mutations
 from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition
+from repro.runtime import plan as plan_module
 from repro.runtime.plan import FragmentPlan, plan_for
 from tests.oracles import plan_tables as oracle
 
@@ -117,7 +120,8 @@ def test_patched_plan_matches_scalar_builders(partition, data):
     for _ in range(data.draw(st.integers(1, 3))):
         for _ in range(data.draw(st.integers(1, 4))):
             _mutate(partition, data)
-        plan = plan_for(partition, incremental=True, max_patch_fraction=1.0)
+        with mock.patch.object(plan_module, "PATCH_FRACTION", 1.0):
+            plan = plan_for(partition, incremental=True)
         assert plan.valid
         assert_tables_match_oracle(plan, partition)
         assert_tables_match_oracle(FragmentPlan(partition), partition)

@@ -180,23 +180,25 @@ def test_a_superstep_longer_than_one_stride_keeps_fates_and_checkpoints():
         assert _observe(reference, partition, *config) == pump, reference
 
 
-def test_targets_leave_in_placement_order_not_ascending():
-    """Past 8 fragments ``placement()`` is not sorted; faults see the order."""
+def test_targets_leave_in_ascending_fid_order():
+    """Past 8 fragments ``placement()`` does not iterate sorted; the query
+    targets still ascend, and faults see that order."""
     graph = chung_lu_power_law(200, 8.0, exponent=2.1, directed=False, seed=9)
     partition = get_partitioner("hdrf").partition(graph, 24)
+    assert any(list(hosts) != sorted(hosts) for hosts in partition._placement.values())
     plan = plan_for(partition)
     targets = plan.query_targets()
     rows = np.split(targets.fids, targets.indptr[1:-1])
-    ascending = np.concatenate([np.sort(row) for row in rows])
-    assert not np.array_equal(ascending, targets.fids)
+    assert all(np.array_equal(np.sort(row), row) for row in rows)
 
     config = (True, None, 1)
     pump = _observe("pump", partition, *config)
     assert pump == _observe("frozen", partition, *config)
 
-    # The case has teeth: the same run over ascending rows asks the same
+    # The case has teeth: the same run over descending rows asks the same
     # fragments, but its messages meet the seeded fates in another order.
-    plan._targets = SimpleNamespace(indptr=targets.indptr, fids=ascending)
+    descending = np.concatenate([row[::-1] for row in rows])
+    plan._targets = SimpleNamespace(indptr=targets.indptr, fids=descending)
     resorted = _observe("pump", partition, *config)
     plan._targets = targets
     assert resorted["values"] == pump["values"]
