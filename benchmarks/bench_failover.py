@@ -46,9 +46,7 @@ def _partition(graph, baseline):
 def _loss_plan(superstep=3):
     from repro.runtime.faults import FaultPlan, PermanentLossFault
 
-    return FaultPlan(
-        seed=11, losses=(PermanentLossFault(worker=1, superstep=superstep),)
-    )
+    return FaultPlan(losses=(PermanentLossFault(worker=1, superstep=superstep),))
 
 
 def run_bench(vertices, algorithms):

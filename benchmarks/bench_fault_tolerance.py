@@ -37,8 +37,7 @@ def test_checkpoint_interval_tradeoff(benchmark, print_section):
         curve = []
         for num_crashes, steps in CRASH_STEPS.items():
             plan = FaultPlan(
-                seed=17,
-                crashes=tuple(CrashFault(worker=s % 8, superstep=s) for s in steps),
+                crashes=tuple(CrashFault(worker=s % 8, superstep=s) for s in steps)
             )
             for interval in (0,) + INTERVALS:
                 result = (

@@ -29,7 +29,7 @@ from repro.partition.hybrid import HybridPartition
 from repro.runtime.bsp import Cluster
 from repro.runtime.clusterspec import cluster_spec_default, coerce_cluster_spec
 from repro.runtime.costclock import CostClock
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import FaultPlan
 from repro.runtime.instrumentation import RunProfile
 
 #: run params every algorithm accepts; :meth:`Algorithm._cluster` consumes them
@@ -74,7 +74,7 @@ class Algorithm(abc.ABC):
     run_params: Tuple[str, ...] = ()
 
     #: default runtime-degradation config; see :meth:`configure_faults`
-    fault_plan: Optional[Union[FaultPlan, FaultInjector]] = None
+    fault_plan: Optional[FaultPlan] = None
     checkpoint_interval: int = 0
 
     def run(
@@ -105,7 +105,7 @@ class Algorithm(abc.ABC):
 
     def configure_faults(
         self,
-        faults: Optional[Union[FaultPlan, FaultInjector]] = None,
+        faults: Optional[FaultPlan] = None,
         checkpoint_interval: int = 0,
     ) -> "Algorithm":
         """Set the default fault plan / checkpoint interval for future runs.

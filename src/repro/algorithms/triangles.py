@@ -26,7 +26,7 @@ queries with ``inlist`` blocks (vertices plus a CSR into one flat neighbor
 column), so it is accounted payload-less and each kind is ``post``-ed.
 The one-message-at-a-time loop it replaced is the test suite's
 differential oracle (``scalar_runs``); both issue the same messages in the
-same order, so charges, fate draws, makespans and checkpoints agree bit
+same order, so charges, link bytes, makespans and checkpoints agree bit
 for bit (DESIGN §10).
 
 Result values: the global triangle count.
@@ -159,10 +159,10 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
     wedge, (qsrc, qdst, qmv, qid, qa, qb) = expand(src, wa, wb, pivots)
     isrc, islot, iv, lens, nbrs = map(np.concatenate, zip(*inlists))
     idst = plan.master_of[iv]
-    # One stream, fid-major in fragment vertex order — the scalar send
-    # order the fault stream expects: an e-cut slot's queries in wedge
-    # order or a v-cut slot's inlist.  It is accounted in that order and
-    # each kind is posted.
+    # One stream, fid-major in fragment vertex order — the scalar
+    # oracle's send order: an e-cut slot's queries in wedge order or a
+    # v-cut slot's inlist.  It is accounted in that order and each kind
+    # is posted.
     key = np.concatenate([qsrc * kb + slot[wedge], isrc * kb + islot])
     order = np.argsort(key, kind="stable")
     wire = np.concatenate([np.full(qdst.size, 20.0), 8.0 * np.maximum(1, lens)])

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven subcommands cover the library's pipeline without writing Python::
+Six subcommands cover the library's pipeline without writing Python::
 
     python -m repro.cli generate  --kind powerlaw --vertices 2000 \\
         --degree 8 --out graph.txt
@@ -11,26 +11,18 @@ Seven subcommands cover the library's pipeline without writing Python::
     python -m repro.cli metrics   --graph graph.txt --partition part.json
     python -m repro.cli sweep     --quick --jobs 4 --only exp1,exp3
     python -m repro.cli cache     verify --repair
-    python -m repro.cli trace     show failure.trace
 
 ``partition --refine ALG`` runs the application-driven refiner for that
 algorithm's cost model after the baseline; ``evaluate`` reports each
 algorithm's simulated parallel runtime on the stored partition.
 
-``evaluate`` can also degrade the simulated substrate deterministically
-(``--crash W:S``, ``--lose W:S``, ``--drop-rate``, ``--duplicate-rate``,
-``--straggler W:F``, ``--faults-seed``) with superstep checkpointing and
-rollback recovery (``--checkpoint-interval``); results are unchanged,
-and the table gains failure/recovery/checkpoint columns.  ``--lose``
-removes a worker permanently: the cluster promotes surviving replicas
-and continues on the survivors (failover columns appear).
-
-Failure traces: ``evaluate`` accepts ``--trace-out PATH`` (record
-every fired fault fate to a JSONL trace) and ``--trace-in PATH``
-(replay a recorded trace exactly, bypassing the seeded draws).
-``repro trace show|replay|minimize`` inspects a trace, re-runs its
-recorded command against it, and greedily drops events while a failing
-replay keeps failing.
+``evaluate`` can also degrade the simulated substrate as declared
+(``--crash W:S``, ``--lose W:S``, ``--straggler W:F``) with superstep
+checkpointing and rollback recovery (``--checkpoint-interval``); results
+are unchanged, and the table gains failure/recovery/checkpoint columns.
+``--lose`` removes a worker permanently: the cluster promotes surviving
+replicas and continues on the survivors (failover columns appear).  The
+flags are the whole fault record: the same flags give the same run.
 
 ``sweep`` reproduces the paper's evaluation section on the parallel
 evaluation engine.  It *is* :mod:`repro.eval.run_all` — the subcommand
@@ -75,13 +67,11 @@ from repro.partition.validation import check_partition
 from repro.partitioners.base import PARTITIONER_NAMES, get_partitioner
 from repro.runtime.faults import (
     CrashFault,
-    FaultInjector,
     FaultPlan,
     PermanentLossFault,
     StragglerFault,
 )
 from repro.runtime.parallel import resolve_backend
-from repro.runtime.trace import FailureTrace, minimize, replay_argv
 
 
 def _load_graph(path: str):
@@ -131,14 +121,6 @@ def _build_guard_config(args: argparse.Namespace) -> Optional[GuardConfig]:
     try:
         return GuardConfig(max_seconds=args.max_refine_seconds)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
-def _load_trace_or_die(path: str) -> FailureTrace:
-    """Load a trace file, exiting with a CLI error on any problem."""
-    try:
-        return FailureTrace.load(path)
-    except (OSError, ValueError) as exc:
         raise SystemExit(f"error: {exc}")
 
 
@@ -275,25 +257,20 @@ def _parse_pair(spec: str, option: str, cast=int):
 
 def _build_fault_plan(args: argparse.Namespace):
     """Assemble a FaultPlan from evaluate's fault flags (None if unused)."""
-    crashes = tuple(
-        CrashFault(*_parse_pair(spec, "--crash")) for spec in (args.crash or ())
-    )
-    losses = tuple(
-        PermanentLossFault(*_parse_pair(spec, "--lose"))
-        for spec in (args.lose or ())
-    )
-    stragglers = tuple(
-        StragglerFault(*_parse_pair(spec, "--straggler", float))
-        for spec in (args.straggler or ())
-    )
-    try:
+    try:  # a bad coordinate or a contradictory plan is a one-line error
         plan = FaultPlan(
-            seed=args.faults_seed or 0,
-            crashes=crashes,
-            losses=losses,
-            drop_rate=args.drop_rate,
-            duplicate_rate=args.duplicate_rate,
-            stragglers=stragglers,
+            crashes=[
+                CrashFault(*_parse_pair(spec, "--crash"))
+                for spec in args.crash or ()
+            ],
+            losses=[
+                PermanentLossFault(*_parse_pair(spec, "--lose"))
+                for spec in args.lose or ()
+            ],
+            stragglers=[
+                StragglerFault(*_parse_pair(spec, "--straggler", float))
+                for spec in args.straggler or ()
+            ],
         )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -311,25 +288,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     plan = _build_fault_plan(args)
-    trace = loaded = None
-    if args.trace_in:
-        loaded = _load_trace_or_die(args.trace_in)
-        # Replay reconstructs the declarative part of the recorded plan
-        # (seed + stragglers); drawn/scheduled fates come from the trace.
-        meta_plan = loaded.meta.get("plan")
-        base = FaultPlan.from_dict(meta_plan) if meta_plan else FaultPlan()
-        plan = FaultPlan(seed=base.seed, stragglers=base.stragglers)
-    elif args.trace_out:
-        trace = FailureTrace(
-            meta={
-                "command": "cli",
-                "argv": list(getattr(args, "_argv", [])),
-                "plan": plan.to_dict() if plan is not None else None,
-            }
-        )
-    faulty = (
-        plan is not None or args.checkpoint_interval > 0 or loaded is not None
-    )
+    faulty = plan is not None or args.checkpoint_interval > 0
     cluster_spec = _load_cluster_spec_or_die(args)
     graph = _load_graph(args.graph)
     partition = load_partition(args.partition, graph)
@@ -341,20 +300,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         profiler = cProfile.Profile()
     rows = []
     for name in names:
-        faults = plan
-        if loaded is not None:
-            faults = FaultInjector(
-                plan if plan is not None else FaultPlan(),
-                replay=loaded.runtime_replay(name),
-            )
-        elif trace is not None:
-            faults = FaultInjector(
-                plan if plan is not None else FaultPlan(),
-                trace=trace,
-                trace_scope=name,
-            )
         algorithm = get_algorithm(name).configure_faults(
-            faults, args.checkpoint_interval
+            plan, args.checkpoint_interval
         )
         try:
             if profiler is not None:
@@ -401,82 +348,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if profiler is not None:
         profiler.dump_stats(args.profile)
         print(f"wrote cProfile stats to {args.profile}", file=sys.stderr)
-    if trace is not None:
-        trace.save(args.trace_out)
-        print(
-            f"[trace] {len(trace)} events recorded to {args.trace_out}",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _replay_trace(meta, trace_path: str) -> int:
-    """Re-run a trace's recorded command with ``--trace-in trace_path``."""
-    argv = replay_argv(meta, trace_path)
-    command = meta.get("command")
-    if command == "cli":
-        return main(argv)
-    print(
-        f"error: trace records unknown command {command!r} (expected 'cli')",
-        file=sys.stderr,
-    )
-    return 2
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """``trace``: inspect, replay, or minimize a recorded failure trace."""
-    trace = _load_trace_or_die(args.trace)
-    if args.action == "show":
-        meta = trace.meta
-        print(f"trace: {args.trace}")
-        print(f"command: {meta.get('command', '?')}")
-        argv = meta.get("argv")
-        if argv:
-            print(f"argv: {' '.join(str(t) for t in argv)}")
-        if meta.get("plan"):
-            print(f"fault plan: {meta['plan']}")
-        print(f"events: {len(trace)}")
-        rows = [
-            [e.stream, e.scope or "-", e.kind, e.index, str(dict(e.payload))]
-            for e in trace.events
-        ]
-        if rows:
-            print(format_table(["stream", "scope", "kind", "index", "payload"], rows))
-        return 0
-    if args.action == "replay":
-        return _replay_trace(trace.meta, args.trace)
-    # minimize
-    if not args.out:
-        print("error: trace minimize requires --out", file=sys.stderr)
-        return 2
-    import os
-    import subprocess
-    import tempfile
-
-    def reproduces(candidate: FailureTrace) -> bool:
-        fd, tmp = tempfile.mkstemp(suffix=".trace")
-        os.close(fd)
-        try:
-            candidate.save(tmp)
-            if args.check:
-                proc = subprocess.run(args.check.replace("{trace}", tmp), shell=True)
-            else:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "repro.cli", "trace", "replay", tmp]
-                )
-            return proc.returncode != 0
-        finally:
-            os.unlink(tmp)
-
-    try:
-        reduced = minimize(trace, reproduces)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    reduced.save(args.out)
-    print(
-        f"minimized {len(trace)} -> {len(reduced)} events; wrote {args.out}"
-    )
     return 0
 
 
@@ -629,13 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump cProfile stats for the algorithm runs to this file",
     )
     faults = ev.add_argument_group(
-        "fault injection", "degrade the simulated substrate (deterministic)"
-    )
-    faults.add_argument(
-        "--faults-seed",
-        type=int,
-        default=0,
-        help="seed for per-message fault draws",
+        "fault injection", "degrade the simulated substrate as declared"
     )
     faults.add_argument(
         "--crash",
@@ -651,18 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replicas are promoted and the run continues degraded (repeatable)",
     )
     faults.add_argument(
-        "--drop-rate",
-        type=float,
-        default=0.0,
-        help="fraction of remote messages dropped then retransmitted",
-    )
-    faults.add_argument(
-        "--duplicate-rate",
-        type=float,
-        default=0.0,
-        help="fraction of remote messages duplicated then deduplicated",
-    )
-    faults.add_argument(
         "--straggler",
         action="append",
         metavar="WORKER:FACTOR",
@@ -673,19 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="supersteps between state checkpoints (0 = off)",
-    )
-    group = ev.add_argument_group(
-        "failure traces", "record / replay every fired fault deterministically"
-    ).add_mutually_exclusive_group()
-    group.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="record fired fault fates to a JSONL trace",
-    )
-    group.add_argument(
-        "--trace-in",
-        metavar="PATH",
-        help="replay a recorded trace exactly, bypassing the seeded draws",
     )
     ev.set_defaults(func=cmd_evaluate)
 
@@ -723,40 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     met.set_defaults(func=cmd_metrics)
 
-    trace = sub.add_parser(
-        "trace", help="inspect / replay / minimize a recorded failure trace"
-    )
-    trace.add_argument(
-        "action",
-        choices=["show", "replay", "minimize"],
-        help="show: print header and events; replay: re-run the recorded "
-        "command against the trace; minimize: greedily drop events while "
-        "the failure keeps reproducing",
-    )
-    trace.add_argument("trace", help="path to a recorded JSONL trace file")
-    trace.add_argument(
-        "--out",
-        metavar="PATH",
-        help="where minimize writes the reduced trace (required)",
-    )
-    trace.add_argument(
-        "--check",
-        metavar="CMD",
-        help="shell command deciding whether a candidate trace still "
-        "reproduces ({trace} is replaced with the candidate's path; "
-        "nonzero exit = reproduces); default: replay the trace and "
-        "treat a nonzero exit as reproducing",
-    )
-    trace.set_defaults(func=cmd_trace)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    raw = list(argv) if argv is not None else list(sys.argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(raw)
-    args._argv = raw
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

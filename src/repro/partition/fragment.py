@@ -155,15 +155,25 @@ class Fragment:
         self._incident[u].discard(edge)
         self._incident[v].discard(edge)
         if self.directed:
-            self._out_deg[u] -= 1
-            self._in_deg[v] -= 1
+            _decrement(self._out_deg, u)
+            _decrement(self._in_deg, v)
         else:
-            self._out_deg[u] -= 1
-            self._in_deg[u] -= 1
+            _decrement(self._out_deg, u)
+            _decrement(self._in_deg, u)
             if u != v:
-                self._out_deg[v] -= 1
-                self._in_deg[v] -= 1
+                _decrement(self._out_deg, v)
+                _decrement(self._in_deg, v)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Fragment({self.fid}, |V|={self.num_vertices}, |E|={self.num_edges})"
+
+
+def _decrement(counts: Dict[int, int], v: int) -> None:
+    """Count one fewer for ``v``; a count that reaches zero is removed, so a
+    degree index holds exactly the nonzero degrees."""
+    left = counts[v] - 1
+    if left:
+        counts[v] = left
+    else:
+        del counts[v]

@@ -489,6 +489,8 @@ class HybridPartition:
         full = self._full.get(v)
         if full is not None:
             full.discard(fid)
+            if not full:  # ``_full`` keeps no empty set
+                del self._full[v]
         if not hosts:
             del self._placement[v]
             del self._masters[v]
@@ -676,12 +678,15 @@ class HybridPartition:
         if total == 0:
             return
         full = self._full.get(v)
-        if full is None:
-            full = self._full[v] = set()
         if len(self.fragments[fid]._incident.get(v, ())) == total:
-            full.add(fid)
-        else:
+            if full is None:
+                self._full[v] = {fid}
+            else:
+                full.add(fid)
+        elif full is not None:
             full.discard(fid)
+            if not full:
+                del self._full[v]
 
     # ------------------------------------------------------------------
     # Aggregates

@@ -17,15 +17,14 @@ The simulator also powers training-data collection: per-vertex-copy
 operation counts and per-master communication bytes are recorded in a
 :class:`~repro.runtime.instrumentation.RunProfile`.
 
-The substrate can degrade on demand: a seeded
-:class:`~repro.runtime.faults.FaultPlan` injects worker crashes,
+The substrate can degrade on demand: a declarative
+:class:`~repro.runtime.faults.FaultPlan` schedules worker crashes,
 permanent worker losses (survived by replica-promotion failover — see
-:mod:`repro.runtime.failover`), message drops/duplicates, and
-stragglers, while :class:`~repro.runtime.checkpoint.CheckpointManager`
-provides the superstep checkpoints that rollback recovery replays from —
-all deterministic, all charged to the same clock.  Any chaotic run can
-be captured as a :class:`~repro.runtime.trace.FailureTrace` and replayed
-byte-identically (:mod:`repro.runtime.trace`).
+:mod:`repro.runtime.failover`) and stragglers, while
+:class:`~repro.runtime.checkpoint.CheckpointManager` provides the
+superstep checkpoints that rollback recovery replays from — all
+deterministic, all charged to the same clock.  The plan is the run's
+whole fault record: the same plan gives the same run.
 """
 
 from repro.runtime.checkpoint import Checkpoint, CheckpointManager
@@ -33,9 +32,7 @@ from repro.runtime.costclock import CostClock
 from repro.runtime.failover import FailoverDecision, FailoverState
 from repro.runtime.faults import (
     CrashFault,
-    FaultInjector,
     FaultPlan,
-    MessageFate,
     PermanentLossFault,
     StragglerFault,
 )
@@ -44,7 +41,6 @@ from repro.runtime.instrumentation import (
     RunProfile,
     SuperstepRecord,
 )
-from repro.runtime.trace import FailureTrace, TraceEvent, minimize
 from repro.runtime.bsp import Cluster
 
 __all__ = [
@@ -55,15 +51,10 @@ __all__ = [
     "FailoverDecision",
     "FailoverState",
     "FailureEvent",
-    "FailureTrace",
-    "FaultInjector",
     "FaultPlan",
-    "MessageFate",
     "PermanentLossFault",
     "RunProfile",
     "StragglerFault",
     "SuperstepRecord",
-    "TraceEvent",
     "Cluster",
-    "minimize",
 ]

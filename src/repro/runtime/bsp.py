@@ -25,16 +25,15 @@ per-copy and per-master accumulators, which it folds on first read.
 Fault tolerance (optional, zero-cost when off)
 ----------------------------------------------
 A cluster built with a :class:`~repro.runtime.faults.FaultPlan` degrades
-its substrate deterministically: dropped messages are retransmitted
-(bytes paid twice), duplicated messages are deduplicated at the receiver
-(bytes paid twice), stragglers stretch a worker's superstep time, and a
-crash triggers *rollback recovery* — the cluster restores the last
-checkpoint taken by its :class:`~repro.runtime.checkpoint.CheckpointManager`
-(or rewinds to the initial state if none) and replays the lost
-supersteps, charging restore bytes, replayed superstep time, and the
-re-execution of the crashed superstep to the makespan.  Because the
-transport is reliable and recovery is exact, algorithm *results* are
-identical to a fault-free run; only the profile changes.  With no fault
+its substrate as the plan declares: stragglers stretch a worker's
+superstep time, and a crash triggers *rollback recovery* — the cluster
+restores the last checkpoint taken by its
+:class:`~repro.runtime.checkpoint.CheckpointManager` (or rewinds to the
+initial state if none) and replays the lost supersteps, charging restore
+bytes, replayed superstep time, and the re-execution of the crashed
+superstep to the makespan.  Messages always arrive exactly once, and
+recovery is exact, so algorithm *results* are identical to a fault-free
+run; only the profile changes.  With no fault
 plan and no checkpointing the code path is exactly the historical one,
 so makespans stay bit-identical.
 
@@ -67,7 +66,7 @@ from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.clusterspec import ClusterSpec, effective_spec
 from repro.runtime.costclock import CostClock
 from repro.runtime.failover import FailoverState
-from repro.runtime.faults import FaultInjector, FaultPlan, MessageFate
+from repro.runtime.faults import CrashFault, FaultPlan, PermanentLossFault
 from repro.runtime.instrumentation import (
     FailureEvent,
     RunProfile,
@@ -91,7 +90,7 @@ class Cluster:
         self,
         partition: HybridPartition,
         clock: Optional[CostClock] = None,
-        faults: Optional[Union[FaultPlan, FaultInjector]] = None,
+        faults: Optional[FaultPlan] = None,
         checkpoint_interval: int = 0,
         snapshot: Optional[Callable[[], Any]] = None,
         spec: Optional[ClusterSpec] = None,
@@ -142,14 +141,19 @@ class Cluster:
         self._copy_ops_acc: Optional[np.ndarray] = None
         self._master_bytes_acc: Optional[np.ndarray] = None
 
-        self.faults: Optional[FaultInjector] = None
+        # The plan's crashes and losses by the superstep they end; each
+        # fires once because the superstep index only grows.
+        self.faults: Optional[FaultPlan] = None
+        self._crashes_at: Dict[int, List[CrashFault]] = {}
+        self._losses_at: Dict[int, List[PermanentLossFault]] = {}
         if faults is not None:
-            injector = (
-                faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-            )
-            injector.plan.validate_for(self.num_workers)
-            if not injector.plan.is_empty or injector.replaying:
-                self.faults = injector
+            faults.validate_for(self.num_workers)
+            if not faults.is_empty:
+                self.faults = faults
+            for crash in faults.crashes:
+                self._crashes_at.setdefault(crash.superstep, []).append(crash)
+            for loss in faults.losses:
+                self._losses_at.setdefault(loss.superstep, []).append(loss)
         # Degraded-mode state: heir shares of each permanently lost
         # worker's future load, and the routing-table view failover
         # decisions are computed against (built lazily on first loss).
@@ -303,13 +307,10 @@ class Cluster:
         attribution" sentinel.  With ``payloads`` the messages are also
         enqueued by :meth:`post`; without, the call is pure accounting.
         Every argument is checked against ``dsts`` before anything is
-        enqueued, drawn or charged.
-
-        Fault-stream contract: per-message fates are drawn one by one,
-        for exactly the remote nonzero-byte messages, **in array order**
-        — the same order the scalar loop would have issued the sends —
-        so a batched run consumes the seeded fate stream identically to
-        the scalar path and faulty runs stay bit-deterministic.
+        enqueued or charged.  Only remote nonzero-byte messages are
+        charged, to both ends' byte totals, to their link (on a
+        heterogeneous cluster) and to their master vertex, each exactly
+        as the per-message :meth:`send` calls would have charged them.
         """
         dsts = np.asarray(dsts, dtype=np.int64)
         srcs = self._workers_of(src, dsts.shape, "source")
@@ -336,17 +337,6 @@ class Cluster:
             srcs, dsts = srcs[remote], dsts[remote]
             wire = wire[remote] if wire.ndim else wire
             mv = None if mv is None else mv[remote]
-        if self.faults is not None:
-            wire = np.array(np.broadcast_to(wire, dsts.shape))
-            step = self._step_index
-            for i, (s, d) in enumerate(zip(srcs.tolist(), dsts.tolist())):
-                fate = self.faults.message_fate(step, s, d)
-                if fate is not MessageFate.DELIVER:
-                    wire[i] *= 2.0
-                    if fate is MessageFate.DROP:
-                        self.profile.messages_dropped += 1
-                    else:
-                        self.profile.messages_duplicated += 1
         # Both ends pay each message's bytes.  A scalar ``nbytes`` stays
         # one: a count times a dyadic size is the per-message sum exactly.
         weights = wire if wire.ndim else None
@@ -439,34 +429,20 @@ class Cluster:
         ``nbytes`` is the simulated wire size; local (``src == dst``)
         messages are free.  ``master_vertex`` attributes the bytes to that
         vertex's master-synchronization traffic (the quantity g_A models).
-
-        Under fault injection the transport stays *reliable*: a dropped
-        message is detected and retransmitted and a duplicated message is
-        deduplicated at the receiver, so the payload always arrives
-        exactly once — but the wire bytes are paid twice.
         """
         self._check_fid(src, "source")
         self._check_fid(dst, "destination")
         self._outbox[dst].append(payload)
         if src != dst and nbytes > 0:
-            wire_bytes = nbytes
-            if self.faults is not None:
-                fate = self.faults.message_fate(self._step_index, src, dst)
-                if fate is not MessageFate.DELIVER:
-                    wire_bytes = nbytes * 2.0
-                    if fate is MessageFate.DROP:
-                        self.profile.messages_dropped += 1
-                    else:
-                        self.profile.messages_duplicated += 1
             for fid in (src, dst):
-                self._step_bytes[fid] += wire_bytes
-                self._bytes_total[fid] += wire_bytes
+                self._step_bytes[fid] += nbytes
+                self._bytes_total[fid] += nbytes
             if self._hetero:
-                self._step_link_bytes[src, dst] += wire_bytes
+                self._step_link_bytes[src, dst] += nbytes
             if master_vertex is not None:
                 self.profile.comm_bytes_by_master[master_vertex] = (
                     self.profile.comm_bytes_by_master.get(master_vertex, 0.0)
-                    + wire_bytes
+                    + nbytes
                 )
 
     # ------------------------------------------------------------------
@@ -686,9 +662,10 @@ class Cluster:
         """End the superstep; return per-worker inboxes for the next one.
 
         With faults enabled this is also where protection and recovery
-        are charged: a due checkpoint adds its serialized bytes, and a
-        crash scheduled for this superstep triggers rollback replay (see
-        :meth:`_recover`).
+        are charged: a due checkpoint adds its serialized bytes, a crash
+        the plan schedules for this superstep triggers rollback replay
+        (see :meth:`_recover`) and a loss triggers failover (see
+        :meth:`_fail_over`).
         """
         wall_now = time.perf_counter()
         step_ops = self._step_ops.tolist()
@@ -702,11 +679,10 @@ class Cluster:
         )
         self._wall_last = wall_now
         self.profile.wall_time_s += record.wall_time_s
-        if self.faults is not None:
-            for crash in self.faults.crashes_at(self._step_index):
-                self._recover(crash, record)
-            for loss in self.faults.losses_at(self._step_index):
-                self._fail_over(loss, record)
+        for crash in self._crashes_at.get(self._step_index, ()):
+            self._recover(crash, record)
+        for loss in self._losses_at.get(self._step_index, ()):
+            self._fail_over(loss, record)
         if self.checkpoints is not None and self.checkpoints.due(self._step_index + 1):
             checkpoint = self.checkpoints.take(self._step_index + 1)
             record.checkpoint_bytes += checkpoint.nbytes

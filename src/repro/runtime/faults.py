@@ -1,52 +1,24 @@
-"""Deterministic fault injection for the BSP simulator.
+"""Declarative fault plans for the BSP simulator.
 
 The paper's measurements come from a 32-machine shared-nothing cluster
-(Section 7) where worker crashes, dropped packets, and stragglers are
-facts of life.  This module lets the simulator degrade its substrate the
-same way — *deterministically*, so a faulty run is exactly reproducible:
+(Section 7) where worker crashes, lost machines and stragglers are facts
+of life.  A :class:`FaultPlan` declares what goes wrong in one run —
+crash worker ``w`` at the end of superstep ``s``, lose worker ``w`` for
+good, slow worker ``w`` down over a superstep window — so a faulty run
+is its own record: the same plan gives the same run, bit for bit.
 
-* a :class:`FaultPlan` declares what goes wrong (crash worker ``w`` at
-  superstep ``s``, drop/duplicate a fraction of messages, slow a worker
-  by a straggler multiplier);
-* a :class:`FaultInjector` turns the plan into per-event decisions.
-  Message fates are drawn from a counter-keyed hash of the plan seed, so
-  the i-th message of a run always meets the same fate regardless of how
-  Python's RNG is used elsewhere.
-
-Faults never change *results*: the simulated transport detects drops and
-retransmits, and receivers deduplicate — exactly what a reliable BSP
-runtime (GRAPE, Giraph) does — so the observable effect is extra wire
-bytes and, for crashes, rollback-recovery time (see
-:mod:`repro.runtime.checkpoint` and :meth:`repro.runtime.bsp.Cluster.deliver`).
-A :class:`PermanentLossFault` removes a worker for good: the cluster
-fails over onto the survivors (see :mod:`repro.runtime.failover`), again
-without changing results.
-
-Record/replay: an injector built with a
-:class:`~repro.runtime.trace.FailureTrace` recorder appends every fired
-fate to the trace; one built with a
-:class:`~repro.runtime.trace.RuntimeReplay` cursor takes its fates from
-a recorded trace instead of the seeded hash, so a chaotic run replays
-byte-identically even under a different (or empty) plan seed.
+Faults never change *results*.  A crash triggers rollback recovery (see
+:mod:`repro.runtime.checkpoint` and :meth:`repro.runtime.bsp.Cluster.deliver`);
+a :class:`PermanentLossFault` makes the cluster fail over onto the
+survivors (see :mod:`repro.runtime.failover`); a straggler stretches
+its worker's superstep time.  Only the profile and the makespan change.
 """
 
 from __future__ import annotations
 
-import enum
-import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-from repro.runtime.trace import FailureTrace, RuntimeReplay, TraceEvent
-
-
-class MessageFate(enum.Enum):
-    """What the simulated network does with one message."""
-
-    DELIVER = "deliver"
-    DROP = "drop"  # lost, detected, retransmitted (bytes paid twice)
-    DUPLICATE = "duplicate"  # sent twice, deduplicated at the receiver
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -108,6 +80,13 @@ class StragglerFault:
             raise ValueError(
                 f"straggler factor must be a finite value >= 1, got {self.factor}"
             )
+        if self.start < 0:
+            raise ValueError(f"straggler start must be >= 0, got {self.start}")
+        if self.until is not None and self.until <= self.start:
+            raise ValueError(
+                f"straggler window [{self.start}, {self.until}) is empty; "
+                "until must be > start (or None for the rest of the run)"
+            )
 
     def active(self, superstep: int) -> bool:
         """Whether the slowdown applies at ``superstep``."""
@@ -116,37 +95,24 @@ class StragglerFault:
         )
 
 
-def _check_rate(name: str, rate: float) -> None:
-    if not (0.0 <= rate < 1.0):
-        raise ValueError(f"{name} must be in [0, 1), got {rate}")
-
-
 @dataclass(frozen=True)
 class FaultPlan:
-    """A declarative, seeded schedule of substrate faults.
+    """A declarative schedule of substrate faults.
 
     Attributes
     ----------
-    seed:
-        Seed of the counter-keyed hash from which per-message fates are
-        drawn.  Two runs with the same plan see identical faults.
     crashes:
-        Transient worker failures; each fires once, at the end of its
+        Transient worker failures; each fires at the end of its
         superstep, and the worker returns after rollback recovery.
     losses:
-        Permanent worker failures; each fires once and the worker never
-        returns (the cluster fails over onto the survivors).
-    drop_rate / duplicate_rate:
-        Fraction of remote messages lost (then retransmitted) or sent
-        twice (then deduplicated).  Both in ``[0, 1)``.
+        Permanent worker failures; the worker never returns (the
+        cluster fails over onto the survivors), so no worker is lost
+        twice and none crashes after its loss.
     stragglers:
-        Per-worker slowdown multipliers.
+        Per-worker slowdown multipliers over superstep windows.
     """
 
-    seed: int = 0
     crashes: Tuple[CrashFault, ...] = ()
-    drop_rate: float = 0.0
-    duplicate_rate: float = 0.0
     stragglers: Tuple[StragglerFault, ...] = ()
     losses: Tuple[PermanentLossFault, ...] = ()
 
@@ -155,13 +121,6 @@ class FaultPlan:
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "stragglers", tuple(self.stragglers))
         object.__setattr__(self, "losses", tuple(self.losses))
-        _check_rate("drop_rate", self.drop_rate)
-        _check_rate("duplicate_rate", self.duplicate_rate)
-        if self.drop_rate + self.duplicate_rate >= 1.0:
-            raise ValueError(
-                "drop_rate + duplicate_rate must stay below 1, got "
-                f"{self.drop_rate} + {self.duplicate_rate}"
-            )
         seen: Dict[int, PermanentLossFault] = {}
         for loss in self.losses:
             if loss.worker in seen:
@@ -171,17 +130,26 @@ class FaultPlan:
                     "be lost once"
                 )
             seen[loss.worker] = loss
+        for crash in self.crashes:
+            loss = seen.get(crash.worker)
+            if loss is not None and crash.superstep > loss.superstep:
+                raise ValueError(
+                    f"fault plan crashes worker {crash.worker} ({crash}) "
+                    f"after losing it ({loss}); a lost worker cannot crash"
+                )
 
     @property
     def is_empty(self) -> bool:
         """True when the plan injects nothing at all."""
-        return (
-            not self.crashes
-            and not self.losses
-            and self.drop_rate == 0.0
-            and self.duplicate_rate == 0.0
-            and not self.stragglers
-        )
+        return not (self.crashes or self.losses or self.stragglers)
+
+    def straggler_factor(self, worker: int, superstep: int) -> float:
+        """Combined slowdown multiplier for ``worker`` at ``superstep``."""
+        factor = 1.0
+        for straggler in self.stragglers:
+            if straggler.worker == worker and straggler.active(superstep):
+                factor *= straggler.factor
+        return factor
 
     def validate_for(self, num_workers: int) -> None:
         """Check every named worker exists in an ``num_workers`` cluster.
@@ -215,181 +183,3 @@ class FaultPlan:
                 "at least one must survive to fail over onto"
             )
 
-    def to_dict(self) -> Dict:
-        """JSON-serializable representation (stored in trace headers)."""
-        return {
-            "seed": self.seed,
-            "crashes": [
-                {"worker": c.worker, "superstep": c.superstep}
-                for c in self.crashes
-            ],
-            "losses": [
-                {"worker": l.worker, "superstep": l.superstep}
-                for l in self.losses
-            ],
-            "drop_rate": self.drop_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "stragglers": [
-                {
-                    "worker": s.worker,
-                    "factor": s.factor,
-                    "start": s.start,
-                    "until": s.until,
-                }
-                for s in self.stragglers
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            seed=int(data.get("seed", 0)),
-            crashes=tuple(
-                CrashFault(int(c["worker"]), int(c["superstep"]))
-                for c in data.get("crashes", ())
-            ),
-            losses=tuple(
-                PermanentLossFault(int(l["worker"]), int(l["superstep"]))
-                for l in data.get("losses", ())
-            ),
-            drop_rate=float(data.get("drop_rate", 0.0)),
-            duplicate_rate=float(data.get("duplicate_rate", 0.0)),
-            stragglers=tuple(
-                StragglerFault(
-                    int(s["worker"]),
-                    float(s["factor"]),
-                    start=int(s.get("start", 0)),
-                    until=None if s.get("until") is None else int(s["until"]),
-                )
-                for s in data.get("stragglers", ())
-            ),
-        )
-
-
-def _unit_hash(seed: int, tag: str, index: int) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by (seed, tag, index)."""
-    digest = hashlib.blake2b(
-        f"{seed}:{tag}:{index}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") / 2.0**64
-
-
-@dataclass
-class FaultInjector:
-    """Stateful interpreter of a :class:`FaultPlan` for one cluster run.
-
-    One injector belongs to one :class:`~repro.runtime.bsp.Cluster`; it
-    keeps the message counter that makes fates reproducible and tallies
-    what it injected (``messages_dropped``, ``messages_duplicated``,
-    ``crashes_injected``, ``losses_injected``).
-
-    ``trace``/``trace_scope`` record every fired fate into a
-    :class:`~repro.runtime.trace.FailureTrace`; ``replay`` takes fates
-    from a recorded trace instead of drawing them (the plan then only
-    contributes its declarative stragglers).  Recording also works in
-    replay mode, so a replayed run can prove it fired the identical
-    fate sequence.
-    """
-
-    plan: FaultPlan
-    trace: Optional[FailureTrace] = None
-    trace_scope: str = ""
-    replay: Optional[RuntimeReplay] = None
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    crashes_injected: int = 0
-    losses_injected: int = 0
-    _message_counter: int = 0
-    _fired: List[CrashFault] = field(default_factory=list)
-    _fired_losses: List[PermanentLossFault] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._crashes_by_step: Dict[int, List[CrashFault]] = {}
-        for crash in self.plan.crashes:
-            self._crashes_by_step.setdefault(crash.superstep, []).append(crash)
-        self._losses_by_step: Dict[int, List[PermanentLossFault]] = {}
-        for loss in self.plan.losses:
-            self._losses_by_step.setdefault(loss.superstep, []).append(loss)
-
-    @property
-    def replaying(self) -> bool:
-        """Whether fates come from a recorded trace (plan draws bypassed)."""
-        return self.replay is not None
-
-    def _record(self, kind: str, index: int, payload: Dict) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                TraceEvent("runtime", self.trace_scope, kind, index, payload)
-            )
-
-    # ------------------------------------------------------------------
-    def crashes_at(self, superstep: int) -> List[CrashFault]:
-        """Crashes that fire at the end of ``superstep`` (each fires once)."""
-        if self.replay is not None:
-            due = [
-                CrashFault(worker, superstep)
-                for worker in self.replay.crashed_workers(superstep)
-            ]
-        else:
-            due = [
-                c
-                for c in self._crashes_by_step.get(superstep, [])
-                if c not in self._fired
-            ]
-            self._fired.extend(due)
-        self.crashes_injected += len(due)
-        for crash in due:
-            self._record("crash", superstep, {"worker": crash.worker})
-        return due
-
-    def losses_at(self, superstep: int) -> List[PermanentLossFault]:
-        """Permanent losses firing at the end of ``superstep`` (once each)."""
-        if self.replay is not None:
-            due = [
-                PermanentLossFault(worker, superstep)
-                for worker in self.replay.lost_workers(superstep)
-            ]
-        else:
-            due = [
-                l
-                for l in self._losses_by_step.get(superstep, [])
-                if l not in self._fired_losses
-            ]
-            self._fired_losses.extend(due)
-        self.losses_injected += len(due)
-        for loss in due:
-            self._record("loss", superstep, {"worker": loss.worker})
-        return due
-
-    def message_fate(self, superstep: int, src: int, dst: int) -> MessageFate:
-        """Fate of the next remote message (deterministic in send order)."""
-        index = self._message_counter
-        self._message_counter += 1
-        if self.replay is not None:
-            name = self.replay.message_fate(index)
-            if name is None:
-                return MessageFate.DELIVER
-            fate = MessageFate(name)
-        else:
-            draw = _unit_hash(self.plan.seed, "msg", index)
-            if draw < self.plan.drop_rate:
-                fate = MessageFate.DROP
-            elif draw < self.plan.drop_rate + self.plan.duplicate_rate:
-                fate = MessageFate.DUPLICATE
-            else:
-                return MessageFate.DELIVER
-        if fate is MessageFate.DROP:
-            self.messages_dropped += 1
-        else:
-            self.messages_duplicated += 1
-        self._record("message", index, {"fate": fate.value})
-        return fate
-
-    def straggler_factor(self, worker: int, superstep: int) -> float:
-        """Combined slowdown multiplier for ``worker`` at ``superstep``."""
-        factor = 1.0
-        for straggler in self.plan.stragglers:
-            if straggler.worker == worker and straggler.active(superstep):
-                factor *= straggler.factor
-        return factor

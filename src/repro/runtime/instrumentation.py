@@ -162,8 +162,6 @@ class RunProfile:
     failures: List[FailureEvent] = field(default_factory=list)
     recovery_time: float = 0.0
     checkpoint_bytes: float = 0.0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
     losses: int = 0
     promoted_masters: int = 0
     replaced_vertices: int = 0
@@ -249,8 +247,6 @@ class RunProfile:
             "failures": [f.to_dict() for f in self.failures],
             "recovery_time": self.recovery_time,
             "checkpoint_bytes": self.checkpoint_bytes,
-            "messages_dropped": self.messages_dropped,
-            "messages_duplicated": self.messages_duplicated,
             "losses": self.losses,
             "promoted_masters": self.promoted_masters,
             "replaced_vertices": self.replaced_vertices,
@@ -259,7 +255,9 @@ class RunProfile:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunProfile":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; keys it does not know (such as the
+        ``messages_dropped`` / ``messages_duplicated`` counts older
+        profiles carry) are ignored."""
 
         def copy_key(text: str) -> Tuple[int, int]:
             fid, v = text.split(",")
@@ -284,8 +282,6 @@ class RunProfile:
             failures=[FailureEvent.from_dict(f) for f in data.get("failures", [])],
             recovery_time=float(data.get("recovery_time", 0.0)),
             checkpoint_bytes=float(data.get("checkpoint_bytes", 0.0)),
-            messages_dropped=int(data.get("messages_dropped", 0)),
-            messages_duplicated=int(data.get("messages_duplicated", 0)),
             losses=int(data.get("losses", 0)),
             promoted_masters=int(data.get("promoted_masters", 0)),
             replaced_vertices=int(data.get("replaced_vertices", 0)),

@@ -9,9 +9,9 @@ shared memory (:mod:`repro.runtime.shm`) — one dispatch per
 back into the copy space in fragment order.
 
 Workers execute *only* a kernel's ``compute``: deterministic array work
-over one fragment's rows.  Which fragments run, and everything with
-ordering or randomness contracts, stays in the parent: ``Cluster`` cost accounting,
-``send_batch`` fate draws, the master sync (``SyncRoute``), checkpoint
+over one fragment's rows.  Which fragments run, and everything with an
+ordering contract, stays in the parent: ``Cluster`` cost accounting,
+``send_batch`` charges, the master sync (``SyncRoute``), checkpoint
 snapshots, rollback recovery, failover.  Parent and worker import one
 kernel table and outputs come back in the order asked for, so values,
 makespans, and ``RunProfile`` dicts are those of ``backend="simulated"``

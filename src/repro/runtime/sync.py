@@ -143,7 +143,7 @@ class SyncRoute:
         read.  Returns ``(receivers, values)``: the copy each broadcast
         message reaches, in broadcast order, and the value it carries.
         Each superstep is one ``send_batch`` (and one ``charge_bulk`` per
-        charge kind) in per-sender call order, so fate draws, link bytes
+        charge kind) in per-sender call order, so charges, link bytes
         and checkpoints fall where they did; ``np.add.at`` /
         ``np.minimum.at`` apply in arrival order, so every rounding step
         matches the scalar ``combine`` chain.

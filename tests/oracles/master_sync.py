@@ -5,7 +5,7 @@ when every call re-derived its routing (per-sender order, ``unique``,
 ``lexsort``, placement gather, per-master and per-receiver masks) from the
 id sets it was handed.  ``SyncRoute`` — compiled once per plan over every
 copy, run with a "sent" mask per superstep — must keep producing these
-arrays, charges, sends and fate-stream draws
+arrays, charges, sends, link bytes and checkpoints
 (``tests/runtime/test_sync_route.py``, ``tests/runtime/test_sync.py``).
 """
 
@@ -45,8 +45,8 @@ def sync_by_master_arrays(
 
     Bit-identity: each fragment's partials are shipped in ascending
     vertex order, fragments in ascending fid order — exactly the scalar
-    path's canonical send order, so the fault stream sees the same
-    per-message fate sequence.  Master-side reduction uses ``np.add.at``
+    path's canonical send order, so every byte is charged where the
+    scalar path charged it.  Master-side reduction uses ``np.add.at``
     / ``np.minimum.at``, which apply updates sequentially in index
     order; since the index arrays are laid out in scalar arrival order
     (sender-fid-major), the float combine order — hence every rounding

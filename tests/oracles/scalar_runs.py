@@ -10,7 +10,7 @@ shipped algorithm (constructor defaults, ``run_params`` and the
 ``run`` minus the ``use_kernels`` fork.  Walks the ``HybridPartition``
 edge by edge, sends and answers one message at a time, never touches a
 ``FragmentPlan``.  The kernels must keep producing these runs' values,
-makespans, ``RunProfile`` records, fate-stream draws and checkpoint blobs
+makespans, ``RunProfile`` records (charges, link bytes) and checkpoint blobs
 (``tests/runtime/test_kernel_differential.py`` and the hetero / failover /
 TC-pump differentials).  Re-frozen once in canonical order: a fragment's
 vertices and edges, and a vertex's hosts, are walked sorted, as the plan

@@ -10,8 +10,8 @@ then, :func:`_send_rows` below is that row form; and ``use_kernels``, a run
 param then, is pinned to the kernel route this file freezes (its
 ``use_kernels=False`` branches are the loop of ``scalar_runs``, which is what
 the suites call for it).  The array-native pump must
-keep producing this run's values, makespan, profile, fate-stream draws and
-checkpoint bytes (``tests/runtime/test_tc_pump.py``).  Re-frozen once in
+keep producing this run's values, makespan, profile (charges, link
+bytes) and checkpoint bytes (``tests/runtime/test_tc_pump.py``).  Re-frozen once in
 canonical order: a fragment's vertices and a v-cut vertex's query targets
 are walked sorted, where they were walked in insertion and hash order.
 """
@@ -191,11 +191,12 @@ class TriangleCounting(Algorithm):
                                 wa[miss], wb[miss], wp[miss]
                             )
                 # Queries and inlists go out in fragment vertex order —
-                # the scalar send order the fault stream expects.
+                # the scalar send order.
                 # Single-home queries accumulate into one batch per
                 # contiguous run; the batch flushes before any scalar
-                # send so the wire order (hence the fate stream and the
-                # qid sequence) matches the scalar loop exactly.
+                # send so the wire order (hence the qid sequence and the
+                # in-flight state a checkpoint pickles) matches the scalar
+                # loop exactly.
                 home_of = plan.home_of()
                 pend_a: List[np.ndarray] = []
                 pend_b: List[np.ndarray] = []
@@ -302,7 +303,7 @@ class TriangleCounting(Algorithm):
                 """Batched ``remote_check`` for one pivot's missed wedges.
 
                 Single-home closing endpoints go out through one
-                ``send_batch`` (the wire/fate/qid order is the scalar
+                ``send_batch`` (the wire/qid order is the scalar
                 wedge order); any v-cut endpoint drops the whole pivot
                 back to the scalar multi-target path, still in order.
                 """

@@ -91,3 +91,23 @@ def test_composite_round_trip(tmp_path, power_graph):
         _assert_same_partition(
             composite.partition_for(name), loaded.partition_for(name)
         )
+
+
+def test_round_trip_keeps_the_raw_indexes(tmp_path):
+    """A refined partition's degree and fullness indexes equal a freshly
+    loaded copy's: no zero degree and no empty fullness set is kept."""
+    from repro.core.e2h import E2H
+    from repro.costmodel.library import builtin_cost_model
+    from repro.partitioners.base import get_partitioner
+
+    graph = chung_lu_power_law(1000, 6.0, exponent=2.1, directed=True, seed=7)
+    p = E2H(builtin_cost_model("pr")).refine(get_partitioner("fennel").partition(graph, 8))
+    path = tmp_path / "p.json"
+    save_partition(p, path)
+    loaded = load_partition(path, graph)
+    assert p._full == loaded._full
+    assert all(p._full.values())
+    for mine, theirs in zip(p.fragments, loaded.fragments):
+        assert mine._in_deg == theirs._in_deg
+        assert mine._out_deg == theirs._out_deg
+        assert 0 not in mine._in_deg.values() and 0 not in mine._out_deg.values()

@@ -226,34 +226,14 @@ class TestFaultInjection:
         cluster = faulty_cluster(FaultPlan())
         assert cluster.faults is None
 
-    def test_dropped_message_still_delivered_but_bytes_doubled(self):
-        # seed chosen so the first draw falls below the drop rate
-        plan = FaultPlan(seed=0, drop_rate=0.999)
-        cluster = faulty_cluster(plan)
-        cluster.send(0, 1, "m", nbytes=10)
-        inboxes = cluster.deliver()
-        assert inboxes[1] == ["m"]
-        cluster.finish()
-        assert cluster.profile.bytes_by_worker[0] == 20
-        assert cluster.profile.messages_dropped == 1
-
-    def test_duplicated_message_delivered_once_bytes_doubled(self):
-        plan = FaultPlan(seed=0, duplicate_rate=0.999)
-        cluster = faulty_cluster(plan)
-        cluster.send(0, 1, "m", nbytes=10)
-        inboxes = cluster.deliver()
-        assert inboxes[1] == ["m"]
-        cluster.finish()
-        assert cluster.profile.bytes_by_worker[1] == 20
-        assert cluster.profile.messages_duplicated == 1
-
     def test_local_messages_never_fault(self):
-        plan = FaultPlan(seed=0, drop_rate=0.999)
+        """Under a fault plan a local message is still delivered for free."""
+        plan = FaultPlan(stragglers=(StragglerFault(worker=0, factor=3.0),))
         cluster = faulty_cluster(plan)
         cluster.send(0, 0, "self", nbytes=100)
         inboxes = cluster.deliver()
         assert inboxes[0] == ["self"]
-        assert cluster.profile.messages_dropped == 0
+        assert cluster.finish().bytes_by_worker == {}
 
     def test_straggler_scales_superstep_time(self):
         plan = FaultPlan(stragglers=(StragglerFault(worker=1, factor=3.0),))

@@ -32,7 +32,7 @@ from repro.runtime.instrumentation import RunProfile
 from repro.runtime.plan import plan_for
 from tests.oracles.scalar_failover import ScalarFailoverState
 
-LOSS_PLAN = FaultPlan(seed=5, losses=(PermanentLossFault(worker=1, superstep=1),))
+LOSS_PLAN = FaultPlan(losses=(PermanentLossFault(worker=1, superstep=1),))
 
 
 @pytest.fixture(scope="module")
@@ -146,12 +146,10 @@ def test_stacked_losses_compose(partition):
     assert lossy.profile.makespan > clean.makespan
 
 
-def test_loss_combined_with_crash_and_drops(partition):
+def test_loss_combined_with_crash(partition):
     plan = FaultPlan(
-        seed=11,
         crashes=(CrashFault(worker=0, superstep=2),),
         losses=(PermanentLossFault(worker=3, superstep=4),),
-        drop_rate=0.05,
     )
     clean = get_algorithm("wcc").run(partition)
     faulty = (

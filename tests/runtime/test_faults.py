@@ -1,14 +1,32 @@
-"""Tests for deterministic fault injection."""
+"""Tests for declarative fault plans."""
 
 import pytest
 
+from repro.graph.digraph import Graph
+from repro.partition.hybrid import HybridPartition
+from repro.runtime.bsp import Cluster
 from repro.runtime.faults import (
     CrashFault,
-    FaultInjector,
     FaultPlan,
-    MessageFate,
+    PermanentLossFault,
     StragglerFault,
 )
+
+
+def _cluster(plan):
+    partition = HybridPartition.from_vertex_assignment(
+        Graph(6, [(0, 1), (2, 3), (4, 5)]), [0, 0, 1, 1, 2, 2], 3
+    )
+    return Cluster(partition, faults=plan)
+
+
+def _crashes(plan, supersteps):
+    """``(worker, superstep)`` of every crash a run of ``supersteps`` met."""
+    cluster = _cluster(plan)
+    for _ in range(supersteps):
+        cluster.charge(0, 1.0)
+        cluster.deliver()
+    return [(e.worker, e.superstep) for e in cluster.finish().failures]
 
 
 class TestPlanValidation:
@@ -17,17 +35,8 @@ class TestPlanValidation:
 
     def test_any_fault_makes_plan_nonempty(self):
         assert not FaultPlan(crashes=(CrashFault(0, 1),)).is_empty
-        assert not FaultPlan(drop_rate=0.1).is_empty
-        assert not FaultPlan(duplicate_rate=0.1).is_empty
+        assert not FaultPlan(losses=(PermanentLossFault(0, 1),)).is_empty
         assert not FaultPlan(stragglers=(StragglerFault(0, 2.0),)).is_empty
-
-    def test_rates_must_be_fractions(self):
-        with pytest.raises(ValueError, match="drop_rate"):
-            FaultPlan(drop_rate=1.5)
-        with pytest.raises(ValueError, match="duplicate_rate"):
-            FaultPlan(duplicate_rate=-0.1)
-        with pytest.raises(ValueError, match="below 1"):
-            FaultPlan(drop_rate=0.6, duplicate_rate=0.6)
 
     def test_crash_coordinates_validated(self):
         with pytest.raises(ValueError, match="worker"):
@@ -43,75 +52,61 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="factor"):
             StragglerFault(worker=0, factor=float("inf"))
 
+    def test_straggler_window_validated(self):
+        """An empty window never fires: a "faulty" run would be quietly clean."""
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            StragglerFault(0, 2.0, start=-1)
+        with pytest.raises(ValueError, match=r"window \[5, 3\) is empty"):
+            StragglerFault(0, 2.0, start=5, until=3)
+        with pytest.raises(ValueError, match=r"window \[2, 2\) is empty"):
+            StragglerFault(0, 2.0, start=2, until=2)
+        assert StragglerFault(0, 2.0, start=2, until=3).active(2)
+
     def test_plan_accepts_lists(self):
         plan = FaultPlan(crashes=[CrashFault(0, 1)], stragglers=[StragglerFault(1, 2.0)])
         assert isinstance(plan.crashes, tuple)
         assert isinstance(plan.stragglers, tuple)
 
+    def test_crash_after_loss_rejected(self):
+        """A lost worker never returns, so it cannot crash later."""
+        loss, crash = PermanentLossFault(1, 1), CrashFault(1, 3)
+        with pytest.raises(ValueError) as info:
+            FaultPlan(losses=(loss,), crashes=(crash,))
+        assert str(crash) in str(info.value) and str(loss) in str(info.value)
 
-class TestDeterminism:
-    def test_message_fates_reproducible(self):
-        plan = FaultPlan(seed=42, drop_rate=0.2, duplicate_rate=0.1)
-        injector_a = FaultInjector(plan)
-        injector_b = FaultInjector(plan)
-        fates_a = [injector_a.message_fate(s, 0, 1) for s in range(500)]
-        fates_b = [injector_b.message_fate(s, 0, 1) for s in range(500)]
-        assert fates_a == fates_b
-
-    def test_different_seeds_differ(self):
-        a = FaultInjector(FaultPlan(seed=1, drop_rate=0.5))
-        b = FaultInjector(FaultPlan(seed=2, drop_rate=0.5))
-        fates_a = [a.message_fate(0, 0, 1) for _ in range(200)]
-        fates_b = [b.message_fate(0, 0, 1) for _ in range(200)]
-        assert fates_a != fates_b
-
-    def test_rates_approximately_honoured(self):
-        injector = FaultInjector(FaultPlan(seed=3, drop_rate=0.3, duplicate_rate=0.2))
-        fates = [injector.message_fate(0, 0, 1) for _ in range(5000)]
-        drop = fates.count(MessageFate.DROP) / len(fates)
-        dup = fates.count(MessageFate.DUPLICATE) / len(fates)
-        assert drop == pytest.approx(0.3, abs=0.03)
-        assert dup == pytest.approx(0.2, abs=0.03)
-        assert injector.messages_dropped == fates.count(MessageFate.DROP)
-        assert injector.messages_duplicated == fates.count(MessageFate.DUPLICATE)
-
-    def test_zero_rates_always_deliver(self):
-        injector = FaultInjector(FaultPlan(seed=9))
-        assert all(
-            injector.message_fate(0, 0, 1) is MessageFate.DELIVER for _ in range(100)
-        )
+    def test_crash_up_to_the_loss_accepted(self):
+        """Crashes fire before losses within a superstep, and other workers
+        are unaffected."""
+        FaultPlan(losses=(PermanentLossFault(1, 3),), crashes=(CrashFault(1, 3),))
+        FaultPlan(losses=(PermanentLossFault(1, 3),), crashes=(CrashFault(1, 0),))
+        FaultPlan(losses=(PermanentLossFault(1, 1),), crashes=(CrashFault(0, 5),))
 
 
 class TestCrashes:
     def test_crash_fires_once(self):
         plan = FaultPlan(crashes=(CrashFault(worker=2, superstep=5),))
-        injector = FaultInjector(plan)
-        assert injector.crashes_at(4) == []
-        assert injector.crashes_at(5) == [CrashFault(2, 5)]
-        assert injector.crashes_at(5) == []
-        assert injector.crashes_injected == 1
+        assert _crashes(plan, 8) == [(2, 5)]
+        assert _crashes(plan, 5) == []
 
     def test_multiple_crashes_same_step(self):
         plan = FaultPlan(crashes=(CrashFault(0, 1), CrashFault(1, 1)))
-        assert len(FaultInjector(plan).crashes_at(1)) == 2
+        assert _crashes(plan, 3) == [(0, 1), (1, 1)]
 
 
 class TestStragglers:
     def test_factor_defaults_to_one(self):
-        injector = FaultInjector(FaultPlan())
-        assert injector.straggler_factor(0, 0) == 1.0
+        assert FaultPlan().straggler_factor(0, 0) == 1.0
 
     def test_factor_applies_to_window(self):
         plan = FaultPlan(stragglers=(StragglerFault(1, 3.0, start=2, until=4),))
-        injector = FaultInjector(plan)
-        assert injector.straggler_factor(1, 1) == 1.0
-        assert injector.straggler_factor(1, 2) == 3.0
-        assert injector.straggler_factor(1, 3) == 3.0
-        assert injector.straggler_factor(1, 4) == 1.0
-        assert injector.straggler_factor(0, 2) == 1.0
+        assert plan.straggler_factor(1, 1) == 1.0
+        assert plan.straggler_factor(1, 2) == 3.0
+        assert plan.straggler_factor(1, 3) == 3.0
+        assert plan.straggler_factor(1, 4) == 1.0
+        assert plan.straggler_factor(0, 2) == 1.0
 
     def test_factors_compose(self):
         plan = FaultPlan(
             stragglers=(StragglerFault(0, 2.0), StragglerFault(0, 1.5))
         )
-        assert FaultInjector(plan).straggler_factor(0, 7) == 3.0
+        assert plan.straggler_factor(0, 7) == 3.0

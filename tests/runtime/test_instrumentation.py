@@ -70,8 +70,6 @@ def _full_profile() -> RunProfile:
         failures=[crash],
         recovery_time=0.25,
         checkpoint_bytes=64.0,
-        messages_dropped=3,
-        messages_duplicated=1,
     )
 
 
@@ -101,22 +99,28 @@ def test_profile_round_trip_failure_and_recovery_fields():
     assert event.replayed_supersteps == 2
     assert restored.recovery_time == 0.25
     assert restored.checkpoint_bytes == 64.0
-    assert restored.messages_dropped == 3
-    assert restored.messages_duplicated == 1
     assert restored.supersteps[0].failures == [event]
 
 
 def test_profile_from_dict_defaults_optional_fault_fields():
     payload = _full_profile().to_dict()
-    for key in ("failures", "recovery_time", "checkpoint_bytes",
-                "messages_dropped", "messages_duplicated"):
+    for key in ("failures", "recovery_time", "checkpoint_bytes"):
         payload.pop(key)
     payload["supersteps"][0].pop("failures")
     restored = RunProfile.from_dict(payload)
     assert restored.failures == []
     assert restored.recovery_time == 0.0
     assert restored.supersteps[0].failures == []
-    assert restored.messages_dropped == 0
+
+
+def test_profile_from_dict_ignores_retired_message_counts():
+    """Cached profiles from before message drop/duplicate was retired
+    carry two counts that no longer exist; they still load."""
+    payload = _full_profile().to_dict()
+    payload.update(messages_dropped=3, messages_duplicated=1)
+    restored = RunProfile.from_dict(payload)
+    assert restored == _full_profile()
+    assert "messages_dropped" not in restored.to_dict()
 
 
 def test_copy_keys_are_fragment_first():

@@ -54,15 +54,11 @@ pytestmark = pytest.mark.skipif(
 ALGORITHMS = ("pr", "wcc", "sssp", "tc", "cn")
 
 FAULT_PLAN = FaultPlan(
-    seed=11,
     crashes=(CrashFault(worker=1, superstep=1),),
-    drop_rate=0.08,
-    duplicate_rate=0.04,
     stragglers=(StragglerFault(worker=2, factor=2.0),),
 )
 
 LOSS_PLAN = FaultPlan(
-    seed=13,
     losses=(PermanentLossFault(worker=1, superstep=1),),
 )
 

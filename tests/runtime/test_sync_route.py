@@ -5,8 +5,9 @@ superstep re-derived its routing from the id sets it was handed (frozen
 in ``tests/oracles/master_sync.py``).  One route per plan, run *k* times
 with a different "sent" mask each round, must leave the cluster exactly
 where *k* calls of that function left it: same arrays, same
-``RunProfile``, same superstep count, same fate-stream draws.  A fixed
-mask (PageRank) is selected once and run *k* times.
+``RunProfile`` (charges, link bytes, checkpoints, crash recovery), same
+superstep count.  A fixed mask (PageRank) is selected once and run *k*
+times.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from repro.partition.hybrid import HybridPartition
 from repro.partitioners.base import get_partitioner
 from repro.runtime.bsp import Cluster
 from repro.runtime.clusterspec import ClusterSpec
-from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.faults import CrashFault, FaultPlan, StragglerFault
 from repro.runtime.plan import plan_for
 from repro.runtime.sync import SyncRoute
 from tests.oracles.master_sync import sync_by_master_arrays as oracle_sync
@@ -25,18 +26,6 @@ from tests.runtime.test_sync import route_sync
 
 ROUNDS = 4
 FRAGMENTS = 5
-
-
-class RecordingInjector(FaultInjector):
-    """Keeps the argument list of every ``message_fate`` draw."""
-
-    def __init__(self, plan):
-        super().__init__(plan)
-        self.draws = []
-
-    def message_fate(self, superstep, src, dst):
-        self.draws.append((superstep, src, dst))
-        return super().message_fate(superstep, src, dst)
 
 
 @pytest.fixture(scope="module")
@@ -123,13 +112,20 @@ SKEWED = ClusterSpec(
     links=((0, 2, 0.125),),
 )
 
+# a crash in the first superstep (one send_batch and finish() reach it)
+# and one later, and a straggler over the first three supersteps
+FAULTS = FaultPlan(
+    crashes=(CrashFault(1, 0), CrashFault(3, 5)),
+    stragglers=(StragglerFault(2, 2.0, until=3),),
+)
+
 CLUSTERS = {
     "plain": {},
-    "faults": {"faults": FaultPlan(seed=5, drop_rate=0.2, duplicate_rate=0.15)},
+    "faults": {"faults": FAULTS},
     "hetero": {"spec": SKEWED},
     "checkpoints": {"checkpoint_interval": 2},
     "all": {
-        "faults": FaultPlan(seed=9, drop_rate=0.1, duplicate_rate=0.1),
+        "faults": FAULTS,
         "spec": SKEWED,
         "checkpoint_interval": 3,
     },
@@ -137,13 +133,9 @@ CLUSTERS = {
 
 
 def _cluster(part, options):
-    options = dict(options)
-    injector = None
-    if "faults" in options:
-        injector = options["faults"] = RecordingInjector(options["faults"])
     cluster = Cluster(part, **options)
     cluster.set_snapshot(lambda: {"state": list(range(64))})
-    return cluster, injector
+    return cluster
 
 
 def _assert_same_outputs(got, want):
@@ -162,11 +154,11 @@ def test_route_run_k_times_equals_k_per_call_syncs(partition, shape, options):
     rounds = _rounds(partition, kind, rng)
     plan = plan_for(partition)
 
-    cluster, want_injector = _cluster(partition, options)
+    cluster = _cluster(partition, options)
     want = [oracle_sync(cluster, plan, p, reduce=reduce, finalize=finalize) for p in rounds]
     want_profile = cluster.finish()
 
-    cluster, injector = _cluster(partition, options)
+    cluster = _cluster(partition, options)
     route = SyncRoute.of(plan)
     assert SyncRoute.of(plan) is route, "one route per plan"
     masks = [_copy_space(route, plan, p, rng) for p in rounds]
@@ -186,9 +178,7 @@ def test_route_run_k_times_equals_k_per_call_syncs(partition, shape, options):
         _assert_same_outputs(g, w)
     assert profile.to_dict() == want_profile.to_dict()
     assert profile.num_supersteps == want_profile.num_supersteps == 2 * ROUNDS
-    if want_injector is not None:
-        assert injector.draws == want_injector.draws
-        assert want_injector.draws, "the fault stream was never consulted"
+    assert len(want_profile.failures) == (2 if "faults" in options else 0)
 
 
 def test_empty_route_still_consumes_two_supersteps(partition):
@@ -212,7 +202,7 @@ def test_unknown_reduce_rejected_before_any_send(partition):
 @pytest.mark.parametrize("options", CLUSTERS.values(), ids=CLUSTERS.keys())
 def test_multi_sender_send_batch_equals_the_per_sender_calls(partition, options):
     """One call with an array ``src`` accounts exactly like one call per
-    run of equal senders, in order: fate draws, link bytes, profile."""
+    run of equal senders, in order: link bytes, profile."""
     rng = np.random.default_rng(17)
     count = 400
     srcs = np.sort(rng.integers(0, FRAGMENTS, count))
@@ -221,9 +211,9 @@ def test_multi_sender_send_batch_equals_the_per_sender_calls(partition, options)
     nbytes = rng.integers(0, 4, count) * 4.0
     mv = np.where(rng.random(count) < 0.5, rng.integers(0, 240, count), -1)
 
-    batched, batched_injector = _cluster(partition, options)
+    batched = _cluster(partition, options)
     batched.send_batch(srcs, dsts, nbytes, master_vertices=mv)
-    split, split_injector = _cluster(partition, options)
+    split = _cluster(partition, options)
     cuts = np.flatnonzero(srcs[1:] != srcs[:-1]) + 1
     for run in np.split(np.arange(count), cuts):
         split.send_batch(int(srcs[run[0]]), dsts[run], nbytes[run], master_vertices=mv[run])
@@ -232,7 +222,6 @@ def test_multi_sender_send_batch_equals_the_per_sender_calls(partition, options)
     if "spec" in options:
         assert np.array_equal(batched._step_link_bytes, split._step_link_bytes)
         assert batched._step_link_bytes.any()
-    assert batched.finish().to_dict() == split.finish().to_dict()
-    if batched_injector is not None:
-        assert batched_injector.draws == split_injector.draws
-        assert batched_injector.draws
+    profile = batched.finish()
+    assert profile.to_dict() == split.finish().to_dict()
+    assert len(profile.failures) == (1 if "faults" in options else 0)
