@@ -19,15 +19,15 @@ The e-cut wedges and the local closing-edge test are the ``tc`` row of
 ``Cluster.map`` over every fragment's pivots; its table's fragment-keyed
 edge set answers every later closing-edge test too.  From there the run
 is array-native: every missed wedge expands through the plan's
-query-target table, and each superstep is one message stream in the
-scalar send order, cut every :data:`STRIDE` messages into multi-sender
-``send_batch`` calls.  Superstep 1 mixes
-queries with ``inlist`` blocks (vertices plus a CSR into one flat neighbor
-column), so it is accounted payload-less and each kind is ``post``-ed.
-The one-message-at-a-time loop it replaced is the test suite's
-differential oracle (``scalar_runs``); both issue the same messages in the
-same order, so charges, link bytes, makespans and checkpoints agree bit
-for bit (DESIGN §10).
+query-target table, and each kind of message a superstep sends is one
+stream, cut every :data:`STRIDE` messages into multi-sender
+``send_batch`` calls.  Superstep 1 sends the queries, then the ``inlist``
+blocks (vertices plus a CSR into one flat neighbor column).  The
+one-message-at-a-time loop it replaced is the test suite's differential
+oracle (``scalar_runs``); both deliver the same inboxes and charge the
+same integer byte counts to the same workers, links and masters — sums
+that no order changes — so charges, link bytes, makespans and
+checkpoints agree bit for bit (DESIGN §10).
 
 Result values: the global triangle count.
 """
@@ -107,9 +107,9 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         Each wedge asks the targets of ``a`` (one home, or every bearing
         copy in ``placement()`` order) except its own fragment; one left
         with nobody to ask is settled — the fragment already holds all
-        the relevant edges — and takes no qid.  Returns, wedge-major, each
-        message's wedge index and the aligned columns ``(sender, dst,
-        master vertex, qid, a, b)``.
+        the relevant edges — and takes no qid.  Returns, wedge-major, the
+        messages' aligned columns ``(sender, dst, master vertex, qid, a,
+        b)``.
         """
         nonlocal next_qid
         idx, lens = gather_segments(targets.indptr, wa)
@@ -124,7 +124,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         owed.append(asked[live])
         attributed = np.where(border[pivots], pivots, -1)
         src, *cols = (col[wedge] for col in (src, attributed, qid, wa, wb))
-        return wedge, (src, dst, *cols)
+        return src, dst, *cols
 
     # Superstep 1: e-cut pivots work locally; v-cut copies ship lists.
     # The kernel enumerates the e-cut wedges and hands back those whose
@@ -138,8 +138,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
     triangles += int(pairs.sum()) - wa.size
     row = np.searchsorted(ecut.eslots, wp)  # each missed wedge's pivot
     src, pivots = ecut.fids[row], ecut.verts[row]
-    slot = wp - np.asarray(ecut.cuts["copies"])[src]
-    inlists = [(_EMPTY,) * 5]
+    inlists = [(_EMPTY,) * 4]
     for fid in workers:
         verts = plan.verts(fid)
         roles = plan.roles(fid)
@@ -152,28 +151,17 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         )
         vslots = nondummy[roles[nondummy] != ROLE_ECUT]
         idx, lens = gather_segments(t.indptr, vslots)
-        inlists.append((np.full(lens.size, fid), vslots, verts[vslots], lens, t.nbrs[idx]))
+        inlists.append((np.full(lens.size, fid), verts[vslots], lens, t.nbrs[idx]))
     # k*(k-1) per pivot = the scalar C(k,2) upfront charge plus 1 per
     # checked wedge.
     cluster.charge_bulk(ecut.fids, 2 * pairs, vertices=ecut.verts)
-    wedge, (qsrc, qdst, qmv, qid, qa, qb) = expand(src, wa, wb, pivots)
-    isrc, islot, iv, lens, nbrs = map(np.concatenate, zip(*inlists))
-    idst = plan.master_of[iv]
-    # One stream, fid-major in fragment vertex order — the scalar
-    # oracle's send order: an e-cut slot's queries in wedge order or a
-    # v-cut slot's inlist.  It is accounted in that order and each kind
-    # is posted.
-    key = np.concatenate([qsrc * kb + slot[wedge], isrc * kb + islot])
-    order = np.argsort(key, kind="stable")
-    wire = np.concatenate([np.full(qdst.size, 20.0), 8.0 * np.maximum(1, lens)])
-    stream = [np.concatenate(c)[order] for c in ((qsrc, isrc), (qdst, idst), (qmv, iv))]
-    for s, d, m, w in _cuts(*stream, wire[order]):
-        cluster.send_batch(s, d, w, master_vertices=m)
-    for s, d, *cols in _cuts(qsrc, qdst, qid, qa, qb):
-        cluster.post(s, d, ("query", *cols))
+    for s, d, m, *cols in _cuts(*expand(src, wa, wb, pivots)):
+        cluster.send_batch(s, d, 20.0, master_vertices=m, payloads=("query", *cols))
+    isrc, iv, lens, nbrs = map(np.concatenate, zip(*inlists))
     csr = (np.concatenate(([0], np.cumsum(lens))), nbrs)
-    for s, d, v, rows in _cuts(isrc, idst, iv, csr):
-        cluster.post(s, d, ("inlist", v, rows))
+    wire = 8.0 * np.maximum(1, lens)
+    for s, d, v, rows, w in _cuts(isrc, plan.master_of[iv], iv, csr, wire):
+        cluster.send_batch(s, d, w, master_vertices=v, payloads=("inlist", v, rows))
 
     def merged_pivots(lists: List[Tuple]) -> None:
         """Wedges of the v-cut pivots whose partial lists met at their masters."""
@@ -194,7 +182,7 @@ def _count(partition: HybridPartition, cluster: Cluster) -> int:
         miss = ~closing(ecut.ekeys, wa, wb, kb, directed, src)
         triangles += wa.size - int(miss.sum())
         # Queries leave in pivot order, which interleaves senders.
-        _, msgs = expand(src[miss], wa[miss], wb[miss], pivots[row[miss]])
+        msgs = expand(src[miss], wa[miss], wb[miss], pivots[row[miss]])
         for s, d, m, *cols in _cuts(*msgs):
             cluster.send_batch(s, d, 20.0, master_vertices=m, payloads=("query", *cols))
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.algorithms.registry import ALGORITHM_NAMES, get_algorithm
 from repro.costmodel.trained import trained_cost_model
@@ -114,6 +114,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(message) -> NoReturn:
+    """Print one ``error:`` line and exit 2, as argparse does for a bad
+    argument."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _build_guard_config(args: argparse.Namespace) -> Optional[GuardConfig]:
     """A GuardConfig for ``--max-refine-seconds`` (None if unused)."""
     if args.max_refine_seconds is None:
@@ -121,7 +128,7 @@ def _build_guard_config(args: argparse.Namespace) -> Optional[GuardConfig]:
     try:
         return GuardConfig(max_seconds=args.max_refine_seconds)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        _usage_error(exc)
 
 
 def _load_cluster_spec_or_die(args: argparse.Namespace):
@@ -134,7 +141,7 @@ def _load_cluster_spec_or_die(args: argparse.Namespace):
     try:
         return ClusterSpec.load(path)
     except (OSError, ValueError) as exc:
-        raise SystemExit(f"error: {exc}")
+        _usage_error(exc)
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
@@ -249,8 +256,8 @@ def _parse_pair(spec: str, option: str, cast=int):
         left, right = spec.split(":", 1)
         return int(left), cast(right)
     except ValueError:
-        raise SystemExit(
-            f"error: {option} expects WORKER:{'SUPERSTEP' if cast is int else 'FACTOR'},"
+        _usage_error(
+            f"{option} expects WORKER:{'SUPERSTEP' if cast is int else 'FACTOR'},"
             f" got {spec!r}"
         )
 
@@ -273,7 +280,7 @@ def _build_fault_plan(args: argparse.Namespace):
             ],
         )
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        _usage_error(exc)
     return None if plan.is_empty else plan
 
 

@@ -5,12 +5,12 @@ fragments — and classify each fragment as *overloaded* (C_h > B) or
 *underloaded* (C_h ≤ B).  A small slack keeps the greedy phases from
 thrashing on fragments sitting exactly at the average.
 
-On a heterogeneous cluster (tracker built with a non-uniform
-ClusterSpec) the budget becomes a *per-unit-capacity* target:
+The budget is a *per-unit-capacity* target,
 ``B = slack · Σ_i C_h(F_i) / Σ_i speed_i``, and fragments are classified
-by their normalized load ``C_h(F_i)/speed_i`` — so the balance target is
-each worker's capacity share, not an equal split.  With no spec both
-formulas reduce bit-exactly to the historical ones.
+by their normalized load ``C_h(F_i)/speed_i`` — so on a heterogeneous
+cluster the balance target is each worker's capacity share, not an equal
+split.  On a homogeneous cluster every speed is 1.0, ``Σ_i speed_i`` is
+exactly ``n``, and both reduce to the average and the raw C_h.
 """
 
 from __future__ import annotations
@@ -21,16 +21,10 @@ from repro.core.tracker import CostTracker
 
 
 def compute_budget(tracker: CostTracker, slack: float = 1.0) -> float:
-    """``B = slack · Σ_i C_h(F_i) / n`` (Fig. 3 line 1; slack = 1 there).
-
-    Capacity-aware form when the tracker carries a cluster spec:
-    ``B = slack · Σ_i C_h(F_i) / Σ_i speed_i`` (normalized-load units).
-    """
-    costs = tracker.comp_costs()
-    capacities = tracker.capacities
-    if capacities is None:
-        return slack * sum(costs) / max(1, len(costs))
-    return slack * sum(costs) / sum(capacities)
+    """``B = slack · Σ_i C_h(F_i) / Σ_i speed_i`` in normalized-load units
+    (Fig. 3 line 1, ``Σ_i C_h(F_i) / n`` with slack = 1, on a homogeneous
+    cluster)."""
+    return slack * sum(tracker.comp_costs()) / sum(tracker.capacities)
 
 
 def classify_fragments(

@@ -36,11 +36,7 @@ from repro.core.tracker import TrackerSeed
 from repro.costmodel.model import CostModel
 from repro.integrity.guard import GuardConfig, GuardStats
 from repro.partition.hybrid import HybridPartition, NodeRole
-from repro.runtime.clusterspec import (
-    ClusterSpec,
-    coerce_cluster_spec,
-    effective_spec,
-)
+from repro.runtime.clusterspec import ClusterSpec, coerce_cluster_spec
 
 
 @dataclass
@@ -189,11 +185,10 @@ class E2H(SingleOutputRefiner):
         ``None`` (default) runs unguarded with zero overhead.
     cluster_spec:
         Optional heterogeneous :class:`~repro.runtime.clusterspec.
-        ClusterSpec` (or its dict payload / file path).  When given and
-        non-uniform, balance targets become capacity shares: the budget
-        is per unit of compute speed and fragments are compared by
-        normalized load ``C_h/speed``.  ``None`` or the uniform spec
-        keeps the homogeneous path bit-identical.
+        ClusterSpec` (or its dict payload / file path).  Balance targets
+        are capacity shares: the budget is per unit of compute speed and
+        fragments are compared by normalized load ``C_h/speed``.  ``None``
+        is the all-ones spec, whose shares are equal.
     """
 
     phases = ("emigrate", "esplit", "massign")
@@ -219,7 +214,7 @@ class E2H(SingleOutputRefiner):
         self.budget_slack = budget_slack
         self.candidate_order = candidate_order
         self.guard_config = guard_config
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 

@@ -281,13 +281,10 @@ class FragmentCostIndex:
             heapq.heappop(heap)
 
     def _cost_of(self):
-        """Ranking key: raw ``C_h``, or the capacity-normalized load when
-        the tracker carries a cluster spec (same floats either way as the
-        uncached ``tracker.load`` scans, so orders stay identical)."""
+        """Ranking key: the capacity-normalized load (the same floats as
+        the uncached ``tracker.load`` scans, so orders stay identical)."""
         comp = self.tracker._comp
         caps = self.tracker.capacities
-        if caps is None:
-            return comp.__getitem__
         return lambda fid: comp[fid] / caps[fid]
 
     def ascending(self, fids: Sequence[int]) -> List[int]:

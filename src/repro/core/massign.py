@@ -12,12 +12,14 @@ never moves edges, so it cannot worsen the computational balance the
 earlier phases achieved.  The Eq. 5 terms come from the session's gain
 cache (:class:`~repro.core.gaincache.GainCache`).
 
-On a heterogeneous cluster (tracker built with a non-uniform
-ClusterSpec) Eq. 5 scores in *time* units instead of cost units: the
-computation terms are divided by the host's compute speed and the
-communication terms by its NIC bandwidth, steering masters toward
-workers that can actually absorb the synchronization traffic.  With no
-spec the score expression is the untouched historical one.
+Eq. 5 scores in *time* units, each term divided by its host's capacity:
+
+    C_h(F_j)/s_j + C_g(F_j)/b_j + g_A^j(v)/b_j + Δh_j(v)/s_j
+
+with compute speed ``s_j`` and NIC bandwidth ``b_j``, steering masters
+on a heterogeneous cluster toward workers that can actually absorb the
+synchronization traffic.  On a homogeneous cluster every capacity is
+1.0 and the score is the plain left-to-right sum of Eq. 5, bit for bit.
 """
 
 from __future__ import annotations
@@ -83,12 +85,8 @@ def massign(
         best_gain = 0.0
         best_delta = 0.0
         for fid, (g_here, h_delta) in zip(hosts, host_scores(v, hosts)):
-            if caps is None:
-                score = comp[fid] + comm[fid] + g_here + h_delta
-            else:
-                score = (comp[fid] + h_delta) / caps[fid] + (
-                    comm[fid] + g_here
-                ) / bws[fid]
+            s, b = caps[fid], bws[fid]
+            score = comp[fid] / s + comm[fid] / b + g_here / b + h_delta / s
             if score < best_score:
                 best_score = score
                 best_fid = fid

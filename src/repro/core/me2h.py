@@ -43,11 +43,7 @@ from repro.integrity.guard import (
 from repro.partition.composite import CompositePartition
 from repro.partition.fragment import Edge
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.clusterspec import (
-    ClusterSpec,
-    coerce_cluster_spec,
-    effective_spec,
-)
+from repro.runtime.clusterspec import ClusterSpec, coerce_cluster_spec
 
 Unit = Tuple[int, Tuple[Edge, ...]]  # (vertex, incident edges) candidate
 
@@ -221,7 +217,7 @@ class ME2H:
         # forfeiting the set-cover sharing that keeps f_c low.
         self.use_getdest = use_getdest
         self.guard_config = guard_config
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.last_stats: Optional[CompositeStats] = None
         # Persistent per-algorithm dirty-region workers: their tracker
         # seeds survive across mutation batches (DESIGN §15).

@@ -33,11 +33,7 @@ from repro.costmodel.model import CostModel
 from repro.integrity.guard import GuardConfig
 from repro.partition.composite import CompositePartition
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.clusterspec import (
-    ClusterSpec,
-    coerce_cluster_spec,
-    effective_spec,
-)
+from repro.runtime.clusterspec import ClusterSpec, coerce_cluster_spec
 
 
 class MV2H:
@@ -57,7 +53,7 @@ class MV2H:
         self.budget_slack = budget_slack
         self.vmerge_passes = vmerge_passes
         self.guard_config = guard_config
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.last_stats: Optional[CompositeStats] = None
         # Persistent per-algorithm dirty-region workers (DESIGN §15).
         self._maintainers: Dict[str, V2H] = {}

@@ -42,11 +42,7 @@ from repro.integrity.guard import GuardConfig
 from repro.partition.composite import CompositePartition
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.bsp import Cluster
-from repro.runtime.clusterspec import (
-    ClusterSpec,
-    coerce_cluster_spec,
-    effective_spec,
-)
+from repro.runtime.clusterspec import ClusterSpec, coerce_cluster_spec
 from repro.runtime.costclock import CostClock
 
 C1_OPS = 4.0  # abstract ops per h_A evaluation (Section 5.3's c1)
@@ -180,7 +176,7 @@ class ParE2H(_ParRefiner):
         self.enable_massign = enable_massign
         self.budget_slack = budget_slack
         self.guard_config = guard_config
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
@@ -327,12 +323,8 @@ def _parallel_massign_impl(
                 best_fid, best_score = hosts[0], float("inf")
                 best_gain, best_delta = 0.0, 0.0
                 for host, (g_here, h_delta) in zip(hosts, host_scores(v, hosts)):
-                    if caps is None:
-                        score = comp[host] + comm[host] + g_here + h_delta
-                    else:
-                        score = (comp[host] + h_delta) / caps[host] + (
-                            comm[host] + g_here
-                        ) / bws[host]
+                    s, b = caps[host], bws[host]
+                    score = comp[host] / s + comm[host] / b + g_here / b + h_delta / s
                     if score < best_score:
                         best_score, best_fid = score, host
                         best_gain, best_delta = g_here, h_delta
@@ -377,7 +369,7 @@ class ParV2H(_ParRefiner):
         self.budget_slack = budget_slack
         self.vmerge_passes = vmerge_passes
         self.guard_config = guard_config
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 
@@ -576,7 +568,7 @@ class ParME2H(_CompositeParallelMixin):
         guard_config: Optional[GuardConfig] = None,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.inner = ME2H(
             cost_models,
             budget_slack=budget_slack,
@@ -600,7 +592,7 @@ class ParMV2H(_CompositeParallelMixin):
         guard_config: Optional[GuardConfig] = None,
         cluster_spec: Optional[ClusterSpec] = None,
     ) -> None:
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.inner = MV2H(
             cost_models,
             budget_slack=budget_slack,

@@ -14,13 +14,12 @@ This is exact — role flips (e-cut ↔ v-cut ↔ dummy) triggered by moves of
 *other* vertices are captured because every structural event dirties both
 endpoints of the touched edge.
 
-Heterogeneous clusters: a tracker built with a non-uniform
-:class:`~repro.runtime.clusterspec.ClusterSpec` additionally exposes
-*capacity-normalized* loads — ``load(fid) = C_h(F_fid) / speed_fid`` —
-which is the quantity the refiners balance so that a slow worker gets a
-proportionally smaller share of the work.  With no spec (or the uniform
-one) every load query returns the raw cost bit-for-bit, keeping the
-homogeneous refinement path byte-identical to the historical one.
+Heterogeneous clusters: the tracker also exposes *capacity-normalized*
+loads — ``load(fid) = C_h(F_fid) / speed_fid`` — the quantity the
+refiners balance so that a slow worker gets a proportionally smaller
+share of the work.  With no :class:`~repro.runtime.clusterspec.ClusterSpec`
+the capacities are the all-ones spec's, and dividing by 1.0 returns the
+raw cost bit for bit.
 
 Incremental maintenance (DESIGN §15): :meth:`CostTracker.snapshot`
 freezes the priced state as a :class:`TrackerSeed`; a tracker built with
@@ -32,13 +31,14 @@ full rebuild with a delta replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import truediv
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.costmodel.features import ecut_key, priced_copies
 from repro.costmodel.model import CostModel
 from repro.graph.metrics import average_degree
 from repro.partition.hybrid import HybridPartition
-from repro.runtime.clusterspec import ClusterSpec, effective_spec
+from repro.runtime.clusterspec import ClusterSpec
 
 
 @dataclass
@@ -82,15 +82,10 @@ class CostTracker:
         self.cost_model = cost_model
         self.avg_degree = average_degree(partition.graph)
         n = partition.num_fragments
-        if spec is not None:
-            spec.validate_for(n)
-        self.spec = effective_spec(spec)
-        self.capacities: Optional[Tuple[float, ...]] = (
-            self.spec.speeds if self.spec is not None else None
-        )
-        self.bandwidths: Optional[Tuple[float, ...]] = (
-            self.spec.bandwidths if self.spec is not None else None
-        )
+        spec = spec or ClusterSpec.uniform(n)
+        spec.validate_for(n)
+        self.capacities: Tuple[float, ...] = spec.speeds
+        self.bandwidths: Tuple[float, ...] = spec.bandwidths
         self._comp = [0.0] * n
         self._comm = [0.0] * n
         # v -> {fid: h contribution}; v -> (master fid, g contribution)
@@ -269,33 +264,18 @@ class CostTracker:
         )
 
     def load(self, fid: int) -> float:
-        """Capacity-normalized compute load: ``C_h(F_fid) / speed_fid``.
-
-        Identical (bit-for-bit) to :meth:`comp_cost` when the tracker
-        has no cluster spec.
-        """
+        """Capacity-normalized compute load: ``C_h(F_fid) / speed_fid``."""
         self._flush()
-        if self.capacities is None:
-            return self._comp[fid]
         return self._comp[fid] / self.capacities[fid]
 
     def loads(self) -> list:
         """All fragments' capacity-normalized loads as a list."""
         self._flush()
-        if self.capacities is None:
-            return list(self._comp)
-        return [c / cap for c, cap in zip(self._comp, self.capacities)]
+        return list(map(truediv, self._comp, self.capacities))
 
     def projected_load(self, fid: int, projected_cost: float) -> float:
-        """Normalize a hypothetical raw C_h for fragment ``fid``.
-
-        Callers compute the projected cost with the exact legacy float
-        expression (e.g. ``comp_cost(dst) + price``); on the homogeneous
-        path this returns it unchanged, so budget comparisons stay
-        bit-identical.
-        """
-        if self.capacities is None:
-            return projected_cost
+        """Normalize a hypothetical raw C_h for fragment ``fid`` (callers
+        compute it as e.g. ``comp_cost(dst) + price``)."""
         return projected_cost / self.capacities[fid]
 
     def keep_budget(self, fid: int, budget: float) -> float:
@@ -304,8 +284,6 @@ class CostTracker:
         GetCandidates accumulates raw per-copy contributions, so the
         budget it keeps within must be denormalized per fragment.
         """
-        if self.capacities is None:
-            return budget
         return budget * self.capacities[fid]
 
     def copy_comp_cost(self, v: int, fid: int) -> float:

@@ -26,11 +26,7 @@ from repro.costmodel.features import hypothetical_key
 from repro.costmodel.model import CostModel
 from repro.integrity.guard import GuardConfig
 from repro.partition.hybrid import NodeRole
-from repro.runtime.clusterspec import (
-    ClusterSpec,
-    coerce_cluster_spec,
-    effective_spec,
-)
+from repro.runtime.clusterspec import ClusterSpec, coerce_cluster_spec
 
 
 def merged_price(tracker: CostTracker, v: int, src: int, dst: int) -> float:
@@ -95,7 +91,7 @@ class V2H(SingleOutputRefiner):
 
     ``cluster_spec`` activates capacity-aware balancing exactly as in
     :class:`~repro.core.e2h.E2H`: budgets and load comparisons are per
-    unit of compute speed; None/uniform stays bit-identical.
+    unit of compute speed (equal shares when ``None``).
     """
 
     phases = ("vmigrate", "vmerge", "massign")
@@ -119,7 +115,7 @@ class V2H(SingleOutputRefiner):
         self.budget_slack = budget_slack
         self.vmerge_passes = vmerge_passes
         self.guard_config = guard_config
-        self.cluster_spec = effective_spec(coerce_cluster_spec(cluster_spec))
+        self.cluster_spec = coerce_cluster_spec(cluster_spec)
         self.last_stats: Optional[RefineStats] = None
         self.last_seed: Optional[TrackerSeed] = None
 

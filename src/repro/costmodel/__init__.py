@@ -12,13 +12,6 @@ loss from instrumented runs (:mod:`~repro.costmodel.training`), or taken
 from the paper's published Table 5 (:mod:`~repro.costmodel.library`).
 """
 
-from repro.costmodel.capacity import (
-    capacity_shares,
-    fragment_time,
-    fragment_times,
-    imbalance,
-    parallel_time,
-)
 from repro.costmodel.features import FEATURE_NAMES, vertex_features
 from repro.costmodel.polynomial import Monomial, PolynomialCostFunction
 from repro.costmodel.model import CostModel
@@ -28,11 +21,6 @@ from repro.costmodel.trained import trained_cost_model, trained_cost_models
 from repro.costmodel.collection import TrainingSample, collect_training_data
 
 __all__ = [
-    "capacity_shares",
-    "fragment_time",
-    "fragment_times",
-    "imbalance",
-    "parallel_time",
     "FEATURE_NAMES",
     "vertex_features",
     "Monomial",

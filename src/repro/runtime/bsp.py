@@ -13,13 +13,21 @@ Algorithms interleave three calls:
   ``max_f comp + max_f bytes + latency`` to the makespan and the posted
   messages become the next superstep's input.
 
+Every barrier is priced by one formula (:meth:`Cluster._superstep_time`)
+over the cluster's :class:`~repro.runtime.clusterspec.ClusterSpec` — the
+all-ones spec when none is given, whose divisions by 1.0 are exact:
+lost workers' loads fold onto their heirs, each worker's ops and bytes
+are scaled by its straggler factor, ops are divided by its speed (and,
+where some capacity is not 1.0, each link's bytes by its bandwidth), and
+the slowest worker sets the pace.
+
 Messages to the local worker are delivered but cost zero bytes, matching
 a shared-memory shortcut on a real deployment.  :meth:`Cluster.charge_bulk`
 and :meth:`Cluster.send_batch` are the array forms; either may name one
-worker per entry, so a whole superstep is one call (:meth:`Cluster.post`
-enqueues payloads a payload-less ``send_batch`` accounted).  What they account
-lands in a per-worker float64 ledger that ``deliver`` reads; ``finish``
-folds the run totals into the :class:`RunProfile` and hands it the dense
+worker per entry, so a whole superstep is one call per kind of message
+(:meth:`Cluster.post` is its enqueueing half).  What they account lands
+in a per-worker float64 ledger that ``deliver`` reads; ``finish`` folds
+the run totals into the :class:`RunProfile` and hands it the dense
 per-copy and per-master accumulators, which it folds on first read.
 
 Fault tolerance (optional, zero-cost when off)
@@ -34,8 +42,8 @@ bytes, replayed superstep time, and the re-execution of the crashed
 superstep to the makespan.  Messages always arrive exactly once, and
 recovery is exact, so algorithm *results* are identical to a fault-free
 run; only the profile changes.  With no fault
-plan and no checkpointing the code path is exactly the historical one,
-so makespans stay bit-identical.
+plan every straggler factor is 1.0 and no recovery is charged, so
+makespans equal a fault-free run's bit for bit.
 
 Permanent loss and degraded-mode execution
 ------------------------------------------
@@ -56,14 +64,14 @@ so algorithm results stay bit-identical to a clean run.
 from __future__ import annotations
 
 import time
-from operator import mul
+from operator import mul, truediv
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.partition.hybrid import HybridPartition
 from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.clusterspec import ClusterSpec, effective_spec
+from repro.runtime.clusterspec import ClusterSpec
 from repro.runtime.costclock import CostClock
 from repro.runtime.failover import FailoverState
 from repro.runtime.faults import CrashFault, FaultPlan, PermanentLossFault
@@ -113,18 +121,18 @@ class Cluster:
         self.backend, workers = resolve_backend(backend, shm_workers)
         self._shm_runner = ShmRunner(workers) if self.backend == "shm" else None
         self._wall_last = time.perf_counter()
-        # Heterogeneous capacities.  A uniform spec collapses to None so
-        # the homogeneous code path stays byte-for-byte the historical
-        # one; only a genuinely skewed spec activates the scaled barrier.
-        self.spec = spec
-        if spec is not None:
-            spec.validate_for(self.num_workers)
-        self._hetero_spec = effective_spec(spec)
-        self._hetero = self._hetero_spec is not None
-        self._linkbw = self._link_bandwidths() if self._hetero else None
-        # the pending superstep's raw bytes per (src, dst) link
+        # Capacities: a homogeneous cluster is the all-ones spec.  Only a
+        # spec with some capacity other than 1.0 keeps the pending
+        # superstep's raw bytes per (src, dst) link, for the barrier to
+        # divide by each link's bandwidth.
+        spec = spec or ClusterSpec.uniform(self.num_workers)
+        spec.validate_for(self.num_workers)
+        self._speeds = spec.speeds
+        self._min_speed = spec.min_speed
+        self._min_bandwidth = spec.min_bandwidth
+        self._linkbw = None if spec.is_uniform else spec.link_bandwidths
         self._step_link_bytes = (
-            np.zeros((self.num_workers, self.num_workers)) if self._hetero else None
+            None if self._linkbw is None else np.zeros(self._linkbw.shape)
         )
         self.profile = RunProfile(num_workers=self.num_workers)
         # The ledger: this superstep's and the run's per-worker ops and
@@ -144,12 +152,15 @@ class Cluster:
         # The plan's crashes and losses by the superstep they end; each
         # fires once because the superstep index only grows.
         self.faults: Optional[FaultPlan] = None
+        self._stragglers = False
+        self._ones = (1.0,) * self.num_workers
         self._crashes_at: Dict[int, List[CrashFault]] = {}
         self._losses_at: Dict[int, List[PermanentLossFault]] = {}
         if faults is not None:
             faults.validate_for(self.num_workers)
             if not faults.is_empty:
                 self.faults = faults
+            self._stragglers = bool(faults.stragglers)
             for crash in faults.crashes:
                 self._crashes_at.setdefault(crash.superstep, []).append(crash)
             for loss in faults.losses:
@@ -162,15 +173,6 @@ class Cluster:
         self.checkpoints: Optional[CheckpointManager] = None
         if checkpoint_interval:
             self.checkpoints = CheckpointManager(checkpoint_interval, snapshot)
-
-    def _link_bandwidths(self) -> np.ndarray:
-        """Effective bandwidth of every (src, dst) link of the hetero spec."""
-        bws = np.asarray(self._hetero_spec.bandwidths, dtype=np.float64)
-        linkbw = np.minimum.outer(bws, bws)
-        for lsrc, ldst, lbw in self._hetero_spec.links:
-            linkbw[lsrc, ldst] = lbw
-        np.fill_diagonal(linkbw, 1.0)  # local delivery is free anyway
-        return linkbw
 
     def map(self, kernel, tables, state, fids, args=()):
         """Run ``kernel`` over the plan's copy space; its output(s) per copy.
@@ -308,8 +310,8 @@ class Cluster:
         enqueued by :meth:`post`; without, the call is pure accounting.
         Every argument is checked against ``dsts`` before anything is
         enqueued or charged.  Only remote nonzero-byte messages are
-        charged, to both ends' byte totals, to their link (on a
-        heterogeneous cluster) and to their master vertex, each exactly
+        charged, to both ends' byte totals, to their link (when the
+        cluster keeps per-link bytes) and to their master vertex, each exactly
         as the per-message :meth:`send` calls would have charged them.
         """
         dsts = np.asarray(dsts, dtype=np.int64)
@@ -346,7 +348,7 @@ class Cluster:
             moved = moved * wire
         self._step_bytes += moved
         self._bytes_total += moved
-        if self._hetero:
+        if self._step_link_bytes is not None:
             # Raw per-link totals; bandwidth division happens once at the
             # barrier so batched and scalar sends accumulate identically
             # (byte counts are dyadic, the divided values need not be).
@@ -368,8 +370,6 @@ class Cluster:
         senders, col_0[sel], ...)`` — the per-message sender column, CSR
         columns sliced to its rows — holding its messages in array order.
         Every column's alignment is checked before anything is enqueued.
-        A caller whose stream mixes kinds accounts it once, in send order,
-        with a payload-less :meth:`send_batch` and posts each kind here.
         """
         dsts = np.asarray(dsts, dtype=np.int64)
         srcs = self._workers_of(src, dsts.shape, "source")
@@ -437,7 +437,7 @@ class Cluster:
             for fid in (src, dst):
                 self._step_bytes[fid] += nbytes
                 self._bytes_total[fid] += nbytes
-            if self._hetero:
+            if self._step_link_bytes is not None:
                 self._step_link_bytes[src, dst] += nbytes
             if master_vertex is not None:
                 self.profile.comm_bytes_by_master[master_vertex] = (
@@ -449,93 +449,53 @@ class Cluster:
     # Superstep barrier
     # ------------------------------------------------------------------
     def _superstep_time(self, step_ops: List[float], step_bytes: List[float]) -> float:
-        """Clock charge for the pending superstep (straggler-aware), from
-        its per-worker ops and bytes."""
-        if self._hetero:
-            return self._hetero_superstep_time(step_ops)
-        if self._lost:
-            return self._degraded_superstep_time(step_ops, step_bytes)
-        if self.faults is None:
-            return self.clock.superstep_time(max(step_ops), max(step_bytes))
-        # Stragglers stretch individual workers; the barrier waits for the
-        # slowest, so each max is taken over straggler-scaled loads.  With
-        # every factor at 1.0 this reduces bit-exactly to the plain path.
-        step = self._step_index
-        factors = [
-            self.faults.straggler_factor(f, step) for f in range(self.num_workers)
-        ]
-        return self.clock.superstep_time(
-            max(map(mul, step_ops, factors)), max(map(mul, step_bytes, factors))
-        )
+        """Clock charge for the pending superstep, from its per-worker ops
+        and bytes: the slowest worker sets the pace.
 
-    def _hetero_superstep_time(self, step_ops: List[float]) -> float:
-        """Capacity-scaled barrier: the slowest worker sets the pace.
-
-        Each worker's op load is divided by its compute speed and each
-        link's byte load by its effective bandwidth before the maxima,
-        so a half-speed worker doubles its compute term and a
-        quarter-bandwidth link quadruples its transfer term.  Stragglers
-        and degraded-mode heir shares compose multiplicatively on top,
-        exactly as on the homogeneous path.
+        On a cluster that keeps per-link bytes, each link's bytes are first
+        divided by its bandwidth and summed onto both ends.  A permanently
+        lost worker's ops and bytes are folded onto its heirs, each taking
+        its recorded share (the partition is never mutated, so algorithms
+        keep charging lost fids; the heirs execute that work), and the
+        lost worker's own entry then counts as idle.  Every worker's ops
+        and bytes are scaled by its straggler factor and its ops divided
+        by its speed before the maxima.  At the all-ones spec with no
+        faults each factor and divisor is 1.0, so the charge is
+        ``max(ops)`` and ``max(bytes)`` exactly.
         """
-        spec = self._hetero_spec
-        transfers = self._step_link_bytes / self._linkbw
-        per_worker = transfers.sum(axis=1) + transfers.sum(axis=0)
-        step = self._step_index
-        alive = [f for f in range(self.num_workers) if f not in self._lost]
-        ops = {f: step_ops[f] for f in alive}
-        xbytes = {f: float(per_worker[f]) for f in alive}
-        for dead in sorted(self._lost):
-            for heir, share in sorted(self._lost[dead].items()):
-                ops[heir] += step_ops[dead] * share
-                xbytes[heir] += float(per_worker[dead]) * share
-        if self.faults is not None:
-            factors = {f: self.faults.straggler_factor(f, step) for f in alive}
-        else:
-            factors = {f: 1.0 for f in alive}
-        max_ops = max(
-            (ops[f] * factors[f] / spec.speeds[f] for f in alive), default=0.0
+        if self._linkbw is not None:
+            transfers = self._step_link_bytes / self._linkbw
+            step_bytes = (transfers.sum(axis=1) + transfers.sum(axis=0)).tolist()
+        if self._lost:
+            step_ops, step_bytes = list(step_ops), list(step_bytes)
+            for dead in sorted(self._lost):
+                for heir, share in sorted(self._lost[dead].items()):
+                    step_ops[heir] += step_ops[dead] * share
+                    step_bytes[heir] += step_bytes[dead] * share
+            for dead in self._lost:
+                step_ops[dead] = step_bytes[dead] = 0.0
+        factors = self._ones
+        if self._stragglers:
+            step = self._step_index
+            factors = [
+                self.faults.straggler_factor(f, step) for f in range(self.num_workers)
+            ]
+        return self.clock.superstep_time(
+            max(map(truediv, map(mul, step_ops, factors), self._speeds)),
+            max(map(mul, step_bytes, factors)),
         )
-        max_bytes = max((xbytes[f] * factors[f] for f in alive), default=0.0)
-        return self.clock.superstep_time(max_ops, max_bytes)
 
     def _byte_time(self, nbytes: float) -> float:
         """Clock charge for shipping ``nbytes`` outside a superstep.
 
         Checkpoint, restore, and re-placement traffic is conservatively
-        priced over the slowest link of a heterogeneous cluster; on the
-        homogeneous path this is exactly ``nbytes * byte_cost``.
+        priced over the cluster's slowest link.
         """
-        if self._hetero:
-            return (nbytes / self._hetero_spec.min_bandwidth) * self.clock.byte_cost
-        return nbytes * self.clock.byte_cost
+        return nbytes / self._min_bandwidth * self.clock.byte_cost
 
     def _op_time(self, ops: float) -> float:
         """Clock charge for ``ops`` outside a superstep (slowest worker)."""
-        if self._hetero:
-            return (ops / self._hetero_spec.min_speed) * self.clock.op_cost
-        return ops * self.clock.op_cost
-
-    def _degraded_superstep_time(
-        self, step_ops: List[float], step_bytes: List[float]
-    ) -> float:
-        """Barrier charge once workers have been permanently lost.
-
-        The partition is never mutated, so algorithms keep charging work
-        to lost fids; the fiction is that the heirs actually execute it,
-        each taking its recorded share of the dead worker's ops and bytes.
-        """
-        ops = {f: step_ops[f] for f in range(self.num_workers) if f not in self._lost}
-        nbytes = {f: step_bytes[f] for f in ops}
-        for dead in sorted(self._lost):
-            for heir, share in sorted(self._lost[dead].items()):
-                ops[heir] += step_ops[dead] * share
-                nbytes[heir] += step_bytes[dead] * share
-        step = self._step_index
-        factors = {f: self.faults.straggler_factor(f, step) for f in ops}
-        max_ops = max((ops[f] * factors[f] for f in ops), default=0.0)
-        max_bytes = max((nbytes[f] * factors[f] for f in ops), default=0.0)
-        return self.clock.superstep_time(max_ops, max_bytes)
+        return ops / self._min_speed * self.clock.op_cost
 
     def _recover(self, crash, record: SuperstepRecord) -> None:
         """Roll back to the last checkpoint and replay lost supersteps.
@@ -694,7 +654,7 @@ class Cluster:
         self._outbox = {f: [] for f in range(self.num_workers)}
         self._step_ops.fill(0.0)
         self._step_bytes.fill(0.0)
-        if self._hetero:
+        if self._step_link_bytes is not None:
             self._step_link_bytes.fill(0.0)
         self._step_index += 1
         return inboxes

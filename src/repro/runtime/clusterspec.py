@@ -1,8 +1,7 @@
 """Heterogeneous cluster description: per-worker speeds and bandwidths.
 
-The BSP simulator historically assumed identical workers.  A
-:class:`ClusterSpec` makes worker capacity a *permanent property* of the
-cluster (contrast with the injected straggler faults of
+A :class:`ClusterSpec` makes worker capacity a *permanent property* of
+the cluster (contrast with the injected straggler faults of
 :mod:`repro.runtime.faults`, which are transient):
 
 * ``speeds[f]`` — relative compute speed of worker ``f``.  A worker with
@@ -10,20 +9,20 @@ cluster (contrast with the injected straggler faults of
   the speed before entering the superstep max.
 * ``bandwidths[f]`` — relative NIC bandwidth of worker ``f``.  The
   effective bandwidth of a link is ``min(bandwidths[src],
-  bandwidths[dst])`` unless overridden per link.
+  bandwidths[dst])`` unless overridden per link; :attr:`link_bandwidths`
+  is that rule applied once, as an n×n matrix.
 * ``links`` — optional directed per-link overrides ``(src, dst, bw)``
   (JSON form ``"src->dst": bw``) for topologies where a specific pair is
   slower than both endpoints' NICs suggest (oversubscribed switch,
   cross-rack hop).
 
-All capacities are relative to the homogeneous baseline of 1.0, so the
-uniform spec (every speed and bandwidth exactly 1) is defined to be
-bit-identical to running with no spec at all — consumers branch on
-:attr:`is_uniform` and keep the legacy arithmetic untouched in that
-case.  Validation happens at construction: non-positive or non-finite
-entries raise ``ValueError`` naming the offending worker or link, and
-:meth:`validate_for` rejects specs whose worker count does not match the
-cluster.
+All capacities are relative to the homogeneous baseline of 1.0: a
+homogeneous cluster *is* the all-ones spec (:meth:`uniform`), and every
+consumer runs one arithmetic whose divisions by 1.0 are exact, so "no
+spec" and the uniform spec price identically.  Validation happens at
+construction: non-positive or non-finite entries raise ``ValueError``
+naming the offending worker or link, and :meth:`validate_for` rejects
+specs whose worker count does not match the cluster.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
+
+import numpy as np
 
 
 def _check_capacity(kind: str, who: str, value: float) -> float:
@@ -75,7 +76,7 @@ class ClusterSpec:
                 f"{len(bandwidths)} bandwidths"
             )
         n = len(speeds)
-        link_map: Dict[Tuple[int, int], float] = {}
+        seen = set()
         links = []
         for src, dst, bw in self.links:
             src, dst = int(src), int(dst)
@@ -89,15 +90,21 @@ class ClusterSpec:
                     f"{name} is a self-link: local delivery is free and "
                     "cannot be overridden"
                 )
-            if (src, dst) in link_map:
+            if (src, dst) in seen:
                 raise ValueError(f"{name} appears more than once")
-            bw = _check_capacity("bandwidth", name, bw)
-            link_map[(src, dst)] = bw
-            links.append((src, dst, bw))
+            seen.add((src, dst))
+            links.append((src, dst, _check_capacity("bandwidth", name, bw)))
+        # Effective bandwidth of every (src, dst) link: the slower NIC
+        # unless overridden.  The diagonal is 1.0 (local delivery is free).
+        linkbw = np.minimum.outer(bandwidths, bandwidths)
+        for src, dst, bw in links:
+            linkbw[src, dst] = bw
+        np.fill_diagonal(linkbw, 1.0)
+        linkbw.flags.writeable = False
         object.__setattr__(self, "speeds", speeds)
         object.__setattr__(self, "bandwidths", bandwidths)
         object.__setattr__(self, "links", tuple(sorted(links)))
-        object.__setattr__(self, "_link_map", link_map)
+        object.__setattr__(self, "link_bandwidths", linkbw)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -150,7 +157,7 @@ class ClusterSpec:
 
     @property
     def is_uniform(self) -> bool:
-        """True when the spec is indistinguishable from no spec at all."""
+        """True when every capacity is exactly 1.0 (the homogeneous cluster)."""
         return (
             all(s == 1.0 for s in self.speeds)
             and all(b == 1.0 for b in self.bandwidths)
@@ -166,13 +173,6 @@ class ClusterSpec:
         bws = [min(self.bandwidths)]
         bws.extend(bw for _, _, bw in self.links)
         return min(bws)
-
-    def link_bandwidth(self, src: int, dst: int) -> float:
-        """Effective bandwidth of the directed link ``src -> dst``."""
-        override = self._link_map.get((src, dst))
-        if override is not None:
-            return override
-        return min(self.bandwidths[src], self.bandwidths[dst])
 
     def validate_for(self, num_workers: int) -> None:
         """Reject a spec whose worker count differs from the cluster's."""
@@ -222,18 +222,6 @@ def coerce_cluster_spec(value) -> Optional[ClusterSpec]:
     )
 
 
-def effective_spec(spec: Optional[ClusterSpec]) -> Optional[ClusterSpec]:
-    """Collapse the uniform spec to None.
-
-    Consumers branch on ``spec is None`` to pick the legacy bit-exact
-    arithmetic; a uniform spec must behave identically to no spec, so it
-    *is* no spec past this point.
-    """
-    if spec is None or spec.is_uniform:
-        return None
-    return spec
-
-
 _SPEC_DEFAULT: Optional[ClusterSpec] = None
 
 
@@ -265,8 +253,5 @@ def spec_payload(value) -> Optional[Dict]:
     spec would not change behaviour.  Falls back to the process-wide
     default spec when ``value`` is None.
     """
-    spec = coerce_cluster_spec(value)
-    if spec is None:
-        spec = cluster_spec_default()
-    spec = effective_spec(spec)
-    return spec.to_dict() if spec is not None else None
+    spec = coerce_cluster_spec(value) or cluster_spec_default()
+    return None if spec is None or spec.is_uniform else spec.to_dict()

@@ -11,12 +11,13 @@ ratios matter — which is also all the paper claims transfer between
 hardware ("the coefficients ... can be related to system characteristics
 of our experiment setting", Exp-6).
 
-Heterogeneous clusters keep the clock unchanged: a
-:class:`~repro.runtime.clusterspec.ClusterSpec` scales the *loads*
-before they reach :meth:`CostClock.superstep_time` — worker op counts
-are divided by per-worker compute speeds and link byte counts by
-per-link bandwidths — so ``op_cost``/``byte_cost`` stay the price of
-one op/byte on a speed-1.0 worker over a bandwidth-1.0 link.
+Capacities never enter the clock: the cluster's
+:class:`~repro.runtime.clusterspec.ClusterSpec` (the all-ones spec on a
+homogeneous cluster) scales the *loads* before they reach
+:meth:`CostClock.superstep_time` — worker op counts are divided by
+per-worker compute speeds and link byte counts by per-link bandwidths —
+so ``op_cost``/``byte_cost`` stay the price of one op/byte on a
+speed-1.0 worker over a bandwidth-1.0 link.
 """
 
 from __future__ import annotations

@@ -179,6 +179,57 @@ def test_partition_refine_wall_clock_budget_early_stops(graph_file, tmp_path, ca
     check_partition(load_partition(part_file, read_edge_list(graph_file)))
 
 
+def _exit_status(argv):
+    """``main``'s return value, or the status it exits with."""
+    try:
+        return main(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["evaluate", "--graph", "g", "--partition", "p", "--crash", "nonsense"],
+            "--crash expects WORKER:SUPERSTEP, got 'nonsense'",
+        ),
+        (
+            [
+                "evaluate", "--graph", "g", "--partition", "p",
+                "--lose", "1:1", "--crash", "1:3",
+            ],
+            "after losing it",
+        ),
+        (
+            [
+                "partition", "--graph", "g", "--out", "p",
+                "--cluster-spec", "no-such-spec.json",
+            ],
+            "no-such-spec.json",
+        ),
+        (
+            [
+                "partition", "--graph", "g", "--out", "p", "--refine", "pr",
+                "--max-refine-seconds", "-1",
+            ],
+            "max_seconds",
+        ),
+    ],
+    ids=["crash-nonsense", "crash-after-loss", "missing-cluster-spec", "negative-budget"],
+)
+def test_bad_argument_value_is_a_usage_error(argv, message, capsys):
+    """Every bad argument value exits 2 with one ``error:`` line, as an
+    argparse error and every other CLI usage error do, before any file
+    named on the command line is read."""
+    assert _exit_status(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_max_refine_seconds_requires_refine(graph_file, tmp_path, capsys):
     rc = main(
         [

@@ -16,6 +16,9 @@ import it from ``src/``.
 * ``scalar_runs`` — the five scalar BSP loops (``run(name, partition,
   **params)``) and the per-message ``sync_by_master``
 * ``scalar_failover`` — ``ScalarFailoverState``, the dict/set failover pass
+* ``barrier_charges`` — ``FrozenBarrier``, the plain / straggler /
+  heterogeneous / degraded barrier charges and the out-of-superstep
+  ``_op_time`` / ``_byte_time`` the one barrier formula replaced
 * ``direct_scorer`` — ``DirectScorer``, the uncached scorer, and
   ``use_direct_scorer(monkeypatch)``, which puts it where the driver
   builds its ``GainCache``

@@ -14,7 +14,6 @@ from repro.runtime.clusterspec import (
     ClusterSpec,
     cluster_spec_default,
     coerce_cluster_spec,
-    effective_spec,
     set_cluster_spec_default,
     spec_payload,
 )
@@ -84,13 +83,12 @@ class TestQueries:
 
     def test_link_bandwidth_is_min_of_endpoints(self):
         spec = _spec()  # bandwidths (1.0, 0.5)
-        assert spec.link_bandwidth(0, 1) == 0.5
-        assert spec.link_bandwidth(1, 0) == 0.5
+        assert spec.link_bandwidths.tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
     def test_link_override_wins(self):
         spec = _spec(links=((0, 1, 0.125),))
-        assert spec.link_bandwidth(0, 1) == 0.125
-        assert spec.link_bandwidth(1, 0) == 0.5
+        assert spec.link_bandwidths.tolist() == [[1.0, 0.125], [0.5, 1.0]]
+        assert not spec.link_bandwidths.flags.writeable
 
     def test_min_capacities(self):
         spec = _spec(links=((0, 1, 0.125),))
@@ -148,12 +146,6 @@ class TestCoercionAndDefaults:
     def test_coerce_rejects_garbage(self):
         with pytest.raises(ValueError, match="cannot interpret"):
             coerce_cluster_spec(42)
-
-    def test_effective_spec_collapses_uniform(self):
-        assert effective_spec(None) is None
-        assert effective_spec(ClusterSpec.uniform(4)) is None
-        skewed = _spec()
-        assert effective_spec(skewed) is skewed
 
     def test_default_round_trip(self):
         spec = _spec()
