@@ -8,6 +8,11 @@ whose scope is everything.  Two checks pin it:
   per-phase simulated times and superstep counts — against
   ``golden/driver_full_pass.json``, captured from the last commit that
   still carried one hand-written ``refine`` body per refiner;
+  its composite entries (ME2H / MV2H / ParME2H / ParMV2H) were captured
+  from the last commit with one hand-written pass per composite class,
+  and pin every output's serialized partition and ``CompositeStats``
+  (the guard cases take snapshots but no step budget, so nothing they
+  pin depends on string hashing);
 * ``refine_incremental`` with every vertex dirty and no seed walks the
   same budget / classification / candidate sets as ``refine``.
 
@@ -30,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import E2H, ME2H, MV2H, V2H, ParE2H, ParV2H
+from repro.core import E2H, ME2H, MV2H, V2H, ParE2H, ParME2H, ParMV2H, ParV2H
 from repro.core.gaincache import memoize_cost_model
 from repro.costmodel.library import builtin_cost_model
 from repro.costmodel.model import CostModel
@@ -61,6 +66,18 @@ CASES = [
     for name, guard, cache, spec in itertools.product(
         SINGLE, ("on", "off"), ("on", "off"), SPECS
     )
+]
+
+
+COMPOSITE = {
+    "me2h": (ME2H, make_edge_cut),
+    "mv2h": (MV2H, make_vertex_cut),
+    "parme2h": (ParME2H, make_edge_cut),
+    "parmv2h": (ParMV2H, make_vertex_cut),
+}
+COMPOSITE_CASES = [
+    f"{name}-guard_{guard}-{spec}"
+    for name, guard, spec in itertools.product(COMPOSITE, ("on", "off"), SPECS)
 ]
 
 
@@ -115,6 +132,45 @@ def _capture(case: str) -> dict:
     }
 
 
+def _capture_composite(case: str) -> dict:
+    """Every output's partition and the ``CompositeStats`` of one pass,
+    wall-clock fields dropped; Par phase times and supersteps too."""
+    name, guard, spec = case.split("-")
+    refiner_cls, make = COMPOSITE[name]
+    refiner = refiner_cls(
+        {alg: builtin_cost_model(alg) for alg in ("pr", "wcc", "sssp")},
+        guard_config=GuardConfig(snapshot_interval=16)
+        if guard == "guard_on"
+        else None,
+        cluster_spec=SPECS[spec],
+    )
+    result = refiner.refine(make(_graph(), 4, seed=1))
+    extra = {}
+    if isinstance(result, tuple):
+        result, profile = result
+        stats = profile.composite_stats
+        extra = {
+            "phase_times": profile.phase_times,
+            "phase_supersteps": profile.phase_supersteps,
+        }
+    else:
+        stats = refiner.last_stats
+    data = dataclasses.asdict(stats)
+    data.pop("phase_seconds")
+    for guard_stats in data["guard"].values():
+        guard_stats.pop("overhead_seconds")
+    return {
+        "partition_sha256": {
+            alg: hashlib.sha256(
+                json.dumps(partition_to_dict(part), sort_keys=True).encode()
+            ).hexdigest()
+            for alg, part in result.partitions.items()
+        },
+        "stats": data,
+        **extra,
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -124,6 +180,11 @@ def golden():
 def test_full_scope_is_byte_identical_to_pre_driver_refine(case, golden):
     # Round-trip through JSON so floats compare by their exact repr.
     assert json.loads(json.dumps(_capture(case))) == golden[case]
+
+
+@pytest.mark.parametrize("case", COMPOSITE_CASES)
+def test_composite_full_pass_is_byte_identical_to_golden(case, golden):
+    assert json.loads(json.dumps(_capture_composite(case))) == golden[case]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -313,8 +374,7 @@ def test_refiner_class_lookup():
 
 if __name__ == "__main__":  # fixture capture, see the module docstring
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps({case: _capture(case) for case in CASES}, indent=1, sort_keys=True)
-        + "\n"
-    )
-    print(f"wrote {GOLDEN} ({len(CASES)} cases)")
+    captured = {case: _capture(case) for case in CASES}
+    captured.update({case: _capture_composite(case) for case in COMPOSITE_CASES})
+    GOLDEN.write_text(json.dumps(captured, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN} ({len(captured)} cases)")
