@@ -50,7 +50,7 @@ from repro.runtime.plan import gather_segments, plan_for
 _EMPTY = np.empty(0, dtype=np.int64)
 
 STRIDE = 1 << 16
-"""Messages per ``send_batch`` / ``post`` call: bounds each call's transient arrays."""
+"""Messages per ``send_batch`` call: bounds each call's transient arrays."""
 
 
 def _cuts(*cols):

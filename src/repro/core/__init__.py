@@ -10,7 +10,9 @@ a hybrid partition tailored to algorithm ``A``:
   VMigrate, VMerge, MAssign;
 * :class:`~repro.core.me2h.ME2H` / :class:`~repro.core.mv2h.MV2H` —
   composite refiners for a batch of algorithms (Section 6), emitting a
-  :class:`~repro.partition.composite.CompositePartition`;
+  :class:`~repro.partition.composite.CompositePartition`; both are
+  :class:`~repro.core.me2h.CompositeRefiner` (Fig. 6's skeleton), each
+  supplying only what differs by cut type;
 * :mod:`~repro.core.parallel` — ParE2H / ParV2H / ParME2H / ParMV2H, the
   BSP-parallelized variants with per-phase time profiles (Section 5.3);
 * :mod:`~repro.core.adp` — the ADP decision problem and the Theorem 1

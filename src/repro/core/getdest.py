@@ -11,7 +11,7 @@ serving the most still-uncovered algorithms.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
 
 def get_dest(
@@ -32,27 +32,29 @@ def get_dest(
         Optional extra feasibility predicate ``(algorithm, fragment) →
         bool`` (budget check with the candidate's actual price).
 
-    Returns a partial mapping: algorithms with no feasible fragment are
-    simply absent (the caller routes them to EAssign).
+    Returns a partial mapping in the order of ``algorithms``:
+    algorithms with no feasible fragment are simply absent (the caller
+    decides where they go).
     """
-    uncovered: Set[str] = set(algorithms)
+    order = list(algorithms)
     destinations: Dict[str, int] = {}
     feasible: Dict[str, Set[int]] = {}
-    for alg in uncovered:
+    for alg in order:
         frags = underloaded.get(alg, set())
         if fits is not None:
             frags = {fid for fid in frags if fits(alg, fid)}
         feasible[alg] = set(frags)
 
+    uncovered = order
     while uncovered:
-        cover: Dict[int, Set[str]] = {}
+        cover: Dict[int, List[str]] = {}
         for alg in uncovered:
             for fid in feasible[alg]:
-                cover.setdefault(fid, set()).add(alg)
+                cover.setdefault(fid, []).append(alg)
         if not cover:
             break
         best_fid = max(cover, key=lambda fid: (len(cover[fid]), -fid))
         for alg in cover[best_fid]:
             destinations[alg] = best_fid
-        uncovered -= cover[best_fid]
-    return destinations
+        uncovered = [alg for alg in uncovered if alg not in destinations]
+    return {alg: destinations[alg] for alg in order if alg in destinations}

@@ -30,6 +30,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.driver import PassState
 from repro.core.e2h import RefineStats, SingleOutputRefiner
 from repro.core.me2h import ME2H, CompositeStats
@@ -82,12 +84,10 @@ class _PhaseMeter:
 
 
 def _sync_state(cluster: Cluster) -> None:
-    """Charge the shared-state synchronization of one superstep barrier."""
-    n = cluster.num_workers
-    for src in range(n):
-        for dst in range(n):
-            if src != dst:
-                cluster.send(src, dst, None, nbytes=STATE_SYNC_BYTES)
+    """Charge the shared-state synchronization of one superstep barrier:
+    every worker sends its delta to every other (a local send is free)."""
+    workers, n = cluster.workers, cluster.num_workers
+    cluster.send_batch(np.repeat(workers, n), np.tile(workers, n), STATE_SYNC_BYTES)
     cluster.deliver()
 
 
@@ -528,14 +528,16 @@ class _CompositeParallelMixin:
         n = composite.num_fragments
         k = composite.num_algorithms
 
+        workers = cluster.workers
+        ring = (workers + 1) % n
+
         def simulate(total_units: int, ops_per_unit: float, nbytes: float) -> None:
             per_worker = (total_units + n - 1) // n
             remaining = per_worker
             while remaining > 0:
                 batch = min(self.batch_size, remaining)
-                for fid in range(n):
-                    cluster.charge(fid, ops_per_unit * batch)
-                    cluster.send(fid, (fid + 1) % n, None, nbytes=nbytes * batch)
+                cluster.charge_bulk(workers, np.full(n, ops_per_unit * batch))
+                cluster.send_batch(workers, ring, nbytes * batch)
                 _sync_state(cluster)
                 remaining -= batch
 

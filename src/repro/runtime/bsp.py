@@ -25,7 +25,7 @@ Messages to the local worker are delivered but cost zero bytes, matching
 a shared-memory shortcut on a real deployment.  :meth:`Cluster.charge_bulk`
 and :meth:`Cluster.send_batch` are the array forms; either may name one
 worker per entry, so a whole superstep is one call per kind of message
-(:meth:`Cluster.post` is its enqueueing half).  What they account lands
+(``send_batch`` also enqueues columnar payloads).  What they account lands
 in a per-worker float64 ledger that ``deliver`` reads; ``finish`` folds
 the run totals into the :class:`RunProfile` and hands it the dense
 per-copy and per-master accumulators, which it folds on first read.
@@ -306,13 +306,19 @@ class Cluster:
         superstep of every fragment.  Accounts like ``send(src[i],
         dsts[i], ..., nbytes[i], master_vertex=master_vertices[i])`` for
         every ``i``; ``master_vertices`` uses ``-1`` as the "no
-        attribution" sentinel.  With ``payloads`` the messages are also
-        enqueued by :meth:`post`; without, the call is pure accounting.
-        Every argument is checked against ``dsts`` before anything is
-        enqueued or charged.  Only remote nonzero-byte messages are
-        charged, to both ends' byte totals, to their link (when the
-        cluster keeps per-link bytes) and to their master vertex, each exactly
-        as the per-message :meth:`send` calls would have charged them.
+        attribution" sentinel.  Without ``payloads`` the call is pure
+        accounting.  With them the messages are also enqueued:
+        ``payloads`` is columnar, ``(tag, col_0, col_1, ...)``, each column
+        aligned with ``dsts`` or a CSR pair ``(indptr, flat)`` with one row
+        per message, and each destination gets one *block* ``(tag,
+        senders, col_0[sel], ...)`` — the per-message sender column, CSR
+        columns sliced to its rows — holding its messages in array order
+        (a zero ``nbytes`` enqueues without charging).  Every argument is
+        checked against ``dsts`` before anything is enqueued or charged.
+        Only remote nonzero-byte messages are charged, to both ends' byte
+        totals, to their link (when the cluster keeps per-link bytes) and
+        to their master vertex, each exactly as the per-message
+        :meth:`send` calls would have charged them.
         """
         dsts = np.asarray(dsts, dtype=np.int64)
         srcs = self._workers_of(src, dsts.shape, "source")
@@ -326,7 +332,26 @@ class Cluster:
                     f"{dsts.size} destinations"
                 )
         if payloads is not None:
-            self.post(srcs, dsts, payloads)
+            tag, *cols = payloads
+            csr = [isinstance(col, tuple) for col in cols]
+            cols = [tuple(map(np.asarray, c)) if r else np.asarray(c) for c, r in zip(cols, csr)]
+            rows = [(c[0].size - 1,) if r else c.shape[:1] for c, r in zip(cols, csr)]
+            if any(shape != dsts.shape for shape in rows):
+                raise ValueError(
+                    f"payload columns of shapes {rows} do not align with "
+                    f"{dsts.size} destinations"
+                )
+            order = np.argsort(dsts, kind="stable")
+            cuts = np.flatnonzero(np.diff(dsts[order])) + 1
+            for sel in np.split(order, cuts) if dsts.size else ():
+                block = [tag, srcs[sel]]
+                for col, ragged in zip(cols, csr):
+                    if ragged:
+                        idx, lens = gather_segments(col[0], sel)
+                        block.append((np.concatenate(([0], np.cumsum(lens))), col[1][idx]))
+                    else:
+                        block.append(col[sel])
+                self._outbox[int(dsts[sel[0]])].append(tuple(block))
         remote = dsts != srcs
         if wire.ndim:
             remote &= wire > 0
@@ -358,42 +383,6 @@ class Cluster:
                 # one slot per vertex and, last, the trash slot ``-1`` hits
                 self._master_bytes_acc = np.zeros(self.partition.graph.num_vertices + 1)
             np.add.at(self._master_bytes_acc, mv, wire)
-
-    def post(
-        self, src: Union[int, np.ndarray], dsts: np.ndarray, payloads: Sequence[Any]
-    ) -> None:
-        """Enqueue messages without accounting them (the rest of :meth:`send_batch`).
-
-        ``payloads`` is columnar, ``(tag, col_0, col_1, ...)``: each column
-        is aligned with ``dsts``, or is a CSR pair ``(indptr, flat)`` with
-        one row per message.  Each destination gets one *block* ``(tag,
-        senders, col_0[sel], ...)`` — the per-message sender column, CSR
-        columns sliced to its rows — holding its messages in array order.
-        Every column's alignment is checked before anything is enqueued.
-        """
-        dsts = np.asarray(dsts, dtype=np.int64)
-        srcs = self._workers_of(src, dsts.shape, "source")
-        self._check_fids(dsts, "destination")
-        tag, *cols = payloads
-        csr = [isinstance(col, tuple) for col in cols]
-        cols = [tuple(map(np.asarray, c)) if r else np.asarray(c) for c, r in zip(cols, csr)]
-        rows = [(c[0].size - 1,) if r else c.shape[:1] for c, r in zip(cols, csr)]
-        if any(shape != dsts.shape for shape in rows):
-            raise ValueError(
-                f"payload columns of shapes {rows} do not align with "
-                f"{dsts.size} destinations"
-            )
-        order = np.argsort(dsts, kind="stable")
-        cuts = np.flatnonzero(np.diff(dsts[order])) + 1
-        for sel in np.split(order, cuts) if dsts.size else ():
-            block = [tag, srcs[sel]]
-            for col, ragged in zip(cols, csr):
-                if ragged:
-                    idx, lens = gather_segments(col[0], sel)
-                    block.append((np.concatenate(([0], np.cumsum(lens))), col[1][idx]))
-                else:
-                    block.append(col[sel])
-            self._outbox[int(dsts[sel[0]])].append(tuple(block))
 
     def _fold_ledger(self) -> None:
         """Fold the run totals into the profile's dicts and hand it the

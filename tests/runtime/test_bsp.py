@@ -103,7 +103,9 @@ class TestMessaging:
     def test_post_enqueues_csr_rows_without_accounting(self, cluster):
         """A CSR column arrives sliced to each block's rows; nothing is charged."""
         indptr, flat = np.array([0, 2, 2, 5]), np.array([10, 11, 20, 21, 22])
-        cluster.post([0, 1, 1], [1, 0, 1], ("inlist", [3, 4, 5], (indptr, flat)))
+        cluster.send_batch(
+            [0, 1, 1], [1, 0, 1], 0.0, payloads=("inlist", [3, 4, 5], (indptr, flat))
+        )
         inboxes = cluster.deliver()
         ((tag, senders, vs, (ptr, nbrs)),) = inboxes[1]
         assert (tag, senders.tolist(), vs.tolist()) == ("inlist", [0, 1], [3, 5])
