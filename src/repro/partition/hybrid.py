@@ -100,6 +100,9 @@ class HybridPartition:
         # the generation from _journal_start + i to _journal_start + i + 1.
         self._journal: List[int] = []
         self._journal_start = 0
+        # The graph version the journal vouches for: every vertex whose
+        # incident edge set changed up to it has been notified.
+        self._graph_version = graph.version
 
     # ------------------------------------------------------------------
     # Constructors
@@ -657,7 +660,10 @@ class HybridPartition:
         global incident counts are dropped, fullness is recomputed on
         every hosting fragment (a full copy may stop being full when an
         edge appears, or become full when one disappears), and listeners
-        and the generation counter fire as for any other mutation.
+        and the generation counter fire as for any other mutation.  The
+        partition then vouches for the graph's current version: its
+        journal holds the change, so a cached plan can be patched across
+        the version bump instead of recompiled (DESIGN §15).
         """
         for v in sorted({int(v) for v in vertices}):
             self._graph_facts.pop(v, None)
@@ -672,6 +678,7 @@ class HybridPartition:
             for fid in sorted(hosts):
                 self._refresh_fullness(v, fid)
             self._notify(v)
+        self._graph_version = self.graph.version
 
     def _refresh_fullness(self, v: int, fid: int) -> None:
         total = (self._graph_facts.get(v) or self._facts(v))[0]
@@ -715,6 +722,7 @@ class HybridPartition:
         clone._placement = {v: set(hosts) for v, hosts in self._placement.items()}
         clone._full = {v: set(full) for v, full in self._full.items()}
         clone._masters = dict(self._masters)
+        clone._graph_version = self._graph_version
         for mine, theirs in zip(clone.fragments, self.fragments):
             mine._incident = {v: set(bucket) for v, bucket in theirs._incident.items()}
             mine._edges = set(theirs._edges)

@@ -34,13 +34,18 @@ Incremental maintenance (DESIGN §15): when a stale plan's delta — the
 vertex set reported by ``HybridPartition.mutations_since`` — is small,
 :func:`plan_for` *patches* a new plan from the old one instead of
 recompiling: routing arrays are memcpy'd, only the dirty vertices' rows
-are recomputed, the placement CSR is spliced around them, and lazy
-per-fragment tables survive for fragments no dirty vertex touches.  The
-patched arrays are bit-identical to a fresh compile (both honor the
-same canonical orderings).  Past :data:`PATCH_FRACTION` of the vertex
-set — or when the journal window or graph version can't vouch for the
-delta — it falls back to a full recompile.  A net-empty delta (aborted
-or rolled-back refinement) revalidates the existing snapshot in place.
+are recomputed, the placement CSR is spliced around them, lazy
+per-fragment tables survive for fragments no dirty vertex touches, and
+a touched fragment's vertex and edge tables are kept as a base that its
+next read patches (clean rows kept, the dirty vertices' rows re-read).
+A whole mutation batch is one delta: ``graph_changed`` journals every
+vertex whose edges changed, so the partition vouches for the graph's
+version bump.  The patched arrays are bit-identical to a fresh compile
+(both honor the same canonical orderings).  Past :data:`PATCH_FRACTION`
+of the vertex set, past the journal window, for a grown vertex set or a
+graph mutated without ``graph_changed``, it falls back to a full
+recompile.  A net-empty delta (aborted or rolled-back refinement)
+revalidates the existing snapshot in place.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import weakref
 from functools import lru_cache
 from itertools import chain
 from types import SimpleNamespace
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +71,17 @@ _EMPTY = np.empty(0, dtype=np.int64)
 #: dirty fraction of the vertex set beyond which patching a stale plan
 #: stops paying off and plan_for recompiles from scratch
 PATCH_FRACTION = 0.25
+
+
+class _Base(NamedTuple):
+    """A fragment's tables from before a patch (``None`` once read
+    afresh) and the vertices whose rows may have changed since: sorted
+    ids, any superset of the delta (several patches' deltas, OR'd)."""
+
+    verts: Optional[np.ndarray]
+    keys: Optional[np.ndarray]
+    pair: Optional[Tuple[np.ndarray, np.ndarray]]
+    dirty: np.ndarray
 
 
 class PlanStats:
@@ -173,9 +189,8 @@ class FragmentPlan:
         self._valid = True
         #: partition mutation generation this plan was compiled at
         self.generation = partition.generation
-        #: graph mutation version this plan was compiled at; a version
-        #: change (streaming edge/vertex mutation) forces a recompile
-        self.graph_version = getattr(self.graph, "version", 0)
+        #: graph mutation version this plan was compiled (or patched) at
+        self.graph_version = self.graph.version
         PLAN_STATS.recompiled += 1
 
         # Routing arrays read the partition's placement / master
@@ -221,6 +236,8 @@ class FragmentPlan:
         #: the kernel tables laid out in its copy space (``Kernel.tables``)
         self._sync_route = None
         self._kernel_tables: Dict[str, SimpleNamespace] = {}
+        #: pre-patch tables of fragments a delta touched, read on demand
+        self._bases: Dict[int, _Base] = {}
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -244,9 +261,32 @@ class FragmentPlan:
         arr = self._verts.get(fid)
         if arr is None:
             incident = self.partition.fragments[fid]._incident
-            arr = np.sort(np.fromiter(incident, np.int64, len(incident)))
+            base = self._bases.get(fid)
+            if base is None or base.verts is None:
+                arr = np.sort(np.fromiter(incident, np.int64, len(incident)))
+            else:
+                # Clean rows stand; a dirty vertex is re-read.
+                dirty = base.dirty
+                present = map(incident.__contains__, dirty.tolist())
+                here = dirty[np.fromiter(present, bool, dirty.size)]
+                arr = base.verts[~self._mask(dirty)[base.verts]]
+                arr = np.insert(arr, np.searchsorted(arr, here), here)
+                self._consume(fid, base._replace(verts=None))
             self._verts[fid] = arr
         return arr
+
+    def _mask(self, vertices: np.ndarray) -> np.ndarray:
+        """True at ``vertices``, per vertex id."""
+        mask = np.zeros(self.num_vertices, dtype=bool)
+        mask[vertices] = True
+        return mask
+
+    def _consume(self, fid: int, base: "_Base") -> None:
+        """Keep what is left of ``fid``'s base once a table was read off it."""
+        if base.verts is None and base.keys is None:
+            del self._bases[fid]
+        else:
+            self._bases[fid] = base
 
     def copy_space(self) -> Tuple[list, np.ndarray]:
         """The copy space: every vertex copy, ordered by (fid, id) — each
@@ -308,11 +348,28 @@ class FragmentPlan:
         """Sorted packed keys ``u * key_base + v`` of the stored edges."""
         keys = self._edge_keys.get(fid)
         if keys is None:
-            edges = self.partition.fragments[fid]._edges
-            flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
-            keys = np.sort(flat[0::2] * self.key_base + flat[1::2])
+            base = self._bases.get(fid)
+            if base is None or base.keys is None:
+                edges = self.partition.fragments[fid]._edges
+                flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+                keys = np.sort(flat[0::2] * self.key_base + flat[1::2])
+            else:
+                keys = self._rebase_edges(fid, base)
             self._edge_keys[fid] = keys
         return keys
+
+    def _rebase_edges(self, fid: int, base: "_Base") -> np.ndarray:
+        """Edge keys off a base: rows off the dirty vertices stand, and
+        their current local edges are merged in — an edge that came or
+        went has both ends dirty."""
+        incident = self.partition.fragments[fid]._incident
+        edges = set().union(*[incident[v] for v in base.dirty.tolist() if v in incident])
+        flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+        src, dst = base.pair if base.pair is not None else np.divmod(base.keys, self.key_base)
+        mask = self._mask(base.dirty)
+        kept = base.keys[~(mask[src] | mask[dst])]
+        self._consume(fid, base._replace(keys=None, pair=None))
+        return np.sort(np.concatenate([kept, flat[0::2] * self.key_base + flat[1::2]]))
 
     def has_edges(self, fid: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized ``fragment.has_edge((a, b))`` on stored-key form.
@@ -604,39 +661,49 @@ def _touched_fragments(old: FragmentPlan, rows: Dict[int, list]) -> set:
     return touched
 
 
-def _drop_fragment_caches(plan: FragmentPlan, touched: set) -> None:
-    """Evict lazy tables of fragments whose internal state may have churned.
+def _carry(old: FragmentPlan, new: FragmentPlan, touched: set, dirty: list) -> None:
+    """Give ``new`` (possibly ``old`` itself) the lazy tables of ``old``
+    that the delta leaves standing.
 
-    Owner-dependent tables (``_owned``) are dropped wholesale: edge
-    ownership is assigned globally, and one sort over every stored edge
-    rebuilds it on the next run.  So are the query-target table and
-    everything laid out in the copy space.
+    Untouched fragments keep every table: their vertex and edge state
+    cannot change without a member being notified.  A touched
+    fragment's vertex and edge tables become a :class:`_Base`, read on
+    demand, until its accumulated dirty set passes
+    :data:`PATCH_FRACTION`; its other tables go.  Owner tables, the
+    query targets and everything laid out in the copy space go too:
+    one sort or one compile rebuilds them.  Graph-level tables go when
+    the graph version moved; ``home_of`` keeps every clean row.
     """
-    for cache in (
-        plan._verts,
-        plan._slots,
-        plan._roles,
-        plan._edge_arrays,
-        plan._edge_keys,
-        plan._cn_lin,
-        plan._tc,
-    ):
-        for fid in touched:
-            cache.pop(fid, None)
-    plan._owned = {}
-    plan._targets = None
-    plan._sync_route = None  # its copy space is the fragments' slot order
-    plan._kernel_tables = {}
-
-
-def _patch_home_rows(plan: FragmentPlan, dirty) -> None:
-    """Refresh ``home_of`` entries for the dirty vertices if materialized."""
-    if plan._home_of is None:
-        return
-    partition = plan.partition
-    for v in dirty:
-        home = partition.designated_home(v)
-        plan._home_of[v] = -1 if home is None else home
+    ids = np.asarray(dirty, dtype=np.int64)
+    limit = max(1, int(PATCH_FRACTION * old.num_vertices))
+    bases = {f: b for f, b in old._bases.items() if f not in touched}
+    for f in touched:
+        verts, keys, pair = old._verts.get(f), old._edge_keys.get(f), old._edge_arrays.get(f)
+        seen = ids
+        base = old._bases.get(f)
+        if base is not None:  # holds exactly the tables not read since
+            verts = base.verts if verts is None else verts
+            keys, pair = (base.keys, base.pair) if keys is None else (keys, pair)
+            seen = _sorted_unique(np.concatenate([base.dirty, ids]))
+        if seen.size <= limit and (verts is not None or keys is not None):
+            bases[f] = _Base(verts, keys, pair, seen)
+    new._bases = bases
+    for name in ("_verts", "_slots", "_roles", "_edge_arrays", "_edge_keys", "_cn_lin", "_tc"):
+        setattr(new, name, {f: a for f, a in getattr(old, name).items() if f not in touched})
+    new._owned = {}
+    new._targets = None
+    new._sync_route = None
+    new._kernel_tables = {}
+    moved = old.graph_version != old.graph.version
+    for name in ("_gin", "_degrees", "_out_degrees", "_in_degrees"):
+        setattr(new, name, None if moved else getattr(old, name))
+    new.graph_version = old.graph.version
+    new._home_of = None if old._home_of is None else old._home_of.copy()
+    if new._home_of is not None:
+        partition = new.partition
+        for v in dirty:
+            home = partition.designated_home(v)
+            new._home_of[v] = -1 if home is None else home
 
 
 def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[FragmentPlan]:
@@ -646,15 +713,17 @@ def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[Fragm
     bit-identical to a fresh compile (routing rows of dirty vertices
     recomputed, everything else memcpy'd, placement CSR spliced), or —
     when the journalled delta turns out to be a net no-op — the *same*
-    plan object revalidated in place.
+    plan object revalidated in place.  A graph version bump is patched
+    across only when the partition's journal vouches for it
+    (``graph_changed`` saw the current version) and the vertex set, the
+    packed keys' base, is unchanged.
     """
     graph = partition.graph
-    if (
-        old.graph is not graph
-        or old.graph_version != getattr(graph, "version", 0)
-        or old.num_vertices != graph.num_vertices
-    ):
+    if old.graph is not graph or old.num_vertices != graph.num_vertices:
         return None
+    version = graph.version
+    if old.graph_version != version and partition._graph_version != version:
+        return None  # the graph moved behind the journal's back
     delta = partition.mutations_since(old.generation)
     if delta is None:
         return None
@@ -686,14 +755,13 @@ def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[Fragm
             )
     touched = _touched_fragments(old, rows)
 
-    if not changed:
+    if not changed and old.graph_version == version:
         # Net-empty delta (aborted/rolled-back refinement, force
         # invalidation with no mutation): the routing tables still hold.
-        # Fragment-internal state (edge sets, roles)
-        # may have churned and reverted only in aggregate, so touched
-        # fragments' lazy tables are still evicted.
-        _drop_fragment_caches(old, touched)
-        _patch_home_rows(old, dirty)
+        # Fragment-internal state (edge sets, roles) may have churned and
+        # reverted only in aggregate, so the tables are carried as for a
+        # patch.  A moved graph is no net-empty delta: it is patched.
+        _carry(old, old, touched, dirty)
         old.generation = partition.generation
         old._valid = True
         PLAN_STATS.revalidated += 1
@@ -707,7 +775,6 @@ def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[Fragm
     new.key_base = old.key_base
     new._valid = True
     new.generation = partition.generation
-    new.graph_version = old.graph_version
 
     master_of = old.master_of.copy()
     rep_count = old.rep_count.copy()
@@ -743,36 +810,7 @@ def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[Fragm
     new.border_mask = border_mask
     new.place_fids = place_fids
     new.place_indptr = place_indptr
-
-    # Lazy per-fragment tables survive for fragments no dirty vertex
-    # touches (their vertex/edge state cannot have changed without a
-    # member being notified).  Owner-dependent tables are rebuilt lazily
-    # (one sort) because edge ownership is assigned globally.
-    new._verts = {f: a for f, a in old._verts.items() if f not in touched}
-    new._slots = {f: a for f, a in old._slots.items() if f not in touched}
-    new._roles = {f: a for f, a in old._roles.items() if f not in touched}
-    new._edge_arrays = {
-        f: p for f, p in old._edge_arrays.items() if f not in touched
-    }
-    new._edge_keys = {
-        f: k for f, k in old._edge_keys.items() if f not in touched
-    }
-    new._owned = {}
-    new._targets = None
-    new._sync_route = None
-    new._kernel_tables = {}
-    new._cn_lin = {f: c for f, c in old._cn_lin.items() if f not in touched}
-    new._tc = {f: ns for f, ns in old._tc.items() if f not in touched}
-    # Graph-level tables depend only on the (unchanged) graph.
-    new._gin = old._gin
-    new._degrees = old._degrees
-    new._out_degrees = old._out_degrees
-    new._in_degrees = old._in_degrees
-    if old._home_of is not None:
-        new._home_of = old._home_of.copy()
-    else:
-        new._home_of = None
-    _patch_home_rows(new, dirty)
+    _carry(old, new, touched, dirty)
     PLAN_STATS.patched += 1
     return new
 
@@ -787,9 +825,11 @@ def plan_for(partition: HybridPartition, incremental: bool = True) -> FragmentPl
     covers at most :data:`PATCH_FRACTION` of the vertices is
     delta-patched — O(dirty) row recomputation plus array memcpy instead
     of re-reading the whole placement index — with arrays bit-identical
-    to a fresh compile.
-    Everything else (``incremental=False``, journal window exceeded,
-    graph structurally changed, large delta) recompiles from scratch.
+    to a fresh compile, also across a graph version bump the
+    partition's journal vouches for (a mutation batch applied through
+    ``apply_mutations``).  Everything else (``incremental=False``,
+    journal window exceeded, vertex set grown, graph mutated without
+    ``graph_changed``, large delta) recompiles from scratch.
     """
     plan = getattr(partition, "_kernel_plan", None)
     if plan is not None and plan.valid:

@@ -105,7 +105,9 @@ def test_cold_pr_run_on_a_maintained_partition_is_array_native(calls):
     assert calls["route_compile"] == 1
     assert calls["owner_sort"] == 1
 
-    # Mutate -> recompile -> refine incrementally -> patch.
+    # Mutate -> patch across the graph version bump -> refine
+    # incrementally -> patch: nothing recompiles, through the run below.
+    recompiled = stats.recompiled
     dirty = apply_mutations(part, _batch(graph, 7))
     stale = plan_for(part)
     part = refiner.refine_incremental(part, dirty)
@@ -130,6 +132,7 @@ def test_cold_pr_run_on_a_maintained_partition_is_array_native(calls):
     assert calls["route_compile"] == 1
     assert calls["owner_sort"] == 1
     assert first.values.keys() == second.values.keys()
+    assert stats.recompiled == recompiled, "the maintenance lap recompiled a plan"
 
     # Both flags on one plan: one sort each, however often they are read.
     for _ in range(2):

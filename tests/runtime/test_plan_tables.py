@@ -14,11 +14,15 @@ import numpy as np
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
+from repro.algorithms.registry import get_algorithm
+from repro.core.e2h import E2H
 from repro.core.incremental import MutationBatch, apply_mutations
+from repro.core.v2h import V2H
+from repro.costmodel.library import builtin_cost_model
 from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition
 from repro.runtime import plan as plan_module
-from repro.runtime.plan import FragmentPlan, plan_for
+from repro.runtime.plan import FragmentPlan, plan_for, plan_stats
 from tests.oracles import plan_tables as oracle
 
 SETTINGS = settings(
@@ -125,3 +129,168 @@ def test_patched_plan_matches_scalar_builders(partition, data):
         assert plan.valid
         assert_tables_match_oracle(plan, partition)
         assert_tables_match_oracle(FragmentPlan(partition), partition)
+
+
+# ----------------------------------------------------------------------
+# Patches across a mutation batch, and the slow-but-right fallbacks
+# ----------------------------------------------------------------------
+def _lazy_tables(plan: FragmentPlan) -> dict:
+    """Every lazy table of ``plan``, keyed by what it is, read in one order."""
+    tables = {"home_of": plan.home_of(), "degrees": plan.degrees()}
+    for prefix, ns in (("global_in_csr", plan.global_in_csr()), ("query_targets", plan.query_targets())):
+        tables.update({f"{prefix}.{k}": a for k, a in vars(ns).items()})
+    for fid in range(plan.num_fragments):
+        tables[f"verts({fid})"] = plan.verts(fid)
+        tables[f"edge_keys({fid})"] = plan.edge_keys(fid)
+        tables[f"roles({fid})"] = plan.roles(fid)
+        tables[f"cn_local_in_counts({fid})"] = plan.cn_local_in_counts(fid)
+        for flag in (False, True):
+            for side, a in zip(("src", "dst"), plan.owned_edges(fid, flag)):
+                tables[f"owned_edges({fid}, {flag}).{side}"] = a
+        tables.update({f"tc_tables({fid}).{k}": a for k, a in vars(plan.tc_tables(fid)).items()})
+    return tables
+
+
+def assert_equals_fresh_compile(plan: FragmentPlan, partition: HybridPartition) -> None:
+    fresh = FragmentPlan(partition)
+    for name in oracle.routing_tables(partition):
+        _same(getattr(plan, name), getattr(fresh, name), name)
+    want = _lazy_tables(fresh)
+    got = _lazy_tables(plan)
+    assert got.keys() == want.keys()
+    for name, table in want.items():
+        _same(got[name], table, name)
+    for fid in range(partition.num_fragments):
+        assert plan.edge_list(fid) == fresh.edge_list(fid)
+
+
+def _two_halves(n: int = 40) -> HybridPartition:
+    """A directed cycle cut into two halves: 0..n/2-1 and the rest."""
+    graph = Graph(n, [(v, (v + 1) % n) for v in range(n)], directed=True)
+    return HybridPartition.from_vertex_assignment(graph, [2 * v // n for v in range(n)], 2)
+
+
+def _read_all(plan: FragmentPlan) -> None:
+    plan.home_of()
+    for fid in range(plan.num_fragments):
+        plan.edge_arrays(fid)
+        plan.roles(fid)
+
+
+def test_a_graph_mutated_behind_the_partitions_back_recompiles():
+    partition = _two_halves()
+    _read_all(plan_for(partition))
+    # The graph gains an edge no graph_changed reports; then the
+    # partition moves, so the cached plan is stale.
+    assert partition.graph.add_edge(3, 30)
+    partition.add_vertex_to(1, 5)
+    before = plan_stats().snapshot()
+    plan = plan_for(partition, incremental=True)
+    after = plan_stats().snapshot()
+    assert after[0] == before[0] + 1, "an unvouched graph version was patched across"
+    assert after[1:] == before[1:]
+    assert_equals_fresh_compile(plan, partition)
+
+
+def test_a_reported_batch_is_patched_across_the_version_bump():
+    partition = _two_halves()
+    _read_all(plan_for(partition))
+    version = partition.graph.version
+    apply_mutations(partition, MutationBatch.parse("+ 3 30\n- 7 8"))
+    assert partition.graph.version != version
+    before = plan_stats().snapshot()
+    plan = plan_for(partition, incremental=True)
+    assert plan_stats().snapshot()[:2] == (before[0], before[1] + 1)
+    assert plan.graph_version == partition.graph.version
+    assert_equals_fresh_compile(plan, partition)
+
+
+def test_a_batch_that_grows_the_vertex_set_recompiles():
+    partition = _two_halves()
+    _read_all(plan_for(partition))
+    apply_mutations(partition, MutationBatch.parse("+ 3 40"))
+    assert partition.graph.num_vertices == 41
+    before = plan_stats().snapshot()
+    plan = plan_for(partition, incremental=True)
+    after = plan_stats().snapshot()
+    assert after[0] == before[0] + 1, "a grown vertex set must re-key every table"
+    assert after[1:] == before[1:]
+    assert_equals_fresh_compile(plan, partition)
+
+
+def test_bases_past_the_patch_fraction_are_read_afresh(monkeypatch):
+    rebased = []
+    rebase = FragmentPlan._rebase_edges
+
+    def spy(plan, fid, base):
+        rebased.append(fid)
+        return rebase(plan, fid, base)
+
+    monkeypatch.setattr(FragmentPlan, "_rebase_edges", spy)
+    # 40 vertices, a patch covers at most 10 of them; vertices 1..18 live
+    # on fragment 0 only, 21..38 on fragment 1 only.
+    partition = _two_halves()
+    _read_all(plan_for(partition))
+    stats = plan_stats()
+
+    # One delta of six vertices: both fragments are read off their bases.
+    for v in range(2, 8):
+        assert partition.add_vertex_to(1, v)
+    patched = stats.patched
+    plan = plan_for(partition, incremental=True)
+    assert stats.patched == patched + 1
+    assert_equals_fresh_compile(plan, partition)
+    assert sorted(rebased) == [0, 1]
+
+    # Two such deltas with no read in between accumulate twelve dirty
+    # vertices: the bases are dropped and the fragments read afresh.
+    rebased.clear()
+    _read_all(plan)
+    for fid, delta in ((0, range(22, 28)), (1, range(8, 14))):
+        for v in delta:
+            assert partition.add_vertex_to(fid, v)
+        plan = plan_for(partition, incremental=True)
+    assert stats.patched == patched + 3
+    assert_equals_fresh_compile(plan, partition)
+    assert rebased == []
+
+
+@st.composite
+def laps(draw):
+    """A partition, a refiner and 1-4 mutation batches over its ids (one
+    id past the end now and then, which grows the vertex set)."""
+    partition = draw(partitions())
+    refiner = draw(st.sampled_from([E2H, V2H]))(builtin_cost_model(draw(st.sampled_from(["pr", "wcc"]))))
+    n = partition.graph.num_vertices
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        lines = []
+        for _ in range(draw(st.integers(1, 6))):
+            u, v = draw(st.integers(0, n)), draw(st.integers(0, n))
+            lines.append(f"{draw(st.sampled_from('+-'))} {u} {v}")
+        batches.append(MutationBatch.parse("\n".join(lines)))
+    return partition, refiner, draw(st.sampled_from(["pr", "wcc"])), batches
+
+
+@given(laps())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_maintenance_laps_leave_every_table_equal_to_a_fresh_compile(lap):
+    """apply_mutations -> plan_for -> refine_incremental -> plan_for -> run,
+    lap after lap: the plan patched through it all equals a fresh compile,
+    table for table, and so does the run it serves."""
+    partition, refiner, name, batches = lap
+    algorithm = get_algorithm(name)
+    algorithm.run(partition)
+    for batch in batches:
+        dirty = apply_mutations(partition, batch)
+        with mock.patch.object(plan_module, "PATCH_FRACTION", 1.0):
+            plan_for(partition, incremental=True)
+            partition = refiner.refine_incremental(partition, dirty)
+            plan = plan_for(partition, incremental=True)
+        got = algorithm.run(partition)
+        assert plan_for(partition) is plan
+        want = algorithm.run(partition.copy())  # compiles its own plan
+        assert got.values == want.values
+        assert got.makespan == want.makespan
+        assert got.profile.to_dict() == want.profile.to_dict()
+        assert_equals_fresh_compile(plan, partition)
