@@ -91,6 +91,37 @@ def _sync_state(cluster: Cluster) -> None:
     cluster.deliver()
 
 
+class _Round:
+    """One superstep of a Par phase: the candidates, edges and master
+    moves it ships carry no payload anyone reads, so its messages and op
+    charges are collected and accounted at the barrier by one
+    ``send_batch`` and one ``charge_bulk``.  Byte and op counts are
+    integers, so the bulk sums equal the per-item ones exactly."""
+
+    def __init__(self, cluster: Cluster) -> None:
+        self.cluster = cluster
+        self.sends: List[Tuple[int, int, float]] = []
+        self.charges: List[Tuple[int, float]] = []
+
+    def send(self, src: int, dst: int, nbytes: float) -> None:
+        self.sends.append((src, dst, nbytes))
+
+    def charge(self, fid: int, ops: float) -> None:
+        self.charges.append((fid, ops))
+
+    def barrier(self) -> None:
+        cluster = self.cluster
+        if self.sends:
+            src, dst, nbytes = zip(*self.sends)
+            cluster.send_batch(np.array(src, np.int64), np.array(dst, np.int64), np.array(nbytes))
+        if self.charges:
+            fids, ops = zip(*self.charges)
+            cluster.charge_bulk(np.array(fids, np.int64), np.array(ops, np.float64))
+        self.sends.clear()
+        self.charges.clear()
+        _sync_state(cluster)
+
+
 class _ClusterExecutor:
     """Par executor: phases charged to a simulated cluster (Section 5.3).
 
@@ -205,6 +236,7 @@ class ParE2H(_ParRefiner):
         }
         leftovers: Dict[int, List] = {src: [] for src in candidates}
         k = len(underloaded)
+        step = _Round(cluster)
         while any(queues.values()):
             for src, queue in queues.items():
                 batch, queues[src] = queue[: self.batch_size], queue[self.batch_size :]
@@ -221,8 +253,8 @@ class ParE2H(_ParRefiner):
                         if dst == src:
                             leftovers[src].append((v, edges))
                             continue
-                    cluster.send(src, dst, None, nbytes=16.0 + 8.0 * len(edges))
-                    cluster.charge(dst, C1_OPS)
+                    step.send(src, dst, 16.0 + 8.0 * len(edges))
+                    step.charge(dst, C1_OPS)
                     price = price_as_ecut(v)
                     if (
                         tracker.projected_load(
@@ -238,7 +270,7 @@ class ParE2H(_ParRefiner):
                         queues[src].append((v, edges, attempts + 1))
                     else:
                         leftovers[src].append((v, edges))
-            _sync_state(cluster)
+            step.barrier()
         for src in candidates:
             candidates[src] = leftovers.get(src, [])
 
@@ -259,6 +291,7 @@ class ParE2H(_ParRefiner):
                     edges.extend((v, e) for e in local)
             pending[src] = edges
             candidates[src] = []
+        step = _Round(cluster)
         while any(pending.values()):
             for src, edges in pending.items():
                 batch, pending[src] = (
@@ -266,18 +299,18 @@ class ParE2H(_ParRefiner):
                     edges[self.batch_size :],
                 )
                 for v, edge in batch:
-                    cluster.charge(src, C1_OPS)
+                    step.charge(src, C1_OPS)
                     target = cheapest()
                     if target == src:
                         continue
                     if not partition.fragments[src].has_edge(edge):
                         continue
-                    cluster.send(src, target, None, nbytes=24.0)
+                    step.send(src, target, 24.0)
                     split_migrate_edge(partition, v, edge, src, target)
                     stats.split_edges += 1
                     if guard is not None:
                         guard.step()
-            _sync_state(cluster)
+            step.barrier()
 
 
 def _parallel_massign_impl(
@@ -311,6 +344,7 @@ def _parallel_massign_impl(
                     comm[standing[0]] -= standing[1]
     caps = tracker.capacities
     bws = tracker.bandwidths
+    step = _Round(cluster)
     while any(work.values()):
         for fid in range(partition.num_fragments):
             batch, work[fid] = work[fid][:batch_size], work[fid][batch_size:]
@@ -318,7 +352,7 @@ def _parallel_massign_impl(
                 hosts = sorted(partition.placement(v))
                 if len(hosts) < 2:
                     continue
-                cluster.charge(fid, (C1_OPS + C2_OPS) * len(hosts))
+                step.charge(fid, (C1_OPS + C2_OPS) * len(hosts))
                 current = partition.master(v)
                 best_fid, best_score = hosts[0], float("inf")
                 best_gain, best_delta = 0.0, 0.0
@@ -333,13 +367,13 @@ def _parallel_massign_impl(
                     # the identical value.
                     comp[current] -= state.scorer.master_delta(v, current)
                     comp[best_fid] += best_delta
-                    cluster.send(fid, best_fid, None, nbytes=12.0)
+                    step.send(fid, best_fid, 12.0)
                     partition.set_master(v, best_fid)
                     stats.master_moves += 1
                     if guard is not None:
                         guard.step()
                 comm[best_fid] += best_gain
-        _sync_state(cluster)
+        step.barrier()
 
 
 class ParV2H(_ParRefiner):
@@ -389,6 +423,7 @@ class ParV2H(_ParRefiner):
             src: [(v, edges, 0) for v, edges in cand_list]
             for src, cand_list in state.candidates.items()
         }
+        step = _Round(cluster)
         while any(queues.values()):
             for src, queue in queues.items():
                 batch, queues[src] = queue[: self.batch_size], queue[self.batch_size :]
@@ -407,8 +442,8 @@ class ParV2H(_ParRefiner):
                     if attempts >= len(hosts):
                         continue
                     dst = hosts[attempts]
-                    cluster.send(src, dst, None, nbytes=16.0 + 8.0 * len(edges))
-                    cluster.charge(dst, C1_OPS)
+                    step.send(src, dst, 16.0 + 8.0 * len(edges))
+                    step.charge(dst, C1_OPS)
                     new_price = scorer_merged_price(
                         v, src, dst, lambda: merged_price(tracker, v, src, dst)
                     )
@@ -425,7 +460,7 @@ class ParV2H(_ParRefiner):
                             guard.step()
                     else:
                         queues[src].append((v, edges, attempts + 1))
-            _sync_state(cluster)
+            step.barrier()
 
     def _parallel_vmerge(self, state: PassState) -> None:
         partition, tracker, guard = state.partition, state.tracker, state.guard
@@ -435,6 +470,7 @@ class ParV2H(_ParRefiner):
         # frontier v-cuts (DESIGN §15); the full pass scans everything.
         fragments = None if state.scope is None else state.scope.touched
         price_as_ecut = state.scorer.price_as_ecut
+        step = _Round(cluster)
         for _pass in range(self.vmerge_passes):
             merged_any = False
             # Each underloaded worker scans its own v-cut nodes in batches.
@@ -465,7 +501,7 @@ class ParV2H(_ParRefiner):
                             for edge in graph.incident_edges(v)
                             if not fragment.has_edge(edge)
                         ]
-                        cluster.charge(fid, C1_OPS)
+                        step.charge(fid, C1_OPS)
                         new_price = price_as_ecut(v)
                         old_price = tracker.copy_comp_cost(v, fid)
                         if (
@@ -476,16 +512,14 @@ class ParV2H(_ParRefiner):
                             > budget
                         ):
                             continue
-                        for edge in missing:
-                            cluster.send(
-                                partition.master(v), fid, None, nbytes=16.0
-                            )
+                        for _edge in missing:
+                            step.send(partition.master(v), fid, 16.0)
                         vmerge(partition, v, fid, missing)
                         state.stats.vmerged += 1
                         merged_any = True
                         if guard is not None:
                             guard.step()
-                _sync_state(cluster)
+                step.barrier()
             if not merged_any:
                 break
 
