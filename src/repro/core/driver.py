@@ -19,8 +19,10 @@ phases to a cluster (Section 5.3).  This module is that skeleton:
   E2H/V2H (:mod:`repro.core.e2h`), a simulated cluster's per-phase
   profile for ParE2H/ParV2H (:mod:`repro.core.parallel`).
 
-The phase bodies stay with their refiners: sequential and batched
-variants order their moves differently by design.
+Each phase's rule (admission test and move) is written once, next to
+its sequential phase; the Par refiners subclass the sequential ones and
+override only the batch schedules, which order moves differently by
+design.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from repro.integrity.guard import (
     RefinementBudgetExceeded,
     RefinementGuard,
 )
-from repro.partition.hybrid import HybridPartition
+from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.clusterspec import ClusterSpec
 
 
@@ -191,6 +193,17 @@ class PassState:
     candidates: Dict[int, List]
     scope: Optional[DirtyScope]
     cluster: Any = None  #: the Par executors' simulated Cluster
+
+    def holds(self, v: int, fid: int, role: NodeRole) -> bool:
+        """Whether ``fid`` still holds a ``role`` copy of ``v``: earlier
+        moves may have pruned or restructured a queued candidate."""
+        partition = self.partition
+        return partition.fragments[fid].has_vertex(v) and partition.role(v, fid) is role
+
+    def step(self) -> None:
+        """Count one move against the guard's step budget, if guarded."""
+        if self.guard is not None:
+            self.guard.step()
 
     def massign_scope(self) -> Tuple[Optional[Set[int]], bool]:
         """``(vertices, residual)`` of the MAssign phase.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.dirty import IncrementalStats
 from repro.core.driver import DirtyScope, PassState, run_pass
@@ -35,6 +35,7 @@ from repro.core.operations import emigrate, split_migrate_edge
 from repro.core.tracker import TrackerSeed
 from repro.costmodel.model import CostModel
 from repro.integrity.guard import GuardConfig, GuardStats
+from repro.partition.fragment import Edge
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.clusterspec import ClusterSpec, coerce_cluster_spec
 
@@ -85,16 +86,35 @@ class WallClockExecutor:
         return partition
 
 
-def sequential_massign(state: PassState) -> None:
-    """The MAssign phase of the sequential refiners."""
-    vertices, residual = state.massign_scope()
-    state.stats.master_moves = massign(
-        state.tracker,
-        state.scorer,
-        vertices=None if vertices is None else sorted(vertices),
-        guard=state.guard,
-        residual=residual,
-    )
+def fits(state: PassState, dst: int, price: float) -> bool:
+    """EMigrate's rule: a star priced ``price`` fits ``dst`` within budget."""
+    tracker = state.tracker
+    return tracker.projected_load(dst, tracker.comp_cost(dst) + price) <= state.budget
+
+
+def split_edges(state: PassState, src: int, v: int) -> List[Edge]:
+    """ESplit's work for candidate ``v`` at ``src``: its local edges,
+    ascending; ``v`` counts as split when it has any."""
+    fragment = state.partition.fragments[src]
+    edges = sorted(fragment.incident(v)) if fragment.has_vertex(v) else []
+    if edges:
+        state.stats.split_vertices += 1
+    return edges
+
+
+def split_edge(state: PassState, v: int, edge: Edge, src: int) -> Optional[int]:
+    """ESplit's move: ``v``'s ``edge`` leaves ``src`` for argmin C_h.
+
+    Returns the target, or ``None`` when ``src`` is the cheapest
+    fragment or the edge has already left it.
+    """
+    target = state.scorer.cheapest()
+    if target == src or not state.partition.fragments[src].has_edge(edge):
+        return None
+    split_migrate_edge(state.partition, v, edge, src, target)
+    state.stats.split_edges += 1
+    state.step()
+    return target
 
 
 class SingleOutputRefiner:
@@ -111,6 +131,17 @@ class SingleOutputRefiner:
 
     def _executor(self):
         return WallClockExecutor()
+
+    def _phase_massign(self, state: PassState) -> None:
+        """MAssign: one Eq. 5 pass in ascending vertex order."""
+        vertices, residual = state.massign_scope()
+        state.stats.master_moves = massign(
+            state.tracker,
+            state.scorer,
+            vertices=None if vertices is None else sorted(vertices),
+            guard=state.guard,
+            residual=residual,
+        )
 
     def refine(
         self,
@@ -222,68 +253,35 @@ class E2H(SingleOutputRefiner):
         return (
             ("emigrate", self.enable_emigrate, self._phase_emigrate),
             ("esplit", self.enable_esplit, self._phase_esplit),
-            ("massign", self.enable_massign, sequential_massign),
+            ("massign", self.enable_massign, self._phase_massign),
         )
 
     # ------------------------------------------------------------------
     def _phase_emigrate(self, state: PassState) -> None:
         """Fig. 3 lines 6-10: ship whole candidates to underloaded fragments."""
-        partition, tracker, guard = state.partition, state.tracker, state.guard
-        budget, underloaded, candidates = (
-            state.budget, state.underloaded, state.candidates
-        )
         price_as_ecut = state.scorer.price_as_ecut
         ascending = state.scorer.ascending
-        for src, cand_list in candidates.items():
+        for src, cand_list in state.candidates.items():
             remaining = []
-            for v, _edges in cand_list:
-                # The candidate may have been restructured by earlier
-                # moves; only still-local e-cut copies are movable whole.
-                if (
-                    not partition.fragments[src].has_vertex(v)
-                    or partition.role(v, src) is not NodeRole.ECUT
-                ):
-                    remaining.append((v, _edges))
+            for v, edges in cand_list:
+                if not state.holds(v, src, NodeRole.ECUT):
+                    remaining.append((v, edges))
                     continue
                 price = price_as_ecut(v)
-                placed = False
-                for dst in ascending(underloaded):
-                    if dst == src:
-                        continue
-                    if (
-                        tracker.projected_load(
-                            dst, tracker.comp_cost(dst) + price
-                        )
-                        <= budget
-                    ):
-                        emigrate(partition, v, src, dst)
+                for dst in ascending(state.underloaded):
+                    if fits(state, dst, price):
+                        emigrate(state.partition, v, src, dst)
                         state.stats.emigrated += 1
-                        placed = True
-                        if guard is not None:
-                            guard.step()
+                        state.step()
                         break
-                if not placed:
-                    remaining.append((v, _edges))
-            candidates[src] = remaining
+                else:
+                    remaining.append((v, edges))
+            state.candidates[src] = remaining
 
     def _phase_esplit(self, state: PassState) -> None:
         """Fig. 3 lines 11-14: split leftovers edge by edge to argmin C_h."""
-        partition, guard, stats = state.partition, state.guard, state.stats
-        cheapest = state.scorer.cheapest
         for src, cand_list in state.candidates.items():
             for v, _snapshot in cand_list:
-                fragment = partition.fragments[src]
-                if not fragment.has_vertex(v):
-                    continue
-                edges = sorted(fragment.incident(v))
-                if edges:
-                    stats.split_vertices += 1
-                for edge in edges:
-                    target = cheapest()
-                    if target == src:
-                        continue
-                    split_migrate_edge(partition, v, edge, src, target)
-                    stats.split_edges += 1
-                    if guard is not None:
-                        guard.step()
+                for edge in split_edges(state, src, v):
+                    split_edge(state, v, edge, src)
             state.candidates[src] = []

@@ -24,7 +24,7 @@ synchronization traffic.  On a homogeneous cluster every capacity is
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 
 from repro.core.tracker import CostTracker
 
@@ -33,40 +33,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.integrity.guard import RefinementGuard
 
 
-def massign(
+def eq5_pass(
     tracker: CostTracker,
     scorer: "GainCache",
-    vertices: Optional[Iterable[int]] = None,
-    guard: Optional["RefinementGuard"] = None,
-    residual: bool = False,
-) -> int:
-    """Reassign masters of border vertices by Eq. 5; return moves made.
+    vertices: Iterable[int],
+    residual: bool,
+) -> Callable[[int], Tuple[List[int], Optional[int], Optional[int]]]:
+    """One Eq. 5 pass's accumulators; returns ``assign(v)``.
 
-    ``scorer`` — the session's gain cache, bound to ``tracker`` —
-    supplies the per-host ``(g, Δh)`` score pairs.  ``vertices``
-    restricts the pass (used by the batched parallel variant); default
-    is every border vertex in ascending id order.  ``guard`` (the
-    guarded pipeline) is stepped once per master move.
-
-    ``residual`` (the dirty-region path, DESIGN §15) starts the
-    communication accumulators from the fragments' *current* C_g minus
-    the restricted vertices' own contributions, instead of from zero.
-    The zeroed start is only correct when every border master is being
-    reassigned; a subset pass that ignored the standing communication of
-    untouched masters would pile its masters onto fragments that are
-    already synchronization-heavy.  On the full vertex set the residual
-    base degenerates to all zeros, so both modes agree there.
+    ``assign(v)`` masters ``v`` at its Eq. 5 argmin host and returns
+    ``(hosts, current, best)`` — ``v``'s hosts ascending and its master
+    before and after (both ``None`` when ``v`` is not a border vertex).
+    Computation accumulators start from the fragments' current C_h and
+    follow each master move; communication accumulators start at zero,
+    or with ``residual`` from the current C_g less the standing
+    contribution of each of ``vertices``, subtracted in their order.
     """
     partition = tracker.partition
     host_scores = scorer.host_scores
-    if vertices is None:
-        vertices = sorted(
-            v for v, hosts in partition.vertex_fragments() if len(hosts) > 1
-        )
     comp = tracker.comp_costs()
     comm = [0.0] * partition.num_fragments
     if residual:
-        vertices = list(vertices)
         comm = tracker.comm_costs()
         for v in vertices:
             standing = tracker.comm_contribution(v)
@@ -74,11 +61,11 @@ def massign(
                 comm[standing[0]] -= standing[1]
     caps = tracker.capacities
     bws = tracker.bandwidths
-    moves = 0
-    for v in vertices:
+
+    def assign(v: int) -> Tuple[List[int], Optional[int], Optional[int]]:
         hosts = sorted(partition._placement.get(v, ()))
         if len(hosts) < 2:
-            continue
+            return hosts, None, None
         current = partition.master(v)
         best_fid = hosts[0]
         best_score = float("inf")
@@ -97,10 +84,51 @@ def massign(
             # in the loop above (pre-mutation): a gain-cache hit with the
             # identical value.
             comp[current] -= scorer.master_delta(v, current)
+            comp[best_fid] += best_delta
             partition.set_master(v, best_fid)
+        comm[best_fid] += best_gain
+        return hosts, current, best_fid
+
+    return assign
+
+
+def massign(
+    tracker: CostTracker,
+    scorer: "GainCache",
+    vertices: Optional[Iterable[int]] = None,
+    guard: Optional["RefinementGuard"] = None,
+    residual: bool = False,
+) -> int:
+    """Reassign masters of border vertices by Eq. 5; return moves made.
+
+    ``scorer`` — the session's gain cache, bound to ``tracker`` —
+    supplies the per-host ``(g, Δh)`` score pairs.  ``vertices``
+    restricts the pass (the dirty-region path); default is every border
+    vertex in ascending id order.  ``guard`` (the guarded pipeline) is
+    stepped once per master move.
+
+    ``residual`` (the dirty-region path, DESIGN §15) starts the
+    communication accumulators from the fragments' *current* C_g minus
+    the restricted vertices' own contributions, instead of from zero.
+    The zeroed start is only correct when every border master is being
+    reassigned; a subset pass that ignored the standing communication of
+    untouched masters would pile its masters onto fragments that are
+    already synchronization-heavy.  On the full vertex set the residual
+    base degenerates to all zeros, so both modes agree there.
+    """
+    if vertices is None:
+        vertices = sorted(
+            v
+            for v, hosts in tracker.partition.vertex_fragments()
+            if len(hosts) > 1
+        )
+    vertices = list(vertices)
+    assign = eq5_pass(tracker, scorer, vertices, residual)
+    moves = 0
+    for v in vertices:
+        _hosts, current, best = assign(v)
+        if current != best:
             moves += 1
             if guard is not None:
                 guard.step()
-        comp[best_fid] += best_delta if current != best_fid else 0.0
-        comm[best_fid] += best_gain
     return moves
