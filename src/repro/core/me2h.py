@@ -66,7 +66,11 @@ class CompositeStats:
     budgets: Dict[str, float] = field(default_factory=dict)
     core_units: int = 0
     vassign_units: int = 0
+    #: ME2H: units EAssign split; MV2H: units VAssign's fallback placed
+    #: on the cheapest fragment.
     eassign_units: int = 0
+    #: MV2H's VMerge tail: v-cut copies promoted, summed over outputs.
+    vmerged: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     guard: Dict[str, GuardStats] = field(default_factory=dict)
     gain_cache: Dict[str, GainCacheStats] = field(default_factory=dict)

@@ -136,3 +136,4 @@ class MV2H(CompositeRefiner):
             )
             merger.refine(session.partition, in_place=True)
             run.stats.rescoring_calls += merger.last_stats.rescoring_calls
+            run.stats.vmerged += merger.last_stats.vmerged

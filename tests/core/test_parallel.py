@@ -81,4 +81,6 @@ class TestComposite:
         composite, profile = ParMV2H(models).refine(initial)
         for name in models:
             check_partition(composite.partition_for(name))
-        assert set(profile.phase_times) == {"init", "vassign", "eassign", "massign"}
+        assert set(profile.phase_times) == {"init", "vassign", "vmerge", "massign"}
+        assert profile.composite_stats.vmerged > 0
+        assert profile.phase_supersteps["vmerge"] > 0
