@@ -22,7 +22,9 @@ A row is ``(spec, key, compute, required)``:
 * ``key(spec, input_content, virtual)`` mints the physical cache key;
   ``input_content`` is the graph digest for ``partition``, the content
   digest of the consumed partition for ``refine`` / ``run`` /
-  ``composite``, and ``None`` for ``memo``.
+  ``composite``, and ``None`` for ``memo``.  Every key also holds the
+  digest of the ``repro`` source (:func:`_cell_digest`), so a cache
+  never serves a cell that other code computed.
 * ``compute(spec, graph, source, virtual)`` produces the artifact
   payload; ``source`` is the consumed partition in serialized form.
 * ``required`` names the fields a stored payload must carry.
@@ -51,7 +53,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from repro.eval.engine.keys import config_digest, payload_digest
+from repro.eval.engine.keys import config_digest, payload_digest, source_digest
+
+
+def _cell_digest(kind: str, **params) -> str:
+    """A physical key: the cell's parameters and the code's source digest."""
+    return config_digest(kind, code=source_digest(), **params)
 
 
 def model_from_payload(payload: Dict):
@@ -93,7 +100,7 @@ def profile_from_payload(payload: Dict):
 # Folds: process-wide defaults recorded in the spec, so cache keys carry
 # them and spawn workers rebuild exactly what the parent selected.  The
 # homogeneous / ``simulated`` defaults fold to nothing, leaving every
-# legacy spec (and hence every legacy cache key) byte-identical.
+# spec that names neither byte-identical to one minted before they existed.
 # ----------------------------------------------------------------------
 def _fold_cluster_spec(params: Dict) -> Dict:
     """Normalize ``params['cluster_spec']`` to its canonical payload.
@@ -136,7 +143,7 @@ def _partition_spec(baseline: str, n: int) -> Dict:
 
 
 def _partition_key(spec: Dict, graph_digest: str, virtual: bool) -> str:
-    return config_digest(
+    return _cell_digest(
         "partition",
         graph=graph_digest,
         baseline=spec["baseline"],
@@ -184,7 +191,7 @@ def _refine_spec(
 
 
 def _refine_key(spec: Dict, partition_content: str, virtual: bool) -> str:
-    return config_digest(
+    return _cell_digest(
         "refine",
         partition=partition_content,
         algorithm=spec["algorithm"],
@@ -226,7 +233,7 @@ def _run_spec(algorithm: str, params: Optional[Dict] = None) -> Dict:
 def _run_key(spec: Dict, partition_content: str, virtual: bool) -> str:
     # Run cells record only simulated quantities, which are
     # deterministic, so the key carries no virtual-walls tag.
-    return config_digest(
+    return _cell_digest(
         "run",
         partition=partition_content,
         algorithm=spec["algorithm"],
@@ -267,10 +274,9 @@ def _composite_spec(
 
 def _composite_key(spec: Dict, partition_content: str, virtual: bool) -> str:
     # ``cut`` stays out of the digest (the consumed partition's content
-    # already implies it), and ``cluster_spec`` enters only when present:
-    # both keep homogeneous keys byte-identical to every existing cache.
+    # already implies it), and ``cluster_spec`` enters only when present.
     extra = {"cluster_spec": spec["cluster_spec"]} if "cluster_spec" in spec else {}
-    return config_digest(
+    return _cell_digest(
         "composite",
         partition=partition_content,
         batch=spec["batch"],
@@ -318,7 +324,7 @@ def _memo_spec(memo_kind: str, params: Optional[Dict] = None) -> Dict:
 
 
 def _memo_key(spec: Dict, _no_input: None, virtual: bool) -> str:
-    return config_digest(
+    return _cell_digest(
         "memo", memo_kind=spec["memo_kind"], params=spec["params"], **_walls(virtual)
     )
 
