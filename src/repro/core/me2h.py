@@ -55,8 +55,8 @@ from repro.partition.hybrid import HybridPartition
 from repro.runtime.clusterspec import ClusterSpec, coerce_cluster_spec
 
 Unit = Tuple[int, Tuple[Edge, ...]]  # (vertex, incident edges) candidate
-#: A unit and the algorithms (in ``cost_models`` order) still placing it.
-Leftover = Tuple[Unit, List[str]]
+#: (input fragment, unit, algorithms still placing it in ``cost_models`` order)
+Leftover = Tuple[int, Unit, List[str]]
 
 
 @dataclass
@@ -274,7 +274,7 @@ class CompositeRefiner:
         for fid, unit in units:
             if run.exhausted:
                 # Budget gone: defer everything to the fast path.
-                leftovers.append((unit, list(run.sessions)))
+                leftovers.append((fid, unit, list(run.sessions)))
                 continue
             pending = []
             for name, session in run.sessions.items():
@@ -285,7 +285,7 @@ class CompositeRefiner:
                 else:
                     pending.append(name)
             if pending:
-                leftovers.append((unit, pending))
+                leftovers.append((fid, unit, pending))
             else:
                 run.stats.core_units += 1
         return leftovers
@@ -305,7 +305,7 @@ class CompositeRefiner:
             for name, session in sessions.items()
         }
         residue: List[Leftover] = []
-        for unit, pending in leftovers:
+        for home, unit, pending in leftovers:
             destinations: Dict[str, Optional[int]] = {}
             if not run.exhausted:
                 loads = {name: self._load(sessions[name], unit) for name in pending}
@@ -341,7 +341,7 @@ class CompositeRefiner:
                 if session.tracker.load(fid) >= budgets[name]:
                     underloaded[name].discard(fid)
             if unplaced:
-                residue.append((unit, unplaced))
+                residue.append((home, unit, unplaced))
         return residue
 
     def _massign(self, run: _CompositeRun) -> None:
@@ -412,7 +412,7 @@ class ME2H(CompositeRefiner):
 
     def _tail(self, run: _CompositeRun, residue: List[Leftover]) -> None:
         """EAssign (Fig. 6 lines 14-18): split leftover units edge by edge."""
-        for (v, edges), names in residue:
+        for _home, (v, edges), names in residue:
             for name in names:
                 output = run.sessions[name].partition
                 cheapest = run.sessions[name].scorer.cheapest

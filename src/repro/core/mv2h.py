@@ -120,16 +120,19 @@ class MV2H(CompositeRefiner):
         stats.eassign_units += 1
         return session.scorer.cheapest()
 
+    def _merger(self, model: CostModel, **options) -> V2H:
+        """The V2H pass the tail runs on one output."""
+        return V2H(model, **options)
+
     def _tail(self, run: _CompositeRun, residue: List[Leftover]) -> None:
         for session in run.sessions.values():
             if run.exhausted:
                 break
             # A nested full-scope V2H pass with only VMerge enabled,
             # evaluating through this output's memo/guardrail stack.
-            merger = V2H(
+            merger = self._merger(
                 session.model,
                 enable_vmigrate=False,
-                enable_vmerge=True,
                 enable_massign=False,
                 vmerge_passes=self.vmerge_passes,
                 cluster_spec=self.cluster_spec,

@@ -204,9 +204,13 @@ class V2H(SingleOutputRefiner):
                     missing = vmerge_missing(state, v, fid)
                     if missing is None:
                         continue
-                    vmerge(partition, v, fid, missing)
-                    state.stats.vmerged += 1
+                    self._promote(state, v, fid, missing)
                     merged_any = True
-                    state.step()
             if not merged_any:
                 break
+
+    def _promote(self, state: PassState, v: int, fid: int, missing: List[Edge]) -> None:
+        """VMerge's move: ``v``'s copy at ``fid`` takes its ``missing`` edges."""
+        vmerge(state.partition, v, fid, missing)
+        state.stats.vmerged += 1
+        state.step()

@@ -1,7 +1,13 @@
 """Tests for the BSP-parallelized refiners (Section 5.3)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core import me2h, v2h
+from repro.core.massign import massign
+from repro.core.me2h import ME2H
+from repro.core.operations import vmerge
 from repro.core.parallel import ParE2H, ParME2H, ParMV2H, ParV2H
 from repro.core.tracker import CostTracker
 from repro.costmodel.library import builtin_cost_model, builtin_cost_models
@@ -84,3 +90,85 @@ class TestComposite:
         assert set(profile.phase_times) == {"init", "vassign", "vmerge", "massign"}
         assert profile.composite_stats.vmerged > 0
         assert profile.phase_supersteps["vmerge"] > 0
+
+
+class TestCompositeSchedules:
+    """ParME2H / ParMV2H charge each phase from per-worker work lists: at
+    ``batch_size=1`` a phase takes as many rounds as its busiest worker
+    has items, not ``ceil(total / n)``."""
+
+    MODELS = ("cn", "pr")
+
+    def test_init_rounds_follow_the_largest_input_fragment(self, power_graph):
+        initial = make_edge_cut(power_graph, 3, seed=13)
+        models = builtin_cost_models(self.MODELS)
+        units = Counter(fid for fid, _unit in ME2H(models)._units(initial))
+        _composite, profile = ParME2H(models, batch_size=1).refine(initial)
+        assert profile.phase_supersteps["init"] == max(units.values())
+
+    def test_massign_rounds_follow_the_busiest_master(self, power_graph, monkeypatch):
+        masters, outputs = Counter(), []
+
+        def spy(tracker, scorer, **kwargs):
+            output = tracker.partition
+            outputs.append(output)
+            masters.update(
+                output.master(v)
+                for v, hosts in output.vertex_fragments()
+                if len(hosts) > 1
+            )
+            return massign(tracker, scorer, **kwargs)
+
+        monkeypatch.setattr(me2h, "massign", spy)
+        initial = make_edge_cut(power_graph, 3, seed=13)
+        refiner = ParME2H(builtin_cost_models(self.MODELS), batch_size=1)
+        _composite, profile = refiner.refine(initial)
+        assert len(outputs) == len(self.MODELS)
+        # The border copies each worker masters, summed over the outputs.
+        assert profile.phase_supersteps["massign"] == max(masters.values())
+
+    def test_eassign_charges_each_residue_unit_at_its_input_fragment(
+        self, power_graph, monkeypatch
+    ):
+        per_worker = Counter()
+        tail = ME2H._tail
+
+        def spy(refiner, run, residue):
+            for fid, _unit, names in residue:
+                per_worker[fid] += len(names)
+            return tail(refiner, run, residue)
+
+        monkeypatch.setattr(ME2H, "_tail", spy)
+        initial = make_edge_cut(power_graph, 3, seed=13)
+        refiner = ParME2H(builtin_cost_models(self.MODELS), batch_size=1)
+        _composite, profile = refiner.refine(initial)
+        assert sum(per_worker.values()) == profile.composite_stats.eassign_units > 0
+        assert profile.phase_supersteps["eassign"] == max(per_worker.values())
+
+    def test_vmerge_charges_each_promotion_at_its_fragment(
+        self, power_graph, monkeypatch
+    ):
+        per_worker, outputs = Counter(), set()
+
+        def spy(partition, v, fid, missing=None):
+            per_worker[fid] += 1
+            outputs.add(id(partition))
+            return vmerge(partition, v, fid, missing)
+
+        monkeypatch.setattr(v2h, "vmerge", spy)
+        initial = make_vertex_cut(power_graph, 3, seed=13)
+        refiner = ParMV2H(builtin_cost_models(self.MODELS), batch_size=1)
+        _composite, profile = refiner.refine(initial)
+        assert len(outputs) == len(self.MODELS)
+        assert sum(per_worker.values()) == profile.composite_stats.vmerged > 0
+        assert profile.phase_supersteps["vmerge"] == max(per_worker.values())
+
+    @pytest.mark.parametrize(
+        "refiner_cls, make, base",
+        [(ParME2H, make_edge_cut, "ME2H"), (ParMV2H, make_vertex_cut, "MV2H")],
+    )
+    def test_no_incremental_pass(self, power_graph, refiner_cls, make, base):
+        refiner = refiner_cls(builtin_cost_models(self.MODELS))
+        composite, _profile = refiner.refine(make(power_graph, 3, seed=13))
+        with pytest.raises(NotImplementedError, match=f"use {base}.refine_incremental"):
+            refiner.refine_incremental(composite, {0, 1})

@@ -226,8 +226,9 @@ def freeze_the_stack(monkeypatch) -> None:
 
     for module, names in (
         (e2h, ("emigrate", "split_migrate_edge")), (v2h, ("vmigrate", "vmerge")),
-        # ESplit's move is e2h.split_edge in both forms.
-        (parallel, ("emigrate", "vmigrate", "vmerge")),
+        # ESplit's move is e2h.split_edge and VMerge's V2H._promote in
+        # both forms.
+        (parallel, ("emigrate", "vmigrate")),
     ):
         for name in names:
             monkeypatch.setattr(module, name, getattr(frozen, name))
