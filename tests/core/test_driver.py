@@ -12,9 +12,12 @@ whose scope is everything.  Two checks pin it:
   from the last commit with one hand-written pass per composite class,
   and pin every output's serialized partition and ``CompositeStats``
   (the guard cases take snapshots but no step budget, so nothing they
-  pin depends on string hashing); its small-batch Par entries
-  (``SMALL_BATCH``) were captured from the last commit whose Par phase
-  bodies carried their own copy of each move rule;
+  pin depends on string hashing), and their ParME2H / ParMV2H phase
+  times and superstep counts were re-captured when those refiners
+  moved from an even-split charge to per-worker work lists; its
+  small-batch Par entries (``SMALL_BATCH``) were captured from the last
+  commit whose Par phase bodies carried their own copy of each move
+  rule;
 * ``refine_incremental`` with every vertex dirty and no seed walks the
   same budget / classification / candidate sets as ``refine``.
 
@@ -24,7 +27,7 @@ gain cache.
 
 The fixture is a pin, not an expectation to refresh: regenerate it
 (``PYTHONPATH=src python -m tests.core.test_driver`` from the repo root)
-only when a refiner's move order is changed on purpose.
+only when a refiner's move order or charge is changed on purpose.
 """
 
 from __future__ import annotations
