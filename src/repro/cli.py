@@ -232,8 +232,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         c = stats.gain_cache
         print(
             f"gain cache: {c.hits} hits / {c.misses} misses "
-            f"({c.hit_rate:.0%} hit rate), {c.invalidations} invalidations, "
-            f"{c.evictions} evictions"
+            f"({c.hit_rate:.0%} hit rate), {c.evictions} evictions"
         )
     if stats is not None and stats.guard is not None:
         g = stats.guard

@@ -6,7 +6,7 @@ are its k-output case (Section 6) and the Par variants charge the same
 phases to a cluster (Section 5.3).  This module is that skeleton:
 
 * :class:`RefineSession` builds the evaluation stack — guarded model →
-  gain cache → counting layer → cost tracker → refinement guard — once
+  value memo → counting layer → cost tracker → refinement guard — once
   per output partition, and is the only place that tears it down;
 * ``session.scorer`` — the bound :class:`~repro.core.gaincache.GainCache`
   — answers every pricing question a phase body asks;
@@ -51,6 +51,9 @@ from repro.integrity.guard import (
 from repro.partition.hybrid import HybridPartition, NodeRole
 from repro.runtime.clusterspec import ClusterSpec
 
+#: The phases whose bodies read ``PassState.candidates``.
+CANDIDATE_PHASES = frozenset(("emigrate", "esplit", "vmigrate"))
+
 
 class RefineSession:
     """The evaluation stack around one partition, built and torn down once.
@@ -63,8 +66,8 @@ class RefineSession:
     :class:`~repro.core.gaincache.GainCache`.
 
     A context manager: leaving the block, normally or by exception,
-    detaches every listener the stack put on the partition; so does a
-    constructor that fails halfway.
+    detaches the one listener the stack puts on the partition, the
+    tracker's; so does a constructor that fails halfway.
     """
 
     def __init__(
@@ -122,11 +125,9 @@ class RefineSession:
             raise
 
     def close(self) -> None:
-        """Detach the tracker and cache listeners."""
+        """Detach the tracker's listener."""
         if self.tracker is not None:
             self.tracker.detach()
-        if self.scorer is not None:
-            self.scorer.detach()
 
     def __enter__(self) -> "RefineSession":
         return self
@@ -258,7 +259,12 @@ def run_pass(
             budget, underloaded, {}, scope, executor.open(partition),
         )
 
+        plan = refiner._phase_plan()
+        reads_candidates = any(on and name in CANDIDATE_PHASES for name, on, _ in plan)
+
         def select() -> None:
+            if not reads_candidates:
+                return
             for fid in overloaded:
                 if scope is not None and fid not in scope.touched:
                     continue
@@ -280,7 +286,7 @@ def run_pass(
         executor.setup(select, state)
         early_stopped = False
         try:
-            for name, enabled, body in refiner._phase_plan():
+            for name, enabled, body in plan:
                 if enabled:
                     executor.phase(name, body, state)
         except RefinementBudgetExceeded:

@@ -14,8 +14,8 @@ E2H reduces the parallel cost ``max_i C_A(F_i)`` in two stages:
 
 2. **Redistribute communication cost** guided by ``g_A`` via *MAssign*.
 
-Every move is priced through the pass's gain cache
-(:class:`~repro.core.gaincache.GainCache`, the session's only scorer).
+Every move is priced through the pass's scorer
+(:class:`~repro.core.gaincache.GainCache`, the session's only one).
 
 Phases can be individually disabled to reproduce the appendix ablation
 (ParE2H₁/₂/₃, Fig. 11(a)).

@@ -9,8 +9,8 @@ master goes to the hosting fragment minimizing
 — current computation load, communication already assigned this pass,
 plus the communication the vertex itself would incur there.  MAssign
 never moves edges, so it cannot worsen the computational balance the
-earlier phases achieved.  The Eq. 5 terms come from the session's gain
-cache (:class:`~repro.core.gaincache.GainCache`).
+earlier phases achieved.  The Eq. 5 terms come from the session's
+scorer (:class:`~repro.core.gaincache.GainCache`).
 
 Eq. 5 scores in *time* units, each term divided by its host's capacity:
 
@@ -71,7 +71,8 @@ def eq5_pass(
         best_score = float("inf")
         best_gain = 0.0
         best_delta = 0.0
-        for fid, (g_here, h_delta) in zip(hosts, host_scores(v, hosts)):
+        pairs = host_scores(v, hosts)
+        for fid, (g_here, h_delta) in zip(hosts, pairs):
             s, b = caps[fid], bws[fid]
             score = comp[fid] / s + comm[fid] / b + g_here / b + h_delta / s
             if score < best_score:
@@ -80,10 +81,9 @@ def eq5_pass(
                 best_gain = g_here
                 best_delta = h_delta
         if current != best_fid:
-            # Master-dependent computation moves with the master; scored
-            # in the loop above (pre-mutation): a gain-cache hit with the
-            # identical value.
-            comp[current] -= scorer.master_delta(v, current)
+            # Master-dependent computation moves with the master; the
+            # current host's Δh was scored in the loop above (pre-mutation).
+            comp[current] -= pairs[hosts.index(current)][1]
             comp[best_fid] += best_delta
             partition.set_master(v, best_fid)
         comm[best_fid] += best_gain
@@ -101,7 +101,7 @@ def massign(
 ) -> int:
     """Reassign masters of border vertices by Eq. 5; return moves made.
 
-    ``scorer`` — the session's gain cache, bound to ``tracker`` —
+    ``scorer`` — the session's scorer, bound to ``tracker`` —
     supplies the per-host ``(g, Δh)`` score pairs.  ``vertices``
     restricts the pass (the dirty-region path); default is every border
     vertex in ascending id order.  ``guard`` (the guarded pipeline) is

@@ -239,8 +239,7 @@ class ParE2H(_ParRefiner, E2H):
         underloaded, candidates = state.underloaded, state.candidates
         if not underloaded:
             return
-        # Bounced candidates re-price on every retry; the gain cache
-        # serves repeats until v is mutated.
+        # Bounced candidates re-price on every retry (value-memo hits).
         price_as_ecut = state.scorer.price_as_ecut
         # Per-source queues of (vertex, edges, attempts).
         queues: Dict[int, List] = {

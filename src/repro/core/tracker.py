@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import truediv
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.costmodel.features import ecut_key, priced_copies
 from repro.costmodel.model import CostModel
@@ -92,8 +92,6 @@ class CostTracker:
         self._copy_contrib: Dict[int, Dict[int, float]] = {}
         self._comm_contrib: Dict[int, Tuple[int, float]] = {}
         self._dirty: Set[int] = set()
-        self._cost_listeners: List[Callable[[int], None]] = []
-        self._moved: Set[int] = set()  # fragments a flush changed C_h of
         partition.add_listener(self._mark_dirty)
         try:
             self.seeded = seed is not None and self._restore(seed)
@@ -149,15 +147,6 @@ class CostTracker:
         """Stop listening to partition mutations."""
         self.partition.remove_listener(self._mark_dirty)
 
-    def add_cost_listener(self, listener: Callable[[int], None]) -> None:
-        """Subscribe to fragment-cost changes: called with each fragment
-        id whose ``C_h`` contribution set changed during a reprice."""
-        self._cost_listeners.append(listener)
-
-    def remove_cost_listener(self, listener: Callable[[int], None]) -> None:
-        """Unsubscribe a previously added cost listener."""
-        self._cost_listeners.remove(listener)
-
     def ensure_current(self) -> None:
         """Flush pending reprices (public alias for the lazy flush)."""
         self._flush()
@@ -197,19 +186,10 @@ class CostTracker:
                 comp[fid] += contrib
         if new_copies:
             self._copy_contrib[v] = new_copies
-        # Fragments whose C_h moved, for the gain cache's fragment index: it
-        # only marks, so it hears once per flush; no listener, no cost.
-        if self._cost_listeners:
-            self._moved.update(old_copies or (), new_copies)
         if g_key is not None:
             contrib = model.g_key(g_key)
             self._comm_contrib[v] = (master, contrib)
             self._comm[master] += contrib
-
-    def _notify_cost(self, fids: Set[int]) -> None:
-        for listener in self._cost_listeners:
-            for fid in fids:
-                listener(fid)
 
     def _flush(self) -> None:
         if not self._dirty:
@@ -219,8 +199,6 @@ class CostTracker:
         # vertices were dirtied in (DESIGN §8.2).
         for v in sorted(dirty):
             self._reprice(v)
-        self._notify_cost(self._moved)
-        self._moved.clear()
 
     # ------------------------------------------------------------------
     # Queries

@@ -57,8 +57,7 @@ def merged_price(tracker: CostTracker, v: int, src: int, dst: int) -> float:
         ecut=partition.role(v, dst) is NodeRole.ECUT,
         master=partition.master(v) == dst,
     )
-    # Evaluate through the tracker's model (identical values; when
-    # the gain cache is active this is the memoized model).
+    # Evaluate through the tracker's model (the session's memo).
     return tracker.cost_model.h_key(key)
 
 
@@ -66,9 +65,7 @@ def vmigrate_fits(state: PassState, v: int, src: int, dst: int) -> bool:
     """VMigrate's rule: ``v``'s copy at ``dst``, merged with its ``src``
     copy, keeps ``dst`` within budget."""
     tracker = state.tracker
-    new_price = state.scorer.merged_price(
-        v, src, dst, lambda: merged_price(tracker, v, src, dst)
-    )
+    new_price = merged_price(tracker, v, src, dst)
     old_price = tracker.copy_comp_cost(v, dst)
     return (
         tracker.projected_load(dst, tracker.comp_cost(dst) - old_price + new_price)

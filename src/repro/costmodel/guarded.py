@@ -17,7 +17,6 @@ value ever reaches move selection.**
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
 from repro.costmodel.library import ALGORITHMS, builtin_cost_model
@@ -29,16 +28,19 @@ from repro.costmodel.model import CostModel
 DEFAULT_MAX_VALUE = 1e15
 
 
-@dataclass
 class GuardedCostModel(CostModel):
     """A :class:`CostModel` whose every prediction is sanity-checked.
 
     Because all inherited cost methods (fragment costs, MAssign scores,
     master deltas, parallel cost) route through :meth:`h_value` and
     :meth:`g_value`, overriding just those two guards the whole API.
+    Each asks the wrapped ``base`` model's own ``h_value`` / ``g_value``,
+    so a model that overrides them (DESIGN §8.2) keeps its override.
 
     Attributes
     ----------
+    base:
+        The guarded model.
     fallback:
         Analytic model answering when the primary misbehaves; ``None``
         degrades to a clamped ``0.0`` / ``max_value``.
@@ -51,18 +53,21 @@ class GuardedCostModel(CostModel):
         guarded refiners use it to charge ``GuardStats``).
     """
 
-    fallback: Optional[CostModel] = None
-    max_value: float = DEFAULT_MAX_VALUE
-    interventions: int = field(default=0, compare=False)
-    on_intervention: Optional[Callable[[], None]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.max_value) and self.max_value > 0):
-            raise ValueError(
-                f"max_value must be finite and > 0, got {self.max_value}"
-            )
+    def __init__(
+        self,
+        base: CostModel,
+        fallback: Optional[CostModel] = None,
+        max_value: float = DEFAULT_MAX_VALUE,
+        on_intervention: Optional[Callable[[], None]] = None,
+    ) -> None:
+        if not (math.isfinite(max_value) and max_value > 0):
+            raise ValueError(f"max_value must be finite and > 0, got {max_value}")
+        super().__init__(name=base.name, h=base.h, g=base.g, gate=base.gate)
+        self.base = base
+        self.fallback = fallback
+        self.max_value = max_value
+        self.interventions = 0
+        self.on_intervention = on_intervention
 
     # ------------------------------------------------------------------
     def _sane(self, value: float) -> bool:
@@ -91,11 +96,11 @@ class GuardedCostModel(CostModel):
 
     def h_value(self, features: Mapping[str, float]) -> float:
         """Guarded ``h_A(X(v))``: always finite and in ``[0, max_value]``."""
-        return self._guarded(super().h_value(features), features, "h")
+        return self._guarded(self.base.h_value(features), features, "h")
 
     def g_value(self, features: Mapping[str, float]) -> float:
         """Guarded ``g_A(X(v))``: always finite and in ``[0, max_value]``."""
-        return self._guarded(super().g_value(features), features, "g")
+        return self._guarded(self.base.g_value(features), features, "g")
 
 
 def guard_cost_model(
@@ -115,12 +120,4 @@ def guard_cost_model(
         return model
     if fallback is None and model.name in ALGORITHMS:
         fallback = builtin_cost_model(model.name)
-    return GuardedCostModel(
-        name=model.name,
-        h=model.h,
-        g=model.g,
-        gate=model.gate,
-        fallback=fallback,
-        max_value=max_value,
-        on_intervention=on_intervention,
-    )
+    return GuardedCostModel(model, fallback, max_value, on_intervention)

@@ -186,7 +186,6 @@ class FragmentPlan:
         self.num_vertices = n
         #: key base for (slot, neighbor) / (u, v) packed int64 keys
         self.key_base = max(1, n)
-        self._valid = True
         #: partition mutation generation this plan was compiled at
         self.generation = partition.generation
         #: graph mutation version this plan was compiled (or patched) at
@@ -245,13 +244,7 @@ class FragmentPlan:
     @property
     def valid(self) -> bool:
         """True while no partition mutation has occurred since compile."""
-        return self._valid and self.generation == self.partition.generation
-
-    @valid.setter
-    def valid(self, flag: bool) -> None:
-        # Callers (benchmarks, tests) may force-invalidate; forcing True
-        # cannot resurrect a plan the generation counter has outdated.
-        self._valid = bool(flag)
+        return self.generation == self.partition.generation
 
     # ------------------------------------------------------------------
     # Per-fragment basics
@@ -756,14 +749,13 @@ def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[Fragm
     touched = _touched_fragments(old, rows)
 
     if not changed and old.graph_version == version:
-        # Net-empty delta (aborted/rolled-back refinement, force
-        # invalidation with no mutation): the routing tables still hold.
+        # Net-empty delta (an aborted or rolled-back refinement): the
+        # routing tables still hold.
         # Fragment-internal state (edge sets, roles) may have churned and
         # reverted only in aggregate, so the tables are carried as for a
         # patch.  A moved graph is no net-empty delta: it is patched.
         _carry(old, old, touched, dirty)
         old.generation = partition.generation
-        old._valid = True
         PLAN_STATS.revalidated += 1
         return old
 
@@ -773,7 +765,6 @@ def _patch_plan(old: FragmentPlan, partition: HybridPartition) -> Optional[Fragm
     new.num_fragments = partition.num_fragments
     new.num_vertices = n
     new.key_base = old.key_base
-    new._valid = True
     new.generation = partition.generation
 
     master_of = old.master_of.copy()

@@ -3,9 +3,10 @@
 Wall-clock gains erode silently on a noisy host; call counts do not.  On
 the ``driver_full_pass`` golden input this pins the shape of the loops
 that dominate ``partitioning_s``: a move is one transaction that announces
-each touched vertex once, the single-edge verbs serve ESplit alone, a
-price crosses one frame between tracker and memo, feature mappings are
-built only on value-memo misses, and construction notifies nobody.
+each touched vertex once to the one listener a pass puts on the partition,
+the single-edge verbs serve ESplit alone, a price crosses one frame
+between tracker and memo, feature mappings are built only on value-memo
+misses, and construction notifies nobody.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections.abc import Mapping
 
 import repro.core
 from repro.core import E2H
+from repro.core.tracker import CostTracker
 from repro.costmodel.library import builtin_cost_model
 from repro.costmodel.model import CostModel
 from repro.graph.generators import chung_lu_power_law
@@ -102,6 +104,25 @@ def test_a_move_is_one_transaction_and_single_edge_verbs_serve_esplit_alone():
         4 * stats.emigrated + 2 * stats.split_edges + stats.master_moves
     )
     assert partition.transactions < partition.notified
+
+
+def test_a_refine_pass_puts_one_listener_on_the_partition(monkeypatch):
+    """Every mutation notification reaches the tracker's dirty mark and
+    nothing else: the scorer reads the tracker and listens to nobody."""
+    partition = golden_input()
+    added = []
+    add_listener = HybridPartition.add_listener
+
+    def spy(self, callback):
+        added.append(callback)
+        add_listener(self, callback)
+
+    monkeypatch.setattr(HybridPartition, "add_listener", spy)
+    refiner = E2H(builtin_cost_model("pr"))
+    refiner.refine(partition, in_place=True)
+    assert refiner.last_stats.emigrated > 0
+    assert [callback.__func__ for callback in added] == [CostTracker._mark_dirty]
+    assert partition._listeners == []
 
 
 def test_one_frame_per_price_and_mappings_only_on_memo_misses():

@@ -81,7 +81,6 @@ class World:
 
     def close(self) -> None:
         self.tracker.detach()
-        self.cache.detach()
 
     def step(self, op):
         """Apply one drawn step; returns the exception type it raised, if any."""

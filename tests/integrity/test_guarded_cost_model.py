@@ -83,6 +83,26 @@ def test_intervention_callback_fires():
     assert guarded.interventions == 2
 
 
+class DoubledModel(CostModel):
+    """A model that overrides the ``h_value`` / ``g_value`` funnels."""
+
+    def h_value(self, features) -> float:
+        return 2.0 * super().h_value(features)
+
+    def g_value(self, features) -> float:
+        return 2.0 * super().g_value(features)
+
+
+def test_the_guard_calls_the_model_it_guards():
+    base = builtin_cost_model("pr")
+    model = DoubledModel(base.name, base.h, base.g, base.gate)
+    guarded = guard_cost_model(model)
+    assert guarded.h_value(FEATURES) == model.h_value(FEATURES) == 2.0 * base.h_value(FEATURES)
+    assert guarded.g_value(FEATURES) == model.g_value(FEATURES) == 2.0 * base.g_value(FEATURES)
+    assert guarded.base is model
+    assert guarded.interventions == 0
+
+
 def test_guard_is_idempotent():
     guarded = guard_cost_model(constant_cost_model())
     assert guard_cost_model(guarded) is guarded

@@ -1,8 +1,9 @@
 """The uncached reference scorer, and the stand-in that installs it.
 
 ``RefineSession`` always prices moves through a
-:class:`~repro.core.gaincache.GainCache`.  :class:`DirectScorer` answers
-the same questions straight off the tracker, with no memory, and
+:class:`~repro.core.gaincache.GainCache` over a value memo.
+:class:`DirectScorer` answers the same questions with no memo — Eq. 5
+pairs through the mapping-based model methods — and
 :func:`use_direct_scorer` swaps :class:`DirectGainCache` in for the
 ``GainCache`` the driver builds — so a test runs the very refiner code
 under the oracle scorer and compares partitions, costs and move
@@ -18,17 +19,13 @@ class DirectScorer:
     """The uncached reference scorer: every answer straight off the tracker.
 
     Same surface as a bound :class:`~repro.core.gaincache.GainCache`, no
-    memory: each call is the evaluation the cache is exact against, at
+    memo: each call is the evaluation the scorer is exact against, at
     the same tracker flush boundaries.
     """
 
     def __init__(self, tracker) -> None:
         self.tracker = tracker
         self.price_as_ecut = tracker.price_as_ecut
-
-    def merged_price(self, v: int, src: int, dst: int, compute) -> float:
-        """VMigrate merged price: always ``compute()``."""
-        return compute()
 
     def host_scores(self, v: int, hosts: Sequence[int]) -> List[Tuple[float, float]]:
         """Eq. 5 pairs ``(g^j_A(v), Δh master)`` of ``v``, one per host."""
@@ -42,13 +39,6 @@ class DirectScorer:
             )
             for fid in hosts
         ]
-
-    def master_delta(self, v: int, fid: int) -> float:
-        """Δh of mastering ``v`` at ``fid``."""
-        tracker = self.tracker
-        return tracker.cost_model.comp_master_delta(
-            tracker.partition, v, fid, tracker.avg_degree
-        )
 
     def cheapest(self) -> int:
         """``argmin_i load(F_i)``, lowest fragment id among ties."""
@@ -65,8 +55,8 @@ class DirectGainCache(DirectScorer):
 
     Same lifecycle as the cache: ``model`` is the model it was given
     (no value memo), :meth:`bind` makes it a :class:`DirectScorer` over
-    the session's tracker, :meth:`detach` has no listener to drop, and
-    ``stats`` is ``None`` — there is no cache to count.
+    the session's tracker, and ``stats`` is ``None`` — there is no memo
+    to count.
     """
 
     stats = None
@@ -76,9 +66,6 @@ class DirectGainCache(DirectScorer):
 
     def bind(self, tracker) -> None:
         DirectScorer.__init__(self, tracker)
-
-    def detach(self) -> None:
-        pass
 
 
 def use_direct_scorer(monkeypatch) -> None:

@@ -10,7 +10,7 @@ giving these answers (``tests/core/test_one_pass_pricing.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.core.tracker import CostTracker
 from repro.graph.metrics import average_degree
@@ -74,7 +74,6 @@ class PerCopyTracker(CostTracker):
 
     def _reprice(self, v: int) -> None:
         partition = self.partition
-        listeners = self._cost_listeners
         old_copies = self._copy_contrib.pop(v, None)
         if old_copies:
             for fid, contrib in old_copies.items():
@@ -85,8 +84,6 @@ class PerCopyTracker(CostTracker):
 
         hosts = partition.placement(v)
         if not hosts:
-            if listeners and old_copies:
-                self._notify_cost(set(old_copies))
             return
         new_copies: Dict[int, float] = {}
         for fid in hosts:
@@ -100,13 +97,6 @@ class PerCopyTracker(CostTracker):
                     self._comp[fid] += contrib
         if new_copies:
             self._copy_contrib[v] = new_copies
-        if listeners and (old_copies or new_copies):
-            touched: Set[int] = set()
-            if old_copies:
-                touched.update(old_copies)
-            if new_copies:
-                touched.update(new_copies)
-            self._notify_cost(touched)
         if partition.is_border(v):
             master = partition._masters.get(v)
             if master is not None and partition.fragments[master].has_vertex(v):

@@ -14,7 +14,7 @@ indistinguishable from these (``tests/core/test_star_moves.py``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.gaincache import _MISS, MemoizedCostModel
 from repro.core.tracker import CostTracker
@@ -231,10 +231,6 @@ class PerEdgeTracker(CostTracker):
     def _reprice(self, v: int) -> None:
         """Recompute all of v's contributions; apply deltas to the sums."""
         partition = self.partition
-        # Fragment-cost change notifications are only assembled when a
-        # listener is registered (the gain cache's fragment index); the
-        # plain path pays nothing.
-        listeners = self._cost_listeners
         old_copies = self._copy_contrib.pop(v, None)
         if old_copies:
             for fid, contrib in old_copies.items():
@@ -256,13 +252,6 @@ class PerEdgeTracker(CostTracker):
                     self._comp[fid] += contrib
         if new_copies:
             self._copy_contrib[v] = new_copies
-        if listeners and (old_copies or new_copies):
-            touched: Set[int] = set()
-            if old_copies:
-                touched.update(old_copies)
-            if new_copies:
-                touched.update(new_copies)
-            self._notify_cost(touched)
         if partition.is_border(v):
             master = partition._masters.get(v)
             for fid, _bearing, key in copies:

@@ -119,9 +119,6 @@ def test_plan_generation_counter_invalidation():
     assert partition.add_vertex_to(target, v)
     assert partition.generation > gen
     assert not plan.valid
-    # Forcing valid=True cannot resurrect a plan from an older generation.
-    plan.valid = True
-    assert not plan.valid
     rebuilt = plan_for(partition)
     assert rebuilt is not plan
     assert rebuilt.valid
