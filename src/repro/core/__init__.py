@@ -21,7 +21,7 @@ a hybrid partition tailored to algorithm ``A``:
 All of them run through :mod:`~repro.core.driver` (DESIGN §8.1): one
 :class:`~repro.core.driver.RefineSession` per output partition builds
 and tears down the guard → value-memo → counting → tracker stack, its
-``scorer`` prices every candidate, and :func:`~repro.core.driver.
+tracker prices every candidate, and :func:`~repro.core.driver.
 run_pass` is the single-output pass body whose scope — everything, or
 the dirty frontier of a :class:`MutationBatch` applied in place by
 :func:`apply_mutations` — is data.  :func:`refiner_class` maps a
@@ -38,7 +38,6 @@ from repro.core.dirty import (
     touched_fragments,
 )
 from repro.core.gaincache import (
-    GainCache,
     GainCacheStats,
     MemoizedCostModel,
     memoize_cost_model,
@@ -78,7 +77,6 @@ __all__ = [
     "compute_budget",
     "classify_fragments",
     "get_candidates",
-    "GainCache",
     "GainCacheStats",
     "MemoizedCostModel",
     "memoize_cost_model",

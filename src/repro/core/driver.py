@@ -1,4 +1,4 @@
-"""The refinement driver: one stack, one scorer, one pass (DESIGN §8.1).
+"""The refinement driver: one stack, one pass (DESIGN §8.1).
 
 The paper's refiners are one skeleton — budget → GetCandidates →
 migrate → split-or-merge → MAssign (Sections 5.1–5.2); the composites
@@ -8,8 +8,8 @@ phases to a cluster (Section 5.3).  This module is that skeleton:
 * :class:`RefineSession` builds the evaluation stack — guarded model →
   value memo → counting layer → cost tracker → refinement guard — once
   per output partition, and is the only place that tears it down;
-* ``session.scorer`` — the bound :class:`~repro.core.gaincache.GainCache`
-  — answers every pricing question a phase body asks;
+* ``session.tracker`` — the :class:`~repro.core.tracker.CostTracker`
+  over the value memo — answers every pricing question a phase body asks;
 * :func:`run_pass` is the single-output pass body.  Its *scope* is
   data: ``None`` refines everything, a :class:`DirtyScope` narrows the
   pass to a dirty frontier (DESIGN §15) — a full pass is an incremental
@@ -38,7 +38,7 @@ from repro.core.dirty import (
     dirty_frontier,
     touched_fragments,
 )
-from repro.core.gaincache import GainCache
+from repro.core.gaincache import memoize_cost_model
 from repro.core.tracker import CostTracker, TrackerSeed
 from repro.costmodel.guarded import guard_cost_model
 from repro.costmodel.model import CostModel
@@ -62,8 +62,7 @@ class RefineSession:
     guard; ``seed`` warm-starts the tracker.  ``output_name`` marks a
     composite output built *up* from empty: it drops best-so-far
     tracking (a constructive algorithm has no earlier valid state to
-    fall back to).  ``scorer`` is the stack's bound
-    :class:`~repro.core.gaincache.GainCache`.
+    fall back to).  ``model`` is the stack below the counting layer.
 
     A context manager: leaving the block, normally or by exception,
     detaches the one listener the stack puts on the partition, the
@@ -81,7 +80,6 @@ class RefineSession:
     ) -> None:
         self.partition = partition
         self.guard_stats: Optional[GuardStats] = None
-        self.scorer: Optional[GainCache] = None
         self.tracker: Optional[CostTracker] = None
         self.guard: Optional[RefinementGuard] = None
         try:
@@ -95,8 +93,7 @@ class RefineSession:
             # The memo wraps the (possibly guarded) model: values are
             # identical either way, and guardrail checks still apply to
             # every distinct evaluation.
-            self.scorer = GainCache(partition, model)
-            model = self.scorer.model
+            model = memoize_cost_model(model)
             #: The stack below the counting layer (what a nested pass
             #: over the same partition should evaluate through).
             self.model = model
@@ -106,7 +103,6 @@ class RefineSession:
             self.tracker = CostTracker(
                 partition, self.counted, spec=cluster_spec, seed=seed
             )
-            self.scorer.bind(self.tracker)
             self.cost_before = self.tracker.parallel_cost()
             if guard_config is not None:
                 self.guard = RefinementGuard(
@@ -186,7 +182,6 @@ class PassState:
 
     partition: HybridPartition
     tracker: CostTracker
-    scorer: GainCache  #: the session's bound scorer
     guard: Optional[RefinementGuard]
     stats: Any  #: the executor's :class:`~repro.core.e2h.RefineStats`
     budget: float
@@ -255,7 +250,7 @@ def run_pass(
         overloaded, underloaded = classify_fragments(tracker, budget)
         stats.overloaded = len(overloaded)
         state = PassState(
-            partition, tracker, session.scorer, session.guard, stats,
+            partition, tracker, session.guard, stats,
             budget, underloaded, {}, scope, executor.open(partition),
         )
 
@@ -297,7 +292,7 @@ def run_pass(
         if capture_seed:
             refiner.last_seed = tracker.snapshot()
     stats.guard = session.guard_stats
-    stats.gain_cache = session.scorer.stats
+    stats.gain_cache = session.model.stats
     stats.rescoring_calls = session.counted.calls
     refiner.last_stats = stats
     return executor.result(partition)

@@ -14,8 +14,8 @@ E2H reduces the parallel cost ``max_i C_A(F_i)`` in two stages:
 
 2. **Redistribute communication cost** guided by ``g_A`` via *MAssign*.
 
-Every move is priced through the pass's scorer
-(:class:`~repro.core.gaincache.GainCache`, the session's only one).
+Every move is priced off the pass's
+:class:`~repro.core.tracker.CostTracker`, the session's only one.
 
 Phases can be individually disabled to reproduce the appendix ablation
 (ParE2H₁/₂/₃, Fig. 11(a)).
@@ -108,7 +108,7 @@ def split_edge(state: PassState, v: int, edge: Edge, src: int) -> Optional[int]:
     Returns the target, or ``None`` when ``src`` is the cheapest
     fragment or the edge has already left it.
     """
-    target = state.scorer.cheapest()
+    target = state.tracker.cheapest()
     if target == src or not state.partition.fragments[src].has_edge(edge):
         return None
     split_migrate_edge(state.partition, v, edge, src, target)
@@ -137,7 +137,6 @@ class SingleOutputRefiner:
         vertices, residual = state.massign_scope()
         state.stats.master_moves = massign(
             state.tracker,
-            state.scorer,
             vertices=None if vertices is None else sorted(vertices),
             guard=state.guard,
             residual=residual,
@@ -168,7 +167,6 @@ class SingleOutputRefiner:
         partition: HybridPartition,
         dirty_vertices,
         in_place: bool = True,
-        seed="auto",
     ):
         """Dirty-region refinement after a small mutation batch (DESIGN §15).
 
@@ -178,7 +176,7 @@ class SingleOutputRefiner:
         vertex: candidates outside the frontier are skipped, VMerge
         only scans touched fragments' frontier v-cuts, and MAssign only
         revisits frontier border vertices.  The cost tracker is seeded
-        from ``seed`` (default: :attr:`last_seed`, captured by a prior
+        from :attr:`last_seed` (captured by a prior
         ``refine(..., capture_seed=True)`` or incremental pass) when
         the partition's mutation journal still covers it, replacing the
         cold per-copy rebuild with a delta replay.  A fresh snapshot is
@@ -187,13 +185,12 @@ class SingleOutputRefiner:
 
         Defaults to in-place: a copied partition has its own journal and
         generation counter, against which a seed captured on the
-        original cannot be replayed.
+        original cannot be replayed, so ``in_place=False`` starts cold.
         """
         executor = self._executor()
+        seed = self.last_seed
         if not in_place:
             partition, seed = partition.copy(), None
-        elif seed == "auto":
-            seed = self.last_seed
         scope = DirtyScope.around(partition, dirty_vertices, seed)
         return run_pass(self, partition, scope, executor)
 
@@ -259,8 +256,8 @@ class E2H(SingleOutputRefiner):
     # ------------------------------------------------------------------
     def _phase_emigrate(self, state: PassState) -> None:
         """Fig. 3 lines 6-10: ship whole candidates to underloaded fragments."""
-        price_as_ecut = state.scorer.price_as_ecut
-        ascending = state.scorer.ascending
+        price_as_ecut = state.tracker.price_as_ecut
+        ascending = state.tracker.ascending
         for src, cand_list in state.candidates.items():
             remaining = []
             for v, edges in cand_list:

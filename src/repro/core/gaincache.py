@@ -1,4 +1,4 @@
-"""The refiners' scorer: reads off the tracker over a value memo (DESIGN.md §8).
+"""The value memo the refiners price through (DESIGN.md §8).
 
 The refiners re-score move candidates against the cost model on every
 iteration — ``price_as_ecut`` per EMigrate attempt, merged prices per
@@ -12,26 +12,21 @@ previously computed float; the polynomial is only evaluated on distinct
 feature profiles (power-law graphs share profiles massively across their
 low-degree tails).
 
-:class:`GainCache` is the scorer above it.  It keeps no per-vertex state
-and listens to nothing: every answer is read straight off the session's
-:class:`~repro.core.tracker.CostTracker`, priced through that memo, at
-the tracker flush boundaries the uncached ``DirectScorer`` oracle
-(``tests/oracles/direct_scorer.py``) takes, so partitions and tracked
-costs agree with it bit for bit.
+Nothing sits above it: the session's
+:class:`~repro.core.tracker.CostTracker` evaluates through the memo and
+answers every pricing question itself, at the flush boundaries the
+uncached ``DirectScorer`` oracle (``tests/oracles/direct_scorer.py``)
+takes, so partitions and tracked costs agree with it bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.costmodel.features import FEATURE_NAMES, copy_keys, with_master
+from repro.costmodel.features import FEATURE_NAMES
 from repro.costmodel.model import CostModel
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.tracker import CostTracker
-    from repro.partition.hybrid import HybridPartition
 
 #: Sentinel distinguishing "absent" from a memoized value (values may be
 #: any float, including 0.0 and NaN-free negatives a guard clamps to).
@@ -189,73 +184,3 @@ def memoize_cost_model(
         return model
     return MemoizedCostModel(model, stats=stats, max_entries=max_entries)
 
-
-class GainCache:
-    """The refiners' scorer (DESIGN.md §8): answers read off the tracker.
-
-    Owns the memoized cost model the session's tracker evaluates
-    through.  After :meth:`bind` the phase bodies ask it for
-    ``price_as_ecut`` / ``host_scores`` and for the fragment order
-    (``cheapest`` / ``ascending``); each answer is computed on the spot
-    from the tracker and the partition, so there is nothing to
-    invalidate.  VMigrate's merged price needs no scorer: it is
-    :func:`repro.core.v2h.merged_price` over the tracker.
-
-    Lifecycle (owned by :class:`~repro.core.driver.RefineSession`)::
-
-        cache = GainCache(partition, model)
-        tracker = CostTracker(partition, cache.model)
-        cache.bind(tracker)
-        ...refine...
-        tracker.detach()
-    """
-
-    def __init__(
-        self,
-        partition: "HybridPartition",
-        model: CostModel,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-    ) -> None:
-        self.partition = partition
-        self.model = memoize_cost_model(model, max_entries=max_entries)
-        #: One stats object per evaluation stack: a cache over an already
-        #: memoized model (a nested pass) counts into that memo's stats.
-        self.stats = self.model.stats
-        self.tracker: Optional["CostTracker"] = None
-
-    def bind(self, tracker: "CostTracker") -> None:
-        """Attach the refiner's tracker; ``price_as_ecut`` is its own."""
-        self.tracker = tracker
-        self.price_as_ecut = tracker.price_as_ecut
-
-    def host_scores(self, v: int, hosts: Sequence[int]) -> List[Tuple[float, float]]:
-        """Eq. 5 pairs ``(g^j_A(v), Δh master)`` of ``v``, one per host,
-        from one :func:`~repro.costmodel.features.copy_keys` pass."""
-        tracker = self.tracker
-        model = tracker.cost_model
-        copies = {
-            fid: (bearing, key)
-            for fid, bearing, key in copy_keys(self.partition, v, tracker.avg_degree)
-        }
-        pairs = []
-        for fid in hosts:
-            bearing, key = copies[fid]
-            pairs.append(
-                (model.g_key(with_master(key, True)), model.master_delta_key(bearing, key))
-            )
-        return pairs
-
-    def cheapest(self) -> int:
-        """``argmin_i load(F_i)``, lowest fragment id among ties."""
-        loads = self.tracker.loads()
-        return min(range(len(loads)), key=loads.__getitem__)
-
-    def ascending(self, fids: Sequence[int]) -> List[int]:
-        """``fids`` by ascending load, ties in ``fids`` order.
-
-        An empty ``fids`` returns ``[]`` without flushing the tracker,
-        as ``sorted([], key=tracker.load)`` never calls its key.
-        """
-        if not fids:
-            return []
-        return sorted(fids, key=self.tracker.loads().__getitem__)

@@ -10,7 +10,7 @@ master goes to the hosting fragment minimizing
 plus the communication the vertex itself would incur there.  MAssign
 never moves edges, so it cannot worsen the computational balance the
 earlier phases achieved.  The Eq. 5 terms come from the session's
-scorer (:class:`~repro.core.gaincache.GainCache`).
+tracker (:meth:`~repro.core.tracker.CostTracker.host_scores`).
 
 Eq. 5 scores in *time* units, each term divided by its host's capacity:
 
@@ -29,13 +29,11 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Tuple
 from repro.core.tracker import CostTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.core.gaincache import GainCache
     from repro.integrity.guard import RefinementGuard
 
 
 def eq5_pass(
     tracker: CostTracker,
-    scorer: "GainCache",
     vertices: Iterable[int],
     residual: bool,
 ) -> Callable[[int], Tuple[List[int], Optional[int], Optional[int]]]:
@@ -50,7 +48,7 @@ def eq5_pass(
     contribution of each of ``vertices``, subtracted in their order.
     """
     partition = tracker.partition
-    host_scores = scorer.host_scores
+    host_scores = tracker.host_scores
     comp = tracker.comp_costs()
     comm = [0.0] * partition.num_fragments
     if residual:
@@ -94,15 +92,13 @@ def eq5_pass(
 
 def massign(
     tracker: CostTracker,
-    scorer: "GainCache",
     vertices: Optional[Iterable[int]] = None,
     guard: Optional["RefinementGuard"] = None,
     residual: bool = False,
 ) -> int:
     """Reassign masters of border vertices by Eq. 5; return moves made.
 
-    ``scorer`` — the session's scorer, bound to ``tracker`` —
-    supplies the per-host ``(g, Δh)`` score pairs.  ``vertices``
+    ``tracker`` supplies the per-host ``(g, Δh)`` score pairs.  ``vertices``
     restricts the pass (the dirty-region path); default is every border
     vertex in ascending id order.  ``guard`` (the guarded pipeline) is
     stepped once per master move.
@@ -123,7 +119,7 @@ def massign(
             if len(hosts) > 1
         )
     vertices = list(vertices)
-    assign = eq5_pass(tracker, scorer, vertices, residual)
+    assign = eq5_pass(tracker, vertices, residual)
     moves = 0
     for v in vertices:
         _hosts, current, best = assign(v)

@@ -216,7 +216,7 @@ class CompositeRefiner:
         for name, session in sessions.items():
             if session.guard_stats is not None:
                 stats.guard[name] = session.guard_stats
-            stats.gain_cache[name] = session.scorer.stats
+            stats.gain_cache[name] = session.model.stats
             stats.rescoring_calls += session.counted.calls
         self.last_stats = stats
         return CompositePartition(outputs)
@@ -350,7 +350,7 @@ class CompositeRefiner:
             if run.exhausted:
                 break
             try:
-                massign(session.tracker, session.scorer, guard=run.guards.get(name))
+                massign(session.tracker, guard=run.guards.get(name))
             except RefinementBudgetExceeded:
                 run.exhausted = True
 
@@ -394,7 +394,7 @@ class ME2H(CompositeRefiner):
     def _load(self, session: RefineSession, unit: Unit) -> Callable[[int], float]:
         # The star's e-cut price does not depend on the fragment; it is
         # priced before ``comp_cost`` is read (the tracker flushes lazily).
-        price = session.scorer.price_as_ecut(unit[0])
+        price = session.tracker.price_as_ecut(unit[0])
         comp_cost = session.tracker.comp_cost
         return lambda fid: comp_cost(fid) + price
 
@@ -415,7 +415,7 @@ class ME2H(CompositeRefiner):
         for _home, (v, edges), names in residue:
             for name in names:
                 output = run.sessions[name].partition
-                cheapest = run.sessions[name].scorer.cheapest
+                cheapest = run.sessions[name].tracker.cheapest
                 run.stats.eassign_units += 1
                 if not edges:
                     output.add_vertex_to(cheapest(), v)

@@ -118,7 +118,7 @@ class MV2H(CompositeRefiner):
         # Inside the per-unit loop: the placement moves ``cheapest()``
         # and the underloaded sets seen by later units.
         stats.eassign_units += 1
-        return session.scorer.cheapest()
+        return session.tracker.cheapest()
 
     def _merger(self, model: CostModel, **options) -> V2H:
         """The V2H pass the tail runs on one output."""

@@ -197,9 +197,7 @@ class _ParRefiner:
         masters against the shared accumulators."""
         vertices, residual = state.massign_scope()
         work = _by_master(state.partition, vertices)
-        assign = eq5_pass(
-            state.tracker, state.scorer, chain.from_iterable(work.values()), residual
-        )
+        assign = eq5_pass(state.tracker, chain.from_iterable(work.values()), residual)
         for superstep, fid, batch in _supersteps(state.cluster, work, self.batch_size):
             for v in batch:
                 hosts, current, best = assign(v)
@@ -240,7 +238,7 @@ class ParE2H(_ParRefiner, E2H):
         if not underloaded:
             return
         # Bounced candidates re-price on every retry (value-memo hits).
-        price_as_ecut = state.scorer.price_as_ecut
+        price_as_ecut = state.tracker.price_as_ecut
         # Per-source queues of (vertex, edges, attempts).
         queues: Dict[int, List] = {
             src: [(v, edges, 0) for v, edges in cand_list]

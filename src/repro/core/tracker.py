@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import truediv
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.costmodel.features import ecut_key, priced_copies
+from repro.costmodel.features import copy_keys, ecut_key, priced_copies, with_master
 from repro.costmodel.model import CostModel
 from repro.graph.metrics import average_degree
 from repro.partition.hybrid import HybridPartition
@@ -275,3 +275,34 @@ class CostTracker:
         Used to pre-price EMigrate destinations without mutating state.
         """
         return self.cost_model.h_key(ecut_key(self.partition, v, self.avg_degree))
+
+    def host_scores(self, v: int, hosts: Sequence[int]) -> List[Tuple[float, float]]:
+        """Eq. 5 pairs ``(g^j_A(v), Δh master)`` of ``v``, one per host,
+        from one :func:`~repro.costmodel.features.copy_keys` pass."""
+        model = self.cost_model
+        copies = {
+            fid: (bearing, key)
+            for fid, bearing, key in copy_keys(self.partition, v, self.avg_degree)
+        }
+        pairs = []
+        for fid in hosts:
+            bearing, key = copies[fid]
+            pairs.append(
+                (model.g_key(with_master(key, True)), model.master_delta_key(bearing, key))
+            )
+        return pairs
+
+    def cheapest(self) -> int:
+        """``argmin_i load(F_i)``, lowest fragment id among ties."""
+        loads = self.loads()
+        return min(range(len(loads)), key=loads.__getitem__)
+
+    def ascending(self, fids: Sequence[int]) -> List[int]:
+        """``fids`` by ascending load, ties in ``fids`` order.
+
+        An empty ``fids`` returns ``[]`` without flushing, as
+        ``sorted([], key=self.load)`` never calls its key.
+        """
+        if not fids:
+            return []
+        return sorted(fids, key=self.loads().__getitem__)

@@ -113,7 +113,7 @@ def vmerge_missing(state: PassState, v: int, fid: int) -> Optional[List[Edge]]:
         edge for edge in state.partition.graph.incident_edges(v)
         if not fragment.has_edge(edge)
     ]
-    new_price = state.scorer.price_as_ecut(v)
+    new_price = tracker.price_as_ecut(v)
     old_price = tracker.copy_comp_cost(v, fid)
     if (
         tracker.projected_load(fid, tracker.comp_cost(fid) - old_price + new_price)
@@ -167,7 +167,7 @@ class V2H(SingleOutputRefiner):
     def _phase_vmigrate(self, state: PassState) -> None:
         """Fig. 4 lines 6-10: merge v-cut copies into co-located copies."""
         partition = state.partition
-        ascending = state.scorer.ascending
+        ascending = state.tracker.ascending
         for src, cand_list in state.candidates.items():
             remaining = []
             for v, edges in cand_list:
@@ -194,7 +194,7 @@ class V2H(SingleOutputRefiner):
         partition = state.partition
         for _pass in range(self.vmerge_passes):
             merged_any = False
-            for fid in state.scorer.ascending(range(partition.num_fragments)):
+            for fid in state.tracker.ascending(range(partition.num_fragments)):
                 for v in vcut_promotions(state, fid):
                     if not state.holds(v, fid, NodeRole.VCUT):
                         continue

@@ -69,16 +69,6 @@ class CacheStats:
             quarantined=self.quarantined - since.quarantined,
         )
 
-    def as_dict(self) -> Dict[str, int]:
-        """JSON-serializable counter dict."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "quarantined": self.quarantined,
-        }
-
     def describe(self) -> str:
         """One-line human-readable rendering."""
         text = (
@@ -106,17 +96,6 @@ class CacheAudit:
     def healthy(self) -> bool:
         """Whether the root held no damaged entries and no orphans."""
         return not self.corrupt and not self.orphan_tmp
-
-    def as_dict(self) -> Dict:
-        """JSON-serializable audit report."""
-        return {
-            "scanned": self.scanned,
-            "ok": self.ok,
-            "corrupt": list(self.corrupt),
-            "quarantined": self.quarantined,
-            "orphan_tmp": list(self.orphan_tmp),
-            "removed_tmp": self.removed_tmp,
-        }
 
 
 class ArtifactCache:

@@ -90,22 +90,12 @@ class PlanStats:
     __slots__ = ("recompiled", "patched", "revalidated")
 
     def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
         self.recompiled = 0
         self.patched = 0
         self.revalidated = 0
 
     def snapshot(self) -> Tuple[int, int, int]:
         return (self.recompiled, self.patched, self.revalidated)
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "recompiled": self.recompiled,
-            "patched": self.patched,
-            "revalidated": self.revalidated,
-        }
 
 
 #: module-level counter instance; read via :func:`plan_stats`
@@ -352,15 +342,21 @@ class FragmentPlan:
         return keys
 
     def _rebase_edges(self, fid: int, base: "_Base") -> np.ndarray:
-        """Edge keys off a base: rows off the dirty vertices stand, and
-        their current local edges are merged in — an edge that came or
-        went has both ends dirty."""
+        """Edge keys off a base: an edge that came or went has both ends
+        dirty, so every other row stands, and only the current local
+        edges between two dirty vertices are merged in."""
         incident = self.partition.fragments[fid]._incident
-        edges = set().union(*[incident[v] for v in base.dirty.tolist() if v in incident])
+        dirty = base.dirty.tolist()
+        inside = set(dirty)
+        edges = {
+            (u, w)
+            for v in dirty if v in incident
+            for u, w in incident[v] if u in inside and w in inside
+        }
         flat = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
         src, dst = base.pair if base.pair is not None else np.divmod(base.keys, self.key_base)
         mask = self._mask(base.dirty)
-        kept = base.keys[~(mask[src] | mask[dst])]
+        kept = base.keys[~(mask[src] & mask[dst])]
         self._consume(fid, base._replace(keys=None, pair=None))
         return np.sort(np.concatenate([kept, flat[0::2] * self.key_base + flat[1::2]]))
 

@@ -217,9 +217,7 @@ def test_everything_dirty_visits_the_same_candidates(case, monkeypatch):
 
     refiner, base = _build(case, monkeypatch)
     everything = range(base.graph.num_vertices)
-    result = refiner.refine_incremental(
-        base, everything, in_place=False, seed=None
-    )
+    result = refiner.refine_incremental(base, everything, in_place=False)
     scoped = result[1].stats if isinstance(result, tuple) else refiner.last_stats
     assert not scoped.incremental.seeded
     assert scoped.incremental.frontier == base.graph.num_vertices
@@ -360,6 +358,32 @@ def test_a_cache_over_a_memoized_model_counts_into_that_memo():
     stats = refiner.last_stats.gain_cache
     assert stats is memo.stats
     assert stats.value_hits > 0 and stats.value_misses > 0
+
+
+@pytest.mark.parametrize(
+    "refiner_cls, make", [(E2H, make_edge_cut), (V2H, make_vertex_cut)], ids=["e2h", "v2h"]
+)
+def test_a_memo_at_its_entry_bound_evicts_and_stays_exact(refiner_cls, make):
+    """The memo's eviction bound degrades to slow-but-right: a memo of
+    eight entries evicts, and the pass it serves refines, prices and
+    counts as the unbounded one does."""
+
+    def run(model):
+        refiner = refiner_cls(model)
+        refined = refiner.refine(make(_graph(), 4, seed=1))
+        blob = json.dumps(partition_to_dict(refined), sort_keys=True)
+        stats = refiner.last_stats
+        return stats.gain_cache, (
+            hashlib.sha256(blob.encode()).hexdigest(),
+            stats.cost_before.hex(),
+            stats.cost_after.hex(),
+            stats.rescoring_calls,
+        )
+
+    bounded, got = run(memoize_cost_model(builtin_cost_model("pr"), max_entries=8))
+    unbounded, want = run(builtin_cost_model("pr"))
+    assert got == want
+    assert bounded.evictions > 0 == unbounded.evictions
 
 
 def test_mv2h_output_counters_include_its_vmerge_pass(monkeypatch):

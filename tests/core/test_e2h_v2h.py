@@ -78,7 +78,7 @@ class TestE2H:
     @pytest.mark.xfail(
         strict=True,
         reason="MAssign moves a full master's C_h with it without pricing it: "
-        "after ESplit GainCache.host_scores prices dh = 0.0 on every host "
+        "after ESplit CostTracker.host_scores prices dh = 0.0 on every host "
         "(master_delta_key reads only the M feature), but designated_home "
         "follows a full master",
     )

@@ -7,7 +7,7 @@ same refiner run under the uncached ``DirectScorer``
 (``tests/oracles/direct_scorer.py``, installed with ``monkeypatch``).
 This suite checks that promise for all six refiners across a grid of
 generated graphs and seeds, plus a hypothesis property test that
-interleaves random partition mutations with scorer queries and compares
+interleaves random partition mutations with tracker queries and compares
 every answer against a fresh raw-model evaluation (a stale memo entry or
 a stale tracker read would surface directly).
 """
@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import E2H, ME2H, MV2H, ParE2H, ParV2H, V2H
-from repro.core.gaincache import GainCache
+from repro.core.gaincache import memoize_cost_model
 from repro.core.operations import emigrate
 from repro.core.tracker import CostTracker
 from repro.costmodel.features import hypothetical_ecut_features
@@ -200,10 +200,8 @@ def _fresh_cache_env():
     graph = chung_lu_power_law(40, 4.0, exponent=2.1, directed=True, seed=5)
     partition = make_edge_cut(graph, 3, seed=1)
     raw = builtin_cost_model("pr")
-    cache = GainCache(partition, raw)
-    tracker = CostTracker(partition, cache.model)
-    cache.bind(tracker)
-    return partition, raw, cache, tracker
+    tracker = CostTracker(partition, memoize_cost_model(raw))
+    return partition, raw, tracker
 
 
 @settings(
@@ -213,14 +211,14 @@ def _fresh_cache_env():
 )
 @given(data=st.data())
 def test_random_interleavings_match_raw_oracle(data):
-    """Every scorer answer equals a fresh raw-model evaluation.
+    """Every tracker answer equals a fresh raw-model evaluation.
 
     Interleaves partition mutations (EMigrate moves, master flips) with
-    scorer queries in a hypothesis-drawn order.  A stale answer would
+    tracker queries in a hypothesis-drawn order.  A stale answer would
     surface as a float differing from the oracle, which is recomputed
     from the *current* partition state on every query.
     """
-    partition, raw, cache, tracker = _fresh_cache_env()
+    partition, raw, tracker = _fresh_cache_env()
     try:
         avg = tracker.avg_degree
         num_vertices = partition.graph.num_vertices
@@ -243,7 +241,7 @@ def test_random_interleavings_match_raw_oracle(data):
                 expected = raw.h_value(
                     hypothetical_ecut_features(partition, v, avg)
                 )
-                assert cache.price_as_ecut(v) == expected
+                assert tracker.price_as_ecut(v) == expected
             elif op == "query_massign":
                 if not hosts:
                     continue
@@ -252,7 +250,7 @@ def test_random_interleavings_match_raw_oracle(data):
                     raw.comm_cost_if_master_at(partition, v, target, avg),
                     raw.comp_master_delta(partition, v, target, avg),
                 )
-                assert cache.host_scores(v, [target]) == [expected]
+                assert tracker.host_scores(v, [target]) == [expected]
             elif op == "master":
                 if not hosts:
                     continue

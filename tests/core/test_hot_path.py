@@ -108,7 +108,7 @@ def test_a_move_is_one_transaction_and_single_edge_verbs_serve_esplit_alone():
 
 def test_a_refine_pass_puts_one_listener_on_the_partition(monkeypatch):
     """Every mutation notification reaches the tracker's dirty mark and
-    nothing else: the scorer reads the tracker and listens to nobody."""
+    nothing else: the tracker answers every pricing question itself."""
     partition = golden_input()
     added = []
     add_listener = HybridPartition.add_listener

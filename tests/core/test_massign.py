@@ -1,4 +1,4 @@
-"""Tests for MAssign (Eq. 5), scored by a session's gain cache."""
+"""Tests for MAssign (Eq. 5), scored by a session's cost tracker."""
 
 from contextlib import contextmanager
 
@@ -15,15 +15,15 @@ from tests.conftest import make_vertex_cut
 
 @contextmanager
 def scored(partition, model):
-    """``(tracker, scorer)`` of an unguarded session over ``partition``."""
+    """The tracker of an unguarded session over ``partition``."""
     with RefineSession(partition, model, None, None) as session:
-        yield session.tracker, session.scorer
+        yield session.tracker
 
 
 def test_masters_stay_on_hosting_fragments(power_graph):
     p = make_vertex_cut(power_graph, 4, seed=6)
-    with scored(p, builtin_cost_model("pr")) as (tracker, scorer):
-        massign(tracker, scorer)
+    with scored(p, builtin_cost_model("pr")) as tracker:
+        massign(tracker)
     for v, hosts in p.vertex_fragments():
         assert p.master(v) in hosts
 
@@ -35,9 +35,9 @@ def test_does_not_increase_comm_imbalance(power_graph):
     for v, hosts in list(p.vertex_fragments()):
         if 0 in hosts:
             p.set_master(v, 0)
-    with scored(p, model) as (tracker, scorer):
+    with scored(p, model) as tracker:
         before = max(tracker.comm_cost(f) for f in range(4))
-        moves = massign(tracker, scorer)
+        moves = massign(tracker)
         after = max(tracker.comm_cost(f) for f in range(4))
     assert moves > 0
     assert after <= before
@@ -46,8 +46,8 @@ def test_does_not_increase_comm_imbalance(power_graph):
 def test_single_host_vertices_untouched():
     g = Graph(3, [(0, 1), (1, 2)])
     p = HybridPartition.from_edge_assignment(g, {(0, 1): 0, (1, 2): 0}, 2)
-    with scored(p, builtin_cost_model("pr")) as (tracker, scorer):
-        assert massign(tracker, scorer) == 0
+    with scored(p, builtin_cost_model("pr")) as tracker:
+        assert massign(tracker) == 0
 
 
 def test_restricted_vertex_list(power_graph):
@@ -55,8 +55,8 @@ def test_restricted_vertex_list(power_graph):
     borders = [v for v, h in p.vertex_fragments() if len(h) > 1]
     subset = borders[:5]
     masters_before = {v: p.master(v) for v in borders}
-    with scored(p, builtin_cost_model("pr")) as (tracker, scorer):
-        massign(tracker, scorer, vertices=subset)
+    with scored(p, builtin_cost_model("pr")) as tracker:
+        massign(tracker, vertices=subset)
     for v in borders[5:]:
         assert p.master(v) == masters_before[v]
 
@@ -75,7 +75,7 @@ def test_master_dependent_computation_spreads():
     h = PolynomialCostFunction([Monomial(1.0, {"M": 1, "d_G": 1})], "h")
     gm = PolynomialCostFunction([Monomial(0.01, {"r": 1})], "g")
     model = CostModel("m", h, gm)
-    with scored(p, model) as (tracker, scorer):
-        massign(tracker, scorer)
+    with scored(p, model) as tracker:
+        massign(tracker)
     # The two master-side loads should not share a fragment.
     assert p.master(1) != p.master(4)

@@ -109,7 +109,7 @@ class TestCompositeSchedules:
     def test_massign_rounds_follow_the_busiest_master(self, power_graph, monkeypatch):
         masters, outputs = Counter(), []
 
-        def spy(tracker, scorer, **kwargs):
+        def spy(tracker, **kwargs):
             output = tracker.partition
             outputs.append(output)
             masters.update(
@@ -117,7 +117,7 @@ class TestCompositeSchedules:
                 for v, hosts in output.vertex_fragments()
                 if len(hosts) > 1
             )
-            return massign(tracker, scorer, **kwargs)
+            return massign(tracker, **kwargs)
 
         monkeypatch.setattr(me2h, "massign", spy)
         initial = make_edge_cut(power_graph, 3, seed=13)

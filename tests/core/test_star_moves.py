@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core import E2H, ME2H, MV2H, V2H
 from repro.core import operations as live
 from repro.core.driver import RefineSession
-from repro.core.gaincache import GainCache
+from repro.core.gaincache import GainCacheStats
 from repro.costmodel.library import builtin_cost_model
 from repro.graph.digraph import Graph
 from repro.partition.hybrid import HybridPartition
@@ -63,17 +63,16 @@ class World:
         self.partition = partition
         self.oracle = oracle
         if oracle:
-            self.cache = GainCache(partition, model)
-            self.cache.model = frozen.ThreeFrameMemoizedCostModel(model, self.cache.stats)
-            self.counted = frozen.ThreeFrameRescoringModel(self.cache.model)
+            self.stats = GainCacheStats()
+            memo = frozen.ThreeFrameMemoizedCostModel(model, self.stats)
+            self.counted = frozen.ThreeFrameRescoringModel(memo)
             self.tracker = frozen.PerEdgeTracker(partition, self.counted)
-            self.cache.bind(self.tracker)
             self.moves = frozen
             self.assign = {"me2h": frozen.me2h_assign_unit, "mv2h": frozen.mv2h_assign_unit}
         else:
             session = RefineSession(partition, model, None, None)
-            self.cache, self.counted, self.tracker = (
-                session.scorer, session.counted, session.tracker
+            self.stats, self.counted, self.tracker = (
+                session.model.stats, session.counted, session.tracker
             )
             self.moves = live
             self.assign = {"me2h": ME2H._assign_unit, "mv2h": MV2H._assign_unit}
@@ -123,9 +122,9 @@ class World:
         elif kind == 7:
             self.tracker.ensure_current()
         else:
-            self.cache.price_as_ecut(v)
+            self.tracker.price_as_ecut(v)
             if len(hosts) > 1:
-                self.cache.host_scores(v, hosts)
+                self.tracker.host_scores(v, hosts)
 
     def state(self) -> dict:
         partition, tracker = self.partition, self.tracker
@@ -139,7 +138,7 @@ class World:
             "comm": [c.hex() for c in tracker._comm],
             "copy contrib": tracker._copy_contrib,
             "comm contrib": tracker._comm_contrib,
-            "cache stats": self.cache.stats.as_dict(),
+            "cache stats": self.stats.as_dict(),
             "rescoring calls": self.counted.calls,
         }
 
@@ -237,7 +236,7 @@ def freeze_the_stack(monkeypatch) -> None:
     monkeypatch.setattr(me2h, "CostTracker", frozen.PerEdgeTracker)
     monkeypatch.setattr(driver, "RescoringModel", frozen.ThreeFrameRescoringModel)
     monkeypatch.setattr(
-        gaincache, "memoize_cost_model",
+        driver, "memoize_cost_model",
         lambda model, stats=None, max_entries=gaincache.DEFAULT_MAX_ENTRIES: (
             model  # idempotent, as the original
             if isinstance(model, gaincache.MemoizedCostModel)

@@ -20,6 +20,6 @@ import it from ``src/``.
   heterogeneous / degraded barrier charges and the out-of-superstep
   ``_op_time`` / ``_byte_time`` the one barrier formula replaced
 * ``direct_scorer`` — ``DirectScorer``, the uncached scorer, and
-  ``use_direct_scorer(monkeypatch)``, which puts it where the driver
-  builds its ``GainCache``
+  ``use_direct_scorer(monkeypatch)``, which puts a tracker answering
+  through it, over an unmemoized model, where the driver builds them
 """

@@ -1,26 +1,30 @@
-"""The uncached reference scorer, and the stand-in that installs it.
+"""The uncached reference scorer, and the stand-ins that install it.
 
-``RefineSession`` always prices moves through a
-:class:`~repro.core.gaincache.GainCache` over a value memo.
+``RefineSession`` always prices moves off its
+:class:`~repro.core.tracker.CostTracker` over a value memo.
 :class:`DirectScorer` answers the same questions with no memo — Eq. 5
 pairs through the mapping-based model methods — and
-:func:`use_direct_scorer` swaps :class:`DirectGainCache` in for the
-``GainCache`` the driver builds — so a test runs the very refiner code
-under the oracle scorer and compares partitions, costs and move
-sequences bit for bit.
+:func:`use_direct_scorer` swaps :class:`DirectTracker` (a tracker whose
+answers are :class:`DirectScorer`'s) and an unmemoized model in for the
+ones the driver builds — so a test runs the very refiner code under the
+oracle scorer and compares partitions, costs and move sequences bit for
+bit.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from repro.core.tracker import CostTracker
+from repro.costmodel.model import CostModel
+
 
 class DirectScorer:
     """The uncached reference scorer: every answer straight off the tracker.
 
-    Same surface as a bound :class:`~repro.core.gaincache.GainCache`, no
-    memo: each call is the evaluation the scorer is exact against, at
-    the same tracker flush boundaries.
+    Same surface as the tracker's ``price_as_ecut`` / ``host_scores`` /
+    ``cheapest`` / ``ascending``, no memo: each call is the evaluation
+    the tracker is exact against, at the same flush boundaries.
     """
 
     def __init__(self, tracker) -> None:
@@ -50,22 +54,38 @@ class DirectScorer:
         return sorted(fids, key=self.tracker.load)
 
 
-class DirectGainCache(DirectScorer):
-    """A ``GainCache`` look-alike that memoizes nothing.
+class DirectTracker(CostTracker):
+    """A :class:`CostTracker` whose pricing answers are :class:`DirectScorer`'s."""
 
-    Same lifecycle as the cache: ``model`` is the model it was given
-    (no value memo), :meth:`bind` makes it a :class:`DirectScorer` over
-    the session's tracker, and ``stats`` is ``None`` — there is no memo
-    to count.
-    """
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        direct = DirectScorer(self)
+        self.host_scores, self.cheapest, self.ascending = (
+            direct.host_scores, direct.cheapest, direct.ascending
+        )
+
+
+class UnmemoizedModel(CostModel):
+    """A passthrough over ``base`` with no value memo: ``stats`` is
+    ``None`` — there is nothing to count."""
 
     stats = None
 
-    def __init__(self, partition, model) -> None:
-        self.model = model
+    def __init__(self, base: CostModel) -> None:
+        super().__init__(name=base.name, h=base.h, g=base.g, gate=base.gate)
+        self.base = base
 
-    def bind(self, tracker) -> None:
-        DirectScorer.__init__(self, tracker)
+    def h_value(self, features):
+        return self.base.h_value(features)
+
+    def g_value(self, features):
+        return self.base.g_value(features)
+
+    def h_key(self, key):
+        return self.base.h_key(key)
+
+    def g_key(self, key):
+        return self.base.g_key(key)
 
 
 def use_direct_scorer(monkeypatch) -> None:
@@ -73,4 +93,5 @@ def use_direct_scorer(monkeypatch) -> None:
     through :class:`DirectScorer`."""
     from repro.core import driver
 
-    monkeypatch.setattr(driver, "GainCache", DirectGainCache)
+    monkeypatch.setattr(driver, "memoize_cost_model", UnmemoizedModel)
+    monkeypatch.setattr(driver, "CostTracker", DirectTracker)

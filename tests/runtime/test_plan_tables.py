@@ -8,6 +8,7 @@ equal theirs in value, dtype and order, on fresh compiles and on plans
 brought current by ``plan_for``'s patch.
 """
 
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -215,6 +216,38 @@ def test_a_batch_that_grows_the_vertex_set_recompiles():
     after = plan_stats().snapshot()
     assert after[0] == before[0] + 1, "a grown vertex set must re-key every table"
     assert after[1:] == before[1:]
+    assert_equals_fresh_compile(plan, partition)
+
+
+def test_a_rebase_re_reads_only_the_edges_between_dirty_vertices(monkeypatch):
+    """An edge that came or went journals both its ends, so an edge from a
+    dirty vertex to a clean one stands on the base: only the edges with
+    both ends dirty are re-read, and the plan equals a fresh compile."""
+    partition = _two_halves()
+    _read_all(plan_for(partition))
+    mark = partition.generation
+    # 3 and 7 keep their cycle edges to the clean 2, 4 and 6.
+    apply_mutations(partition, MutationBatch.parse("+ 3 30\n- 7 8"))
+    dirty = partition.mutations_since(mark)
+    read = []
+
+    class Chain:
+        @staticmethod
+        def from_iterable(rows):
+            rows = list(rows)
+            read.extend(rows)
+            return chain.from_iterable(rows)
+
+    monkeypatch.setattr(plan_module, "chain", Chain)
+    patched = plan_stats().patched
+    plan = plan_for(partition, incremental=True)
+    for fid in range(plan.num_fragments):
+        plan.edge_keys(fid)
+    assert plan_stats().patched == patched + 1
+    assert (3, 30) in read
+    assert all(u in dirty and w in dirty for u, w in read)
+    assert not {(2, 3), (3, 4), (6, 7)} & set(read)
+    monkeypatch.undo()
     assert_equals_fresh_compile(plan, partition)
 
 
